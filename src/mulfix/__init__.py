@@ -19,7 +19,6 @@ from .conditions import (
     check_phi,
     check_strict,
     classify,
-    delta_of,
     estimate_constants,
 )
 from .errors import (
@@ -45,10 +44,7 @@ from .metrics import (
     Point,
     ReverseTriangleReport,
     as_point,
-    distance,
     in_open_ball,
-    log_distance,
-    pairwise_log_distances,
     star_abs,
     verify_axioms,
     verify_reverse_triangle,
@@ -115,17 +111,13 @@ __all__ = [
     "check_phi",
     "check_strict",
     "classify",
-    "delta_of",
     "detect_limit_point",
-    "distance",
     "estimate_constants",
     "find_periodic_point",
     "fixture_config",
     "grid_points",
     "in_open_ball",
     "is_converged_to",
-    "log_distance",
-    "pairwise_log_distances",
     "picard",
     "run_experiment",
     "run_fixture",

@@ -10,7 +10,8 @@ from pathlib import Path
 
 from .conditions import classify
 from .errors import MulfixError
-from .experiment import ExperimentConfig, run_experiment, write_atomic, write_report
+from .experiment import (ExperimentConfig, dump_json, run_experiment, write_atomic,
+                         write_report)
 from .fixtures import FIXTURE_NAMES, RemarkReport, fixture_config, run_fixture
 from .maps import sample_box
 
@@ -94,8 +95,7 @@ def main(argv=None) -> int:
             out = _out_dir(args, config)
             if out is not None:
                 if isinstance(report, RemarkReport):
-                    write_atomic(out / "report.json",
-                                 json.dumps(report.to_json_dict(), indent=2) + "\n")
+                    write_atomic(out / "report.json", dump_json(report.to_json_dict()))
                 else:
                     write_report(report, out, fmt=args.format)
                 print(f"wrote outputs to {out}")
@@ -125,7 +125,7 @@ def main(argv=None) -> int:
         out = _out_dir(args, config)
         if out is not None:
             write_atomic(out / "condition_report.json",
-                         json.dumps(cls_report.to_json_dict(), indent=2) + "\n")
+                         dump_json(cls_report.to_json_dict()))
             print(f"wrote outputs to {out}")
         return 0
     except MulfixError as exc:

@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import DegeneratePairError, DomainError, MulfixError
 from .metrics import DEFAULT_LOG_TOL, Point, as_point
 
@@ -63,11 +65,6 @@ class ZamfirescuConstants:
     def from_json_dict(cls, data: dict) -> "ZamfirescuConstants":
         return cls(xi=data.get("xi", 0.0), eta=data.get("eta", 0.0),
                    lam=data.get("lambda", 0.0))
-
-
-def delta_of(constants: ZamfirescuConstants) -> float:
-    """Effective geometric ratio max{xi, eta/(1-eta), lambda/(1-lambda)}."""
-    return constants.delta
 
 
 @dataclass(frozen=True)
@@ -122,6 +119,10 @@ class PhiSpec:
         """log phi evaluated on log-distance arguments ls, lt >= 0."""
         if ls < 0 or lt < 0:
             raise DomainError("phi arguments must be distances >= 1")
+        return self._log_phi(ls, lt)
+
+    def _log_phi(self, ls, lt):
+        """log_phi without the range check; also takes numpy arrays."""
         if self.kind == "power_product":
             return 0.5 * (1 - self.q) * (ls + lt)
         if self.kind == "psi_sqrt":
@@ -158,10 +159,6 @@ def _clip_slack(slack: float, tol: float) -> tuple[bool, float]:
     return satisfied, slack
 
 
-def _images(T, x: Point, y: Point) -> tuple[Point, Point]:
-    return as_point(T(x)), as_point(T(y))
-
-
 def _require_distinct(x: Point, y: Point) -> None:
     if x == y:
         raise DegeneratePairError(f"pair must be distinct, got {x} twice")
@@ -173,7 +170,7 @@ def check_c1(metric, T, x, y, xi: float, tol: float = DEFAULT_LOG_TOL):
     _require_distinct(px, py)
     if not (0 <= xi < 1):
         raise DomainError(f"xi must be in [0, 1), got {xi}")
-    tx, ty = _images(T, px, py)
+    tx, ty = as_point(T(px)), as_point(T(py))
     lhs = metric.log_distance(tx, ty)
     rhs = xi * metric.log_distance(px, py)
     return _clip_slack(rhs - lhs, tol)
@@ -185,7 +182,7 @@ def check_c2(metric, T, x, y, eta: float, tol: float = DEFAULT_LOG_TOL):
     _require_distinct(px, py)
     if not (0 <= eta < 0.5):
         raise DomainError(f"eta must be in [0, 1/2), got {eta}")
-    tx, ty = _images(T, px, py)
+    tx, ty = as_point(T(px)), as_point(T(py))
     lhs = metric.log_distance(tx, ty)
     rhs = eta * (metric.log_distance(px, tx) + metric.log_distance(py, ty))
     return _clip_slack(rhs - lhs, tol)
@@ -197,7 +194,7 @@ def check_c3(metric, T, x, y, lam: float, tol: float = DEFAULT_LOG_TOL):
     _require_distinct(px, py)
     if not (0 <= lam < 0.5):
         raise DomainError(f"lambda must be in [0, 1/2), got {lam}")
-    tx, ty = _images(T, px, py)
+    tx, ty = as_point(T(px)), as_point(T(py))
     lhs = metric.log_distance(tx, ty)
     rhs = lam * (metric.log_distance(px, ty) + metric.log_distance(py, tx))
     return _clip_slack(rhs - lhs, tol)
@@ -211,7 +208,7 @@ def check_strict(metric, T, x, y, which: str, strict_margin: float = 0.0):
     """
     px, py = as_point(x), as_point(y)
     _require_distinct(px, py)
-    tx, ty = _images(T, px, py)
+    tx, ty = as_point(T(px)), as_point(T(py))
     lhs = metric.log_distance(tx, ty)
     if which == "SI":
         rhs = metric.log_distance(px, py)
@@ -232,7 +229,7 @@ def check_phi(metric, T, phi: PhiSpec, u, v, tol: float = DEFAULT_LOG_TOL):
     including u = v: L(Tu, Tv) <= (L(u, Tu) + L(v, Tv)) / 2 - log phi.
     """
     pu, pv = as_point(u), as_point(v)
-    tu, tv = _images(T, pu, pv)
+    tu, tv = as_point(T(pu)), as_point(T(pv))
     lhs = metric.log_distance(tu, tv)
     ls = metric.log_distance(pu, tu)
     lt = metric.log_distance(pv, tv)
@@ -285,6 +282,92 @@ class ConstantEstimates:
         }
 
 
+# Map failures that constant estimation skips; classification records the
+# narrower second set as error records and lets anything else propagate.
+_MAP_ERRORS = (MulfixError, ArithmeticError, ValueError)
+_RECORDED_ERRORS = (MulfixError, ZeroDivisionError, OverflowError)
+
+
+def _point_error(metric, p: Point, dim: int) -> DomainError | None:
+    """Why a log distance involving p fails, or None when none does."""
+    try:
+        if len(p) != dim:
+            raise DomainError(f"dimension mismatch: {dim} vs {len(p)}")
+        metric.check_domain(p)
+    except DomainError as exc:
+        return exc
+    return None
+
+
+class _PairTable:
+    """A sample mapped once, with the three log-distance matrices of its pairs.
+
+    ``Dxx[i, j] = L(x_i, x_j)``, ``Dtt[i, j] = L(Tx_i, Tx_j)`` and
+    ``Dxt[i, j] = L(x_i, Tx_j)`` give the six values every condition reads.
+    Entries are NaN unless both points and their images are valid (see
+    ``first_error``); ``usable`` marks the distinct valid pairs i < j.
+    """
+
+    def __init__(self, metric, T, sample: Sequence):
+        self.points = points = [as_point(p) for p in sample]
+        dim = len(points[0]) if points else 0
+        images, self.errors = [], []  # errors: what fails at T(x), at Tx, at x
+        for p in points:
+            try:
+                image, error = as_point(T(p)), None
+            except _MAP_ERRORS as exc:
+                logger.warning("map evaluation failed at %s; point excluded", p)
+                image, error = None, exc
+            images.append(image)
+            self.errors.append((error, image and _point_error(metric, image, dim),
+                                _point_error(metric, p, dim)))
+        good = [k for k, e in enumerate(self.errors) if e == (None, None, None)]
+        X, TX = [points[k] for k in good], [images[k] for k in good]
+        n, block = len(points), np.ix_(good, good)
+        self.Dxx, self.Dtt, self.Dxt = (np.full((n, n), np.nan) for _ in range(3))
+        self.Dxx[block] = metric.log_distance_matrix(X, X)
+        self.Dtt[block] = metric.log_distance_matrix(TX, TX)
+        self.Dxt[block] = metric.log_distance_matrix(X, TX)
+        A = np.array(X).reshape(len(X), dim)
+        self.usable = np.zeros((n, n), dtype=bool)
+        self.usable[block] = np.triu(~(A[:, None, :] == A[None, :, :]).all(axis=2), 1)
+        self.step = np.diag(self.Dxt)  # L(x, Tx) of each point
+        with np.errstate(all="ignore"):
+            self.own = self.step[:, None] + self.step[None, :]  # L(x, Tx) + L(y, Ty)
+            self.cross = self.Dxt + self.Dxt.T  # L(x, Ty) + L(y, Tx)
+
+    def first_error(self, i: int, j: int) -> Exception | None:
+        """What the scalar checks raise first on pair (i, j): the map at x,
+        then at y, then the metric's domain at Tx, Ty, x and y."""
+        (map_i, t_i, x_i), (map_j, t_j, x_j) = self.errors[i], self.errors[j]
+        return next((e for e in (map_i, map_j, t_i, t_j, x_i, x_j) if e), None)
+
+
+def _sup_ratio(num: np.ndarray, den: np.ndarray) -> float:
+    """Running ``max(0.0, num / den)`` over pairs, where NaN never wins and a
+    zero denominator under a positive numerator admits no constant (inf)."""
+    zero = den == 0
+    if (num[zero] > 0).any():
+        return math.inf
+    with np.errstate(all="ignore"):
+        ratios = num[~zero] / den[~zero]
+    return max(0.0, float(np.nanmax(ratios, initial=0.0)))
+
+
+def _estimate(table: _PairTable) -> ConstantEstimates:
+    for i, j in np.argwhere(table.usable & (table.Dxx == 0)):
+        logger.warning("distinct pair %s / %s collapsed to distance 1; skipped",
+                       table.points[i], table.points[j])
+    used = table.usable & (table.Dxx != 0)
+    n_used = int(used.sum())
+    if n_used == 0:
+        raise DegeneratePairError("no usable distinct pair in the sample")
+    num, n = table.Dtt[used], len(table.points)
+    return ConstantEstimates(
+        _sup_ratio(num, table.Dxx[used]), _sup_ratio(num, table.own[used]),
+        _sup_ratio(num, table.cross[used]), n_used, n * (n - 1) // 2 - n_used)
+
+
 def estimate_constants(metric, T, sample: Sequence) -> ConstantEstimates:
     """Supremum of the condition ratios over all distinct sample pairs.
 
@@ -292,51 +375,7 @@ def estimate_constants(metric, T, sample: Sequence) -> ConstantEstimates:
     distance collapses to 1 despite distinct coordinates (a floating-point
     artifact for a valid metric) are skipped, counted, and logged.
     """
-    points = [as_point(p) for p in sample]
-    images: list[Point | None] = []
-    for p in points:
-        try:
-            images.append(as_point(T(p)))
-        except (MulfixError, ArithmeticError, ValueError):
-            logger.warning("map evaluation failed at %s; point excluded", p)
-            images.append(None)
-    xi_hat = eta_hat = lambda_hat = 0.0
-    used = skipped = 0
-    for i, j in itertools.combinations(range(len(points)), 2):
-        x, y = points[i], points[j]
-        tx, ty = images[i], images[j]
-        if x == y or tx is None or ty is None:
-            skipped += 1
-            continue
-        try:
-            num = metric.log_distance(tx, ty)
-            den1 = metric.log_distance(x, y)
-            den2 = metric.log_distance(x, tx) + metric.log_distance(y, ty)
-            den3 = metric.log_distance(x, ty) + metric.log_distance(y, tx)
-        except DomainError:
-            skipped += 1
-            continue
-        if den1 == 0:
-            skipped += 1
-            logger.warning("distinct pair %s / %s collapsed to distance 1; skipped", x, y)
-            continue
-        used += 1
-        xi_hat = max(xi_hat, num / den1)
-        if den2 == 0:
-            if num > 0:
-                eta_hat = math.inf
-        else:
-            eta_hat = max(eta_hat, num / den2)
-        if den3 == 0:
-            if num > 0:
-                lambda_hat = math.inf
-        else:
-            lambda_hat = max(lambda_hat, num / den3)
-    if used == 0:
-        raise DegeneratePairError("no usable distinct pair in the sample")
-    return ConstantEstimates(xi_hat=xi_hat, eta_hat=eta_hat,
-                             lambda_hat=lambda_hat,
-                             pairs_used=used, pairs_skipped=skipped)
+    return _estimate(_PairTable(metric, T, sample))
 
 
 @dataclass(frozen=True)
@@ -437,73 +476,73 @@ def classify(
     order, and the aggregate verdicts are invariant under permutations of
     the sample.
     """
-    points = [as_point(p) for p in sample]
-    est = estimate_constants(metric, T, points)
+    table = _PairTable(metric, T, sample)
+    points, n = table.points, len(table.points)
+    est = _estimate(table)
     xi, eta, lam, triple = _effective_constants(constants, est)
 
-    records: list[PairCheck] = []
-    pair_any_c = []
-    pair_any_s = []
-    pair_phi_ok = []
-    cond_all_ok = {c: True for c in CONDITION_IDS}
-    n_pairs = 0
-    skipped = 0
-    had_error = False
+    # Every condition reads L(Tx, Ty) <= const * den on each pair.
+    rhs = {"C1": (xi, table.Dxx), "C2": (eta, table.own), "C3": (lam, table.cross),
+           "SI": (1.0, table.Dxx), "SII": (0.5, table.own), "SIII": (0.5, table.cross)}
+    upper = np.triu_indices(n, 1)  # the pairs in combinations order
+    m = len(upper[0])
+    results = {}  # condition -> satisfied flags and slack list over the upper pairs
+    with np.errstate(all="ignore"):
+        if phi is not None:  # log phi of (L(x, Tx), L(y, Ty)) for every pair
+            log_phi = phi._log_phi(table.step[:, None], table.step[None, :])
+            rhs["PHI"] = (1.0, 0.5 * table.own - log_phi)
+        for cid, (const, den) in rhs.items():
+            if const is None:  # no admissible constant: unsatisfied everywhere
+                results[cid] = (np.zeros(m, dtype=bool), [None] * m)
+                continue
+            slack = const * den - table.Dtt
+            if cid in ("SI", "SII", "SIII"):
+                ok = slack > strict_margin
+            else:
+                ok = slack >= -tol
+                slack = np.where(ok & (slack < 0), 0.0, slack)
+            results[cid] = (ok[upper], slack[upper].tolist())
+    flags = {cid: ok.tolist() for cid, (ok, _) in results.items()}
+    phi_bad = (table.step < 0).tolist()  # log phi rejects L(x, Tx) < 0
+    usable = table.usable[upper].tolist()
 
-    for i, j in itertools.combinations(range(len(points)), 2):
-        x, y = points[i], points[j]
-        if x == y:
+    records: list[PairCheck] = []
+    evaluated = []  # upper-pair indices with condition records
+    n_pairs = skipped = 0
+    for k, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+        if points[i] == points[j]:
             skipped += 1
             continue
         n_pairs += 1
-        try:
-            c_results = {}
-            for cid, const, checker in (
-                ("C1", xi, check_c1), ("C2", eta, check_c2), ("C3", lam, check_c3),
-            ):
-                if const is None:
-                    c_results[cid] = (False, None)
-                else:
-                    c_results[cid] = checker(metric, T, x, y, const, tol)
-            for cid in ("SI", "SII", "SIII"):
-                c_results[cid] = check_strict(metric, T, x, y, cid, strict_margin)
-            if phi is not None:
-                c_results["PHI"] = check_phi(metric, T, phi, x, y, tol)
-        except (MulfixError, ZeroDivisionError, OverflowError) as exc:
-            had_error = True
-            records.append(PairCheck(i, j, "*", None, None, error=str(exc)))
-            continue
-
-        for cid, (ok, slack) in c_results.items():
-            records.append(PairCheck(i, j, cid, ok, slack))
-            if not ok:
-                cond_all_ok[cid] = False
-        pair_any_c.append(any(c_results[c][0] for c in ("C1", "C2", "C3")))
-        pair_any_s.append(any(c_results[c][0] for c in ("SI", "SII", "SIII")))
-        if phi is not None:
-            pair_phi_ok.append(c_results["PHI"][0])
-
+        error = None if usable[k] else table.first_error(i, j)
+        if error is None and phi is not None and (phi_bad[i] or phi_bad[j]):
+            error = DomainError("phi arguments must be distances >= 1")
+        if error is None:
+            evaluated.append(k)
+            records.extend(PairCheck(i, j, cid, flags[cid][k], slack[k])
+                           for cid, (_, slack) in results.items())
+        elif isinstance(error, _RECORDED_ERRORS):
+            records.append(PairCheck(i, j, "*", None, None, error=str(error)))
+        else:
+            raise error
     if n_pairs == 0:
         raise DegeneratePairError("classification needs at least 2 distinct points")
 
-    t2_ok = bool(pair_any_c) and all(pair_any_c) and not had_error
-    t23_ok = bool(pair_any_s) and all(pair_any_s) and not had_error
-    th3_ok = phi is not None and bool(pair_phi_ok) and all(pair_phi_ok) and not had_error
-    via_t2 = [c for c in ("C1", "C2", "C3") if cond_all_ok[c]] if t2_ok else []
-    via_t23 = [c for c in ("SI", "SII", "SIII") if cond_all_ok[c]] if t23_ok else []
+    def holds(cids) -> bool:  # no error record, and each pair meets one of cids
+        met = np.any([results[c][0] for c in cids], axis=0)[evaluated]
+        return len(evaluated) == n_pairs and bool(met.all())
 
-    if t2_ok:
-        overall = "t2 applicable" + (
-            f" via {' and '.join(via_t2)}" if via_t2 else " (mixed conditions)"
+    t2_ok, t23_ok = holds(("C1", "C2", "C3")), holds(("SI", "SII", "SIII"))
+    th3_ok = phi is not None and holds(("PHI",))
+    via_t2 = [c for c in ("C1", "C2", "C3") if holds((c,))] if t2_ok else []
+    via_t23 = [c for c in ("SI", "SII", "SIII") if holds((c,))] if t23_ok else []
+    if t2_ok or t23_ok:
+        route, via = ("t2", via_t2) if t2_ok else ("t23", via_t23)
+        overall = f"{route} applicable" + (
+            f" via {' and '.join(via)}" if via else " (mixed conditions)"
         )
-    elif t23_ok:
-        overall = "t23 applicable" + (
-            f" via {' and '.join(via_t23)}" if via_t23 else " (mixed conditions)"
-        )
-    elif th3_ok:
-        overall = "th3 applicable"
     else:
-        overall = "none"
+        overall = "th3 applicable" if th3_ok else "none"
 
     verdicts = {
         "t2": {"applicable": t2_ok, "via": via_t2},

@@ -5,15 +5,15 @@ exactly when x = y, symmetry holds, and d(x, z) <= d(x, y) * d(y, z).
 Every built-in metric is evaluated internally as a natural logarithm (the
 "log domain"); that turns the multiplicative laws into ordinary additive
 ones and sidesteps overflow of the a**distance forms.  The plain
-:func:`distance` is a convenience wrapper that exponentiates the log value
-and may saturate to ``inf`` for far-apart points.
+:meth:`MetricSpec.distance` exponentiates the log value and may saturate to
+``inf`` for far-apart points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -162,6 +162,38 @@ class MetricSpec:
         # discrete: exact coordinate equality, codomain {0, log a}
         return 0.0 if px == py else math.log(self.a)
 
+    def log_distance_matrix(self, X, Y) -> np.ndarray:
+        """``log_distance(x, y)`` for every x in X (rows) and y in Y (columns).
+
+        Entries equal the scalar method bit for bit: logs and Euclidean
+        norms come from the same scalar ``math`` calls, and coordinate terms
+        are summed (or maximized) in the same left-to-right order.
+        """
+        X, Y = [as_point(p) for p in X], [as_point(p) for p in Y]
+        if not X or not Y:
+            return np.zeros((len(X), len(Y)))
+        for p in X + Y:
+            if len(p) != len(X[0]):
+                raise DomainError(f"dimension mismatch: {len(X[0])} vs {len(p)}")
+            self.check_domain(p)
+        if self.kind == "star_product":
+            X, Y = ([[math.log(c) for c in p] for p in P] for P in (X, Y))
+        A, B = np.array(X), np.array(Y)
+        with np.errstate(all="ignore"):
+            if self.kind == "discrete":
+                same = (A[:, None, :] == B[None, :, :]).all(axis=2)
+                return np.where(same, 0.0, math.log(self.a))
+            if self.kind == "lifted" and self.base == "euclidean":
+                norms = [[math.dist(x, y) for y in Y] for x in X]
+                return math.log(self.a) * np.array(norms)
+            if self.kind == "exp_reciprocal":
+                A, B = 1.0 / A, 1.0 / B
+            terms = np.abs(A[:, None, :] - B[None, :, :])
+            acc = terms[:, :, 0]
+            for t in terms.transpose(2, 0, 1)[1:]:
+                acc = np.where(t > acc, t, acc) if self.base == "chebyshev" else acc + t
+            return acc if self.kind == "star_product" else math.log(self.a) * acc
+
     def distance(self, x, y) -> float:
         """Multiplicative distance; saturates to inf instead of overflowing."""
         try:
@@ -210,18 +242,14 @@ class FunctionMetric:
             return -math.inf
         raise DomainError(f"distance function returned a negative value {v}")
 
+    def log_distance_matrix(self, X, Y) -> np.ndarray:
+        """``log_distance`` over every ordered pair, one call of fn each."""
+        X, Y = list(X), list(Y)
+        D = [[self.log_distance(x, y) for y in Y] for x in X]
+        return np.array(D, dtype=float).reshape(len(X), len(Y))
+
     def distance(self, x, y) -> float:
         return float(self.fn(as_point(x), as_point(y)))
-
-
-def log_distance(metric, x, y) -> float:
-    """Module-level spelling of ``metric.log_distance(x, y)``."""
-    return metric.log_distance(x, y)
-
-
-def distance(metric, x, y) -> float:
-    """Module-level spelling of ``metric.distance(x, y)``."""
-    return metric.distance(x, y)
 
 
 def in_open_ball(metric, center, r: float, x) -> bool:
@@ -231,22 +259,9 @@ def in_open_ball(metric, center, r: float, x) -> bool:
     return metric.log_distance(center, x) < math.log(r)
 
 
-def pairwise_log_distances(metric, points: Sequence[Point]) -> np.ndarray:
-    """Full n-by-n matrix of log distances, both orders evaluated.
-
-    Both orders matter because symmetry is one of the axioms under test.
-    """
-    n = len(points)
-    D = np.empty((n, n), dtype=float)
-    for i in range(n):
-        for j in range(n):
-            D[i, j] = metric.log_distance(points[i], points[j])
-    return D
-
-
 @dataclass(frozen=True)
-class AxiomReport:
-    """Outcome of sample-based multiplicative metric axiom checks."""
+class _ViolationReport:
+    """Violations found by a sampled check; ok when there are none."""
 
     n_points: int
     tol: float
@@ -256,16 +271,20 @@ class AxiomReport:
     def ok(self) -> bool:
         return not self.violations
 
+    def to_json_dict(self) -> dict:
+        return {"n_points": self.n_points, "tol": self.tol, "ok": self.ok,
+                "violations": list(self.violations)}
+
+
+class AxiomReport(_ViolationReport):
+    """Outcome of sample-based multiplicative metric axiom checks."""
+
     def count(self, axiom: str) -> int:
         return sum(1 for v in self.violations if v["axiom"] == axiom)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_points": self.n_points,
-            "tol": self.tol,
-            "ok": self.ok,
-            "violations": list(self.violations),
-        }
+
+class ReverseTriangleReport(_ViolationReport):
+    """Outcome of the multiplicative reverse triangle check."""
 
 
 def verify_axioms(metric, sample: Iterable, tol: float = DEFAULT_LOG_TOL) -> AxiomReport:
@@ -282,32 +301,21 @@ def verify_axioms(metric, sample: Iterable, tol: float = DEFAULT_LOG_TOL) -> Axi
         raise DomainError("tol must be >= 0")
     points = [as_point(p) for p in sample]
     n = len(points)
-    D = pairwise_log_distances(metric, points)
+    D = metric.log_distance_matrix(points, points)
+    rows = D.tolist()
     violations: list[dict] = []
 
     for i in range(n):
         for j in range(n):
-            d = float(D[i, j])
+            d, equal = rows[i][j], points[i] == points[j]
+            pair = {"pair": [i, j], "log_distance": d}
             if d < -tol:
-                violations.append(
-                    {"axiom": "nonnegativity", "pair": [i, j], "log_distance": d}
-                )
-            equal = points[i] == points[j]
-            if equal and abs(d) > tol:
-                violations.append(
-                    {"axiom": "identity", "pair": [i, j], "log_distance": d,
-                     "points_equal": True}
-                )
-            elif not equal and d <= tol:
-                violations.append(
-                    {"axiom": "identity", "pair": [i, j], "log_distance": d,
-                     "points_equal": False}
-                )
-            if j > i and abs(d - D[j, i]) > tol:
-                violations.append(
-                    {"axiom": "symmetry", "pair": [i, j],
-                     "forward": d, "reverse": float(D[j, i])}
-                )
+                violations.append({"axiom": "nonnegativity", **pair})
+            if abs(d) > tol if equal else d <= tol:
+                violations.append({"axiom": "identity", **pair, "points_equal": equal})
+            if j > i and abs(d - rows[j][i]) > tol:
+                violations.append({"axiom": "symmetry", "pair": [i, j],
+                                   "forward": d, "reverse": rows[j][i]})
 
     # Triangle: for each middle index j, flag pairs (i, k) with
     # D[i,k] > D[i,j] + D[j,k] + tol.  NaNs (possible only for degenerate
@@ -326,27 +334,6 @@ def verify_axioms(metric, sample: Iterable, tol: float = DEFAULT_LOG_TOL) -> Axi
     return AxiomReport(n_points=n, tol=tol, violations=tuple(violations))
 
 
-@dataclass(frozen=True)
-class ReverseTriangleReport:
-    """Outcome of the multiplicative reverse triangle check."""
-
-    n_points: int
-    tol: float
-    violations: tuple[dict, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_points": self.n_points,
-            "tol": self.tol,
-            "ok": self.ok,
-            "violations": list(self.violations),
-        }
-
-
 def verify_reverse_triangle(
     metric, sample: Iterable, tol: float = DEFAULT_LOG_TOL
 ) -> ReverseTriangleReport:
@@ -360,7 +347,7 @@ def verify_reverse_triangle(
         raise DomainError("tol must be >= 0")
     points = [as_point(p) for p in sample]
     n = len(points)
-    D = pairwise_log_distances(metric, points)
+    D = metric.log_distance_matrix(points, points)
     violations: list[dict] = []
     with np.errstate(invalid="ignore"):
         for z in range(n):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -124,15 +125,14 @@ def cauchy_indicator(trace: IterationTrace, window: int) -> float:
     if window < 1:
         raise DomainError("window must be >= 1")
     if window > len(trace.points):
-        raise DomainError(
-            f"window {window} exceeds trace length {len(trace.points)}"
-        )
-    tail = trace.points[-window:]
-    worst = 0.0
-    for i in range(len(tail)):
-        for j in range(i + 1, len(tail)):
-            worst = max(worst, trace.metric.log_distance(tail[i], tail[j]))
-    return worst
+        raise DomainError(f"window {window} exceeds trace length {len(trace.points)}")
+    return _max_pairwise_logd(trace.metric, trace.points[-window:])
+
+
+def _max_pairwise_logd(metric, points: Sequence[Point]) -> float:
+    """Largest log distance over the pairs i < j of points; 0.0 below two."""
+    pairs = itertools.combinations(points, 2)
+    return max(itertools.chain([0.0], (metric.log_distance(a, b) for a, b in pairs)))
 
 
 def detect_limit_point(

@@ -9,7 +9,6 @@ orbits, and uniqueness probes live here as well.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -21,7 +20,8 @@ from .errors import (
 )
 from .maps import Box
 from .metrics import Point, as_point
-from .sequences import IterationTrace, Status, detect_limit_point
+from .sequences import (IterationTrace, Status, _check_eps, _max_pairwise_logd,
+                        detect_limit_point)
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,7 @@ class SolverConfig:
     cycle_lookback: int = 25
 
     def __post_init__(self):
-        if not (math.isfinite(self.eps) and self.eps > 1):
-            raise DomainError(f"eps must be > 1, got {self.eps!r}")
+        _check_eps(self.eps)
         if self.max_iter < 1:
             raise DomainError("max_iter must be >= 1")
         if self.window < 2:
@@ -118,16 +117,6 @@ def _apply(T, x: Point) -> Point:
         raise DomainError(str(exc)) from exc
 
 
-def _tail_indicator(metric, points: list[Point], window: int) -> float:
-    w = min(window, len(points))
-    worst = 0.0
-    tail = points[-w:]
-    for i in range(len(tail)):
-        for j in range(i + 1, len(tail)):
-            worst = max(worst, metric.log_distance(tail[i], tail[j]))
-    return worst
-
-
 def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
     log_eps = config.log_eps
     x = x0
@@ -180,7 +169,8 @@ def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
                 status = Status.CYCLE_DETECTED
                 break
 
-        if step < log_eps and _tail_indicator(metric, points, config.window) < log_eps:
+        if step < log_eps \
+                and _max_pairwise_logd(metric, points[-config.window:]) < log_eps:
             try:
                 residual = metric.log_distance(y, _apply(T, y))
             except DomainError:
@@ -367,9 +357,7 @@ def verify_start_independence(metric, T, config: SolverConfig,
             verdict="inconclusive", max_pairwise_logd=None,
             n_converged=len(converged), n_runs=len(results), results=results,
         )
-    worst = 0.0
-    for a, b in itertools.combinations(converged, 2):
-        worst = max(worst, metric.log_distance(a.point, b.point))
+    worst = _max_pairwise_logd(metric, [r.point for r in converged])
     verdict = "passed" if worst <= 2 * config.log_eps else "failed"
     return StartIndependenceReport(
         verdict=verdict, max_pairwise_logd=worst,
@@ -387,9 +375,7 @@ def find_periodic_point(metric, T, x0, max_period: int, eps: float,
     """
     if max_period < 1:
         raise DomainError("max_period must be >= 1")
-    if not (math.isfinite(eps) and eps > 1):
-        raise DomainError(f"eps must be > 1, got {eps!r}")
-    log_eps = math.log(eps)
+    log_eps = _check_eps(eps)
     x = as_point(x0)
     orbit = [x]
     for _ in range(max_iter):
@@ -436,9 +422,7 @@ def uniqueness_probe(metric, T, candidates: Sequence, eps: float) -> UniquenessR
     """
     if not candidates:
         raise DomainError("uniqueness probe needs at least one candidate")
-    if not (math.isfinite(eps) and eps > 1):
-        raise DomainError(f"eps must be > 1, got {eps!r}")
-    log_eps = math.log(eps)
+    log_eps = _check_eps(eps)
     survivors = []
     for c in candidates:
         pc = as_point(c)
@@ -450,9 +434,7 @@ def uniqueness_probe(metric, T, candidates: Sequence, eps: float) -> UniquenessR
     if not survivors:
         return UniquenessReport(verdict="inconclusive", survivors=(),
                                 max_pairwise_logd=None)
-    worst = 0.0
-    for a, b in itertools.combinations(survivors, 2):
-        worst = max(worst, metric.log_distance(a, b))
+    worst = _max_pairwise_logd(metric, survivors)
     verdict = "passed" if worst <= 2 * log_eps else "failed"
     return UniquenessReport(verdict=verdict, survivors=tuple(survivors),
                             max_pairwise_logd=worst)

@@ -38,11 +38,11 @@ def test_constant_ranges_enforced():
         mx.ZamfirescuConstants(lam=-0.1)
 
 
-def test_delta_of_reference_values():
-    assert mx.delta_of(mx.ZamfirescuConstants(xi=2 / 3)) == 2 / 3
-    assert mx.delta_of(mx.ZamfirescuConstants()) == 0.0
+def test_delta_reference_values():
+    assert mx.ZamfirescuConstants(xi=2 / 3).delta == 2 / 3
+    assert mx.ZamfirescuConstants().delta == 0.0
     assert math.isclose(
-        mx.delta_of(mx.ZamfirescuConstants(0.5, 0.4, 0.3)), 2 / 3, rel_tol=1e-12
+        mx.ZamfirescuConstants(0.5, 0.4, 0.3).delta, 2 / 3, rel_tol=1e-12
     )
 
 
@@ -53,7 +53,7 @@ def test_delta_of_reference_values():
 def test_delta_is_monotone_in_each_argument(xi, eta, lam, dx, de, dl):
     lo = mx.ZamfirescuConstants(xi, eta, lam)
     hi = mx.ZamfirescuConstants(xi + dx, eta + de, lam + dl)
-    assert mx.delta_of(hi) >= mx.delta_of(lo)
+    assert hi.delta >= lo.delta
 
 
 def test_constants_json_round_trip():
@@ -324,6 +324,18 @@ def test_report_json_shape():
     assert {"xi", "eta", "lambda", "delta", "estimates"} <= set(data["constants"])
     first = data["pairs"][0]
     assert set(first) >= {"pair", "condition", "satisfied", "slack"}
+
+
+def test_a_pole_in_the_sample_gives_error_records():
+    sample = mx.grid_points(mx.Box(((0.0, 1.0),)), 5)
+    report = mx.classify(EXPABS2, mx.SelfMapSpec.rational(-0.5), sample)
+    errors = [r for r in report.records if r.condition == "*"]
+    assert [(r.i, r.j) for r in errors] == [(0, 2), (1, 2), (2, 3), (2, 4)]
+    assert {r.error for r in errors} == {"rational map pole at coordinate 0.5"}
+    assert all(r.satisfied is None and r.slack is None for r in errors)
+    assert (report.n_pairs, report.skipped_pairs) == (10, 0)
+    assert (report.estimates.pairs_used, report.estimates.pairs_skipped) == (6, 4)
+    assert report.overall == "none"
 
 
 def test_satisfied_records_never_have_negative_slack():

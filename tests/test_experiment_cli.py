@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 import mulfix as mx
 from mulfix.cli import main
 from mulfix.errors import ConfigError
-from mulfix.experiment import write_report
+from mulfix.experiment import dump_json, write_report
 
 EPS = math.exp(1e-9)
 
@@ -267,3 +268,38 @@ def test_expectation_details_are_reported(report_3_16):
     assert all(e["passed"] for e in data["expectations"])
     assert data["solver"]["start_independence"]["verdict"] == "passed"
     assert data["solver"]["uniqueness"]["verdict"] == "passed"
+
+
+def test_huge_coordinates_still_give_strict_json(tmp_path):
+    sample = [(-1e308,), (1e308,), (0.0,)]
+    metric = mx.MetricSpec.exp_abs(2.0)
+    classification = mx.classify(metric, mx.SelfMapSpec.scale(0.5), sample)
+    axioms = mx.verify_axioms(metric, sample)
+    # the plain dump of both carries Infinity, which is not JSON
+    assert "Infinity" in json.dumps(classification.to_json_dict())
+    assert "Infinity" in json.dumps(axioms.to_json_dict())
+    for data in (classification.to_json_dict(), axioms.to_json_dict()):
+        strict = json.loads(dump_json(data),
+                            parse_constant=lambda s: pytest.fail(f"non-finite {s}"))
+        assert strict == json.loads(json.dumps(data), parse_constant=lambda s: None)
+    first = json.loads(dump_json(classification.to_json_dict()))["pairs"][0]
+    assert first == {"pair": [0, 1], "condition": "C1", "satisfied": True, "slack": None}
+
+
+def test_apriori_bound_expectation_honours_its_tolerance():
+    # xi = 0.5 understates the true ratio 2/3, so the bound is violated; the
+    # largest excess over the bound is 1.244.
+    base = mx.fixture_config("example_3_15")
+
+    def judged(tol):
+        config = dataclasses.replace(
+            base, constants=mx.ZamfirescuConstants(xi=0.5),
+            expectations=({"kind": "apriori_bound", "tol": tol},))
+        return mx.run_experiment(config).expectations[0]
+
+    strict = judged(1e-10)
+    assert not strict.passed
+    assert strict.detail == "3 traces checked, 171 violations"
+    assert not judged(1.24).passed
+    assert judged(1.25).passed
+    assert judged(1e3).detail == "3 traces checked, 0 violations"

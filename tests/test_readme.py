@@ -1,0 +1,14 @@
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_quickstart_prints_what_it_shows(capsys):
+    block = re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"),
+                      re.S).group(1)
+    shown = [line.split("# ", 1)[1].strip() for line in block.splitlines()
+             if line.startswith("print(")]
+    assert len(shown) == 3
+    exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out.splitlines() == shown
