@@ -131,13 +131,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("a config must be a JSON object")
+        known = {f.name for f in dataclasses.fields(cls)}
+        for name in data:
+            if name not in known:
+                raise ConfigError("unknown field", field=name)
+
         def parse(name, parser, required=True, default=None):
             if name not in data:
                 if required:
                     raise ConfigError("missing required field", field=name)
                 return default
+            value = data[name]
+            if isinstance(parser, type) and type(value) is not parser:
+                raise ConfigError(f"expected {parser.__name__}, got {value!r}",
+                                  field=name)
             try:
-                return parser(data[name])
+                return parser(value)
             except ConfigError:
                 raise
             except (MulfixError, TypeError, KeyError) as exc:

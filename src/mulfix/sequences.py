@@ -10,14 +10,18 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import DomainError
 from .metrics import Point, as_point
+
+# rows per block of an orbit scan; a block of 2,000 columns is about 1 MB
+_ROW_BLOCK = 64
 
 
 class Status(str, Enum):
@@ -97,22 +101,15 @@ class IterationTrace:
 
 
 def is_converged_to(trace: IterationTrace, x, eps: float) -> bool:
-    """True when some whole tail of the trace lies inside the eps-ball at x.
+    """True when the last point of the trace lies inside the eps-ball at x.
 
-    Operationally this is a suffix check: there must be an index from which
-    every recorded point has log distance to x below log(eps).
+    A finite trace cannot show that a whole tail stays in the ball; the
+    observable part of that claim is its last recorded point.
     """
     log_eps = _check_eps(eps)
     if not trace.points:
         raise DomainError("trace is empty")
-    target = as_point(x)
-    suffix = 0
-    for p in reversed(trace.points):
-        if trace.metric.log_distance(p, target) < log_eps:
-            suffix += 1
-        else:
-            break
-    return suffix >= 1
+    return trace.metric.log_distance(trace.points[-1], as_point(x)) < log_eps
 
 
 def cauchy_indicator(trace: IterationTrace, window: int) -> float:
@@ -129,10 +126,24 @@ def cauchy_indicator(trace: IterationTrace, window: int) -> float:
     return _max_pairwise_logd(trace.metric, trace.points[-window:])
 
 
+def _row_blocks(metric, Z: Sequence[Point], P: Sequence[Point]):
+    """Yield ``(start, log_distance_matrix(Z[start:start + _ROW_BLOCK], P))``."""
+    for start in range(0, len(Z), _ROW_BLOCK):
+        yield start, metric.log_distance_matrix(Z[start:start + _ROW_BLOCK], P)
+
+
 def _max_pairwise_logd(metric, points: Sequence[Point]) -> float:
-    """Largest log distance over the pairs i < j of points; 0.0 below two."""
-    pairs = itertools.combinations(points, 2)
-    return max(itertools.chain([0.0], (metric.log_distance(a, b) for a, b in pairs)))
+    """Largest log distance over the pairs i < j of points; 0.0 below two.
+
+    A NaN entry never wins and the result is never below 0.0.
+    """
+    if len(points) < 2:
+        return 0.0
+    best = 0.0
+    for start, D in _row_blocks(metric, points, points):
+        upper = np.triu(~np.isnan(D), start + 1)  # row r is point start + r
+        best = max(best, float(D.max(initial=0.0, where=upper)))
+    return best
 
 
 def detect_limit_point(
@@ -151,11 +162,8 @@ def detect_limit_point(
     if not 0 < fraction <= 1:
         raise DomainError("fraction must be in (0, 1]")
     need = math.ceil(len(trace.points) * fraction)
-    for z in trace.points:
-        count = 0
-        for p in trace.points:
-            if trace.metric.log_distance(z, p) < log_eps:
-                count += 1
-                if count >= need:
-                    return z
+    for start, D in _row_blocks(trace.metric, trace.points, trace.points):
+        hits = np.flatnonzero((D < log_eps).sum(axis=1) >= need)
+        if hits.size:
+            return trace.points[start + int(hits[0])]
     return None

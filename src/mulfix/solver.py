@@ -10,8 +10,10 @@ orbits, and uniqueness probes live here as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     DomainError,
@@ -29,9 +31,14 @@ class SolverConfig:
     """Knobs for a Picard run.
 
     eps is the multiplicative stopping tolerance (> 1); log(eps) is the
-    log-domain tolerance every internal comparison uses.  The divergence
-    threshold guards the exponential form against overflow: a single step
-    of log distance above it ends the run as diverged.
+    log-domain tolerance every internal comparison uses.  A run converges
+    only when its last ``window`` iterates (>= 2) are pairwise within
+    log(eps).  While a step is above log(eps), the new iterate is compared
+    with the iterates 2 to ``cycle_lookback`` (>= 0) steps before it, and a
+    log distance below 1e-14 ends the run as a detected cycle; a value below
+    2 turns cycle detection off.
+    The divergence threshold guards the exponential form against overflow:
+    a single step of log distance above it ends the run as diverged.
     """
 
     eps: float = math.exp(1e-9)
@@ -51,6 +58,8 @@ class SolverConfig:
             raise DomainError("window must be >= 2")
         if self.divergence_logd <= 0:
             raise DomainError("divergence threshold must be positive")
+        if self.cycle_lookback < 0:
+            raise DomainError("cycle_lookback must be >= 0")
         object.__setattr__(
             self, "starts", tuple(as_point(s) for s in self.starts)
         )
@@ -60,25 +69,16 @@ class SolverConfig:
         return math.log(self.eps)
 
     def to_json_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "max_iter": self.max_iter,
-            "starts": [list(s) for s in self.starts],
-            "check_monotone_residual": self.check_monotone_residual,
-            "window": self.window,
-            "divergence_logd": self.divergence_logd,
-            "limit_point_restart": self.limit_point_restart,
-            "cycle_lookback": self.cycle_lookback,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**out, "starts": [list(s) for s in self.starts]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SolverConfig":
-        kwargs = {k: data[k] for k in (
-            "eps", "max_iter", "check_monotone_residual", "window",
-            "divergence_logd", "limit_point_restart", "cycle_lookback",
-        ) if k in data}
-        kwargs["starts"] = tuple(tuple(s) for s in data.get("starts", []))
-        return cls(**kwargs)
+        known = {f.name for f in fields(cls)}
+        for key in data:
+            if key not in known:
+                raise DomainError(f"unknown key {key!r}")
+        return cls(**{**data, "starts": tuple(map(tuple, data.get("starts", [])))})
 
 
 @dataclass(frozen=True)
@@ -117,13 +117,20 @@ def _apply(T, x: Point) -> Point:
         raise DomainError(str(exc)) from exc
 
 
+def _residual(metric, T, p: Point) -> float:
+    """log d(p, Tp); inf when T or the metric fails at p."""
+    try:
+        return metric.log_distance(p, _apply(T, p))
+    except DomainError:
+        return math.inf
+
+
 def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
     log_eps = config.log_eps
     x = x0
     points: list[Point] = [x]
     steps: list[float] = []
     status = Status.MAX_ITER
-    residual: float | None = None
 
     for n in range(config.max_iter):
         try:
@@ -159,34 +166,24 @@ def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
 
         if step > log_eps:
             # periodic, non-fixed orbit: y matches an earlier point exactly
-            lookback = min(len(points) - 1, config.cycle_lookback)
-            cycle = False
-            for k in range(2, lookback + 1):
-                if metric.log_distance(y, points[-1 - k]) < 1e-14:
-                    cycle = True
-                    break
-            if cycle:
+            earlier = points[-1 - config.cycle_lookback:-2]
+            if (metric.log_distance_matrix([y], earlier) < 1e-14).any():
                 status = Status.CYCLE_DETECTED
                 break
 
         if step < log_eps \
                 and _max_pairwise_logd(metric, points[-config.window:]) < log_eps:
-            try:
-                residual = metric.log_distance(y, _apply(T, y))
-            except DomainError:
-                residual = None
-            if residual is not None and residual <= log_eps:
+            residual = _residual(metric, T, y)
+            if residual <= log_eps:
                 status = Status.CONVERGED
                 break
-            residual = None
         x = y
 
-    if residual is None:
-        try:
-            residual = metric.log_distance(points[-1], _apply(T, points[-1]))
-        except (DomainError, DomainEscapeError):
-            residual = math.inf
-    return points, steps, status, residual
+    if status is not Status.CONVERGED:
+        residual = _residual(metric, T, points[-1])
+    trace = IterationTrace(metric=metric, points=tuple(points),
+                           step_logd=tuple(steps), status=status)
+    return trace, residual
 
 
 def _observed_continuity(metric, T, trace: IterationTrace, z: Point, eps: float):
@@ -196,16 +193,15 @@ def _observed_continuity(metric, T, trace: IterationTrace, z: Point, eps: float)
         tz = _apply(T, z)
     except DomainError:
         return None
-    worst = None
-    for p in trace.points:
-        d = metric.log_distance(p, z)
+    ratios = []
+    to_z = metric.log_distance_matrix(trace.points, [z])[:, 0].tolist()
+    for p, d in zip(trace.points, to_z):
         if 0 < d < log_eps:
             try:
-                ratio = metric.log_distance(_apply(T, p), tz) / d
+                ratios.append(metric.log_distance(_apply(T, p), tz) / d)
             except DomainError:
                 continue
-            worst = ratio if worst is None else max(worst, ratio)
-    return worst
+    return max(ratios, default=None)
 
 
 def picard(metric, T, x0, config: SolverConfig,
@@ -224,30 +220,26 @@ def picard(metric, T, x0, config: SolverConfig,
     if domain is None:
         domain = getattr(T, "domain", None)
 
-    points, steps, status, residual = _iterate(metric, T, start, config, domain)
-    trace = IterationTrace(metric=metric, points=tuple(points),
-                           step_logd=tuple(steps), status=status)
-    iterations = len(steps)
+    trace, residual = _iterate(metric, T, start, config, domain)
+    iterations = len(trace.step_logd)
     restarted_from: Point | None = None
     continuity: float | None = None
 
-    if status in (Status.MAX_ITER, Status.CYCLE_DETECTED) \
+    if trace.status in (Status.MAX_ITER, Status.CYCLE_DETECTED) \
             and config.limit_point_restart and len(trace.points) >= 2:
         z = detect_limit_point(trace, config.eps)
         if z is not None and z != start:
             restarted_from = z
             continuity = _observed_continuity(metric, T, trace, z, config.eps)
-            points, steps, status, residual = _iterate(metric, T, z, config, domain)
-            trace = IterationTrace(metric=metric, points=tuple(points),
-                                   step_logd=tuple(steps), status=status)
-            iterations += len(steps)
+            trace, residual = _iterate(metric, T, z, config, domain)
+            iterations += len(trace.step_logd)
 
     return FixedPointResult(
         point=trace.last,
         residual_logd=residual,
         iterations=iterations,
         trace=trace,
-        status=status,
+        status=trace.status,
         restarted_from=restarted_from,
         continuity_log_ratio=continuity,
     )
@@ -304,15 +296,10 @@ def verify_bound(result: FixedPointResult, delta: float,
         raise DomainError(f"delta must be in [0, 1), got {delta!r}")
     trace = result.trace
     d1 = trace.step_logd[0] if trace.step_logd else 0.0
-    z = result.point
-    rows = []
-    violations = []
-    for n, p in enumerate(trace.points):
-        observed = trace.metric.log_distance(p, z)
-        predicted = apriori_bound(d1, delta, n)
-        rows.append((n, observed, predicted))
-        if observed > predicted + tol:
-            violations.append((n, observed, predicted))
+    to_z = trace.metric.log_distance_matrix(trace.points, [result.point])[:, 0]
+    rows = [(n, observed, apriori_bound(d1, delta, n))
+            for n, observed in enumerate(to_z.tolist())]
+    violations = [row for row in rows if row[1] > row[2] + tol]
     return BoundReport(delta=delta, tol=tol, rows=tuple(rows),
                        violations=tuple(violations))
 
@@ -353,12 +340,10 @@ def verify_start_independence(metric, T, config: SolverConfig,
     results = tuple(picard(metric, T, s, config, domain) for s in config.starts)
     converged = [r for r in results if r.status is Status.CONVERGED]
     if len(converged) < len(results):
-        return StartIndependenceReport(
-            verdict="inconclusive", max_pairwise_logd=None,
-            n_converged=len(converged), n_runs=len(results), results=results,
-        )
-    worst = _max_pairwise_logd(metric, [r.point for r in converged])
-    verdict = "passed" if worst <= 2 * config.log_eps else "failed"
+        verdict, worst = "inconclusive", None
+    else:
+        worst = _max_pairwise_logd(metric, [r.point for r in converged])
+        verdict = "passed" if worst <= 2 * config.log_eps else "failed"
     return StartIndependenceReport(
         verdict=verdict, max_pairwise_logd=worst,
         n_converged=len(converged), n_runs=len(results), results=results,
@@ -371,7 +356,8 @@ def find_periodic_point(metric, T, x0, max_period: int, eps: float,
 
     Returns ``(w, p)`` with the smallest period p <= max_period for the
     earliest such orbit point, or None if no recurrence shows up within
-    max_iter orbit steps.  Period 1 is a fixed point at tolerance.
+    max_iter orbit steps.  The orbit ends early where T fails or its value
+    leaves the metric's space.  Period 1 is a fixed point at tolerance.
     """
     if max_period < 1:
         raise DomainError("max_period must be >= 1")
@@ -381,15 +367,15 @@ def find_periodic_point(metric, T, x0, max_period: int, eps: float,
     for _ in range(max_iter):
         try:
             x = _apply(T, x)
+            metric.check_domain(x)
         except DomainError:
             break
         orbit.append(x)
-    for i in range(len(orbit)):
-        for p in range(1, max_period + 1):
-            if i + p >= len(orbit):
-                break
-            if metric.log_distance(orbit[i + p], orbit[i]) < log_eps:
-                return orbit[i], p
+    for i, w in enumerate(orbit[:-1]):
+        ahead = metric.log_distance_matrix(orbit[i + 1:i + 1 + max_period], [w])
+        hits = np.flatnonzero(ahead[:, 0] < log_eps)
+        if hits.size:
+            return w, int(hits[0]) + 1
     return None
 
 
@@ -423,14 +409,8 @@ def uniqueness_probe(metric, T, candidates: Sequence, eps: float) -> UniquenessR
     if not candidates:
         raise DomainError("uniqueness probe needs at least one candidate")
     log_eps = _check_eps(eps)
-    survivors = []
-    for c in candidates:
-        pc = as_point(c)
-        try:
-            if metric.log_distance(pc, _apply(T, pc)) <= log_eps:
-                survivors.append(pc)
-        except DomainError:
-            continue
+    survivors = [c for c in map(as_point, candidates)
+                 if _residual(metric, T, c) <= log_eps]
     if not survivors:
         return UniquenessReport(verdict="inconclusive", survivors=(),
                                 max_pairwise_logd=None)

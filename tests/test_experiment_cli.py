@@ -84,6 +84,34 @@ def test_config_errors_carry_the_field_name():
         mx.ExperimentConfig.from_json_dict(data)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("constantz", {"xi": 0.5}),
+    ("sample_size", 10.9),
+    ("seed", True),
+    ("enforce_domain", "false"),
+])
+def test_config_rejects_unknown_and_mistyped_fields(field, value):
+    data = identity_config()
+    data[field] = value
+    with pytest.raises(ConfigError) as err:
+        mx.ExperimentConfig.from_json_dict(data)
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("key, value", [("max_iters", 5), ("cycle_lookback", -3)])
+def test_solver_config_rejects_unknown_keys_and_negative_lookback(tmp_path, capsys,
+                                                                  key, value):
+    data = identity_config()
+    data["solver"][key] = value
+    with pytest.raises(ConfigError) as err:
+        mx.ExperimentConfig.from_json_dict(data)
+    assert err.value.field == "solver" and key in str(err.value)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path)]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_config_json_syntax_errors_report_position(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{\n  \"metric\": ,\n}\n")

@@ -3,6 +3,8 @@
 ``log_distance_matrix`` must equal scalar ``log_distance`` bit for bit, and
 ``classify`` / ``estimate_constants`` (built on three log-distance matrices)
 must give exactly what a loop over the scalar ``check_*`` functions gives.
+The orbit scans (limit points, Cauchy windows, bound rows, periodic points)
+must give exactly what their former scalar loops gave.
 """
 
 import itertools
@@ -282,3 +284,150 @@ def test_no_per_pair_log_distance_check_or_map_call(monkeypatch):
     assert len(calls) == len(sample)
     assert len(report.records) == 7 * report.n_pairs
     assert report.overall == "t2 applicable via C1 and C3"
+
+
+# -- orbit scans against their scalar loops ----------------------------------------
+
+# Positive coordinates lie in every metric's space; 5e-324 makes
+# exp_reciprocal subtract inf from inf, a NaN entry.
+ORBIT_POOL = (5e-324, 1e-300, 0.5, 1.0, 1.0 + 2.0 ** -52, 1.0 + 1e-10, 2.0, 3.0)
+
+
+def random_orbit(rng: random.Random, dim: int) -> list:
+    """2 to 12 points, or 90 to 130 whose first 64 to 70 are uniform draws.
+
+    Each later point repeats the first one after those draws, exactly or
+    nudged by an ulp in one coordinate, or is a pool value or a uniform
+    draw; so a long orbit's limit point often lies past the first row block.
+    """
+    if rng.random() < 0.5:
+        n, fresh = rng.randint(2, 12), 1
+    else:
+        n, fresh = rng.randint(90, 130), rng.randint(64, 70)
+    points = []
+    for k in range(n):
+        u = rng.random()
+        if k > fresh and u < 0.3:
+            points.append(points[fresh])
+        elif k > fresh and u < 0.5:
+            p = list(points[fresh])
+            i = rng.randrange(dim)
+            p[i] = math.nextafter(p[i], math.inf)
+            points.append(tuple(p))
+        else:
+            points.append(tuple(rng.choice(ORBIT_POOL) if k >= fresh and u < 0.75
+                                else rng.uniform(0.1, 3.0) for _ in range(dim)))
+    return points
+
+
+def reference_detect_limit_point(trace, eps, fraction):
+    log_eps = math.log(eps)
+    need = math.ceil(len(trace.points) * fraction)
+    for z in trace.points:
+        count = 0
+        for p in trace.points:
+            if trace.metric.log_distance(z, p) < log_eps:
+                count += 1
+                if count >= need:
+                    return z
+    return None
+
+
+def reference_cauchy_indicator(trace, window):
+    pairs = itertools.combinations(trace.points[-window:], 2)
+    return max(itertools.chain([0.0], (trace.metric.log_distance(a, b)
+                                       for a, b in pairs)))
+
+
+def reference_bound_rows(result, delta):
+    trace = result.trace
+    d1 = trace.step_logd[0] if trace.step_logd else 0.0
+    return [(n, trace.metric.log_distance(p, result.point),
+             mx.apriori_bound(d1, delta, n)) for n, p in enumerate(trace.points)]
+
+
+def reference_find_periodic_point(metric, orbit, max_period, eps):
+    log_eps = math.log(eps)
+    for i in range(len(orbit)):
+        for p in range(1, max_period + 1):
+            if i + p >= len(orbit):
+                break
+            if metric.log_distance(orbit[i + p], orbit[i]) < log_eps:
+                return orbit[i], p
+    return None
+
+
+def replaying(orbit):
+    """A map whose orbit from orbit[0] is exactly the given points."""
+    rest = iter(orbit[1:])
+    return lambda p: next(rest)
+
+
+# d(x, y) != d(y, x): a swapped argument order shows
+ONE_SIDED = mx.FunctionMetric(lambda x, y: 1.0 + max(0.0, x[0] - y[0]), "one_sided")
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), metric=st.sampled_from(METRICS + [ONE_SIDED]),
+       dim=st.integers(1, 2),
+       eps=st.sampled_from([math.exp(1e-12), math.exp(1e-3), math.exp(0.5), math.exp(5)]),
+       fraction=st.sampled_from([0.05, 0.25, 1.0]), max_period=st.integers(1, 6),
+       delta=st.sampled_from([0.0, 0.5, 0.9]))
+def test_orbit_scans_equal_their_scalar_loops(seed, metric, dim, eps, fraction,
+                                              max_period, delta):
+    rng = random.Random(seed)
+    points = random_orbit(rng, dim)
+    trace = mx.IterationTrace.from_points(metric, points)
+
+    assert (mx.detect_limit_point(trace, eps, fraction)
+            == reference_detect_limit_point(trace, eps, fraction))
+    window = rng.randint(1, len(points))
+    assert (bits(mx.cauchy_indicator(trace, window))
+            == bits(reference_cauchy_indicator(trace, window)))
+
+    result = mx.FixedPointResult(point=rng.choice(points), residual_logd=0.0,
+                                 iterations=len(points) - 1, trace=trace,
+                                 status=mx.Status.CONVERGED)
+    # a FunctionMetric's first step can be negative or NaN: both paths raise
+    rows = outcome(lambda: [(n, bits(o), bits(b))
+                            for n, o, b in mx.verify_bound(result, delta).rows])
+    assert rows == outcome(lambda: [(n, bits(o), bits(b))
+                                    for n, o, b in reference_bound_rows(result, delta)])
+
+    found = mx.find_periodic_point(metric, replaying(points), points[0], max_period,
+                                   eps, max_iter=len(points) - 1)
+    assert found == reference_find_periodic_point(metric, points, max_period, eps)
+
+
+def test_cauchy_indicator_reads_only_forward_pairs_in_every_row_block():
+    # ONE_SIDED exceeds 1 only from a larger first coordinate to a smaller
+    rising = mx.IterationTrace.from_points(ONE_SIDED, [float(k) for k in range(150)])
+    assert mx.cauchy_indicator(rising, 150) == 0.0
+    falling = mx.IterationTrace.from_points(ONE_SIDED, rising.points[::-1])
+    assert mx.cauchy_indicator(falling, 150) == math.log(150.0)
+
+
+def test_a_periodic_search_ends_where_the_orbit_leaves_the_metric_space():
+    # negation sends 1.0 to -1.0, outside star_product's positive half-line,
+    # so the orbit is the start alone and holds no recurrence
+    assert mx.find_periodic_point(mx.MetricSpec.star_product(),
+                                  mx.SelfMapSpec.negation(), 1.0, 2, math.e) is None
+    assert mx.find_periodic_point(mx.MetricSpec.exp_abs(2.0),
+                                  mx.SelfMapSpec.negation(), 1.0, 2, math.e) == ((1.0,), 2)
+
+
+def test_a_stalled_run_makes_few_scalar_log_distance_calls(monkeypatch):
+    calls = 0
+    log_distance = mx.MetricSpec.log_distance
+
+    def counted(metric, x, y):
+        nonlocal calls
+        calls += 1
+        return log_distance(metric, x, y)
+
+    monkeypatch.setattr(mx.MetricSpec, "log_distance", counted)
+    result = mx.picard(mx.MetricSpec.exp_abs(2.0), mx.SelfMapSpec.scale(0.999), 1.0,
+                       mx.SolverConfig(eps=math.exp(1e-9), max_iter=2000))
+    assert result.status is mx.Status.MAX_ITER and result.iterations == 2000
+    assert result.restarted_from is None
+    assert calls <= 3 * result.iterations

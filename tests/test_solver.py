@@ -110,6 +110,21 @@ def test_two_point_swap_is_reported_as_a_cycle():
     assert result.restarted_from is None  # limit point equals the start
 
 
+@pytest.mark.parametrize("period, lookback, detected", [
+    (2, 25, True), (3, 3, True), (3, 2, False), (2, 2, True), (2, 1, False),
+])
+def test_cycle_lookback_spans_exactly_its_window(period, lookback, detected):
+    hop = lambda p: ((p[0] + 1.0) % period,)
+    cfg = mx.SolverConfig(eps=EPS, max_iter=50, cycle_lookback=lookback,
+                          limit_point_restart=False)
+    result = mx.picard(EXPABS_E, hop, 0.0, cfg)
+    if detected:
+        assert result.status is mx.Status.CYCLE_DETECTED
+        assert result.iterations == period
+    else:
+        assert result.status is mx.Status.MAX_ITER and result.iterations == 50
+
+
 def test_stalled_cycle_restarts_from_a_limit_point():
     table = {10.0: 1.0, 1.0: 2.0, 2.0: 3.0, 3.0: 1.0}
     hop = lambda p: (table[p[0]],)
