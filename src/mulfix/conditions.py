@@ -21,29 +21,32 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegeneratePairError, DomainError, MulfixError
+from .errors import ConfigError, DegeneratePairError, DomainError, MulfixError
+from .jsonconfig import JsonConfig, decode
 from .metrics import DEFAULT_LOG_TOL, Point, as_point
 
 logger = logging.getLogger(__name__)
 
 CONDITION_IDS = ("C1", "C2", "C3", "SI", "SII", "SIII", "PHI")
 
-PHI_KINDS = ("power_product", "psi_sqrt", "example317", "custom_table")
+# Each phi kind with the parameters it takes.
+PHI_PARAMS = {"power_product": ("q",), "psi_sqrt": ("psi",), "example317": (),
+              "custom_table": ("alpha", "beta")}
 PSI_KINDS = ("identity", "sqrt", "square")
 
 
 @dataclass(frozen=True)
-class ZamfirescuConstants:
+class ZamfirescuConstants(JsonConfig):
     """The constant triple (xi, eta, lambda) with its derived delta."""
 
     xi: float = 0.0
     eta: float = 0.0
-    lam: float = 0.0
+    lam: float = field(default=0.0, metadata={"json": "lambda"})
 
     def __post_init__(self):
         if not (0 <= self.xi < 1):
@@ -58,17 +61,22 @@ class ZamfirescuConstants:
         return max(self.xi, self.eta / (1 - self.eta), self.lam / (1 - self.lam))
 
     def to_json_dict(self) -> dict:
-        return {"xi": self.xi, "eta": self.eta, "lambda": self.lam,
-                "delta": self.delta}
+        return {**super().to_json_dict(), "delta": self.delta}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "ZamfirescuConstants":
-        return cls(xi=data.get("xi", 0.0), eta=data.get("eta", 0.0),
-                   lam=data.get("lambda", 0.0))
+    def from_json_dict(cls, data) -> "ZamfirescuConstants":
+        """Read xi, eta and lambda; a ``delta`` given too must be the derived one."""
+        if not isinstance(data, dict) or "delta" not in data:
+            return super().from_json_dict(data)
+        constants = super().from_json_dict({k: v for k, v in data.items() if k != "delta"})
+        if decode(float, data["delta"], "delta") != constants.delta:
+            raise ConfigError(f"{data['delta']!r} differs from the derived "
+                              f"{constants.delta!r}", field="delta")
+        return constants
 
 
 @dataclass(frozen=True)
-class PhiSpec:
+class PhiSpec(JsonConfig):
     """A comparison function phi: [1, inf)^2 -> [1, inf) in log form.
 
     ``log_phi`` takes the *log* distances (ls, lt) >= 0 and returns
@@ -92,8 +100,11 @@ class PhiSpec:
     beta: float | None = None
 
     def __post_init__(self):
-        if self.kind not in PHI_KINDS:
+        if self.kind not in PHI_PARAMS:
             raise DomainError(f"unknown phi kind {self.kind!r}")
+        for name in ("q", "psi", "alpha", "beta"):
+            if getattr(self, name) is not None and name not in PHI_PARAMS[self.kind]:
+                raise DomainError(f"{self.kind} takes no {name!r}")
         if self.kind == "power_product":
             if self.q is None or not (0 <= self.q < 1):
                 raise DomainError(f"power_product needs q in [0, 1), got {self.q}")
@@ -135,21 +146,6 @@ class PhiSpec:
         if self.kind == "example317":
             return 1e-5 * (ls + lt)
         return self.alpha * ls + self.beta * lt
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        for name in ("q", "psi", "alpha", "beta"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = v
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PhiSpec":
-        if not isinstance(data, dict) or "kind" not in data:
-            raise DomainError("phi JSON needs a 'kind' field")
-        return cls(data["kind"], q=data.get("q"), psi=data.get("psi"),
-                   alpha=data.get("alpha"), beta=data.get("beta"))
 
 
 def _clip_slack(slack: float, tol: float) -> tuple[bool, float]:
@@ -420,9 +416,11 @@ class ConditionReport:
         return self.verdicts["overall"]
 
     def condition_ok(self, condition: str) -> bool:
-        """True when every evaluated pair satisfies the given condition."""
-        recs = [r for r in self.records if r.condition == condition]
-        return bool(recs) and all(r.satisfied for r in recs)
+        """True when every pair was evaluated and satisfies the condition,
+        the rule the verdicts use: an error record ("*") fails it."""
+        wanted = {condition, "*"}
+        flags = [r.satisfied for r in self.records if r.condition in wanted]
+        return bool(flags) and all(flags)
 
     def violations(self, condition: str) -> list[PairCheck]:
         return [r for r in self.records

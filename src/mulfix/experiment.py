@@ -17,9 +17,10 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Literal, Optional
 
 from .conditions import (
+    CONDITION_IDS,
     ConditionReport,
     PhiSpec,
     ZamfirescuConstants,
@@ -27,10 +28,12 @@ from .conditions import (
     classify,
 )
 from .errors import ConfigError, MulfixError
+from .jsonconfig import JsonConfig, decode
 from .maps import Box, SelfMapSpec, sample_box
 from .metrics import (
     AxiomReport,
     MetricSpec,
+    Point,
     ReverseTriangleReport,
     as_point,
     verify_axioms,
@@ -48,35 +51,45 @@ from .solver import (
     verify_start_independence,
 )
 
-EXPECTATION_KINDS = (
-    "converged",
-    "unique_fixed_point",
-    "fixed_point",
-    "residual",
-    "constants",
-    "conditions_hold",
-    "verdict",
-    "phi_holds",
-    "apriori_bound",
-    "map_invariant",
-    "axioms_pass",
-)
+# Each expectation kind with the JSON type of every key it reads besides
+# "kind": ({required key: type}, {optional key: type}).
+_CONDITIONS = tuple[Literal[CONDITION_IDS], ...]
+EXPECTATIONS = {
+    "converged": ({}, {}),
+    "unique_fixed_point": ({}, {}),
+    "fixed_point": ({"point": Point}, {"tol": float}),
+    "residual": ({"max_logd": float}, {}),
+    "constants": ({}, {"xi": float, "eta": float, "lambda": float, "tol": float}),
+    "conditions_hold": ({"conditions": _CONDITIONS}, {}),
+    "verdict": ({"theorem": Literal["t2", "t23", "th3"]}, {"via": _CONDITIONS}),
+    "phi_holds": ({}, {}),
+    "apriori_bound": ({}, {"tol": float}),
+    "map_invariant": ({}, {}),
+    "axioms_pass": ({}, {}),
+}
 
 
 def normalize_expectation(spec) -> dict:
-    """Accept either a bare kind string or a full spec dict."""
+    """Accept either a bare kind string or a full spec dict; check every key."""
     if isinstance(spec, str):
         spec = {"kind": spec}
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"bad expectation {spec!r}", field="expectations")
-    if spec["kind"] not in EXPECTATION_KINDS:
-        raise ConfigError(f"unknown expectation kind {spec['kind']!r}",
-                          field="expectations")
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in EXPECTATIONS:
+        raise ConfigError(f"unknown or missing kind in {spec!r}", field="expectations")
+    required, optional = EXPECTATIONS[kind]
+    missing = required.keys() - spec.keys()
+    if missing:
+        raise ConfigError(f"{kind} needs {', '.join(missing)}", field="expectations")
+    types = {"kind": str, **required, **optional}
+    for key, value in spec.items():
+        if key not in types:
+            raise ConfigError(f"{kind} takes no {key!r}", field="expectations")
+        decode(types[key], value, "expectations", f"{kind}.{key}")
     return dict(spec)
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(JsonConfig):
     """Everything needed to reproduce one experiment run."""
 
     metric: MetricSpec
@@ -85,11 +98,11 @@ class ExperimentConfig:
     sample_size: int
     seed: int
     solver: SolverConfig
-    phi: Optional[PhiSpec] = None
-    constants: Optional[ZamfirescuConstants] = None
     sample_scheme: str = "mixed"
     enforce_domain: bool = False
     expectations: tuple = ()
+    phi: Optional[PhiSpec] = None
+    constants: Optional[ZamfirescuConstants] = None
     outputs: Optional[dict] = None
 
     def __post_init__(self):
@@ -104,72 +117,13 @@ class ExperimentConfig:
             if not self.domain.contains(s):
                 raise ConfigError(f"start {s} is outside the domain",
                                   field="solver.starts")
+        if self.outputs and (self.outputs.keys() != {"dir"}
+                             or not isinstance(self.outputs["dir"], str)):
+            raise ConfigError(f"only a string 'dir' is read, got {self.outputs!r}",
+                              field="outputs")
         object.__setattr__(
             self, "expectations",
             tuple(normalize_expectation(e) for e in self.expectations),
-        )
-
-    def to_json_dict(self) -> dict:
-        out: dict = {
-            "metric": self.metric.to_json_dict(),
-            "map": self.map.to_json_dict(),
-            "domain": self.domain.to_json(),
-            "sample_size": self.sample_size,
-            "seed": self.seed,
-            "solver": self.solver.to_json_dict(),
-            "sample_scheme": self.sample_scheme,
-            "enforce_domain": self.enforce_domain,
-            "expectations": [dict(e) for e in self.expectations],
-        }
-        if self.phi is not None:
-            out["phi"] = self.phi.to_json_dict()
-        if self.constants is not None:
-            out["constants"] = self.constants.to_json_dict()
-        if self.outputs is not None:
-            out["outputs"] = dict(self.outputs)
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("a config must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        for name in data:
-            if name not in known:
-                raise ConfigError("unknown field", field=name)
-
-        def parse(name, parser, required=True, default=None):
-            if name not in data:
-                if required:
-                    raise ConfigError("missing required field", field=name)
-                return default
-            value = data[name]
-            if isinstance(parser, type) and type(value) is not parser:
-                raise ConfigError(f"expected {parser.__name__}, got {value!r}",
-                                  field=name)
-            try:
-                return parser(value)
-            except ConfigError:
-                raise
-            except (MulfixError, TypeError, KeyError) as exc:
-                raise ConfigError(str(exc), field=name) from exc
-
-        return cls(
-            metric=parse("metric", MetricSpec.from_json_dict),
-            map=parse("map", SelfMapSpec.from_json_dict),
-            domain=parse("domain", Box.from_json),
-            sample_size=parse("sample_size", int),
-            seed=parse("seed", int),
-            solver=parse("solver", SolverConfig.from_json_dict),
-            phi=parse("phi", PhiSpec.from_json_dict, required=False),
-            constants=parse("constants", ZamfirescuConstants.from_json_dict,
-                            required=False),
-            sample_scheme=parse("sample_scheme", str, required=False,
-                                default="mixed"),
-            enforce_domain=parse("enforce_domain", bool, required=False,
-                                 default=False),
-            expectations=tuple(data.get("expectations", ())),
-            outputs=parse("outputs", dict, required=False),
         )
 
     @classmethod
@@ -251,6 +205,12 @@ def _map_invariant(T, sample, box: Box) -> bool:
     return True
 
 
+def _unevaluated(cls_report: ConditionReport) -> str:
+    """Detail suffix counting the pairs with an error record ("*")."""
+    n = sum(r.condition == "*" for r in cls_report.records)
+    return f", {n} pairs not evaluated" if n else ""
+
+
 def _eval_expectation(spec: dict, report: "ExperimentReport") -> ExpectationResult:
     kind = spec["kind"]
     runs = report.runs
@@ -267,25 +227,25 @@ def _eval_expectation(spec: dict, report: "ExperimentReport") -> ExpectationResu
                   f"uniqueness={report.uniqueness.verdict}")
     elif kind == "fixed_point":
         target = as_point(spec["point"])
-        tol = float(spec.get("tol", 1e-8))
+        tol = spec.get("tol", 1e-8)
         errs = [max(abs(a - b) for a, b in zip(r.point, target)) for r in converged]
         ok = bool(errs) and len(converged) == len(runs) and max(errs) <= tol
         detail = (f"max coordinate error {max(errs):.3e} (tol {tol:g})"
                   if errs else "no converged run")
     elif kind == "residual":
-        limit = float(spec["max_logd"])
+        limit = spec["max_logd"]
         worst = max((r.residual_logd for r in converged), default=math.inf)
         ok = bool(converged) and len(converged) == len(runs) and worst <= limit
         detail = f"worst residual log-distance {worst:.3e} (limit {limit:g})"
     elif kind == "constants":
-        tol = float(spec.get("tol", 1e-9))
+        tol = spec.get("tol", 1e-9)
         est = cls_report.estimates
         checked = []
         ok = True
         for name, value in (("xi", est.xi_hat), ("eta", est.eta_hat),
                             ("lambda", est.lambda_hat)):
             if name in spec:
-                good = math.isfinite(value) and abs(value - float(spec[name])) <= tol
+                good = math.isfinite(value) and abs(value - spec[name]) <= tol
                 ok = ok and good
                 checked.append(f"{name}={value!r}")
         detail = ", ".join(checked) or "nothing to check"
@@ -294,6 +254,7 @@ def _eval_expectation(spec: dict, report: "ExperimentReport") -> ExpectationResu
         bad = {c: len(cls_report.violations(c)) for c in conds}
         ok = all(cls_report.condition_ok(c) for c in conds)
         detail = ", ".join(f"{c}: {n} violating pairs" for c, n in bad.items())
+        detail += "" if ok else _unevaluated(cls_report)
     elif kind == "verdict":
         verdict = cls_report.verdicts[spec["theorem"]]
         ok = verdict["applicable"]
@@ -312,8 +273,9 @@ def _eval_expectation(spec: dict, report: "ExperimentReport") -> ExpectationResu
             ok = n_diag_bad == 0
         detail = (f"{len(cls_report.violations('PHI'))} violating pairs, "
                   f"{n_diag_bad} violating diagonal points")
+        detail += "" if ok else _unevaluated(cls_report)
     elif kind == "apriori_bound":
-        n_viol = sum(observed > bound + float(spec.get("tol", b.tol))
+        n_viol = sum(observed > bound + spec.get("tol", b.tol)
                      for b in report.bounds for _, observed, bound in b.rows)
         ok = bool(report.bounds) and n_viol == 0
         detail = (f"{len(report.bounds)} traces checked, {n_viol} violations"
@@ -321,12 +283,10 @@ def _eval_expectation(spec: dict, report: "ExperimentReport") -> ExpectationResu
     elif kind == "map_invariant":
         ok = report.map_invariant
         detail = "map keeps the sampled domain" if ok else "map leaves the domain"
-    elif kind == "axioms_pass":
+    else:  # axioms_pass, the last kind normalize_expectation admits
         ok = report.axioms.ok and report.reverse_triangle.ok
         detail = (f"{len(report.axioms.violations)} axiom violations, "
                   f"{len(report.reverse_triangle.violations)} reverse-triangle violations")
-    else:  # pragma: no cover - guarded by normalize_expectation
-        raise ConfigError(f"unknown expectation kind {kind!r}")
     return ExpectationResult(spec=spec, passed=bool(ok), detail=detail)
 
 

@@ -14,19 +14,21 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
+from .jsonconfig import JsonConfig, decode
 from .metrics import Point, as_point
 
-MAP_KINDS = (
-    "scale",
-    "rational",
-    "power",
-    "reciprocal_sqrt",
-    "constant",
-    "identity",
-    "negation",
-    "affine",
-)
+# Each map kind with the parameters it takes, every one of them required.
+MAP_PARAMS = {
+    "scale": ("c",),
+    "rational": ("b",),
+    "power": ("p",),
+    "reciprocal_sqrt": (),
+    "constant": ("value",),
+    "identity": (),
+    "negation": (),
+    "affine": ("matrix", "offset"),
+}
 
 
 @dataclass(frozen=True)
@@ -61,11 +63,15 @@ class Box:
 
     @classmethod
     def from_json(cls, data) -> "Box":
-        return cls(tuple(tuple(pair) for pair in data))
+        """Read ``[[lo, hi], ...]``; any other JSON value raises DomainError."""
+        try:
+            return cls(decode(tuple[tuple[float, float], ...], data))
+        except ConfigError as exc:
+            raise DomainError(f"a box is a list of [lo, hi] pairs: {exc}") from None
 
 
 @dataclass(frozen=True)
-class SelfMapSpec:
+class SelfMapSpec(JsonConfig):
     """A named self-map, callable on point tuples."""
 
     kind: str
@@ -73,26 +79,18 @@ class SelfMapSpec:
     b: float | None = None            # rational offset: x -> 1 / (b + x)
     p: float | None = None            # power exponent: x -> x ** p
     value: Point | None = None        # constant image
-    matrix: tuple | None = None       # affine coefficient table
-    offset: tuple | None = None
+    matrix: tuple[Point, ...] | None = None  # affine coefficient table
+    offset: Point | None = None
     domain: Optional[Box] = None
 
     def __post_init__(self):
-        if self.kind not in MAP_KINDS:
+        if self.kind not in MAP_PARAMS:
             raise DomainError(f"unknown map kind {self.kind!r}")
-        need = {
-            "scale": ("c",),
-            "rational": ("b",),
-            "power": ("p",),
-            "reciprocal_sqrt": (),
-            "constant": ("value",),
-            "identity": (),
-            "negation": (),
-            "affine": ("matrix", "offset"),
-        }[self.kind]
-        for field in need:
-            if getattr(self, field) is None:
-                raise DomainError(f"map kind {self.kind!r} needs {field!r}")
+        for field in ("c", "b", "p", "value", "matrix", "offset"):
+            needed, given = field in MAP_PARAMS[self.kind], getattr(self, field) is not None
+            if needed != given:
+                raise DomainError(f"map kind {self.kind!r} "
+                                  f"{'needs' if needed else 'takes no'} {field!r}")
         if self.value is not None:
             object.__setattr__(self, "value", as_point(self.value))
         if self.matrix is not None:
@@ -177,42 +175,6 @@ class SelfMapSpec:
             raise DomainError(f"affine matrix expects dimension {m.shape[1]}")
         y = m @ np.asarray(x, dtype=float) + np.asarray(self.offset, dtype=float)
         return as_point(y)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.c is not None:
-            out["c"] = self.c
-        if self.b is not None:
-            out["b"] = self.b
-        if self.p is not None:
-            out["p"] = self.p
-        if self.value is not None:
-            out["value"] = list(self.value)
-        if self.matrix is not None:
-            out["matrix"] = [list(row) for row in self.matrix]
-        if self.offset is not None:
-            out["offset"] = list(self.offset)
-        if self.domain is not None:
-            out["domain"] = self.domain.to_json()
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SelfMapSpec":
-        if not isinstance(data, dict) or "kind" not in data:
-            raise DomainError("map JSON needs a 'kind' field")
-        domain = Box.from_json(data["domain"]) if data.get("domain") else None
-        return cls(
-            data["kind"],
-            c=data.get("c"),
-            b=data.get("b"),
-            p=data.get("p"),
-            value=tuple(data["value"]) if data.get("value") else None,
-            matrix=tuple(tuple(r) for r in data["matrix"]) if data.get("matrix") else None,
-            offset=tuple(data["offset"]) if data.get("offset") else None,
-            domain=domain,
-        )
 
 
 def grid_points(box: Box, n: int) -> list[Point]:

@@ -18,6 +18,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import DomainError
+from .jsonconfig import JsonConfig
 
 Point = tuple[float, ...]
 
@@ -68,7 +69,7 @@ def _norm(base: str, x: Point, y: Point) -> float:
 
 
 @dataclass(frozen=True)
-class MetricSpec:
+class MetricSpec(JsonConfig):
     """Descriptor for one of the built-in multiplicative metrics.
 
     kind
@@ -200,22 +201,6 @@ class MetricSpec:
             return math.exp(self.log_distance(x, y))
         except OverflowError:
             return math.inf
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind != "star_product":
-            out["a"] = self.a
-        if self.kind == "lifted":
-            out["base"] = self.base
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MetricSpec":
-        if not isinstance(data, dict) or "kind" not in data:
-            raise DomainError("metric JSON needs a 'kind' field")
-        return cls(data["kind"], a=data.get("a"), base=data.get("base"))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ orbits, and uniqueness probes live here as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,6 +20,7 @@ from .errors import (
     DomainEscapeError,
     MonotoneResidualError,
 )
+from .jsonconfig import JsonConfig
 from .maps import Box
 from .metrics import Point, as_point
 from .sequences import (IterationTrace, Status, _check_eps, _max_pairwise_logd,
@@ -27,7 +28,7 @@ from .sequences import (IterationTrace, Status, _check_eps, _max_pairwise_logd,
 
 
 @dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(JsonConfig):
     """Knobs for a Picard run.
 
     eps is the multiplicative stopping tolerance (> 1); log(eps) is the
@@ -67,18 +68,6 @@ class SolverConfig:
     @property
     def log_eps(self) -> float:
         return math.log(self.eps)
-
-    def to_json_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {**out, "starts": [list(s) for s in self.starts]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SolverConfig":
-        known = {f.name for f in fields(cls)}
-        for key in data:
-            if key not in known:
-                raise DomainError(f"unknown key {key!r}")
-        return cls(**{**data, "starts": tuple(map(tuple, data.get("starts", [])))})
 
 
 @dataclass(frozen=True)

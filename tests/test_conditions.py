@@ -338,6 +338,19 @@ def test_a_pole_in_the_sample_gives_error_records():
     assert report.overall == "none"
 
 
+def test_condition_ok_fails_when_a_pair_was_not_evaluated():
+    # The pole sits at the first sample point.  C1 holds on every other pair
+    # at the estimated constant, but a condition holds only when every pair
+    # was evaluated, the rule the verdicts use.
+    sample = mx.grid_points(mx.Box(((-2.0, 2.0),)), 5)
+    report = mx.classify(EXPABS2, mx.SelfMapSpec.rational(2.0), sample)
+    assert len([r for r in report.records if r.condition == "*"]) == 4
+    assert all(r.satisfied for r in report.records if r.condition == "C1")
+    assert report.overall == "none"
+    assert not report.condition_ok("C1")
+    assert not report.violations("C1")
+
+
 def test_satisfied_records_never_have_negative_slack():
     report = mx.classify(LIFTED2, SCALE23,
                          mx.sample_box(mx.Box(((-5.0, 5.0), (-5.0, 5.0))), 16, seed=1),

@@ -112,6 +112,50 @@ def test_solver_config_rejects_unknown_keys_and_negative_lookback(tmp_path, caps
     assert key in capsys.readouterr().err
 
 
+SOLVER = {"eps": EPS, "max_iter": 200, "starts": [[0.2], [0.8]]}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("constants", {"xi": 0.0, "eta": 0.499, "lamda": 0.499}),
+    ("constants", {"xi": 0.5, "delta": 0.25}),
+    ("metric", {"kind": "exp_reciprocal", "bsae": "x"}),
+    ("phi", {"kind": "power_product", "q": 0.5, "qq": 1}),
+    ("solver", {**SOLVER, "max_iter": 20.5}),
+    ("solver", {**SOLVER, "starts": [["a"]]}),
+    ("map", {"kind": "rational", "b": "2"}),
+    ("map", {"kind": "rational", "b": 2, "c": 3}),
+    ("expectations", [{"kind": "conditions_hold"}]),
+    ("expectations", [{"kind": "fixed_point"}]),
+    ("expectations", [{"kind": "fixed_point", "point": [0.5], "tol": "x"}]),
+    ("expectations", [{"kind": "verdict", "theorem": "t9"}]),
+    ("expectations", [{"kind": "converged", "tol": 5}]),
+    ("expectations", [{"kind": "conditions_hold", "conditions": ["C9"]}]),
+    ("outputs", {"pairs": True}),
+    ("outputs", {"dir": 5}),
+    ("domain", [[0.1]]),
+    ("domain", "x"),
+])
+def test_cli_rejects_mistyped_and_unread_config_values(tmp_path, capsys, field, value):
+    data = {**identity_config(), field: value}
+    with pytest.raises(ConfigError) as err:
+        mx.ExperimentConfig.from_json_dict(data)
+    assert err.value.field == field
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+def test_conditions_hold_fails_when_a_pair_was_not_evaluated():
+    data = {**identity_config(), "map": {"kind": "rational", "b": 2.0},
+            "domain": [[-2.0, 2.0]], "sample_size": 5,
+            "solver": {"eps": EPS, "max_iter": 200, "starts": [[0.0]]},
+            "expectations": [{"kind": "conditions_hold", "conditions": ["C1"]}]}
+    (result,) = mx.run_experiment(mx.ExperimentConfig.from_json_dict(data)).expectations
+    assert not result.passed
+    assert result.detail == "C1: 0 violating pairs, 4 pairs not evaluated"
+
+
 def test_config_json_syntax_errors_report_position(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{\n  \"metric\": ,\n}\n")

@@ -1,5 +1,8 @@
+import json
 import re
 from pathlib import Path
+
+import mulfix as mx
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -12,3 +15,11 @@ def test_readme_quickstart_prints_what_it_shows(capsys):
     assert len(shown) == 3
     exec(compile(block, str(README), "exec"), {})
     assert capsys.readouterr().out.splitlines() == shown
+
+
+def test_readme_config_schema_parses_with_the_strict_reader():
+    block = re.search(r"### Config schema\n\n```jsonc\n(.*?)```",
+                      README.read_text(encoding="utf-8"), re.S).group(1)
+    data = json.loads(re.sub(r"//.*", "", block))
+    config = mx.ExperimentConfig.from_json_dict(data)
+    assert set(config.to_json_dict()) == set(data)
