@@ -125,7 +125,7 @@ def main(argv=None) -> int:
         out = _out_dir(args, config)
         if out is not None:
             write_atomic(out / "condition_report.json",
-                         dump_json(cls_report.to_json_dict()))
+                         dump_json(cls_report.to_json_tree()))
             print(f"wrote outputs to {out}")
         return 0
     except MulfixError as exc:

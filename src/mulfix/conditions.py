@@ -22,13 +22,14 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DegeneratePairError, DomainError, MulfixError
-from .jsonconfig import JsonConfig, decode
-from .metrics import DEFAULT_LOG_TOL, Point, as_point
+from .jsonconfig import JsonConfig, decode, json_text
+from .metrics import DEFAULT_LOG_TOL, Point, as_point, equal_points
 
 logger = logging.getLogger(__name__)
 
@@ -393,16 +394,86 @@ class PairCheck:
         return out
 
 
+# PairCheck.to_json_dict() of an evaluated record as dump_json lays it out at
+# the top level, with a %s for each of i, j, the flag and the slack.
+_RECORD = ('{\n  "pair": [\n    %%s,\n    %%s\n  ],\n  "condition": "%s",\n'
+           '  "satisfied": %%s,\n  "slack": %%s\n}')
+_JSON_FLAGS = {True: "true", False: "false"}
+
+
+@dataclass(frozen=True)
+class PairRows:
+    """The pair records of a classification, kept as columns.
+
+    ``i`` and ``j`` list the evaluated pairs in sample order; ``checks`` maps
+    each condition to its flags and slacks over them.  ``errors`` holds one
+    ``(position, i, j, message)`` per pair that could not be evaluated, where
+    position counts the evaluated pairs before it.  The records run pair by
+    pair, each evaluated pair with one record per condition in ``checks``
+    order.
+    """
+
+    i: list
+    j: list
+    checks: dict
+    errors: tuple
+
+    def _merge(self, per_pair: list, error_row) -> list:
+        """``per_pair`` (one entry per evaluated pair) with each error's
+        ``error_row(i, j, message)`` put at its position."""
+        out, start = [], 0
+        for pos, i, j, message in self.errors:
+            out += per_pair[start:pos]
+            out.append(error_row(i, j, message))
+            start = pos
+        return out + per_pair[start:]
+
+    def records(self) -> tuple[PairCheck, ...]:
+        cols = [(cid, *col) for cid, col in self.checks.items()]
+        per_pair = [[PairCheck(i, j, cid, flags[k], slacks[k])
+                     for cid, flags, slacks in cols]
+                    for k, (i, j) in enumerate(zip(self.i, self.j))]
+        rows = self._merge(per_pair,
+                           lambda i, j, msg: [PairCheck(i, j, "*", None, None, msg)])
+        return tuple(itertools.chain.from_iterable(rows))
+
+    def write_json(self, out: list, nl: str) -> None:
+        """Append the records to ``out`` as the JSON array ``dump_json``
+        writes on a line indented by ``nl``: one template filled per pair."""
+        if not self.i and not self.errors:
+            out.append("[]")
+            return
+        item = nl + "  "
+        template = ",\n".join(_RECORD % cid for cid in self.checks).replace("\n", item)
+        columns = []
+        for flags, slacks in self.checks.values():
+            finite = np.isfinite(np.array(slacks, dtype=float)).all()
+            # %s writes a finite float as its repr, as json does
+            columns += [self.i, self.j, [_JSON_FLAGS[f] for f in flags],
+                        slacks if finite else [json_text(x) for x in slacks]]
+        per_pair = [template % values for values in zip(*columns)]
+        rows = self._merge(per_pair, lambda i, j, msg: json_text(
+            PairCheck(i, j, "*", None, None, msg).to_json_dict(), item))
+        sep = "[" + item
+        for row in rows:
+            out += (sep, row)
+            sep = "," + item
+        out.append(nl + "]")
+
+
 @dataclass(frozen=True)
 class ConditionReport:
     """Per-pair condition records plus aggregate verdicts.
 
-    ``verdicts`` holds one entry per certification route (t2 for the
-    constant-triple disjunction, t23 for the strict variants, th3 for the
-    phi test) and an ``overall`` summary string.
+    The records are kept as columns in ``rows``; ``records`` builds the
+    tuple of :class:`PairCheck` on first access, and the report writer
+    reads the columns without it.  ``verdicts`` holds one entry per
+    certification route (t2 for the constant-triple disjunction, t23 for
+    the strict variants, th3 for the phi test) and an ``overall`` summary
+    string.
     """
 
-    records: tuple[PairCheck, ...]
+    rows: PairRows
     constants_used: Optional[ZamfirescuConstants]
     estimates: ConstantEstimates
     verdicts: dict
@@ -415,25 +486,36 @@ class ConditionReport:
     def overall(self) -> str:
         return self.verdicts["overall"]
 
+    @cached_property
+    def records(self) -> tuple[PairCheck, ...]:
+        return self.rows.records()
+
     def condition_ok(self, condition: str) -> bool:
         """True when every pair was evaluated and satisfies the condition,
         the rule the verdicts use: an error record ("*") fails it."""
-        wanted = {condition, "*"}
-        flags = [r.satisfied for r in self.records if r.condition in wanted]
-        return bool(flags) and all(flags)
+        flags = self.rows.checks.get(condition, ((),))[0]
+        return not self.rows.errors and bool(flags) and all(flags)
 
     def violations(self, condition: str) -> list[PairCheck]:
-        return [r for r in self.records
-                if r.condition == condition and r.satisfied is False]
+        flags, slacks = self.rows.checks.get(condition, ((), ()))
+        return [PairCheck(i, j, condition, False, slack)
+                for i, j, ok, slack in zip(self.rows.i, self.rows.j, flags, slacks)
+                if not ok]
 
     def to_json_dict(self) -> dict:
+        return {**self.to_json_tree(),
+                "pairs": [r.to_json_dict() for r in self.records]}
+
+    def to_json_tree(self) -> dict:
+        """The ``to_json_dict`` tree with the records left as columns, which
+        ``dump_json`` writes to the same text."""
         constants: dict = (
             self.constants_used.to_json_dict() if self.constants_used
             else {"xi": None, "eta": None, "lambda": None, "delta": None}
         )
         constants["estimates"] = self.estimates.to_json_dict()
         return {
-            "pairs": [r.to_json_dict() for r in self.records],
+            "pairs": self.rows,
             "constants": constants,
             "verdicts": self.verdicts,
             "seed": self.seed,
@@ -483,15 +565,14 @@ def classify(
     rhs = {"C1": (xi, table.Dxx), "C2": (eta, table.own), "C3": (lam, table.cross),
            "SI": (1.0, table.Dxx), "SII": (0.5, table.own), "SIII": (0.5, table.cross)}
     upper = np.triu_indices(n, 1)  # the pairs in combinations order
-    m = len(upper[0])
-    results = {}  # condition -> satisfied flags and slack list over the upper pairs
+    results = {}  # condition -> satisfied flags and slacks over the upper pairs
     with np.errstate(all="ignore"):
         if phi is not None:  # log phi of (L(x, Tx), L(y, Ty)) for every pair
             log_phi = phi._log_phi(table.step[:, None], table.step[None, :])
             rhs["PHI"] = (1.0, 0.5 * table.own - log_phi)
         for cid, (const, den) in rhs.items():
             if const is None:  # no admissible constant: unsatisfied everywhere
-                results[cid] = (np.zeros(m, dtype=bool), [None] * m)
+                results[cid] = (np.zeros(len(upper[0]), dtype=bool), None)
                 continue
             slack = const * den - table.Dtt
             if cid in ("SI", "SII", "SIII"):
@@ -499,36 +580,37 @@ def classify(
             else:
                 ok = slack >= -tol
                 slack = np.where(ok & (slack < 0), 0.0, slack)
-            results[cid] = (ok[upper], slack[upper].tolist())
-    flags = {cid: ok.tolist() for cid, (ok, _) in results.items()}
-    phi_bad = (table.step < 0).tolist()  # log phi rejects L(x, Tx) < 0
-    usable = table.usable[upper].tolist()
+            results[cid] = (ok[upper], slack[upper])
 
-    records: list[PairCheck] = []
-    evaluated = []  # upper-pair indices with condition records
-    n_pairs = skipped = 0
-    for k, (i, j) in enumerate(itertools.combinations(range(n), 2)):
-        if points[i] == points[j]:
-            skipped += 1
-            continue
-        n_pairs += 1
-        error = None if usable[k] else table.first_error(i, j)
-        if error is None and phi is not None and (phi_bad[i] or phi_bad[j]):
-            error = DomainError("phi arguments must be distances >= 1")
-        if error is None:
-            evaluated.append(k)
-            records.extend(PairCheck(i, j, cid, flags[cid][k], slack[k])
-                           for cid, (_, slack) in results.items())
-        elif isinstance(error, _RECORDED_ERRORS):
-            records.append(PairCheck(i, j, "*", None, None, error=str(error)))
-        else:
+    distinct = ~equal_points(points)[upper]
+    evaluated = table.usable[upper]
+    if phi is not None:  # log phi rejects L(x, Tx) < 0
+        phi_bad = table.step < 0
+        evaluated &= ~(phi_bad[:, None] | phi_bad[None, :])[upper]
+    n_pairs = int(distinct.sum())
+    unevaluated = np.flatnonzero(distinct & ~evaluated)
+    before = np.cumsum(evaluated) - evaluated  # evaluated pairs before each pair
+    errors = []
+    for k in unevaluated.tolist():  # an invalid point, or log phi rejects the pair
+        i, j = int(upper[0][k]), int(upper[1][k])
+        error = (table.first_error(i, j)
+                 or DomainError("phi arguments must be distances >= 1"))
+        if not isinstance(error, _RECORDED_ERRORS):
             raise error
+        errors.append((int(before[k]), i, j, str(error)))
     if n_pairs == 0:
         raise DegeneratePairError("classification needs at least 2 distinct points")
+    evaluated = np.flatnonzero(evaluated)
+    rows = PairRows(
+        upper[0][evaluated].tolist(), upper[1][evaluated].tolist(),
+        {cid: (ok[evaluated].tolist(),
+               [None] * len(evaluated) if slack is None else slack[evaluated].tolist())
+         for cid, (ok, slack) in results.items()},
+        tuple(errors))
 
     def holds(cids) -> bool:  # no error record, and each pair meets one of cids
         met = np.any([results[c][0] for c in cids], axis=0)[evaluated]
-        return len(evaluated) == n_pairs and bool(met.all())
+        return not errors and bool(met.all())
 
     t2_ok, t23_ok = holds(("C1", "C2", "C3")), holds(("SI", "SII", "SIII"))
     th3_ok = phi is not None and holds(("PHI",))
@@ -549,12 +631,12 @@ def classify(
         "overall": overall,
     }
     return ConditionReport(
-        records=tuple(records),
+        rows=rows,
         constants_used=triple if constants is None else constants,
         estimates=est,
         verdicts=verdicts,
         seed=seed,
         n_points=len(points),
         n_pairs=n_pairs,
-        skipped_pairs=skipped,
+        skipped_pairs=len(upper[0]) - n_pairs,
     )

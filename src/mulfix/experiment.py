@@ -28,7 +28,7 @@ from .conditions import (
     classify,
 )
 from .errors import ConfigError, MulfixError
-from .jsonconfig import JsonConfig, decode
+from .jsonconfig import JsonConfig, decode, dump_json
 from .maps import Box, SelfMapSpec, sample_box
 from .metrics import (
     AxiomReport,
@@ -128,13 +128,18 @@ class ExperimentConfig(JsonConfig):
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
+        def reject(literal):
+            raise ConfigError(f"invalid JSON: {literal} is not a JSON value")
+
         with open(path, "r", encoding="utf-8") as f:
             try:
-                data = json.load(f)
+                data = json.load(f, parse_constant=reject)
             except json.JSONDecodeError as exc:
                 raise ConfigError(
                     f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
                 ) from exc
+            except ValueError as exc:  # an integer past the interpreter's digit limit
+                raise ConfigError(f"invalid JSON: {exc}") from exc
         return cls.from_json_dict(data)
 
 
@@ -177,13 +182,19 @@ class ExperimentReport:
         return all(e.passed for e in self.expectations)
 
     def to_json_dict(self) -> dict:
+        return {**self.to_json_tree(),
+                "classification": self.classification.to_json_dict()}
+
+    def to_json_tree(self) -> dict:
+        """The ``to_json_dict`` tree with the pair records left as columns,
+        which ``dump_json`` writes to the same text."""
         return {
             "config": self.config.to_json_dict(),
             "seed": self.config.seed,
             "axioms": self.axioms.to_json_dict(),
             "reverse_triangle": self.reverse_triangle.to_json_dict(),
             "map_invariant": self.map_invariant,
-            "classification": self.classification.to_json_dict(),
+            "classification": self.classification.to_json_tree(),
             "solver": {
                 "runs": [r.to_json_dict() for r in self.runs],
                 "start_independence": self.start_independence.to_json_dict(),
@@ -207,7 +218,7 @@ def _map_invariant(T, sample, box: Box) -> bool:
 
 def _unevaluated(cls_report: ConditionReport) -> str:
     """Detail suffix counting the pairs with an error record ("*")."""
-    n = sum(r.condition == "*" for r in cls_report.records)
+    n = len(cls_report.rows.errors)
     return f", {n} pairs not evaluated" if n else ""
 
 
@@ -362,14 +373,6 @@ def write_atomic(path, text: str) -> None:
         raise
 
 
-def dump_json(data) -> str:
-    """Strict, indented JSON text: a non-finite float is written as null."""
-    try:
-        return json.dumps(data, indent=2, allow_nan=False) + "\n"
-    except ValueError:  # a NaN or an infinity somewhere: write each as null
-        return dump_json(json.loads(json.dumps(data), parse_constant=lambda _: None))
-
-
 def write_report(report, out_dir, fmt: str = "json") -> list[Path]:
     """Write report.json plus one trace file per solver run."""
     if fmt not in ("json", "csv"):
@@ -377,7 +380,7 @@ def write_report(report, out_dir, fmt: str = "json") -> list[Path]:
     out_dir = Path(out_dir)
     written = []
     report_path = out_dir / "report.json"
-    write_atomic(report_path, dump_json(report.to_json_dict()))
+    write_atomic(report_path, dump_json(report.to_json_tree()))
     written.append(report_path)
     for i, run in enumerate(getattr(report, "runs", ())):
         if fmt == "csv":

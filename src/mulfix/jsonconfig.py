@@ -14,11 +14,19 @@ their own errors.  A config read as a field of another turns every error
 into a ``ConfigError`` whose ``field`` is the key of the outermost config,
 with the path below it in the message
 (``solver: max_iter: expected int, got 20.5``).
+
+:func:`dump_json` writes any such tree as strict JSON text, byte for byte
+what ``json.dumps(data, indent=2, allow_nan=False)`` writes, except that a
+non-finite float becomes ``null`` instead of an error.  An object with a
+``write_json(out, nl)`` method (a column table of records) appends its own
+text to the list ``out``, given the newline and indentation of its line.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
+import math
 import types
 import typing
 
@@ -64,6 +72,11 @@ def decode(tp, value, key: str | None = None, at: str = ""):
     if (not isinstance(value, (int, float) if tp is float else tp)
             or isinstance(value, bool) and tp is not bool):
         fail(tp.__name__)
+    if tp is float:
+        try:
+            float(value)
+        except OverflowError:
+            fail("a number within float range")
     return dict(value) if tp is dict else value
 
 
@@ -103,3 +116,83 @@ class JsonConfig:
             elif f.default is dataclasses.MISSING:
                 raise ConfigError("missing required field", field=key)
         return cls(**kwargs)
+
+
+# -- writing JSON text ---------------------------------------------------------
+
+_string = json.encoder.encode_basestring_ascii
+
+
+def _float(x: float) -> str:
+    """A float as ``json.dumps`` writes it, or ``null`` when it is not finite."""
+    return float.__repr__(x) if math.isfinite(x) else "null"
+
+
+# Writers of the plain scalar types, by exact type; subclasses take the
+# slower isinstance path in _write, as json.dumps reads them.
+_SCALARS = {str: _string, int: int.__repr__, float: _float,
+            bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
+def _key(k) -> str:
+    """A dict key as json.dumps writes it, non-finite floats under json's names."""
+    if isinstance(k, float):
+        text = float.__repr__(k)
+        k = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+    elif k is None or isinstance(k, int):
+        k = _SCALARS.get(type(k), int.__repr__)(k)  # bool, None, int
+    elif not isinstance(k, str):
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {type(k).__name__}")
+    return _string(k)
+
+
+def _write(value, nl: str, out: list) -> None:
+    """Append ``value`` as indented JSON text to ``out``, in pieces; lines
+    below its first start with ``nl``."""
+    write = _SCALARS.get(type(value))
+    if write is not None:
+        out.append(write(value))
+        return
+    inner = nl + "  "
+    if isinstance(value, (list, tuple)):
+        sep = "[" + inner
+        for v in value:
+            out.append(sep)
+            _write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]" if value else "[]")
+    elif isinstance(value, dict):
+        sep = "{" + inner
+        for k, v in value.items():
+            out.append(sep + _key(k) + ": ")
+            _write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}" if value else "{}")
+    elif hasattr(value, "write_json"):
+        value.write_json(out, nl)
+    else:
+        for tp in (str, int, float):  # subclasses such as an IntEnum
+            if isinstance(value, tp):
+                out.append(_SCALARS[tp](value))
+                return
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def json_text(value, nl: str = "\n") -> str:
+    """``value`` as indented JSON text whose lines below the first start with ``nl``."""
+    out: list = []
+    _write(value, nl, out)
+    return "".join(out)
+
+
+def dump_json(data) -> str:
+    """Strict JSON text of a tree, ending in a newline.
+
+    The bytes of ``json.dumps(data, indent=2, allow_nan=False) + "\n"``,
+    except that a NaN or an infinity is written as null.
+    """
+    out: list = []
+    _write(data, "\n", out)
+    out.append("\n")
+    return "".join(out)

@@ -237,6 +237,13 @@ class FunctionMetric:
         return float(self.fn(as_point(x), as_point(y)))
 
 
+def equal_points(points: list) -> np.ndarray:
+    """``points[i] == points[j]`` for every pair of point tuples, as a matrix."""
+    ids: dict = {}  # equal points share an id
+    key = np.array([ids.setdefault(p, len(ids)) for p in points], dtype=int)
+    return key[:, None] == key[None, :]
+
+
 def in_open_ball(metric, center, r: float, x) -> bool:
     """True when x lies strictly inside the ball of radius r > 1 at center."""
     if not (math.isfinite(r) and r > 1):
@@ -287,26 +294,28 @@ def verify_axioms(metric, sample: Iterable, tol: float = DEFAULT_LOG_TOL) -> Axi
     points = [as_point(p) for p in sample]
     n = len(points)
     D = metric.log_distance_matrix(points, points)
-    rows = D.tolist()
+    equal = equal_points(points)
+    with np.errstate(invalid="ignore"):  # NaN compares False; inf - inf is NaN
+        nonneg = D < -tol
+        identity = np.where(equal, np.abs(D) > tol, D <= tol)
+        symmetry = np.triu(np.abs(D - D.T) > tol, 1)
     violations: list[dict] = []
-
-    for i in range(n):
-        for j in range(n):
-            d, equal = rows[i][j], points[i] == points[j]
-            pair = {"pair": [i, j], "log_distance": d}
-            if d < -tol:
-                violations.append({"axiom": "nonnegativity", **pair})
-            if abs(d) > tol if equal else d <= tol:
-                violations.append({"axiom": "identity", **pair, "points_equal": equal})
-            if j > i and abs(d - rows[j][i]) > tol:
-                violations.append({"axiom": "symmetry", "pair": [i, j],
-                                   "forward": d, "reverse": rows[j][i]})
+    for i, j in np.argwhere(nonneg | identity | symmetry).tolist():
+        d = float(D[i, j])
+        if nonneg[i, j]:
+            violations.append({"axiom": "nonnegativity", "pair": [i, j], "log_distance": d})
+        if identity[i, j]:
+            violations.append({"axiom": "identity", "pair": [i, j], "log_distance": d,
+                               "points_equal": bool(equal[i, j])})
+        if symmetry[i, j]:
+            violations.append({"axiom": "symmetry", "pair": [i, j],
+                               "forward": d, "reverse": float(D[j, i])})
 
     # Triangle: for each middle index j, flag pairs (i, k) with
     # D[i,k] > D[i,j] + D[j,k] + tol.  NaNs (possible only for degenerate
     # custom distances) compare False and are ignored.
     off_diag = ~np.eye(n, dtype=bool)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n):
             rhs = D[:, j][:, None] + D[j, :][None, :]
             bad = (D - rhs > tol) & off_diag

@@ -134,6 +134,8 @@ SOLVER = {"eps": EPS, "max_iter": 200, "starts": [[0.2], [0.8]]}
     ("outputs", {"dir": 5}),
     ("domain", [[0.1]]),
     ("domain", "x"),
+    ("solver", {**SOLVER, "eps": 10**400}),
+    ("metric", {"kind": "exp_abs", "a": 10**400}),
 ])
 def test_cli_rejects_mistyped_and_unread_config_values(tmp_path, capsys, field, value):
     data = {**identity_config(), field: value}
@@ -162,6 +164,18 @@ def test_config_json_syntax_errors_report_position(tmp_path):
     with pytest.raises(ConfigError) as err:
         mx.ExperimentConfig.from_json_file(path)
     assert "line 2" in str(err.value)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_config_files_reject_non_standard_number_literals(tmp_path, capsys, literal):
+    data = {**identity_config(), "expectations": [{"kind": "residual", "max_logd": 0}]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data).replace('"max_logd": 0', f'"max_logd": {literal}'))
+    with pytest.raises(ConfigError) as err:
+        mx.ExperimentConfig.from_json_file(path)
+    assert f"{literal} is not a JSON value" in str(err.value)
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid JSON: ")
 
 
 def test_unknown_fixture_name_rejected():
@@ -225,7 +239,8 @@ def test_cli_fixture_writes_reports_and_csv_traces(tmp_path, capsys):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["passed"] is True
     trace_file = tmp_path / "out" / "trace_000.csv"
-    rows = list(csv.reader(trace_file.open()))
+    with trace_file.open() as f:
+        rows = list(csv.reader(f))
     assert rows[0] == ["n", "x0", "step_logd"]
     assert len(rows) > 2
 

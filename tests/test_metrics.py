@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ from hypothesis import given, strategies as st
 
 import mulfix as mx
 from mulfix.errors import DomainError
+from mulfix.metrics import DEFAULT_LOG_TOL
 
 POSITIVE = st.floats(min_value=1e-6, max_value=1e6,
                      allow_nan=False, allow_infinity=False)
@@ -212,6 +215,84 @@ def test_usual_metric_fails_multiplicative_triangle():
     )
     # the distance-1 pair (2, 3) also breaks identity of indiscernibles
     assert report.count("identity") > 0
+
+
+def _axiom_violations_by_loop(metric, sample, tol=DEFAULT_LOG_TOL):
+    """The pair axioms as verify_axioms once checked them, one entry at a time."""
+    points = [mx.as_point(p) for p in sample]
+    rows = metric.log_distance_matrix(points, points).tolist()
+    violations = []
+    for i in range(len(points)):
+        for j in range(len(points)):
+            d, equal = rows[i][j], points[i] == points[j]
+            pair = {"pair": [i, j], "log_distance": d}
+            if d < -tol:
+                violations.append({"axiom": "nonnegativity", **pair})
+            if abs(d) > tol if equal else d <= tol:
+                violations.append({"axiom": "identity", **pair, "points_equal": equal})
+            if j > i and abs(d - rows[j][i]) > tol:
+                violations.append({"axiom": "symmetry", "pair": [i, j],
+                                   "forward": d, "reverse": rows[j][i]})
+    return violations
+
+
+def _lopsided(x, y):  # not symmetric: 1 + 2|x - y| one way, 1 + |x - y| back
+    return 1.0 + abs(x[0] - y[0]) * (2.0 if x[0] < y[0] else 1.0)
+
+
+NEGATIVE_CONTROLS = {
+    "usual": lambda x, y: abs(x[0] - y[0]),                   # zero distance: -inf
+    "infinite": lambda x, y: math.inf if x[0] + y[0] == 1.0 else 2.0 ** abs(x[0] - y[0]),
+    "lopsided": _lopsided,
+    "below_one": lambda x, y: 0.5 + abs(x[0] - y[0]),         # log d < 0
+}
+
+
+@dataclasses.dataclass(frozen=True)
+class TableMetric:
+    """Log distances read from a table by each point's first coordinate."""
+
+    table: tuple
+
+    def log_distance_matrix(self, X, Y):
+        return np.array([[self.table[int(x[0])][int(y[0])] for y in Y] for x in X])
+
+
+# 0-1 symmetric but for a NaN; 0-2 at distance 1 (log 0) and 1-2 at log
+# distance exactly the tolerance, both of them although apart
+NAN_TABLE = TableMetric(((0.0, math.nan, 0.0), (1.0, 0.0, DEFAULT_LOG_TOL),
+                         (0.0, DEFAULT_LOG_TOL, 0.0)))
+AXIOM_METRICS = st.sampled_from(BUILTINS[1:5] + [NAN_TABLE] + [
+    mx.FunctionMetric(fn, name) for name, fn in NEGATIVE_CONTROLS.items()])
+
+
+@given(AXIOM_METRICS, st.lists(st.sampled_from([0.0, 1.0, 2.0, 0.25, 0.5, 0.75, 3.0]),
+                               max_size=8))
+def test_axiom_masks_list_what_the_per_entry_loop_listed(metric, coords):
+    if metric is NAN_TABLE:
+        coords = [c for c in coords if c in (0.0, 1.0, 2.0)]
+    sample = [(c,) for c in coords]
+    report = mx.verify_axioms(metric, sample)
+    pairs = [v for v in report.violations if v["axiom"] != "triangle"]
+    expected = _axiom_violations_by_loop(metric, sample)
+    assert json.dumps(pairs) == json.dumps(expected)  # NaN entries compare too
+    for v in pairs:
+        assert all(type(x) in (float, bool, str, list) for x in v.values())
+
+
+@pytest.mark.parametrize("metric, axioms", [
+    (mx.FunctionMetric(NEGATIVE_CONTROLS["usual"]), {"nonnegativity", "identity"}),
+    (mx.FunctionMetric(NEGATIVE_CONTROLS["infinite"]), set()),
+    (mx.FunctionMetric(NEGATIVE_CONTROLS["lopsided"]), {"symmetry"}),
+    (mx.FunctionMetric(NEGATIVE_CONTROLS["below_one"]), {"nonnegativity", "identity"}),
+    (NAN_TABLE, {"identity"}),
+], ids=["usual", "infinite", "lopsided", "below_one", "nan"])
+def test_controls_break_the_expected_axioms(metric, axioms):
+    sample = [(0.0,), (1.0,), (2.0,), (1.0,)]
+    report = mx.verify_axioms(metric, sample)
+    pairs = [v for v in report.violations if v["axiom"] != "triangle"]
+    assert {v["axiom"] for v in pairs} == axioms
+    assert pairs == _axiom_violations_by_loop(metric, sample)
 
 
 def test_reverse_triangle_on_discrete_triple():

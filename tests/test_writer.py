@@ -1,0 +1,202 @@
+"""The strict JSON writer behind report.json and every trace file.
+
+``dump_json`` writes the bytes ``json.dumps(tree, indent=2, allow_nan=False)``
+would, with each NaN or infinity as null, and writes the classification's
+pair records from their columns without building a record per pair.
+"""
+
+import dataclasses
+import enum
+import hashlib
+import json
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import mulfix as mx
+from mulfix.cli import main
+from mulfix.conditions import PairCheck
+from mulfix.experiment import dump_json, write_report
+
+EPS = math.exp(1e-9)
+
+
+def finite_or_none(tree):
+    if isinstance(tree, float) and not math.isfinite(tree):
+        return None
+    if isinstance(tree, (list, tuple)):
+        return [finite_or_none(v) for v in tree]
+    if isinstance(tree, dict):
+        return {k: finite_or_none(v) for k, v in tree.items()}
+    return tree
+
+
+def reference(tree) -> str:
+    return json.dumps(finite_or_none(tree), indent=2, allow_nan=False) + "\n"
+
+
+# -- any plain tree ------------------------------------------------------------------
+
+SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 1.5e300,
+                                  math.nan, math.inf, -math.inf])
+TEXT = st.text(st.characters(codec=None, exclude_categories=()), max_size=8)
+LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-10**300, 10**300)
+          | st.floats() | SPECIAL_FLOATS | TEXT)
+KEYS = TEXT | st.integers() | st.floats(allow_nan=False, allow_infinity=False) \
+    | st.booleans() | st.none()
+TREES = st.recursive(
+    LEAVES,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(KEYS, children, max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(TREES)
+def test_dump_json_equals_the_reference_encoder(tree):
+    assert dump_json(tree) == reference(tree)
+
+
+def test_dump_json_writes_non_finite_floats_as_null():
+    text = dump_json({"a": [math.nan, math.inf, -math.inf], "b": -0.0})
+    assert text == '{\n  "a": [\n    null,\n    null,\n    null\n  ],\n  "b": -0.0\n}\n'
+
+
+def test_dump_json_writes_subclasses_and_non_finite_keys_as_json_does():
+    class Kind(enum.IntEnum):
+        A = 3
+
+    class Name(str):
+        pass
+
+    class Real(float):
+        def __repr__(self):
+            return "real"
+
+    tree = {Kind.A: [Kind.A, Name("n"), Real(0.5), Real(math.inf)],
+            math.nan: 1, math.inf: 2, -math.inf: 3, 2.5: 4, True: 5, None: 6}
+    expected = json.dumps({**tree, Kind.A: [3, "n", 0.5, None]}, indent=2) + "\n"
+    assert dump_json(tree) == expected
+
+
+def test_dump_json_rejects_what_json_rejects():
+    with pytest.raises(TypeError):
+        dump_json({"a": object()})
+    with pytest.raises(TypeError):
+        dump_json({(1, 2): 0})
+
+
+# -- reports with every kind of pair record -----------------------------------------
+
+
+def _config(**changes) -> mx.ExperimentConfig:
+    data = {
+        "metric": {"kind": "exp_abs", "a": math.e},
+        "map": {"kind": "scale", "c": 0.5},
+        "domain": [[-2.0, 2.0]],
+        "sample_size": 7,
+        "seed": 1,
+        "solver": {"eps": EPS, "max_iter": 60, "starts": [[1.0]]},
+        "sample_scheme": "grid",
+        "expectations": ["converged", {"kind": "conditions_hold", "conditions": ["C1"]},
+                         "phi_holds"],
+    }
+    return mx.ExperimentConfig.from_json_dict({**data, **changes})
+
+
+def _pole():  # a rational map with its pole at a sample point: "*" error rows
+    return _config(map={"kind": "rational", "b": -1.0}, domain=[[0.0, 3.0]],
+                   solver={"eps": EPS, "max_iter": 40, "starts": [[2.0]]})
+
+
+def _infeasible():  # negation admits no C1/C2/C3 constant: null slacks
+    return _config(map={"kind": "negation"}, sample_size=9,
+                   solver={"eps": EPS, "max_iter": 40, "starts": [[1.0]]})
+
+
+def _phi():  # the inverse square root fixture on a small sample, with PHI
+    return dataclasses.replace(mx.fixture_config("example_3_17"), sample_size=12)
+
+
+def _huge():  # log distances past the float limit: infinite and NaN slacks
+    return _config(metric={"kind": "exp_abs", "a": math.exp(3)},
+                   domain=[[0.0, 1e308]], sample_size=3,
+                   solver={"eps": EPS, "max_iter": 40, "starts": [[0.0]]})
+
+
+def _has(records, what) -> bool:
+    checks = {
+        "error": lambda r: r.condition == "*",
+        "null slack": lambda r: r.condition != "*" and r.slack is None,
+        "phi": lambda r: r.condition == "PHI",
+        "inf slack": lambda r: r.slack is not None and math.isinf(r.slack),
+    }
+    return any(map(checks[what], records))
+
+
+@pytest.mark.parametrize("build, what", [
+    (_pole, "error"), (_infeasible, "null slack"), (_phi, "phi"), (_huge, "inf slack"),
+])
+def test_written_report_equals_the_reference_encoding(tmp_path, build, what):
+    report = mx.run_experiment(build())
+    assert _has(report.classification.records, what)
+    written = write_report(report, tmp_path)
+    assert written[0].read_text(encoding="utf-8") == reference(report.to_json_dict())
+    for run, path in zip(report.runs, written[1:]):
+        assert path.read_text(encoding="utf-8") == reference(run.trace.to_json_dict())
+    cls = report.classification
+    assert dump_json(cls.to_json_tree()) == reference(cls.to_json_dict())
+
+
+# -- the bundled fixtures, byte for byte ----------------------------------------------
+
+FIXTURE_DIGESTS = {
+    "example_3_15": {
+        "report.json": "06c862bdbd61d48101bf0d19d42ad3683c3cf961fa03c9cf139a298fc00c5d5f",
+        "trace_000.json": "6d7869822188ea0bc50bb16fa2a080c8ad2ccae7ba7a05dd0ad464c74044339f",
+        "trace_001.json": "59fa5cd83ac73864ef0b61f5a7d192794bf05a8a3d57b059c5797f71527909a6",
+        "trace_002.json": "3b4ca62d50a23118b5ca9e39c2c4028e1f432a88bd06a14cf43ba8e872cc9c4a",
+    },
+    "example_3_16": {
+        "report.json": "c12e22924dba990fe004cc3507e6ca3104bcf28bdefc614de04cfa38eb3f59c3",
+        "trace_000.json": "cae10b2882432022465f1d9d907f86b731ed83b375a6294d1eb3587ec3e55f83",
+        "trace_001.json": "fc3a7c378456f1b4b124e8b36a870c7a9bf9f4c1ea70ad1215941b0f35a0929e",
+        "trace_002.json": "fe8b50de232692c2ccaad3d58c40a7f0bbe10aa887fe1e918db5c48f38c4da42",
+    },
+    "example_3_17": {
+        "report.json": "8847b8326eb0f9b100f2f0321fb4c9d63d4009b60583f667aa3741237c38a495",
+        "trace_000.json": "55bfed9685890ffc0978b6a8ad1cbe69b75f4041733f4366bd2f633caf7cf0c9",
+        "trace_001.json": "3333f8a881041e2da73a30b8512307d7fd0b5550fc93d648f2002f1bcc31a5a4",
+        "trace_002.json": "ca26cbb9c4ad167709f59c8322d549cd82f3c88acf10084a2cf7ceb3f8aee027",
+    },
+    "remark_2_5": {
+        "report.json": "8be05c7959b1d869ebdcd83d8c7a19aa5ef17a1f6beb33958225525b4f90cd70",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_DIGESTS))
+def test_fixture_outputs_keep_their_digests(tmp_path, capsys, name):
+    assert main(["fixture", name, "--out", str(tmp_path)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert digests == FIXTURE_DIGESTS[name]
+
+
+def test_writing_a_report_builds_no_pair_record(tmp_path, monkeypatch):
+    built = []
+    init = PairCheck.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PairCheck, "__init__", counting_init)
+    report = mx.run_experiment(mx.fixture_config("example_3_17"))
+    write_report(report, tmp_path)
+    assert built == []
+    # the counter sees records once they are asked for
+    assert len(report.classification.records) == len(built) == 34650
