@@ -322,9 +322,10 @@ class _PairTable:
         X, TX = [points[k] for k in good], [images[k] for k in good]
         n, block = len(points), np.ix_(good, good)
         self.Dxx, self.Dtt, self.Dxt = (np.full((n, n), np.nan) for _ in range(3))
-        self.Dxx[block] = metric.log_distance_matrix(X, X)
-        self.Dtt[block] = metric.log_distance_matrix(TX, TX)
-        self.Dxt[block] = metric.log_distance_matrix(X, TX)
+        # every point and image in X and TX passed _point_error
+        self.Dxx[block] = metric._log_distance_matrix(X, X)
+        self.Dtt[block] = metric._log_distance_matrix(TX, TX)
+        self.Dxt[block] = metric._log_distance_matrix(X, TX)
         A = np.array(X).reshape(len(X), dim)
         self.usable = np.zeros((n, n), dtype=bool)
         self.usable[block] = np.triu(~(A[:, None, :] == A[None, :, :]).all(axis=2), 1)

@@ -11,9 +11,10 @@ ones and sidesteps overflow of the a**distance forms.  The plain
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -56,6 +57,13 @@ def star_abs(a):
     if not math.isfinite(a) or a <= 0:
         raise DomainError(f"star_abs needs a finite positive argument, got {a!r}")
     return a if a >= 1 else 1 / a
+
+
+def _array(points: Sequence) -> np.ndarray:
+    """Points of one dimension as an (n, d) float array; ``np.fromiter``
+    skips the per-item shape discovery of ``np.array`` on a list of tuples."""
+    n, d = len(points), len(points[0])
+    return np.fromiter(itertools.chain.from_iterable(points), float, n * d).reshape(n, d)
 
 
 def _norm(base: str, x: Point, y: Point) -> float:
@@ -145,13 +153,33 @@ class MetricSpec(JsonConfig):
         if self.kind == "exp_reciprocal" and any(c == 0 for c in p):
             raise DomainError(f"exp_reciprocal needs nonzero coordinates, got {p}")
 
-    def log_distance(self, x, y) -> float:
-        """Natural log of the multiplicative distance.  Always >= 0."""
-        px, py = as_point(x), as_point(y)
+    def _check_pair(self, px: Point, py: Point) -> None:
+        """Raise DomainError unless two point tuples share a dimension and
+        lie in this metric's space."""
         if len(px) != len(py):
             raise DomainError(f"dimension mismatch: {len(px)} vs {len(py)}")
         self.check_domain(px)
         self.check_domain(py)
+
+    def _checked(self, points: Sequence) -> list[Point]:
+        """The points as tuples, after the checks ``log_distance_matrix``
+        makes: all finite, then one dimension and this metric's space, the
+        first failing point raising DomainError."""
+        pts = [as_point(p) for p in points]
+        for p in pts:
+            if len(p) != len(pts[0]):
+                raise DomainError(f"dimension mismatch: {len(pts[0])} vs {len(p)}")
+            self.check_domain(p)
+        return pts
+
+    def log_distance(self, x, y) -> float:
+        """Natural log of the multiplicative distance.  Always >= 0."""
+        px, py = as_point(x), as_point(y)
+        self._check_pair(px, py)
+        return self._log_distance(px, py)
+
+    def _log_distance(self, px: Point, py: Point) -> float:
+        """``log_distance`` of two point tuples that passed ``_check_pair``."""
         if self.kind == "star_product":
             return sum(abs(math.log(a) - math.log(b)) for a, b in zip(px, py))
         if self.kind == "lifted":
@@ -170,16 +198,17 @@ class MetricSpec(JsonConfig):
         norms come from the same scalar ``math`` calls, and coordinate terms
         are summed (or maximized) in the same left-to-right order.
         """
-        X, Y = [as_point(p) for p in X], [as_point(p) for p in Y]
+        X, Y = list(X), list(Y)
+        P = self._checked(X + Y) if X and Y else [as_point(p) for p in X + Y]
+        return self._log_distance_matrix(P[:len(X)], P[len(X):])
+
+    def _log_distance_matrix(self, X: Sequence[Point], Y: Sequence[Point]) -> np.ndarray:
+        """``log_distance_matrix`` of point tuples that passed ``_checked``."""
         if not X or not Y:
             return np.zeros((len(X), len(Y)))
-        for p in X + Y:
-            if len(p) != len(X[0]):
-                raise DomainError(f"dimension mismatch: {len(X[0])} vs {len(p)}")
-            self.check_domain(p)
         if self.kind == "star_product":
             X, Y = ([[math.log(c) for c in p] for p in P] for P in (X, Y))
-        A, B = np.array(X), np.array(Y)
+        A, B = _array(X), _array(Y)
         with np.errstate(all="ignore"):
             if self.kind == "discrete":
                 same = (A[:, None, :] == B[None, :, :]).all(axis=2)
@@ -219,12 +248,20 @@ class FunctionMetric:
     def check_domain(self, p: Point) -> None:  # pragma: no cover - no-op
         pass
 
+    def _check_pair(self, px: Point, py: Point) -> None:
+        pass  # fn takes any two tuples
+
+    def _checked(self, points: Sequence) -> list:
+        return list(points)  # log_distance checks each point fn receives
+
     def log_distance(self, x, y) -> float:
         v = float(self.fn(as_point(x), as_point(y)))
         if v > 0:
             return math.log(v)
         if v == 0.0:
             return -math.inf
+        if math.isnan(v):
+            raise DomainError("distance function returned NaN")
         raise DomainError(f"distance function returned a negative value {v}")
 
     def log_distance_matrix(self, X, Y) -> np.ndarray:
@@ -232,6 +269,9 @@ class FunctionMetric:
         X, Y = list(X), list(Y)
         D = [[self.log_distance(x, y) for y in Y] for x in X]
         return np.array(D, dtype=float).reshape(len(X), len(Y))
+
+    # the scans' private kernel: fn's arguments are checked as it receives them
+    _log_distance, _log_distance_matrix = log_distance, log_distance_matrix
 
     def distance(self, x, y) -> float:
         return float(self.fn(as_point(x), as_point(y)))

@@ -123,17 +123,22 @@ def cauchy_indicator(trace: IterationTrace, window: int) -> float:
         raise DomainError("window must be >= 1")
     if window > len(trace.points):
         raise DomainError(f"window {window} exceeds trace length {len(trace.points)}")
-    return _max_pairwise_logd(trace.metric, trace.points[-window:])
+    points = trace.points[-window:]
+    if len(points) < 2:
+        return 0.0
+    return _max_pairwise_logd(trace.metric, trace.metric._checked(points))
 
 
 def _row_blocks(metric, Z: Sequence[Point], P: Sequence[Point]):
-    """Yield ``(start, log_distance_matrix(Z[start:start + _ROW_BLOCK], P))``."""
+    """Yield ``(start, D)`` with D the log distances from the rows
+    ``Z[start:start + _ROW_BLOCK]`` to P; every point is a checked tuple."""
     for start in range(0, len(Z), _ROW_BLOCK):
-        yield start, metric.log_distance_matrix(Z[start:start + _ROW_BLOCK], P)
+        yield start, metric._log_distance_matrix(Z[start:start + _ROW_BLOCK], P)
 
 
 def _max_pairwise_logd(metric, points: Sequence[Point]) -> float:
-    """Largest log distance over the pairs i < j of points; 0.0 below two.
+    """Largest log distance over the pairs i < j of checked point tuples;
+    0.0 below two.
 
     A NaN entry never wins and the result is never below 0.0.
     """
@@ -162,7 +167,8 @@ def detect_limit_point(
     if not 0 < fraction <= 1:
         raise DomainError("fraction must be in (0, 1]")
     need = math.ceil(len(trace.points) * fraction)
-    for start, D in _row_blocks(trace.metric, trace.points, trace.points):
+    points = trace.metric._checked(trace.points)
+    for start, D in _row_blocks(trace.metric, points, points):
         hits = np.flatnonzero((D < log_eps).sum(axis=1) >= need)
         if hits.size:
             return trace.points[start + int(hits[0])]

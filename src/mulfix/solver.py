@@ -132,8 +132,11 @@ def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
                 f"iterate {n + 1} left the declared domain: {y}",
                 point=y, iteration=n + 1,
             )
+        # _apply made y a finite tuple; check its dimension and the metric's
+        # space here (and the start's, at the first step) before the kernel
         try:
-            step = metric.log_distance(x, y)
+            metric._check_pair(x, y)
+            step = metric._log_distance(x, y)
         except DomainError as exc:
             raise DomainEscapeError(
                 f"iterate {n + 1} left the metric's domain: {y} ({exc})",
@@ -156,7 +159,7 @@ def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
         if step > log_eps:
             # periodic, non-fixed orbit: y matches an earlier point exactly
             earlier = points[-1 - config.cycle_lookback:-2]
-            if (metric.log_distance_matrix([y], earlier) < 1e-14).any():
+            if (metric._log_distance_matrix([y], earlier) < 1e-14).any():
                 status = Status.CYCLE_DETECTED
                 break
 
@@ -183,7 +186,7 @@ def _observed_continuity(metric, T, trace: IterationTrace, z: Point, eps: float)
     except DomainError:
         return None
     ratios = []
-    to_z = metric.log_distance_matrix(trace.points, [z])[:, 0].tolist()
+    to_z = metric._log_distance_matrix(trace.points, [z])[:, 0].tolist()
     for p, d in zip(trace.points, to_z):
         if 0 < d < log_eps:
             try:
@@ -331,7 +334,7 @@ def verify_start_independence(metric, T, config: SolverConfig,
     if len(converged) < len(results):
         verdict, worst = "inconclusive", None
     else:
-        worst = _max_pairwise_logd(metric, [r.point for r in converged])
+        worst = _max_pairwise_logd(metric, metric._checked([r.point for r in converged]))
         verdict = "passed" if worst <= 2 * config.log_eps else "failed"
     return StartIndependenceReport(
         verdict=verdict, max_pairwise_logd=worst,
@@ -403,7 +406,7 @@ def uniqueness_probe(metric, T, candidates: Sequence, eps: float) -> UniquenessR
     if not survivors:
         return UniquenessReport(verdict="inconclusive", survivors=(),
                                 max_pairwise_logd=None)
-    worst = _max_pairwise_logd(metric, survivors)
+    worst = _max_pairwise_logd(metric, metric._checked(survivors))
     verdict = "passed" if worst <= 2 * log_eps else "failed"
     return UniquenessReport(verdict=verdict, survivors=tuple(survivors),
                             max_pairwise_logd=worst)

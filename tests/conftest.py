@@ -1,6 +1,15 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 import mulfix as mx
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a property
+# gives the same verdict each time CI runs it.
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

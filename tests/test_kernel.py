@@ -4,19 +4,24 @@
 ``classify`` / ``estimate_constants`` (built on three log-distance matrices)
 must give exactly what a loop over the scalar ``check_*`` functions gives.
 The orbit scans (limit points, Cauchy windows, bound rows, periodic points)
-must give exactly what their former scalar loops gave.
+must give exactly what their former scalar loops gave.  The private kernel
+that internal scans read must equal the public one on checked points,
+``picard`` must give what a loop of public calls gives, and each public
+function must still reject the invalid points it rejected before.
 """
 
 import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mulfix as mx
-import mulfix.conditions as conditions
-from mulfix.errors import DomainError, MulfixError
+from mulfix import conditions, maps, metrics, sequences, solver
+from mulfix.errors import (DomainError, DomainEscapeError, MonotoneResidualError,
+                           MulfixError)
 
 METRICS = [
     mx.MetricSpec.star_product(),
@@ -431,3 +436,270 @@ def test_a_stalled_run_makes_few_scalar_log_distance_calls(monkeypatch):
     assert result.status is mx.Status.MAX_ITER and result.iterations == 2000
     assert result.restarted_from is None
     assert calls <= 3 * result.iterations
+
+
+# -- public functions validate their points once per call ----------------------
+
+
+def test_uniqueness_probe_rejects_candidates_of_mixed_dimension():
+    with pytest.raises(DomainError) as err:
+        mx.uniqueness_probe(mx.MetricSpec.exp_abs(2.0), mx.SelfMapSpec.identity(),
+                            [(1.0,), (1.0, 2.0)], math.e)
+    assert str(err.value) == "dimension mismatch: 1 vs 2"
+
+
+def test_start_independence_rejects_limits_of_mixed_dimension():
+    config = mx.SolverConfig(eps=math.e, max_iter=50, starts=((1.0,), (1.0, 2.0)))
+    with pytest.raises(DomainError) as err:
+        mx.verify_start_independence(mx.MetricSpec.exp_abs(2.0),
+                                     mx.SelfMapSpec.scale(0.5), config)
+    assert str(err.value) == "dimension mismatch: 1 vs 2"
+
+
+def hand_built(metric, points):
+    """A trace from the constructor, whose points nothing has checked."""
+    return mx.IterationTrace(metric=metric, points=tuple(points),
+                             step_logd=(0.0,) * (len(points) - 1))
+
+
+def bound_rows(trace):
+    result = mx.FixedPointResult(point=(1.0,), residual_logd=0.0, iterations=2,
+                                 trace=trace, status=mx.Status.CONVERGED)
+    return mx.verify_bound(result, 0.5).rows
+
+
+@pytest.mark.parametrize("metric, bad, message", [
+    (mx.MetricSpec.star_product(), (-1.0,),
+     "star_product needs positive coordinates, got (-1.0,)"),
+    (mx.MetricSpec.exp_abs(2.0), (math.nan,), "non-finite coordinate nan"),
+    (mx.MetricSpec.exp_abs(2.0), (1.0, 2.0), "dimension mismatch: 1 vs 2"),
+], ids=["outside-the-space", "nan", "mixed-dimensions"])
+@pytest.mark.parametrize("scan", [
+    lambda trace: mx.detect_limit_point(trace, math.e),
+    lambda trace: mx.cauchy_indicator(trace, len(trace)),
+    bound_rows,
+], ids=["detect_limit_point", "cauchy_indicator", "verify_bound"])
+def test_scans_of_a_hand_built_trace_reject_invalid_points(metric, bad, message, scan):
+    trace = hand_built(metric, [(1.0,), bad, (2.0,)])
+    with pytest.raises(DomainError) as err:
+        scan(trace)
+    assert str(err.value) == message
+
+
+def test_scans_of_a_hand_built_trace_take_lists_and_bare_numbers():
+    trace = hand_built(mx.MetricSpec.exp_abs(2.0), ([1.0], [1.5], 2.0))
+    assert mx.cauchy_indicator(trace, 3) == math.log(2.0)
+    assert mx.detect_limit_point(trace, math.e) == [1.0]  # as stored
+
+
+def test_a_window_of_one_point_reads_no_distance():
+    trace = hand_built(mx.MetricSpec.exp_abs(2.0), [(1.0,), (math.nan,)])
+    assert mx.cauchy_indicator(trace, 1) == 0.0
+
+
+def test_a_stalled_run_validates_each_iterate_a_few_times(monkeypatch):
+    calls = 0
+    as_point = metrics.as_point
+
+    def counted(value):
+        nonlocal calls
+        calls += 1
+        return as_point(value)
+
+    for module in (metrics, solver, sequences, maps, conditions):
+        monkeypatch.setattr(module, "as_point", counted)
+    result = mx.picard(mx.MetricSpec.exp_abs(2.0), mx.SelfMapSpec.scale(0.999), 1.0,
+                       mx.SolverConfig(eps=math.exp(1e-9), max_iter=2000))
+    assert result.status is mx.Status.MAX_ITER and result.iterations == 2000
+    assert calls <= 4 * result.iterations
+
+
+# -- the private kernel and Picard's scans against the public path --------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), metric=st.sampled_from(METRICS + [ONE_SIDED]),
+       dim=st.integers(1, 2))
+def test_the_private_kernel_equals_the_public_one_on_checked_points(seed, metric, dim):
+    rng = random.Random(seed)
+    points = [p for p in random_sample(rng, dim) + random_orbit(rng, dim)
+              if outcome(metric.check_domain, p) is None]
+    cut = rng.randint(0, len(points))
+    X, Y = points[:cut], points[cut:]
+    public = outcome(lambda: [list(map(bits, row)) for row in
+                              metric.log_distance_matrix(X, Y).tolist()])
+    private = outcome(lambda: [list(map(bits, row)) for row in
+                               metric._log_distance_matrix(metric._checked(X),
+                                                           metric._checked(Y)).tolist()])
+    assert private == public
+
+
+def reference_apply(T, x):
+    try:
+        return mx.as_point(T(x))
+    except DomainError:
+        raise
+    except (ArithmeticError, ValueError) as exc:
+        raise DomainError(str(exc)) from exc
+
+
+def reference_residual(metric, T, p):
+    try:
+        return metric.log_distance(p, reference_apply(T, p))
+    except DomainError:
+        return math.inf
+
+
+def reference_max_pairwise(metric, points):
+    if len(points) < 2:
+        return 0.0
+    D = metric.log_distance_matrix(points, points)
+    return float(D.max(initial=0.0, where=np.triu(~np.isnan(D), 1)))
+
+
+def reference_iterate(metric, T, x, config, domain):
+    """The Picard loop with public calls only: every scan re-checks its points."""
+    log_eps = config.log_eps
+    points, steps, status = [x], [], mx.Status.MAX_ITER
+    for n in range(config.max_iter):
+        try:
+            y = reference_apply(T, x)
+        except DomainError:
+            status = mx.Status.DIVERGED
+            break
+        if domain is not None and not domain.contains(y):
+            raise DomainEscapeError(f"iterate {n + 1} left the declared domain: {y}",
+                                    point=y, iteration=n + 1)
+        try:
+            step = metric.log_distance(x, y)
+        except DomainError as exc:
+            raise DomainEscapeError(
+                f"iterate {n + 1} left the metric's domain: {y} ({exc})",
+                point=y, iteration=n + 1) from exc
+        if config.check_monotone_residual and steps and steps[-1] > log_eps \
+                and step >= steps[-1]:
+            raise MonotoneResidualError(
+                f"step log-distance grew from {steps[-1]} to {step} at iterate {n + 1}")
+        points.append(y)
+        steps.append(step)
+        if step > config.divergence_logd:
+            status = mx.Status.DIVERGED
+            break
+        if step > log_eps:
+            earlier = points[-1 - config.cycle_lookback:-2]
+            if (metric.log_distance_matrix([y], earlier) < 1e-14).any():
+                status = mx.Status.CYCLE_DETECTED
+                break
+        if step < log_eps \
+                and reference_max_pairwise(metric, points[-config.window:]) < log_eps:
+            residual = reference_residual(metric, T, y)
+            if residual <= log_eps:
+                status = mx.Status.CONVERGED
+                break
+        x = y
+    if status is not mx.Status.CONVERGED:
+        residual = reference_residual(metric, T, points[-1])
+    return points, steps, status, residual
+
+
+def reference_picard(metric, T, x0, config, domain):
+    start = mx.as_point(x0)
+    points, steps, status, residual = reference_iterate(metric, T, start, config, domain)
+    iterations, restarted_from, continuity = len(steps), None, None
+    if status in (mx.Status.MAX_ITER, mx.Status.CYCLE_DETECTED) \
+            and config.limit_point_restart and len(points) >= 2:
+        trace = mx.IterationTrace(metric, tuple(points), tuple(steps), status)
+        z = mx.detect_limit_point(trace, config.eps)
+        if z is not None and z != start:
+            restarted_from = z
+            ratios, log_eps = [], math.log(config.eps)
+            try:
+                tz = reference_apply(T, z)
+            except DomainError:
+                ratios = None
+            for p in points if ratios is not None else ():
+                d = metric.log_distance(p, z)
+                if 0 < d < log_eps:
+                    try:
+                        ratios.append(metric.log_distance(reference_apply(T, p), tz) / d)
+                    except DomainError:
+                        continue
+            continuity = max(ratios, default=None) if ratios is not None else None
+            points, steps, status, residual = reference_iterate(metric, T, z, config,
+                                                                domain)
+            iterations += len(steps)
+    return points, steps, status, iterations, restarted_from, residual, continuity
+
+
+def picard_outcome(run):
+    """What a Picard run gave, exactly, or what it raised."""
+    try:
+        points, steps, status, iterations, restarted_from, residual, continuity = run()
+    except DomainEscapeError as exc:
+        return ("escaped", str(exc), exc.point, exc.iteration)
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return ("raised", type(exc).__name__, str(exc))
+    return ([tuple(map(bits, p)) for p in points], list(map(bits, steps)), status,
+            iterations, restarted_from, bits(residual), bits(continuity))
+
+
+def kernel_picard(metric, T, x0, config, domain):
+    result = mx.picard(metric, T, x0, config, domain)
+    trace = result.trace
+    return (trace.points, trace.step_logd, result.status, result.iterations,
+            result.restarted_from, result.residual_logd, result.continuity_log_ratio)
+
+
+# Maps whose orbits converge, stall, cycle, restart away from the start,
+# diverge, fail, change dimension, or leave star_product's or
+# exp_reciprocal's space (a coordinate at or below 0) or a declared box.
+ORBIT_MAPS = [
+    lambda p: tuple(0.5 * c for c in p),
+    lambda p: tuple(2.0 * c for c in p),
+    lambda p: tuple(c - 0.5 for c in p),
+    lambda p: tuple(-c for c in p),
+    lambda p: tuple(1.0 / c for c in p),
+    lambda p: tuple(math.sqrt(abs(c)) for c in p),
+    lambda p: tuple(0.999 * c for c in p),
+    lambda p: tuple(2.0 + 0.9 * (c - 2.0) for c in p),
+    lambda p: tuple({2.0: 3.0, 3.0: 4.0}.get(c, 2.0) for c in p),  # restarts from 2
+    lambda p: tuple(3.0 if 1.5 < c < 2.5 else 4.0 if 2.5 < c < 3.5 else 2.0 + 1e-7 * c
+                    for c in p),  # restarts near 2, with close points for continuity
+    lambda p: p + (1.0,) if p[0] < 0.6 else tuple(0.7 * c for c in p),
+    lambda p: tuple(c * 1e200 for c in p),
+    lambda p: (math.nan,) * len(p),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(metric=st.sampled_from(METRICS + [ONE_SIDED]), T=st.sampled_from(ORBIT_MAPS),
+       start=st.sampled_from([(1.0,), (2.5,), (0.0,), (-1.5,), (1.0, 3.0), (0.5, -2.0)]),
+       box=st.sampled_from([None, None, (-3.0, 3.0), (0.1, 5.0)]),
+       eps=st.sampled_from([math.exp(1e-12), math.exp(1e-6), math.exp(1e-2), math.exp(0.5)]),
+       max_iter=st.integers(1, 60), window=st.integers(2, 6),
+       cycle_lookback=st.integers(0, 6), divergence_logd=st.sampled_from([5.0, 700.0]),
+       monotone=st.booleans(), restart=st.booleans())
+def test_picard_equals_the_loop_of_public_calls(metric, T, start, box, eps, max_iter,
+                                               window, cycle_lookback, divergence_logd,
+                                               monotone, restart):
+    domain = None if box is None else mx.Box((box,) * len(start))
+    config = mx.SolverConfig(eps=eps, max_iter=max_iter, window=window,
+                             cycle_lookback=cycle_lookback,
+                             divergence_logd=divergence_logd,
+                             check_monotone_residual=monotone,
+                             limit_point_restart=restart)
+    args = (metric, T, start, config, domain)
+    assert (picard_outcome(lambda: kernel_picard(*args))
+            == picard_outcome(lambda: reference_picard(*args)))
+
+
+def test_a_restart_reads_the_distances_from_the_orbit_to_the_limit_point():
+    # ONE_SIDED is 1 from a point to any larger one.  The orbit 3, 1, 0.75,
+    # 0.5, ... stalls: its steps after the first are small, its window is
+    # not.  Its limit point lies past the start, and the one point close to
+    # it is the one above it, at ratio 1 under the shift.
+    args = (ONE_SIDED, lambda p: (p[0] - 0.25 if p[0] < 2.0 else 1.0,), (3.0,),
+            mx.SolverConfig(eps=math.exp(0.3), max_iter=30), None)
+    got = picard_outcome(lambda: kernel_picard(*args))
+    assert got == picard_outcome(lambda: reference_picard(*args))
+    assert got[4] == (-0.25,) and got[6] == bits(1.0)

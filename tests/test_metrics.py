@@ -112,6 +112,23 @@ def test_domain_errors():
         rec.log_distance((0.0,), (1.0,))
 
 
+@pytest.mark.parametrize("value, outcome", [
+    (math.nan, "distance function returned NaN"),
+    (-0.5, "distance function returned a negative value -0.5"),
+    (0.0, -math.inf),
+    (math.inf, math.inf),
+])
+def test_function_metric_names_each_bad_distance(value, outcome):
+    metric = mx.FunctionMetric(lambda x, y: value)
+    for log_distance in (metric.log_distance, metric._log_distance):
+        if isinstance(outcome, str):
+            with pytest.raises(DomainError) as err:
+                log_distance((1.0,), (2.0,))
+            assert str(err.value) == outcome
+        else:
+            assert log_distance((1.0,), (2.0,)) == outcome
+
+
 def test_metric_spec_validation():
     with pytest.raises(DomainError):
         mx.MetricSpec("exp_abs", a=1.0)
