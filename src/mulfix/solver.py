@@ -22,9 +22,9 @@ from .errors import (
 )
 from .jsonconfig import JsonConfig
 from .maps import Box
-from .metrics import Point, as_point
-from .sequences import (IterationTrace, Status, _check_eps, _max_pairwise_logd,
-                        detect_limit_point)
+from .metrics import MetricSpec, Point, as_point
+from .sequences import (_ROW_BLOCK, IterationTrace, Status, _check_eps,
+                        _max_pairwise_logd, detect_limit_point)
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,9 @@ class SolverConfig(JsonConfig):
     log(eps).  While a step is above log(eps), the new iterate is compared
     with the iterates 2 to ``cycle_lookback`` (>= 0) steps before it, and a
     log distance below 1e-14 ends the run as a detected cycle; a value below
-    2 turns cycle detection off.
+    2 turns cycle detection off.  For a MetricSpec this look-back runs over
+    blocks of up to 64 steps, so the map (assumed pure) may be evaluated on
+    up to 63 discarded iterates past a detected cycle.
     The divergence threshold guards the exponential form against overflow:
     a single step of log distance above it ends the run as diverged.
     """
@@ -114,62 +116,172 @@ def _residual(metric, T, p: Point) -> float:
         return math.inf
 
 
+def _advance(metric, T, x: Point, n: int, domain: Optional[Box], config: SolverConfig,
+             steps: list[float]) -> tuple[Point, float]:
+    """Iterate n, T(x), and its step log d(x, T(x)), after the step's own checks.
+
+    Raises DomainError when T fails at x, DomainEscapeError when the iterate
+    leaves the declared domain or the metric's space, and
+    MonotoneResidualError when a step above log(eps) grows.
+    """
+    y = _apply(T, x)
+    if domain is not None and not domain.contains(y):
+        raise DomainEscapeError(
+            f"iterate {n} left the declared domain: {y}", point=y, iteration=n,
+        )
+    # _apply made y a finite tuple; check its dimension and the metric's
+    # space here (and the start's, at the first step) before the kernel
+    try:
+        metric._check_pair(x, y)
+        step = metric._log_distance(x, y)
+    except DomainError as exc:
+        raise DomainEscapeError(
+            f"iterate {n} left the metric's domain: {y} ({exc})", point=y, iteration=n,
+        ) from exc
+    if config.check_monotone_residual and steps and steps[-1] > config.log_eps \
+            and step >= steps[-1]:
+        raise MonotoneResidualError(
+            f"step log-distance grew from {steps[-1]} to {step} at iterate {n}"
+        )
+    return y, step
+
+
+class _Cycle(Exception):
+    """The cycle look-back found a cycle; the orbit was cut at its point."""
+
+
+class _LookBack:
+    """The cycle look-back and the Cauchy windows of one Picard orbit.
+
+    The steps of ``points[done:]`` still wait for their look-back.  For a
+    MetricSpec they are scanned in blocks, one private kernel call over the
+    pending rows and the ``depth`` points before them, and a block grows
+    1, 2, 4, ... up to ``_ROW_BLOCK`` steps.  A FunctionMetric keeps blocks
+    of one and reads the pairs a step-by-step scan reads, in its order.
+    """
+
+    def __init__(self, metric, config: SolverConfig, points: list, steps: list):
+        self.metric, self.points, self.steps = metric, points, steps
+        self.log_eps = config.log_eps
+        self.lookback, self.window = config.cycle_lookback, config.window
+        self.depth = max(config.cycle_lookback, config.window - 1)
+        self.blocked = isinstance(metric, MetricSpec)
+        self.block, self.done = 1, 1
+
+    def push(self) -> None:
+        """Queue the last step; scan the pending ones when the block is full."""
+        if len(self.points) - self.done >= self.block:
+            self.flush()
+            if self.blocked:
+                self.block = min(2 * self.block, _ROW_BLOCK)
+
+    def flush(self, hi: Optional[int] = None) -> None:
+        """Scan the pending steps before point hi (all of them by default)
+        and mark every step scanned; raise _Cycle at the first cycle."""
+        lo, hi = self.done, len(self.points) if hi is None else hi
+        self.done = len(self.points)
+        if lo >= hi or self.lookback < 2:
+            return
+        if self.blocked:
+            self._cycle(self._lags(lo, hi), lo)
+            return
+        for i in range(lo, hi):
+            if self.steps[i - 1] > self.log_eps:
+                earlier = self.points[max(0, i - self.lookback):i - 1]
+                if (self.metric._log_distance_matrix([self.points[i]], earlier)
+                        < 1e-14).any():
+                    self._cut(i)
+
+    def settled(self) -> bool:
+        """Scan the pending steps before the last, whose step is below
+        log(eps); then whether the trailing window is pairwise below log(eps)."""
+        self.flush(len(self.points) - 1)
+        window = self.points[-self.window:]
+        # the window's first and last points are one of its pairs, and a
+        # MetricSpec's kernel entry equals its _log_distance bit for bit
+        if self.blocked and \
+                self.metric._log_distance(window[0], window[-1]) >= self.log_eps:
+            return False
+        return _max_pairwise_logd(self.metric, window) < self.log_eps
+
+    def _lags(self, lo: int, hi: int) -> np.ndarray:
+        """G[r, k - 1] = log d(points[lo + r], points[lo + r - k]) for k in
+        1..depth, NaN before the orbit's start."""
+        depth, points = self.depth, self.points
+        first = max(0, lo - depth)
+        D = self.metric._log_distance_matrix(points[lo:hi], points[first:hi - 1])
+        if lo - first < depth:
+            D = np.hstack((np.full((hi - lo, depth - lo + first), np.nan), D))
+        r = np.arange(hi - lo)[:, None]
+        return D[r, r + depth - np.arange(1, depth + 1)]
+
+    def _cycle(self, G: np.ndarray, lo: int) -> None:
+        """Raise _Cycle at the first row (point lo + r) whose step is above
+        log(eps) and which lies within 1e-14 of a point 2 to ``lookback``
+        steps before it."""
+        near = (G[:, 1:self.lookback] < 1e-14).any(axis=1)
+        for r in np.flatnonzero(near).tolist():
+            if self.steps[lo + r - 1] > self.log_eps:
+                self._cut(lo + r)
+
+    def _cut(self, i: int) -> None:
+        del self.points[i + 1:], self.steps[i:]
+        raise _Cycle
+
+
 def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
+    """One Picard run from x0: its trace and the residual at its last point.
+
+    Each step's own checks run at once (see ``_advance``).  The cycle
+    look-back of the steps above log(eps) is deferred to ``_LookBack``,
+    which scans it over blocks of pending steps, in order, and also before
+    the run stops or goes on for any other reason: a step below log(eps),
+    a divergent step, a failure of T or of a check, and max_iter.  A cycle
+    among them ends the run at its first point, as a step-by-step scan
+    would.  T is assumed pure: a run that ends in a detected cycle may have
+    evaluated it on up to 63 iterates past that point, which are discarded.
+    """
     log_eps = config.log_eps
     x = x0
     points: list[Point] = [x]
     steps: list[float] = []
     status = Status.MAX_ITER
+    look = _LookBack(metric, config, points, steps)
 
-    for n in range(config.max_iter):
-        try:
-            y = _apply(T, x)
-        except DomainError:
-            status = Status.DIVERGED
-            break
-        if domain is not None and not domain.contains(y):
-            raise DomainEscapeError(
-                f"iterate {n + 1} left the declared domain: {y}",
-                point=y, iteration=n + 1,
-            )
-        # _apply made y a finite tuple; check its dimension and the metric's
-        # space here (and the start's, at the first step) before the kernel
-        try:
-            metric._check_pair(x, y)
-            step = metric._log_distance(x, y)
-        except DomainError as exc:
-            raise DomainEscapeError(
-                f"iterate {n + 1} left the metric's domain: {y} ({exc})",
-                point=y, iteration=n + 1,
-            ) from exc
-
-        if config.check_monotone_residual and steps and steps[-1] > log_eps \
-                and step >= steps[-1]:
-            raise MonotoneResidualError(
-                f"step log-distance grew from {steps[-1]} to {step} at iterate {n + 1}"
-            )
-
-        points.append(y)
-        steps.append(step)
-
-        if step > config.divergence_logd:
-            status = Status.DIVERGED
-            break
-
-        if step > log_eps:
-            # periodic, non-fixed orbit: y matches an earlier point exactly
-            earlier = points[-1 - config.cycle_lookback:-2]
-            if (metric._log_distance_matrix([y], earlier) < 1e-14).any():
-                status = Status.CYCLE_DETECTED
+    try:
+        for n in range(config.max_iter):
+            # a cycle among the pending steps ends the run before this step
+            try:
+                y, step = _advance(metric, T, x, n + 1, domain, config, steps)
+            except DomainError:
+                look.flush()
+                status = Status.DIVERGED
                 break
-
-        if step < log_eps \
-                and _max_pairwise_logd(metric, points[-config.window:]) < log_eps:
-            residual = _residual(metric, T, y)
-            if residual <= log_eps:
-                status = Status.CONVERGED
+            except Exception:
+                look.flush()
+                raise
+            if step > config.divergence_logd:
+                look.flush()
+                points.append(y)
+                steps.append(step)
+                status = Status.DIVERGED
                 break
-        x = y
+            points.append(y)
+            steps.append(step)
+            if step < log_eps:
+                if look.settled():
+                    residual = _residual(metric, T, y)
+                    if residual <= log_eps:
+                        status = Status.CONVERGED
+                        break
+            else:
+                # periodic, non-fixed orbit: y matches an earlier point exactly
+                look.push()
+            x = y
+        else:
+            look.flush()
+    except _Cycle:
+        status = Status.CYCLE_DETECTED
 
     if status is not Status.CONVERGED:
         residual = _residual(metric, T, points[-1])
@@ -207,6 +319,12 @@ def picard(metric, T, x0, config: SolverConfig,
     orbit, which is recorded on the result.  When ``domain`` is declared
     (explicitly or on the map), an iterate leaving it raises
     :class:`DomainEscapeError` carrying the offending point.
+
+    For a MetricSpec the cycle look-back runs over blocks of steps, and the
+    result equals a step-by-step scan.  T is assumed pure: a run that ends
+    in a detected cycle may have evaluated it on up to 63 iterates past the
+    one it reports, which are discarded; other runs evaluate it exactly as
+    often as a step-by-step scan.
     """
     start = as_point(x0)
     if domain is None:
@@ -363,11 +481,54 @@ def find_periodic_point(metric, T, x0, max_period: int, eps: float,
         except DomainError:
             break
         orbit.append(x)
-    for i, w in enumerate(orbit[:-1]):
-        ahead = metric.log_distance_matrix(orbit[i + 1:i + 1 + max_period], [w])
+    clean = _clean_windows(metric, orbit, max_period)
+    found = _first_return(metric, orbit, clean, max_period, log_eps)
+    if found is not None:
+        return found
+    # from the first window the public kernel rejects (it raises there), or
+    # every window of a FunctionMetric, whose distance function sees the
+    # pairs one index at a time
+    for i in range(clean, len(orbit) - 1):
+        ahead = metric.log_distance_matrix(orbit[i + 1:i + 1 + max_period], [orbit[i]])
         hits = np.flatnonzero(ahead[:, 0] < log_eps)
         if hits.size:
-            return w, int(hits[0]) + 1
+            return orbit[i], int(hits[0]) + 1
+    return None
+
+
+def _clean_windows(metric, orbit: list[Point], max_period: int) -> int:
+    """How many leading windows ``orbit[i:i + max_period + 1]`` the public
+    kernel accepts: one dimension, inside a MetricSpec's space (the orbit's
+    points after the start passed ``check_domain``).  0 for other metrics."""
+    if not isinstance(metric, MetricSpec):
+        return 0
+    try:
+        metric.check_domain(orbit[0])
+    except DomainError:
+        return 0
+    dim = len(orbit[0])
+    change = next((k for k, p in enumerate(orbit) if len(p) != dim), None)
+    return len(orbit) - 1 if change is None else max(0, change - max_period)
+
+
+def _first_return(metric, orbit: list[Point], n: int, max_period: int,
+                  log_eps: float):
+    """``find_periodic_point`` over the first n windows of a checked orbit,
+    in row blocks of the private kernel."""
+    period = min(max_period, len(orbit) - 1)
+    for start in range(0, n, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, n)
+        # D[c + p - 1, c] = log d(orbit[start + c + p], orbit[start + c])
+        D = metric._log_distance_matrix(orbit[start + 1:stop + period], orbit[start:stop])
+        short = stop - start + period - 1 - len(D)  # rows past the orbit's end
+        if short:
+            D = np.vstack((D, np.full((short, stop - start), np.nan)))
+        c = np.arange(stop - start)[:, None]
+        hits = D[c + np.arange(period), c] < log_eps
+        found = np.flatnonzero(hits.any(axis=1))
+        if found.size:
+            i = int(found[0])
+            return orbit[start + i], int(np.flatnonzero(hits[i])[0]) + 1
     return None
 
 

@@ -6,8 +6,9 @@ must give exactly what a loop over the scalar ``check_*`` functions gives.
 The orbit scans (limit points, Cauchy windows, bound rows, periodic points)
 must give exactly what their former scalar loops gave.  The private kernel
 that internal scans read must equal the public one on checked points,
-``picard`` must give what a loop of public calls gives, and each public
-function must still reject the invalid points it rejected before.
+``picard`` must give what a loop of public calls gives and call the map as
+often (but past a detected cycle), and each public function must still
+reject the invalid points it rejected before.
 """
 
 import itertools
@@ -703,3 +704,180 @@ def test_a_restart_reads_the_distances_from_the_orbit_to_the_limit_point():
     got = picard_outcome(lambda: kernel_picard(*args))
     assert got == picard_outcome(lambda: reference_picard(*args))
     assert got[4] == (-0.25,) and got[6] == bits(1.0)
+
+
+# -- long orbits across the solver's look-back blocks ---------------------------
+
+# A MetricSpec run scans its cycle look-back in blocks of 1, 2, 4, ... 64
+# steps, so a cycle can lie anywhere inside a block and a run can stop
+# anywhere between two block scans.
+
+
+def drifting(m, tail, dim):
+    """A map that drifts from 1.0 up to top = 1 + m/8 in shrinking steps
+    (about 0.9 m of them), then follows its tail on the grid top + j/64:
+
+    ``"cycle2"``, ``"cycle3"``  a 2- or 3-cycle from top
+    ``"converge"``              halving steps toward top + 1/64
+    ``"fail"``, ``"leap"``      top + 1/64, then the float after top (within
+                                1e-14 of top, a cycle), where T raises or
+                                jumps to 1e6 top
+    A 4-d map carries three functions of the first coordinate along.
+    """
+    top = 1.0 + m / 8
+    tails = {"cycle2": (top, top + 1 / 64),
+             "cycle3": (top, top + 2 / 64, top + 1 / 64),
+             "fail": (top, top + 1 / 64, math.nextafter(top, math.inf))}
+    tails["leap"] = tails["fail"]
+
+    def step(x):
+        if x < top:
+            return x + 0.125 + (top - x) / 1024
+        if tail == "converge":
+            return top + 1 / 64 + 0.5 * (x - top - 1 / 64)
+        values = tails[tail]
+        if x not in values:
+            return top
+        if tail == "fail" and x == values[-1]:
+            raise ValueError(f"no image at {x!r}")
+        if tail == "leap" and x == values[-1]:
+            return 1e6 * top
+        return values[(values.index(x) + 1) % len(values)]
+
+    if dim == 1:
+        return lambda p: (step(p[0]),)
+    return lambda p: (lambda y: (y, y + 1.0, 0.5 * y, 3.0))(step(p[0]))
+
+
+TAILS = ("cycle2", "cycle3", "converge", "fail", "leap")
+
+
+@settings(max_examples=150, deadline=None)
+@given(metric=st.sampled_from(METRICS + [ONE_SIDED]), m=st.integers(80, 230),
+       tail=st.sampled_from(TAILS), dim=st.sampled_from([1, 4]),
+       box=st.sampled_from([None, None, (0.5, 40.0), (0.5, 15.0)]),
+       eps=st.sampled_from([math.exp(1e-12), math.exp(1e-6), math.exp(1e-2)]),
+       max_iter=st.integers(50, 300), window=st.integers(2, 12),
+       cycle_lookback=st.integers(0, 30), divergence_logd=st.sampled_from([5.0, 700.0]),
+       monotone=st.booleans(), restart=st.booleans())
+def test_long_picard_runs_equal_the_loop_of_public_calls(metric, m, tail, dim, box, eps,
+                                                        max_iter, window, cycle_lookback,
+                                                        divergence_logd, monotone,
+                                                        restart):
+    start = (1.0,) if dim == 1 else (1.0, 2.0, 2.0, 3.0)
+    domain = None if box is None else mx.Box((box,) * dim)
+    config = mx.SolverConfig(eps=eps, max_iter=max_iter, window=window,
+                             cycle_lookback=cycle_lookback,
+                             divergence_logd=divergence_logd,
+                             check_monotone_residual=monotone,
+                             limit_point_restart=restart)
+    args = (metric, drifting(m, tail, dim), start, config, domain)
+    assert (picard_outcome(lambda: kernel_picard(*args))
+            == picard_outcome(lambda: reference_picard(*args)))
+
+
+def test_a_step_of_exactly_log_eps_starts_neither_scan():
+    # under exp_abs(2), 0.5 and -0.5 lie log 2 = log(eps) apart: the orbit
+    # is neither looked back on nor a convergence candidate, and runs on
+    args = (mx.MetricSpec.exp_abs(2.0), mx.SelfMapSpec.negation(), (0.5,),
+            mx.SolverConfig(eps=2.0, max_iter=100, limit_point_restart=False), None)
+    got = picard_outcome(lambda: kernel_picard(*args))
+    assert got == picard_outcome(lambda: reference_picard(*args))
+    assert got[2] is mx.Status.MAX_ITER
+
+
+# -- how often Picard calls the map --------------------------------------------
+
+
+@pytest.mark.parametrize("metric", [
+    mx.MetricSpec.exp_abs(2.0),
+    mx.FunctionMetric(lambda x, y: 1.0 + abs(x[0] - y[0]), "one_plus"),
+], ids=["exp_abs", "one_plus"])
+@pytest.mark.parametrize("m", [80, 97, 126, 127, 128, 190, 230])
+@pytest.mark.parametrize("tail, cycle_lookback, max_iter, status", [
+    ("converge", 25, 400, mx.Status.CONVERGED),
+    ("converge", 25, 60, mx.Status.MAX_ITER),
+    ("fail", 0, 400, mx.Status.DIVERGED),
+    ("fail", 25, 400, mx.Status.CYCLE_DETECTED),
+    ("leap", 0, 400, mx.Status.DIVERGED),
+    ("leap", 25, 400, mx.Status.CYCLE_DETECTED),
+    ("cycle2", 25, 400, mx.Status.CYCLE_DETECTED),
+    ("cycle3", 25, 400, mx.Status.CYCLE_DETECTED),
+])
+def test_picard_calls_the_map_as_often_as_a_step_by_step_scan(metric, m, tail,
+                                                              cycle_lookback, max_iter,
+                                                              status):
+    # only a run that ends in a detected cycle may have mapped discarded
+    # iterates past its cycle point, at most min(iterations, 63) of them
+    config = mx.SolverConfig(eps=math.exp(1e-6), max_iter=max_iter, divergence_logd=5.0,
+                             cycle_lookback=cycle_lookback, limit_point_restart=False)
+    T, calls = counting(drifting(m, tail, 1))
+    result = mx.picard(metric, T, (1.0,), config)
+    T_ref, ref_calls = counting(drifting(m, tail, 1))
+    reference_picard(metric, T_ref, (1.0,), config, None)
+    assert result.status is status
+    extra = len(calls) - len(ref_calls)
+    if status is mx.Status.CYCLE_DETECTED and isinstance(metric, mx.MetricSpec):
+        assert 0 <= extra <= min(result.iterations, 63)
+    else:
+        assert extra == 0
+
+
+# -- periodic points: the orbit checked once, scanned in row blocks --------------
+
+
+def loop_find_periodic_point(metric, T, x0, max_period, eps, max_iter):
+    """find_periodic_point as one public kernel call per orbit index."""
+    log_eps = math.log(eps)
+    x = mx.as_point(x0)
+    orbit = [x]
+    for _ in range(max_iter):
+        try:
+            x = reference_apply(T, x)
+            metric.check_domain(x)
+        except DomainError:
+            break
+        orbit.append(x)
+    for i, w in enumerate(orbit[:-1]):
+        ahead = metric.log_distance_matrix(orbit[i + 1:i + 1 + max_period], [w])
+        hits = np.flatnonzero(ahead[:, 0] < log_eps)
+        if hits.size:
+            return w, int(hits[0]) + 1
+    return None
+
+
+# negative, so rejected, where the second point exceeds the first by over 1
+SIGNED = mx.FunctionMetric(lambda x, y: 1.0 + x[0] - y[0], "signed")
+
+
+@settings(max_examples=200, deadline=None)
+@given(metric=st.sampled_from(METRICS + [ONE_SIDED, SIGNED]),
+       T=st.one_of(st.sampled_from(ORBIT_MAPS),
+                   st.builds(drifting, st.integers(80, 230), st.sampled_from(TAILS),
+                             st.sampled_from([1, 4]))),
+       start=st.sampled_from([(1.0,), (2.5,), (0.0,), (-1.5,), (1.0, 3.0), (0.5, -2.0)]),
+       max_period=st.one_of(st.integers(1, 8), st.just(500)),
+       eps=st.sampled_from([math.exp(1e-12), math.exp(1e-6), math.exp(1e-2), math.exp(0.5)]),
+       max_iter=st.integers(0, 300))
+def test_find_periodic_point_equals_the_loop_of_public_calls(metric, T, start, max_period,
+                                                            eps, max_iter):
+    args = (metric, T, start, max_period, eps, max_iter)
+    assert (outcome(mx.find_periodic_point, *args)
+            == outcome(loop_find_periodic_point, *args))
+
+
+def test_a_periodic_search_validates_each_orbit_point_at_most_twice(monkeypatch):
+    calls = 0
+    as_point = metrics.as_point
+
+    def counted(value):
+        nonlocal calls
+        calls += 1
+        return as_point(value)
+
+    for module in (metrics, solver, sequences, maps, conditions):
+        monkeypatch.setattr(module, "as_point", counted)
+    found = mx.find_periodic_point(mx.MetricSpec.exp_abs(2.0), mx.SelfMapSpec.scale(0.999),
+                                   1.0, 6, math.exp(1e-9), max_iter=2000)
+    assert found is None
+    assert calls <= 2 * 2001
