@@ -25,6 +25,7 @@ text to the list ``out``, given the newline and indentation of its line.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import types
@@ -147,6 +148,41 @@ def _key(k) -> str:
     return _string(k)
 
 
+_NUMBERS = {int, float}
+
+
+def _numbers(value: list | tuple, nl: str) -> str | None:
+    """The text ``_write`` gives a non-empty list of exact ints and floats, or
+    of equal-width non-empty rows of them, made in one join or one row
+    template; None for any other list."""
+    inner = nl + "  "
+    kinds = set(map(type, value))
+    if kinds <= _NUMBERS:
+        flat, template = value, None
+    elif kinds <= {list, tuple} and len(widths := set(map(len, value))) == 1 \
+            and 0 not in widths:
+        flat = list(itertools.chain.from_iterable(value))
+        if not set(map(type, flat)) <= _NUMBERS:
+            return None
+        cell = "," + inner + "  "
+        row = "[" + inner + "  " + cell.join(["%s"] * widths.pop()) + inner + "]"
+        template = "[" + inner + ("," + inner).join([row] * len(value)) + nl + "]"
+    else:
+        return None
+
+    def lay(texts):
+        if template is None:
+            return "[" + inner + ("," + inner).join(texts) + nl + "]"
+        return template % tuple(texts)
+
+    # repr is int.__repr__ or float.__repr__ on these exact types; only a
+    # non-finite float's text ("nan", "inf", "-inf") holds the letter n
+    text = lay(map(repr, flat))
+    if "n" in text:
+        text = lay(_float(v) if type(v) is float else repr(v) for v in flat)
+    return text
+
+
 def _write(value, nl: str, out: list) -> None:
     """Append ``value`` as indented JSON text to ``out``, in pieces; lines
     below its first start with ``nl``."""
@@ -156,6 +192,10 @@ def _write(value, nl: str, out: list) -> None:
         return
     inner = nl + "  "
     if isinstance(value, (list, tuple)):
+        text = _numbers(value, nl) if value else None
+        if text is not None:
+            out.append(text)
+            return
         sep = "[" + inner
         for v in value:
             out.append(sep)

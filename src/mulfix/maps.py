@@ -139,7 +139,10 @@ class SelfMapSpec(JsonConfig):
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, point) -> Point:
-        x = as_point(point)
+        return self._call(as_point(point))
+
+    def _call(self, x: Point) -> Point:
+        """The image of a point tuple that passed ``as_point``."""
         if self.kind == "scale":
             return tuple(self.c * c for c in x)
         if self.kind == "rational":
@@ -173,7 +176,8 @@ class SelfMapSpec(JsonConfig):
         m = np.asarray(self.matrix, dtype=float)
         if m.shape[1] != len(x):
             raise DomainError(f"affine matrix expects dimension {m.shape[1]}")
-        y = m @ np.asarray(x, dtype=float) + np.asarray(self.offset, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # as_point rejects inf, NaN
+            y = m @ np.asarray(x, dtype=float) + np.asarray(self.offset, dtype=float)
         return as_point(y)
 
 

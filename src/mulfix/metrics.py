@@ -161,6 +161,12 @@ class MetricSpec(JsonConfig):
         self.check_domain(px)
         self.check_domain(py)
 
+    def _check_next(self, px: Point, py: Point) -> None:
+        """``_check_pair`` where px already passed it as the py of a pair."""
+        if len(px) != len(py):
+            raise DomainError(f"dimension mismatch: {len(px)} vs {len(py)}")
+        self.check_domain(py)
+
     def _checked(self, points: Sequence) -> list[Point]:
         """The points as tuples, after the checks ``log_distance_matrix``
         makes: all finite, then one dimension and this metric's space, the
@@ -250,6 +256,8 @@ class FunctionMetric:
 
     def _check_pair(self, px: Point, py: Point) -> None:
         pass  # fn takes any two tuples
+
+    _check_next = _check_pair
 
     def _checked(self, points: Sequence) -> list:
         return list(points)  # log_distance checks each point fn receives

@@ -166,8 +166,13 @@ def detect_limit_point(
         raise DomainError("limit point detection needs at least 2 points")
     if not 0 < fraction <= 1:
         raise DomainError("fraction must be in (0, 1]")
-    need = math.ceil(len(trace.points) * fraction)
-    points = trace.metric._checked(trace.points)
+    return _limit_point(trace, trace.metric._checked(trace.points), log_eps, fraction)
+
+
+def _limit_point(trace: IterationTrace, points: Sequence[Point], log_eps: float,
+                 fraction: float = 0.25) -> Optional[Point]:
+    """``detect_limit_point`` given the trace's points as checked tuples."""
+    need = math.ceil(len(points) * fraction)
     for start, D in _row_blocks(trace.metric, points, points):
         hits = np.flatnonzero((D < log_eps).sum(axis=1) >= need)
         if hits.size:

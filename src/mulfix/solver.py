@@ -21,10 +21,10 @@ from .errors import (
     MonotoneResidualError,
 )
 from .jsonconfig import JsonConfig
-from .maps import Box
+from .maps import Box, SelfMapSpec
 from .metrics import MetricSpec, Point, as_point
 from .sequences import (_ROW_BLOCK, IterationTrace, Status, _check_eps,
-                        _max_pairwise_logd, detect_limit_point)
+                        _limit_point, _max_pairwise_logd)
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,10 @@ class FixedPointResult:
 
 
 def _apply(T, x: Point) -> Point:
-    """One guarded map application; numeric blow-ups surface as DomainError."""
+    """One guarded map application to a point tuple; numeric blow-ups
+    surface as DomainError.  A SelfMapSpec skips re-checking x."""
     try:
-        return as_point(T(x))
+        return as_point(T._call(x) if type(T) is SelfMapSpec else T(x))
     except DomainError:
         raise
     except (ArithmeticError, ValueError) as exc:
@@ -130,9 +131,12 @@ def _advance(metric, T, x: Point, n: int, domain: Optional[Box], config: SolverC
             f"iterate {n} left the declared domain: {y}", point=y, iteration=n,
         )
     # _apply made y a finite tuple; check its dimension and the metric's
-    # space here (and the start's, at the first step) before the kernel
+    # space here (and the start's, at a run's first step) before the kernel
     try:
-        metric._check_pair(x, y)
+        if steps:  # x passed these checks as the previous step's y
+            metric._check_next(x, y)
+        else:
+            metric._check_pair(x, y)
         step = metric._log_distance(x, y)
     except DomainError as exc:
         raise DomainEscapeError(
@@ -337,7 +341,7 @@ def picard(metric, T, x0, config: SolverConfig,
 
     if trace.status in (Status.MAX_ITER, Status.CYCLE_DETECTED) \
             and config.limit_point_restart and len(trace.points) >= 2:
-        z = detect_limit_point(trace, config.eps)
+        z = _limit_point(trace, trace.points, config.log_eps)
         if z is not None and z != start:
             restarted_from = z
             continuity = _observed_continuity(metric, T, trace, z, config.eps)

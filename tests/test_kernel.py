@@ -14,6 +14,7 @@ reject the invalid points it rejected before.
 import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -512,7 +513,52 @@ def test_a_stalled_run_validates_each_iterate_a_few_times(monkeypatch):
     result = mx.picard(mx.MetricSpec.exp_abs(2.0), mx.SelfMapSpec.scale(0.999), 1.0,
                        mx.SolverConfig(eps=math.exp(1e-9), max_iter=2000))
     assert result.status is mx.Status.MAX_ITER and result.iterations == 2000
-    assert calls <= 4 * result.iterations
+    assert calls <= result.iterations + 10
+
+
+def shift_then_widen(p):  # 1.0, 0.5, 0.25, 0.125, 0.0625, then a second coordinate
+    return (0.5 * p[0],) if p[0] > 0.1 else (p[0], 1.0)
+
+
+# A Picard run checks its start at its first step only, and each later step
+# only its new iterate; an escape must still raise where and as a
+# step-by-step scan raises it.
+@pytest.mark.parametrize("metric, T, start, config, message", [
+    (mx.MetricSpec.star_product(), mx.SelfMapSpec.scale(0.5), (-1.0,),
+     mx.SolverConfig(max_iter=20),
+     "iterate 1 left the metric's domain: (-0.5,) "
+     "(star_product needs positive coordinates, got (-1.0,))"),
+    (mx.MetricSpec.exp_reciprocal(), mx.SelfMapSpec.identity(), (0.0,),
+     mx.SolverConfig(max_iter=20),
+     "iterate 1 left the metric's domain: (0.0,) "
+     "(exp_reciprocal needs nonzero coordinates, got (0.0,))"),
+    (mx.MetricSpec.exp_reciprocal(), lambda p: (p[0] - 0.5,), (1.5,),
+     mx.SolverConfig(max_iter=20),
+     "iterate 3 left the metric's domain: (0.0,) "
+     "(exp_reciprocal needs nonzero coordinates, got (0.0,))"),
+    (mx.MetricSpec.exp_abs(2.0), shift_then_widen, (1.0,), mx.SolverConfig(max_iter=20),
+     "iterate 5 left the metric's domain: (0.0625, 1.0) (dimension mismatch: 1 vs 2)"),
+    (mx.MetricSpec.exp_abs(2.0), mx.SelfMapSpec.affine(((1.0,), (2.0,)), (0.0, 0.0)),
+     (1.0,), mx.SolverConfig(max_iter=20),
+     "iterate 1 left the metric's domain: (1.0, 2.0) (dimension mismatch: 1 vs 2)"),
+], ids=["start-outside", "start-at-the-pole", "leaves-at-step-3", "widens-at-step-5",
+        "affine-widens"])
+def test_an_escape_is_raised_at_the_iterate_a_step_by_step_scan_names(metric, T, start,
+                                                                      config, message):
+    args = (metric, T, start, config, None)
+    got = picard_outcome(lambda: kernel_picard(*args))
+    assert got == picard_outcome(lambda: reference_picard(*args))
+    assert got[:2] == ("escaped", message)
+
+
+def test_an_overflowing_affine_map_diverges_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = mx.picard(mx.MetricSpec.exp_abs(2.0),
+                           mx.SelfMapSpec.affine(((1e200,),), (0.0,)), 1.0,
+                           mx.SolverConfig(eps=math.exp(1e-9), max_iter=50))
+    assert result.status is mx.Status.DIVERGED
+    assert result.residual_logd == math.inf
 
 
 # -- the private kernel and Picard's scans against the public path --------------
@@ -653,8 +699,13 @@ def kernel_picard(metric, T, x0, config, domain):
 
 # Maps whose orbits converge, stall, cycle, restart away from the start,
 # diverge, fail, change dimension, or leave star_product's or
-# exp_reciprocal's space (a coordinate at or below 0) or a declared box.
+# exp_reciprocal's space (a coordinate at or below 0) or a declared box;
+# Picard applies the SelfMapSpecs among them without re-checking the point.
 ORBIT_MAPS = [
+    mx.SelfMapSpec.scale(0.5),
+    mx.SelfMapSpec.rational(0.5),
+    mx.SelfMapSpec.negation(),
+    mx.SelfMapSpec.affine(((1e200,),), (0.0,)),  # overflows; 1-d starts only
     lambda p: tuple(0.5 * c for c in p),
     lambda p: tuple(2.0 * c for c in p),
     lambda p: tuple(c - 0.5 for c in p),

@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -58,6 +59,55 @@ TREES = st.recursive(
 @given(TREES)
 def test_dump_json_equals_the_reference_encoder(tree):
     assert dump_json(tree) == reference(tree)
+
+
+# -- lists of numbers, written in one join or one row template --------------------
+
+FLOATS = st.floats() | SPECIAL_FLOATS
+INTS = st.integers() | st.integers(-10**30, 10**30) | st.sampled_from([2**63, -2**63 - 1])
+NUMBERS = FLOATS | INTS
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+def flat_numbers(items):
+    return st.lists(items, min_size=1, max_size=60) \
+        | st.lists(items, min_size=1, max_size=60).map(tuple)
+
+
+def equal_rows(items):
+    return st.integers(1, 4).flatmap(lambda w: st.lists(
+        st.lists(items, min_size=w, max_size=w) | st.tuples(*[items] * w),
+        min_size=1, max_size=20))
+
+
+def replaced(items, item, at):
+    at %= len(items)
+    return [*items[:at], item, *items[at + 1:]]
+
+
+def spoiled(lists):
+    """Lists with one item swapped for a bool, None, an IntEnum, a float
+    subclass or a string, each of which keeps a list off the number path."""
+    odd = st.sampled_from([True, False, None, Level.LOW, np.float64(0.5), "1.0"])
+    return st.tuples(lists, odd, st.integers(0, 59)).map(lambda t: replaced(*t))
+
+
+ROWS = equal_rows(NUMBERS)
+NUMBER_LISTS = (flat_numbers(FLOATS) | flat_numbers(INTS) | flat_numbers(NUMBERS) | ROWS
+                | st.lists(st.lists(NUMBERS, max_size=4), min_size=1, max_size=8)
+                | spoiled(flat_numbers(NUMBERS)) | spoiled(ROWS)
+                | ROWS.flatmap(lambda rows: spoiled(st.just(rows[0])).map(
+                    lambda row: [row, *rows[1:]])))
+
+
+@settings(max_examples=500, deadline=None)
+@given(NUMBER_LISTS)
+def test_number_lists_equal_the_reference_encoder(numbers):
+    assert dump_json(numbers) == reference(numbers)
+    assert dump_json({"rows": [numbers]}) == reference({"rows": [numbers]})
 
 
 def test_dump_json_writes_non_finite_floats_as_null():
