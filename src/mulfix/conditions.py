@@ -302,28 +302,35 @@ class _PairTable:
     ``Dxx[i, j] = L(x_i, x_j)``, ``Dtt[i, j] = L(Tx_i, Tx_j)`` and
     ``Dxt[i, j] = L(x_i, Tx_j)`` give the six values every condition reads.
     Entries are NaN unless both points and their images are valid (see
-    ``first_error``); ``usable`` marks the distinct valid pairs i < j.
+    ``first_error``); ``usable`` marks the distinct valid pairs i < j.  A
+    caller that checked every point and computed their full ``Dxx`` (as
+    ``verify_axioms`` does) passes it in, and then Dxx has no NaN entry.
+    ``images`` holds each point's image, None where the map failed.
     """
 
-    def __init__(self, metric, T, sample: Sequence):
+    def __init__(self, metric, T, sample: Sequence, Dxx: np.ndarray | None = None):
         self.points = points = [as_point(p) for p in sample]
         dim = len(points[0]) if points else 0
-        images, self.errors = [], []  # errors: what fails at T(x), at Tx, at x
+        self.images, self.errors = [], []  # errors: what fails at T(x), at Tx, at x
         for p in points:
             try:
                 image, error = as_point(T(p)), None
             except _MAP_ERRORS as exc:
                 logger.warning("map evaluation failed at %s; point excluded", p)
                 image, error = None, exc
-            images.append(image)
+            self.images.append(image)
             self.errors.append((error, image and _point_error(metric, image, dim),
                                 _point_error(metric, p, dim)))
         good = [k for k, e in enumerate(self.errors) if e == (None, None, None)]
-        X, TX = [points[k] for k in good], [images[k] for k in good]
+        X, TX = [points[k] for k in good], [self.images[k] for k in good]
         n, block = len(points), np.ix_(good, good)
-        self.Dxx, self.Dtt, self.Dxt = (np.full((n, n), np.nan) for _ in range(3))
+        self.Dtt, self.Dxt = (np.full((n, n), np.nan) for _ in range(2))
         # every point and image in X and TX passed _point_error
-        self.Dxx[block] = metric._log_distance_matrix(X, X)
+        if Dxx is None:
+            self.Dxx = np.full((n, n), np.nan)
+            self.Dxx[block] = metric._log_distance_matrix(X, X)
+        else:
+            self.Dxx = Dxx
         self.Dtt[block] = metric._log_distance_matrix(TX, TX)
         self.Dxt[block] = metric._log_distance_matrix(X, TX)
         A = np.array(X).reshape(len(X), dim)
@@ -333,6 +340,12 @@ class _PairTable:
         with np.errstate(all="ignore"):
             self.own = self.step[:, None] + self.step[None, :]  # L(x, Tx) + L(y, Ty)
             self.cross = self.Dxt + self.Dxt.T  # L(x, Ty) + L(y, Tx)
+
+    def phi_slack(self, phi: PhiSpec) -> np.ndarray:
+        """The PHI margin rhs - lhs of every pair (u, v), u = v included."""
+        with np.errstate(all="ignore"):
+            log_phi = phi._log_phi(self.step[:, None], self.step[None, :])
+            return (0.5 * self.own - log_phi) - self.Dtt
 
     def first_error(self, i: int, j: int) -> Exception | None:
         """What the scalar checks raise first on pair (i, j): the map at x,
@@ -395,13 +408,6 @@ class PairCheck:
         return out
 
 
-# PairCheck.to_json_dict() of an evaluated record as dump_json lays it out at
-# the top level, with a %s for each of i, j, the flag and the slack.
-_RECORD = ('{\n  "pair": [\n    %%s,\n    %%s\n  ],\n  "condition": "%s",\n'
-           '  "satisfied": %%s,\n  "slack": %%s\n}')
-_JSON_FLAGS = {True: "true", False: "false"}
-
-
 @dataclass(frozen=True)
 class PairRows:
     """The pair records of a classification, kept as columns.
@@ -440,26 +446,45 @@ class PairRows:
 
     def write_json(self, out: list, nl: str) -> None:
         """Append the records to ``out`` as the JSON array ``dump_json``
-        writes on a line indented by ``nl``: one template filled per pair."""
-        if not self.i and not self.errors:
+        writes on a line indented by ``nl``, in pieces built column by column:
+        each pair's head once, each condition's flags and slacks in one map."""
+        if not (self.i and self.checks) and not self.errors:
             out.append("[]")
             return
         item = nl + "  "
-        template = ",\n".join(_RECORD % cid for cid in self.checks).replace("\n", item)
-        columns = []
-        for flags, slacks in self.checks.values():
-            finite = np.isfinite(np.array(slacks, dtype=float)).all()
-            # %s writes a finite float as its repr, as json does
-            columns += [self.i, self.j, [_JSON_FLAGS[f] for f in flags],
-                        slacks if finite else [json_text(x) for x in slacks]]
-        per_pair = [template % values for values in zip(*columns)]
-        rows = self._merge(per_pair, lambda i, j, msg: json_text(
-            PairCheck(i, j, "*", None, None, msg).to_json_dict(), item))
-        sep = "[" + item
-        for row in rows:
-            out += (sep, row)
-            sep = "," + item
-        out.append(nl + "]")
+        field = "," + item + "  "
+        # an evaluated record is head, flag, slack, end: the head holds the
+        # pair, the flag the condition, and the end joins the next record
+        head = ("{" + item + '  "pair": [' + item + "    %s," + item + "    %s"
+                + item + "  ]" + field + '"condition": "')
+        end = item + "}," + item
+        width = 4 * len(self.checks)
+        pieces = [end] * (width * len(self.i))
+        heads = list(map(head.__mod__, zip(self.i, self.j)))
+        for c, (cid, (flags, slacks)) in enumerate(self.checks.items()):
+            flag = {ok: cid + '"' + field + '"satisfied": ' + text + field + '"slack": '
+                    for ok, text in ((True, "true"), (False, "false"))}
+            pieces[4 * c::width] = heads
+            pieces[4 * c + 1::width] = map(flag.__getitem__, flags)
+            pieces[4 * c + 2::width] = _json_texts(slacks)
+        out.append("[" + item)
+        start = 0
+        for pos, i, j, message in self.errors:
+            out += pieces[start:width * pos]
+            out.append(json_text(PairCheck(i, j, "*", None, None, message).to_json_dict(),
+                                 item) + "," + item)
+            start = width * pos
+        del pieces[:start]  # extend by the rest without copying it first
+        out += pieces
+        out[-1] = out[-1][:-len(item) - 1] + nl + "]"  # the last record's "," + item
+
+
+def _json_texts(values: list) -> list[str]:
+    """The JSON text of each value: one C-level ``float.__repr__`` map when
+    all are finite floats, else ``json_text`` of each."""
+    if set(map(type, values)) <= {float} and all(map(math.isfinite, values)):
+        return list(map(float.__repr__, values))
+    return list(map(json_text, values))
 
 
 @dataclass(frozen=True)
@@ -557,25 +582,30 @@ def classify(
     order, and the aggregate verdicts are invariant under permutations of
     the sample.
     """
-    table = _PairTable(metric, T, sample)
+    return _classify(_PairTable(metric, T, sample), constants, phi, tol=tol,
+                     strict_margin=strict_margin, seed=seed)
+
+
+def _classify(table: _PairTable, constants: Optional[ZamfirescuConstants],
+              phi: Optional[PhiSpec], *, tol: float = DEFAULT_LOG_TOL,
+              strict_margin: float = 0.0, seed: int | None = None) -> ConditionReport:
+    """``classify`` of a sample's table."""
     points, n = table.points, len(table.points)
     est = _estimate(table)
     xi, eta, lam, triple = _effective_constants(constants, est)
 
-    # Every condition reads L(Tx, Ty) <= const * den on each pair.
+    # Every condition but PHI reads L(Tx, Ty) <= const * den on each pair.
     rhs = {"C1": (xi, table.Dxx), "C2": (eta, table.own), "C3": (lam, table.cross),
            "SI": (1.0, table.Dxx), "SII": (0.5, table.own), "SIII": (0.5, table.cross)}
     upper = np.triu_indices(n, 1)  # the pairs in combinations order
     results = {}  # condition -> satisfied flags and slacks over the upper pairs
     with np.errstate(all="ignore"):
-        if phi is not None:  # log phi of (L(x, Tx), L(y, Ty)) for every pair
-            log_phi = phi._log_phi(table.step[:, None], table.step[None, :])
-            rhs["PHI"] = (1.0, 0.5 * table.own - log_phi)
-        for cid, (const, den) in rhs.items():
+        for cid in [*rhs, "PHI"] if phi is not None else rhs:
+            const, den = rhs.get(cid, (1.0, None))
             if const is None:  # no admissible constant: unsatisfied everywhere
                 results[cid] = (np.zeros(len(upper[0]), dtype=bool), None)
                 continue
-            slack = const * den - table.Dtt
+            slack = table.phi_slack(phi) if cid == "PHI" else const * den - table.Dtt
             if cid in ("SI", "SII", "SIII"):
                 ok = slack > strict_margin
             else:

@@ -19,25 +19,28 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal, Optional
 
+import numpy as np
+
 from .conditions import (
     CONDITION_IDS,
     ConditionReport,
     PhiSpec,
     ZamfirescuConstants,
-    check_phi,
-    classify,
+    _classify,
+    _PairTable,
 )
-from .errors import ConfigError, MulfixError
+from .errors import ConfigError
 from .jsonconfig import JsonConfig, decode, dump_json
 from .maps import Box, SelfMapSpec, sample_box
 from .metrics import (
+    DEFAULT_LOG_TOL,
     AxiomReport,
     MetricSpec,
     Point,
     ReverseTriangleReport,
+    _verify_axioms,
+    _verify_reverse_triangle,
     as_point,
-    verify_axioms,
-    verify_reverse_triangle,
 )
 from .sequences import Status
 from .solver import (
@@ -46,8 +49,8 @@ from .solver import (
     SolverConfig,
     StartIndependenceReport,
     UniquenessReport,
+    _verify_bound,
     uniqueness_probe,
-    verify_bound,
     verify_start_independence,
 )
 
@@ -206,23 +209,15 @@ class ExperimentReport:
         }
 
 
-def _map_invariant(T, sample, box: Box) -> bool:
-    for p in sample:
-        try:
-            if not box.contains(T(p)):
-                return False
-        except MulfixError:
-            return False
-    return True
-
-
 def _unevaluated(cls_report: ConditionReport) -> str:
     """Detail suffix counting the pairs with an error record ("*")."""
     n = len(cls_report.rows.errors)
     return f", {n} pairs not evaluated" if n else ""
 
 
-def _eval_expectation(spec: dict, report: "ExperimentReport") -> ExpectationResult:
+def _eval_expectation(spec: dict, report: "ExperimentReport",
+                      table: _PairTable) -> ExpectationResult:
+    """One expectation's outcome; ``table`` is the run's table of its sample."""
     kind = spec["kind"]
     runs = report.runs
     converged = [r for r in runs if r.status is Status.CONVERGED]
@@ -275,12 +270,9 @@ def _eval_expectation(spec: dict, report: "ExperimentReport") -> ExpectationResu
     elif kind == "phi_holds":
         ok = cls_report.condition_ok("PHI")
         n_diag_bad = 0
-        if ok and report.config.phi is not None:
-            for p in report.sample:
-                good, _ = check_phi(report.config.metric, report.config.map,
-                                    report.config.phi, p, p)
-                if not good:
-                    n_diag_bad += 1
+        if ok:  # PHI holds on every distinct pair; check each (x, x) too
+            diagonal = np.diagonal(table.phi_slack(report.config.phi))
+            n_diag_bad = int(np.count_nonzero(~(diagonal >= -DEFAULT_LOG_TOL)))
             ok = n_diag_bad == 0
         detail = (f"{len(cls_report.violations('PHI'))} violating pairs, "
                   f"{n_diag_bad} violating diagonal points")
@@ -302,18 +294,25 @@ def _eval_expectation(spec: dict, report: "ExperimentReport") -> ExpectationResu
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run the whole pipeline; deterministic for a given config and seed."""
+    """Run the whole pipeline; deterministic for a given config and seed.
+
+    The sample is mapped once and its log-distance matrix built once: the
+    axiom checks, map invariance, classification and the PHI diagonal all
+    read one table, and raise what their public functions would.
+    """
     sample = tuple(
         sample_box(config.domain, config.sample_size, config.seed,
                    config.sample_scheme)
     )
-    axioms = verify_axioms(config.metric, sample)
-    reverse = verify_reverse_triangle(config.metric, sample)
-    invariant = _map_invariant(config.map, sample, config.domain)
-    classification = classify(
-        config.metric, config.map, sample,
-        constants=config.constants, phi=config.phi, seed=config.seed,
-    )
+    points = config.metric._checked(sample)  # as log_distance_matrix checks them
+    D = config.metric._log_distance_matrix(points, points)
+    axioms = _verify_axioms(points, D)
+    reverse = _verify_reverse_triangle(D)
+    table = _PairTable(config.metric, config.map, points, D)
+    # a failed image (None) means the map leaves the domain
+    invariant = all(image is not None and config.domain.contains(image)
+                    for image in table.images)
+    classification = _classify(table, config.constants, config.phi, seed=config.seed)
     domain = config.domain if config.enforce_domain else None
     start_independence = verify_start_independence(
         config.metric, config.map, config.solver, domain
@@ -330,7 +329,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         bound_list = []
         for r in runs:
             if r.status is Status.CONVERGED:
-                bound = verify_bound(r, delta)
+                bound = _verify_bound(r, delta)  # its points were checked
                 bound_list.append(bound)
                 r = dataclasses.replace(r, bound_checks=bound.rows)
             updated.append(r)
@@ -351,7 +350,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         bounds=bounds,
         expectations=(),
     )
-    results = tuple(_eval_expectation(e, report) for e in config.expectations)
+    results = tuple(_eval_expectation(e, report, table) for e in config.expectations)
     return dataclasses.replace(report, expectations=results)
 
 

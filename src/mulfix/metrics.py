@@ -340,8 +340,13 @@ def verify_axioms(metric, sample: Iterable, tol: float = DEFAULT_LOG_TOL) -> Axi
     if tol < 0:
         raise DomainError("tol must be >= 0")
     points = [as_point(p) for p in sample]
+    return _verify_axioms(points, metric.log_distance_matrix(points, points), tol)
+
+
+def _verify_axioms(points: list[Point], D: np.ndarray,
+                   tol: float = DEFAULT_LOG_TOL) -> AxiomReport:
+    """``verify_axioms`` of point tuples with their log-distance matrix D."""
     n = len(points)
-    D = metric.log_distance_matrix(points, points)
     equal = equal_points(points)
     with np.errstate(invalid="ignore"):  # NaN compares False; inf - inf is NaN
         nonneg = D < -tol
@@ -359,17 +364,22 @@ def verify_axioms(metric, sample: Iterable, tol: float = DEFAULT_LOG_TOL) -> Axi
             violations.append({"axiom": "symmetry", "pair": [i, j],
                                "forward": d, "reverse": float(D[j, i])})
 
-    # Triangle: for each middle index j, flag pairs (i, k) with
+    # Triangle: for each middle index j, flag pairs (i, k), i != k, with
     # D[i,k] > D[i,j] + D[j,k] + tol.  NaNs (possible only for degenerate
-    # custom distances) compare False and are ignored.
-    off_diag = ~np.eye(n, dtype=bool)
+    # custom distances) compare False and are ignored.  Each middle fills
+    # one buffer and is listed only when it has a hit.
+    buf, bad = np.empty((n, n)), np.empty((n, n), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n):
-            rhs = D[:, j][:, None] + D[j, :][None, :]
-            bad = (D - rhs > tol) & off_diag
-            for i, k in np.argwhere(bad):
+            np.add(D[:, j, None], D[None, j, :], out=buf)
+            np.subtract(D, buf, out=buf)
+            if not np.greater(buf, tol, out=bad).any():
+                continue
+            np.fill_diagonal(bad, False)
+            rhs = D[:, j, None] + D[None, j, :]
+            for i, k in np.argwhere(bad).tolist():
                 violations.append(
-                    {"axiom": "triangle", "triple": [int(i), j, int(k)],
+                    {"axiom": "triangle", "triple": [i, j, k],
                      "lhs": float(D[i, k]), "rhs": float(rhs[i, k])}
                 )
 
@@ -388,17 +398,26 @@ def verify_reverse_triangle(
     if tol < 0:
         raise DomainError("tol must be >= 0")
     points = [as_point(p) for p in sample]
-    n = len(points)
-    D = metric.log_distance_matrix(points, points)
+    return _verify_reverse_triangle(metric.log_distance_matrix(points, points), tol)
+
+
+def _verify_reverse_triangle(D: np.ndarray,
+                             tol: float = DEFAULT_LOG_TOL) -> ReverseTriangleReport:
+    """``verify_reverse_triangle`` of a sample's log-distance matrix D: each
+    last index z fills one buffer and is listed only when it has a hit."""
+    n = len(D)
+    buf, bad = np.empty((n, n)), np.empty((n, n), dtype=bool)
     violations: list[dict] = []
     with np.errstate(invalid="ignore"):
         for z in range(n):
-            col = D[:, z]
-            lhs = np.abs(col[:, None] - col[None, :])
-            bad = lhs - D > tol
-            for x, y in np.argwhere(bad):
+            np.subtract(D[:, z, None], D[None, :, z], out=buf)
+            np.abs(buf, out=buf)
+            np.subtract(buf, D, out=buf)
+            if not np.greater(buf, tol, out=bad).any():
+                continue
+            lhs = np.abs(D[:, z, None] - D[None, :, z])
+            for x, y in np.argwhere(bad).tolist():
                 violations.append(
-                    {"triple": [int(x), int(y), z],
-                     "lhs": float(lhs[x, y]), "rhs": float(D[x, y])}
+                    {"triple": [x, y, z], "lhs": float(lhs[x, y]), "rhs": float(D[x, y])}
                 )
     return ReverseTriangleReport(n_points=n, tol=tol, violations=tuple(violations))

@@ -401,17 +401,35 @@ class BoundReport:
         }
 
 
+_BOUND_TOL = 1e-10
+
+
 def verify_bound(result: FixedPointResult, delta: float,
-                 tol: float = 1e-10) -> BoundReport:
+                 tol: float = _BOUND_TOL) -> BoundReport:
     """Check log d(x_n, z) <= d1 * delta**n / (1 - delta) + tol along a run."""
     if result.status is not Status.CONVERGED:
         raise DomainError("bound verification needs a converged result")
     if not (0 <= delta < 1):
         raise DomainError(f"delta must be in [0, 1), got {delta!r}")
     trace = result.trace
-    d1 = trace.step_logd[0] if trace.step_logd else 0.0
     to_z = trace.metric.log_distance_matrix(trace.points, [result.point])[:, 0]
-    rows = [(n, observed, apriori_bound(d1, delta, n))
+    return _bound_report(trace, to_z, delta, tol)
+
+
+def _verify_bound(result: FixedPointResult, delta: float) -> BoundReport:
+    """``verify_bound(result, delta)`` of a converged picard run, whose
+    points were checked as they entered, and a delta in [0, 1)."""
+    trace = result.trace
+    to_z = trace.metric._log_distance_matrix(trace.points, [result.point])[:, 0]
+    return _bound_report(trace, to_z, delta, _BOUND_TOL)
+
+
+def _bound_report(trace: IterationTrace, to_z: np.ndarray, delta: float,
+                  tol: float) -> BoundReport:
+    d1 = trace.step_logd[0] if trace.step_logd else 0.0
+    apriori_bound(d1, delta, 0)  # raises for a d1 that no row's bound takes
+    # each row's apriori_bound(d1, delta, n), in the same float operations
+    rows = [(n, observed, d1 * delta ** n / (1 - delta))
             for n, observed in enumerate(to_z.tolist())]
     violations = [row for row in rows if row[1] > row[2] + tol]
     return BoundReport(delta=delta, tol=tol, rows=tuple(rows),

@@ -4,13 +4,18 @@ import json
 import math
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import mulfix as mx
+from mulfix import experiment
 from mulfix.cli import main
 from mulfix.errors import ConfigError
 from mulfix.experiment import dump_json, write_report
+from mulfix.conditions import PSI_KINDS
+from mulfix.metrics import DEFAULT_LOG_TOL
 
 EPS = math.exp(1e-9)
 
@@ -390,3 +395,104 @@ def test_apriori_bound_expectation_honours_its_tolerance():
     assert not judged(1.24).passed
     assert judged(1.25).passed
     assert judged(1e3).detail == "3 traces checked, 0 violations"
+
+
+def test_an_overflowing_map_gives_exit_2_not_a_traceback(tmp_path, capsys):
+    # 1e200 ** 2 raises OverflowError: the map leaves the domain at those points
+    data = {"metric": {"kind": "exp_abs", "a": 2.0}, "map": {"kind": "power", "p": 2.0},
+            "domain": [[1e100, 1e200]], "sample_size": 6, "seed": 1,
+            "solver": {"eps": 1.000000001, "max_iter": 50, "starts": [[1e100]]}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: no usable distinct pair in the sample\n"
+
+
+def test_a_map_failure_outside_mulfix_errors_means_not_invariant():
+    # 1.5 ** 2000 overflows; the other points map inside [-2, 2]
+    config = _phi_config(mx.PhiSpec("example317"), mx.SelfMapSpec.power(2000.0),
+                         expectations=("map_invariant",))
+    with mock.patch.object(experiment, "sample_box",
+                           lambda *args: [(0.0,), (0.5,), (1.0,), (1.5,)]):
+        report = mx.run_experiment(config)
+    assert not report.map_invariant
+    assert report.expectations[0].detail == "map leaves the domain"
+    assert len(report.classification.rows.errors) == 3
+
+
+# -- the phi_holds diagonal against the scalar check_phi loop ----------------------
+
+
+def phi_holds_by_loop(report):
+    """The phi_holds outcome and detail of the loop of scalar check_phi calls
+    that the diagonal of the run's PHI slack matrix replaced."""
+    cls = report.classification
+    ok = cls.condition_ok("PHI")
+    n_diag_bad = 0
+    if ok and report.config.phi is not None:
+        for p in report.sample:
+            good, _ = mx.check_phi(report.config.metric, report.config.map,
+                                   report.config.phi, p, p)
+            if not good:
+                n_diag_bad += 1
+        ok = n_diag_bad == 0
+    detail = (f"{len(cls.violations('PHI'))} violating pairs, "
+              f"{n_diag_bad} violating diagonal points")
+    n = len(cls.rows.errors)
+    detail += "" if ok or not n else f", {n} pairs not evaluated"
+    return ok, detail
+
+
+def _phi_config(phi, T, expectations=("phi_holds",)):
+    return mx.ExperimentConfig(
+        metric=mx.MetricSpec.exp_abs(math.e),  # log a is 1.0: L(x, y) = |x - y|
+        map=T, domain=mx.Box(((-2.0, 2.0),)), sample_size=2, seed=0,
+        solver=mx.SolverConfig(eps=EPS, max_iter=30, starts=((0.0,),)), phi=phi,
+        expectations=expectations)
+
+
+def phi_holds(phi, T, coords):
+    """The phi_holds result of a run over the given sample, and the loop's."""
+    with mock.patch.object(experiment, "sample_box",
+                           lambda *args: [(c,) for c in coords]):
+        report = mx.run_experiment(_phi_config(phi, T))
+    (result,) = report.expectations
+    return (result.passed, result.detail), phi_holds_by_loop(report)
+
+
+TOL = DEFAULT_LOG_TOL
+PHI_KINDS = st.one_of(
+    st.sampled_from([0.0, 0.5, 0.9]).map(lambda q: mx.PhiSpec("power_product", q=q)),
+    st.sampled_from(PSI_KINDS).map(lambda psi: mx.PhiSpec("psi_sqrt", psi=psi)),
+    st.just(mx.PhiSpec("example317")),
+    st.tuples(st.sampled_from([0.25, 1.0, 1.5]), st.sampled_from([0.25, 1.0, 1.5])).map(
+        lambda ab: mx.PhiSpec("custom_table", alpha=ab[0], beta=ab[1])))
+# Maps whose step L(x, Tx) is exactly TOL at some coordinate below: |x| for
+# the constant map at +-TOL, x / 2 for the halving at 2 TOL, TOL for the shift
+PHI_MAPS = st.sampled_from([
+    mx.SelfMapSpec.constant((0.0,)), mx.SelfMapSpec.scale(0.5), mx.SelfMapSpec.identity(),
+    mx.SelfMapSpec.affine(((1.0,),), (TOL,)), mx.SelfMapSpec.negation()])
+PHI_COORDS = st.sampled_from([0.0, TOL, -TOL, 2 * TOL, math.nextafter(TOL, 1.0),
+                              math.nextafter(TOL, 0.0), 1e-13, 0.5, -0.25])
+
+
+@settings(max_examples=150, deadline=None)
+@given(PHI_KINDS, PHI_MAPS, st.lists(PHI_COORDS, min_size=2, max_size=6))
+def test_phi_holds_reads_what_the_check_phi_loop_read(phi, T, coords):
+    assume(len(set(coords)) >= 2)
+    ran, loop = phi_holds(phi, T, coords)
+    assert ran == loop
+
+
+@pytest.mark.parametrize("top, passed, diagonal_bad", [
+    (TOL, True, 0),                           # slack -TOL at (TOL, TOL): holds
+    (math.nextafter(TOL, 1.0), False, 1),     # one ulp more: the diagonal fails
+])
+@pytest.mark.parametrize("first", [False, True], ids=["last", "first"])
+def test_phi_diagonal_at_the_tolerance(top, passed, diagonal_bad, first):
+    # phi = x * y: PHI at (x, x) reads 0 <= L(x, 0) - 2 L(x, 0) under T = 0
+    phi = mx.PhiSpec("custom_table", alpha=1.0, beta=1.0)
+    sample = [top, 0.0, 1e-13] if first else [0.0, 1e-13, top]
+    ran, loop = phi_holds(phi, mx.SelfMapSpec.constant((0.0,)), sample)
+    assert ran == loop == (passed, f"0 violating pairs, {diagonal_bad} violating "
+                                   "diagonal points")

@@ -11,6 +11,7 @@ often (but past a detected cycle), and each public function must still
 reject the invalid points it rejected before.
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -275,6 +276,86 @@ def test_the_map_is_called_once_per_sample_point(run):
     T, calls = counting(mx.SelfMapSpec.reciprocal_sqrt())
     run(mx.MetricSpec.exp_abs(2.0), T, sample)
     assert calls == sample
+
+
+@pytest.mark.parametrize("name, expectations", [
+    ("example_3_17", ("phi_holds", "map_invariant", "axioms_pass")),
+    ("example_3_15", ("apriori_bound", "map_invariant", "axioms_pass")),
+])
+def test_run_experiment_maps_and_measures_its_sample_once(monkeypatch, name,
+                                                         expectations):
+    from mulfix import experiment
+
+    base = mx.fixture_config(name)
+    T, calls = counting(base.map)
+    config = dataclasses.replace(base, map=T, sample_size=12, expectations=expectations)
+    sample = [tuple(p) for p in mx.sample_box(config.domain, 12, config.seed,
+                                              config.sample_scheme)]
+    seen, sample_matrices = {}, []
+
+    def spied(fn, key):
+        def call(*args, **kwargs):
+            seen[key + " starts"] = list(calls)
+            result = fn(*args, **kwargs)
+            seen[key + " ends"] = list(calls)
+            return result
+        return call
+
+    monkeypatch.setattr(experiment, "verify_start_independence",
+                        spied(experiment.verify_start_independence, "solver"))
+    monkeypatch.setattr(experiment, "uniqueness_probe",
+                        spied(experiment.uniqueness_probe, "uniqueness"))
+    kernel = mx.MetricSpec._log_distance_matrix
+
+    def counted_kernel(metric, X, Y):
+        if list(X) == sample and list(Y) == sample:
+            sample_matrices.append(X)
+        return kernel(metric, X, Y)
+
+    monkeypatch.setattr(mx.MetricSpec, "_log_distance_matrix", counted_kernel)
+    report = mx.run_experiment(config)
+    assert list(report.sample) == sample
+    assert seen["solver starts"] == sample  # once per sample point before Picard
+    assert calls == seen["uniqueness ends"]  # and none after the solver
+    assert len(sample_matrices) == 1
+    assert report.expectations[0].passed  # PHI's diagonal, or the bounds, were read
+
+
+def test_bound_rows_of_a_run_equal_the_public_check():
+    # the 928-point trace of scale(0.98) under exp_abs(2)
+    config = mx.SolverConfig(eps=math.exp(1e-9), max_iter=2000, starts=((1.0,),))
+    for metric in (mx.MetricSpec.exp_abs(2.0), METRICS[7]):
+        run = mx.picard(metric, mx.SelfMapSpec.scale(0.98), (1.0,), config)
+        assert run.status is mx.Status.CONVERGED and len(run.trace.points) > 900
+        for delta in (0.0, 0.5, 0.98):
+            public = mx.verify_bound(run, delta)
+            own = solver._verify_bound(run, delta)
+            assert [tuple(map(bits, row)) for row in own.rows] \
+                == [tuple(map(bits, row)) for row in public.rows] \
+                == [tuple(map(bits, row)) for row in reference_bound_rows(run, delta)]
+            assert own == public
+
+
+def test_run_experiment_bound_rows_equal_the_public_check(report_3_15):
+    delta = report_3_15.config.constants.delta
+    assert len(report_3_15.bounds) == len(report_3_15.runs) == 3
+    for bound, run in zip(report_3_15.bounds, report_3_15.runs):
+        assert bound == mx.verify_bound(run, delta)
+        assert run.bound_checks == bound.rows
+
+
+def test_run_experiment_reads_no_bound_row_through_the_public_kernel(monkeypatch):
+    config = mx.fixture_config("example_3_15")
+    public = mx.MetricSpec.log_distance_matrix
+    traces = []
+
+    def counted(metric, X, Y):
+        traces.append(len(list(X)))
+        return public(metric, X, Y)
+
+    monkeypatch.setattr(mx.MetricSpec, "log_distance_matrix", counted)
+    report = mx.run_experiment(config)
+    assert report.bounds and traces == []  # each point was checked where it entered
 
 
 def test_no_per_pair_log_distance_check_or_map_call(monkeypatch):

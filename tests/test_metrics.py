@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import mulfix as mx
 from mulfix.errors import DomainError
@@ -322,3 +322,109 @@ def test_reverse_triangle_trivial_when_points_equal():
     m = mx.MetricSpec.exp_abs(2.0)
     report = mx.verify_reverse_triangle(m, [(1.0,), (1.0,), (4.0,)])
     assert report.ok
+
+
+# -- triple scans against the loops they replaced ---------------------------------
+
+
+def _triangle_by_loop(metric, sample, tol=DEFAULT_LOG_TOL):
+    """verify_axioms' triangle loop before its any-first scan."""
+    points = [mx.as_point(p) for p in sample]
+    n = len(points)
+    D = metric.log_distance_matrix(points, points)
+    violations = []
+    off_diag = ~np.eye(n, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n):
+            rhs = D[:, j][:, None] + D[j, :][None, :]
+            bad = (D - rhs > tol) & off_diag
+            for i, k in np.argwhere(bad):
+                violations.append(
+                    {"axiom": "triangle", "triple": [int(i), j, int(k)],
+                     "lhs": float(D[i, k]), "rhs": float(rhs[i, k])}
+                )
+    return violations
+
+
+def _reverse_triangle_by_loop(metric, sample, tol=DEFAULT_LOG_TOL):
+    """verify_reverse_triangle's loop before its any-first scan."""
+    points = [mx.as_point(p) for p in sample]
+    D = metric.log_distance_matrix(points, points)
+    violations = []
+    with np.errstate(invalid="ignore"):
+        for z in range(len(points)):
+            col = D[:, z]
+            lhs = np.abs(col[:, None] - col[None, :])
+            bad = lhs - D > tol
+            for x, y in np.argwhere(bad):
+                violations.append(
+                    {"triple": [int(x), int(y), z],
+                     "lhs": float(lhs[x, y]), "rhs": float(D[x, y])}
+                )
+    return violations
+
+
+def _scans_agree(metric, sample):
+    axioms = mx.verify_axioms(metric, sample)
+    triangle = [v for v in axioms.violations if v["axiom"] == "triangle"]
+    reverse = list(mx.verify_reverse_triangle(metric, sample).violations)
+    # json.dumps compares NaN entries too, and the exact types of the values
+    assert json.dumps(triangle) == json.dumps(_triangle_by_loop(metric, sample))
+    assert json.dumps(reverse) == json.dumps(_reverse_triangle_by_loop(metric, sample))
+    return triangle, reverse
+
+
+# Table entries: 0 and the tolerance exactly, either side of it, and values
+# whose sums and differences land on the tolerance; NaN, infinities and a
+# negative entry as a broken table has them.
+TABLE_ENTRIES = st.sampled_from([
+    0.0, DEFAULT_LOG_TOL, 2 * DEFAULT_LOG_TOL, math.nextafter(DEFAULT_LOG_TOL, 1.0),
+    math.nextafter(DEFAULT_LOG_TOL, 0.0), 0.5, 0.5 + DEFAULT_LOG_TOL, 1.0,
+    math.nan, math.inf, -math.inf, -0.5])
+
+
+@st.composite
+def tables(draw):
+    m = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(TABLE_ENTRIES, min_size=m, max_size=m),
+                         min_size=m, max_size=m))
+    return TableMetric(tuple(map(tuple, rows))), m
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables(), st.data())
+def test_triple_scans_list_what_their_loops_listed_on_tables(table, data):
+    metric, m = table
+    sample = [(float(k),) for k in data.draw(st.lists(st.integers(0, m - 1), max_size=7))]
+    _scans_agree(metric, sample)
+
+
+def test_triple_scans_at_the_tolerance():
+    tol = DEFAULT_LOG_TOL
+    for entry, listed in ((tol, False), (math.nextafter(tol, 1.0), True)):
+        # 0-2 at `entry`, the other two sides at log distance 0
+        metric = TableMetric(((0.0, 0.0, entry), (0.0, 0.0, 0.0), (entry, 0.0, 0.0)))
+        triangle, reverse = _scans_agree(metric, [(0.0,), (1.0,), (2.0,)])
+        assert bool(triangle) is listed and bool(reverse) is listed
+
+
+CONTROL_COORDS = st.sampled_from([0.0, 1.0, 2.0, 0.25, 0.5, 0.75, 3.0, -1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([mx.FunctionMetric(fn, name)
+                        for name, fn in NEGATIVE_CONTROLS.items()] + [NAN_TABLE]),
+       st.lists(CONTROL_COORDS, max_size=8))
+def test_triple_scans_list_what_their_loops_listed_on_the_controls(metric, coords):
+    if metric is NAN_TABLE:
+        coords = [c for c in coords if c in (0.0, 1.0, 2.0)]
+    _scans_agree(metric, [(c,) for c in coords])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(BUILTINS), st.integers(0, 2**32 - 1), st.integers(0, 12))
+def test_triple_scans_list_what_their_loops_listed_on_the_builtins(metric, seed, n):
+    sample = _random_sample(metric.kind, np.random.default_rng(seed), n)
+    # a shared coordinate gives exact ties; a scaled copy gives rounding at tol
+    sample += sample[:2] + [tuple(3.0 * c for c in p) for p in sample[:2]]
+    _scans_agree(metric, sample)

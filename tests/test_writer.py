@@ -16,9 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mulfix as mx
+from mulfix import conditions
 from mulfix.cli import main
 from mulfix.conditions import PairCheck
 from mulfix.experiment import dump_json, write_report
+from mulfix.jsonconfig import json_text
 
 EPS = math.exp(1e-9)
 
@@ -137,6 +139,59 @@ def test_dump_json_rejects_what_json_rejects():
         dump_json({"a": object()})
     with pytest.raises(TypeError):
         dump_json({(1, 2): 0})
+
+
+# -- pair records, written column by column -----------------------------------------
+
+SLACKS = st.none() | st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7])
+
+
+@st.composite
+def pair_rows(draw):
+    """PairRows with 1-7 conditions, up to 12 evaluated pairs and error rows
+    anywhere among them, a column of None slacks among the columns."""
+    n = draw(st.integers(0, 12))
+    ids = draw(st.lists(st.sampled_from(mx.CONDITION_IDS), min_size=1, max_size=7,
+                        unique=True))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 10**6)),
+                          min_size=n, max_size=n))
+    checks = {}
+    for cid in ids:
+        flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        column = st.just([None] * n) | st.lists(SLACKS, min_size=n, max_size=n) \
+            | st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=n, max_size=n)
+        checks[cid] = (flags, draw(column))
+    positions = sorted(draw(st.lists(st.integers(0, n), max_size=4)))
+    errors = tuple((pos, draw(st.integers(0, 99)), draw(st.integers(0, 99)), draw(TEXT))
+                   for pos in positions)
+    return conditions.PairRows([i for i, _ in pairs], [j for _, j in pairs], checks,
+                               errors)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair_rows(), st.integers(0, 3))
+def test_pair_records_equal_the_reference_encoder(rows, depth):
+    nl = "\n" + "  " * depth
+    expected = reference([r.to_json_dict() for r in rows.records()])[:-1]
+    assert json_text(rows, nl) == expected.replace("\n", nl)
+
+
+@pytest.mark.parametrize("positions", [[0], [3], [1], [0, 3], [1, 1], [0, 0, 3, 3]],
+                         ids=["first", "last", "middle", "both ends", "twice", "runs"])
+def test_error_rows_at_every_position_equal_the_reference(positions):
+    checks = {"C1": ([True, False, True], [0.5, math.nan, None]),
+              "PHI": ([False, True, True], [-0.0, 5e-324, math.inf])}
+    errors = tuple((pos, 9, 9, "pole") for pos in positions)
+    for rows in (conditions.PairRows([0, 0, 1], [1, 2, 2], checks, errors),
+                 conditions.PairRows([], [], {"C1": ([], [])}, errors)):  # all errors
+        expected = reference([r.to_json_dict() for r in rows.records()])
+        assert dump_json(rows) == expected
+
+
+def test_no_pair_record_writes_an_empty_array():
+    assert dump_json(conditions.PairRows([], [], {"C1": ([], [])}, ())) == "[]\n"
 
 
 # -- reports with every kind of pair record -----------------------------------------
