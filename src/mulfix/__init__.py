@@ -13,11 +13,6 @@ from .conditions import (
     ConstantEstimates,
     PhiSpec,
     ZamfirescuConstants,
-    check_c1,
-    check_c2,
-    check_c3,
-    check_phi,
-    check_strict,
     classify,
     estimate_constants,
 )
@@ -105,11 +100,6 @@ __all__ = [
     "apriori_bound",
     "as_point",
     "cauchy_indicator",
-    "check_c1",
-    "check_c2",
-    "check_c3",
-    "check_phi",
-    "check_strict",
     "classify",
     "detect_limit_point",
     "estimate_constants",

@@ -22,34 +22,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fixed points of self-maps on multiplicative metric spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_config: bool):
-        if with_config:
-            p.add_argument("--config", required=True, help="experiment config JSON")
-        p.add_argument("--seed", type=int, help="override the sampling seed")
-        p.add_argument("--eps", type=float, help="override the stopping tolerance (> 1)")
-        p.add_argument("--max-iter", type=int, help="override the iteration cap")
-        p.add_argument("--out", help="directory for report and trace files")
-        p.add_argument("--format", choices=("json", "csv"), default="json",
-                       help="trace file format (default json)")
-
     p_fix = sub.add_parser("fixture", help="run a bundled reference scenario")
     p_fix.add_argument("name", choices=FIXTURE_NAMES)
-    add_common(p_fix, with_config=False)
-
     p_run = sub.add_parser("run", help="run an experiment from a config file")
-    add_common(p_run, with_config=True)
-
     p_cls = sub.add_parser("classify", help="only sample and classify the map")
-    add_common(p_cls, with_config=True)
+    for p in (p_run, p_cls):
+        p.add_argument("--config", required=True, help="experiment config JSON")
+    for p in (p_fix, p_run, p_cls):
+        p.add_argument("--seed", type=int, help="override the sampling seed")
+        p.add_argument("--out", help="directory for report and trace files")
+    for p in (p_fix, p_run):  # classify runs no solver and writes no trace
+        p.add_argument("--eps", type=float, help="override the stopping tolerance (> 1)")
+        p.add_argument("--max-iter", type=int, help="override the iteration cap")
+        p.add_argument("--format", choices=("json", "csv"),
+                       help="trace file format (default json)")
     return parser
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    solver = config.solver
-    if args.eps is not None:
+    solver = config.solver  # classify takes no solver flags
+    if getattr(args, "eps", None) is not None:
         solver = dataclasses.replace(solver, eps=args.eps)
-    if args.max_iter is not None:
+    if getattr(args, "max_iter", None) is not None:
         solver = dataclasses.replace(solver, max_iter=args.max_iter)
     updates = {"solver": solver}
     if args.seed is not None:
@@ -82,7 +76,16 @@ def _out_dir(args, config: ExperimentConfig | None):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "fixture" and args.name == "remark_2_5":
+        # the exact counterexamples have no config, solver or trace
+        given = [flag for flag, value in (("--seed", args.seed), ("--eps", args.eps),
+                                          ("--max-iter", args.max_iter),
+                                          ("--format", args.format))
+                 if value is not None]
+        if given:
+            parser.error(f"fixture remark_2_5 takes no {', '.join(given)}")
     try:
         if args.command == "fixture":
             if args.name == "remark_2_5":
@@ -97,7 +100,7 @@ def main(argv=None) -> int:
                 if isinstance(report, RemarkReport):
                     write_atomic(out / "report.json", dump_json(report.to_json_dict()))
                 else:
-                    write_report(report, out, fmt=args.format)
+                    write_report(report, out, fmt=args.format or "json")
                 print(f"wrote outputs to {out}")
             return 0 if report.passed else 1
 
@@ -108,7 +111,7 @@ def main(argv=None) -> int:
             _print_report(f"run {args.config}", report)
             out = _out_dir(args, config)
             if out is not None:
-                write_report(report, out, fmt=args.format)
+                write_report(report, out, fmt=args.format or "json")
                 print(f"wrote outputs to {out}")
             return 0 if report.passed else 1
 

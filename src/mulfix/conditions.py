@@ -10,12 +10,14 @@ log distance, the pairwise conditions are
                       strict inequality
     PHI  L(Tu, Tv) <= (L(u, Tu) + L(v, Tv)) / 2 - log_phi(...)
 
-Each check returns ``(satisfied, slack)`` where slack is the log-domain
-margin right-hand-side minus left-hand-side; margins within the comparison
+``classify`` evaluates every condition on every distinct pair of a sample
+at once, from one table of the sample's log distances (``_PairTable``); a
+single pair is checked as a two-point sample.  Each record carries whether
+the pair satisfies the condition and its slack, the log-domain margin
+right-hand-side minus left-hand-side; margins within the comparison
 tolerance of zero are reported as zero so that satisfied records never
 carry a negative slack.
 """
-
 from __future__ import annotations
 
 import itertools
@@ -149,91 +151,6 @@ class PhiSpec(JsonConfig):
         return self.alpha * ls + self.beta * lt
 
 
-def _clip_slack(slack: float, tol: float) -> tuple[bool, float]:
-    satisfied = slack >= -tol
-    if satisfied and slack < 0:
-        slack = 0.0
-    return satisfied, slack
-
-
-def _require_distinct(x: Point, y: Point) -> None:
-    if x == y:
-        raise DegeneratePairError(f"pair must be distinct, got {x} twice")
-
-
-def check_c1(metric, T, x, y, xi: float, tol: float = DEFAULT_LOG_TOL):
-    """Banach-type test L(Tx, Ty) <= xi * L(x, y) for a distinct pair."""
-    px, py = as_point(x), as_point(y)
-    _require_distinct(px, py)
-    if not (0 <= xi < 1):
-        raise DomainError(f"xi must be in [0, 1), got {xi}")
-    tx, ty = as_point(T(px)), as_point(T(py))
-    lhs = metric.log_distance(tx, ty)
-    rhs = xi * metric.log_distance(px, py)
-    return _clip_slack(rhs - lhs, tol)
-
-
-def check_c2(metric, T, x, y, eta: float, tol: float = DEFAULT_LOG_TOL):
-    """Kannan-type test L(Tx, Ty) <= eta * (L(x, Tx) + L(y, Ty))."""
-    px, py = as_point(x), as_point(y)
-    _require_distinct(px, py)
-    if not (0 <= eta < 0.5):
-        raise DomainError(f"eta must be in [0, 1/2), got {eta}")
-    tx, ty = as_point(T(px)), as_point(T(py))
-    lhs = metric.log_distance(tx, ty)
-    rhs = eta * (metric.log_distance(px, tx) + metric.log_distance(py, ty))
-    return _clip_slack(rhs - lhs, tol)
-
-
-def check_c3(metric, T, x, y, lam: float, tol: float = DEFAULT_LOG_TOL):
-    """Chatterjea-type test L(Tx, Ty) <= lam * (L(x, Ty) + L(y, Tx))."""
-    px, py = as_point(x), as_point(y)
-    _require_distinct(px, py)
-    if not (0 <= lam < 0.5):
-        raise DomainError(f"lambda must be in [0, 1/2), got {lam}")
-    tx, ty = as_point(T(px)), as_point(T(py))
-    lhs = metric.log_distance(tx, ty)
-    rhs = lam * (metric.log_distance(px, ty) + metric.log_distance(py, tx))
-    return _clip_slack(rhs - lhs, tol)
-
-
-def check_strict(metric, T, x, y, which: str, strict_margin: float = 0.0):
-    """Strict variants SI, SII, SIII with fixed exponents 1, 1/2, 1/2.
-
-    Strictness is certified as slack > strict_margin; the default margin 0
-    means a plain strict inequality in float arithmetic.
-    """
-    px, py = as_point(x), as_point(y)
-    _require_distinct(px, py)
-    tx, ty = as_point(T(px)), as_point(T(py))
-    lhs = metric.log_distance(tx, ty)
-    if which == "SI":
-        rhs = metric.log_distance(px, py)
-    elif which == "SII":
-        rhs = 0.5 * (metric.log_distance(px, tx) + metric.log_distance(py, ty))
-    elif which == "SIII":
-        rhs = 0.5 * (metric.log_distance(px, ty) + metric.log_distance(py, tx))
-    else:
-        raise DomainError(f"unknown strict condition {which!r}")
-    slack = rhs - lhs
-    return slack > strict_margin, slack
-
-
-def check_phi(metric, T, phi: PhiSpec, u, v, tol: float = DEFAULT_LOG_TOL):
-    """Weak-contraction test against a comparison function phi.
-
-    Unlike the pairwise conditions this one is stated for every pair,
-    including u = v: L(Tu, Tv) <= (L(u, Tu) + L(v, Tv)) / 2 - log phi.
-    """
-    pu, pv = as_point(u), as_point(v)
-    tu, tv = as_point(T(pu)), as_point(T(pv))
-    lhs = metric.log_distance(tu, tv)
-    ls = metric.log_distance(pu, tu)
-    lt = metric.log_distance(pv, tv)
-    rhs = 0.5 * (ls + lt) - phi.log_phi(ls, lt)
-    return _clip_slack(rhs - lhs, tol)
-
-
 @dataclass(frozen=True)
 class ConstantEstimates:
     """Tightest per-condition ratios observed over a sample.
@@ -302,7 +219,8 @@ class _PairTable:
     ``Dxx[i, j] = L(x_i, x_j)``, ``Dtt[i, j] = L(Tx_i, Tx_j)`` and
     ``Dxt[i, j] = L(x_i, Tx_j)`` give the six values every condition reads.
     Entries are NaN unless both points and their images are valid (see
-    ``first_error``); ``usable`` marks the distinct valid pairs i < j.  A
+    ``first_error``); ``equal`` marks the pairs of equal points and
+    ``usable`` the distinct valid pairs i < j.  A
     caller that checked every point and computed their full ``Dxx`` (as
     ``verify_axioms`` does) passes it in, and then Dxx has no NaN entry.
     ``images`` holds each point's image, None where the map failed.
@@ -333,9 +251,9 @@ class _PairTable:
             self.Dxx = Dxx
         self.Dtt[block] = metric._log_distance_matrix(TX, TX)
         self.Dxt[block] = metric._log_distance_matrix(X, TX)
-        A = np.array(X).reshape(len(X), dim)
+        self.equal = equal_points(points)
         self.usable = np.zeros((n, n), dtype=bool)
-        self.usable[block] = np.triu(~(A[:, None, :] == A[None, :, :]).all(axis=2), 1)
+        self.usable[block] = np.triu(~self.equal[block], 1)
         self.step = np.diag(self.Dxt)  # L(x, Tx) of each point
         with np.errstate(all="ignore"):
             self.own = self.step[:, None] + self.step[None, :]  # L(x, Tx) + L(y, Ty)
@@ -348,8 +266,8 @@ class _PairTable:
             return (0.5 * self.own - log_phi) - self.Dtt
 
     def first_error(self, i: int, j: int) -> Exception | None:
-        """What the scalar checks raise first on pair (i, j): the map at x,
-        then at y, then the metric's domain at Tx, Ty, x and y."""
+        """What evaluating pair (i, j) raises first: the map at x, then at
+        y, then the metric's domain at Tx, Ty, x and y."""
         (map_i, t_i, x_i), (map_j, t_j, x_j) = self.errors[i], self.errors[j]
         return next((e for e in (map_i, map_j, t_i, t_j, x_i, x_j) if e), None)
 
@@ -613,7 +531,7 @@ def _classify(table: _PairTable, constants: Optional[ZamfirescuConstants],
                 slack = np.where(ok & (slack < 0), 0.0, slack)
             results[cid] = (ok[upper], slack[upper])
 
-    distinct = ~equal_points(points)[upper]
+    distinct = ~table.equal[upper]
     evaluated = table.usable[upper]
     if phi is not None:  # log phi rejects L(x, Tx) < 0
         phi_bad = table.step < 0

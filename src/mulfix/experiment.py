@@ -234,10 +234,15 @@ def _eval_expectation(spec: dict, report: "ExperimentReport",
     elif kind == "fixed_point":
         target = as_point(spec["point"])
         tol = spec.get("tol", 1e-8)
+        dims = sorted({len(r.point) for r in converged} - {len(target)})
         errs = [max(abs(a - b) for a, b in zip(r.point, target)) for r in converged]
-        ok = bool(errs) and len(converged) == len(runs) and max(errs) <= tol
-        detail = (f"max coordinate error {max(errs):.3e} (tol {tol:g})"
-                  if errs else "no converged run")
+        ok = not dims and bool(errs) and len(converged) == len(runs) and max(errs) <= tol
+        if dims:
+            detail = (f"point has dimension {len(target)}, converged runs dimension "
+                      f"{', '.join(map(str, dims))}")
+        else:
+            detail = (f"max coordinate error {max(errs):.3e} (tol {tol:g})"
+                      if errs else "no converged run")
     elif kind == "residual":
         limit = spec["max_logd"]
         worst = max((r.residual_logd for r in converged), default=math.inf)
@@ -257,9 +262,10 @@ def _eval_expectation(spec: dict, report: "ExperimentReport",
         detail = ", ".join(checked) or "nothing to check"
     elif kind == "conditions_hold":
         conds = list(spec["conditions"])
-        bad = {c: len(cls_report.violations(c)) for c in conds}
         ok = all(cls_report.condition_ok(c) for c in conds)
-        detail = ", ".join(f"{c}: {n} violating pairs" for c, n in bad.items())
+        detail = ", ".join(
+            f"{c}: no phi declared" if c == "PHI" and report.config.phi is None
+            else f"{c}: {len(cls_report.violations(c))} violating pairs" for c in conds)
         detail += "" if ok else _unevaluated(cls_report)
     elif kind == "verdict":
         verdict = cls_report.verdicts[spec["theorem"]]
@@ -275,7 +281,8 @@ def _eval_expectation(spec: dict, report: "ExperimentReport",
             n_diag_bad = int(np.count_nonzero(~(diagonal >= -DEFAULT_LOG_TOL)))
             ok = n_diag_bad == 0
         detail = (f"{len(cls_report.violations('PHI'))} violating pairs, "
-                  f"{n_diag_bad} violating diagonal points")
+                  f"{n_diag_bad} violating diagonal points"
+                  if report.config.phi is not None else "no phi declared")
         detail += "" if ok else _unevaluated(cls_report)
     elif kind == "apriori_bound":
         n_viol = sum(observed > bound + spec.get("tol", b.tol)

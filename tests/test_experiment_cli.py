@@ -16,6 +16,7 @@ from mulfix.errors import ConfigError
 from mulfix.experiment import dump_json, write_report
 from mulfix.conditions import PSI_KINDS
 from mulfix.metrics import DEFAULT_LOG_TOL
+from scalar_reference import check_phi
 
 EPS = math.exp(1e-9)
 
@@ -287,6 +288,30 @@ def test_cli_classify_subcommand(tmp_path, capsys):
     assert data["verdicts"]["overall"] == "none"
 
 
+@pytest.mark.parametrize("flag, value", [("--eps", "5"), ("--max-iter", "3"),
+                                         ("--format", "csv")])
+def test_cli_classify_rejects_the_flags_it_never_reads(tmp_path, capsys, flag, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(identity_config()))
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--config", str(path), flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--seed", "3"], "--seed"),
+    (["--seed", "3", "--eps", "5", "--max-iter", "1"], "--seed, --eps, --max-iter"),
+    (["--format", "csv"], "--format"),
+])
+def test_cli_remark_fixture_rejects_overrides(tmp_path, capsys, flags, named):
+    with pytest.raises(SystemExit) as exc:
+        main(["fixture", "remark_2_5", "--out", str(tmp_path), *flags])
+    assert exc.value.code == 2
+    assert f"fixture remark_2_5 takes no {named}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text("{}")
@@ -397,6 +422,28 @@ def test_apriori_bound_expectation_honours_its_tolerance():
     assert judged(1e3).detail == "3 traces checked, 0 violations"
 
 
+@pytest.mark.parametrize("point, dim", [([0.0], "1"), ([0.0, 0.0, 5.0], "3")])
+def test_fixed_point_of_another_dimension_fails(point, dim):
+    # zip would compare only the shared coordinates, which lie within tol
+    config = dataclasses.replace(
+        mx.fixture_config("example_3_15"),
+        expectations=({"kind": "fixed_point", "point": point},))
+    (result,) = mx.run_experiment(config).expectations
+    assert not result.passed
+    assert result.detail == f"point has dimension {dim}, converged runs dimension 2"
+
+
+def test_phi_expectations_without_phi_say_so():
+    config = dataclasses.replace(
+        _phi_config(None, mx.SelfMapSpec.scale(0.5)),
+        expectations=("phi_holds", {"kind": "conditions_hold",
+                                    "conditions": ["C1", "PHI"]}))
+    phi_holds, conditions_hold = mx.run_experiment(config).expectations
+    assert not phi_holds.passed and not conditions_hold.passed
+    assert phi_holds.detail == "no phi declared"
+    assert conditions_hold.detail == "C1: 0 violating pairs, PHI: no phi declared"
+
+
 def test_an_overflowing_map_gives_exit_2_not_a_traceback(tmp_path, capsys):
     # 1e200 ** 2 raises OverflowError: the map leaves the domain at those points
     data = {"metric": {"kind": "exp_abs", "a": 2.0}, "map": {"kind": "power", "p": 2.0},
@@ -431,8 +478,8 @@ def phi_holds_by_loop(report):
     n_diag_bad = 0
     if ok and report.config.phi is not None:
         for p in report.sample:
-            good, _ = mx.check_phi(report.config.metric, report.config.map,
-                                   report.config.phi, p, p)
+            good, _ = check_phi(report.config.metric, report.config.map,
+                                report.config.phi, p, p)
             if not good:
                 n_diag_bad += 1
         ok = n_diag_bad == 0

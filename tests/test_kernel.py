@@ -2,7 +2,8 @@
 
 ``log_distance_matrix`` must equal scalar ``log_distance`` bit for bit, and
 ``classify`` / ``estimate_constants`` (built on three log-distance matrices)
-must give exactly what a loop over the scalar ``check_*`` functions gives.
+must give exactly what a loop over the scalar ``check_*`` functions of
+``scalar_reference`` gives.
 The orbit scans (limit points, Cauchy windows, bound rows, periodic points)
 must give exactly what their former scalar loops gave.  The private kernel
 that internal scans read must equal the public one on checked points,
@@ -25,6 +26,7 @@ import mulfix as mx
 from mulfix import conditions, maps, metrics, sequences, solver
 from mulfix.errors import (DomainError, DomainEscapeError, MonotoneResidualError,
                            MulfixError)
+from scalar_reference import check_c1, check_c2, check_c3, check_phi, check_strict
 
 METRICS = [
     mx.MetricSpec.star_product(),
@@ -142,14 +144,14 @@ def reference_classify(metric, T, points, constants, phi, tol, strict_margin):
         n_pairs += 1
         try:
             res = {}
-            for cid, const, check in (("C1", xi, mx.check_c1), ("C2", eta, mx.check_c2),
-                                      ("C3", lam, mx.check_c3)):
+            for cid, const, check in (("C1", xi, check_c1), ("C2", eta, check_c2),
+                                      ("C3", lam, check_c3)):
                 res[cid] = (False, None) if const is None else check(
                     metric, T, x, y, const, tol)
             for cid in ("SI", "SII", "SIII"):
-                res[cid] = mx.check_strict(metric, T, x, y, cid, strict_margin)
+                res[cid] = check_strict(metric, T, x, y, cid, strict_margin)
             if phi is not None:
-                res["PHI"] = mx.check_phi(metric, T, phi, x, y, tol)
+                res["PHI"] = check_phi(metric, T, phi, x, y, tol)
         except (MulfixError, ZeroDivisionError, OverflowError) as exc:
             had_error = True
             records.append((i, j, "*", None, None, str(exc)))
@@ -363,8 +365,6 @@ def test_no_per_pair_log_distance_check_or_map_call(monkeypatch):
         raise AssertionError("per-pair scalar call")
 
     monkeypatch.setattr(mx.MetricSpec, "log_distance", forbidden)
-    for name in ("check_c1", "check_c2", "check_c3", "check_strict", "check_phi"):
-        monkeypatch.setattr(conditions, name, forbidden)
     sample = mx.sample_box(mx.Box(((-6.0, 6.0), (-6.0, 6.0))), 40, seed=2016)
     T, calls = counting(mx.SelfMapSpec.scale(2.0 / 3.0))
     report = mx.classify(mx.MetricSpec.lifted("euclidean", a=2.0), T, sample,
