@@ -221,12 +221,14 @@ class _PairTable:
     Entries are NaN unless both points and their images are valid (see
     ``first_error``); ``equal`` marks the pairs of equal points and
     ``usable`` the distinct valid pairs i < j.  A
-    caller that checked every point and computed their full ``Dxx`` (as
-    ``verify_axioms`` does) passes it in, and then Dxx has no NaN entry.
+    caller that checked every point and computed their full ``Dxx`` and
+    ``equal_points`` matrix (as ``verify_axioms`` does) passes them in, and
+    then Dxx has no NaN entry.
     ``images`` holds each point's image, None where the map failed.
     """
 
-    def __init__(self, metric, T, sample: Sequence, Dxx: np.ndarray | None = None):
+    def __init__(self, metric, T, sample: Sequence, Dxx: np.ndarray | None = None,
+                 equal: np.ndarray | None = None):
         self.points = points = [as_point(p) for p in sample]
         dim = len(points[0]) if points else 0
         self.images, self.errors = [], []  # errors: what fails at T(x), at Tx, at x
@@ -251,7 +253,7 @@ class _PairTable:
             self.Dxx = Dxx
         self.Dtt[block] = metric._log_distance_matrix(TX, TX)
         self.Dxt[block] = metric._log_distance_matrix(X, TX)
-        self.equal = equal_points(points)
+        self.equal = equal_points(points) if equal is None else equal
         self.usable = np.zeros((n, n), dtype=bool)
         self.usable[block] = np.triu(~self.equal[block], 1)
         self.step = np.diag(self.Dxt)  # L(x, Tx) of each point

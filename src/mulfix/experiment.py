@@ -41,6 +41,7 @@ from .metrics import (
     _verify_axioms,
     _verify_reverse_triangle,
     as_point,
+    equal_points,
 )
 from .sequences import Status
 from .solver import (
@@ -313,9 +314,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     )
     points = config.metric._checked(sample)  # as log_distance_matrix checks them
     D = config.metric._log_distance_matrix(points, points)
-    axioms = _verify_axioms(points, D)
+    equal = equal_points(points)
+    axioms = _verify_axioms(equal, D)
     reverse = _verify_reverse_triangle(D)
-    table = _PairTable(config.metric, config.map, points, D)
+    table = _PairTable(config.metric, config.map, points, D, equal)
     # a failed image (None) means the map leaves the domain
     invariant = all(image is not None and config.domain.contains(image)
                     for image in table.images)

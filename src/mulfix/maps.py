@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property, partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -29,6 +30,68 @@ MAP_PARAMS = {
     "negation": (),
     "affine": ("matrix", "offset"),
 }
+
+
+# -- scalar kernels: the image of a point tuple that passed ``as_point`` -------
+# Each takes its kind's parameters first, in MAP_PARAMS order;
+# ``SelfMapSpec._call`` binds them.
+
+
+def _scale(c, x: Point) -> Point:
+    return tuple([c * v for v in x])
+
+
+def _rational(b, x: Point) -> Point:
+    out = []
+    for c in x:
+        den = b + c
+        if den == 0:
+            raise DomainError(f"rational map pole at coordinate {c}")
+        out.append(1.0 / den)
+    return tuple(out)
+
+
+def _power(p, x: Point) -> Point:
+    out = []
+    for c in x:
+        if c < 0 and p != int(p):
+            raise DomainError(f"fractional power of negative {c}")
+        if c == 0 and p < 0:
+            raise DomainError("negative power of zero")
+        out.append(c ** p)
+    return tuple(out)
+
+
+def _reciprocal_sqrt(x: Point) -> Point:
+    if any(c <= 0 for c in x):
+        raise DomainError(f"reciprocal_sqrt needs positive coordinates, got {x}")
+    return tuple(1.0 / math.sqrt(c) for c in x)
+
+
+def _constant(value: Point, x: Point) -> Point:
+    return value
+
+
+def _identity(x: Point) -> Point:
+    return x
+
+
+def _negation(x: Point) -> Point:
+    return tuple([-c for c in x])
+
+
+def _affine(m: np.ndarray, offset: np.ndarray, x: Point) -> Point:
+    """A @ x + offset, for the coefficient table and offset as float arrays."""
+    if m.shape[1] != len(x):
+        raise DomainError(f"affine matrix expects dimension {m.shape[1]}")
+    with np.errstate(over="ignore", invalid="ignore"):  # as_point rejects inf, NaN
+        y = m @ np.asarray(x, dtype=float) + offset
+    return as_point(y)
+
+
+_KERNELS = {"scale": _scale, "rational": _rational, "power": _power,
+            "reciprocal_sqrt": _reciprocal_sqrt, "constant": _constant,
+            "identity": _identity, "negation": _negation, "affine": _affine}
 
 
 @dataclass(frozen=True)
@@ -141,44 +204,14 @@ class SelfMapSpec(JsonConfig):
     def __call__(self, point) -> Point:
         return self._call(as_point(point))
 
-    def _call(self, x: Point) -> Point:
-        """The image of a point tuple that passed ``as_point``."""
-        if self.kind == "scale":
-            return tuple(self.c * c for c in x)
-        if self.kind == "rational":
-            out = []
-            for c in x:
-                den = self.b + c
-                if den == 0:
-                    raise DomainError(f"rational map pole at coordinate {c}")
-                out.append(1.0 / den)
-            return tuple(out)
-        if self.kind == "power":
-            out = []
-            for c in x:
-                if c < 0 and self.p != int(self.p):
-                    raise DomainError(f"fractional power of negative {c}")
-                if c == 0 and self.p < 0:
-                    raise DomainError("negative power of zero")
-                out.append(c ** self.p)
-            return tuple(out)
-        if self.kind == "reciprocal_sqrt":
-            if any(c <= 0 for c in x):
-                raise DomainError(f"reciprocal_sqrt needs positive coordinates, got {x}")
-            return tuple(1.0 / math.sqrt(c) for c in x)
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "identity":
-            return x
-        if self.kind == "negation":
-            return tuple(-c for c in x)
-        # affine coefficient table: A @ x + offset
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape[1] != len(x):
-            raise DomainError(f"affine matrix expects dimension {m.shape[1]}")
-        with np.errstate(over="ignore", invalid="ignore"):  # as_point rejects inf, NaN
-            y = m @ np.asarray(x, dtype=float) + np.asarray(self.offset, dtype=float)
-        return as_point(y)
+    @cached_property
+    def _call(self) -> Callable[[Point], Point]:
+        """The image of a point tuple that passed ``as_point``: this kind's
+        kernel, with its parameters bound once (an affine map's as arrays)."""
+        params = [getattr(self, name) for name in MAP_PARAMS[self.kind]]
+        if self.kind == "affine":
+            params = [np.asarray(v, dtype=float) for v in params]
+        return partial(_KERNELS[self.kind], *params) if params else _KERNELS[self.kind]
 
 
 def grid_points(box: Box, n: int) -> list[Point]:

@@ -14,6 +14,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
+from operator import sub
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -66,14 +68,53 @@ def _array(points: Sequence) -> np.ndarray:
     return np.fromiter(itertools.chain.from_iterable(points), float, n * d).reshape(n, d)
 
 
-def _norm(base: str, x: Point, y: Point) -> float:
-    if base == "euclidean":
-        return math.dist(x, y)
-    if base == "manhattan":
-        return sum(abs(a - b) for a, b in zip(x, y))
-    if base == "chebyshev":
-        return max(abs(a - b) for a, b in zip(x, y))
-    raise DomainError(f"unknown base metric {base!r}")
+# -- scalar kernels: the log distance of two checked point tuples ------------
+# Each takes its metric's log(a) first; ``MetricSpec._log_distance`` binds it.
+
+
+def _star_product(px: Point, py: Point) -> float:
+    return sum(map(abs, map(sub, map(math.log, px), map(math.log, py))))
+
+
+def _euclidean(log_a: float, px: Point, py: Point) -> float:
+    return log_a * math.dist(px, py)
+
+
+def _manhattan(log_a: float, px: Point, py: Point) -> float:
+    return log_a * sum(map(abs, map(sub, px, py)))
+
+
+def _chebyshev(log_a: float, px: Point, py: Point) -> float:
+    return log_a * max(map(abs, map(sub, px, py)))
+
+
+def _exp_reciprocal(log_a: float, px: Point, py: Point) -> float:
+    return log_a * sum(abs(1.0 / a - 1.0 / b) for a, b in zip(px, py))
+
+
+def _discrete(log_a: float, px: Point, py: Point) -> float:
+    # exact coordinate equality, codomain {0, log a}
+    return 0.0 if px == py else log_a
+
+
+# keyed by kind, and by base for the lifted kind
+_KERNELS = {"euclidean": _euclidean, "manhattan": _manhattan, "chebyshev": _chebyshev,
+            "exp_abs": _manhattan, "exp_reciprocal": _exp_reciprocal,
+            "discrete": _discrete}
+
+
+def _positive(p: Point) -> None:
+    if any(c <= 0 for c in p):
+        raise DomainError(f"star_product needs positive coordinates, got {p}")
+
+
+def _nonzero(p: Point) -> None:
+    if any(c == 0 for c in p):
+        raise DomainError(f"exp_reciprocal needs nonzero coordinates, got {p}")
+
+
+# the space check of each kind whose space is not all of R^d
+_SPACES = {"star_product": _positive, "exp_reciprocal": _nonzero}
 
 
 @dataclass(frozen=True)
@@ -146,12 +187,17 @@ class MetricSpec(JsonConfig):
 
     # -- evaluation --------------------------------------------------------
 
+    @property
+    def _space(self) -> Callable[[Point], None] | None:
+        """This kind's space check of a point tuple; None where its space is
+        all of R^d."""
+        return _SPACES.get(self.kind)
+
     def check_domain(self, p: Point) -> None:
         """Raise DomainError when a point is outside this metric's space."""
-        if self.kind == "star_product" and any(c <= 0 for c in p):
-            raise DomainError(f"star_product needs positive coordinates, got {p}")
-        if self.kind == "exp_reciprocal" and any(c == 0 for c in p):
-            raise DomainError(f"exp_reciprocal needs nonzero coordinates, got {p}")
+        space = self._space
+        if space is not None:
+            space(p)
 
     def _check_pair(self, px: Point, py: Point) -> None:
         """Raise DomainError unless two point tuples share a dimension and
@@ -159,12 +205,6 @@ class MetricSpec(JsonConfig):
         if len(px) != len(py):
             raise DomainError(f"dimension mismatch: {len(px)} vs {len(py)}")
         self.check_domain(px)
-        self.check_domain(py)
-
-    def _check_next(self, px: Point, py: Point) -> None:
-        """``_check_pair`` where px already passed it as the py of a pair."""
-        if len(px) != len(py):
-            raise DomainError(f"dimension mismatch: {len(px)} vs {len(py)}")
         self.check_domain(py)
 
     def _checked(self, points: Sequence) -> list[Point]:
@@ -184,18 +224,14 @@ class MetricSpec(JsonConfig):
         self._check_pair(px, py)
         return self._log_distance(px, py)
 
-    def _log_distance(self, px: Point, py: Point) -> float:
-        """``log_distance`` of two point tuples that passed ``_check_pair``."""
+    @cached_property
+    def _log_distance(self) -> Callable[[Point, Point], float]:
+        """``log_distance`` of two point tuples that passed ``_check_pair``:
+        this kind's scalar kernel, with log(a) bound once."""
         if self.kind == "star_product":
-            return sum(abs(math.log(a) - math.log(b)) for a, b in zip(px, py))
-        if self.kind == "lifted":
-            return math.log(self.a) * _norm(self.base, px, py)
-        if self.kind == "exp_abs":
-            return math.log(self.a) * sum(abs(a - b) for a, b in zip(px, py))
-        if self.kind == "exp_reciprocal":
-            return math.log(self.a) * sum(abs(1.0 / a - 1.0 / b) for a, b in zip(px, py))
-        # discrete: exact coordinate equality, codomain {0, log a}
-        return 0.0 if px == py else math.log(self.a)
+            return _star_product
+        return partial(_KERNELS[self.base if self.kind == "lifted" else self.kind],
+                       math.log(self.a))
 
     def log_distance_matrix(self, X, Y) -> np.ndarray:
         """``log_distance(x, y)`` for every x in X (rows) and y in Y (columns).
@@ -252,12 +288,7 @@ class FunctionMetric:
     name: str = "custom"
 
     def check_domain(self, p: Point) -> None:  # pragma: no cover - no-op
-        pass
-
-    def _check_pair(self, px: Point, py: Point) -> None:
         pass  # fn takes any two tuples
-
-    _check_next = _check_pair
 
     def _checked(self, points: Sequence) -> list:
         return list(points)  # log_distance checks each point fn receives
@@ -340,14 +371,15 @@ def verify_axioms(metric, sample: Iterable, tol: float = DEFAULT_LOG_TOL) -> Axi
     if tol < 0:
         raise DomainError("tol must be >= 0")
     points = [as_point(p) for p in sample]
-    return _verify_axioms(points, metric.log_distance_matrix(points, points), tol)
+    return _verify_axioms(equal_points(points), metric.log_distance_matrix(points, points),
+                          tol)
 
 
-def _verify_axioms(points: list[Point], D: np.ndarray,
+def _verify_axioms(equal: np.ndarray, D: np.ndarray,
                    tol: float = DEFAULT_LOG_TOL) -> AxiomReport:
-    """``verify_axioms`` of point tuples with their log-distance matrix D."""
-    n = len(points)
-    equal = equal_points(points)
+    """``verify_axioms`` of point tuples, given as their ``equal_points``
+    matrix and their log-distance matrix D."""
+    n = len(D)
     with np.errstate(invalid="ignore"):  # NaN compares False; inf - inf is NaN
         nonneg = D < -tol
         identity = np.where(equal, np.abs(D) > tol, D <= tol)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -98,56 +98,85 @@ class FixedPointResult:
         }
 
 
-def _apply(T, x: Point) -> Point:
-    """One guarded map application to a point tuple; numeric blow-ups
-    surface as DomainError.  A SelfMapSpec skips re-checking x."""
-    try:
-        return as_point(T._call(x) if type(T) is SelfMapSpec else T(x))
-    except DomainError:
-        raise
-    except (ArithmeticError, ValueError) as exc:
-        raise DomainError(str(exc)) from exc
+def _image(T) -> Callable[[Point], Point]:
+    """T bound once as a function of a checked point tuple: its image as a
+    checked tuple, where a failure of T surfaces as DomainError.  A
+    SelfMapSpec's bound kernel takes the tuple as it is and returns a tuple
+    of floats, so only its finiteness is checked; ``as_point`` runs on it
+    only to raise the error of a non-finite coordinate, and on the output of
+    any other map."""
+    kernel = type(T) is SelfMapSpec
+    call = T._call if kernel else T
+
+    def image(x: Point) -> Point:
+        try:
+            y = call(x)
+            return y if kernel and all(map(math.isfinite, y)) else as_point(y)
+        except DomainError:
+            raise
+        except (ArithmeticError, ValueError) as exc:
+            raise DomainError(str(exc)) from exc
+
+    return image
 
 
-def _residual(metric, T, p: Point) -> float:
-    """log d(p, Tp); inf when T or the metric fails at p."""
-    try:
-        return metric.log_distance(p, _apply(T, p))
-    except DomainError:
-        return math.inf
+def _stepper(metric, T, domain: Optional[Box] = None,
+             config: Optional[SolverConfig] = None) -> Callable:
+    """The Picard step of one run, with all it reads bound once.
 
-
-def _advance(metric, T, x: Point, n: int, domain: Optional[Box], config: SolverConfig,
-             steps: list[float]) -> tuple[Point, float]:
-    """Iterate n, T(x), and its step log d(x, T(x)), after the step's own checks.
-
-    Raises DomainError when T fails at x, DomainEscapeError when the iterate
-    leaves the declared domain or the metric's space, and
-    MonotoneResidualError when a step above log(eps) grows.
+    ``step(x, n, prev)`` returns iterate n, T(x), and its step
+    log d(x, T(x)), where prev is the step before it, None at a run's first
+    step, whose start x is checked too.  It raises DomainError when T fails
+    at x, DomainEscapeError when T(x) leaves the declared domain or the
+    metric's space, and with ``config.check_monotone_residual``
+    MonotoneResidualError when a step above log(eps) grows.  A MetricSpec
+    checks the dimension and its space on the tuples before its bound
+    kernel; a FunctionMetric's distance function takes any two tuples, and
+    checks the points it receives.
     """
-    y = _apply(T, x)
-    if domain is not None and not domain.contains(y):
-        raise DomainEscapeError(
-            f"iterate {n} left the declared domain: {y}", point=y, iteration=n,
-        )
-    # _apply made y a finite tuple; check its dimension and the metric's
-    # space here (and the start's, at a run's first step) before the kernel
+    image, distance = _image(T), metric._log_distance
+    checked = isinstance(metric, MetricSpec)
+    space = metric._space if checked else None
+    bounds = None if domain is None else domain.bounds
+    monotone = config is not None and config.check_monotone_residual
+    log_eps = config.log_eps if monotone else math.inf
+
+    def step(x: Point, n: int, prev: Optional[float]) -> tuple[Point, float]:
+        y = image(x)
+        if bounds is not None and (len(y) != len(bounds) or not all(
+                lo <= c <= hi for c, (lo, hi) in zip(y, bounds))):
+            raise DomainEscapeError(
+                f"iterate {n} left the declared domain: {y}", point=y, iteration=n,
+            )
+        try:
+            if checked:
+                if len(x) != len(y):
+                    raise DomainError(f"dimension mismatch: {len(x)} vs {len(y)}")
+                if space is not None:
+                    if prev is None:
+                        space(x)
+                    space(y)
+            d = distance(x, y)
+        except DomainError as exc:
+            raise DomainEscapeError(
+                f"iterate {n} left the metric's domain: {y} ({exc})", point=y, iteration=n,
+            ) from exc
+        if monotone and prev is not None and prev > log_eps and d >= prev:
+            raise MonotoneResidualError(
+                f"step log-distance grew from {prev} to {d} at iterate {n}"
+            )
+        return y, d
+
+    return step
+
+
+def _residual(settle: Callable, p: Point) -> float:
+    """log d(p, Tp) by a step of ``_stepper(metric, T)``, which checks no
+    declared domain; inf when T or the metric fails at p."""
     try:
-        if steps:  # x passed these checks as the previous step's y
-            metric._check_next(x, y)
-        else:
-            metric._check_pair(x, y)
-        step = metric._log_distance(x, y)
-    except DomainError as exc:
-        raise DomainEscapeError(
-            f"iterate {n} left the metric's domain: {y} ({exc})", point=y, iteration=n,
-        ) from exc
-    if config.check_monotone_residual and steps and steps[-1] > config.log_eps \
-            and step >= steps[-1]:
-        raise MonotoneResidualError(
-            f"step log-distance grew from {steps[-1]} to {step} at iterate {n}"
-        )
-    return y, step
+        return settle(p, 0, None)[1]
+    except (DomainError, DomainEscapeError):
+        return math.inf
 
 
 class _Cycle(Exception):
@@ -236,8 +265,11 @@ class _LookBack:
 def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
     """One Picard run from x0: its trace and the residual at its last point.
 
-    Each step's own checks run at once (see ``_advance``).  The cycle
-    look-back of the steps above log(eps) is deferred to ``_LookBack``,
+    Every step is one call of the run's step function (see ``_stepper``),
+    built once per run, which runs the step's own checks at once; each
+    residual is a step of a second one, built without the domain and the
+    monotone check.  The cycle look-back of the steps above log(eps) is
+    deferred to ``_LookBack``,
     which scans it over blocks of pending steps, in order, and also before
     the run stops or goes on for any other reason: a step below log(eps),
     a divergent step, a failure of T or of a check, and max_iter.  A cycle
@@ -245,18 +277,20 @@ def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
     would.  T is assumed pure: a run that ends in a detected cycle may have
     evaluated it on up to 63 iterates past that point, which are discarded.
     """
-    log_eps = config.log_eps
+    step, settle = _stepper(metric, T, domain, config), _stepper(metric, T)
+    log_eps, divergence = config.log_eps, config.divergence_logd
     x = x0
     points: list[Point] = [x]
     steps: list[float] = []
+    prev: Optional[float] = None
     status = Status.MAX_ITER
     look = _LookBack(metric, config, points, steps)
 
     try:
-        for n in range(config.max_iter):
+        for n in range(1, config.max_iter + 1):
             # a cycle among the pending steps ends the run before this step
             try:
-                y, step = _advance(metric, T, x, n + 1, domain, config, steps)
+                y, prev = step(x, n, prev)
             except DomainError:
                 look.flush()
                 status = Status.DIVERGED
@@ -264,17 +298,17 @@ def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
             except Exception:
                 look.flush()
                 raise
-            if step > config.divergence_logd:
+            if prev > divergence:
                 look.flush()
                 points.append(y)
-                steps.append(step)
+                steps.append(prev)
                 status = Status.DIVERGED
                 break
             points.append(y)
-            steps.append(step)
-            if step < log_eps:
+            steps.append(prev)
+            if prev < log_eps:
                 if look.settled():
-                    residual = _residual(metric, T, y)
+                    residual = _residual(settle, y)
                     if residual <= log_eps:
                         status = Status.CONVERGED
                         break
@@ -288,17 +322,21 @@ def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
         status = Status.CYCLE_DETECTED
 
     if status is not Status.CONVERGED:
-        residual = _residual(metric, T, points[-1])
+        residual = _residual(settle, points[-1])
     trace = IterationTrace(metric=metric, points=tuple(points),
                            step_logd=tuple(steps), status=status)
     return trace, residual
 
 
 def _observed_continuity(metric, T, trace: IterationTrace, z: Point, eps: float):
-    """Largest log-Lipschitz ratio of T observed near z along the trace."""
+    """Largest log-Lipschitz ratio of T observed near z along the trace.
+
+    T is applied as a Picard step applies it (see ``_image``); the ratio's
+    distance is the public one, with no step's checks."""
     log_eps = math.log(eps)
+    image = _image(T)
     try:
-        tz = _apply(T, z)
+        tz = image(z)
     except DomainError:
         return None
     ratios = []
@@ -306,7 +344,7 @@ def _observed_continuity(metric, T, trace: IterationTrace, z: Point, eps: float)
     for p, d in zip(trace.points, to_z):
         if 0 < d < log_eps:
             try:
-                ratios.append(metric.log_distance(_apply(T, p), tz) / d)
+                ratios.append(metric.log_distance(image(p), tz) / d)
             except DomainError:
                 continue
     return max(ratios, default=None)
@@ -324,7 +362,10 @@ def picard(metric, T, x0, config: SolverConfig,
     (explicitly or on the map), an iterate leaving it raises
     :class:`DomainEscapeError` carrying the offending point.
 
-    For a MetricSpec the cycle look-back runs over blocks of steps, and the
+    Each run applies T and measures its step through one step function
+    that binds the map's and the metric's scalar kernels and their checks
+    once; a SelfMapSpec's image has only its finiteness checked.  For a
+    MetricSpec the cycle look-back runs over blocks of steps, and the
     result equals a step-by-step scan.  T is assumed pure: a run that ends
     in a detected cycle may have evaluated it on up to 63 iterates past the
     one it reports, which are discarded; other runs evaluate it exactly as
@@ -494,12 +535,13 @@ def find_periodic_point(metric, T, x0, max_period: int, eps: float,
     if max_period < 1:
         raise DomainError("max_period must be >= 1")
     log_eps = _check_eps(eps)
+    image, check_domain = _image(T), metric.check_domain
     x = as_point(x0)
     orbit = [x]
     for _ in range(max_iter):
         try:
-            x = _apply(T, x)
-            metric.check_domain(x)
+            x = image(x)
+            check_domain(x)
         except DomainError:
             break
         orbit.append(x)
@@ -584,8 +626,8 @@ def uniqueness_probe(metric, T, candidates: Sequence, eps: float) -> UniquenessR
     if not candidates:
         raise DomainError("uniqueness probe needs at least one candidate")
     log_eps = _check_eps(eps)
-    survivors = [c for c in map(as_point, candidates)
-                 if _residual(metric, T, c) <= log_eps]
+    settle = _stepper(metric, T)
+    survivors = [c for c in map(as_point, candidates) if _residual(settle, c) <= log_eps]
     if not survivors:
         return UniquenessReport(verdict="inconclusive", survivors=(),
                                 max_pairwise_logd=None)

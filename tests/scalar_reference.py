@@ -1,12 +1,22 @@
-"""Scalar reference for the pair conditions C1, C2, C3, SI-SIII and PHI.
+"""Scalar references: the pair conditions, one metric's log distance and
+one map's image, each evaluated the plain way.
 
-Each check evaluates one condition on one pair through scalar
+Each ``check_*`` evaluates one condition on one pair through scalar
 ``log_distance`` calls and returns ``(satisfied, slack)``, where slack is
 the log-domain margin right-hand-side minus left-hand-side; margins within
 the comparison tolerance of zero are reported as zero so that satisfied
 records never carry a negative slack.  ``mulfix.classify`` reads every
 condition off the pair kernel instead; the tests compare the two.
+
+``log_distance`` and ``call`` dispatch on the kind at every call, as
+``MetricSpec._log_distance`` and ``SelfMapSpec._call`` once did; those now
+bind their kind's kernel once per instance, and the tests compare the two
+bit for bit.
 """
+
+import math
+
+import numpy as np
 
 from mulfix.conditions import PhiSpec
 from mulfix.errors import DegeneratePairError, DomainError
@@ -96,3 +106,67 @@ def check_phi(metric, T, phi: PhiSpec, u, v, tol: float = DEFAULT_LOG_TOL):
     lt = metric.log_distance(pv, tv)
     rhs = 0.5 * (ls + lt) - phi.log_phi(ls, lt)
     return _clip_slack(rhs - lhs, tol)
+
+
+def _norm(base: str, x: Point, y: Point) -> float:
+    if base == "euclidean":
+        return math.dist(x, y)
+    if base == "manhattan":
+        return sum(abs(a - b) for a, b in zip(x, y))
+    if base == "chebyshev":
+        return max(abs(a - b) for a, b in zip(x, y))
+    raise DomainError(f"unknown base metric {base!r}")
+
+
+def log_distance(self, px: Point, py: Point) -> float:
+    """``log_distance`` of two point tuples that passed ``_check_pair``."""
+    if self.kind == "star_product":
+        return sum(abs(math.log(a) - math.log(b)) for a, b in zip(px, py))
+    if self.kind == "lifted":
+        return math.log(self.a) * _norm(self.base, px, py)
+    if self.kind == "exp_abs":
+        return math.log(self.a) * sum(abs(a - b) for a, b in zip(px, py))
+    if self.kind == "exp_reciprocal":
+        return math.log(self.a) * sum(abs(1.0 / a - 1.0 / b) for a, b in zip(px, py))
+    # discrete: exact coordinate equality, codomain {0, log a}
+    return 0.0 if px == py else math.log(self.a)
+
+
+def call(self, x: Point) -> Point:
+    """The image of a point tuple that passed ``as_point``."""
+    if self.kind == "scale":
+        return tuple(self.c * c for c in x)
+    if self.kind == "rational":
+        out = []
+        for c in x:
+            den = self.b + c
+            if den == 0:
+                raise DomainError(f"rational map pole at coordinate {c}")
+            out.append(1.0 / den)
+        return tuple(out)
+    if self.kind == "power":
+        out = []
+        for c in x:
+            if c < 0 and self.p != int(self.p):
+                raise DomainError(f"fractional power of negative {c}")
+            if c == 0 and self.p < 0:
+                raise DomainError("negative power of zero")
+            out.append(c ** self.p)
+        return tuple(out)
+    if self.kind == "reciprocal_sqrt":
+        if any(c <= 0 for c in x):
+            raise DomainError(f"reciprocal_sqrt needs positive coordinates, got {x}")
+        return tuple(1.0 / math.sqrt(c) for c in x)
+    if self.kind == "constant":
+        return self.value
+    if self.kind == "identity":
+        return x
+    if self.kind == "negation":
+        return tuple(-c for c in x)
+    # affine coefficient table: A @ x + offset
+    m = np.asarray(self.matrix, dtype=float)
+    if m.shape[1] != len(x):
+        raise DomainError(f"affine matrix expects dimension {m.shape[1]}")
+    with np.errstate(over="ignore", invalid="ignore"):  # as_point rejects inf, NaN
+        y = m @ np.asarray(x, dtype=float) + np.asarray(self.offset, dtype=float)
+    return as_point(y)

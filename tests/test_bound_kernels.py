@@ -1,0 +1,136 @@
+"""Each metric's and map's bound scalar kernel against the kind dispatch.
+
+``MetricSpec._log_distance`` and ``SelfMapSpec._call`` bind their kind's
+kernel once per instance.  ``scalar_reference.log_distance`` and
+``scalar_reference.call`` dispatch on the kind at every call, as the two
+methods once did.  On points the kernels accept (one dimension, finite
+coordinates) each must give the reference's value bit for bit, of the same
+type, or raise the same exception with the same text.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import mulfix as mx
+from mulfix import maps, metrics
+import scalar_reference
+
+# signed zeros, subnormals, values near the float range's ends, and values
+# at the maps' poles and branch points
+SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e300, -1e300,
+           1.7976931348623157e308, -1.7976931348623157e308, 1e200, 1.0, -1.0,
+           0.5, -0.5, 2.0, 1e-12)
+
+coords = st.one_of(st.sampled_from(SPECIAL),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+def points(dim):
+    return st.tuples(*[coords] * dim)
+
+
+def key(value):
+    """An exact comparison key: type and float.hex of a number or of each
+    coordinate of a point, or the type and text of what was raised."""
+    if isinstance(value, tuple) and value and value[0] == "raised":
+        return value
+    if isinstance(value, tuple):
+        return tuple((type(c).__name__, float.hex(c)) for c in value)
+    return type(value).__name__, float.hex(value)
+
+
+def outcome(fn, *args):
+    try:
+        return key(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return ("raised", type(exc).__name__, str(exc))
+
+
+# all five metric kinds, the lifted kind over each base, and parameters read
+# from JSON, where an integer stays an integer until the spec converts it
+BASES = st.floats(min_value=1.0, max_value=1e300, exclude_min=True)
+METRICS = st.one_of(
+    st.just(mx.MetricSpec.star_product()),
+    st.builds(mx.MetricSpec.lifted, st.sampled_from(metrics.BASE_METRICS), BASES),
+    st.builds(mx.MetricSpec.exp_abs, BASES),
+    st.builds(mx.MetricSpec.exp_reciprocal, BASES),
+    st.builds(mx.MetricSpec.discrete, BASES),
+    st.builds(lambda kind, a: mx.MetricSpec.from_json_dict({"kind": kind, "a": a}),
+              st.sampled_from(["exp_abs", "exp_reciprocal", "discrete", "lifted"]),
+              st.integers(2, 10)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(metric=METRICS, data=st.data())
+def test_a_metric_kernel_equals_the_kind_dispatch(metric, data):
+    dim = data.draw(st.integers(1, 3))
+    px, py = data.draw(points(dim)), data.draw(points(dim))
+    if data.draw(st.booleans()):
+        py = px  # the discrete metric's zero, every metric's diagonal
+    assert (outcome(metric._log_distance, px, py)
+            == outcome(scalar_reference.log_distance, metric, px, py))
+
+
+PARAMS = st.one_of(coords, st.integers(-3, 3))  # an int as JSON gives it
+EXPONENTS = st.one_of(st.sampled_from([0.5, 2.0, -1.0, -0.5, 0.0, 1.5, 3.0, 1e10]),
+                      st.integers(-3, 3),
+                      st.floats(-8.0, 8.0, allow_nan=False))
+
+
+def affine(data, dim):
+    rows = data.draw(st.integers(1, 3))
+    cols = data.draw(st.sampled_from([dim, dim, 1, 3]))  # mostly x's dimension
+    matrix = [list(data.draw(points(cols))) for _ in range(rows)]
+    offset = list(data.draw(points(data.draw(st.sampled_from([rows, rows, 1])))))
+    return {"kind": "affine", "matrix": matrix, "offset": offset}
+
+
+@settings(max_examples=600, deadline=None)
+@given(kind=st.sampled_from(list(maps.MAP_PARAMS)), data=st.data())
+def test_a_map_kernel_equals_the_kind_dispatch(kind, data):
+    dim = data.draw(st.integers(1, 3))
+    x = data.draw(points(dim))
+    if kind == "affine":
+        spec = affine(data, dim)
+    else:
+        draw = {"c": PARAMS, "b": PARAMS, "p": EXPONENTS,
+                "value": st.lists(coords, min_size=1, max_size=3)}
+        spec = {"kind": kind, **{name: data.draw(draw[name])
+                                 for name in maps.MAP_PARAMS[kind]}}
+    T = mx.SelfMapSpec.from_json_dict(spec)
+    assert outcome(T._call, x) == outcome(scalar_reference.call, T, x)
+
+
+@pytest.mark.parametrize("T, x, raised", [
+    (mx.SelfMapSpec.rational(0.5), (1.0, -0.5),
+     ("DomainError", "rational map pole at coordinate -0.5")),
+    (mx.SelfMapSpec.power(0.5), (-2.0,),
+     ("DomainError", "fractional power of negative -2.0")),
+    (mx.SelfMapSpec.power(-1.0), (0.0,), ("DomainError", "negative power of zero")),
+    (mx.SelfMapSpec.power(-2.0), (-0.0,), ("DomainError", "negative power of zero")),
+    (mx.SelfMapSpec.reciprocal_sqrt(), (1.0, 0.0),
+     ("DomainError", "reciprocal_sqrt needs positive coordinates, got (1.0, 0.0)")),
+    (mx.SelfMapSpec.reciprocal_sqrt(), (-1.0,),
+     ("DomainError", "reciprocal_sqrt needs positive coordinates, got (-1.0,)")),
+    (mx.SelfMapSpec.affine(((1.0, 2.0),), (0.0,)), (1.0,),
+     ("DomainError", "affine matrix expects dimension 2")),
+    (mx.SelfMapSpec.power(2.0), (1e200,),
+     ("OverflowError", "(34, 'Numerical result out of range')")),
+    (mx.SelfMapSpec.affine(((1e200,),), (0.0,)), (1e200,),
+     ("DomainError", "non-finite coordinate inf")),
+], ids=["rational-pole", "fractional-power-of-negative", "negative-power-of-zero",
+        "negative-power-of-negative-zero", "reciprocal-sqrt-of-zero",
+        "reciprocal-sqrt-of-negative", "affine-dimension", "power-overflow",
+        "affine-overflow"])
+def test_a_map_kernel_raises_what_the_kind_dispatch_raises(T, x, raised):
+    assert (outcome(T._call, x) == outcome(scalar_reference.call, T, x)
+            == ("raised", *raised))
+
+
+def test_a_spec_binds_its_kernel_once():
+    metric, T = mx.MetricSpec.exp_abs(2.0), mx.SelfMapSpec.scale(0.5)
+    assert metric._log_distance is metric._log_distance and T._call is T._call
+    assert metric._log_distance((1.0,), (2.0,)) == math.log(2.0)

@@ -323,6 +323,23 @@ def test_run_experiment_maps_and_measures_its_sample_once(monkeypatch, name,
     assert report.expectations[0].passed  # PHI's diagonal, or the bounds, were read
 
 
+def test_run_experiment_compares_its_sample_points_once(monkeypatch):
+    from mulfix import experiment
+
+    calls, equal_points = [], metrics.equal_points
+
+    def counted(points):
+        calls.append(len(points))
+        return equal_points(points)
+
+    for module in (metrics, conditions, experiment):
+        monkeypatch.setattr(module, "equal_points", counted)
+    config = dataclasses.replace(mx.fixture_config("example_3_17"), sample_size=12)
+    report = mx.run_experiment(config)
+    assert calls == [12]  # the axioms and the pair table read one matrix
+    assert report.axioms.ok and report.classification.n_pairs == 66
+
+
 def test_bound_rows_of_a_run_equal_the_public_check():
     # the 928-point trace of scale(0.98) under exp_abs(2)
     config = mx.SolverConfig(eps=math.exp(1e-9), max_iter=2000, starts=((1.0,),))
@@ -580,21 +597,37 @@ def test_a_window_of_one_point_reads_no_distance():
     assert mx.cauchy_indicator(trace, 1) == 0.0
 
 
-def test_a_stalled_run_validates_each_iterate_a_few_times(monkeypatch):
-    calls = 0
-    as_point = metrics.as_point
+def count_as_point(monkeypatch) -> list:
+    """A list that gets one item per ``as_point`` call in the library."""
+    calls, as_point = [], metrics.as_point
 
     def counted(value):
-        nonlocal calls
-        calls += 1
+        calls.append(value)
         return as_point(value)
 
     for module in (metrics, solver, sequences, maps, conditions):
         monkeypatch.setattr(module, "as_point", counted)
-    result = mx.picard(mx.MetricSpec.exp_abs(2.0), mx.SelfMapSpec.scale(0.999), 1.0,
+    return calls
+
+
+def stalled_picard(T):
+    result = mx.picard(mx.MetricSpec.exp_abs(2.0), T, 1.0,
                        mx.SolverConfig(eps=math.exp(1e-9), max_iter=2000))
     assert result.status is mx.Status.MAX_ITER and result.iterations == 2000
-    assert calls <= result.iterations + 10
+    return result
+
+
+def test_a_stalled_run_validates_each_iterate_a_few_times(monkeypatch):
+    # a SelfMapSpec's images are tuples of floats: only their finiteness is checked
+    calls = count_as_point(monkeypatch)
+    stalled_picard(mx.SelfMapSpec.scale(0.999))
+    assert len(calls) <= 10
+
+
+def test_a_stalled_run_of_a_plain_callable_validates_each_iterate_once(monkeypatch):
+    calls = count_as_point(monkeypatch)
+    result = stalled_picard(lambda p: (0.999 * p[0],))
+    assert len(calls) <= result.iterations + 10
 
 
 def shift_then_widen(p):  # 1.0, 0.5, 0.25, 0.125, 0.0625, then a second coordinate
@@ -781,12 +814,18 @@ def kernel_picard(metric, T, x0, config, domain):
 # Maps whose orbits converge, stall, cycle, restart away from the start,
 # diverge, fail, change dimension, or leave star_product's or
 # exp_reciprocal's space (a coordinate at or below 0) or a declared box;
-# Picard applies the SelfMapSpecs among them without re-checking the point.
+# Picard applies the SelfMapSpecs among them through their bound kernels,
+# without re-checking the point, and checks only their images' finiteness.
 ORBIT_MAPS = [
     mx.SelfMapSpec.scale(0.5),
     mx.SelfMapSpec.rational(0.5),
     mx.SelfMapSpec.negation(),
     mx.SelfMapSpec.affine(((1e200,),), (0.0,)),  # overflows; 1-d starts only
+    mx.SelfMapSpec.power(0.5),  # fails at a negative coordinate
+    mx.SelfMapSpec.reciprocal_sqrt(),  # fails at a coordinate <= 0
+    mx.SelfMapSpec.constant((2.0,)),  # changes a 2-d start's dimension
+    mx.SelfMapSpec.identity(),
+    mx.SelfMapSpec.scale(1e300),  # an image of inf, after a finite one
     lambda p: tuple(0.5 * c for c in p),
     lambda p: tuple(2.0 * c for c in p),
     lambda p: tuple(c - 0.5 for c in p),
@@ -998,18 +1037,13 @@ def test_find_periodic_point_equals_the_loop_of_public_calls(metric, T, start, m
             == outcome(loop_find_periodic_point, *args))
 
 
-def test_a_periodic_search_validates_each_orbit_point_at_most_twice(monkeypatch):
-    calls = 0
-    as_point = metrics.as_point
-
-    def counted(value):
-        nonlocal calls
-        calls += 1
-        return as_point(value)
-
-    for module in (metrics, solver, sequences, maps, conditions):
-        monkeypatch.setattr(module, "as_point", counted)
-    found = mx.find_periodic_point(mx.MetricSpec.exp_abs(2.0), mx.SelfMapSpec.scale(0.999),
-                                   1.0, 6, math.exp(1e-9), max_iter=2000)
+@pytest.mark.parametrize("T, most", [
+    (mx.SelfMapSpec.scale(0.999), 10),  # applied as a Picard step applies it
+    (lambda p: (0.999 * p[0],), 2 * 2001),
+], ids=["SelfMapSpec", "callable"])
+def test_a_periodic_search_validates_each_orbit_point_at_most_twice(monkeypatch, T, most):
+    calls = count_as_point(monkeypatch)
+    found = mx.find_periodic_point(mx.MetricSpec.exp_abs(2.0), T, 1.0, 6, math.exp(1e-9),
+                                   max_iter=2000)
     assert found is None
-    assert calls <= 2 * 2001
+    assert len(calls) <= most
