@@ -154,6 +154,9 @@ class SelfMapSpec(JsonConfig):
             if needed != given:
                 raise DomainError(f"map kind {self.kind!r} "
                                   f"{'needs' if needed else 'takes no'} {field!r}")
+            if isinstance(getattr(self, field), np.generic):
+                # a numpy scalar parameter would make numpy scalar images
+                object.__setattr__(self, field, getattr(self, field).item())
         if self.value is not None:
             object.__setattr__(self, "value", as_point(self.value))
         if self.matrix is not None:

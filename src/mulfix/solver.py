@@ -138,8 +138,9 @@ def _stepper(metric, T, domain: Optional[Box] = None,
     checked = isinstance(metric, MetricSpec)
     space = metric._space if checked else None
     bounds = None if domain is None else domain.bounds
-    monotone = config is not None and config.check_monotone_residual
-    log_eps = config.log_eps if monotone else math.inf
+    # a step above this may not grow; inf without the monotone check
+    log_eps = config.log_eps if config is not None and config.check_monotone_residual \
+        else math.inf
 
     def step(x: Point, n: int, prev: Optional[float]) -> tuple[Point, float]:
         y = image(x)
@@ -161,7 +162,7 @@ def _stepper(metric, T, domain: Optional[Box] = None,
             raise DomainEscapeError(
                 f"iterate {n} left the metric's domain: {y} ({exc})", point=y, iteration=n,
             ) from exc
-        if monotone and prev is not None and prev > log_eps and d >= prev:
+        if prev is not None and prev > log_eps and d >= prev:
             raise MonotoneResidualError(
                 f"step log-distance grew from {prev} to {d} at iterate {n}"
             )
@@ -269,20 +270,20 @@ def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
     built once per run, which runs the step's own checks at once; each
     residual is a step of a second one, built without the domain and the
     monotone check.  The cycle look-back of the steps above log(eps) is
-    deferred to ``_LookBack``,
-    which scans it over blocks of pending steps, in order, and also before
-    the run stops or goes on for any other reason: a step below log(eps),
-    a divergent step, a failure of T or of a check, and max_iter.  A cycle
-    among them ends the run at its first point, as a step-by-step scan
-    would.  T is assumed pure: a run that ends in a detected cycle may have
-    evaluated it on up to 63 iterates past that point, which are discarded.
+    deferred to ``_LookBack``, which scans it over blocks of pending steps,
+    in order, and also before the run stops or goes on for any other
+    reason: a step below log(eps), a divergent step, a failure of T or of a
+    check, and max_iter.  A cycle among them ends the run at its first
+    point, as a step-by-step scan would.  T is assumed pure: a run that ends
+    in a detected cycle may have evaluated it on up to 63 iterates past that
+    point, which are discarded.
     """
     step, settle = _stepper(metric, T, domain, config), _stepper(metric, T)
     log_eps, divergence = config.log_eps, config.divergence_logd
     x = x0
     points: list[Point] = [x]
     steps: list[float] = []
-    prev: Optional[float] = None
+    last: Optional[float] = None  # the last step's log distance
     status = Status.MAX_ITER
     look = _LookBack(metric, config, points, steps)
 
@@ -290,7 +291,7 @@ def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
         for n in range(1, config.max_iter + 1):
             # a cycle among the pending steps ends the run before this step
             try:
-                y, prev = step(x, n, prev)
+                y, last = step(x, n, last)
             except DomainError:
                 look.flush()
                 status = Status.DIVERGED
@@ -298,15 +299,15 @@ def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
             except Exception:
                 look.flush()
                 raise
-            if prev > divergence:
+            if last > divergence:
                 look.flush()
                 points.append(y)
-                steps.append(prev)
+                steps.append(last)
                 status = Status.DIVERGED
                 break
             points.append(y)
-            steps.append(prev)
-            if prev < log_eps:
+            steps.append(last)
+            if last < log_eps:
                 if look.settled():
                     residual = _residual(settle, y)
                     if residual <= log_eps:
@@ -331,8 +332,8 @@ def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
 def _observed_continuity(metric, T, trace: IterationTrace, z: Point, eps: float):
     """Largest log-Lipschitz ratio of T observed near z along the trace.
 
-    T is applied as a Picard step applies it (see ``_image``); the ratio's
-    distance is the public one, with no step's checks."""
+    T is applied as a Picard step applies it (see ``_image``), and each
+    ratio's distance is the public ``log_distance``."""
     log_eps = math.log(eps)
     image = _image(T)
     try:

@@ -630,6 +630,15 @@ def test_a_stalled_run_of_a_plain_callable_validates_each_iterate_once(monkeypat
     assert len(calls) <= result.iterations + 10
 
 
+def test_a_numpy_scalar_parameter_gives_the_trace_of_a_float_one():
+    # a SelfMapSpec's images skip as_point, so they must come out as Python floats
+    config = mx.SolverConfig(eps=math.exp(1e-9), max_iter=200)
+    runs = [mx.picard(mx.MetricSpec.exp_abs(2.0), T, 1.0, config)
+            for T in (mx.SelfMapSpec("scale", c=np.float64(0.5)), mx.SelfMapSpec.scale(0.5))]
+    assert runs[0].trace.to_csv_text() == runs[1].trace.to_csv_text()
+    assert {type(c) for p in runs[0].trace.points for c in p} == {float}
+
+
 def shift_then_widen(p):  # 1.0, 0.5, 0.25, 0.125, 0.0625, then a second coordinate
     return (0.5 * p[0],) if p[0] > 0.1 else (p[0], 1.0)
 
