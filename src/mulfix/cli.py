@@ -10,8 +10,7 @@ from pathlib import Path
 
 from .conditions import classify
 from .errors import MulfixError
-from .experiment import (ExperimentConfig, dump_json, run_experiment, write_atomic,
-                         write_report)
+from .experiment import ExperimentConfig, run_experiment, write_json, write_report
 from .fixtures import FIXTURE_NAMES, RemarkReport, fixture_config, run_fixture
 from .maps import sample_box
 
@@ -98,7 +97,7 @@ def main(argv=None) -> int:
             out = _out_dir(args, config)
             if out is not None:
                 if isinstance(report, RemarkReport):
-                    write_atomic(out / "report.json", dump_json(report.to_json_dict()))
+                    write_json(out / "report.json", report.to_json_dict())
                 else:
                     write_report(report, out, fmt=args.format or "json")
                 print(f"wrote outputs to {out}")
@@ -127,8 +126,7 @@ def main(argv=None) -> int:
             print(f"  {theorem}: {json.dumps(verdict)}")
         out = _out_dir(args, config)
         if out is not None:
-            write_atomic(out / "condition_report.json",
-                         dump_json(cls_report.to_json_tree()))
+            write_json(out / "condition_report.json", cls_report.to_json_tree())
             print(f"wrote outputs to {out}")
         return 0
     except MulfixError as exc:

@@ -365,10 +365,13 @@ class PairRows:
         return tuple(itertools.chain.from_iterable(rows))
 
     def write_json(self, out: list, nl: str) -> None:
-        """Append the records to ``out`` as the JSON array ``dump_json``
-        writes on a line indented by ``nl``, in pieces built column by column:
-        each pair's head once, each condition's flags and slacks in one map."""
-        if not (self.i and self.checks) and not self.errors:
+        """Append the records to the sink ``out`` as the JSON array
+        ``dump_json`` writes on a line indented by ``nl``, in blocks of
+        ``_PAIR_BLOCK`` evaluated pairs, draining ``out`` before each block
+        after the first.  A block is built column by column: each pair's
+        head once, each condition's flags and slacks in one pass."""
+        n = len(self.i) if self.checks else 0
+        if not n and not self.errors:
             out.append("[]")
             return
         item = nl + "  "
@@ -379,32 +382,65 @@ class PairRows:
                 + item + "  ]" + field + '"condition": "')
         end = item + "}," + item
         width = 4 * len(self.checks)
-        pieces = [end] * (width * len(self.i))
-        heads = list(map(head.__mod__, zip(self.i, self.j)))
-        for c, (cid, (flags, slacks)) in enumerate(self.checks.items()):
-            flag = {ok: cid + '"' + field + '"satisfied": ' + text + field + '"slack": '
-                    for ok, text in ((True, "true"), (False, "false"))}
-            pieces[4 * c::width] = heads
-            pieces[4 * c + 1::width] = map(flag.__getitem__, flags)
-            pieces[4 * c + 2::width] = _json_texts(slacks)
+        flag_texts = [{ok: cid + '"' + field + '"satisfied": ' + text + field + '"slack": '
+                       for ok, text in ((True, "true"), (False, "false"))}
+                      for cid in self.checks]
+
+        def error(i, j, message):
+            record = PairCheck(i, j, "*", None, None, message).to_json_dict()
+            return json_text(record, item) + "," + item
+
+        errors = iter(self.errors)
+        pending = next(errors, None)
         out.append("[" + item)
-        start = 0
-        for pos, i, j, message in self.errors:
-            out += pieces[start:width * pos]
-            out.append(json_text(PairCheck(i, j, "*", None, None, message).to_json_dict(),
-                                 item) + "," + item)
-            start = width * pos
-        del pieces[:start]  # extend by the rest without copying it first
-        out += pieces
+        for a in range(0, n, _PAIR_BLOCK):
+            if a:
+                out.drain()
+            b = min(a + _PAIR_BLOCK, n)
+            pieces = [end] * (width * (b - a))
+            heads = list(map(head.__mod__, zip(self.i[a:b], self.j[a:b])))
+            column = (None, ())
+            for c, (flags, slacks) in enumerate(self.checks.values()):
+                pieces[4 * c::width] = heads
+                pieces[4 * c + 1::width] = map(flag_texts[c].__getitem__, flags[a:b])
+                column = _slack_texts(slacks[a:b], column)
+                pieces[4 * c + 2::width] = column[1]
+            start = 0
+            while pending is not None and pending[0] < b:
+                pos, i, j, message = pending
+                out += pieces[start:width * (pos - a)]
+                out.append(error(i, j, message))
+                start = width * (pos - a)
+                pending = next(errors, None)
+            del pieces[:start]  # extend by the rest without copying it first
+            out += pieces
+        while pending is not None:  # the errors after the last evaluated pair
+            out.append(error(*pending[1:]))
+            pending = next(errors, None)
         out[-1] = out[-1][:-len(item) - 1] + nl + "]"  # the last record's "," + item
 
 
-def _json_texts(values: list) -> list[str]:
-    """The JSON text of each value: one C-level ``float.__repr__`` map when
-    all are finite floats, else ``json_text`` of each."""
-    if set(map(type, values)) <= {float} and all(map(math.isfinite, values)):
-        return list(map(float.__repr__, values))
-    return list(map(json_text, values))
+# Evaluated pairs per block of written records: a file sink holds one block.
+_PAIR_BLOCK = 256
+
+
+def _slack_texts(values: list, previous: tuple) -> tuple:
+    """The JSON texts of one column's slacks over a block, as ``(values, texts)``.
+
+    ``values`` is the block itself when every slack is a finite float, else
+    None.  In such a block each slack is one ``float.__repr__``, except that
+    a non-zero slack equal to the same pair's slack in ``previous`` (the
+    previous condition's result, when its block was all finite floats too)
+    reuses that text; zero is left out because ``0.0 == -0.0`` while their
+    texts differ.  Any other block takes one ``json_text`` per slack.
+    """
+    if not (set(map(type, values)) <= {float} and all(map(math.isfinite, values))):
+        return None, list(map(json_text, values))
+    if previous[0] is None:
+        return values, list(map(float.__repr__, values))
+    repr_ = float.__repr__
+    return values, [text if x == p and x else repr_(x)
+                    for x, p, text in zip(values, *previous)]
 
 
 @dataclass(frozen=True)

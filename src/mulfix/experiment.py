@@ -10,11 +10,11 @@ are byte-identical across repeated runs with the same seed.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal, Optional
@@ -30,7 +30,7 @@ from .conditions import (
     _PairTable,
 )
 from .errors import ConfigError
-from .jsonconfig import JsonConfig, decode, dump_json
+from .jsonconfig import JsonConfig, decode, stream_json
 from .maps import Box, SelfMapSpec, sample_box
 from .metrics import (
     DEFAULT_LOG_TOL,
@@ -112,6 +112,8 @@ class ExperimentConfig(JsonConfig):
     def __post_init__(self):
         if self.sample_size < 2:
             raise ConfigError("sample_size must be >= 2", field="sample_size")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}", field="seed")
         if self.sample_scheme not in ("mixed", "grid"):
             raise ConfigError(f"unknown scheme {self.sample_scheme!r}",
                               field="sample_scheme")
@@ -366,19 +368,41 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 # -- output files ----------------------------------------------------------
 
 
-def write_atomic(path, text: str) -> None:
-    """Write text to path via a temp file in the same directory + rename."""
+@contextlib.contextmanager
+def _replacing(path):
+    """A new binary file that replaces ``path`` once the block ends without
+    error, and is removed otherwise.
+
+    It is created next to ``path`` under a random name, with mode 0o666
+    less the process umask, the mode a plain ``open(path, "w")`` gives.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0),
+                 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
+        with os.fdopen(fd, "wb") as f:
+            yield f
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_atomic(path, text: str) -> None:
+    """Write text to path, UTF-8 encoded, via a temp file in the same
+    directory + rename."""
+    with _replacing(path) as f:
+        f.write(text.encode())
+
+
+def write_json(path, tree) -> None:
+    """Write ``dump_json(tree)`` to path as ``write_atomic`` does, streamed
+    to the temp file block by block, without building the whole text."""
+    with _replacing(path) as f:
+        stream_json(tree, f)
 
 
 def write_report(report, out_dir, fmt: str = "json") -> list[Path]:
@@ -388,7 +412,7 @@ def write_report(report, out_dir, fmt: str = "json") -> list[Path]:
     out_dir = Path(out_dir)
     written = []
     report_path = out_dir / "report.json"
-    write_atomic(report_path, dump_json(report.to_json_tree()))
+    write_json(report_path, report.to_json_tree())
     written.append(report_path)
     for i, run in enumerate(getattr(report, "runs", ())):
         if fmt == "csv":
@@ -396,6 +420,6 @@ def write_report(report, out_dir, fmt: str = "json") -> list[Path]:
             write_atomic(path, run.trace.to_csv_text())
         else:
             path = out_dir / f"trace_{i:03d}.json"
-            write_atomic(path, dump_json(run.trace.to_json_dict()))
+            write_json(path, run.trace.to_json_dict())
         written.append(path)
     return written

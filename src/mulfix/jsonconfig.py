@@ -17,9 +17,13 @@ with the path below it in the message
 
 :func:`dump_json` writes any such tree as strict JSON text, byte for byte
 what ``json.dumps(data, indent=2, allow_nan=False)`` writes, except that a
-non-finite float becomes ``null`` instead of an error.  An object with a
+non-finite float becomes ``null`` instead of an error.  :func:`stream_json`
+writes the same text to a binary file without holding all of it.  Both
+append the text in pieces to a list (a sink).  An object with a
 ``write_json(out, nl)`` method (a column table of records) appends its own
-text to the list ``out``, given the newline and indentation of its line.
+text to the sink ``out``, given the newline and indentation of its line,
+and may call ``out.drain()`` between its pieces: the file sink then writes
+the pieces so far and forgets them, the in-memory sink keeps them.
 """
 
 from __future__ import annotations
@@ -219,9 +223,33 @@ def _write(value, nl: str, out: list) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+class _Pieces(list):
+    """A sink that keeps its pieces of text in memory."""
+
+    __slots__ = ()
+
+    def drain(self) -> None:
+        pass
+
+
+class _FileSink(_Pieces):
+    """A sink that writes its pieces, UTF-8 encoded, to a binary file at
+    each ``drain``."""
+
+    __slots__ = ("file",)
+
+    def __init__(self, file):
+        super().__init__()
+        self.file = file
+
+    def drain(self) -> None:
+        self.file.write("".join(self).encode())
+        self.clear()
+
+
 def json_text(value, nl: str = "\n") -> str:
     """``value`` as indented JSON text whose lines below the first start with ``nl``."""
-    out: list = []
+    out = _Pieces()
     _write(value, nl, out)
     return "".join(out)
 
@@ -232,7 +260,16 @@ def dump_json(data) -> str:
     The bytes of ``json.dumps(data, indent=2, allow_nan=False) + "\n"``,
     except that a NaN or an infinity is written as null.
     """
-    out: list = []
+    out = _Pieces()
     _write(data, "\n", out)
     out.append("\n")
     return "".join(out)
+
+
+def stream_json(data, file) -> None:
+    """Write ``dump_json(data)``, UTF-8 encoded, to the binary ``file``, a
+    block of pieces at a time."""
+    out = _FileSink(file)
+    _write(data, "\n", out)
+    out.append("\n")
+    out.drain()

@@ -238,6 +238,8 @@ def sample_box(box: Box, n: int, seed: int, scheme: str = "mixed") -> list[Point
     """Sample n points: a pure grid, or half grid plus seeded uniforms."""
     if n < 1:
         raise DomainError("sample size must be >= 1")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     if scheme == "grid":
         return grid_points(box, n)
     if scheme != "mixed":

@@ -13,7 +13,8 @@ import mulfix as mx
 from mulfix import experiment
 from mulfix.cli import main
 from mulfix.errors import ConfigError
-from mulfix.experiment import dump_json, write_report
+from mulfix.experiment import write_report
+from mulfix.jsonconfig import dump_json
 from mulfix.conditions import PSI_KINDS
 from mulfix.metrics import DEFAULT_LOG_TOL
 from scalar_reference import check_phi
@@ -317,6 +318,24 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     path.write_text("{}")
     assert main(["run", "--config", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_a_negative_fixture_seed_exits_2_naming_the_seed(tmp_path, capsys):
+    assert main(["fixture", "example_3_15", "--seed", "-1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: seed: ")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["run", "classify"])
+def test_a_negative_config_seed_exits_2_naming_the_seed(tmp_path, capsys, command):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**identity_config(), "seed": -1}))
+    with pytest.raises(ConfigError) as err:
+        mx.ExperimentConfig.from_json_file(path)
+    assert err.value.field == "seed"
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: seed: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_module_entry_point_smoke():

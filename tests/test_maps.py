@@ -96,6 +96,9 @@ def test_sample_box_is_deterministic_and_in_bounds():
         mx.sample_box(box, 0, seed=1)
     with pytest.raises(DomainError):
         mx.sample_box(box, 10, seed=1, scheme="sobol")
+    for scheme in ("mixed", "grid"):
+        with pytest.raises(DomainError, match="seed"):
+            mx.sample_box(box, 10, seed=-1, scheme=scheme)
 
 
 def test_grid_scheme_returns_pure_grid():

@@ -3,13 +3,17 @@
 ``dump_json`` writes the bytes ``json.dumps(tree, indent=2, allow_nan=False)``
 would, with each NaN or infinity as null, and writes the classification's
 pair records from their columns without building a record per pair.
+``stream_json`` writes the same bytes to a file, block by block.
 """
 
 import dataclasses
 import enum
 import hashlib
+import io
 import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +23,8 @@ import mulfix as mx
 from mulfix import conditions
 from mulfix.cli import main
 from mulfix.conditions import PairCheck
-from mulfix.experiment import dump_json, write_report
-from mulfix.jsonconfig import json_text
+from mulfix.experiment import write_json, write_report
+from mulfix.jsonconfig import dump_json, json_text, stream_json
 
 EPS = math.exp(1e-9)
 
@@ -192,6 +196,124 @@ def test_error_rows_at_every_position_equal_the_reference(positions):
 
 def test_no_pair_record_writes_an_empty_array():
     assert dump_json(conditions.PairRows([], [], {"C1": ([], [])}, ())) == "[]\n"
+
+
+# -- streamed to a file, block by block ---------------------------------------------
+
+BLOCK = conditions._PAIR_BLOCK
+# values that sit next to each other in adjacent columns of a block
+ADJACENT = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.5, 0.1, math.nan, math.inf,
+                            -math.inf, None]) | st.floats()
+
+
+def streamed(tree) -> bytes:
+    f = io.BytesIO()
+    stream_json(tree, f)
+    return f.getvalue()
+
+
+@st.composite
+def blocked_rows(draw):
+    """PairRows of 0, 1, block - 1, block, block + 1 or 2 * block + 1 pairs,
+    whose columns repeat, copy or sign-flip the zeros of the column before,
+    or hold only None, with error rows first, last, at block edges or
+    repeated."""
+    n = draw(st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]))
+    ids = draw(st.lists(st.sampled_from(mx.CONDITION_IDS), min_size=1, max_size=7,
+                        unique=True))
+    checks, previous = {}, [None] * n
+    for cid in ids:
+        flags = draw(st.lists(st.booleans(), min_size=1, max_size=5))
+        kind = draw(st.sampled_from(["cycle", "copy", "copy some", "flip zeros", "none"]))
+        if kind == "cycle":
+            values = draw(st.lists(ADJACENT, min_size=1, max_size=7))
+            column = [values[k % len(values)] for k in range(n)]
+        elif kind == "copy":
+            column = list(previous)
+        elif kind == "copy some":
+            step, value = draw(st.integers(1, 5)), draw(ADJACENT)
+            column = [value if k % step == 0 else x for k, x in enumerate(previous)]
+        elif kind == "flip zeros":
+            column = [-x if x == 0 else x for x in previous]
+        else:
+            column = [None] * n
+        checks[cid] = ([flags[k % len(flags)] for k in range(n)], column)
+        previous = column
+    edges = [p for p in (0, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, n) if p <= n]
+    positions = draw(st.lists(st.sampled_from(edges) | st.integers(0, n), max_size=5))
+    errors = tuple((pos, 7, 8, "pole") for pos in sorted(positions))
+    return conditions.PairRows(list(range(n)), list(range(1, n + 1)), checks, errors)
+
+
+@settings(max_examples=120, deadline=None)
+@given(blocked_rows(), st.integers(0, 2))
+def test_streamed_pair_records_equal_dump_json_and_the_reference(rows, depth):
+    records = [r.to_json_dict() for r in rows.records()]
+    tree, expected = rows, records
+    for _ in range(depth):  # nested, with a value after the records
+        tree, expected = {"pairs": tree, "after": [-0.0]}, {"pairs": expected,
+                                                            "after": [-0.0]}
+    text = dump_json(tree)
+    assert text == reference(expected)
+    assert streamed(tree) == text.encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(TREES)
+def test_streamed_trees_equal_dump_json(tree):
+    assert streamed(tree) == dump_json(tree).encode()
+
+
+def test_repeated_slacks_reuse_text_only_when_equal_and_not_zero():
+    n = BLOCK + 2
+    c2 = [0.0, -0.0, 0.25, math.nan, 1e-300] * (n // 5) + [5e-324] * (n % 5)
+    c3 = [-0.0, 0.0, 0.25, math.nan, 1e-300] * (n // 5) + [5e-324] * (n % 5)
+    rows = conditions.PairRows(list(range(n)), list(range(n)),
+                               {"C2": ([True] * n, c2), "C3": ([True] * n, c3),
+                                "SI": ([False] * n, [None] * n)}, ())
+    expected = reference([r.to_json_dict() for r in rows.records()])
+    assert streamed(rows) == dump_json(rows).encode() == expected.encode()
+
+
+def test_a_failure_mid_stream_leaves_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("old", encoding="utf-8")
+    n = 2 * BLOCK + 1
+    rows = conditions.PairRows(list(range(n)), list(range(n)),
+                               {"C1": ([True] * n, [0.5] * n)}, ())
+    with pytest.raises(TypeError):
+        write_json(path, {"pairs": rows, "later": object()})
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+    assert path.read_text(encoding="utf-8") == "old"
+
+
+def test_writing_the_largest_fixture_report_holds_one_block(tmp_path, report_3_17):
+    tracemalloc.start()
+    try:
+        write_report(report_3_17, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "report.json").stat().st_size > 5_000_000
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o027])
+def test_output_files_take_the_mode_the_umask_gives(tmp_path, capsys, mask):
+    old = os.umask(mask)
+    try:
+        assert main(["fixture", "example_3_15", "--out", str(tmp_path / "fix"),
+                     "--format", "csv"]) == 0
+        assert main(["fixture", "remark_2_5", "--out", str(tmp_path / "remark")]) == 0
+        config = tmp_path / "cfg.json"
+        config.write_text(dump_json(mx.fixture_config("example_3_15").to_json_dict()))
+        assert main(["classify", "--config", str(config),
+                     "--out", str(tmp_path / "cls")]) == 0
+    finally:
+        os.umask(old)
+    files = [p for p in tmp_path.rglob("*") if p.is_file() and p != config]
+    assert len(files) == 6
+    assert {p.stat().st_mode & 0o777 for p in files} == {0o666 & ~mask}
 
 
 # -- reports with every kind of pair record -----------------------------------------
