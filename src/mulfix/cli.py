@@ -67,9 +67,9 @@ def _print_report(label: str, report) -> None:
 
 
 def _out_dir(args, config: ExperimentConfig | None):
-    if args.out:
+    if args.out is not None:
         return Path(args.out)
-    if config is not None and config.outputs and config.outputs.get("dir"):
+    if config is not None and config.outputs:
         return Path(config.outputs["dir"])
     return None
 
@@ -77,6 +77,8 @@ def _out_dir(args, config: ExperimentConfig | None):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.out == "":
+        parser.error("--out needs a directory, got an empty path")
     if args.command == "fixture" and args.name == "remark_2_5":
         # the exact counterexamples have no config, solver or trace
         given = [flag for flag, value in (("--seed", args.seed), ("--eps", args.eps),
@@ -129,7 +131,7 @@ def main(argv=None) -> int:
             write_json(out / "condition_report.json", cls_report.to_json_tree())
             print(f"wrote outputs to {out}")
         return 0
-    except MulfixError as exc:
+    except (MulfixError, OSError) as exc:  # OSError: a config or output file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

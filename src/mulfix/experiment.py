@@ -124,8 +124,9 @@ class ExperimentConfig(JsonConfig):
                 raise ConfigError(f"start {s} is outside the domain",
                                   field="solver.starts")
         if self.outputs and (self.outputs.keys() != {"dir"}
-                             or not isinstance(self.outputs["dir"], str)):
-            raise ConfigError(f"only a string 'dir' is read, got {self.outputs!r}",
+                             or not isinstance(self.outputs["dir"], str)
+                             or not self.outputs["dir"]):
+            raise ConfigError(f"only a non-empty string 'dir' is read, got {self.outputs!r}",
                               field="outputs")
         object.__setattr__(
             self, "expectations",
@@ -405,7 +406,7 @@ def write_json(path, tree) -> None:
         stream_json(tree, f)
 
 
-def write_report(report, out_dir, fmt: str = "json") -> list[Path]:
+def write_report(report: ExperimentReport, out_dir, fmt: str = "json") -> list[Path]:
     """Write report.json plus one trace file per solver run."""
     if fmt not in ("json", "csv"):
         raise ConfigError(f"unknown output format {fmt!r}", field="format")
@@ -414,7 +415,7 @@ def write_report(report, out_dir, fmt: str = "json") -> list[Path]:
     report_path = out_dir / "report.json"
     write_json(report_path, report.to_json_tree())
     written.append(report_path)
-    for i, run in enumerate(getattr(report, "runs", ())):
+    for i, run in enumerate(report.runs):
         if fmt == "csv":
             path = out_dir / f"trace_{i:03d}.csv"
             write_atomic(path, run.trace.to_csv_text())

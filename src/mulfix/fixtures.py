@@ -155,10 +155,6 @@ class RemarkReport:
     def passed(self) -> bool:
         return all(c["passed"] for c in self.checks)
 
-    @property
-    def expectations(self) -> tuple[dict, ...]:
-        return self.checks
-
     def to_json_dict(self) -> dict:
         return {"seed": self.seed, "checks": list(self.checks),
                 "passed": self.passed}

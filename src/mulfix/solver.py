@@ -37,9 +37,9 @@ class SolverConfig(JsonConfig):
     log(eps).  While a step is above log(eps), the new iterate is compared
     with the iterates 2 to ``cycle_lookback`` (>= 0) steps before it, and a
     log distance below 1e-14 ends the run as a detected cycle; a value below
-    2 turns cycle detection off.  For a MetricSpec this look-back runs over
-    blocks of up to 64 steps, so the map (assumed pure) may be evaluated on
-    up to 63 discarded iterates past a detected cycle.
+    2 turns cycle detection off.  This look-back runs over blocks of up to
+    64 steps (one for a FunctionMetric), so the map (assumed pure) may be
+    evaluated on up to 63 discarded iterates past a detected cycle.
     The divergence threshold guards the exponential form against overflow:
     a single step of log distance above it ends the run as diverged.
     """
@@ -187,18 +187,17 @@ class _Cycle(Exception):
 class _LookBack:
     """The cycle look-back and the Cauchy windows of one Picard orbit.
 
-    The steps of ``points[done:]`` still wait for their look-back.  For a
-    MetricSpec they are scanned in blocks, one private kernel call over the
-    pending rows and the ``depth`` points before them, and a block grows
-    1, 2, 4, ... up to ``_ROW_BLOCK`` steps.  A FunctionMetric keeps blocks
-    of one and reads the pairs a step-by-step scan reads, in its order.
+    The steps of ``points[done:]`` still wait for their look-back.  They are
+    scanned in blocks, one private kernel call per block over its steps and
+    the ``cycle_lookback`` points before them.  A MetricSpec's block grows
+    1, 2, 4, ... up to ``_ROW_BLOCK`` steps; a FunctionMetric's stays at one,
+    so its function receives the pairs a step-by-step scan reads, in order.
     """
 
     def __init__(self, metric, config: SolverConfig, points: list, steps: list):
         self.metric, self.points, self.steps = metric, points, steps
         self.log_eps = config.log_eps
         self.lookback, self.window = config.cycle_lookback, config.window
-        self.depth = max(config.cycle_lookback, config.window - 1)
         self.blocked = isinstance(metric, MetricSpec)
         self.block, self.done = 1, 1
 
@@ -214,17 +213,21 @@ class _LookBack:
         and mark every step scanned; raise _Cycle at the first cycle."""
         lo, hi = self.done, len(self.points) if hi is None else hi
         self.done = len(self.points)
+        steps, log_eps = self.steps, self.log_eps
+        while lo < hi and steps[lo - 1] <= log_eps:  # trim to steps above log(eps)
+            lo += 1
+        while lo < hi and steps[hi - 2] <= log_eps:
+            hi -= 1
         if lo >= hi or self.lookback < 2:
             return
-        if self.blocked:
-            self._cycle(self._lags(lo, hi), lo)
-            return
-        for i in range(lo, hi):
-            if self.steps[i - 1] > self.log_eps:
-                earlier = self.points[max(0, i - self.lookback):i - 1]
-                if (self.metric._log_distance_matrix([self.points[i]], earlier)
-                        < 1e-14).any():
-                    self._cut(i)
+        first = max(0, lo - self.lookback)
+        D = self.metric._log_distance_matrix(self.points[lo:hi], self.points[first:hi - 2])
+        # D[r, c] pairs points[lo + r] with the point lo - first + r - c steps before it
+        lag = np.arange(lo - first, hi - first)[:, None] - np.arange(hi - 2 - first)
+        near = ((D < 1e-14) & (lag >= 2) & (lag <= self.lookback)).any(axis=1)
+        for r in np.flatnonzero(near).tolist():
+            if steps[lo + r - 1] > log_eps:
+                self._cut(lo + r)
 
     def settled(self) -> bool:
         """Scan the pending steps before the last, whose step is below
@@ -237,26 +240,6 @@ class _LookBack:
                 self.metric._log_distance(window[0], window[-1]) >= self.log_eps:
             return False
         return _max_pairwise_logd(self.metric, window) < self.log_eps
-
-    def _lags(self, lo: int, hi: int) -> np.ndarray:
-        """G[r, k - 1] = log d(points[lo + r], points[lo + r - k]) for k in
-        1..depth, NaN before the orbit's start."""
-        depth, points = self.depth, self.points
-        first = max(0, lo - depth)
-        D = self.metric._log_distance_matrix(points[lo:hi], points[first:hi - 1])
-        if lo - first < depth:
-            D = np.hstack((np.full((hi - lo, depth - lo + first), np.nan), D))
-        r = np.arange(hi - lo)[:, None]
-        return D[r, r + depth - np.arange(1, depth + 1)]
-
-    def _cycle(self, G: np.ndarray, lo: int) -> None:
-        """Raise _Cycle at the first row (point lo + r) whose step is above
-        log(eps) and which lies within 1e-14 of a point 2 to ``lookback``
-        steps before it."""
-        near = (G[:, 1:self.lookback] < 1e-14).any(axis=1)
-        for r in np.flatnonzero(near).tolist():
-            if self.steps[lo + r - 1] > self.log_eps:
-                self._cut(lo + r)
 
     def _cut(self, i: int) -> None:
         del self.points[i + 1:], self.steps[i:]
@@ -365,8 +348,8 @@ def picard(metric, T, x0, config: SolverConfig,
 
     Each run applies T and measures its step through one step function
     that binds the map's and the metric's scalar kernels and their checks
-    once; a SelfMapSpec's image has only its finiteness checked.  For a
-    MetricSpec the cycle look-back runs over blocks of steps, and the
+    once; a SelfMapSpec's image has only its finiteness checked.  The cycle
+    look-back runs over blocks of steps (one for a FunctionMetric), and the
     result equals a step-by-step scan.  T is assumed pure: a run that ends
     in a detected cycle may have evaluated it on up to 63 iterates past the
     one it reports, which are discarded; other runs evaluate it exactly as
@@ -532,6 +515,10 @@ def find_periodic_point(metric, T, x0, max_period: int, eps: float,
     earliest such orbit point, or None if no recurrence shows up within
     max_iter orbit steps.  The orbit ends early where T fails or its value
     leaves the metric's space.  Period 1 is a fixed point at tolerance.
+
+    The windows ``orbit[i:i + max_period + 1]`` are searched in blocks, one
+    private kernel call each, of one window for a FunctionMetric: its
+    function receives the pairs of one public call per orbit index, in order.
     """
     if max_period < 1:
         raise DomainError("max_period must be >= 1")
@@ -546,27 +533,22 @@ def find_periodic_point(metric, T, x0, max_period: int, eps: float,
         except DomainError:
             break
         orbit.append(x)
-    clean = _clean_windows(metric, orbit, max_period)
-    found = _first_return(metric, orbit, clean, max_period, log_eps)
-    if found is not None:
-        return found
-    # from the first window the public kernel rejects (it raises there), or
-    # every window of a FunctionMetric, whose distance function sees the
-    # pairs one index at a time
-    for i in range(clean, len(orbit) - 1):
-        ahead = metric.log_distance_matrix(orbit[i + 1:i + 1 + max_period], [orbit[i]])
-        hits = np.flatnonzero(ahead[:, 0] < log_eps)
-        if hits.size:
-            return orbit[i], int(hits[0]) + 1
-    return None
+    if isinstance(metric, MetricSpec):
+        clean, block = _clean_windows(metric, orbit, max_period), _ROW_BLOCK
+    else:
+        clean, block = len(orbit) - 1, 1
+    found = _first_return(metric, orbit, clean, max_period, log_eps, block)
+    if found is None and clean < len(orbit) - 1:
+        # window clean holds a point of another dimension or a start outside
+        # the metric's space, so the public kernel raises its error here
+        metric.log_distance_matrix(orbit[clean + 1:clean + 1 + max_period], [orbit[clean]])
+    return found
 
 
-def _clean_windows(metric, orbit: list[Point], max_period: int) -> int:
+def _clean_windows(metric: MetricSpec, orbit: list[Point], max_period: int) -> int:
     """How many leading windows ``orbit[i:i + max_period + 1]`` the public
-    kernel accepts: one dimension, inside a MetricSpec's space (the orbit's
-    points after the start passed ``check_domain``).  0 for other metrics."""
-    if not isinstance(metric, MetricSpec):
-        return 0
+    kernel accepts: one dimension, inside the metric's space (the orbit's
+    points after the start passed ``check_domain``)."""
     try:
         metric.check_domain(orbit[0])
     except DomainError:
@@ -577,23 +559,19 @@ def _clean_windows(metric, orbit: list[Point], max_period: int) -> int:
 
 
 def _first_return(metric, orbit: list[Point], n: int, max_period: int,
-                  log_eps: float):
+                  log_eps: float, block: int):
     """``find_periodic_point`` over the first n windows of a checked orbit,
-    in row blocks of the private kernel."""
-    period = min(max_period, len(orbit) - 1)
-    for start in range(0, n, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, n)
-        # D[c + p - 1, c] = log d(orbit[start + c + p], orbit[start + c])
-        D = metric._log_distance_matrix(orbit[start + 1:stop + period], orbit[start:stop])
-        short = stop - start + period - 1 - len(D)  # rows past the orbit's end
-        if short:
-            D = np.vstack((D, np.full((short, stop - start), np.nan)))
-        c = np.arange(stop - start)[:, None]
-        hits = D[c + np.arange(period), c] < log_eps
-        found = np.flatnonzero(hits.any(axis=1))
+    in blocks of ``block`` windows, one private kernel call each."""
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        D = metric._log_distance_matrix(orbit[start + 1:stop + max_period], orbit[start:stop])
+        # D[r, c] pairs orbit[start + c] with the point 1 + r - c steps after it
+        lag = np.arange(1, len(D) + 1)[:, None] - np.arange(stop - start)
+        hits = (D < log_eps) & (lag >= 1) & (lag <= max_period)
+        found = np.flatnonzero(hits.any(axis=0))
         if found.size:
-            i = int(found[0])
-            return orbit[start + i], int(np.flatnonzero(hits[i])[0]) + 1
+            c = int(found[0])
+            return orbit[start + c], int(np.flatnonzero(hits[:, c])[0]) + 1 - c
     return None
 
 

@@ -139,6 +139,7 @@ SOLVER = {"eps": EPS, "max_iter": 200, "starts": [[0.2], [0.8]]}
     ("expectations", [{"kind": "conditions_hold", "conditions": ["C9"]}]),
     ("outputs", {"pairs": True}),
     ("outputs", {"dir": 5}),
+    ("outputs", {"dir": ""}),
     ("domain", [[0.1]]),
     ("domain", "x"),
     ("solver", {**SOLVER, "eps": 10**400}),
@@ -336,6 +337,47 @@ def test_a_negative_config_seed_exits_2_naming_the_seed(tmp_path, capsys, comman
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: seed: ")
     assert not (tmp_path / "out").exists()
+
+
+def cli_args(tmp_path, command) -> list:
+    if command == "fixture":
+        return ["fixture", "example_3_15"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(identity_config()))
+    return [command, "--config", str(path)]
+
+
+@pytest.mark.parametrize("command", ["run", "classify"])
+@pytest.mark.parametrize("given", ["missing", "directory"])
+def test_an_unreadable_config_exits_2_naming_its_path(tmp_path, capsys, command, given):
+    path = tmp_path / "cfg.json"
+    if given == "directory":
+        path.mkdir()
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+
+
+@pytest.mark.parametrize("command", ["fixture", "run", "classify"])
+def test_an_output_dir_under_a_regular_file_exits_2_naming_it(tmp_path, capsys, command):
+    args = cli_args(tmp_path, command)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    assert main([*args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+
+
+@pytest.mark.parametrize("command", ["fixture", "run", "classify"])
+def test_an_empty_out_flag_is_a_usage_error(tmp_path, capsys, monkeypatch, command):
+    args = cli_args(tmp_path, command)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--out", ""])
+    assert exc.value.code == 2
+    assert "--out needs a directory, got an empty path" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        [] if command == "fixture" else ["cfg.json"])
 
 
 def test_module_entry_point_smoke():

@@ -101,7 +101,7 @@ def experiments(draw):
         enforce_domain=draw(st.booleans()),
         expectations=tuple(draw(st.lists(EXPECTATIONS, max_size=4))),
         phi=draw(st.none() | PHIS), constants=draw(st.none() | CONSTANTS),
-        outputs=draw(st.none() | st.fixed_dictionaries({}, optional={"dir": st.text()})),
+        outputs=draw(st.none() | st.fixed_dictionaries({}, optional={"dir": st.text(min_size=1)})),
     )
 
 

@@ -8,8 +8,10 @@ The orbit scans (limit points, Cauchy windows, bound rows, periodic points)
 must give exactly what their former scalar loops gave.  The private kernel
 that internal scans read must equal the public one on checked points,
 ``picard`` must give what a loop of public calls gives and call the map as
-often (but past a detected cycle), and each public function must still
-reject the invalid points it rejected before.
+often (but past a detected cycle), ``picard`` and ``find_periodic_point``
+must pass a FunctionMetric's distance function the pairs their loops pass
+it, in order, and each public function must still reject the invalid
+points it rejected before.
 """
 
 import dataclasses
@@ -1056,3 +1058,63 @@ def test_a_periodic_search_validates_each_orbit_point_at_most_twice(monkeypatch,
                                    max_iter=2000)
     assert found is None
     assert len(calls) <= most
+
+
+# -- the pairs a FunctionMetric's distance function receives ---------------------
+
+
+def recording(fn):
+    """fn, and the list of the point pairs it receives, exactly, in order."""
+    calls = []
+
+    def recorded(x, y):
+        calls.append((tuple(map(bits, x)), tuple(map(bits, y))))
+        return fn(x, y)
+    return recorded, calls
+
+
+def one_plus(x, y):
+    return 1.0 + abs(x[0] - y[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(fn=st.sampled_from([one_plus, ONE_SIDED.fn, SIGNED.fn,
+                           lambda x, y: 2.0 ** (abs(x[0] - y[0]) + len(x) - len(y))]),
+       T=st.one_of(st.sampled_from(ORBIT_MAPS),
+                   st.builds(drifting, st.integers(80, 230), st.sampled_from(TAILS),
+                             st.sampled_from([1, 4]))),
+       start=st.sampled_from([(1.0,), (2.5,), (0.0,), (-1.5,), (1.0, 3.0), (0.5, -2.0)]),
+       max_period=st.one_of(st.integers(1, 8), st.just(500)),
+       eps=st.sampled_from([math.exp(1e-12), math.exp(1e-6), math.exp(1e-2), math.exp(0.5)]),
+       max_iter=st.integers(0, 300))
+def test_find_periodic_point_passes_a_distance_function_the_loops_pairs(fn, T, start,
+                                                                        max_period, eps,
+                                                                        max_iter):
+    # SIGNED raises, the last function can be 0 or change with the dimension,
+    # and ORBIT_MAPS holds maps that widen the point
+    kernel_fn, calls = recording(fn)
+    loop_fn, loop_calls = recording(fn)
+    args = (T, start, max_period, eps, max_iter)
+    assert (outcome(mx.find_periodic_point, mx.FunctionMetric(kernel_fn), *args)
+            == outcome(loop_find_periodic_point, mx.FunctionMetric(loop_fn), *args))
+    assert calls == loop_calls
+
+
+@pytest.mark.parametrize("m", [80, 127, 128, 190])
+@pytest.mark.parametrize("tail", ["fail", "leap", "cycle2", "cycle3"])
+@pytest.mark.parametrize("cycle_lookback", [0, 3, 25])
+@pytest.mark.parametrize("dim, divergence_logd", [(1, 5.0), (1, 700.0), (4, 700.0)])
+def test_picard_passes_a_distance_function_the_step_by_step_pairs(m, tail, cycle_lookback,
+                                                                  dim, divergence_logd):
+    # every step of these runs is above log(eps), so none reaches a window check
+    config = mx.SolverConfig(eps=math.exp(1e-6), max_iter=400, window=40,
+                             cycle_lookback=cycle_lookback,
+                             divergence_logd=divergence_logd, limit_point_restart=False)
+    start = (1.0,) if dim == 1 else (1.0, 2.0, 2.0, 3.0)
+    kernel_fn, calls = recording(one_plus)
+    loop_fn, loop_calls = recording(one_plus)
+    args = (drifting(m, tail, dim), start, config, None)
+    got = picard_outcome(lambda: kernel_picard(mx.FunctionMetric(kernel_fn), *args))
+    assert got == picard_outcome(lambda: reference_picard(mx.FunctionMetric(loop_fn), *args))
+    assert min(map(float.fromhex, got[1])) > config.log_eps
+    assert calls == loop_calls
