@@ -14,8 +14,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
-from operator import sub
+from functools import cached_property, partial, reduce
+from operator import add, sub
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -70,10 +70,12 @@ def _array(points: Sequence) -> np.ndarray:
 
 # -- scalar kernels: the log distance of two checked point tuples ------------
 # Each takes its metric's log(a) first; ``MetricSpec._log_distance`` binds it.
+# Terms are added left to right, as the array kernels add them: ``sum`` of
+# floats is compensated since Python 3.12 and can differ in the last bit.
 
 
 def _star_product(px: Point, py: Point) -> float:
-    return sum(map(abs, map(sub, map(math.log, px), map(math.log, py))))
+    return reduce(add, map(abs, map(sub, map(math.log, px), map(math.log, py))))
 
 
 def _euclidean(log_a: float, px: Point, py: Point) -> float:
@@ -81,7 +83,7 @@ def _euclidean(log_a: float, px: Point, py: Point) -> float:
 
 
 def _manhattan(log_a: float, px: Point, py: Point) -> float:
-    return log_a * sum(map(abs, map(sub, px, py)))
+    return log_a * reduce(add, map(abs, map(sub, px, py)))
 
 
 def _chebyshev(log_a: float, px: Point, py: Point) -> float:
@@ -89,7 +91,7 @@ def _chebyshev(log_a: float, px: Point, py: Point) -> float:
 
 
 def _exp_reciprocal(log_a: float, px: Point, py: Point) -> float:
-    return log_a * sum(abs(1.0 / a - 1.0 / b) for a, b in zip(px, py))
+    return log_a * reduce(add, (abs(1.0 / a - 1.0 / b) for a, b in zip(px, py)))
 
 
 def _discrete(log_a: float, px: Point, py: Point) -> float:
@@ -113,8 +115,35 @@ def _nonzero(p: Point) -> None:
         raise DomainError(f"exp_reciprocal needs nonzero coordinates, got {p}")
 
 
-# the space check of each kind whose space is not all of R^d
+# the space check of each kind whose space is not all of R^d, on one point
+# tuple and, as ``test(A, 0.0)``, on every coordinate of a finite array
 _SPACES = {"star_product": _positive, "exp_reciprocal": _nonzero}
+_ARRAY_SPACES = {"star_product": np.greater, "exp_reciprocal": np.not_equal}
+
+
+def _reference_margin(dim: int, tol: float, top: float) -> float:
+    """How much farther apart than tol two distances to one point may come
+    out when their own points lie closer than tol.
+
+    For dim-d points with r_i = L(p_i, p_0) and r_j = L(p_j, p_0) at most
+    top, all three computed by a MetricSpec kernel: L(p_i, p_j) < tol
+    implies |r_i - r_j| <= tol + margin.  Exactly, the reverse triangle
+    inequality gives |r_i - r_j| <= L(p_i, p_j); the margin covers rounding.
+
+    Each kernel is within d + 5 roundings, a relative error of
+    g = (d + 5) 2**-53 up to O(g**2), of a value that obeys the triangle
+    inequality exactly: the kind's formula on the coordinates, or on their
+    rounded logs (star_product) or reciprocals (exp_reciprocal), times the
+    rounded log(a).  A coordinate difference costs one rounding, the
+    left-to-right sum d - 1, the factor log(a) one, and ``math.dist`` is
+    within 2 ulps (4 roundings) of the norm of the rounded differences.  So
+    |r_i - r_j| < (tol + 2 g top) / (1 - g) + O(g**2), which the margin
+    8 g (tol + top) exceeds with room to spare; 2**-1000 covers the absolute
+    error of a product that underflows.  Rounding is monotone, so comparing
+    a rounded difference or sum of r values with the float tol + margin
+    never drops such a pair.
+    """
+    return (dim + 5) * 2.0 ** -50 * (tol + top) + 2.0 ** -1000
 
 
 @dataclass(frozen=True)
@@ -248,21 +277,45 @@ class MetricSpec(JsonConfig):
         """``log_distance_matrix`` of point tuples that passed ``_checked``."""
         if not X or not Y:
             return np.zeros((len(X), len(Y)))
+        if self.kind == "lifted" and self.base == "euclidean":
+            norms = [[math.dist(x, y) for y in Y] for x in X]
+            return math.log(self.a) * np.array(norms)
+        A, B = self._arrays(X, Y)
+        return self._fold(A[:, None, :], B[None, :, :])
+
+    def _log_distance_pairs(self, X: Sequence[Point], Y: Sequence[Point]) -> np.ndarray:
+        """``_log_distance(x, y)`` for each pair of ``zip(X, Y)``, two equally
+        long lists of point tuples that passed ``_check_pair``, bit for bit
+        (the same arithmetic as ``_log_distance_matrix``)."""
+        if not X:
+            return np.zeros(0)
+        if self.kind == "lifted" and self.base == "euclidean":
+            return math.log(self.a) * np.array(list(map(math.dist, X, Y)))
+        return self._fold(*self._arrays(X, Y))
+
+    def _arrays(self, X: Sequence[Point], Y: Sequence[Point]) -> tuple:
+        """X and Y as float arrays of the values this kind compares: the
+        coordinates, their ``math.log`` (star_product) or their reciprocals
+        (exp_reciprocal)."""
         if self.kind == "star_product":
             X, Y = ([[math.log(c) for c in p] for p in P] for P in (X, Y))
         A, B = _array(X), _array(Y)
+        if self.kind == "exp_reciprocal":
+            with np.errstate(all="ignore"):
+                A, B = 1.0 / A, 1.0 / B
+        return A, B
+
+    def _fold(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """The log distances of the broadcast arrays A and B over their last
+        axis: coordinate terms summed (or maximized) left to right, as the
+        scalar kernels do."""
         with np.errstate(all="ignore"):
             if self.kind == "discrete":
-                same = (A[:, None, :] == B[None, :, :]).all(axis=2)
-                return np.where(same, 0.0, math.log(self.a))
-            if self.kind == "lifted" and self.base == "euclidean":
-                norms = [[math.dist(x, y) for y in Y] for x in X]
-                return math.log(self.a) * np.array(norms)
-            if self.kind == "exp_reciprocal":
-                A, B = 1.0 / A, 1.0 / B
-            terms = np.abs(A[:, None, :] - B[None, :, :])
-            acc = terms[:, :, 0]
-            for t in terms.transpose(2, 0, 1)[1:]:
+                return np.where((A == B).all(axis=-1), 0.0, math.log(self.a))
+            terms = np.abs(A - B)
+            acc = terms[..., 0]
+            for k in range(1, terms.shape[-1]):
+                t = terms[..., k]
                 acc = np.where(t > acc, t, acc) if self.base == "chebyshev" else acc + t
             return acc if self.kind == "star_product" else math.log(self.a) * acc
 

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .metrics import Point, as_point
+from .metrics import MetricSpec, Point, _reference_margin, as_point
 
 # rows per block of an orbit scan; a block of 2,000 columns is about 1 MB
 _ROW_BLOCK = 64
@@ -160,6 +160,14 @@ def detect_limit_point(
     qualifies when at least ceil(fraction * len) of the recorded points lie
     strictly inside its open ball of radius eps.  Returns None when no point
     qualifies.
+
+    Under a MetricSpec, a trace of more than 64 points scans only the
+    points that may qualify: by the reverse triangle inequality, a point
+    p_j inside p_i's ball has its distance to the first point within
+    log(eps) of p_i's, up to the kernels' rounding margin (see
+    ``metrics._reference_margin``), so one sort of those distances rules
+    most points out.  A FunctionMetric need not be a metric, and its scan
+    reads every pair.
     """
     log_eps = _check_eps(eps)
     if len(trace.points) < 2:
@@ -173,8 +181,30 @@ def _limit_point(trace: IterationTrace, points: Sequence[Point], log_eps: float,
                  fraction: float = 0.25) -> Optional[Point]:
     """``detect_limit_point`` given the trace's points as checked tuples."""
     need = math.ceil(len(points) * fraction)
-    for start, D in _row_blocks(trace.metric, points, points):
+    rows = _limit_rows(trace.metric, points, log_eps, need)
+    for start in range(0, len(rows), _ROW_BLOCK):
+        block = rows[start:start + _ROW_BLOCK]
+        D = trace.metric._log_distance_matrix([points[i] for i in block], points)
         hits = np.flatnonzero((D < log_eps).sum(axis=1) >= need)
         if hits.size:
-            return trace.points[start + int(hits[0])]
+            return trace.points[block[int(hits[0])]]
     return None
+
+
+def _limit_rows(metric, points: Sequence[Point], log_eps: float, need: int) -> Sequence[int]:
+    """The indices of the points that may have ``need`` points within
+    log_eps, in order: every index for a FunctionMetric, for at most one row
+    block, or when a distance to the first point is not finite.  Otherwise
+    each index i with at least ``need`` points p_j whose r_j = L(p_j, p_0)
+    lies within log_eps plus the rounding margin of r_i, as every
+    qualifying point has."""
+    rows = range(len(points))
+    if not isinstance(metric, MetricSpec) or len(points) <= _ROW_BLOCK:
+        return rows  # exact; one row block costs no more than the prefilter
+    r = metric._log_distance_pairs(points, [points[0]] * len(points))
+    s = np.sort(r)
+    if not math.isfinite(s[-1]):  # NaN sorts last
+        return rows
+    t = log_eps + _reference_margin(len(points[0]), log_eps, float(s[-1]))
+    near = np.searchsorted(s, r + t, "right") - np.searchsorted(s, r - t, "left")
+    return np.flatnonzero(near >= need).tolist()

@@ -10,6 +10,7 @@ orbits, and uniqueness probes live here as well.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -22,7 +23,8 @@ from .errors import (
 )
 from .jsonconfig import JsonConfig
 from .maps import Box, SelfMapSpec
-from .metrics import MetricSpec, Point, as_point
+from .metrics import (_ARRAY_SPACES, MetricSpec, Point, _array, _reference_margin,
+                      as_point)
 from .sequences import (_ROW_BLOCK, IterationTrace, Status, _check_eps,
                         _limit_point, _max_pairwise_logd)
 
@@ -37,11 +39,20 @@ class SolverConfig(JsonConfig):
     log(eps).  While a step is above log(eps), the new iterate is compared
     with the iterates 2 to ``cycle_lookback`` (>= 0) steps before it, and a
     log distance below 1e-14 ends the run as a detected cycle; a value below
-    2 turns cycle detection off.  This look-back runs over blocks of up to
-    64 steps (one for a FunctionMetric), so the map (assumed pure) may be
-    evaluated on up to 63 discarded iterates past a detected cycle.
-    The divergence threshold guards the exponential form against overflow:
-    a single step of log distance above it ends the run as diverged.
+    2 turns cycle detection off.  The divergence threshold guards the
+    exponential form against overflow: a single step of log distance above
+    it ends the run as diverged.
+
+    No field changes the result, which equals a step-by-step scan.  They
+    bound the extra work: a SelfMapSpec under a MetricSpec maps ahead in
+    blocks of up to 256 iterates, so the map (assumed pure) may be applied
+    to up to 255 discarded iterates past any stop; any other map is applied
+    exactly as often as a step-by-step scan applies it, but for up to 63
+    discarded iterates past a detected cycle, as the look-back runs over
+    blocks of up to 64 steps (one for a FunctionMetric).  Under a
+    MetricSpec, the look-back and the limit-point scan compare pairs only
+    where one distance per orbit point to its start leaves a return
+    possible (see ``metrics._reference_margin``).
     """
 
     eps: float = math.exp(1e-9)
@@ -55,6 +66,10 @@ class SolverConfig(JsonConfig):
 
     def __post_init__(self):
         _check_eps(self.eps)
+        try:
+            operator.index(self.max_iter)
+        except TypeError:
+            raise DomainError(f"max_iter must be an integer, got {self.max_iter!r}") from None
         if self.max_iter < 1:
             raise DomainError("max_iter must be >= 1")
         if self.window < 2:
@@ -188,10 +203,18 @@ class _LookBack:
     """The cycle look-back and the Cauchy windows of one Picard orbit.
 
     The steps of ``points[done:]`` still wait for their look-back.  They are
-    scanned in blocks, one private kernel call per block over its steps and
-    the ``cycle_lookback`` points before them.  A MetricSpec's block grows
-    1, 2, 4, ... up to ``_ROW_BLOCK`` steps; a FunctionMetric's stays at one,
-    so its function receives the pairs a step-by-step scan reads, in order.
+    scanned in blocks over their steps and the ``cycle_lookback`` points
+    before them.  A MetricSpec's block grows 1, 2, 4, ... up to
+    ``_ROW_BLOCK`` steps; a block of iterates mapped ahead is scanned at
+    once.  A MetricSpec's scan of more than ``_ROW_BLOCK`` steps first reads
+    one distance per orbit point, r_k = L(p_k, p_0): by the reverse triangle
+    inequality |r_i - r_j| <= L(p_i, p_j), so when no two r of the scanned
+    points lie within 1e-14 plus the kernels' rounding margin of each other
+    (see ``metrics._reference_margin``) and all are finite, no pair is a
+    return and nothing more is read.  Otherwise, and always for a
+    FunctionMetric, the scan is exact: one private kernel call per
+    ``_ROW_BLOCK`` rows.  A FunctionMetric's block stays at one step, so its
+    function receives the pairs a step-by-step scan reads, in order.
     """
 
     def __init__(self, metric, config: SolverConfig, points: list, steps: list):
@@ -200,10 +223,15 @@ class _LookBack:
         self.lookback, self.window = config.cycle_lookback, config.window
         self.blocked = isinstance(metric, MetricSpec)
         self.block, self.done = 1, 1
+        self.ref: list[float] = []  # r_k of the points scanned so far
+
+    @property
+    def pending(self) -> int:
+        return len(self.points) - self.done
 
     def push(self) -> None:
         """Queue the last step; scan the pending ones when the block is full."""
-        if len(self.points) - self.done >= self.block:
+        if self.pending >= self.block:
             self.flush()
             if self.blocked:
                 self.block = min(2 * self.block, _ROW_BLOCK)
@@ -220,14 +248,32 @@ class _LookBack:
             hi -= 1
         if lo >= hi or self.lookback < 2:
             return
-        first = max(0, lo - self.lookback)
-        D = self.metric._log_distance_matrix(self.points[lo:hi], self.points[first:hi - 2])
-        # D[r, c] pairs points[lo + r] with the point lo - first + r - c steps before it
-        lag = np.arange(lo - first, hi - first)[:, None] - np.arange(hi - 2 - first)
-        near = ((D < 1e-14) & (lag >= 2) & (lag <= self.lookback)).any(axis=1)
-        for r in np.flatnonzero(near).tolist():
-            if steps[lo + r - 1] > log_eps:
-                self._cut(lo + r)
+        # below a row block the exact scan costs no more than the prefilter
+        if self.blocked and hi - lo > _ROW_BLOCK and \
+                self._apart(max(0, lo - self.lookback), hi):
+            return
+        for a in range(lo, hi, _ROW_BLOCK):
+            b, first = min(a + _ROW_BLOCK, hi), max(0, a - self.lookback)
+            D = self.metric._log_distance_matrix(self.points[a:b], self.points[first:b - 2])
+            # D[r, c] pairs points[a + r] with the point a - first + r - c steps before it
+            lag = np.arange(a - first, b - first)[:, None] - np.arange(b - 2 - first)
+            near = ((D < 1e-14) & (lag >= 2) & (lag <= self.lookback)).any(axis=1)
+            for r in np.flatnonzero(near).tolist():
+                if steps[a + r - 1] > log_eps:
+                    self._cut(a + r)
+
+    def _apart(self, first: int, hi: int) -> bool:
+        """Whether no two of ``points[first:hi]`` can lie within 1e-14 of
+        each other, by their distances to the first point."""
+        new = self.points[len(self.ref):hi]
+        if new:
+            origin = [self.points[0]] * len(new)
+            self.ref.extend(self.metric._log_distance_pairs(new, origin).tolist())
+        r = np.sort(self.ref[first:hi])
+        if not math.isfinite(r[-1]):  # NaN sorts last
+            return False
+        tol = 1e-14 + _reference_margin(len(self.points[0]), 1e-14, float(r[-1]))
+        return not (np.diff(r) <= tol).any()
 
     def settled(self) -> bool:
         """Scan the pending steps before the last, whose step is below
@@ -246,22 +292,92 @@ class _LookBack:
         raise _Cycle
 
 
+# the sizes of the blocks of iterates a built-in map is applied to ahead of
+# their steps' checks: 8, 16, ... up to 256; smaller blocks cost more in
+# array set-up than the step-by-step calls they would replace
+_AHEAD_FIRST, _AHEAD = 8, 256
+
+
+def _ahead(metric, T, domain: Optional[Box], config: SolverConfig) -> Optional[Callable]:
+    """The map-ahead of one run of a SelfMapSpec under a MetricSpec; None
+    for any other map or metric.
+
+    ``ahead(points, steps, size)`` applies T's kernel to the last point and
+    on, ``size`` times, and appends the leading images that pass every check
+    of a step, with their steps, in one array: finite, of the run's
+    dimension, inside the declared box and the metric's space, and a step
+    with log(eps) < step <= divergence_logd that keeps the monotone rule.
+    It returns how many it appended.  The rest are dropped, a failure of T
+    too: the next step applies T again at the first of them and handles
+    what it finds.  The last step must be above log(eps).
+    """
+    if type(T) is not SelfMapSpec or not isinstance(metric, MetricSpec):
+        return None
+    call, pairs, inside = T._call, metric._log_distance_pairs, _ARRAY_SPACES.get(metric.kind)
+    log_eps, divergence = config.log_eps, config.divergence_logd
+    monotone = config.check_monotone_residual
+    bounds = None if domain is None else np.array(domain.bounds).T
+
+    def ahead(points: list, steps: list, size: int) -> int:
+        x = points[-1]
+        dim, images = len(x), []
+        try:
+            for _ in range(size):
+                x = call(x)
+                images.append(x)
+        except Exception:  # noqa: BLE001 - T is applied again by the next step
+            pass
+        n = _leading(np.fromiter(map(len, images), int, len(images)) == dim)
+        if n == 0 or (bounds is not None and bounds.shape[1] != dim):
+            return 0
+        A = _array(images[:n])
+        ok = np.isfinite(A)
+        if bounds is not None:
+            ok &= (A >= bounds[0]) & (A <= bounds[1])
+        if inside is not None:
+            ok &= inside(A, 0.0)
+        n = _leading(ok.all(axis=1))
+        if n == 0:
+            return 0
+        d = pairs(points[-1:] + images[:n - 1], images[:n])
+        ok = (d > log_eps) & (d <= divergence)
+        if monotone:
+            ok[0] &= d[0] < steps[-1]
+            ok[1:] &= d[1:] < d[:-1]
+        n = _leading(ok)
+        points.extend(images[:n])
+        steps.extend(d[:n].tolist())
+        return n
+
+    return ahead
+
+
+def _leading(ok: np.ndarray) -> int:
+    """How many leading entries of a bool vector are true."""
+    return int(ok.argmin()) if not ok.all() else len(ok)
+
+
 def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
     """One Picard run from x0: its trace and the residual at its last point.
 
     Every step is one call of the run's step function (see ``_stepper``),
     built once per run, which runs the step's own checks at once; each
     residual is a step of a second one, built without the domain and the
-    monotone check.  The cycle look-back of the steps above log(eps) is
+    monotone check.  A SelfMapSpec under a MetricSpec also maps ahead: after
+    a step above log(eps), blocks of 8, 16, ... up to ``_AHEAD`` iterates
+    are appended at once by ``_ahead`` while every check passes, and at the
+    first iterate that fails one the step function runs again, which is the
+    only code that handles an event.  A block cut short starts the sizes
+    over.  The cycle look-back of the steps above log(eps) is
     deferred to ``_LookBack``, which scans it over blocks of pending steps,
-    in order, and also before the run stops or goes on for any other
-    reason: a step below log(eps), a divergent step, a failure of T or of a
-    check, and max_iter.  A cycle among them ends the run at its first
-    point, as a step-by-step scan would.  T is assumed pure: a run that ends
-    in a detected cycle may have evaluated it on up to 63 iterates past that
-    point, which are discarded.
+    in order, after each block of iterates and also before the run stops or
+    goes on for any other reason: a step below log(eps), a divergent step, a
+    failure of T or of a check, and max_iter.  A cycle among them ends the
+    run at its first point, as a step-by-step scan would.  T is assumed
+    pure (see ``picard`` for the discarded iterates it may be applied to).
     """
     step, settle = _stepper(metric, T, domain, config), _stepper(metric, T)
+    ahead = _ahead(metric, T, domain, config)
     log_eps, divergence = config.log_eps, config.divergence_logd
     x = x0
     points: list[Point] = [x]
@@ -269,9 +385,11 @@ def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
     last: Optional[float] = None  # the last step's log distance
     status = Status.MAX_ITER
     look = _LookBack(metric, config, points, steps)
+    n, block = 0, _AHEAD_FIRST  # steps taken; size of the next block of iterates
 
     try:
-        for n in range(1, config.max_iter + 1):
+        while n < config.max_iter:
+            n += 1
             # a cycle among the pending steps ends the run before this step
             try:
                 y, last = step(x, n, last)
@@ -299,7 +417,17 @@ def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
             else:
                 # periodic, non-fixed orbit: y matches an earlier point exactly
                 look.push()
-            x = y
+                while ahead is not None and last > log_eps and n < config.max_iter:
+                    # the pending steps and the block end within _AHEAD iterates
+                    size = min(block, _AHEAD - look.pending, config.max_iter - n)
+                    got = ahead(points, steps, size)
+                    n, last = n + got, steps[-1]
+                    look.flush()
+                    if got < size:
+                        block = _AHEAD_FIRST
+                        break
+                    block = min(2 * block, _AHEAD)
+            x = points[-1]
         else:
             look.flush()
     except _Cycle:
@@ -348,12 +476,19 @@ def picard(metric, T, x0, config: SolverConfig,
 
     Each run applies T and measures its step through one step function
     that binds the map's and the metric's scalar kernels and their checks
-    once; a SelfMapSpec's image has only its finiteness checked.  The cycle
-    look-back runs over blocks of steps (one for a FunctionMetric), and the
-    result equals a step-by-step scan.  T is assumed pure: a run that ends
-    in a detected cycle may have evaluated it on up to 63 iterates past the
-    one it reports, which are discarded; other runs evaluate it exactly as
-    often as a step-by-step scan.
+    once; a SelfMapSpec's image has only its finiteness checked.  A
+    SelfMapSpec under a MetricSpec, the input of every config and CLI run,
+    also maps ahead: while its steps stay above log(eps), its kernel is
+    applied to blocks of up to 256 iterates, whose checks run in one array,
+    and the step function runs again at the first iterate that fails one.
+    The cycle look-back runs over blocks of steps (one for a
+    FunctionMetric).  Under a MetricSpec, it and the limit-point scan first
+    rule pairs out by one distance per orbit point to its start (see
+    ``metrics._reference_margin``).  The result equals a step-by-step scan.
+    T is assumed pure: a built-in map may be applied to up to 255
+    discarded iterates past any stop; any other map is applied exactly as
+    often as a step-by-step scan applies it, but for up to 63 discarded
+    iterates past a detected cycle.
     """
     start = as_point(x0)
     if domain is None:

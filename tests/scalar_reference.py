@@ -1,5 +1,5 @@
-"""Scalar references: the pair conditions, one metric's log distance and
-one map's image, each evaluated the plain way.
+"""Scalar references: the pair conditions, one metric's log distance, one
+map's image and the exact orbit scans, each evaluated the plain way.
 
 Each ``check_*`` evaluates one condition on one pair through scalar
 ``log_distance`` calls and returns ``(satisfied, slack)``, where slack is
@@ -11,7 +11,12 @@ condition off the pair kernel instead; the tests compare the two.
 ``log_distance`` and ``call`` dispatch on the kind at every call, as
 ``MetricSpec._log_distance`` and ``SelfMapSpec._call`` once did; those now
 bind their kind's kernel once per instance, and the tests compare the two
-bit for bit.
+bit for bit.  Coordinate terms are added left to right, as the kernels add
+them (``sum`` of floats is compensated since Python 3.12).
+
+``look_back`` and ``limit_point`` are Picard's cycle look-back and the
+limit-point scan as exact scans over every pair, before a prefilter by one
+distance per orbit point ruled most pairs out; the tests compare the two.
 """
 
 import math
@@ -108,11 +113,20 @@ def check_phi(metric, T, phi: PhiSpec, u, v, tol: float = DEFAULT_LOG_TOL):
     return _clip_slack(rhs - lhs, tol)
 
 
+def left_to_right(terms) -> float:
+    """The terms added in order, with no compensation."""
+    terms = list(terms)
+    total = terms[0]
+    for t in terms[1:]:
+        total += t
+    return total
+
+
 def _norm(base: str, x: Point, y: Point) -> float:
     if base == "euclidean":
         return math.dist(x, y)
     if base == "manhattan":
-        return sum(abs(a - b) for a, b in zip(x, y))
+        return left_to_right(abs(a - b) for a, b in zip(x, y))
     if base == "chebyshev":
         return max(abs(a - b) for a, b in zip(x, y))
     raise DomainError(f"unknown base metric {base!r}")
@@ -121,13 +135,14 @@ def _norm(base: str, x: Point, y: Point) -> float:
 def log_distance(self, px: Point, py: Point) -> float:
     """``log_distance`` of two point tuples that passed ``_check_pair``."""
     if self.kind == "star_product":
-        return sum(abs(math.log(a) - math.log(b)) for a, b in zip(px, py))
+        return left_to_right(abs(math.log(a) - math.log(b)) for a, b in zip(px, py))
     if self.kind == "lifted":
         return math.log(self.a) * _norm(self.base, px, py)
     if self.kind == "exp_abs":
-        return math.log(self.a) * sum(abs(a - b) for a, b in zip(px, py))
+        return math.log(self.a) * left_to_right(abs(a - b) for a, b in zip(px, py))
     if self.kind == "exp_reciprocal":
-        return math.log(self.a) * sum(abs(1.0 / a - 1.0 / b) for a, b in zip(px, py))
+        return math.log(self.a) * left_to_right(abs(1.0 / a - 1.0 / b)
+                                                for a, b in zip(px, py))
     # discrete: exact coordinate equality, codomain {0, log a}
     return 0.0 if px == py else math.log(self.a)
 
@@ -170,3 +185,38 @@ def call(self, x: Point) -> Point:
     with np.errstate(over="ignore", invalid="ignore"):  # as_point rejects inf, NaN
         y = m @ np.asarray(x, dtype=float) + np.asarray(self.offset, dtype=float)
     return as_point(y)
+
+
+def look_back(metric, points: list, steps: list, lo: int, lookback: int,
+              log_eps: float):
+    """Index of the first of ``points[lo:]`` whose step is above log_eps and
+    that lies within 1e-14 of a point 2 to ``lookback`` steps before it,
+    read from one dense private kernel call; None when there is none."""
+    hi = len(points)
+    while lo < hi and steps[lo - 1] <= log_eps:
+        lo += 1
+    while lo < hi and steps[hi - 2] <= log_eps:
+        hi -= 1
+    if lo >= hi or lookback < 2:
+        return None
+    first = max(0, lo - lookback)
+    D = metric._log_distance_matrix(points[lo:hi], points[first:hi - 2])
+    lag = np.arange(lo - first, hi - first)[:, None] - np.arange(hi - 2 - first)
+    near = ((D < 1e-14) & (lag >= 2) & (lag <= lookback)).any(axis=1)
+    for r in np.flatnonzero(near).tolist():
+        if steps[lo + r - 1] > log_eps:
+            return lo + r
+    return None
+
+
+def limit_point(metric, points: list, log_eps: float, fraction: float):
+    """The first of the checked point tuples with ceil(fraction * len) of
+    them within log_eps, read row block by row block; None when there is
+    none."""
+    need = math.ceil(len(points) * fraction)
+    for start in range(0, len(points), 64):
+        D = metric._log_distance_matrix(points[start:start + 64], points)
+        hits = np.flatnonzero((D < log_eps).sum(axis=1) >= need)
+        if hits.size:
+            return points[start + int(hits[0])]
+    return None

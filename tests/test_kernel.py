@@ -28,6 +28,7 @@ import mulfix as mx
 from mulfix import conditions, maps, metrics, sequences, solver
 from mulfix.errors import (DomainError, DomainEscapeError, MonotoneResidualError,
                            MulfixError)
+import scalar_reference
 from scalar_reference import check_c1, check_c2, check_c3, check_phi, check_strict
 
 METRICS = [
@@ -1118,3 +1119,424 @@ def test_picard_passes_a_distance_function_the_step_by_step_pairs(m, tail, cycle
     assert got == picard_outcome(lambda: reference_picard(mx.FunctionMetric(loop_fn), *args))
     assert min(map(float.fromhex, got[1])) > config.log_eps
     assert calls == loop_calls
+
+
+# -- the pair kernel and left-to-right sums --------------------------------------
+
+METRIC_SPECS = [m for m in METRICS if isinstance(m, mx.MetricSpec)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), metric=st.sampled_from(METRIC_SPECS),
+       dim=st.integers(1, 4))
+def test_the_pair_kernel_equals_the_scalar_kernel(seed, metric, dim):
+    rng = random.Random(seed)
+    points = [p for p in random_sample(rng, dim) + random_orbit(rng, dim)
+              if outcome(metric.check_domain, p) is None]
+    X = [rng.choice(points) for _ in points]
+    got = [bits(v) for v in metric._log_distance_pairs(points, X).tolist()]
+    assert got == [bits(metric._log_distance(x, y)) for x, y in zip(points, X)]
+
+
+@pytest.mark.parametrize("metric", METRIC_SPECS, ids=lambda m: f"{m.kind}-{m.base}")
+def test_the_pair_kernel_is_exact_on_many_values(metric):
+    # as for the matrix kernel: a last-bit difference of np.log or of a
+    # vectorised norm would all but certainly show on 10,000 pairs
+    rng = random.Random(6)
+    X, Y = ([(rng.uniform(0.01, 100.0), rng.uniform(0.01, 100.0)) for _ in range(10_000)]
+            for _ in range(2))
+    assert (metric._log_distance_pairs(X, Y).tolist()
+            == [metric._log_distance(x, y) for x, y in zip(X, Y)])
+
+
+# Coordinate terms 1, 2**-53, 2**-53: each addition ties back to 1.0, where a
+# compensated sum (``sum`` since Python 3.12) gives 1 + 2**-52.
+TIE = 2.0 ** -53
+
+
+@pytest.mark.parametrize("metric, x, y", [
+    (mx.MetricSpec.exp_abs(2.0), (1.0, TIE, TIE), (0.0, 0.0, 0.0)),
+    (mx.MetricSpec.lifted("manhattan", a=3.0), (0.0, 0.0, 0.0), (1.0, TIE, TIE)),
+    (mx.MetricSpec.exp_reciprocal(), (0.5, 2.0 ** 53, 2.0 ** 53), (1.0, 1e300, 1e300)),
+    (mx.MetricSpec.star_product(), (math.e, 1.0, 1.0), (1.0, 1.0 - TIE, 1.0 - TIE)),
+], ids=["exp_abs", "lifted-manhattan", "exp_reciprocal", "star_product"])
+def test_every_kernel_adds_its_terms_left_to_right(metric, x, y):
+    if metric.kind == "star_product":
+        terms, log_a = [abs(math.log(a) - math.log(b)) for a, b in zip(x, y)], None
+    elif metric.kind == "exp_reciprocal":
+        terms, log_a = [abs(1.0 / a - 1.0 / b) for a, b in zip(x, y)], 1.0
+    else:
+        terms, log_a = [abs(a - b) for a, b in zip(x, y)], math.log(metric.a)
+    assert terms == [1.0, TIE, TIE]
+    assert math.fsum(terms) != scalar_reference.left_to_right(terms)
+    expected = scalar_reference.left_to_right(terms)
+    expected = bits(expected if log_a is None else log_a * expected)
+    assert bits(metric.log_distance(x, y)) == expected
+    assert bits(scalar_reference.log_distance(metric, x, y)) == expected
+    assert bits(metric.log_distance_matrix([x, y], [y])[0, 0]) == expected
+    assert bits(metric._log_distance_pairs([x, y], [y, x])[0]) == expected
+
+
+# -- the map-ahead of a built-in map, across its blocks ----------------------------
+
+# After its first step, a SelfMapSpec under a MetricSpec maps ahead in
+# blocks of 8, 16, ... 256 iterates, so blocks end at iterates 9, 25, 57,
+# 121, 249, 505 and 761.  EDGES puts an event on a block's last or first
+# iterate, or inside one.
+EDGES = (100, 120, 121, 122, 200, 248, 249, 250, 300, 505, 506, 600)
+
+
+def orbit_of(T, start, n):
+    """The start and n iterates, by T's bound kernel."""
+    points = [start]
+    for _ in range(n):
+        points.append(T._call(points[-1]))
+    return points
+
+
+def geometric(metric, dim, grow):
+    """A built-in map and a start whose steps under metric grow or shrink by
+    about 1% a step."""
+    start = tuple(2.0 + k for k in range(dim))
+    if metric.kind == "star_product":  # log x -> p log x
+        return mx.SelfMapSpec.power(1.01 if grow else 0.99), start
+    if metric.kind == "exp_reciprocal":  # 1/x -> (1/c) (1/x)
+        return mx.SelfMapSpec.scale(0.99 if grow else 1.01), start
+    return mx.SelfMapSpec.scale(1.01 if grow else 0.99), start
+
+
+def returning(metric, dim, period, n, c=0.95):
+    """A built-in map and a start whose orbit closes a ``period``-cycle after
+    a transient: the iterate n steps on lies within 1e-14 of the one
+    ``period`` steps before it, and no earlier iterate does.
+
+    Period 2 negates and shrinks every coordinate (in the logs for
+    star_product, in the reciprocals for exp_reciprocal); period 3, in 4-d,
+    permutes three coordinates and shrinks the fourth (toward 1 in a
+    space other than all of R^d, where the targeting is approximate).
+    """
+    log_a = 1.0 if metric.a is None else math.log(metric.a)
+    mass = 1e-14 / ((1 - c ** period) * log_a * c ** (n - period - 0.5))
+    if period == 3:
+        decay = 1.0 if metric._space is not None else 0.0
+        T = mx.SelfMapSpec.affine(((0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 0.0, 0.0),
+                                   (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, c)),
+                                  (0.0, 0.0, 0.0, (1 - c) * decay))
+        return T, (1.0, 2.0, 3.0, decay + mass)
+    if metric.kind == "star_product":
+        return mx.SelfMapSpec.power(-c), (math.exp(mass),) + (1.0,) * (dim - 1)
+    if metric.kind == "exp_reciprocal":
+        return mx.SelfMapSpec.scale(-1 / c), (dim / mass,) * dim
+    return mx.SelfMapSpec.scale(-c), (mass,) + (0.0,) * (dim - 1)
+
+
+def event_run(event, metric, dim, n):
+    """(T, start, config, domain) of a built-in map's run whose event falls
+    on step n, its first step that fails a check of the map-ahead."""
+    config = dict(eps=math.exp(1e-9), max_iter=n + 40, limit_point_restart=False)
+    domain = None
+    if event == "box":
+        T, start = mx.SelfMapSpec.scale(1.001), (1.0,) * dim
+        domain = mx.Box(((0.5, max(map(max, orbit_of(T, start, n - 1)))),) * dim)
+    elif event == "space":  # reaches 0.0 exactly at step n
+        eye = [[float(i == j) for j in range(dim)] for i in range(dim)]
+        T, start = mx.SelfMapSpec.affine(eye, (-0.5,) * dim), (0.5 * n,) * dim
+    elif event == "overflow":  # reaches 2**1024 = inf at step n
+        T, start = mx.SelfMapSpec.scale(2.0), (2.0 ** (1024 - n),) * dim
+        config["divergence_logd"] = math.inf
+    elif event in ("diverge", "small"):
+        T, start = geometric(metric, dim, event == "diverge")
+        points = orbit_of(T, start, n)
+        s = [metric.log_distance(a, b) for a, b in zip(points, points[1:])]
+        cut = math.sqrt(s[n - 2] * s[n - 1])
+        config.update({"divergence_logd": cut} if event == "diverge" else
+                      {"eps": math.exp(cut), "max_iter": 3 * n})
+    elif event == "monotone":  # manhattan steps shrink, then grow from step n
+        c1, c2 = 0.99, 1.01
+        b = (1 - c1) ** 2 / ((c2 - 1) ** 2 * (c2 / c1) ** (n - 2.5))
+        diag = [c1 if k % 2 == 0 else c2 for k in range(2 * (dim // 2) or 2)]
+        T = mx.SelfMapSpec.affine([[v if i == j else 0.0 for j, _ in enumerate(diag)]
+                                   for i, v in enumerate(diag)], (0.0,) * len(diag))
+        start = tuple(1.0 if k % 2 == 0 else b for k in range(len(diag)))
+        config["check_monotone_residual"] = True
+    else:  # "cycle2", "cycle3"
+        T, start = returning(metric, dim, int(event[-1]), n)
+        config["eps"] = math.exp(1e-15)
+    return T, start, mx.SolverConfig(**config), domain
+
+
+def event_step(got, config):
+    """The step of a run's event: the iterate an escape or a breach names,
+    the step after the last where the map failed, or the last step."""
+    if got[0] == "escaped":
+        return got[3]
+    if got[0] == "raised":
+        return int(got[2].rsplit(" ", 1)[1])
+    failed = got[2] is mx.Status.DIVERGED and \
+        not float.fromhex(got[1][-1]) > config.divergence_logd
+    return got[3] + failed
+
+
+EVENTS = {  # event: (status or error, metrics it lands exactly on step n under)
+    "box": ("escaped", METRIC_SPECS),
+    "space": ("escaped", [m for m in METRIC_SPECS if m._space is not None]),
+    "overflow": (mx.Status.DIVERGED, [m for m in METRIC_SPECS
+                                      if m.kind in ("star_product", "discrete")]),
+    "diverge": (mx.Status.DIVERGED, [m for m in METRIC_SPECS if m.kind != "discrete"]),
+    "small": (None, [m for m in METRIC_SPECS if m.kind != "discrete"]),
+    "monotone": ("raised", [m for m in METRIC_SPECS
+                            if m.kind == "exp_abs" or m.base == "manhattan"]),
+    "cycle2": (mx.Status.CYCLE_DETECTED, [m for m in METRIC_SPECS if m.kind != "discrete"]),
+    "cycle3": (mx.Status.CYCLE_DETECTED, [m for m in METRIC_SPECS if m._space is None
+                                          and m.kind != "discrete"]),
+}
+
+
+@pytest.mark.parametrize("event", sorted(EVENTS))
+@pytest.mark.parametrize("n", [100, 121, 122, 249, 250, 300])
+def test_a_built_in_maps_event_falls_on_its_step_inside_or_at_the_edge_of_a_block(event,
+                                                                                  n):
+    kind, exact = EVENTS[event]
+    for k, metric in enumerate(exact):
+        dim = 4 if event == "cycle3" else (1, 2, 4)[(k + n) % 3]
+        T, start, config, domain = event_run(event, metric, dim, n)
+        args = (metric, T, start, config, domain)
+        got = picard_outcome(lambda: kernel_picard(*args))
+        assert got == picard_outcome(lambda: reference_picard(*args))
+        assert kind is None or kind in (got[0], got[2])
+        if event == "small":  # the first step at or below log(eps)
+            steps = [float.fromhex(s) > config.log_eps for s in got[1]]
+            assert steps.index(False) == n - 1
+        else:
+            assert event_step(got, config) == n, (metric, dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(event=st.sampled_from(sorted(EVENTS)), metric=st.sampled_from(METRIC_SPECS),
+       dim=st.sampled_from([1, 2, 4]), n=st.one_of(st.sampled_from(EDGES),
+                                                   st.integers(100, 600)),
+       lookback=st.sampled_from([0, 2, 3, 25]), window=st.integers(2, 12),
+       monotone=st.booleans(), restart=st.booleans())
+def test_long_runs_of_built_in_maps_equal_the_loop_of_public_calls(event, metric, dim, n,
+                                                                  lookback, window,
+                                                                  monotone, restart):
+    T, start, config, domain = event_run(event, metric, dim, n)
+    config = dataclasses.replace(
+        config, cycle_lookback=lookback, window=window, limit_point_restart=restart,
+        check_monotone_residual=monotone or config.check_monotone_residual)
+    args = (metric, T, start, config, domain)
+    assert (picard_outcome(lambda: kernel_picard(*args))
+            == picard_outcome(lambda: reference_picard(*args)))
+
+
+def built_in(fn):
+    """A SelfMapSpec whose bound kernel is fn: picard maps it ahead as it
+    maps every built-in map, and applies it as ``T(x)`` applies it."""
+    T = mx.SelfMapSpec.identity()
+    T.__dict__["_call"] = fn  # the cached_property's slot
+    return T
+
+
+@pytest.mark.parametrize("n", EDGES)
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_a_change_of_dimension_escapes_at_its_step_inside_or_at_the_edge_of_a_block(n,
+                                                                                    dim):
+    shrink = mx.SelfMapSpec.scale(0.99)
+    top = orbit_of(shrink, (1.0,) * dim, n - 2)[-1][0]  # iterate n - 2 is the last >= top
+    T = built_in(lambda p: p + (1.0,) if p[0] < top else shrink._call(p))
+    for metric in METRIC_SPECS:
+        args = (metric, T, (1.0,) * dim, mx.SolverConfig(max_iter=n + 10), None)
+        got = picard_outcome(lambda: kernel_picard(*args))
+        assert got == picard_outcome(lambda: reference_picard(*args))
+        assert got[0] == "escaped" and got[3] == n and "dimension mismatch" in got[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(metric=st.sampled_from(METRIC_SPECS), m=st.integers(80, 650),
+       tail=st.sampled_from(TAILS), dim=st.sampled_from([1, 4]),
+       box=st.sampled_from([None, None, (0.5, 90.0), (0.5, 40.0)]),
+       eps=st.sampled_from([math.exp(1e-12), math.exp(1e-6), math.exp(1e-2)]),
+       max_iter=st.integers(50, 700), window=st.integers(2, 12),
+       cycle_lookback=st.integers(0, 30), divergence_logd=st.sampled_from([5.0, 700.0]),
+       monotone=st.booleans(), restart=st.booleans())
+def test_long_runs_through_a_built_in_maps_kernel_equal_the_loop_of_public_calls(
+        metric, m, tail, dim, box, eps, max_iter, window, cycle_lookback, divergence_logd,
+        monotone, restart):
+    # drifting's tails, through the map-ahead: a cycle, a failure of T or a
+    # leap inside a block of iterates or on its edge
+    start = (1.0,) if dim == 1 else (1.0, 2.0, 2.0, 3.0)
+    domain = None if box is None else mx.Box((box,) * dim)
+    config = mx.SolverConfig(eps=eps, max_iter=max_iter, window=window,
+                             cycle_lookback=cycle_lookback,
+                             divergence_logd=divergence_logd,
+                             check_monotone_residual=monotone,
+                             limit_point_restart=restart)
+    args = (metric, built_in(drifting(m, tail, dim)), start, config, domain)
+    assert (picard_outcome(lambda: kernel_picard(*args))
+            == picard_outcome(lambda: reference_picard(*args)))
+
+
+@pytest.mark.parametrize("m", [80, 127, 128, 190, 300, 600])
+@pytest.mark.parametrize("tail, cycle_lookback, status", [
+    ("converge", 25, mx.Status.CONVERGED),
+    ("fail", 0, mx.Status.DIVERGED),
+    ("fail", 25, mx.Status.CYCLE_DETECTED),
+    ("leap", 0, mx.Status.DIVERGED),
+    ("cycle2", 25, mx.Status.CYCLE_DETECTED),
+    ("cycle3", 25, mx.Status.CYCLE_DETECTED),
+])
+def test_a_built_in_map_is_applied_at_most_a_block_past_where_its_run_stops(m, tail,
+                                                                           cycle_lookback,
+                                                                           status):
+    # each of these runs cuts one block of iterates short: the step applies
+    # T again at the iterate where it was cut, and no more than 255 images
+    # past it were computed
+    config = mx.SolverConfig(eps=math.exp(1e-6), max_iter=1000, divergence_logd=5.0,
+                             cycle_lookback=cycle_lookback, limit_point_restart=False)
+    fn, calls = counting(drifting(m, tail, 1))
+    result = mx.picard(mx.MetricSpec.exp_abs(2.0), built_in(fn), (1.0,), config)
+    T_ref, ref_calls = counting(drifting(m, tail, 1))
+    reference_picard(mx.MetricSpec.exp_abs(2.0), T_ref, (1.0,), config, None)
+    assert result.status is status
+    assert 0 <= len(calls) - len(ref_calls) <= solver._AHEAD
+
+
+# -- the reference-distance prefilter never hides a hit -----------------------------
+
+
+def shifted(metric, p, i, delta):
+    """p with coordinate i moved so that its log distance from p is about
+    delta."""
+    c, log_a = p[i], 1.0 if metric.a is None else math.log(metric.a)
+    if metric.kind == "star_product":
+        c *= math.exp(delta)
+    elif metric.kind == "exp_reciprocal":
+        inverse = 1.0 / c + delta / log_a
+        c = 1.0 / inverse if 0 < abs(inverse) < math.inf else c
+    else:
+        c += delta / log_a
+    return p[:i] + (c,) + p[i + 1:]
+
+
+def edge_orbit(rng, metric, dim, tol):
+    """2 to 300 points: fresh draws, repeats of one of the last 30, and
+    returns to one of them at log distance tol plus or minus a few ulps, in
+    shares drawn per orbit, so that some orbits hold a single return.
+
+    The first point may lie far from the rest, so that every distance to it
+    is large and its ulp exceeds tol, or, where the metric allows, so far
+    that it overflows to inf.
+    """
+    far = rng.choice([1.0, 1e3, 1e3, 1e6, 1e12, 1e300])
+    if metric.kind == "exp_reciprocal":  # far in the reciprocals
+        first = (5e-324 if far == 1e300 else 1.0 / far,) * dim
+    else:
+        first = (-far if far == 1e300 and metric._space is None else far,) * dim
+
+    def fresh():
+        return tuple(rng.uniform(0.5, 3.0) for _ in range(dim))
+
+    repeat, near = rng.choice([0.0, 0.0, 0.2]), rng.choice([0.02, 0.1, 0.5])
+    points = [first, fresh()]
+    for _ in range(rng.randint(0, 298)):
+        u, back = rng.random(), rng.choice(points[-30:])
+        if u < repeat:
+            points.append(back)
+        elif u < repeat + near:
+            ulps = rng.randint(-4, 4) if rng.random() < 0.8 else rng.choice([-1e6, 1e6])
+            points.append(shifted(metric, back, rng.randrange(dim),
+                                  tol * (1 + ulps * 2.0 ** -52)))
+        else:
+            points.append(fresh())
+    return points[:rng.randint(2, len(points))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), metric=st.sampled_from(METRIC_SPECS),
+       dim=st.sampled_from([1, 2, 4]), lookback=st.integers(0, 30),
+       eps=st.sampled_from([math.exp(1e-15), math.exp(1e-9), math.exp(0.5)]))
+def test_the_prefiltered_look_back_finds_what_the_exact_scan_finds(seed, metric, dim,
+                                                                   lookback, eps):
+    rng = random.Random(seed)
+    points = edge_orbit(rng, metric, dim, 1e-14)
+    steps = [metric._log_distance(a, b) for a, b in zip(points, points[1:])]
+    config = mx.SolverConfig(eps=eps, cycle_lookback=lookback)
+    expected = scalar_reference.look_back(metric, points, steps, 1, lookback,
+                                          config.log_eps)
+    # scanned as a run grows the orbit: one block of new points at a time
+    grown, grown_steps = points[:1], []
+    look = solver._LookBack(metric, config, grown, grown_steps)
+    found = None
+    try:
+        while len(grown) < len(points):
+            more = points[len(grown):len(grown) + rng.choice([1, 3, 16, 65, 100, 256])]
+            grown_steps.extend(steps[len(grown) - 1:len(grown) - 1 + len(more)])
+            grown.extend(more)
+            look.flush()
+    except solver._Cycle:
+        found = len(grown) - 1
+        assert grown == points[:found + 1] and grown_steps == steps[:found]
+    assert found == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), metric=st.sampled_from(METRIC_SPECS),
+       dim=st.sampled_from([1, 2, 4]),
+       eps=st.sampled_from([math.exp(1e-14), math.exp(1e-9), math.exp(1e-3)]),
+       fraction=st.sampled_from([0.05, 0.1, 0.25, 1.0]))
+def test_the_prefiltered_limit_point_scan_finds_what_the_exact_scan_finds(seed, metric,
+                                                                          dim, eps,
+                                                                          fraction):
+    log_eps = math.log(eps)
+    points = edge_orbit(random.Random(seed), metric, dim, log_eps)
+    trace = mx.IterationTrace(metric, tuple(points), (0.0,) * (len(points) - 1))
+    assert (mx.detect_limit_point(trace, eps, fraction)
+            == scalar_reference.limit_point(metric, points, log_eps, fraction))
+
+
+def test_a_stalled_run_reads_pairs_only_in_its_short_look_back_scans(monkeypatch):
+    # scale(0.999)'s orbit has no return and no limit point: its distances
+    # to the start rule out every pair of the look-back over its blocks of
+    # more than 64 steps and of the limit-point scan over all 501 points,
+    # which read 501 * 501 entries before
+    kernel, calls = mx.MetricSpec._log_distance_matrix, []
+
+    def counted(metric, X, Y):
+        calls.append((len(X), len(Y)))
+        return kernel(metric, X, Y)
+
+    monkeypatch.setattr(mx.MetricSpec, "_log_distance_matrix", counted)
+    result = mx.picard(mx.MetricSpec.exp_abs(2.0), mx.SelfMapSpec.scale(0.999), 1.0,
+                       mx.SolverConfig(eps=math.exp(1e-9), max_iter=500))
+    assert result.status is mx.Status.MAX_ITER and result.restarted_from is None
+    assert max(rows for rows, _ in calls) <= 64
+    assert sum(rows * cols for rows, cols in calls) < 10_000
+
+
+def rounded_apart():
+    """Points p0, x, y under exp_abs(2) with L(x, y) < 1e-14 but
+    |L(x, p0) - L(y, p0)| > 1e-14: p0 lies so far off that the distances
+    to it round on a grid of about 8e-14."""
+    metric, p0, rng = mx.MetricSpec.exp_abs(2.0), (1e3,), random.Random(7)
+    for _ in range(10_000):
+        x = (rng.uniform(0.5, 3.0),)
+        y = (x[0] + 1e-14 / math.log(2.0),)
+        r = metric._log_distance_pairs([x, y], [p0, p0])
+        if metric._log_distance(x, y) < 1e-14 < abs(r[0] - r[1]):
+            return metric, p0, x, y
+    raise AssertionError("no such pair")
+
+
+def test_a_return_whose_distances_to_the_start_round_apart_is_found():
+    # without the rounding margin, the prefilter would rule this pair out;
+    # 70 points far from each other make both scans long enough to use it
+    metric, p0, x, y = rounded_apart()
+    apart = [(4.0 + k / 64,) for k in range(70)]
+    points = [p0] + apart + [x, (10.0,), y]
+    steps = [metric._log_distance(a, b) for a, b in zip(points, points[1:])]
+    look = solver._LookBack(metric, mx.SolverConfig(cycle_lookback=2), points, steps)
+    with pytest.raises(solver._Cycle):
+        look.flush()
+    assert points[-1] == y and len(points) == 74
+    trace = mx.IterationTrace(metric, (p0, *apart, x, y), (0.0,) * 72)
+    assert mx.detect_limit_point(trace, math.exp(1e-14), 0.02) == x
