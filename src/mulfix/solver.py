@@ -74,7 +74,7 @@ class SolverConfig(JsonConfig):
             raise DomainError("max_iter must be >= 1")
         if self.window < 2:
             raise DomainError("window must be >= 2")
-        if self.divergence_logd <= 0:
+        if not self.divergence_logd > 0:  # NaN too: no step would diverge
             raise DomainError("divergence threshold must be positive")
         if self.cycle_lookback < 0:
             raise DomainError("cycle_lookback must be >= 0")

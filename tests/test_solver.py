@@ -22,6 +22,8 @@ def test_solver_config_validation():
         mx.SolverConfig(max_iter=0)
     with pytest.raises(DomainError, match="max_iter must be an integer, got 2.5"):
         mx.SolverConfig(max_iter=2.5)
+    with pytest.raises(DomainError, match="divergence threshold must be positive"):
+        mx.SolverConfig(divergence_logd=math.nan)
     with pytest.raises(DomainError):
         mx.SolverConfig(window=1)
     cfg = mx.SolverConfig(starts=[1.0, (2.0,)])
