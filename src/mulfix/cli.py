@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .conditions import classify
@@ -15,6 +16,7 @@ from .fixtures import FIXTURE_NAMES, RemarkReport, fixture_config, run_fixture
 from .maps import sample_box
 
 
+@cache  # one parser per process: parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mulfix",

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, DegeneratePairError, DomainError, MulfixError
 from .jsonconfig import JsonConfig, decode, json_text
-from .metrics import DEFAULT_LOG_TOL, Point, as_point, equal_points
+from .metrics import DEFAULT_LOG_TOL, Point, _check_tol, as_point, equal_points
 
 logger = logging.getLogger(__name__)
 
@@ -538,6 +538,9 @@ def classify(
     order, and the aggregate verdicts are invariant under permutations of
     the sample.
     """
+    _check_tol(tol)
+    if math.isnan(strict_margin):  # no slack would compare greater
+        raise DomainError("strict_margin must not be NaN")
     return _classify(_PairTable(metric, T, sample), constants, phi, tol=tol,
                      strict_margin=strict_margin, seed=seed)
 

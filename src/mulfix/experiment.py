@@ -38,6 +38,7 @@ from .metrics import (
     MetricSpec,
     Point,
     ReverseTriangleReport,
+    _triple_hits,
     _verify_axioms,
     _verify_reverse_triangle,
     as_point,
@@ -309,7 +310,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     The sample is mapped once and its log-distance matrix built once: the
     axiom checks, map invariance, classification and the PHI diagonal all
-    read one table, and raise what their public functions would.
+    read one table, and raise what their public functions would.  One
+    prefilter pass rules out triples for both triple scans.
     """
     sample = tuple(
         sample_box(config.domain, config.sample_size, config.seed,
@@ -318,8 +320,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     points = config.metric._checked(sample)  # as log_distance_matrix checks them
     D = config.metric._log_distance_matrix(points, points)
     equal = equal_points(points)
-    axioms = _verify_axioms(equal, D)
-    reverse = _verify_reverse_triangle(D)
+    middles, lasts = _triple_hits(D, DEFAULT_LOG_TOL) or (None, None)
+    axioms = _verify_axioms(equal, D, DEFAULT_LOG_TOL, middles)
+    reverse = _verify_reverse_triangle(D, DEFAULT_LOG_TOL, lasts)
     table = _PairTable(config.metric, config.map, points, D, equal)
     # a failed image (None) means the map leaves the domain
     invariant = all(image is not None and config.domain.contains(image)

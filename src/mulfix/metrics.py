@@ -411,6 +411,11 @@ class ReverseTriangleReport(_ViolationReport):
     """Outcome of the multiplicative reverse triangle check."""
 
 
+def _check_tol(tol: float) -> None:
+    if not tol >= 0:  # NaN too: no entry compares greater, so none is listed
+        raise DomainError(f"tol must be >= 0, got {tol!r}")
+
+
 def verify_axioms(metric, sample: Iterable, tol: float = DEFAULT_LOG_TOL) -> AxiomReport:
     """Check the four multiplicative metric axioms over a finite sample.
 
@@ -421,17 +426,82 @@ def verify_axioms(metric, sample: Iterable, tol: float = DEFAULT_LOG_TOL) -> Axi
     Every violating pair or triple is listed.  Small samples simply give
     vacuous passes.
     """
-    if tol < 0:
-        raise DomainError("tol must be >= 0")
+    _check_tol(tol)
     points = [as_point(p) for p in sample]
-    return _verify_axioms(equal_points(points), metric.log_distance_matrix(points, points),
-                          tol)
+    D = metric.log_distance_matrix(points, points)
+    middles, _ = _triple_hits(D, tol) or (None, None)
+    return _verify_axioms(equal_points(points), D, tol, middles)
 
 
-def _verify_axioms(equal: np.ndarray, D: np.ndarray,
-                   tol: float = DEFAULT_LOG_TOL) -> AxiomReport:
+#: entries of the triple prefilter's buffer: each block of middle indices
+#: holds about this many (i, k) sums, and at least one middle's n * n
+_BLOCK_ENTRIES = 2 ** 16
+
+
+def _triple_hits(D: np.ndarray, tol: float) -> tuple[list[int], list[int]] | None:
+    """The middles j at which the triangle scan of the log-distance matrix
+    D may list a violation, and the first indices i of those hits, the only
+    last indices z at which the reverse-triangle scan may list one.  None
+    unless D is finite, nonnegative and symmetric (D == D.T, as the built-in
+    kernels give it) and its margin is at most tol / 2.
+
+    One pass over blocks of middles tests s = D[j,i] + D[j,k] <= T[i,k] for
+    every (i, k), with T = D - (tol - margin), margin = 4u M + 2**-1000,
+    u = 2**-53 and M = max D.  Each step below is one rounding fl, which is
+    monotone and leaves a float as it is; every relative error is at most u,
+    and the 2**-1000 covers a product 4u M that underflows.
+
+    Triangle part.  The triangle scan lists (i, j, k) when
+    fl(D[i,k] - s) > tol for s = fl(D[i,j] + D[j,k]), the very float the
+    pass forms, since D[i,j] = D[j,i].  As tol is a float, that needs
+    D[i,k] - s > tol exactly.  c = fl(tol - margin) <= tol, so
+    D[i,k] - c > s and T[i,k] = fl(D[i,k] - c) >= s: a hit.  This part
+    needs no margin.
+
+    Reverse part.  The reverse scan lists (x, y, z) when
+    fl(|fl(D[x,z] - D[y,z])| - D[x,y]) > tol.  Say D[x,z] >= D[y,z] (else
+    swap x and y).  That needs D[x,z] - D[y,z] - D[x,y] > tol - u D[x,z]
+    exactly, and so D[x,z] > tol.  Then at middle y the sum
+    s = fl(D[y,z] + D[y,x]) < D[x,z] - tol + (2u + u**2) D[x,z], while
+    0 <= c <= (tol - margin)(1 + u) and
+    T[z,x] >= (D[x,z] - c)(1 - u) >= D[x,z] - tol + (1 + u) margin
+    - u tol - u D[x,z].  With tol < D[x,z] <= M, (1 + u) margin >=
+    (4u + 4u**2) M exceeds (3u + u**2) D[x,z] + u tol, so s <= T[z,x]: the
+    pass hits at middle y and entry (z, x), first index z.  It tests the
+    diagonal i = k too, which a reverse hit at x = z needs; the triangle
+    scan lists nothing there, so such a hit only costs its middle a scan.
+
+    A margin of at most tol / 2 keeps T at least about tol / 2 below D, so
+    exact ties such as collinear points on a line, and equal points, flag
+    nothing.  Blocks hold max(1, _BLOCK_ENTRIES // n**2) middles.
+    """
+    n = len(D)
+    if not (np.isfinite(D).all() and (D >= 0).all() and np.array_equal(D, D.T)):
+        return None
+    margin = 2.0 ** -51 * float(D.max(initial=0.0)) + 2.0 ** -1000
+    if not margin <= tol / 2:
+        return None
+    T = D - (tol - margin)
+    rows = max(1, _BLOCK_ENTRIES // max(1, n * n))
+    buf, bad = np.empty((rows, n, n)), np.empty((rows, n, n), dtype=bool)
+    middles: list[int] = []
+    firsts = np.zeros(n, dtype=bool)
+    for a in range(0, n, rows):
+        s, hit = buf[:n - a], bad[:n - a]  # the last block may be short
+        np.add(D[a:a + rows, :, None], D[a:a + rows, None, :], out=s)
+        if not np.less_equal(s, T, out=hit).any():
+            continue
+        hit_rows = hit.any(axis=2)  # (middle, first index)
+        middles += (a + np.flatnonzero(hit_rows.any(axis=1))).tolist()
+        firsts |= hit_rows.any(axis=0)
+    return middles, np.flatnonzero(firsts).tolist()
+
+
+def _verify_axioms(equal: np.ndarray, D: np.ndarray, tol: float,
+                   middles: Iterable[int] | None) -> AxiomReport:
     """``verify_axioms`` of point tuples, given as their ``equal_points``
-    matrix and their log-distance matrix D."""
+    matrix and their log-distance matrix D, with the triangle inequality
+    checked at the given middles (every index for None)."""
     n = len(D)
     with np.errstate(invalid="ignore"):  # NaN compares False; inf - inf is NaN
         nonneg = D < -tol
@@ -455,7 +525,7 @@ def _verify_axioms(equal: np.ndarray, D: np.ndarray,
     # one buffer and is listed only when it has a hit.
     buf, bad = np.empty((n, n)), np.empty((n, n), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n):
+        for j in range(n) if middles is None else middles:
             np.add(D[:, j, None], D[None, j, :], out=buf)
             np.subtract(D, buf, out=buf)
             if not np.greater(buf, tol, out=bad).any():
@@ -480,21 +550,23 @@ def verify_reverse_triangle(
     star_abs(d(x,z) / d(y,z)) <= d(x,y); it follows from the axioms, so a
     valid metric must pass on every sampled triple.
     """
-    if tol < 0:
-        raise DomainError("tol must be >= 0")
+    _check_tol(tol)
     points = [as_point(p) for p in sample]
-    return _verify_reverse_triangle(metric.log_distance_matrix(points, points), tol)
+    D = metric.log_distance_matrix(points, points)
+    _, lasts = _triple_hits(D, tol) or (None, None)
+    return _verify_reverse_triangle(D, tol, lasts)
 
 
-def _verify_reverse_triangle(D: np.ndarray,
-                             tol: float = DEFAULT_LOG_TOL) -> ReverseTriangleReport:
-    """``verify_reverse_triangle`` of a sample's log-distance matrix D: each
-    last index z fills one buffer and is listed only when it has a hit."""
+def _verify_reverse_triangle(D: np.ndarray, tol: float,
+                             lasts: Iterable[int] | None) -> ReverseTriangleReport:
+    """``verify_reverse_triangle`` of a sample's log-distance matrix D,
+    checked at the given last indices z (every index for None): each fills
+    one buffer and is listed only when it has a hit."""
     n = len(D)
     buf, bad = np.empty((n, n)), np.empty((n, n), dtype=bool)
     violations: list[dict] = []
     with np.errstate(invalid="ignore"):
-        for z in range(n):
+        for z in range(n) if lasts is None else lasts:
             np.subtract(D[:, z, None], D[None, :, z], out=buf)
             np.abs(buf, out=buf)
             np.subtract(buf, D, out=buf)

@@ -23,8 +23,8 @@ from .errors import (
 )
 from .jsonconfig import JsonConfig
 from .maps import Box, SelfMapSpec
-from .metrics import (_ARRAY_SPACES, MetricSpec, Point, _array, _reference_margin,
-                      as_point)
+from .metrics import (_ARRAY_SPACES, MetricSpec, Point, _array, _check_tol,
+                      _reference_margin, as_point)
 from .sequences import (_ROW_BLOCK, IterationTrace, Status, _check_eps,
                         _limit_point, _max_pairwise_logd)
 
@@ -571,6 +571,7 @@ def verify_bound(result: FixedPointResult, delta: float,
         raise DomainError("bound verification needs a converged result")
     if not (0 <= delta < 1):
         raise DomainError(f"delta must be in [0, 1), got {delta!r}")
+    _check_tol(tol)
     trace = result.trace
     to_z = trace.metric.log_distance_matrix(trace.points, [result.point])[:, 0]
     return _bound_report(trace, to_z, delta, tol)

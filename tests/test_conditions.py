@@ -283,6 +283,15 @@ def test_identity_map_classifies_as_none():
     assert not report.verdicts["t23"]["applicable"]
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"tol": math.nan}, "tol must be >= 0"), ({"tol": -1e-12}, "tol must be >= 0"),
+    ({"strict_margin": math.nan}, "strict_margin must not be NaN"),
+])
+def test_classify_rejects_a_nan_or_negative_tolerance(kwargs, message):
+    with pytest.raises(DomainError, match=message):
+        mx.classify(EXPABS2, IDENTITY, [(0.0,), (0.5,), (1.0,)], **kwargs)
+
+
 def test_negation_classifies_as_none():
     sample = mx.grid_points(mx.Box(((-2.0, 2.0),)), 21)
     report = mx.classify(mx.MetricSpec.exp_abs(math.e), NEGATION, sample)

@@ -16,7 +16,7 @@ from mulfix.errors import ConfigError
 from mulfix.experiment import write_report
 from mulfix.jsonconfig import dump_json
 from mulfix.conditions import PSI_KINDS
-from mulfix.metrics import DEFAULT_LOG_TOL
+from mulfix.metrics import DEFAULT_LOG_TOL, _triple_hits
 from scalar_reference import check_phi
 
 EPS = math.exp(1e-9)
@@ -378,6 +378,38 @@ def test_an_empty_out_flag_is_a_usage_error(tmp_path, capsys, monkeypatch, comma
     assert "--out needs a directory, got an empty path" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == (
         [] if command == "fixture" else ["cfg.json"])
+
+
+def test_cli_builds_its_parser_once(tmp_path):
+    assert mx.cli.build_parser() is mx.cli.build_parser()
+    assert main(["fixture", "example_3_15", "--seed", "8", "--out", str(tmp_path)]) == 0
+    assert main(["fixture", "remark_2_5"]) == 0  # the last call's flags are gone
+    assert json.loads((tmp_path / "report.json").read_text())["seed"] == 8
+
+
+@pytest.mark.parametrize("half_width, fused", [(5.0, True), (1e6, False)])
+def test_run_experiment_shares_one_prefilter_with_the_public_checks(half_width, fused):
+    # exp_abs(2) over a box this wide rounds past the tolerance: the full
+    # scans run and list violations
+    config = dataclasses.replace(
+        mx.fixture_config("example_3_15"), metric=mx.MetricSpec.exp_abs(2.0),
+        map=mx.SelfMapSpec.scale(0.5), domain=mx.Box(((-half_width, half_width),) * 2),
+        sample_size=20, constants=None, expectations=())
+    hits = []  # what each prefilter call returned
+
+    def prefilter(D, tol):
+        hits.append(_triple_hits(D, tol))
+        return hits[-1]
+
+    with mock.patch.object(experiment, "_triple_hits", prefilter):
+        report = mx.run_experiment(config)
+    assert len(hits) == 1 and (hits[0] is not None) is fused
+    axioms = mx.verify_axioms(config.metric, report.sample)
+    reverse = mx.verify_reverse_triangle(config.metric, report.sample)
+    assert json.dumps(report.axioms.to_json_dict()) == json.dumps(axioms.to_json_dict())
+    assert (json.dumps(report.reverse_triangle.to_json_dict())
+            == json.dumps(reverse.to_json_dict()))
+    assert bool(reverse.violations) is not fused
 
 
 def test_module_entry_point_smoke():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import mulfix as mx
 from mulfix.errors import DomainError
-from mulfix.metrics import DEFAULT_LOG_TOL
+from mulfix.metrics import DEFAULT_LOG_TOL, _triple_hits
 
 POSITIVE = st.floats(min_value=1e-6, max_value=1e6,
                      allow_nan=False, allow_infinity=False)
@@ -234,6 +234,15 @@ def test_usual_metric_fails_multiplicative_triangle():
     assert report.count("identity") > 0
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1e-12])
+@pytest.mark.parametrize("verify", [mx.verify_axioms, mx.verify_reverse_triangle])
+def test_triple_checks_reject_a_nan_or_negative_tolerance(verify, tol):
+    usual = mx.FunctionMetric(lambda x, y: abs(x[0] - y[0]), name="usual_abs")
+    assert not verify(usual, [(2.0,), (3.0,), (6.0,)]).ok
+    with pytest.raises(DomainError, match="tol must be >= 0"):
+        verify(usual, [(2.0,), (3.0,), (6.0,)], tol=tol)  # NaN would list nothing
+
+
 def _axiom_violations_by_loop(metric, sample, tol=DEFAULT_LOG_TOL):
     """The pair axioms as verify_axioms once checked them, one entry at a time."""
     points = [mx.as_point(p) for p in sample]
@@ -391,12 +400,63 @@ def tables(draw):
     return TableMetric(tuple(map(tuple, rows))), m
 
 
-@settings(max_examples=300, deadline=None)
-@given(tables(), st.data())
+# Symmetric tables reach the fused prefilter: distances of points on a line
+# (exact collinear ties, and equal points where two positions coincide),
+# scaled so that sums round, with entries moved by about the tolerance or a
+# few ulps either way.  The largest scales make the margin exceed tol / 2,
+# so the full scans run.
+LINE_SCALES = [1.0, 0.1, 1 / 3, 2.0 ** -40, 100.0, 250.0, 300.0, 1e3, 2.0 ** 60]
+TIES = [0.0, DEFAULT_LOG_TOL, -DEFAULT_LOG_TOL, math.nextafter(DEFAULT_LOG_TOL, 1.0),
+        -math.nextafter(DEFAULT_LOG_TOL, 1.0), math.nextafter(DEFAULT_LOG_TOL, 0.0),
+        DEFAULT_LOG_TOL / 2, 2 * DEFAULT_LOG_TOL, -2 * DEFAULT_LOG_TOL]
+
+
+@st.composite
+def symmetric_tables(draw):
+    m = draw(st.integers(1, 6))
+    line = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
+    scale = draw(st.sampled_from(LINE_SCALES))
+    table = np.zeros((m, m))
+    for i, k in zip(*np.triu_indices(m)):
+        entry = 0.0 if i == k else scale * abs(line[i] - line[k])
+        entry = max(0.0, entry + draw(st.sampled_from(TIES)))
+        ulps = draw(st.integers(-3, 3))
+        for _ in range(abs(ulps)):
+            entry = math.nextafter(entry, math.inf if ulps > 0 else 0.0)
+        table[i, k] = table[k, i] = entry
+    return TableMetric(tuple(map(tuple, table.tolist()))), m
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(tables(), symmetric_tables()), st.data())
 def test_triple_scans_list_what_their_loops_listed_on_tables(table, data):
     metric, m = table
     sample = [(float(k),) for k in data.draw(st.lists(st.integers(0, m - 1), max_size=7))]
     _scans_agree(metric, sample)
+
+
+def test_triple_hits_rule_out_ties_and_fall_back_on_large_entries():
+    tol = DEFAULT_LOG_TOL
+    line = [(0.0,), (1.0,), (3.0,), (1.0,)]  # collinear, one point twice
+    D = mx.MetricSpec.exp_abs(2.0).log_distance_matrix(line, line)
+    assert _triple_hits(D, tol) == ([], [])
+    # 0-2 just beyond the tolerance: middle 1, and both ends of the hit
+    D = np.array([[0.0, 0.5, 1.0 + 2 * tol], [0.5, 0.0, 0.5], [1.0 + 2 * tol, 0.5, 0.0]])
+    assert _triple_hits(D, tol) == ([1], [0, 2])
+    for broken in (D + np.triu(D), -D, np.where(D > 0.6, math.nan, D), 1e4 * D):
+        assert _triple_hits(broken, tol) is None  # asymmetric, negative, NaN, large
+    assert _triple_hits(D, 0.0) is None  # no margin fits a zero tolerance
+
+
+def test_the_margin_keeps_a_reverse_hit_that_only_rounding_makes():
+    # |D[0,1] - D[2,1]| - D[0,2] is 9.7e-13 exactly but rounds to above tol,
+    # while the triangle sum D[1,2] + D[2,0] rounds up to within tol of
+    # D[1,0]: without its margin the pass would not flag z = 1
+    rows = ((0.0, 900.0, 600.0000000000001), (900.0, 0.0, 299.9999999999989),
+            (600.0000000000001, 299.9999999999989, 0.0))
+    assert _triple_hits(np.array(rows), DEFAULT_LOG_TOL) == ([2], [0, 1])
+    triangle, reverse = _scans_agree(TableMetric(rows), [(0.0,), (1.0,), (2.0,)])
+    assert not triangle and [v["triple"] for v in reverse] == [[0, 2, 1], [2, 0, 1]]
 
 
 def test_triple_scans_at_the_tolerance():

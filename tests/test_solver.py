@@ -182,6 +182,14 @@ def test_undersized_delta_is_falsified_by_the_trace():
     assert report.violations
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0])
+def test_bound_rejects_a_nan_or_negative_tolerance(tol):
+    result = mx.picard(LIFTED2, SCALE23, (3.0, 4.0), CFG)
+    assert not mx.verify_bound(result, delta=0.1, tol=0.0).ok
+    with pytest.raises(DomainError, match="tol must be >= 0"):
+        mx.verify_bound(result, delta=0.1, tol=tol)  # NaN would pass every row
+
+
 def test_bound_requires_convergence():
     diverged = mx.picard(LIFTED2, mx.SelfMapSpec.scale(1.5), (1.0, 0.0),
                          mx.SolverConfig(eps=EPS, max_iter=500))
