@@ -30,7 +30,7 @@ from .conditions import (
     _PairTable,
 )
 from .errors import ConfigError
-from .jsonconfig import JsonConfig, decode, stream_json
+from .jsonconfig import JsonConfig, decode, is_integer, stream_json
 from .maps import Box, SelfMapSpec, sample_box
 from .metrics import (
     DEFAULT_LOG_TOL,
@@ -111,10 +111,13 @@ class ExperimentConfig(JsonConfig):
     outputs: Optional[dict] = None
 
     def __post_init__(self):
-        if self.sample_size < 2:
-            raise ConfigError("sample_size must be >= 2", field="sample_size")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}", field="seed")
+        for name, least in (("sample_size", 2), ("seed", 0)):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}", field=name)
+            object.__setattr__(self, name, int(value))  # a numpy integer too
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}", field=name)
         if self.sample_scheme not in ("mixed", "grid"):
             raise ConfigError(f"unknown scheme {self.sample_scheme!r}",
                               field="sample_scheme")

@@ -85,6 +85,11 @@ def decode(tp, value, key: str | None = None, at: str = ""):
     return dict(value) if tp is dict else value
 
 
+def is_integer(value) -> bool:
+    """Whether ``operator.index`` takes value (an int or numpy integer) and it is no bool."""
+    return hasattr(type(value), "__index__") and not isinstance(value, bool)
+
+
 def _encode(value):
     if isinstance(value, JsonConfig):
         return value.to_json_dict()

@@ -9,6 +9,7 @@ is declared on.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Optional
@@ -34,38 +35,36 @@ MAP_PARAMS = {
 
 # -- scalar kernels: the image of a point tuple that passed ``as_point`` -------
 # Each takes its kind's parameters first, in MAP_PARAMS order;
-# ``SelfMapSpec._call`` binds them.
+# ``SelfMapSpec._call`` binds them, ``_coordinate`` a kernel of one coordinate.
 
 
-def _scale(c, x: Point) -> Point:
-    return tuple([c * v for v in x])
+def _rational(b, c: float) -> float:
+    den = b + c
+    if den == 0:
+        raise DomainError(f"rational map pole at coordinate {c}")
+    return 1.0 / den
 
 
-def _rational(b, x: Point) -> Point:
-    out = []
-    for c in x:
-        den = b + c
-        if den == 0:
-            raise DomainError(f"rational map pole at coordinate {c}")
-        out.append(1.0 / den)
-    return tuple(out)
+def _power(p, c: float) -> float:
+    if c < 0 and p != int(p):
+        raise DomainError(f"fractional power of negative {c}")
+    if c == 0 and p < 0:
+        raise DomainError("negative power of zero")
+    return c ** p
 
 
-def _power(p, x: Point) -> Point:
-    out = []
-    for c in x:
-        if c < 0 and p != int(p):
-            raise DomainError(f"fractional power of negative {c}")
-        if c == 0 and p < 0:
-            raise DomainError("negative power of zero")
-        out.append(c ** p)
-    return tuple(out)
+def _inverse_sqrt(c: float) -> float:
+    return 1.0 / math.sqrt(c)
+
+
+def _coordinatewise(coordinate: Callable[[float], float], x: Point) -> Point:
+    return tuple(map(coordinate, x))
 
 
 def _reciprocal_sqrt(x: Point) -> Point:
     if any(c <= 0 for c in x):
         raise DomainError(f"reciprocal_sqrt needs positive coordinates, got {x}")
-    return tuple(1.0 / math.sqrt(c) for c in x)
+    return tuple(map(_inverse_sqrt, x))
 
 
 def _constant(value: Point, x: Point) -> Point:
@@ -74,10 +73,6 @@ def _constant(value: Point, x: Point) -> Point:
 
 def _identity(x: Point) -> Point:
     return x
-
-
-def _negation(x: Point) -> Point:
-    return tuple([-c for c in x])
 
 
 def _affine(m: np.ndarray, offset: np.ndarray, x: Point) -> Point:
@@ -89,9 +84,10 @@ def _affine(m: np.ndarray, offset: np.ndarray, x: Point) -> Point:
     return as_point(y)
 
 
-_KERNELS = {"scale": _scale, "rational": _rational, "power": _power,
-            "reciprocal_sqrt": _reciprocal_sqrt, "constant": _constant,
-            "identity": _identity, "negation": _negation, "affine": _affine}
+_KERNELS = {"reciprocal_sqrt": _reciprocal_sqrt, "constant": _constant,
+            "identity": _identity, "affine": _affine}
+_COORDINATE = {"scale": operator.mul, "rational": _rational, "power": _power,
+               "reciprocal_sqrt": _inverse_sqrt, "negation": operator.neg}
 
 
 @dataclass(frozen=True)
@@ -211,10 +207,20 @@ class SelfMapSpec(JsonConfig):
     def _call(self) -> Callable[[Point], Point]:
         """The image of a point tuple that passed ``as_point``: this kind's
         kernel, with its parameters bound once (an affine map's as arrays)."""
+        if self.kind not in _KERNELS:
+            return partial(_coordinatewise, self._coordinate)
         params = [getattr(self, name) for name in MAP_PARAMS[self.kind]]
         if self.kind == "affine":
             params = [np.asarray(v, dtype=float) for v in params]
         return partial(_KERNELS[self.kind], *params) if params else _KERNELS[self.kind]
+
+    @cached_property
+    def _coordinate(self) -> Optional[Callable[[float], float]]:
+        """A coordinate-wise kind's image of one coordinate, bound once, which
+        fails where ``_call`` fails; None for constant, identity and affine."""
+        kernel = _COORDINATE.get(self.kind)
+        params = [getattr(self, name) for name in MAP_PARAMS[self.kind]]
+        return partial(kernel, *params) if kernel and params else kernel
 
 
 def grid_points(box: Box, n: int) -> list[Point]:

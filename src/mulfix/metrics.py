@@ -280,7 +280,7 @@ class MetricSpec(JsonConfig):
         if self.kind == "lifted" and self.base == "euclidean":
             norms = [[math.dist(x, y) for y in Y] for x in X]
             return math.log(self.a) * np.array(norms)
-        A, B = self._arrays(X, Y)
+        A, B = self._values(_array(X)), self._values(_array(Y))
         return self._fold(A[:, None, :], B[None, :, :])
 
     def _log_distance_pairs(self, X: Sequence[Point], Y: Sequence[Point]) -> np.ndarray:
@@ -291,19 +291,26 @@ class MetricSpec(JsonConfig):
             return np.zeros(0)
         if self.kind == "lifted" and self.base == "euclidean":
             return math.log(self.a) * np.array(list(map(math.dist, X, Y)))
-        return self._fold(*self._arrays(X, Y))
+        return self._fold(self._values(_array(X)), self._values(_array(Y)))
 
-    def _arrays(self, X: Sequence[Point], Y: Sequence[Point]) -> tuple:
-        """X and Y as float arrays of the values this kind compares: the
-        coordinates, their ``math.log`` (star_product) or their reciprocals
-        (exp_reciprocal)."""
+    def _chain(self, P: Sequence[Point], A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``_log_distance`` of each of the checked point tuples ``P[1:]``
+        from the one before it and from ``P[0]``, where A holds P."""
+        if self.kind == "lifted" and self.base == "euclidean":
+            return (self._log_distance_pairs(P[:-1], P[1:]),
+                    self._log_distance_pairs(P[1:], P[:1] * (len(P) - 1)))
+        V = self._values(A)
+        return self._fold(V[:-1], V[1:]), self._fold(V[1:], V[0])
+
+    def _values(self, A: np.ndarray) -> np.ndarray:
+        """The values this kind compares of the points in A's rows: the
+        coordinates, their ``math.log`` or their reciprocals."""
         if self.kind == "star_product":
-            X, Y = ([[math.log(c) for c in p] for p in P] for P in (X, Y))
-        A, B = _array(X), _array(Y)
+            return np.array([list(map(math.log, row)) for row in A.tolist()])
         if self.kind == "exp_reciprocal":
             with np.errstate(all="ignore"):
-                A, B = 1.0 / A, 1.0 / B
-        return A, B
+                return 1.0 / A
+        return A
 
     def _fold(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """The log distances of the broadcast arrays A and B over their last

@@ -9,8 +9,8 @@ orbits, and uniqueness probes live here as well.
 
 from __future__ import annotations
 
+import contextlib
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -21,7 +21,7 @@ from .errors import (
     DomainEscapeError,
     MonotoneResidualError,
 )
-from .jsonconfig import JsonConfig
+from .jsonconfig import JsonConfig, is_integer
 from .maps import Box, SelfMapSpec
 from .metrics import (_ARRAY_SPACES, MetricSpec, Point, _array, _check_tol,
                       _reference_margin, as_point)
@@ -45,14 +45,13 @@ class SolverConfig(JsonConfig):
 
     No field changes the result, which equals a step-by-step scan.  They
     bound the extra work: a SelfMapSpec under a MetricSpec maps ahead in
-    blocks of up to 256 iterates, so the map (assumed pure) may be applied
-    to up to 255 discarded iterates past any stop; any other map is applied
-    exactly as often as a step-by-step scan applies it, but for up to 63
-    discarded iterates past a detected cycle, as the look-back runs over
-    blocks of up to 64 steps (one for a FunctionMetric).  Under a
-    MetricSpec, the look-back and the limit-point scan compare pairs only
-    where one distance per orbit point to its start leaves a return
-    possible (see ``metrics._reference_margin``).
+    blocks of up to 256 iterates (below log(eps) only past 256 steps), so
+    the map (assumed pure) may be applied to up to 255 discarded iterates
+    past any stop, a coordinate-wise kind's coordinates one at a time, one
+    also past another's failure.  Any other map is applied exactly as often
+    as a step-by-step scan applies it, but for up to 63 discarded iterates
+    past a detected cycle, as the look-back runs over blocks of up to 64
+    steps (one for a FunctionMetric).
     """
 
     eps: float = math.exp(1e-9)
@@ -66,18 +65,15 @@ class SolverConfig(JsonConfig):
 
     def __post_init__(self):
         _check_eps(self.eps)
-        try:
-            operator.index(self.max_iter)
-        except TypeError:
-            raise DomainError(f"max_iter must be an integer, got {self.max_iter!r}") from None
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be >= 1")
-        if self.window < 2:
-            raise DomainError("window must be >= 2")
+        for name, least in (("max_iter", 1), ("window", 2), ("cycle_lookback", 0)):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer too
+            if value < least:
+                raise DomainError(f"{name} must be >= {least}")
         if not self.divergence_logd > 0:  # NaN too: no step would diverge
             raise DomainError("divergence threshold must be positive")
-        if self.cycle_lookback < 0:
-            raise DomainError("cycle_lookback must be >= 0")
         object.__setattr__(
             self, "starts", tuple(as_point(s) for s in self.starts)
         )
@@ -199,6 +195,10 @@ class _Cycle(Exception):
     """The cycle look-back found a cycle; the orbit was cut at its point."""
 
 
+class _Settled(Exception):
+    """A window converged, at the residual given; the orbit was cut there."""
+
+
 class _LookBack:
     """The cycle look-back and the Cauchy windows of one Picard orbit.
 
@@ -223,15 +223,11 @@ class _LookBack:
         self.lookback, self.window = config.cycle_lookback, config.window
         self.blocked = isinstance(metric, MetricSpec)
         self.block, self.done = 1, 1
-        self.ref: list[float] = []  # r_k of the points scanned so far
-
-    @property
-    def pending(self) -> int:
-        return len(self.points) - self.done
+        self.ref: list[float] = []  # r_k of the points scanned or mapped ahead so far
 
     def push(self) -> None:
         """Queue the last step; scan the pending ones when the block is full."""
-        if self.pending >= self.block:
+        if len(self.points) - self.done >= self.block:
             self.flush()
             if self.blocked:
                 self.block = min(2 * self.block, _ROW_BLOCK)
@@ -275,17 +271,24 @@ class _LookBack:
         tol = 1e-14 + _reference_margin(len(self.points[0]), 1e-14, float(r[-1]))
         return not (np.diff(r) <= tol).any()
 
-    def settled(self) -> bool:
-        """Scan the pending steps before the last, whose step is below
-        log(eps); then whether the trailing window is pairwise below log(eps)."""
-        self.flush(len(self.points) - 1)
-        window = self.points[-self.window:]
-        # the window's first and last points are one of its pairs, and a
-        # MetricSpec's kernel entry equals its _log_distance bit for bit
-        if self.blocked and \
-                self.metric._log_distance(window[0], window[-1]) >= self.log_eps:
-            return False
-        return _max_pairwise_logd(self.metric, window) < self.log_eps
+    def windows(self, lo: int, settle: Callable) -> None:
+        """Scan the pending steps before point lo; then raise _Settled at
+        the first of ``points[lo:]`` (steps below log(eps)) whose window is
+        pairwise below log(eps) and whose residual is at most log(eps).  A
+        MetricSpec first rules windows out by their first-to-last pair."""
+        self.flush(lo)
+        points, w, ends = self.points, self.window, range(lo, len(self.points))
+        if self.blocked:
+            firsts = [points[max(0, j + 1 - w)] for j in ends]
+            near = (self.metric._log_distance_pairs(firsts, points[lo:]).tolist()
+                    if len(firsts) > 1 else [self.metric._log_distance(firsts[0], points[lo])])
+            ends = [j for j, d in zip(ends, near) if d < self.log_eps]
+        for j in ends:
+            if _max_pairwise_logd(self.metric, points[max(0, j + 1 - w):j + 1]) < self.log_eps:
+                residual = _residual(settle, points[j])
+                if residual <= self.log_eps:
+                    del points[j + 1:], self.steps[j:], self.ref[j + 1:]
+                    raise _Settled(residual)
 
     def _cut(self, i: int) -> None:
         del self.points[i + 1:], self.steps[i:]
@@ -302,54 +305,71 @@ def _ahead(metric, T, domain: Optional[Box], config: SolverConfig) -> Optional[C
     """The map-ahead of one run of a SelfMapSpec under a MetricSpec; None
     for any other map or metric.
 
-    ``ahead(points, steps, size)`` applies T's kernel to the last point and
-    on, ``size`` times, and appends the leading images that pass every check
-    of a step, with their steps, in one array: finite, of the run's
-    dimension, inside the declared box and the metric's space, and a step
-    with log(eps) < step <= divergence_logd that keeps the monotone rule.
-    It returns how many it appended.  The rest are dropped, a failure of T
-    too: the next step applies T again at the first of them and handles
-    what it finds.  The last step must be above log(eps).
+    ``ahead(look, size)`` appends to ``look`` the leading images of
+    ``_images`` that pass every check of a step, with their steps and
+    distances to the start, all read from one array: finite, inside the
+    declared box and the metric's space, and a step of at most
+    divergence_logd strictly on the side of log(eps) of the last step, which
+    is not log(eps); above it, the monotone rule holds too.  It returns how
+    many it appended; the next step applies T again at the first of the rest.
     """
     if type(T) is not SelfMapSpec or not isinstance(metric, MetricSpec):
         return None
-    call, pairs, inside = T._call, metric._log_distance_pairs, _ARRAY_SPACES.get(metric.kind)
+    inside = _ARRAY_SPACES.get(metric.kind)
     log_eps, divergence = config.log_eps, config.divergence_logd
     monotone = config.check_monotone_residual
     bounds = None if domain is None else np.array(domain.bounds).T
 
-    def ahead(points: list, steps: list, size: int) -> int:
-        x = points[-1]
-        dim, images = len(x), []
-        try:
-            for _ in range(size):
-                x = call(x)
-                images.append(x)
-        except Exception:  # noqa: BLE001 - T is applied again by the next step
-            pass
-        n = _leading(np.fromiter(map(len, images), int, len(images)) == dim)
-        if n == 0 or (bounds is not None and bounds.shape[1] != dim):
+    def ahead(look: _LookBack, size: int) -> int:
+        points, steps = look.points, look.steps
+        images, A = _images(T, points[-1], size)
+        if not images or (bounds is not None and bounds.shape[1] != A.shape[1]):
             return 0
-        A = _array(images[:n])
         ok = np.isfinite(A)
         if bounds is not None:
             ok &= (A >= bounds[0]) & (A <= bounds[1])
         if inside is not None:
             ok &= inside(A, 0.0)
         n = _leading(ok.all(axis=1))
-        if n == 0:
-            return 0
-        d = pairs(points[-1:] + images[:n - 1], images[:n])
-        ok = (d > log_eps) & (d <= divergence)
-        if monotone:
-            ok[0] &= d[0] < steps[-1]
+        # rows: the start, then the last point and any before it with no r_k yet
+        k = min(len(look.ref), len(points) - 1)
+        head = points[:1] + points[k:]
+        d, r = metric._chain(head + images[:n], np.concatenate((_array(head), A[:n])))
+        d = d[len(head) - 1:]
+        ok = d < log_eps if steps[-1] < log_eps else d > log_eps
+        if monotone and steps[-1] > log_eps:
+            ok[:1] &= d[:1] < steps[-1]
             ok[1:] &= d[1:] < d[:-1]
-        n = _leading(ok)
+        n = _leading(ok & (d <= divergence))
         points.extend(images[:n])
         steps.extend(d[:n].tolist())
+        look.ref.extend(r[len(look.ref) - k:len(head) - 1 + n].tolist())
         return n
 
     return ahead
+
+
+def _images(T: SelfMapSpec, x: Point, size: int) -> tuple[list, Optional[np.ndarray]]:
+    """Up to ``size`` iterates of x by T, to the first that fails or has
+    another dimension, and them as an array.  A coordinate-wise kind maps
+    each coordinate on to its own first failure, past any other's."""
+    if T._coordinate is None:
+        images = _iterates(T._call, x, size)
+        images = images[:_leading(np.fromiter(map(len, images), int, len(images)) == len(x))]
+        return images, _array(images) if images else None
+    columns = [_iterates(T._coordinate, c, size) for c in x]
+    images = list(zip(*columns))  # to the shortest column
+    return images, np.array([column[:len(images)] for column in columns]).T
+
+
+def _iterates(f: Callable, x, size: int) -> list:
+    """Up to ``size`` iterates of x by f, to the first that fails."""
+    out = []
+    with contextlib.suppress(Exception):  # T is applied again by the next step
+        for _ in range(size):
+            x = f(x)
+            out.append(x)
+    return out
 
 
 def _leading(ok: np.ndarray) -> int:
@@ -363,18 +383,16 @@ def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
     Every step is one call of the run's step function (see ``_stepper``),
     built once per run, which runs the step's own checks at once; each
     residual is a step of a second one, built without the domain and the
-    monotone check.  A SelfMapSpec under a MetricSpec also maps ahead: after
-    a step above log(eps), blocks of 8, 16, ... up to ``_AHEAD`` iterates
-    are appended at once by ``_ahead`` while every check passes, and at the
-    first iterate that fails one the step function runs again, which is the
-    only code that handles an event.  A block cut short starts the sizes
-    over.  The cycle look-back of the steps above log(eps) is
-    deferred to ``_LookBack``, which scans it over blocks of pending steps,
-    in order, after each block of iterates and also before the run stops or
-    goes on for any other reason: a step below log(eps), a divergent step, a
-    failure of T or of a check, and max_iter.  A cycle among them ends the
-    run at its first point, as a step-by-step scan would.  T is assumed
-    pure (see ``picard`` for the discarded iterates it may be applied to).
+    monotone check.  A SelfMapSpec under a MetricSpec also maps ahead:
+    after a step above log(eps), or below it past ``_AHEAD`` steps,
+    ``_ahead`` appends blocks of 8, 16, ... up to ``_AHEAD`` iterates (a
+    block cut short starts the sizes over), and the step function runs
+    again at the first iterate that fails a check, the only code that
+    handles an event; below log(eps), ``_LookBack.windows`` cuts a block
+    where a window converges.  The cycle look-back of the steps above
+    log(eps) runs over blocks of pending steps, in order, after each block
+    and before the run stops or goes on for any other reason, so a cycle
+    among them ends the run at its first point, as a step-by-step scan would.
     """
     step, settle = _stepper(metric, T, domain, config), _stepper(metric, T)
     ahead = _ahead(metric, T, domain, config)
@@ -400,38 +418,40 @@ def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
             except Exception:
                 look.flush()
                 raise
-            if last > divergence:
-                look.flush()
-                points.append(y)
-                steps.append(last)
-                status = Status.DIVERGED
-                break
             points.append(y)
             steps.append(last)
+            if last > divergence:
+                look.flush(len(points) - 1)
+                status = Status.DIVERGED
+                break
             if last < log_eps:
-                if look.settled():
-                    residual = _residual(settle, y)
-                    if residual <= log_eps:
-                        status = Status.CONVERGED
-                        break
+                look.windows(len(points) - 1, settle)
             else:
                 # periodic, non-fixed orbit: y matches an earlier point exactly
                 look.push()
-                while ahead is not None and last > log_eps and n < config.max_iter:
-                    # the pending steps and the block end within _AHEAD iterates
-                    size = min(block, _AHEAD - look.pending, config.max_iter - n)
-                    got = ahead(points, steps, size)
-                    n, last = n + got, steps[-1]
+            # below log(eps), a run's tail outlasts a block's set-up only once the
+            # run is long: it grows with the steps before it
+            while ahead is not None and n < config.max_iter and (
+                    last > log_eps or last < log_eps and n > _AHEAD):
+                # the pending steps and the block end within _AHEAD iterates
+                size = min(block, _AHEAD - len(points) + look.done, config.max_iter - n)
+                got = ahead(look, size)
+                n, last = n + got, steps[-1]
+                if last > log_eps:
                     look.flush()
-                    if got < size:
-                        block = _AHEAD_FIRST
-                        break
-                    block = min(2 * block, _AHEAD)
+                elif got:
+                    look.windows(len(points) - got, settle)
+                if got < size:
+                    block = _AHEAD_FIRST
+                    break
+                block = min(2 * block, _AHEAD)
             x = points[-1]
         else:
             look.flush()
     except _Cycle:
         status = Status.CYCLE_DETECTED
+    except _Settled as settled:
+        status, residual = Status.CONVERGED, settled.args[0]
 
     if status is not Status.CONVERGED:
         residual = _residual(settle, points[-1])
@@ -478,17 +498,16 @@ def picard(metric, T, x0, config: SolverConfig,
     that binds the map's and the metric's scalar kernels and their checks
     once; a SelfMapSpec's image has only its finiteness checked.  A
     SelfMapSpec under a MetricSpec, the input of every config and CLI run,
-    also maps ahead: while its steps stay above log(eps), its kernel is
-    applied to blocks of up to 256 iterates, whose checks run in one array,
-    and the step function runs again at the first iterate that fails one.
-    The cycle look-back runs over blocks of steps (one for a
+    also maps ahead in blocks of up to 256 iterates, below log(eps) only
+    past 256 steps, a coordinate-wise kind one coordinate at a time; each
+    block's checks, steps and distances to the start are read from one
+    array, and the step function runs again at the first iterate that fails
+    one.  The cycle look-back runs over blocks of steps (one for a
     FunctionMetric).  Under a MetricSpec, it and the limit-point scan first
     rule pairs out by one distance per orbit point to its start (see
     ``metrics._reference_margin``).  The result equals a step-by-step scan.
-    T is assumed pure: a built-in map may be applied to up to 255
-    discarded iterates past any stop; any other map is applied exactly as
-    often as a step-by-step scan applies it, but for up to 63 discarded
-    iterates past a detected cycle.
+    T is assumed pure; ``SolverConfig`` bounds the discarded iterates it
+    may be applied to.
     """
     start = as_point(x0)
     if domain is None:

@@ -17,14 +17,21 @@ them (``sum`` of floats is compensated since Python 3.12).
 ``look_back`` and ``limit_point`` are Picard's cycle look-back and the
 limit-point scan as exact scans over every pair, before a prefilter by one
 distance per orbit point ruled most pairs out; the tests compare the two.
+
+``reference_picard`` is a Picard run built from public calls only, one
+step at a time, with every scan re-checking its points; ``picard_outcome``
+records exactly what a run gave or raised, so that ``picard`` and the
+reference can be compared bit for bit.
 """
 
 import math
 
 import numpy as np
 
+import mulfix as mx
 from mulfix.conditions import PhiSpec
-from mulfix.errors import DegeneratePairError, DomainError
+from mulfix.errors import (DegeneratePairError, DomainError, DomainEscapeError,
+                           MonotoneResidualError)
 from mulfix.metrics import DEFAULT_LOG_TOL, Point, as_point
 
 
@@ -220,3 +227,120 @@ def limit_point(metric, points: list, log_eps: float, fraction: float):
         if hits.size:
             return points[start + int(hits[0])]
     return None
+
+
+def bits(v):
+    """Exact comparison key: distinguishes -0.0 from 0.0 and matches NaN."""
+    return v if v is None else float.hex(float(v))
+
+
+# -- Picard with public calls only ----------------------------------------------
+
+
+def reference_apply(T, x):
+    try:
+        return mx.as_point(T(x))
+    except DomainError:
+        raise
+    except (ArithmeticError, ValueError) as exc:
+        raise DomainError(str(exc)) from exc
+
+
+def reference_residual(metric, T, p):
+    try:
+        return metric.log_distance(p, reference_apply(T, p))
+    except DomainError:
+        return math.inf
+
+
+def reference_max_pairwise(metric, points):
+    if len(points) < 2:
+        return 0.0
+    D = metric.log_distance_matrix(points, points)
+    return float(D.max(initial=0.0, where=np.triu(~np.isnan(D), 1)))
+
+
+def reference_iterate(metric, T, x, config, domain):
+    """The Picard loop with public calls only: every scan re-checks its points."""
+    log_eps = config.log_eps
+    points, steps, status = [x], [], mx.Status.MAX_ITER
+    for n in range(config.max_iter):
+        try:
+            y = reference_apply(T, x)
+        except DomainError:
+            status = mx.Status.DIVERGED
+            break
+        if domain is not None and not domain.contains(y):
+            raise DomainEscapeError(f"iterate {n + 1} left the declared domain: {y}",
+                                    point=y, iteration=n + 1)
+        try:
+            step = metric.log_distance(x, y)
+        except DomainError as exc:
+            raise DomainEscapeError(
+                f"iterate {n + 1} left the metric's domain: {y} ({exc})",
+                point=y, iteration=n + 1) from exc
+        if config.check_monotone_residual and steps and steps[-1] > log_eps \
+                and step >= steps[-1]:
+            raise MonotoneResidualError(
+                f"step log-distance grew from {steps[-1]} to {step} at iterate {n + 1}")
+        points.append(y)
+        steps.append(step)
+        if step > config.divergence_logd:
+            status = mx.Status.DIVERGED
+            break
+        if step > log_eps:
+            earlier = points[-1 - config.cycle_lookback:-2]
+            if (metric.log_distance_matrix([y], earlier) < 1e-14).any():
+                status = mx.Status.CYCLE_DETECTED
+                break
+        if step < log_eps \
+                and reference_max_pairwise(metric, points[-config.window:]) < log_eps:
+            residual = reference_residual(metric, T, y)
+            if residual <= log_eps:
+                status = mx.Status.CONVERGED
+                break
+        x = y
+    if status is not mx.Status.CONVERGED:
+        residual = reference_residual(metric, T, points[-1])
+    return points, steps, status, residual
+
+
+def reference_picard(metric, T, x0, config, domain):
+    start = mx.as_point(x0)
+    points, steps, status, residual = reference_iterate(metric, T, start, config, domain)
+    iterations, restarted_from, continuity = len(steps), None, None
+    if status in (mx.Status.MAX_ITER, mx.Status.CYCLE_DETECTED) \
+            and config.limit_point_restart and len(points) >= 2:
+        trace = mx.IterationTrace(metric, tuple(points), tuple(steps), status)
+        z = mx.detect_limit_point(trace, config.eps)
+        if z is not None and z != start:
+            restarted_from = z
+            ratios, log_eps = [], math.log(config.eps)
+            try:
+                tz = reference_apply(T, z)
+            except DomainError:
+                ratios = None
+            for p in points if ratios is not None else ():
+                d = metric.log_distance(p, z)
+                if 0 < d < log_eps:
+                    try:
+                        ratios.append(metric.log_distance(reference_apply(T, p), tz) / d)
+                    except DomainError:
+                        continue
+            continuity = max(ratios, default=None) if ratios is not None else None
+            points, steps, status, residual = reference_iterate(metric, T, z, config,
+                                                                domain)
+            iterations += len(steps)
+    return points, steps, status, iterations, restarted_from, residual, continuity
+
+
+def picard_outcome(run):
+    """What a Picard run gave, exactly, or what it raised."""
+    try:
+        points, steps, status, iterations, restarted_from, residual, continuity = run()
+    except DomainEscapeError as exc:
+        return ("escaped", str(exc), exc.point, exc.iteration)
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return ("raised", type(exc).__name__, str(exc))
+    return ([tuple(map(bits, p)) for p in points], list(map(bits, steps)), status,
+            iterations, restarted_from, bits(residual), bits(continuity))

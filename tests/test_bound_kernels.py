@@ -10,11 +10,13 @@ type, or raise the same exception with the same text.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mulfix as mx
-from mulfix import maps, metrics
+from mulfix import maps, metrics, solver
+from mulfix.errors import DomainError
 import scalar_reference
 
 # signed zeros, subnormals, values near the float range's ends, and values
@@ -134,3 +136,66 @@ def test_a_spec_binds_its_kernel_once():
     metric, T = mx.MetricSpec.exp_abs(2.0), mx.SelfMapSpec.scale(0.5)
     assert metric._log_distance is metric._log_distance and T._call is T._call
     assert metric._log_distance((1.0,), (2.0,)) == math.log(2.0)
+
+
+# -- a coordinate-wise kind, one coordinate at a time ------------------------------
+
+COORDINATEWISE = ("scale", "rational", "power", "reciprocal_sqrt", "negation")
+
+
+def test_the_coordinate_wise_kinds_and_only_they_bind_a_coordinate_kernel():
+    for kind in maps.MAP_PARAMS:
+        T = mx.SelfMapSpec.from_json_dict(
+            {"kind": kind, **{name: {"value": [1.0], "matrix": [[1.0]], "offset": [0.0]}
+                              .get(name, 0.5) for name in maps.MAP_PARAMS[kind]}})
+        assert (T._coordinate is not None) == (kind in COORDINATEWISE)
+        assert T._coordinate is T._coordinate
+
+
+def iterated(T, x, k):
+    """Up to k iterates of x by ``T._call``, to the first that raises."""
+    out = []
+    for _ in range(k):
+        try:
+            x = T._call(x)
+        except Exception:  # noqa: BLE001 - where the orbit ends
+            break
+        out.append(x)
+    return out
+
+
+# parameters as JSON gives them (an int or a float) and as numpy scalars
+PARAMETERS = st.one_of(coords, st.integers(-3, 3),
+                       coords.map(np.float64), st.integers(-3, 3).map(np.int64))
+
+
+@settings(max_examples=600, deadline=None)
+@given(kind=st.sampled_from(COORDINATEWISE), data=st.data())
+def test_a_block_of_a_coordinate_wise_kind_equals_its_point_kernel_applied_k_times(kind,
+                                                                                  data):
+    draw = {"c": PARAMETERS, "b": PARAMETERS,
+            "p": st.one_of(EXPONENTS, EXPONENTS.map(np.float64))}
+    params = {name: data.draw(draw[name]) for name in maps.MAP_PARAMS[kind]}
+    T = mx.SelfMapSpec(kind, **params)
+    x = data.draw(points(data.draw(st.integers(1, 4))))
+    k = data.draw(st.integers(0, 70))
+    images, A = solver._images(T, x, k)
+    expected = iterated(T, x, k)
+    assert [key(p) for p in images] == [key(p) for p in expected]
+    assert [key(tuple(row)) for row in A.tolist()] == [key(p) for p in expected]
+
+
+@pytest.mark.parametrize("T, x, failed", [
+    (mx.SelfMapSpec.rational(-1.0), (0.5, 2.0), 2),  # 2 -> 1 -> a pole
+    (mx.SelfMapSpec.rational(-1.0), (2.0, 0.5), 2),
+    (mx.SelfMapSpec.power(0.5), (4.0, -2.0), 1),  # a fractional power of -2
+    (mx.SelfMapSpec.power(2.0), (1.5, 1e200), 1),  # 1e400 overflows
+    (mx.SelfMapSpec.power(2.0), (1e100, 1.5), 2),
+    (mx.SelfMapSpec.reciprocal_sqrt(), (4.0, -0.0), 1),
+])
+def test_a_block_ends_where_one_coordinate_fails_and_the_others_run_on(T, x, failed):
+    images, A = solver._images(T, x, 50)
+    assert [key(p) for p in images] == [key(p) for p in iterated(T, x, 50)]
+    assert len(images) == len(A) == failed - 1
+    with pytest.raises((ArithmeticError, DomainError)):
+        T._call(images[-1] if images else x)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -337,6 +338,24 @@ def test_a_negative_config_seed_exits_2_naming_the_seed(tmp_path, capsys, comman
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: seed: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field", ["sample_size", "seed"])
+@pytest.mark.parametrize("value", [10.0, True])
+def test_an_integer_experiment_field_rejects_a_float_or_a_bool(field, value):
+    # a float reached numpy's sampler; seed=True ran and wrote "seed": true
+    config = mx.fixture_config("example_3_15")
+    with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}") as err:
+        dataclasses.replace(config, **{field: value})
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("field", ["sample_size", "seed"])
+def test_a_numpy_integer_field_is_echoed_as_a_json_integer(field):
+    config = dataclasses.replace(mx.fixture_config("example_3_15"), **{field: np.int64(12)})
+    assert type(getattr(config, field)) is int
+    tree = json.loads(dump_json(config.to_json_dict()))
+    assert mx.ExperimentConfig.from_json_dict(tree) == config
 
 
 def cli_args(tmp_path, command) -> list:

@@ -26,10 +26,10 @@ from hypothesis import given, settings, strategies as st
 
 import mulfix as mx
 from mulfix import conditions, maps, metrics, sequences, solver
-from mulfix.errors import (DomainError, DomainEscapeError, MonotoneResidualError,
-                           MulfixError)
+from mulfix.errors import DomainError, MulfixError
 import scalar_reference
-from scalar_reference import check_c1, check_c2, check_c3, check_phi, check_strict
+from scalar_reference import (bits, check_c1, check_c2, check_c3, check_phi, check_strict,
+                              picard_outcome, reference_apply, reference_picard)
 
 METRICS = [
     mx.MetricSpec.star_product(),
@@ -77,11 +77,6 @@ def random_sample(rng: random.Random, dim: int) -> list:
             points.append(tuple(rng.choice(POOL) if rng.random() < 0.5
                                 else rng.uniform(-3.0, 3.0) for _ in range(dim)))
     return points
-
-
-def bits(v):
-    """Exact comparison key: distinguishes -0.0 from 0.0 and matches NaN."""
-    return v if v is None else float.hex(float(v))
 
 
 # -- scalar reference path ----------------------------------------------------
@@ -707,115 +702,6 @@ def test_the_private_kernel_equals_the_public_one_on_checked_points(seed, metric
     assert private == public
 
 
-def reference_apply(T, x):
-    try:
-        return mx.as_point(T(x))
-    except DomainError:
-        raise
-    except (ArithmeticError, ValueError) as exc:
-        raise DomainError(str(exc)) from exc
-
-
-def reference_residual(metric, T, p):
-    try:
-        return metric.log_distance(p, reference_apply(T, p))
-    except DomainError:
-        return math.inf
-
-
-def reference_max_pairwise(metric, points):
-    if len(points) < 2:
-        return 0.0
-    D = metric.log_distance_matrix(points, points)
-    return float(D.max(initial=0.0, where=np.triu(~np.isnan(D), 1)))
-
-
-def reference_iterate(metric, T, x, config, domain):
-    """The Picard loop with public calls only: every scan re-checks its points."""
-    log_eps = config.log_eps
-    points, steps, status = [x], [], mx.Status.MAX_ITER
-    for n in range(config.max_iter):
-        try:
-            y = reference_apply(T, x)
-        except DomainError:
-            status = mx.Status.DIVERGED
-            break
-        if domain is not None and not domain.contains(y):
-            raise DomainEscapeError(f"iterate {n + 1} left the declared domain: {y}",
-                                    point=y, iteration=n + 1)
-        try:
-            step = metric.log_distance(x, y)
-        except DomainError as exc:
-            raise DomainEscapeError(
-                f"iterate {n + 1} left the metric's domain: {y} ({exc})",
-                point=y, iteration=n + 1) from exc
-        if config.check_monotone_residual and steps and steps[-1] > log_eps \
-                and step >= steps[-1]:
-            raise MonotoneResidualError(
-                f"step log-distance grew from {steps[-1]} to {step} at iterate {n + 1}")
-        points.append(y)
-        steps.append(step)
-        if step > config.divergence_logd:
-            status = mx.Status.DIVERGED
-            break
-        if step > log_eps:
-            earlier = points[-1 - config.cycle_lookback:-2]
-            if (metric.log_distance_matrix([y], earlier) < 1e-14).any():
-                status = mx.Status.CYCLE_DETECTED
-                break
-        if step < log_eps \
-                and reference_max_pairwise(metric, points[-config.window:]) < log_eps:
-            residual = reference_residual(metric, T, y)
-            if residual <= log_eps:
-                status = mx.Status.CONVERGED
-                break
-        x = y
-    if status is not mx.Status.CONVERGED:
-        residual = reference_residual(metric, T, points[-1])
-    return points, steps, status, residual
-
-
-def reference_picard(metric, T, x0, config, domain):
-    start = mx.as_point(x0)
-    points, steps, status, residual = reference_iterate(metric, T, start, config, domain)
-    iterations, restarted_from, continuity = len(steps), None, None
-    if status in (mx.Status.MAX_ITER, mx.Status.CYCLE_DETECTED) \
-            and config.limit_point_restart and len(points) >= 2:
-        trace = mx.IterationTrace(metric, tuple(points), tuple(steps), status)
-        z = mx.detect_limit_point(trace, config.eps)
-        if z is not None and z != start:
-            restarted_from = z
-            ratios, log_eps = [], math.log(config.eps)
-            try:
-                tz = reference_apply(T, z)
-            except DomainError:
-                ratios = None
-            for p in points if ratios is not None else ():
-                d = metric.log_distance(p, z)
-                if 0 < d < log_eps:
-                    try:
-                        ratios.append(metric.log_distance(reference_apply(T, p), tz) / d)
-                    except DomainError:
-                        continue
-            continuity = max(ratios, default=None) if ratios is not None else None
-            points, steps, status, residual = reference_iterate(metric, T, z, config,
-                                                                domain)
-            iterations += len(steps)
-    return points, steps, status, iterations, restarted_from, residual, continuity
-
-
-def picard_outcome(run):
-    """What a Picard run gave, exactly, or what it raised."""
-    try:
-        points, steps, status, iterations, restarted_from, residual, continuity = run()
-    except DomainEscapeError as exc:
-        return ("escaped", str(exc), exc.point, exc.iteration)
-    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
-        return ("raised", type(exc).__name__, str(exc))
-    return ([tuple(map(bits, p)) for p in points], list(map(bits, steps)), status,
-            iterations, restarted_from, bits(residual), bits(continuity))
-
-
 def kernel_picard(metric, T, x0, config, domain):
     result = mx.picard(metric, T, x0, config, domain)
     trace = result.trace
@@ -1399,6 +1285,144 @@ def test_a_built_in_map_is_applied_at_most_a_block_past_where_its_run_stops(m, t
     reference_picard(mx.MetricSpec.exp_abs(2.0), T_ref, (1.0,), config, None)
     assert result.status is status
     assert 0 <= len(calls) - len(ref_calls) <= solver._AHEAD
+
+
+# -- the tail of a coordinate-wise map, mapped ahead below log(eps) ------------------
+
+# Maps whose steps fall below log(eps) and stay there for dozens to hundreds
+# of iterates; in a run of more than 256 steps the tail is mapped ahead in
+# blocks too and converges inside a block, on its edge or after it.
+# rational, scale by a negative factor and reciprocal_sqrt oscillate about
+# their fixed points, so a window's first and last points can lie closer
+# together than two points inside it.
+TAIL_MAPS = [
+    mx.SelfMapSpec.scale(0.9),
+    mx.SelfMapSpec.scale(0.99),
+    mx.SelfMapSpec.scale(0.995),
+    mx.SelfMapSpec.scale(-0.95),
+    mx.SelfMapSpec.scale(-0.99),
+    mx.SelfMapSpec.rational(0.1),
+    mx.SelfMapSpec.rational(0.02),
+    mx.SelfMapSpec.rational(1.0),
+    mx.SelfMapSpec.power(0.97),
+    mx.SelfMapSpec.power(0.995),
+    mx.SelfMapSpec.reciprocal_sqrt(),
+    mx.SelfMapSpec.from_json_dict({"kind": "scale", "c": -1}),  # never settles
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(metric=st.sampled_from(METRIC_SPECS + [ONE_SIDED]), T=st.sampled_from(TAIL_MAPS),
+       start=st.sampled_from([(2.0,), (0.3,), (2.0, 0.5), (1.5, 3.0, 0.25, 1.25)]),
+       box=st.sampled_from([None, None, (-3.0, 4.0), (0.2, 4.0)]),
+       eps=st.sampled_from([math.exp(1e-9), math.exp(1e-6), math.exp(1e-3), math.exp(0.05)]),
+       max_iter=st.integers(20, 1500), window=st.integers(2, 12),
+       cycle_lookback=st.integers(0, 30), divergence_logd=st.sampled_from([5.0, 700.0]),
+       monotone=st.booleans(), restart=st.booleans())
+def test_converging_tails_of_coordinate_wise_maps_equal_the_loop_of_public_calls(
+        metric, T, start, box, eps, max_iter, window, cycle_lookback, divergence_logd,
+        monotone, restart):
+    domain = None if box is None else mx.Box((box,) * len(start))
+    config = mx.SolverConfig(eps=eps, max_iter=max_iter, window=window,
+                             cycle_lookback=cycle_lookback,
+                             divergence_logd=divergence_logd,
+                             check_monotone_residual=monotone,
+                             limit_point_restart=restart)
+    args = (metric, T, start, config, domain)
+    assert (picard_outcome(lambda: kernel_picard(*args))
+            == picard_outcome(lambda: reference_picard(*args)))
+
+
+@pytest.mark.parametrize("metric", [m for m in METRIC_SPECS if m.kind != "discrete"],
+                         ids=lambda m: f"{m.kind}-{m.base}")
+@pytest.mark.parametrize("T", [mx.SelfMapSpec.scale(0.99), mx.SelfMapSpec.scale(-0.99),
+                               mx.SelfMapSpec.rational(0.02), mx.SelfMapSpec.power(0.995)],
+                         ids=["scale", "scale-negative", "rational", "power"])
+@pytest.mark.parametrize("window", [2, 12])
+def test_a_long_run_converging_through_blocks_below_log_eps_equals_the_loop(metric, T,
+                                                                          window):
+    # hundreds of steps before the first below log(eps), so the tail is
+    # mapped ahead and settles inside a block of iterates
+    config = mx.SolverConfig(eps=math.exp(1e-4), max_iter=1500, window=window)
+    args = (metric, T, (2.0, 0.5), config, None)
+    assert (picard_outcome(lambda: kernel_picard(*args))
+            == picard_outcome(lambda: reference_picard(*args)))
+
+
+@pytest.mark.parametrize("b", [0.1, 0.02])
+@pytest.mark.parametrize("window", [3, 4, 5, 10, 12])
+def test_an_oscillating_orbit_is_checked_on_its_whole_window(b, window):
+    # rational(b) overshoots its fixed point by a factor of about -(1 - b) a
+    # step, so the first and last points of an odd window lie closer than
+    # its first two: the first-to-last distance alone would settle early.
+    # rational(0.1) settles step by step, rational(0.02) after 687 steps,
+    # inside a block of iterates mapped ahead
+    metric, T = mx.MetricSpec.exp_abs(2.0), mx.SelfMapSpec.rational(b)
+    config = mx.SolverConfig(eps=math.exp(1e-6), max_iter=2000, window=window)
+    args = (metric, T, (2.0,), config, None)
+    got = picard_outcome(lambda: kernel_picard(*args))
+    assert got == picard_outcome(lambda: reference_picard(*args))
+    assert got[2] is mx.Status.CONVERGED
+    points = [tuple(map(float.fromhex, p)) for p in got[0]]
+    early = [j for j in range(window, len(points))
+             if metric.log_distance(points[j + 1 - window], points[j]) < config.log_eps
+             and float.fromhex(got[1][j - 1]) < config.log_eps]
+    assert early and early[0] < len(points) - 1
+
+
+@pytest.mark.parametrize("side", ["above", "below"])
+def test_a_block_of_iterates_stops_at_a_step_of_exactly_log_eps(side):
+    # under exp_abs(2) with eps = 2, a step of 1 is log(eps) exactly; the
+    # block takes the steps of 2 (above) or 1/4 (below) before it, and no more
+    metric, config = mx.MetricSpec.exp_abs(2.0), mx.SolverConfig(eps=2.0)
+    gap = 2.0 if side == "above" else 0.25
+    orbit = [0.0, gap, 2 * gap, 3 * gap, 3 * gap + 1.0, 4 * gap + 1.0, 5 * gap + 1.0]
+    T = built_in(lambda p: (orbit[orbit.index(p[0]) + 1],))
+    points, steps = [(0.0,), (gap,)], [metric._log_distance((0.0,), (gap,))]
+    look = solver._LookBack(metric, config, points, steps)
+    assert solver._ahead(metric, T, None, config)(look, 5) == 2
+    assert points == [(v,) for v in orbit[:4]]
+    assert steps == [math.log(2.0) * gap] * 3
+
+
+def counting_coordinates(T):
+    """T, whose coordinate kernel records each coordinate it maps."""
+    calls, kernel = [], T._coordinate
+
+    def counted(c):
+        calls.append(c)
+        return kernel(c)
+    T.__dict__["_coordinate"] = counted  # the cached_property's slot, before _call binds it
+    return T, calls
+
+
+@pytest.mark.parametrize("make, start, config, box", [
+    # the first coordinate's power overflows at step 114, the second runs on
+    (lambda: mx.SelfMapSpec.power(1.01), (1e100, 2.0),
+     mx.SolverConfig(divergence_logd=math.inf, max_iter=400), None),
+    # an image of inf at step 100, past the finite ones
+    (lambda: mx.SelfMapSpec.scale(2.0), (2.0 ** 924,),
+     mx.SolverConfig(divergence_logd=math.inf, max_iter=400), None),
+    (lambda: mx.SelfMapSpec.scale(2.0), (1.0, 2.0 ** 924),
+     mx.SolverConfig(divergence_logd=math.inf, max_iter=400), None),
+    # a box left at step 126
+    (lambda: mx.SelfMapSpec.scale(-1.01), (1.0, 0.5), mx.SolverConfig(max_iter=400),
+     (-3.5, 3.5)),
+])
+def test_a_coordinate_wise_run_maps_at_most_a_block_past_where_it_stops(make, start,
+                                                                        config, box):
+    # each run stops inside one block of iterates: every coordinate computes
+    # at most 255 discarded values past the stop, and the step that stops
+    # the run maps the stopping point once more
+    domain = None if box is None else mx.Box((box,) * len(start))
+    T, calls = counting_coordinates(make())
+    T_ref, ref_calls = counting_coordinates(make())
+    metric = mx.MetricSpec.exp_abs(2.0)
+    got = picard_outcome(lambda: kernel_picard(metric, T, start, config, domain))
+    assert got == picard_outcome(lambda: reference_picard(metric, T_ref, start, config,
+                                                          domain))
+    assert got[0] == "escaped" or got[2] is mx.Status.DIVERGED
+    assert len(start) <= len(calls) - len(ref_calls) <= len(start) * solver._AHEAD
 
 
 # -- the reference-distance prefilter never hides a hit -----------------------------

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import mulfix as mx
@@ -29,6 +30,16 @@ def test_solver_config_validation():
     cfg = mx.SolverConfig(starts=[1.0, (2.0,)])
     assert cfg.starts == ((1.0,), (2.0,))
     assert mx.SolverConfig.from_json_dict(cfg.to_json_dict()) == cfg
+
+
+@pytest.mark.parametrize("field", ["max_iter", "window", "cycle_lookback"])
+@pytest.mark.parametrize("value", [10.0, True, "10"])
+def test_an_integer_solver_field_rejects_any_other_value(field, value):
+    # a float window or cycle_lookback would reach picard's slices
+    with pytest.raises(DomainError, match=f"^{field} must be an integer, got {value!r}$"):
+        mx.SolverConfig(**{field: value})
+    value = getattr(mx.SolverConfig(**{field: np.int64(12)}), field)
+    assert value == 12 and type(value) is int  # as JSON writes and reads it
 
 
 def test_picard_scaling_map_reaches_the_origin():

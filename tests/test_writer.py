@@ -413,6 +413,64 @@ def test_fixture_outputs_keep_their_digests(tmp_path, capsys, name):
     assert digests == FIXTURE_DIGESTS[name]
 
 
+# -- long runs of built-in maps, byte for byte -----------------------------------------
+
+# Long scalar orbits under exp_abs(2) on a 10-point sample: scale(0.99)
+# converges through its tail in about 1,800 steps; scale(0.98) converges
+# from two starts and writes bound rows; scale(0.999) stops at max_iter;
+# and a 4-d permutation closes a 3-cycle and restarts from a limit point.
+PERMUTE3 = ((0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 0.0, 0.0),
+            (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0))
+LONG_RUNS = {
+    "scale-0.99": (mx.SelfMapSpec.scale(0.99), ((1.0,),), 2000, None),
+    "scale-0.98": (mx.SelfMapSpec.scale(0.98), ((1.0,), (-0.5,)), 2000,
+                   mx.ZamfirescuConstants(xi=0.98)),
+    "scale-0.999": (mx.SelfMapSpec.scale(0.999), ((1.0,),), 500,
+                    mx.ZamfirescuConstants(xi=0.999)),
+    "permute-restart": (mx.SelfMapSpec.affine(PERMUTE3, (0.0,) * 4),
+                        ((0.5, -0.25, 0.75, 0.9), (0.1, 0.2, -0.3, -0.6)), 2000, None),
+}
+
+LONG_RUN_DIGESTS = {
+    "permute-restart": {
+        "report.json": "6aa8e358b71e76082172782b2bb4d61561cc4e5f3e77502b6c2784afc2b1d58d",
+        "trace_000.json": "9fd7107c02d9b189756c7cd4a5fd3b12d3e9dbc788932f85b788fa5a112fd39a",
+        "trace_001.json": "be78f79dc6715b0ca3c40b3464eda51feba9736f405482ba86b2db0352e8a7d4",
+    },
+    "scale-0.98": {
+        "report.json": "664ec0f31af979dc03b3fc286476b9018a6581d0d6030d31204b78e795e9ecc0",
+        "trace_000.json": "530f1f4ecf88893056d4335cc759829b05e550e119bbc970675969db6453815e",
+        "trace_001.json": "8207b9081ad29ae35123556ebcb5e3030f86a366138136bd9edb133bb236e049",
+    },
+    "scale-0.99": {
+        "report.json": "9d7fc7225f00e8d3ba6d56d46a258f43620e5389d519c47b86a35909fa1a2eed",
+        "trace_000.json": "82c8435935ab9744c2491f624f308c5f11a9fae2ec4575300fc4050ffdb3997c",
+    },
+    "scale-0.999": {
+        "report.json": "6381da5bf7ec02a7a4523ff9b2f5f7ee91818ff93a594f62db319dfe3446fa34",
+        "trace_000.json": "cab7c68051aba3eaba27753458666a9a0882f90493ba76c64489b81d1962e694",
+    },
+}
+
+
+def long_run(name):
+    T, starts, max_iter, constants = LONG_RUNS[name]
+    return mx.ExperimentConfig(
+        metric=mx.MetricSpec.exp_abs(2.0), map=T,
+        domain=mx.Box(((-1.0, 1.0),) * len(starts[0])),
+        sample_size=10, seed=201, constants=constants,
+        solver=mx.SolverConfig(eps=EPS, max_iter=max_iter, starts=starts),
+        expectations=("converged", "unique_fixed_point", "axioms_pass"))
+
+
+@pytest.mark.parametrize("name", sorted(LONG_RUNS))
+def test_long_runs_of_built_in_maps_keep_their_digests(tmp_path, name):
+    write_report(mx.run_experiment(long_run(name)), tmp_path)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert digests == LONG_RUN_DIGESTS[name]
+
+
 def test_writing_a_report_builds_no_pair_record(tmp_path, monkeypatch):
     built = []
     init = PairCheck.__init__
