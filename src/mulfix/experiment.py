@@ -29,7 +29,7 @@ from .conditions import (
     _classify,
     _PairTable,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .jsonconfig import JsonConfig, decode, is_integer, stream_json
 from .maps import Box, SelfMapSpec, sample_box
 from .metrics import (
@@ -90,6 +90,11 @@ def normalize_expectation(spec) -> dict:
         if key not in types:
             raise ConfigError(f"{kind} takes no {key!r}", field="expectations")
         decode(types[key], value, "expectations", f"{kind}.{key}")
+    if kind == "fixed_point":
+        try:
+            as_point(spec["point"])
+        except DomainError as exc:
+            raise ConfigError(f"fixed_point.point: {exc}", field="expectations") from None
     return dict(spec)
 
 

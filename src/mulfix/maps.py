@@ -159,9 +159,14 @@ class SelfMapSpec(JsonConfig):
             m = tuple(tuple(float(v) for v in row) for row in self.matrix)
             if not m or any(len(row) != len(m[0]) for row in m):
                 raise DomainError("affine matrix must be rectangular")
+            if not m[0]:
+                raise DomainError("affine matrix needs at least one column")
             object.__setattr__(self, "matrix", m)
         if self.offset is not None:
             object.__setattr__(self, "offset", as_point(self.offset))
+            if len(self.offset) != len(self.matrix):
+                raise DomainError(f"affine offset has {len(self.offset)} entries "
+                                  f"for {len(self.matrix)} matrix rows")
 
     # -- constructors -----------------------------------------------------
 

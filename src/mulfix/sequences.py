@@ -129,13 +129,6 @@ def cauchy_indicator(trace: IterationTrace, window: int) -> float:
     return _max_pairwise_logd(trace.metric, trace.metric._checked(points))
 
 
-def _row_blocks(metric, Z: Sequence[Point], P: Sequence[Point]):
-    """Yield ``(start, D)`` with D the log distances from the rows
-    ``Z[start:start + _ROW_BLOCK]`` to P; every point is a checked tuple."""
-    for start in range(0, len(Z), _ROW_BLOCK):
-        yield start, metric._log_distance_matrix(Z[start:start + _ROW_BLOCK], P)
-
-
 def _max_pairwise_logd(metric, points: Sequence[Point]) -> float:
     """Largest log distance over the pairs i < j of checked point tuples;
     0.0 below two.
@@ -145,7 +138,8 @@ def _max_pairwise_logd(metric, points: Sequence[Point]) -> float:
     if len(points) < 2:
         return 0.0
     best = 0.0
-    for start, D in _row_blocks(metric, points, points):
+    for start in range(0, len(points), _ROW_BLOCK):
+        D = metric._log_distance_matrix(points[start:start + _ROW_BLOCK], points)
         upper = np.triu(~np.isnan(D), start + 1)  # row r is point start + r
         best = max(best, float(D.max(initial=0.0, where=upper)))
     return best
@@ -161,12 +155,11 @@ def detect_limit_point(
     strictly inside its open ball of radius eps.  Returns None when no point
     qualifies.
 
-    Under a MetricSpec, a trace of more than 64 points scans only the
-    points that may qualify: by the reverse triangle inequality, a point
-    p_j inside p_i's ball has its distance to the first point within
-    log(eps) of p_i's, up to the kernels' rounding margin (see
-    ``metrics._reference_margin``), so one sort of those distances rules
-    most points out.  A FunctionMetric need not be a metric, and its scan
+    Under a MetricSpec, the scan reads only the points that may qualify:
+    by the reverse triangle inequality, a point p_j inside p_i's ball has
+    its distance to the first point within log(eps) of p_i's, up to the
+    kernels' rounding margin (see ``metrics._reference_margin``), so one
+    sort of those distances rules most points out.  A FunctionMetric need not be a metric, and its scan
     reads every pair.
     """
     log_eps = _check_eps(eps)
@@ -193,14 +186,13 @@ def _limit_point(trace: IterationTrace, points: Sequence[Point], log_eps: float,
 
 def _limit_rows(metric, points: Sequence[Point], log_eps: float, need: int) -> Sequence[int]:
     """The indices of the points that may have ``need`` points within
-    log_eps, in order: every index for a FunctionMetric, for at most one row
-    block, or when a distance to the first point is not finite.  Otherwise
-    each index i with at least ``need`` points p_j whose r_j = L(p_j, p_0)
-    lies within log_eps plus the rounding margin of r_i, as every
-    qualifying point has."""
+    log_eps, in order: every index for a FunctionMetric or when a distance
+    to the first point is not finite.  Otherwise each index i with at least
+    ``need`` points p_j whose r_j = L(p_j, p_0) lies within log_eps plus the
+    rounding margin of r_i, as every qualifying point has."""
     rows = range(len(points))
-    if not isinstance(metric, MetricSpec) or len(points) <= _ROW_BLOCK:
-        return rows  # exact; one row block costs no more than the prefilter
+    if not isinstance(metric, MetricSpec):
+        return rows
     r = metric._log_distance_pairs(points, [points[0]] * len(points))
     s = np.sort(r)
     if not math.isfinite(s[-1]):  # NaN sorts last

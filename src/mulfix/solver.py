@@ -206,14 +206,13 @@ class _LookBack:
     scanned in blocks over their steps and the ``cycle_lookback`` points
     before them.  A MetricSpec's block grows 1, 2, 4, ... up to
     ``_ROW_BLOCK`` steps; a block of iterates mapped ahead is scanned at
-    once.  A MetricSpec's scan of more than ``_ROW_BLOCK`` steps first reads
-    one distance per orbit point, r_k = L(p_k, p_0): by the reverse triangle
-    inequality |r_i - r_j| <= L(p_i, p_j), so when no two r of the scanned
-    points lie within 1e-14 plus the kernels' rounding margin of each other
-    (see ``metrics._reference_margin``) and all are finite, no pair is a
-    return and nothing more is read.  Otherwise, and always for a
-    FunctionMetric, the scan is exact: one private kernel call per
-    ``_ROW_BLOCK`` rows.  A FunctionMetric's block stays at one step, so its
+    once.  Every MetricSpec scan first reads one distance per orbit point,
+    r_k = L(p_k, p_0): by the reverse triangle inequality
+    |r_i - r_j| <= L(p_i, p_j), so when no two r of the scanned points lie
+    within 1e-14 plus the kernels' rounding margin of each other (see
+    ``metrics._reference_margin``) and all are finite, no pair is a return
+    and nothing more is read.  Otherwise, and always for a FunctionMetric,
+    the scan is exact: one private kernel call per ``_ROW_BLOCK`` rows.  A FunctionMetric's block stays at one step, so its
     function receives the pairs a step-by-step scan reads, in order.
     """
 
@@ -244,9 +243,7 @@ class _LookBack:
             hi -= 1
         if lo >= hi or self.lookback < 2:
             return
-        # below a row block the exact scan costs no more than the prefilter
-        if self.blocked and hi - lo > _ROW_BLOCK and \
-                self._apart(max(0, lo - self.lookback), hi):
+        if self.blocked and self._apart(max(0, lo - self.lookback), hi):
             return
         for a in range(lo, hi, _ROW_BLOCK):
             b, first = min(a + _ROW_BLOCK, hi), max(0, a - self.lookback)
@@ -287,7 +284,7 @@ class _LookBack:
             if _max_pairwise_logd(self.metric, points[max(0, j + 1 - w):j + 1]) < self.log_eps:
                 residual = _residual(settle, points[j])
                 if residual <= self.log_eps:
-                    del points[j + 1:], self.steps[j:], self.ref[j + 1:]
+                    del points[j + 1:], self.steps[j:]
                     raise _Settled(residual)
 
     def _cut(self, i: int) -> None:

@@ -22,8 +22,17 @@ distance per orbit point ruled most pairs out; the tests compare the two.
 step at a time, with every scan re-checking its points; ``picard_outcome``
 records exactly what a run gave or raised, so that ``picard`` and the
 reference can be compared bit for bit.
+
+``reference_estimate`` and ``reference_classify`` fit the constants and
+classify a sample pair by pair through the ``check_*`` functions.  The
+orbit scans (``reference_detect_limit_point``, ``reference_cauchy_indicator``,
+``reference_bound_rows``, ``reference_find_periodic_point`` and
+``loop_find_periodic_point``) are loops of public calls.  The axiom, triangle
+and reverse-triangle loops list violations one matrix entry at a time, as
+``verify_axioms`` and ``verify_reverse_triangle`` once did.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -31,7 +40,7 @@ import numpy as np
 import mulfix as mx
 from mulfix.conditions import PhiSpec
 from mulfix.errors import (DegeneratePairError, DomainError, DomainEscapeError,
-                           MonotoneResidualError)
+                           MonotoneResidualError, MulfixError)
 from mulfix.metrics import DEFAULT_LOG_TOL, Point, as_point
 
 
@@ -344,3 +353,225 @@ def picard_outcome(run):
         return ("raised", type(exc).__name__, str(exc))
     return ([tuple(map(bits, p)) for p in points], list(map(bits, steps)), status,
             iterations, restarted_from, bits(residual), bits(continuity))
+
+
+# -- condition estimates and classification, pair by pair ----------------------
+
+
+def reference_estimate(metric, T, points):
+    images = []
+    for p in points:
+        try:
+            images.append(mx.as_point(T(p)))
+        except (MulfixError, ArithmeticError, ValueError):
+            images.append(None)
+    xi = eta = lam = 0.0
+    used = skipped = 0
+    for i, j in itertools.combinations(range(len(points)), 2):
+        x, y, tx, ty = points[i], points[j], images[i], images[j]
+        if x == y or tx is None or ty is None:
+            skipped += 1
+            continue
+        try:
+            num = metric.log_distance(tx, ty)
+            den1 = metric.log_distance(x, y)
+            den2 = metric.log_distance(x, tx) + metric.log_distance(y, ty)
+            den3 = metric.log_distance(x, ty) + metric.log_distance(y, tx)
+        except DomainError:
+            skipped += 1
+            continue
+        if den1 == 0:
+            skipped += 1
+            continue
+        used += 1
+        xi = max(xi, num / den1)
+        if den2 == 0:
+            eta = math.inf if num > 0 else eta
+        else:
+            eta = max(eta, num / den2)
+        if den3 == 0:
+            lam = math.inf if num > 0 else lam
+        else:
+            lam = max(lam, num / den3)
+    if used == 0:
+        raise mx.DegeneratePairError("no usable distinct pair in the sample")
+    return (xi, eta, lam, used, skipped)
+
+
+def reference_classify(metric, T, points, constants, phi, tol, strict_margin):
+    xi_hat, eta_hat, lam_hat, used, skipped_est = reference_estimate(metric, T, points)
+    if constants is not None:
+        xi, eta, lam = constants.xi, constants.eta, constants.lam
+    else:
+        xi = xi_hat if xi_hat < 1 else None
+        eta = eta_hat if eta_hat < 0.5 else None
+        lam = lam_hat if lam_hat < 0.5 else None
+    records, pair_any_c, pair_any_s, pair_phi = [], [], [], []
+    all_ok = {c: True for c in mx.CONDITION_IDS}
+    n_pairs = skipped = 0
+    had_error = False
+    for i, j in itertools.combinations(range(len(points)), 2):
+        x, y = points[i], points[j]
+        if x == y:
+            skipped += 1
+            continue
+        n_pairs += 1
+        try:
+            res = {}
+            for cid, const, check in (("C1", xi, check_c1), ("C2", eta, check_c2),
+                                      ("C3", lam, check_c3)):
+                res[cid] = (False, None) if const is None else check(
+                    metric, T, x, y, const, tol)
+            for cid in ("SI", "SII", "SIII"):
+                res[cid] = check_strict(metric, T, x, y, cid, strict_margin)
+            if phi is not None:
+                res["PHI"] = check_phi(metric, T, phi, x, y, tol)
+        except (MulfixError, ZeroDivisionError, OverflowError) as exc:
+            had_error = True
+            records.append((i, j, "*", None, None, str(exc)))
+            continue
+        for cid, (ok, slack) in res.items():
+            records.append((i, j, cid, ok, bits(slack), None))
+            all_ok[cid] = all_ok[cid] and ok
+        pair_any_c.append(any(res[c][0] for c in ("C1", "C2", "C3")))
+        pair_any_s.append(any(res[c][0] for c in ("SI", "SII", "SIII")))
+        if phi is not None:
+            pair_phi.append(res["PHI"][0])
+    t2 = bool(pair_any_c) and all(pair_any_c) and not had_error
+    t23 = bool(pair_any_s) and all(pair_any_s) and not had_error
+    th3 = phi is not None and bool(pair_phi) and all(pair_phi) and not had_error
+    via_t2 = [c for c in ("C1", "C2", "C3") if all_ok[c]] if t2 else []
+    via_t23 = [c for c in ("SI", "SII", "SIII") if all_ok[c]] if t23 else []
+    if t2:
+        overall = "t2 applicable" + (f" via {' and '.join(via_t2)}" if via_t2
+                                     else " (mixed conditions)")
+    elif t23:
+        overall = "t23 applicable" + (f" via {' and '.join(via_t23)}" if via_t23
+                                      else " (mixed conditions)")
+    else:
+        overall = "th3 applicable" if th3 else "none"
+    verdicts = {"t2": {"applicable": t2, "via": via_t2},
+                "t23": {"applicable": t23, "via": via_t23},
+                "th3": {"applicable": th3, "checked": phi is not None},
+                "overall": overall}
+    estimates = (xi_hat, eta_hat, lam_hat, used, skipped_est)
+    return records, verdicts, n_pairs, skipped, estimates
+
+
+# -- orbit scans, bounds and periodic points through public calls --------------
+
+
+def reference_detect_limit_point(trace, eps, fraction):
+    log_eps = math.log(eps)
+    need = math.ceil(len(trace.points) * fraction)
+    for z in trace.points:
+        count = 0
+        for p in trace.points:
+            if trace.metric.log_distance(z, p) < log_eps:
+                count += 1
+                if count >= need:
+                    return z
+    return None
+
+
+def reference_cauchy_indicator(trace, window):
+    pairs = itertools.combinations(trace.points[-window:], 2)
+    return max(itertools.chain([0.0], (trace.metric.log_distance(a, b)
+                                       for a, b in pairs)))
+
+
+def reference_bound_rows(result, delta):
+    trace = result.trace
+    d1 = trace.step_logd[0] if trace.step_logd else 0.0
+    return [(n, trace.metric.log_distance(p, result.point),
+             mx.apriori_bound(d1, delta, n)) for n, p in enumerate(trace.points)]
+
+
+def reference_find_periodic_point(metric, orbit, max_period, eps):
+    log_eps = math.log(eps)
+    for i in range(len(orbit)):
+        for p in range(1, max_period + 1):
+            if i + p >= len(orbit):
+                break
+            if metric.log_distance(orbit[i + p], orbit[i]) < log_eps:
+                return orbit[i], p
+    return None
+
+
+def loop_find_periodic_point(metric, T, x0, max_period, eps, max_iter):
+    """find_periodic_point as one public kernel call per orbit index."""
+    log_eps = math.log(eps)
+    x = mx.as_point(x0)
+    orbit = [x]
+    for _ in range(max_iter):
+        try:
+            x = reference_apply(T, x)
+            metric.check_domain(x)
+        except DomainError:
+            break
+        orbit.append(x)
+    for i, w in enumerate(orbit[:-1]):
+        ahead = metric.log_distance_matrix(orbit[i + 1:i + 1 + max_period], [w])
+        hits = np.flatnonzero(ahead[:, 0] < log_eps)
+        if hits.size:
+            return w, int(hits[0]) + 1
+    return None
+
+
+# -- axiom and triple scans, entry by entry ------------------------------------
+
+
+def _axiom_violations_by_loop(metric, sample, tol=DEFAULT_LOG_TOL):
+    """The pair axioms as verify_axioms once checked them, one entry at a time."""
+    points = [mx.as_point(p) for p in sample]
+    rows = metric.log_distance_matrix(points, points).tolist()
+    violations = []
+    for i in range(len(points)):
+        for j in range(len(points)):
+            d, equal = rows[i][j], points[i] == points[j]
+            pair = {"pair": [i, j], "log_distance": d}
+            if d < -tol:
+                violations.append({"axiom": "nonnegativity", **pair})
+            if abs(d) > tol if equal else d <= tol:
+                violations.append({"axiom": "identity", **pair, "points_equal": equal})
+            if j > i and abs(d - rows[j][i]) > tol:
+                violations.append({"axiom": "symmetry", "pair": [i, j],
+                                   "forward": d, "reverse": rows[j][i]})
+    return violations
+
+
+def _triangle_by_loop(metric, sample, tol=DEFAULT_LOG_TOL):
+    """verify_axioms' triangle loop before its any-first scan."""
+    points = [mx.as_point(p) for p in sample]
+    n = len(points)
+    D = metric.log_distance_matrix(points, points)
+    violations = []
+    off_diag = ~np.eye(n, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n):
+            rhs = D[:, j][:, None] + D[j, :][None, :]
+            bad = (D - rhs > tol) & off_diag
+            for i, k in np.argwhere(bad):
+                violations.append(
+                    {"axiom": "triangle", "triple": [int(i), j, int(k)],
+                     "lhs": float(D[i, k]), "rhs": float(rhs[i, k])}
+                )
+    return violations
+
+
+def _reverse_triangle_by_loop(metric, sample, tol=DEFAULT_LOG_TOL):
+    """verify_reverse_triangle's loop before its any-first scan."""
+    points = [mx.as_point(p) for p in sample]
+    D = metric.log_distance_matrix(points, points)
+    violations = []
+    with np.errstate(invalid="ignore"):
+        for z in range(len(points)):
+            col = D[:, z]
+            lhs = np.abs(col[:, None] - col[None, :])
+            bad = lhs - D > tol
+            for x, y in np.argwhere(bad):
+                violations.append(
+                    {"triple": [int(x), int(y), z],
+                     "lhs": float(lhs[x, y]), "rhs": float(D[x, y])}
+                )
+    return violations

@@ -86,7 +86,7 @@ def affine(data, dim):
     rows = data.draw(st.integers(1, 3))
     cols = data.draw(st.sampled_from([dim, dim, 1, 3]))  # mostly x's dimension
     matrix = [list(data.draw(points(cols))) for _ in range(rows)]
-    offset = list(data.draw(points(data.draw(st.sampled_from([rows, rows, 1])))))
+    offset = list(data.draw(points(rows)))
     return {"kind": "affine", "matrix": matrix, "offset": offset}
 
 

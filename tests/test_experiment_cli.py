@@ -132,8 +132,12 @@ SOLVER = {"eps": EPS, "max_iter": 200, "starts": [[0.2], [0.8]]}
     ("solver", {**SOLVER, "starts": [["a"]]}),
     ("map", {"kind": "rational", "b": "2"}),
     ("map", {"kind": "rational", "b": 2, "c": 3}),
+    ("map", {"kind": "affine", "matrix": [[0.5, 0], [0, 0.5]], "offset": [1.0]}),
+    ("map", {"kind": "affine", "matrix": [[0.5, 0], [0, 0.5]], "offset": [1, 2, 3]}),
+    ("map", {"kind": "affine", "matrix": [[]], "offset": [1.0]}),
     ("expectations", [{"kind": "conditions_hold"}]),
     ("expectations", [{"kind": "fixed_point"}]),
+    ("expectations", [{"kind": "fixed_point", "point": []}]),
     ("expectations", [{"kind": "fixed_point", "point": [0.5], "tol": "x"}]),
     ("expectations", [{"kind": "verdict", "theorem": "t9"}]),
     ("expectations", [{"kind": "converged", "tol": 5}]),

@@ -42,10 +42,10 @@ def maps(draw):
     params = {"scale": {"c": NUMBER}, "rational": {"b": NUMBER},
               "power": {"p": NUMBER}, "constant": {"value": POINT}}.get(kind, {})
     if kind == "affine":
-        n = draw(st.integers(1, 3))
+        n, rows = draw(st.integers(1, 3)), draw(st.integers(1, 3))
         row = st.lists(FINITE, min_size=n, max_size=n).map(tuple)
-        params = {"matrix": st.lists(row, min_size=1, max_size=3).map(tuple),
-                  "offset": POINT}
+        params = {"matrix": st.lists(row, min_size=rows, max_size=rows).map(tuple),
+                  "offset": st.lists(FINITE, min_size=rows, max_size=rows).map(tuple)}
     return mx.SelfMapSpec(kind, domain=domain,
                           **{k: draw(v) for k, v in params.items()})
 

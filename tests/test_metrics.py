@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 import mulfix as mx
 from mulfix.errors import DomainError
 from mulfix.metrics import DEFAULT_LOG_TOL, _triple_hits
+from scalar_reference import (_axiom_violations_by_loop, _reverse_triangle_by_loop,
+                              _triangle_by_loop)
 
 POSITIVE = st.floats(min_value=1e-6, max_value=1e6,
                      allow_nan=False, allow_infinity=False)
@@ -243,25 +245,6 @@ def test_triple_checks_reject_a_nan_or_negative_tolerance(verify, tol):
         verify(usual, [(2.0,), (3.0,), (6.0,)], tol=tol)  # NaN would list nothing
 
 
-def _axiom_violations_by_loop(metric, sample, tol=DEFAULT_LOG_TOL):
-    """The pair axioms as verify_axioms once checked them, one entry at a time."""
-    points = [mx.as_point(p) for p in sample]
-    rows = metric.log_distance_matrix(points, points).tolist()
-    violations = []
-    for i in range(len(points)):
-        for j in range(len(points)):
-            d, equal = rows[i][j], points[i] == points[j]
-            pair = {"pair": [i, j], "log_distance": d}
-            if d < -tol:
-                violations.append({"axiom": "nonnegativity", **pair})
-            if abs(d) > tol if equal else d <= tol:
-                violations.append({"axiom": "identity", **pair, "points_equal": equal})
-            if j > i and abs(d - rows[j][i]) > tol:
-                violations.append({"axiom": "symmetry", "pair": [i, j],
-                                   "forward": d, "reverse": rows[j][i]})
-    return violations
-
-
 def _lopsided(x, y):  # not symmetric: 1 + 2|x - y| one way, 1 + |x - y| back
     return 1.0 + abs(x[0] - y[0]) * (2.0 if x[0] < y[0] else 1.0)
 
@@ -334,43 +317,6 @@ def test_reverse_triangle_trivial_when_points_equal():
 
 
 # -- triple scans against the loops they replaced ---------------------------------
-
-
-def _triangle_by_loop(metric, sample, tol=DEFAULT_LOG_TOL):
-    """verify_axioms' triangle loop before its any-first scan."""
-    points = [mx.as_point(p) for p in sample]
-    n = len(points)
-    D = metric.log_distance_matrix(points, points)
-    violations = []
-    off_diag = ~np.eye(n, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n):
-            rhs = D[:, j][:, None] + D[j, :][None, :]
-            bad = (D - rhs > tol) & off_diag
-            for i, k in np.argwhere(bad):
-                violations.append(
-                    {"axiom": "triangle", "triple": [int(i), j, int(k)],
-                     "lhs": float(D[i, k]), "rhs": float(rhs[i, k])}
-                )
-    return violations
-
-
-def _reverse_triangle_by_loop(metric, sample, tol=DEFAULT_LOG_TOL):
-    """verify_reverse_triangle's loop before its any-first scan."""
-    points = [mx.as_point(p) for p in sample]
-    D = metric.log_distance_matrix(points, points)
-    violations = []
-    with np.errstate(invalid="ignore"):
-        for z in range(len(points)):
-            col = D[:, z]
-            lhs = np.abs(col[:, None] - col[None, :])
-            bad = lhs - D > tol
-            for x, y in np.argwhere(bad):
-                violations.append(
-                    {"triple": [int(x), int(y), z],
-                     "lhs": float(lhs[x, y]), "rhs": float(D[x, y])}
-                )
-    return violations
 
 
 def _scans_agree(metric, sample):
