@@ -159,8 +159,8 @@ def detect_limit_point(
     by the reverse triangle inequality, a point p_j inside p_i's ball has
     its distance to the first point within log(eps) of p_i's, up to the
     kernels' rounding margin (see ``metrics._reference_margin``), so one
-    sort of those distances rules most points out.  A FunctionMetric need not be a metric, and its scan
-    reads every pair.
+    sort of those distances rules most points out.  A FunctionMetric need
+    not be a metric, and its scan reads every pair.
     """
     log_eps = _check_eps(eps)
     if len(trace.points) < 2:

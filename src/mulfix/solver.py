@@ -212,8 +212,9 @@ class _LookBack:
     within 1e-14 plus the kernels' rounding margin of each other (see
     ``metrics._reference_margin``) and all are finite, no pair is a return
     and nothing more is read.  Otherwise, and always for a FunctionMetric,
-    the scan is exact: one private kernel call per ``_ROW_BLOCK`` rows.  A FunctionMetric's block stays at one step, so its
-    function receives the pairs a step-by-step scan reads, in order.
+    the scan is exact: one private kernel call per ``_ROW_BLOCK`` rows.  A
+    FunctionMetric's block stays at one step, so its function receives the
+    pairs a step-by-step scan reads, in order.
     """
 
     def __init__(self, metric, config: SolverConfig, points: list, steps: list):

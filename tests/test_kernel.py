@@ -80,7 +80,7 @@ def random_sample(rng: random.Random, dim: int) -> list:
     return points
 
 
-# -- scalar reference path ----------------------------------------------------
+# -- what a call gave, and the kernel side of classify ------------------------
 
 
 def outcome(fn, *args):
@@ -1396,7 +1396,8 @@ def rounded_apart():
 @pytest.mark.parametrize("far, fraction", [(0, 0.5), (70, 0.02)])
 def test_a_return_whose_distances_to_the_start_round_apart_is_found(far, fraction):
     # without the rounding margin, the prefilter would rule this pair out;
-    # every scan takes it, short or long; the fraction needs x and y
+    # the look-back scans far + 4 points, the limit-point scan far + 3, and
+    # each fraction needs both x and y inside x's ball
     metric, p0, x, y = rounded_apart()
     apart = [(4.0 + k / 64,) for k in range(far)]
     points = [p0] + apart + [x, (10.0,), y]
