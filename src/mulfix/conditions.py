@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -31,6 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, DegeneratePairError, DomainError, MulfixError
 from .jsonconfig import JsonConfig, decode, json_text
+from .maps import SelfMapSpec
 from .metrics import DEFAULT_LOG_TOL, Point, _check_tol, as_point, equal_points
 
 logger = logging.getLogger(__name__)
@@ -220,37 +222,40 @@ class _PairTable:
     ``Dxt[i, j] = L(x_i, Tx_j)`` give the six values every condition reads.
     Entries are NaN unless both points and their images are valid (see
     ``first_error``); ``equal`` marks the pairs of equal points and
-    ``usable`` the distinct valid pairs i < j.  A
-    caller that checked every point and computed their full ``Dxx`` and
-    ``equal_points`` matrix (as ``verify_axioms`` does) passes them in, and
-    then Dxx has no NaN entry.
+    ``usable`` the distinct valid pairs i < j.  ``run_experiment`` passes
+    the full ``Dxx`` and ``equal_points`` matrix of points it checked, which
+    are then taken as they are; a ``SelfMapSpec`` maps them through its
+    bound kernel, with a finiteness check of each image as in ``solver._image``.
     ``images`` holds each point's image, None where the map failed.
     """
 
     def __init__(self, metric, T, sample: Sequence, Dxx: np.ndarray | None = None,
                  equal: np.ndarray | None = None):
-        self.points = points = [as_point(p) for p in sample]
+        checked = Dxx is not None
+        self.points = points = list(sample) if checked else [as_point(p) for p in sample]
         dim = len(points[0]) if points else 0
+        kernel = checked and type(T) is SelfMapSpec
+        call = T._call if kernel else T
         self.images, self.errors = [], []  # errors: what fails at T(x), at Tx, at x
         for p in points:
             try:
-                image, error = as_point(T(p)), None
+                image, error = call(p), None
+                if not (kernel and all(map(math.isfinite, image))):
+                    image = as_point(image)  # or raise its non-finite coordinate
             except _MAP_ERRORS as exc:
                 logger.warning("map evaluation failed at %s; point excluded", p)
                 image, error = None, exc
             self.images.append(image)
             self.errors.append((error, image and _point_error(metric, image, dim),
-                                _point_error(metric, p, dim)))
+                                None if checked else _point_error(metric, p, dim)))
         good = [k for k, e in enumerate(self.errors) if e == (None, None, None)]
         X, TX = [points[k] for k in good], [self.images[k] for k in good]
         n, block = len(points), np.ix_(good, good)
         self.Dtt, self.Dxt = (np.full((n, n), np.nan) for _ in range(2))
-        # every point and image in X and TX passed _point_error
-        if Dxx is None:
-            self.Dxx = np.full((n, n), np.nan)
+        # every point and image in X and TX was checked
+        self.Dxx = Dxx if checked else np.full((n, n), np.nan)
+        if not checked:
             self.Dxx[block] = metric._log_distance_matrix(X, X)
-        else:
-            self.Dxx = Dxx
         self.Dtt[block] = metric._log_distance_matrix(TX, TX)
         self.Dxt[block] = metric._log_distance_matrix(X, TX)
         self.equal = equal_points(points) if equal is None else equal
@@ -399,7 +404,7 @@ class PairRows:
             b = min(a + _PAIR_BLOCK, n)
             pieces = [end] * (width * (b - a))
             heads = list(map(head.__mod__, zip(self.i[a:b], self.j[a:b])))
-            column = (None, ())
+            column = ((), ())
             for c, (flags, slacks) in enumerate(self.checks.values()):
                 pieces[4 * c::width] = heads
                 pieces[4 * c + 1::width] = map(flag_texts[c].__getitem__, flags[a:b])
@@ -428,18 +433,17 @@ def _slack_texts(values: list, previous: tuple) -> tuple:
     """The JSON texts of one column's slacks over a block, as ``(values, texts)``.
 
     ``values`` is the block itself when every slack is a finite float, else
-    None.  In such a block each slack is one ``float.__repr__``, except that
-    a non-zero slack equal to the same pair's slack in ``previous`` (the
-    previous condition's result, when its block was all finite floats too)
-    reuses that text; zero is left out because ``0.0 == -0.0`` while their
-    texts differ.  Any other block takes one ``json_text`` per slack.
+    empty.  In such a block each slack is one ``repr``, except that a non-zero
+    slack equal to the same pair's slack in ``previous`` (the previous
+    condition's all-finite block) reuses that text; zero is left out because
+    ``0.0 == -0.0`` while their texts differ.  A block with no equal slack
+    is one ``map``.  Any other block takes one ``json_text`` per slack.
     """
     if not (set(map(type, values)) <= {float} and all(map(math.isfinite, values))):
-        return None, list(map(json_text, values))
-    if previous[0] is None:
-        return values, list(map(float.__repr__, values))
-    repr_ = float.__repr__
-    return values, [text if x == p and x else repr_(x)
+        return (), list(map(json_text, values))
+    if not any(map(operator.eq, values, previous[0])):
+        return values, list(map(repr, values))
+    return values, [text if x == p and x else repr(x)
                     for x, p, text in zip(values, *previous)]
 
 

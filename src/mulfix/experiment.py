@@ -126,6 +126,14 @@ class ExperimentConfig(JsonConfig):
         if self.sample_scheme not in ("mixed", "grid"):
             raise ConfigError(f"unknown scheme {self.sample_scheme!r}",
                               field="sample_scheme")
+        m, dim = self.map, self.domain.dim
+        kind = m.kind if isinstance(m, SelfMapSpec) else None  # or a plain callable
+        if kind == "affine" and {len(m.matrix), len(m.matrix[0])} != {dim}:
+            raise ConfigError(f"affine matrix is {len(m.matrix)}x{len(m.matrix[0])} "
+                              f"for a {dim}-d domain", field="map")
+        if kind == "constant" and len(m.value) != dim:
+            raise ConfigError(f"constant value has {len(m.value)} coordinates "
+                              f"for a {dim}-d domain", field="map")
         if not self.solver.starts:
             raise ConfigError("at least one start is required", field="solver.starts")
         for s in self.solver.starts:
@@ -278,7 +286,8 @@ def _eval_expectation(spec: dict, report: "ExperimentReport",
         ok = all(cls_report.condition_ok(c) for c in conds)
         detail = ", ".join(
             f"{c}: no phi declared" if c == "PHI" and report.config.phi is None
-            else f"{c}: {len(cls_report.violations(c))} violating pairs" for c in conds)
+            else f"{c}: {cls_report.rows.checks[c][0].count(False)} violating pairs"
+            for c in conds)
         detail += "" if ok else _unevaluated(cls_report)
     elif kind == "verdict":
         verdict = cls_report.verdicts[spec["theorem"]]
@@ -293,7 +302,7 @@ def _eval_expectation(spec: dict, report: "ExperimentReport",
             diagonal = np.diagonal(table.phi_slack(report.config.phi))
             n_diag_bad = int(np.count_nonzero(~(diagonal >= -DEFAULT_LOG_TOL)))
             ok = n_diag_bad == 0
-        detail = (f"{len(cls_report.violations('PHI'))} violating pairs, "
+        detail = (f"{cls_report.rows.checks['PHI'][0].count(False)} violating pairs, "
                   f"{n_diag_bad} violating diagonal points"
                   if report.config.phi is not None else "no phi declared")
         detail += "" if ok else _unevaluated(cls_report)

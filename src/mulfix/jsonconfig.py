@@ -135,7 +135,7 @@ _string = json.encoder.encode_basestring_ascii
 
 def _float(x: float) -> str:
     """A float as ``json.dumps`` writes it, or ``null`` when it is not finite."""
-    return float.__repr__(x) if math.isfinite(x) else "null"
+    return repr(x) if math.isfinite(x) else "null"
 
 
 # Writers of the plain scalar types, by exact type; subclasses take the
@@ -220,8 +220,10 @@ def _write(value, nl: str, out: list) -> None:
         out.append(nl + "}" if value else "{}")
     elif hasattr(value, "write_json"):
         value.write_json(out, nl)
+    elif isinstance(value, float):  # a subclass, whose repr json.dumps does not call
+        out.append(float.__repr__(value) if math.isfinite(value) else "null")
     else:
-        for tp in (str, int, float):  # subclasses such as an IntEnum
+        for tp in (str, int):  # subclasses such as an IntEnum
             if isinstance(value, tp):
                 out.append(_SCALARS[tp](value))
                 return

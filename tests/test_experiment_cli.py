@@ -135,6 +135,8 @@ SOLVER = {"eps": EPS, "max_iter": 200, "starts": [[0.2], [0.8]]}
     ("map", {"kind": "affine", "matrix": [[0.5, 0], [0, 0.5]], "offset": [1.0]}),
     ("map", {"kind": "affine", "matrix": [[0.5, 0], [0, 0.5]], "offset": [1, 2, 3]}),
     ("map", {"kind": "affine", "matrix": [[]], "offset": [1.0]}),
+    ("map", {"kind": "affine", "matrix": [[0.5, 0], [0, 0.5]], "offset": [0.1, 0.1]}),
+    ("map", {"kind": "constant", "value": [0.5, 0.5]}),
     ("expectations", [{"kind": "conditions_hold"}]),
     ("expectations", [{"kind": "fixed_point"}]),
     ("expectations", [{"kind": "fixed_point", "point": []}]),
@@ -410,14 +412,37 @@ def test_cli_builds_its_parser_once(tmp_path):
     assert json.loads((tmp_path / "report.json").read_text())["seed"] == 8
 
 
-@pytest.mark.parametrize("half_width, fused", [(5.0, True), (1e6, False)])
-def test_run_experiment_shares_one_prefilter_with_the_public_checks(half_width, fused):
-    # exp_abs(2) over a box this wide rounds past the tolerance: the full
-    # scans run and list violations
-    config = dataclasses.replace(
-        mx.fixture_config("example_3_15"), metric=mx.MetricSpec.exp_abs(2.0),
-        map=mx.SelfMapSpec.scale(0.5), domain=mx.Box(((-half_width, half_width),) * 2),
-        sample_size=20, constants=None, expectations=())
+# Samples whose pair records hold errors, by what fails: metric, map, the
+# 1-d domain, the start, and the number of error records.
+ERROR_SAMPLES = {
+    "pole": (mx.MetricSpec.exp_abs(math.e), mx.SelfMapSpec.rational(-1.0), (0.0, 3.0),
+             2.0, 6),
+    "outside": (mx.MetricSpec.star_product(), mx.SelfMapSpec.affine([[-1.0]], [2.0]),
+                (0.5, 3.0), 1.0, 15),
+    "overflow": (mx.MetricSpec.exp_abs(2.0), mx.SelfMapSpec.scale(1e308), (0.0, 2.0),
+                 0.0, 6),
+}
+
+
+@pytest.mark.parametrize("case, fused",
+                         [(5.0, True), (1e6, False), *((k, True) for k in ERROR_SAMPLES)])
+def test_run_experiment_shares_one_prefilter_with_the_public_checks(case, fused):
+    # case is a half width, or a sample of ERROR_SAMPLES; exp_abs(2) over a
+    # box 1e6 wide rounds past the tolerance: the full scans run and list
+    # violations
+    config = dataclasses.replace(mx.fixture_config("example_3_15"), constants=None,
+                                 expectations=())
+    if isinstance(case, str):
+        metric, T, bounds, start, n_errors = ERROR_SAMPLES[case]
+        config = dataclasses.replace(
+            config, metric=metric, map=T, domain=mx.Box((bounds,)), sample_size=7,
+            sample_scheme="grid", solver=dataclasses.replace(config.solver,
+                                                             starts=((start,),)))
+    else:
+        n_errors = 0
+        config = dataclasses.replace(
+            config, metric=mx.MetricSpec.exp_abs(2.0), map=mx.SelfMapSpec.scale(0.5),
+            domain=mx.Box(((-case, case),) * 2), sample_size=20)
     hits = []  # what each prefilter call returned
 
     def prefilter(D, tol):
@@ -433,6 +458,12 @@ def test_run_experiment_shares_one_prefilter_with_the_public_checks(half_width, 
     assert (json.dumps(report.reverse_triangle.to_json_dict())
             == json.dumps(reverse.to_json_dict()))
     assert bool(reverse.violations) is not fused
+    # the run's table takes the checked sample as it is; the public
+    # classify checks every point again
+    public = mx.classify(config.metric, config.map, report.sample, seed=config.seed)
+    assert len(report.classification.rows.errors) == n_errors
+    assert (dump_json(report.classification.to_json_tree())
+            == dump_json(public.to_json_tree()))
 
 
 def test_module_entry_point_smoke():

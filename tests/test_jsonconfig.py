@@ -35,14 +35,16 @@ METRICS = st.one_of(
 
 
 @st.composite
-def maps(draw):
+def maps(draw, dim=None):
+    """Maps of every kind; a constant or affine one of dimension dim, if given."""
     domain = draw(st.none() | BOXES)
     kind = draw(st.sampled_from(["scale", "rational", "power", "reciprocal_sqrt",
                                  "constant", "identity", "negation", "affine"]))
+    point = POINT if dim is None else st.lists(FINITE, min_size=dim, max_size=dim).map(tuple)
     params = {"scale": {"c": NUMBER}, "rational": {"b": NUMBER},
-              "power": {"p": NUMBER}, "constant": {"value": POINT}}.get(kind, {})
+              "power": {"p": NUMBER}, "constant": {"value": point}}.get(kind, {})
     if kind == "affine":
-        n, rows = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        n, rows = (dim, dim) if dim else (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
         row = st.lists(FINITE, min_size=n, max_size=n).map(tuple)
         params = {"matrix": st.lists(row, min_size=rows, max_size=rows).map(tuple),
                   "offset": st.lists(FINITE, min_size=rows, max_size=rows).map(tuple)}
@@ -95,7 +97,7 @@ def experiments(draw):
     solver = dataclasses.replace(
         draw(SOLVERS), starts=tuple(draw(st.lists(start, min_size=1, max_size=3))))
     return mx.ExperimentConfig(
-        metric=draw(METRICS), map=draw(maps()), domain=domain,
+        metric=draw(METRICS), map=draw(maps(domain.dim)), domain=domain,
         sample_size=draw(st.integers(2, 10**6)), seed=draw(st.integers(0, 2**63)),
         solver=solver, sample_scheme=draw(st.sampled_from(["mixed", "grid"])),
         enforce_domain=draw(st.booleans()),

@@ -265,9 +265,11 @@ def test_streamed_trees_equal_dump_json(tree):
 
 
 def test_repeated_slacks_reuse_text_only_when_equal_and_not_zero():
+    # the first block is all finite, so its texts come from the reuse rule;
+    # the NaN sends the second block down the json_text path
     n = BLOCK + 2
-    c2 = [0.0, -0.0, 0.25, math.nan, 1e-300] * (n // 5) + [5e-324] * (n % 5)
-    c3 = [-0.0, 0.0, 0.25, math.nan, 1e-300] * (n // 5) + [5e-324] * (n % 5)
+    c2 = [0.0, -0.0, 0.25, 1e-300] * (BLOCK // 4) + [math.nan, 5e-324]
+    c3 = [-0.0, 0.0, 0.25, 1e-300] * (BLOCK // 4) + [math.nan, 5e-324]
     rows = conditions.PairRows(list(range(n)), list(range(n)),
                                {"C2": ([True] * n, c2), "C3": ([True] * n, c3),
                                 "SI": ([False] * n, [None] * n)}, ())
