@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -32,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, DegeneratePairError, DomainError, MulfixError
 from .jsonconfig import JsonConfig, decode, json_text
-from .maps import SelfMapSpec
+from .maps import _checked_image
 from .metrics import DEFAULT_LOG_TOL, Point, _check_tol, as_point, equal_points
 
 logger = logging.getLogger(__name__)
@@ -224,9 +223,9 @@ class _PairTable:
     ``first_error``); ``equal`` marks the pairs of equal points and
     ``usable`` the distinct valid pairs i < j.  ``run_experiment`` passes
     the full ``Dxx`` and ``equal_points`` matrix of points it checked, which
-    are then taken as they are; a ``SelfMapSpec`` maps them through its
-    bound kernel, with a finiteness check of each image as in ``solver._image``.
-    ``images`` holds each point's image, None where the map failed.
+    are then taken as they are.  Points are mapped by
+    ``maps._checked_image``; ``images`` holds each point's image, None where
+    the map failed.
     """
 
     def __init__(self, metric, T, sample: Sequence, Dxx: np.ndarray | None = None,
@@ -234,14 +233,11 @@ class _PairTable:
         checked = Dxx is not None
         self.points = points = list(sample) if checked else [as_point(p) for p in sample]
         dim = len(points[0]) if points else 0
-        kernel = checked and type(T) is SelfMapSpec
-        call = T._call if kernel else T
+        image_of = _checked_image(T)
         self.images, self.errors = [], []  # errors: what fails at T(x), at Tx, at x
         for p in points:
             try:
-                image, error = call(p), None
-                if not (kernel and all(map(math.isfinite, image))):
-                    image = as_point(image)  # or raise its non-finite coordinate
+                image, error = image_of(p), None
             except _MAP_ERRORS as exc:
                 logger.warning("map evaluation failed at %s; point excluded", p)
                 image, error = None, exc
@@ -436,12 +432,12 @@ def _slack_texts(values: list, previous: tuple) -> tuple:
     empty.  In such a block each slack is one ``repr``, except that a non-zero
     slack equal to the same pair's slack in ``previous`` (the previous
     condition's all-finite block) reuses that text; zero is left out because
-    ``0.0 == -0.0`` while their texts differ.  A block with no equal slack
-    is one ``map``.  Any other block takes one ``json_text`` per slack.
+    ``0.0 == -0.0`` while their texts differ.  Any other block takes one
+    ``json_text`` per slack.
     """
     if not (set(map(type, values)) <= {float} and all(map(math.isfinite, values))):
         return (), list(map(json_text, values))
-    if not any(map(operator.eq, values, previous[0])):
+    if not previous[0]:  # the first column, or one after a block of another kind
         return values, list(map(repr, values))
     return values, [text if x == p and x else repr(x)
                     for x, p, text in zip(values, *previous)]

@@ -126,14 +126,9 @@ class ExperimentConfig(JsonConfig):
         if self.sample_scheme not in ("mixed", "grid"):
             raise ConfigError(f"unknown scheme {self.sample_scheme!r}",
                               field="sample_scheme")
-        m, dim = self.map, self.domain.dim
-        kind = m.kind if isinstance(m, SelfMapSpec) else None  # or a plain callable
-        if kind == "affine" and {len(m.matrix), len(m.matrix[0])} != {dim}:
-            raise ConfigError(f"affine matrix is {len(m.matrix)}x{len(m.matrix[0])} "
-                              f"for a {dim}-d domain", field="map")
-        if kind == "constant" and len(m.value) != dim:
-            raise ConfigError(f"constant value has {len(m.value)} coordinates "
-                              f"for a {dim}-d domain", field="map")
+        if isinstance(self.map, SelfMapSpec) and self.map.dim not in (None, self.domain.dim):
+            raise ConfigError(f"{self.map.kind} map does not keep the domain's "
+                              f"dimension {self.domain.dim}", field="map")
         if not self.solver.starts:
             raise ConfigError("at least one start is required", field="solver.starts")
         for s in self.solver.starts:

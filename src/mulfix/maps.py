@@ -227,6 +227,34 @@ class SelfMapSpec(JsonConfig):
         params = [getattr(self, name) for name in MAP_PARAMS[self.kind]]
         return partial(kernel, *params) if kernel and params else kernel
 
+    @property
+    def dim(self) -> Optional[int]:
+        """The dimension of the only points this map sends to points of their
+        own dimension, or None for a kind that does so in every dimension: a
+        constant's value's length, an affine map's matrix size, and 0 for a
+        non-square matrix, which changes the dimension of every point."""
+        if self.kind == "constant":
+            return len(self.value)
+        if self.kind == "affine":
+            rows, columns = len(self.matrix), len(self.matrix[0])
+            return rows if rows == columns else 0
+        return None
+
+
+def _checked_image(T) -> Callable[[Point], Point]:
+    """T bound once as a function of a checked point tuple, whose image is a
+    checked tuple; T's own errors pass through.  A SelfMapSpec's kernel gives
+    floats, which go through ``as_point`` only to raise a non-finite one's error."""
+    if type(T) is not SelfMapSpec:
+        return lambda x: as_point(T(x))
+    call = T._call
+
+    def image(x: Point) -> Point:
+        y = call(x)
+        return y if all(map(math.isfinite, y)) else as_point(y)
+
+    return image
+
 
 def grid_points(box: Box, n: int) -> list[Point]:
     """Deterministic low-discrepancy grid of n points spanning the box.

@@ -22,7 +22,7 @@ from .errors import (
     MonotoneResidualError,
 )
 from .jsonconfig import JsonConfig, is_integer
-from .maps import Box, SelfMapSpec
+from .maps import Box, SelfMapSpec, _checked_image
 from .metrics import (_ARRAY_SPACES, MetricSpec, Point, _array, _check_tol,
                       _reference_margin, as_point)
 from .sequences import (_ROW_BLOCK, IterationTrace, Status, _check_eps,
@@ -110,19 +110,12 @@ class FixedPointResult:
 
 
 def _image(T) -> Callable[[Point], Point]:
-    """T bound once as a function of a checked point tuple: its image as a
-    checked tuple, where a failure of T surfaces as DomainError.  A
-    SelfMapSpec's bound kernel takes the tuple as it is and returns a tuple
-    of floats, so only its finiteness is checked; ``as_point`` runs on it
-    only to raise the error of a non-finite coordinate, and on the output of
-    any other map."""
-    kernel = type(T) is SelfMapSpec
-    call = T._call if kernel else T
+    """``maps._checked_image(T)``, where a failure of T surfaces as DomainError."""
+    checked = _checked_image(T)
 
     def image(x: Point) -> Point:
         try:
-            y = call(x)
-            return y if kernel and all(map(math.isfinite, y)) else as_point(y)
+            return checked(x)
         except DomainError:
             raise
         except (ArithmeticError, ValueError) as exc:

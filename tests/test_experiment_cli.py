@@ -137,6 +137,7 @@ SOLVER = {"eps": EPS, "max_iter": 200, "starts": [[0.2], [0.8]]}
     ("map", {"kind": "affine", "matrix": [[]], "offset": [1.0]}),
     ("map", {"kind": "affine", "matrix": [[0.5, 0], [0, 0.5]], "offset": [0.1, 0.1]}),
     ("map", {"kind": "constant", "value": [0.5, 0.5]}),
+    ("map", {"kind": "affine", "matrix": [[0.5, 0]], "offset": [0.1]}),
     ("expectations", [{"kind": "conditions_hold"}]),
     ("expectations", [{"kind": "fixed_point"}]),
     ("expectations", [{"kind": "fixed_point", "point": []}]),
