@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DegeneratePairError, DomainError, MulfixError
-from .jsonconfig import JsonConfig, decode, json_text
+from .jsonconfig import JsonConfig, _float, decode, json_text
 from .maps import _checked_image
 from .metrics import DEFAULT_LOG_TOL, Point, _check_tol, as_point, equal_points
 
@@ -262,11 +262,12 @@ class _PairTable:
             self.own = self.step[:, None] + self.step[None, :]  # L(x, Tx) + L(y, Ty)
             self.cross = self.Dxt + self.Dxt.T  # L(x, Ty) + L(y, Tx)
 
-    def phi_slack(self, phi: PhiSpec) -> np.ndarray:
-        """The PHI margin rhs - lhs of every pair (u, v), u = v included."""
+    def phi_slack(self, phi: PhiSpec, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The PHI margin rhs - lhs of each pair (u, v) = (x_i[k], x_j[k]) of
+        the index vectors ``i`` and ``j``, where i = j is allowed."""
+        s, t = self.step[i], self.step[j]
         with np.errstate(all="ignore"):
-            log_phi = phi._log_phi(self.step[:, None], self.step[None, :])
-            return (0.5 * self.own - log_phi) - self.Dtt
+            return (0.5 * (s + t) - phi._log_phi(s, t)) - self.Dtt[i, j]
 
     def first_error(self, i: int, j: int) -> Exception | None:
         """What evaluating pair (i, j) raises first: the map at x, then at
@@ -334,7 +335,11 @@ class PairRows:
     """The pair records of a classification, kept as columns.
 
     ``i`` and ``j`` list the evaluated pairs in sample order; ``checks`` maps
-    each condition to its flags and slacks over them.  ``errors`` holds one
+    each condition to its ``(flags, slacks)`` over them, a bool array and a
+    float64 array, or None for the slacks of a condition with no admissible
+    constant (each such slack is null).  ``records`` and ``write_json`` read
+    a column given as a list through ``np.asarray``; the writer takes a None
+    slack in such a list as NaN, also written null.  ``errors`` holds one
     ``(position, i, j, message)`` per pair that could not be evaluated, where
     position counts the evaluated pairs before it.  The records run pair by
     pair, each evaluated pair with one record per condition in ``checks``
@@ -357,7 +362,9 @@ class PairRows:
         return out + per_pair[start:]
 
     def records(self) -> tuple[PairCheck, ...]:
-        cols = [(cid, *col) for cid, col in self.checks.items()]
+        cols = [(cid, np.asarray(f).tolist(),
+                 [None] * len(f) if s is None else np.asarray(s).tolist())
+                for cid, (f, s) in self.checks.items()]
         per_pair = [[PairCheck(i, j, cid, flags[k], slacks[k])
                      for cid, flags, slacks in cols]
                     for k, (i, j) in enumerate(zip(self.i, self.j))]
@@ -369,8 +376,18 @@ class PairRows:
         """Append the records to the sink ``out`` as the JSON array
         ``dump_json`` writes on a line indented by ``nl``, in blocks of
         ``_PAIR_BLOCK`` evaluated pairs, draining ``out`` before each block
-        after the first.  A block is built column by column: each pair's
-        head once, each condition's flags and slacks in one pass."""
+        after the first.
+
+        A block takes its conditions' flags and slacks as two (conditions,
+        pairs) slabs, each made Python objects by one ``tolist``, a None
+        slack column as a row of NaN.  Two masks of the slack slab choose
+        each row's texts: the rows that are all finite, and the slacks that
+        equal the same pair's slack in the row before and are not zero
+        (``0.0 == -0.0`` while their texts differ, and NaN equals nothing).
+        Such a repeat takes the text of the row before; the other slacks of
+        a finite row are one ``repr`` each, and of any other row one
+        ``jsonconfig._float`` each, null for NaN and the infinities.
+        """
         n = len(self.i) if self.checks else 0
         if not n and not self.errors:
             out.append("[]")
@@ -400,12 +417,22 @@ class PairRows:
             b = min(a + _PAIR_BLOCK, n)
             pieces = [end] * (width * (b - a))
             heads = list(map(head.__mod__, zip(self.i[a:b], self.j[a:b])))
-            column = ((), ())
-            for c, (flags, slacks) in enumerate(self.checks.values()):
+            flags = np.array([f[a:b] for f, _ in self.checks.values()]).tolist()
+            slab = np.array([np.full(b - a, math.nan) if s is None else s[a:b]
+                             for _, s in self.checks.values()], dtype=float)
+            finite = np.isfinite(slab).all(axis=1).tolist()
+            repeats = (slab[1:] == slab[:-1]) & (slab[1:] != 0)  # row c's at c - 1
+            repeated = repeats.any(axis=1).tolist()
+            for c, values in enumerate(slab.tolist()):
                 pieces[4 * c::width] = heads
-                pieces[4 * c + 1::width] = map(flag_texts[c].__getitem__, flags[a:b])
-                column = _slack_texts(slacks[a:b], column)
-                pieces[4 * c + 2::width] = column[1]
+                pieces[4 * c + 1::width] = map(flag_texts[c].__getitem__, flags[c])
+                text = repr if finite[c] else _float
+                if c and repeated[c - 1]:
+                    texts = [t if same else text(x)
+                             for x, t, same in zip(values, texts, repeats[c - 1].tolist())]
+                else:
+                    texts = list(map(text, values))
+                pieces[4 * c + 2::width] = texts
             start = 0
             while pending is not None and pending[0] < b:
                 pos, i, j, message = pending
@@ -423,24 +450,6 @@ class PairRows:
 
 # Evaluated pairs per block of written records: a file sink holds one block.
 _PAIR_BLOCK = 256
-
-
-def _slack_texts(values: list, previous: tuple) -> tuple:
-    """The JSON texts of one column's slacks over a block, as ``(values, texts)``.
-
-    ``values`` is the block itself when every slack is a finite float, else
-    empty.  In such a block each slack is one ``repr``, except that a non-zero
-    slack equal to the same pair's slack in ``previous`` (the previous
-    condition's all-finite block) reuses that text; zero is left out because
-    ``0.0 == -0.0`` while their texts differ.  Any other block takes one
-    ``json_text`` per slack.
-    """
-    if not (set(map(type, values)) <= {float} and all(map(math.isfinite, values))):
-        return (), list(map(json_text, values))
-    if not previous[0]:  # the first column, or one after a block of another kind
-        return values, list(map(repr, values))
-    return values, [text if x == p and x else repr(x)
-                    for x, p, text in zip(values, *previous)]
 
 
 @dataclass(frozen=True)
@@ -470,18 +479,22 @@ class ConditionReport:
 
     @cached_property
     def records(self) -> tuple[PairCheck, ...]:
+        """The records of ``rows`` as :class:`PairCheck` of plain Python
+        values: each flag a ``bool``, each slack a ``float``, or None where
+        the condition has no admissible constant."""
         return self.rows.records()
 
     def condition_ok(self, condition: str) -> bool:
         """True when every pair was evaluated and satisfies the condition,
         the rule the verdicts use: an error record ("*") fails it."""
         flags = self.rows.checks.get(condition, ((),))[0]
-        return not self.rows.errors and bool(flags) and all(flags)
+        return not self.rows.errors and len(flags) > 0 and bool(np.all(flags))
 
     def violations(self, condition: str) -> list[PairCheck]:
-        flags, slacks = self.rows.checks.get(condition, ((), ()))
+        flags, slacks = self.rows.checks.get(condition, (np.zeros(0, bool), None))
+        values = [None] * len(flags) if slacks is None else slacks.tolist()
         return [PairCheck(i, j, condition, False, slack)
-                for i, j, ok, slack in zip(self.rows.i, self.rows.j, flags, slacks)
+                for i, j, ok, slack in zip(self.rows.i, self.rows.j, flags.tolist(), values)
                 if not ok]
 
     def to_json_dict(self) -> dict:
@@ -548,35 +561,23 @@ def classify(
 def _classify(table: _PairTable, constants: Optional[ZamfirescuConstants],
               phi: Optional[PhiSpec], *, tol: float = DEFAULT_LOG_TOL,
               strict_margin: float = 0.0, seed: int | None = None) -> ConditionReport:
-    """``classify`` of a sample's table."""
+    """``classify`` of a sample's table.
+
+    The pairs i < j (in combinations order) that can be evaluated are
+    found first; ``Dxx``, ``own``, ``cross`` and ``Dtt`` are gathered once at
+    them, and each condition's flags and slacks are computed on those
+    vectors, the columns of the report's ``PairRows``.
+    """
     points, n = table.points, len(table.points)
     est = _estimate(table)
     xi, eta, lam, triple = _effective_constants(constants, est)
 
-    # Every condition but PHI reads L(Tx, Ty) <= const * den on each pair.
-    rhs = {"C1": (xi, table.Dxx), "C2": (eta, table.own), "C3": (lam, table.cross),
-           "SI": (1.0, table.Dxx), "SII": (0.5, table.own), "SIII": (0.5, table.cross)}
     upper = np.triu_indices(n, 1)  # the pairs in combinations order
-    results = {}  # condition -> satisfied flags and slacks over the upper pairs
-    with np.errstate(all="ignore"):
-        for cid in [*rhs, "PHI"] if phi is not None else rhs:
-            const, den = rhs.get(cid, (1.0, None))
-            if const is None:  # no admissible constant: unsatisfied everywhere
-                results[cid] = (np.zeros(len(upper[0]), dtype=bool), None)
-                continue
-            slack = table.phi_slack(phi) if cid == "PHI" else const * den - table.Dtt
-            if cid in ("SI", "SII", "SIII"):
-                ok = slack > strict_margin
-            else:
-                ok = slack >= -tol
-                slack = np.where(ok & (slack < 0), 0.0, slack)
-            results[cid] = (ok[upper], slack[upper])
-
     distinct = ~table.equal[upper]
     evaluated = table.usable[upper]
     if phi is not None:  # log phi rejects L(x, Tx) < 0
         phi_bad = table.step < 0
-        evaluated &= ~(phi_bad[:, None] | phi_bad[None, :])[upper]
+        evaluated &= ~(phi_bad[upper[0]] | phi_bad[upper[1]])
     n_pairs = int(distinct.sum())
     unevaluated = np.flatnonzero(distinct & ~evaluated)
     before = np.cumsum(evaluated) - evaluated  # evaluated pairs before each pair
@@ -590,17 +591,28 @@ def _classify(table: _PairTable, constants: Optional[ZamfirescuConstants],
         errors.append((int(before[k]), i, j, str(error)))
     if n_pairs == 0:
         raise DegeneratePairError("classification needs at least 2 distinct points")
-    evaluated = np.flatnonzero(evaluated)
-    rows = PairRows(
-        upper[0][evaluated].tolist(), upper[1][evaluated].tolist(),
-        {cid: (ok[evaluated].tolist(),
-               [None] * len(evaluated) if slack is None else slack[evaluated].tolist())
-         for cid, (ok, slack) in results.items()},
-        tuple(errors))
+    I, J = upper[0][evaluated], upper[1][evaluated]
+    Dxx, own, cross, Dtt = (M[I, J] for M in (table.Dxx, table.own, table.cross, table.Dtt))
+    # Every condition but PHI reads L(Tx, Ty) <= const * den on each pair.
+    rhs = {"C1": (xi, Dxx), "C2": (eta, own), "C3": (lam, cross),
+           "SI": (1.0, Dxx), "SII": (0.5, own), "SIII": (0.5, cross)}
+    checks = {}  # condition -> satisfied flags and slacks over the evaluated pairs
+    with np.errstate(all="ignore"):
+        for cid in [*rhs, "PHI"] if phi is not None else rhs:
+            const, den = rhs.get(cid, (1.0, None))
+            if const is None:  # no admissible constant: unsatisfied everywhere
+                checks[cid] = (np.zeros(len(I), dtype=bool), None)
+                continue
+            slack = table.phi_slack(phi, I, J) if cid == "PHI" else const * den - Dtt
+            if cid in ("SI", "SII", "SIII"):
+                ok = slack > strict_margin
+            else:
+                ok = slack >= -tol
+                slack[ok & (slack < 0)] = 0.0
+            checks[cid] = (ok, slack)
 
     def holds(cids) -> bool:  # no error record, and each pair meets one of cids
-        met = np.any([results[c][0] for c in cids], axis=0)[evaluated]
-        return not errors and bool(met.all())
+        return not errors and bool(np.any([checks[c][0] for c in cids], axis=0).all())
 
     t2_ok, t23_ok = holds(("C1", "C2", "C3")), holds(("SI", "SII", "SIII"))
     th3_ok = phi is not None and holds(("PHI",))
@@ -621,7 +633,7 @@ def _classify(table: _PairTable, constants: Optional[ZamfirescuConstants],
         "overall": overall,
     }
     return ConditionReport(
-        rows=rows,
+        rows=PairRows(I.tolist(), J.tolist(), checks, tuple(errors)),
         constants_used=triple if constants is None else constants,
         estimates=est,
         verdicts=verdicts,

@@ -281,7 +281,7 @@ def _eval_expectation(spec: dict, report: "ExperimentReport",
         ok = all(cls_report.condition_ok(c) for c in conds)
         detail = ", ".join(
             f"{c}: no phi declared" if c == "PHI" and report.config.phi is None
-            else f"{c}: {cls_report.rows.checks[c][0].count(False)} violating pairs"
+            else f"{c}: {np.count_nonzero(~cls_report.rows.checks[c][0])} violating pairs"
             for c in conds)
         detail += "" if ok else _unevaluated(cls_report)
     elif kind == "verdict":
@@ -294,10 +294,11 @@ def _eval_expectation(spec: dict, report: "ExperimentReport",
         ok = cls_report.condition_ok("PHI")
         n_diag_bad = 0
         if ok:  # PHI holds on every distinct pair; check each (x, x) too
-            diagonal = np.diagonal(table.phi_slack(report.config.phi))
+            points = np.arange(len(table.points))
+            diagonal = table.phi_slack(report.config.phi, points, points)
             n_diag_bad = int(np.count_nonzero(~(diagonal >= -DEFAULT_LOG_TOL)))
             ok = n_diag_bad == 0
-        detail = (f"{cls_report.rows.checks['PHI'][0].count(False)} violating pairs, "
+        detail = (f"{np.count_nonzero(~cls_report.rows.checks['PHI'][0])} violating pairs, "
                   f"{n_diag_bad} violating diagonal points"
                   if report.config.phi is not None else "no phi declared")
         detail += "" if ok else _unevaluated(cls_report)

@@ -368,3 +368,8 @@ def test_satisfied_records_never_have_negative_slack():
     for rec in report.records:
         if rec.satisfied:
             assert rec.slack >= 0
+    # the violations read the columns too, and give plain Python values
+    violations = [v for c in mx.CONDITION_IDS for v in report.violations(c)]
+    assert violations
+    for v in violations:
+        assert v.satisfied is False and type(v.slack) is float
