@@ -85,14 +85,14 @@ class SolverConfig(JsonConfig):
 
 @dataclass(frozen=True)
 class FixedPointResult:
-    """Outcome of one Picard run (possibly after a limit-point restart)."""
+    """Outcome of one Picard run (possibly after a limit-point restart);
+    its bound rows are ``verify_bound``'s, recomputed from trace and point."""
 
     point: Point
     residual_logd: float
     iterations: int
     trace: IterationTrace
     status: Status
-    bound_checks: tuple = ()
     restarted_from: Point | None = None
     continuity_log_ratio: float | None = None
 
@@ -105,7 +105,6 @@ class FixedPointResult:
             "status": self.status.value,
             "restarted_from": list(self.restarted_from) if self.restarted_from else None,
             "continuity_log_ratio": self.continuity_log_ratio,
-            "bound_checks": [list(row) for row in self.bound_checks],
         }
 
 
@@ -550,7 +549,8 @@ def apriori_bound(d1: float, delta: float, n: int, m: int | None = None) -> floa
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Observed versus predicted tail distances along a converged trace."""
+    """Observed versus predicted tail distances along a converged trace.
+    Its JSON leaves out ``rows``, which the written trace and point give."""
 
     delta: float
     tol: float

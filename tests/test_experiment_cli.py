@@ -520,9 +520,10 @@ def test_minimal_config_runs(tmp_path):
 
 
 def test_converged_runs_carry_bound_rows(report_3_15):
-    for run in report_3_15.runs:
-        assert run.bound_checks
-        n, observed, predicted = run.bound_checks[0]
+    assert len(report_3_15.bounds) == len(report_3_15.runs) == 3
+    for bound in report_3_15.bounds:
+        assert bound.rows
+        n, observed, predicted = bound.rows[0]
         assert n == 0 and observed <= predicted + 1e-10
 
 

@@ -259,7 +259,6 @@ def test_run_experiment_bound_rows_equal_the_public_check(report_3_15):
     assert len(report_3_15.bounds) == len(report_3_15.runs) == 3
     for bound, run in zip(report_3_15.bounds, report_3_15.runs):
         assert bound == mx.verify_bound(run, delta)
-        assert run.bound_checks == bound.rows
 
 
 def test_run_experiment_reads_no_bound_row_through_the_public_kernel(monkeypatch):

@@ -14,10 +14,11 @@ import json
 import math
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 import mulfix as mx
 from mulfix import conditions
@@ -25,6 +26,7 @@ from mulfix.cli import main
 from mulfix.conditions import PairCheck
 from mulfix.experiment import write_json, write_report
 from mulfix.jsonconfig import dump_json, json_text, stream_json
+from scalar_reference import bits
 
 EPS = math.exp(1e-9)
 
@@ -41,6 +43,19 @@ def finite_or_none(tree):
 
 def reference(tree) -> str:
     return json.dumps(finite_or_none(tree), indent=2, allow_nan=False) + "\n"
+
+
+def assert_same(got, want):
+    """``assert got == want`` for two texts or byte strings, reporting the first
+    difference.  pytest reports two unequal texts with a difflib diff from the
+    first difference on, which takes seconds for a long near-equal pair, and a
+    failing property reports one for every example it shrinks."""
+    if got != want:
+        k = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+        a = max(k - 40, 0)
+        raise AssertionError(f"first difference at {k}: "
+                             f"{got[a:k + 40]!r} != {want[a:k + 40]!r}")
 
 
 # -- any plain tree ------------------------------------------------------------------
@@ -174,12 +189,18 @@ def pair_rows(draw):
                                errors)
 
 
-@settings(max_examples=400, deadline=None)
+# The pair-record properties skip hypothesis's explain phase: after a failure
+# it re-runs a table property on a thousand or more variants of the shrunk
+# example, each failing with a formatted traceback, for a minute or more.
+NO_EXPLAIN = [phase for phase in Phase if phase is not Phase.explain]
+
+
+@settings(max_examples=400, deadline=None, phases=NO_EXPLAIN)
 @given(pair_rows(), st.integers(0, 3))
 def test_pair_records_equal_the_reference_encoder(rows, depth):
     nl = "\n" + "  " * depth
     expected = reference([r.to_json_dict() for r in rows.records()])[:-1]
-    assert json_text(rows, nl) == expected.replace("\n", nl)
+    assert_same(json_text(rows, nl), expected.replace("\n", nl))
 
 
 @pytest.mark.parametrize("positions", [[0], [3], [1], [0, 3], [1, 1], [0, 0, 3, 3]],
@@ -201,6 +222,9 @@ def test_no_pair_record_writes_an_empty_array():
 # -- streamed to a file, block by block ---------------------------------------------
 
 BLOCK = conditions._PAIR_BLOCK
+# the block the streamed-records property writes at, so that its tables reach
+# every block edge with at most 2 * SMALL_BLOCK + 1 pairs and shrink fast
+SMALL_BLOCK = 8
 # values that sit next to each other in adjacent columns of a block
 ADJACENT = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.5, 0.1, math.nan, math.inf,
                             -math.inf, None]) | st.floats()
@@ -214,11 +238,12 @@ def streamed(tree) -> bytes:
 
 @st.composite
 def blocked_rows(draw):
-    """PairRows of 0, 1, block - 1, block, block + 1 or 2 * block + 1 pairs,
-    whose columns repeat, copy or sign-flip the zeros of the column before,
-    or hold only None, with error rows first, last, at block edges or
-    repeated."""
-    n = draw(st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]))
+    """PairRows of 0, 1, block - 1, block, block + 1 or 2 * block + 1 pairs
+    for block = SMALL_BLOCK, whose columns repeat, copy or sign-flip the
+    zeros of the column before, or hold only None, with error rows first,
+    last, at block edges or repeated."""
+    n = draw(st.sampled_from([0, 1, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1,
+                              2 * SMALL_BLOCK + 1]))
     ids = draw(st.lists(st.sampled_from(mx.CONDITION_IDS), min_size=1, max_size=7,
                         unique=True))
     checks, previous = {}, [None] * n
@@ -239,13 +264,14 @@ def blocked_rows(draw):
             column = [None] * n
         checks[cid] = ([flags[k % len(flags)] for k in range(n)], column)
         previous = column
-    edges = [p for p in (0, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, n) if p <= n]
+    edges = [p for p in (0, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1,
+                         2 * SMALL_BLOCK, n) if p <= n]
     positions = draw(st.lists(st.sampled_from(edges) | st.integers(0, n), max_size=5))
     errors = tuple((pos, 7, 8, "pole") for pos in sorted(positions))
     return conditions.PairRows(list(range(n)), list(range(1, n + 1)), checks, errors)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120, deadline=None, phases=NO_EXPLAIN)
 @given(blocked_rows(), st.integers(0, 2))
 def test_streamed_pair_records_equal_dump_json_and_the_reference(rows, depth):
     records = [r.to_json_dict() for r in rows.records()]
@@ -253,9 +279,10 @@ def test_streamed_pair_records_equal_dump_json_and_the_reference(rows, depth):
     for _ in range(depth):  # nested, with a value after the records
         tree, expected = {"pairs": tree, "after": [-0.0]}, {"pairs": expected,
                                                             "after": [-0.0]}
-    text = dump_json(tree)
-    assert text == reference(expected)
-    assert streamed(tree) == text.encode()
+    with mock.patch.object(conditions, "_PAIR_BLOCK", SMALL_BLOCK):
+        text = dump_json(tree)
+        assert_same(text, reference(expected))
+        assert_same(streamed(tree), text.encode())
 
 
 @settings(max_examples=200, deadline=None)
@@ -384,19 +411,19 @@ def test_written_report_equals_the_reference_encoding(tmp_path, build, what):
 
 FIXTURE_DIGESTS = {
     "example_3_15": {
-        "report.json": "06c862bdbd61d48101bf0d19d42ad3683c3cf961fa03c9cf139a298fc00c5d5f",
+        "report.json": "428c6f0f14852870acde2f4bf89349ae6b2bf85e44f83f50b38032c2fa924274",
         "trace_000.json": "6d7869822188ea0bc50bb16fa2a080c8ad2ccae7ba7a05dd0ad464c74044339f",
         "trace_001.json": "59fa5cd83ac73864ef0b61f5a7d192794bf05a8a3d57b059c5797f71527909a6",
         "trace_002.json": "3b4ca62d50a23118b5ca9e39c2c4028e1f432a88bd06a14cf43ba8e872cc9c4a",
     },
     "example_3_16": {
-        "report.json": "c12e22924dba990fe004cc3507e6ca3104bcf28bdefc614de04cfa38eb3f59c3",
+        "report.json": "f5adf7c682e218a692db5eca586615162b61a1b860eabd194a12e99c1f47dd58",
         "trace_000.json": "cae10b2882432022465f1d9d907f86b731ed83b375a6294d1eb3587ec3e55f83",
         "trace_001.json": "fc3a7c378456f1b4b124e8b36a870c7a9bf9f4c1ea70ad1215941b0f35a0929e",
         "trace_002.json": "fe8b50de232692c2ccaad3d58c40a7f0bbe10aa887fe1e918db5c48f38c4da42",
     },
     "example_3_17": {
-        "report.json": "8847b8326eb0f9b100f2f0321fb4c9d63d4009b60583f667aa3741237c38a495",
+        "report.json": "8b6d0dc3cb6906152e045a37ed965e008f1ef0c7a29397a65f85af865ffe655d",
         "trace_000.json": "55bfed9685890ffc0978b6a8ad1cbe69b75f4041733f4366bd2f633caf7cf0c9",
         "trace_001.json": "3333f8a881041e2da73a30b8512307d7fd0b5550fc93d648f2002f1bcc31a5a4",
         "trace_002.json": "ca26cbb9c4ad167709f59c8322d549cd82f3c88acf10084a2cf7ceb3f8aee027",
@@ -419,7 +446,7 @@ def test_fixture_outputs_keep_their_digests(tmp_path, capsys, name):
 
 # Long scalar orbits under exp_abs(2) on a 10-point sample: scale(0.99)
 # converges through its tail in about 1,800 steps; scale(0.98) converges
-# from two starts and writes bound rows; scale(0.999) stops at max_iter;
+# from two starts and checks bound rows; scale(0.999) stops at max_iter;
 # and a 4-d permutation closes a 3-cycle and restarts from a limit point.
 PERMUTE3 = ((0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 0.0, 0.0),
             (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0))
@@ -435,21 +462,21 @@ LONG_RUNS = {
 
 LONG_RUN_DIGESTS = {
     "permute-restart": {
-        "report.json": "6aa8e358b71e76082172782b2bb4d61561cc4e5f3e77502b6c2784afc2b1d58d",
+        "report.json": "aeba4c81c9cfad0c3ed2f6c4e248a592bcaba3433b72774aef388edfa8f7ec5c",
         "trace_000.json": "9fd7107c02d9b189756c7cd4a5fd3b12d3e9dbc788932f85b788fa5a112fd39a",
         "trace_001.json": "be78f79dc6715b0ca3c40b3464eda51feba9736f405482ba86b2db0352e8a7d4",
     },
     "scale-0.98": {
-        "report.json": "664ec0f31af979dc03b3fc286476b9018a6581d0d6030d31204b78e795e9ecc0",
+        "report.json": "dbc9906ab60b51f30e5b8e91a5d97e3a543cef9d058caea5b14f38c848be4830",
         "trace_000.json": "530f1f4ecf88893056d4335cc759829b05e550e119bbc970675969db6453815e",
         "trace_001.json": "8207b9081ad29ae35123556ebcb5e3030f86a366138136bd9edb133bb236e049",
     },
     "scale-0.99": {
-        "report.json": "9d7fc7225f00e8d3ba6d56d46a258f43620e5389d519c47b86a35909fa1a2eed",
+        "report.json": "c40b6b15a96e24fa179862b1c787ee21fc05d72a52d1c5419b7f02786e30afe5",
         "trace_000.json": "82c8435935ab9744c2491f624f308c5f11a9fae2ec4575300fc4050ffdb3997c",
     },
     "scale-0.999": {
-        "report.json": "6381da5bf7ec02a7a4523ff9b2f5f7ee91818ff93a594f62db319dfe3446fa34",
+        "report.json": "5b7fc1d27af86e69f550725bcf743d52ca227b3b4fb44f4430e79bf8b2b34174",
         "trace_000.json": "cab7c68051aba3eaba27753458666a9a0882f90493ba76c64489b81d1962e694",
     },
 }
@@ -471,6 +498,39 @@ def test_long_runs_of_built_in_maps_keep_their_digests(tmp_path, name):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir()}
     assert digests == LONG_RUN_DIGESTS[name]
+
+
+# -- bound rows, recomputed from the written files ----------------------------------
+
+def bound_rows_from_files(out_dir):
+    """report.json and each converged run's bound rows, recomputed from the
+    written files alone: the k-th ``bounds`` entry is the k-th converged run's."""
+    report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+    runs = report["solver"]["runs"]
+    converged = [i for i, run in enumerate(runs) if run["status"] == "converged"]
+    rows = []
+    for i, bound in zip(converged, report["bounds"]):
+        trace = json.loads((out_dir / f"trace_{i:03d}.json").read_text(encoding="utf-8"))
+        metric = mx.MetricSpec.from_json_dict(trace["metric"])
+        z, d1 = runs[i]["point"], trace["step_logd"][0]
+        rows.append([(n, metric.log_distance(x, z), mx.apriori_bound(d1, bound["delta"], n))
+                     for n, x in enumerate(trace["points"])])
+    return report, rows
+
+
+@pytest.mark.parametrize("name", ["example_3_15", "scale-0.98"])
+def test_written_files_give_every_bound_row(tmp_path, report_3_15, name):
+    report = report_3_15 if name == "example_3_15" else mx.run_experiment(long_run(name))
+    write_report(report, tmp_path)
+    data, rows = bound_rows_from_files(tmp_path)
+    assert not any("bound_checks" in run for run in data["solver"]["runs"])
+    assert len(rows) == len(report.bounds) == len(data["bounds"]) >= 2
+    assert [[tuple(map(bits, row)) for row in run_rows] for run_rows in rows] \
+        == [[tuple(map(bits, row)) for row in bound.rows] for bound in report.bounds]
+    for run_rows, bound in zip(rows, data["bounds"]):  # the summary follows too
+        assert bound["checked"] == len(run_rows)
+        assert bound["violations"] == [list(row) for row in run_rows
+                                       if row[1] > row[2] + bound["tol"]]
 
 
 def test_writing_a_report_builds_no_pair_record(tmp_path, monkeypatch):
