@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DegeneratePairError, DomainError, MulfixError
-from .jsonconfig import JsonConfig, _float, decode, json_text
+from .jsonconfig import JsonConfig, _float, _string, decode
 from .maps import _checked_image
 from .metrics import DEFAULT_LOG_TOL, Point, _check_tol, as_point, equal_points
 
@@ -373,10 +373,10 @@ class PairRows:
         return tuple(itertools.chain.from_iterable(rows))
 
     def write_json(self, out: list, nl: str) -> None:
-        """Append the records to the sink ``out`` as the JSON array
-        ``dump_json`` writes on a line indented by ``nl``, in blocks of
-        ``_PAIR_BLOCK`` evaluated pairs, draining ``out`` before each block
-        after the first.
+        """Append the records to the sink ``out`` as a JSON array on a line
+        indented by ``nl``, each record ``json.dumps(record)`` (null for NaN
+        and the infinities) on its own line, in blocks of ``_PAIR_BLOCK``
+        evaluated pairs, draining ``out`` before each block after the first.
 
         A block takes its conditions' flags and slacks as two (conditions,
         pairs) slabs, each made Python objects by one ``tolist``, a None
@@ -393,20 +393,18 @@ class PairRows:
             out.append("[]")
             return
         item = nl + "  "
-        field = "," + item + "  "
         # an evaluated record is head, flag, slack, end: the head holds the
         # pair, the flag the condition, and the end joins the next record
-        head = ("{" + item + '  "pair": [' + item + "    %s," + item + "    %s"
-                + item + "  ]" + field + '"condition": "')
-        end = item + "}," + item
+        head = '{"pair": [%s, %s], "condition": "'
+        end = "}," + item
         width = 4 * len(self.checks)
-        flag_texts = [{ok: cid + '"' + field + '"satisfied": ' + text + field + '"slack": '
+        flag_texts = [{ok: cid + '", "satisfied": ' + text + ', "slack": '
                        for ok, text in ((True, "true"), (False, "false"))}
                       for cid in self.checks]
 
         def error(i, j, message):
-            record = PairCheck(i, j, "*", None, None, message).to_json_dict()
-            return json_text(record, item) + "," + item
+            return (head % (i, j) + '*", "satisfied": null, "slack": null, "error": '
+                    + _string(message) + end)
 
         errors = iter(self.errors)
         pending = next(errors, None)
@@ -503,7 +501,7 @@ class ConditionReport:
 
     def to_json_tree(self) -> dict:
         """The ``to_json_dict`` tree with the records left as columns, which
-        ``dump_json`` writes to the same text."""
+        ``dump_json`` writes to the same JSON value, each record on one line."""
         constants: dict = (
             self.constants_used.to_json_dict() if self.constants_used
             else {"xi": None, "eta": None, "lambda": None, "delta": None}

@@ -206,7 +206,7 @@ class ExperimentReport:
 
     def to_json_tree(self) -> dict:
         """The ``to_json_dict`` tree with the pair records left as columns,
-        which ``dump_json`` writes to the same text."""
+        which ``dump_json`` writes to the same JSON value."""
         return {
             "config": self.config.to_json_dict(),
             "seed": self.config.seed,

@@ -20,10 +20,10 @@ what ``json.dumps(data, indent=2, allow_nan=False)`` writes, except that a
 non-finite float becomes ``null`` instead of an error.  :func:`stream_json`
 writes the same text to a binary file without holding all of it.  Both
 append the text in pieces to a list (a sink).  An object with a
-``write_json(out, nl)`` method (a column table of records) appends its own
-text to the sink ``out``, given the newline and indentation of its line,
-and may call ``out.drain()`` between its pieces: the file sink then writes
-the pieces so far and forgets them, the in-memory sink keeps them.
+``write_json(out, nl)`` method (a column table of records, one a line)
+appends its own text to the sink ``out``, given the newline and indentation
+of its line, and may call ``out.drain()`` between its pieces: the file sink
+then writes the pieces so far and forgets them, the in-memory sink keeps them.
 """
 
 from __future__ import annotations
@@ -265,7 +265,8 @@ def dump_json(data) -> str:
     """Strict JSON text of a tree, ending in a newline.
 
     The bytes of ``json.dumps(data, indent=2, allow_nan=False) + "\n"``,
-    except that a NaN or an infinity is written as null.
+    except that a NaN or an infinity is written as null and that pair records
+    are written one a line: the same JSON value.
     """
     out = _Pieces()
     _write(data, "\n", out)

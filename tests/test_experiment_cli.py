@@ -294,8 +294,19 @@ def test_cli_classify_subcommand(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "none" in out
-    data = json.loads((tmp_path / "condition_report.json").read_text())
+    text = (tmp_path / "condition_report.json").read_text()
+    data = json.loads(text)
     assert data["verdicts"]["overall"] == "none"
+    # one line per pair record, and the value of the report's to_json_dict
+    config = mx.ExperimentConfig.from_json_dict(identity_config())
+    sample = mx.sample_box(config.domain, config.sample_size, config.seed,
+                           config.sample_scheme)
+    expected = mx.classify(config.metric, config.map, sample,
+                           seed=config.seed).to_json_dict()
+    lines = [line for line in text.splitlines() if '"pair": [' in line]
+    assert len(lines) == len(expected["pairs"]) == 55 * 6  # no PHI without a phi
+    assert [json.loads(line.rstrip().rstrip(",")) for line in lines] == expected["pairs"]
+    assert data == expected
 
 
 @pytest.mark.parametrize("flag, value", [("--eps", "5"), ("--max-iter", "3"),

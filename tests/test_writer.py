@@ -1,9 +1,10 @@
 """The strict JSON writer behind report.json and every trace file.
 
 ``dump_json`` writes the bytes ``json.dumps(tree, indent=2, allow_nan=False)``
-would, with each NaN or infinity as null, and writes the classification's
-pair records from their columns without building a record per pair.
-``stream_json`` writes the same bytes to a file, block by block.
+would, with each NaN or infinity as null, except that each pair record is
+``json.dumps(record)`` on its own line: the same JSON value.  It writes the
+classification's pair records from their columns without building a record
+per pair.  ``stream_json`` writes the same bytes to a file, block by block.
 """
 
 import dataclasses
@@ -13,6 +14,7 @@ import io
 import json
 import math
 import os
+import re
 import tracemalloc
 from unittest import mock
 
@@ -41,8 +43,35 @@ def finite_or_none(tree):
     return tree
 
 
+RECORD_KEYS = ["pair", "condition", "satisfied", "slack"]
+# a pair record's stand-in while the tree around it is laid out
+MARK = "\0record %d"
+
+
+def is_record(value) -> bool:
+    return isinstance(value, dict) and list(value)[:4] == RECORD_KEYS
+
+
 def reference(tree) -> str:
-    return json.dumps(finite_or_none(tree), indent=2, allow_nan=False) + "\n"
+    """``json.dumps(tree, indent=2)`` with null for NaN and the infinities,
+    except that each element of a list of pair records is
+    ``json.dumps(record)`` on its own line."""
+    records = []
+
+    def hide(value):
+        if isinstance(value, list) and value and all(map(is_record, value)):
+            records.extend(json.dumps(r, allow_nan=False) for r in value)
+            return [MARK % k for k in range(len(records) - len(value), len(records))]
+        if isinstance(value, list):
+            return [hide(v) for v in value]
+        if isinstance(value, dict):
+            return {k: hide(v) for k, v in value.items()}
+        return value
+
+    text = json.dumps(hide(finite_or_none(tree)), indent=2, allow_nan=False) + "\n"
+    if not records:
+        return text
+    return re.sub(r'"\\u0000record (\d+)"', lambda m: records[int(m[1])], text)
 
 
 def assert_same(got, want):
@@ -219,6 +248,46 @@ def test_no_pair_record_writes_an_empty_array():
     assert dump_json(conditions.PairRows([], [], {"C1": ([], [])}, ())) == "[]\n"
 
 
+# -- one record a line ---------------------------------------------------------------
+
+def parsed_lines(lines) -> list:
+    """Each line parsed on its own, without the comma that joins it to the next."""
+    return [json.loads(line.rstrip().rstrip(",")) for line in lines]
+
+
+@settings(max_examples=200, deadline=None, phases=NO_EXPLAIN)
+@given(pair_rows())
+def test_every_record_line_parses_to_its_record(rows):
+    records = [finite_or_none(r.to_json_dict()) for r in rows.records()]
+    lines = dump_json({"pairs": rows}).splitlines()
+    if not records:
+        assert lines[1] == '  "pairs": []'
+        return
+    body = lines[2:-2]
+    assert all(line.startswith('    {"pair": [') for line in body)
+    assert parsed_lines(body) == records
+
+
+# a message that json.dumps escapes: a newline, a quote, a non-ASCII letter
+# and U+2028, which str.splitlines (and JavaScript before ES2019) takes as a
+# line break
+AWKWARD = 'one\ntwo "three" \u00e9 \u2028 four'
+
+
+def test_an_error_message_stays_on_its_record_line():
+    rows = conditions.PairRows([0], [1], {"C1": ([True], [0.5])},
+                               ((0, 2, 3, AWKWARD), (1, 4, 5, AWKWARD)))
+    text = dump_json({"pairs": rows})
+    assert text.isascii()
+    body = text.splitlines()[2:-2]
+    assert parsed_lines(body) == [r.to_json_dict() for r in rows.records()]
+    assert body[0] == ('    {"pair": [2, 3], "condition": "*", "satisfied": null, '
+                       '"slack": null, "error": "one\\ntwo \\"three\\" \\u00e9 '
+                       '\\u2028 four"},')
+    assert body[1] == ('    {"pair": [0, 1], "condition": "C1", "satisfied": true, '
+                       '"slack": 0.5},')
+
+
 # -- streamed to a file, block by block ---------------------------------------------
 
 BLOCK = conditions._PAIR_BLOCK
@@ -316,10 +385,14 @@ def test_a_failure_mid_stream_leaves_the_old_file_and_no_temp_file(tmp_path):
     assert path.read_text(encoding="utf-8") == "old"
 
 
-def test_writing_the_largest_fixture_report_holds_one_block(tmp_path, report_3_17):
+def test_writing_the_largest_fixture_report_holds_one_block(tmp_path):
+    # example_3_17 at n = 130, not its own 100: written one record a line, the
+    # n = 100 report is 3.3 MB, and the bound is meant for a report past 5 MB
+    report = mx.run_experiment(
+        dataclasses.replace(mx.fixture_config("example_3_17"), sample_size=130))
     tracemalloc.start()
     try:
-        write_report(report_3_17, tmp_path)
+        write_report(report, tmp_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -411,19 +484,19 @@ def test_written_report_equals_the_reference_encoding(tmp_path, build, what):
 
 FIXTURE_DIGESTS = {
     "example_3_15": {
-        "report.json": "428c6f0f14852870acde2f4bf89349ae6b2bf85e44f83f50b38032c2fa924274",
+        "report.json": "2699d8242399a4e5999a081b50684bc578da43c806fd99abccb498d27b246a0a",
         "trace_000.json": "6d7869822188ea0bc50bb16fa2a080c8ad2ccae7ba7a05dd0ad464c74044339f",
         "trace_001.json": "59fa5cd83ac73864ef0b61f5a7d192794bf05a8a3d57b059c5797f71527909a6",
         "trace_002.json": "3b4ca62d50a23118b5ca9e39c2c4028e1f432a88bd06a14cf43ba8e872cc9c4a",
     },
     "example_3_16": {
-        "report.json": "f5adf7c682e218a692db5eca586615162b61a1b860eabd194a12e99c1f47dd58",
+        "report.json": "93b986130c2d42a72d3168f562441d9e0e8d3f43e9eadbc27aec31f49c58f235",
         "trace_000.json": "cae10b2882432022465f1d9d907f86b731ed83b375a6294d1eb3587ec3e55f83",
         "trace_001.json": "fc3a7c378456f1b4b124e8b36a870c7a9bf9f4c1ea70ad1215941b0f35a0929e",
         "trace_002.json": "fe8b50de232692c2ccaad3d58c40a7f0bbe10aa887fe1e918db5c48f38c4da42",
     },
     "example_3_17": {
-        "report.json": "8b6d0dc3cb6906152e045a37ed965e008f1ef0c7a29397a65f85af865ffe655d",
+        "report.json": "4556822e1ebdf64bcdc36c2ad643e86be6b723b9e72553eae3ad2a638c521734",
         "trace_000.json": "55bfed9685890ffc0978b6a8ad1cbe69b75f4041733f4366bd2f633caf7cf0c9",
         "trace_001.json": "3333f8a881041e2da73a30b8512307d7fd0b5550fc93d648f2002f1bcc31a5a4",
         "trace_002.json": "ca26cbb9c4ad167709f59c8322d549cd82f3c88acf10084a2cf7ceb3f8aee027",
@@ -462,21 +535,21 @@ LONG_RUNS = {
 
 LONG_RUN_DIGESTS = {
     "permute-restart": {
-        "report.json": "aeba4c81c9cfad0c3ed2f6c4e248a592bcaba3433b72774aef388edfa8f7ec5c",
+        "report.json": "e576395d34ed922fef4bbc6724ac3511f17c221a12eecd74bd5d7dc22343ea6d",
         "trace_000.json": "9fd7107c02d9b189756c7cd4a5fd3b12d3e9dbc788932f85b788fa5a112fd39a",
         "trace_001.json": "be78f79dc6715b0ca3c40b3464eda51feba9736f405482ba86b2db0352e8a7d4",
     },
     "scale-0.98": {
-        "report.json": "dbc9906ab60b51f30e5b8e91a5d97e3a543cef9d058caea5b14f38c848be4830",
+        "report.json": "0915781c5d665889355f37058f81d59d90072f22f9321d25297c821ee48b5484",
         "trace_000.json": "530f1f4ecf88893056d4335cc759829b05e550e119bbc970675969db6453815e",
         "trace_001.json": "8207b9081ad29ae35123556ebcb5e3030f86a366138136bd9edb133bb236e049",
     },
     "scale-0.99": {
-        "report.json": "c40b6b15a96e24fa179862b1c787ee21fc05d72a52d1c5419b7f02786e30afe5",
+        "report.json": "9124d63a3df02728ad414194ab3014ce9b3e4a52aa845595bd1a16c0f12a5f47",
         "trace_000.json": "82c8435935ab9744c2491f624f308c5f11a9fae2ec4575300fc4050ffdb3997c",
     },
     "scale-0.999": {
-        "report.json": "5b7fc1d27af86e69f550725bcf743d52ca227b3b4fb44f4430e79bf8b2b34174",
+        "report.json": "fde02817da70fd04685d47accab4ee58fe6187f80c13241c1040bd1b118d7b05",
         "trace_000.json": "cab7c68051aba3eaba27753458666a9a0882f90493ba76c64489b81d1962e694",
     },
 }
