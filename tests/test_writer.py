@@ -69,8 +69,6 @@ def reference(tree) -> str:
         return value
 
     text = json.dumps(hide(finite_or_none(tree)), indent=2, allow_nan=False) + "\n"
-    if not records:
-        return text
     return re.sub(r'"\\u0000record (\d+)"', lambda m: records[int(m[1])], text)
 
 
