@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from functools import cache
 from pathlib import Path
@@ -52,20 +53,25 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     return dataclasses.replace(config, **updates)
 
 
+def _say(text: str) -> None:
+    """Print text, best effort: once the reader closes stdout, the rest goes
+    to os.devnull, as the Python docs advise, and the run writes its outputs."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _print_report(label: str, report) -> None:
     if isinstance(report, RemarkReport):
-        print(f"{label}: {'PASS' if report.passed else 'FAIL'}")
-        for check in report.checks:
-            mark = "PASS" if check["passed"] else "FAIL"
-            print(f"  [{mark}] {check['name']}: {check['detail']}")
-        return
-    n_ok = sum(1 for e in report.expectations if e.passed)
-    total = len(report.expectations)
-    print(f"{label}: {'PASS' if report.passed else 'FAIL'} "
-          f"({n_ok}/{total} expectations)")
-    for e in report.expectations:
-        mark = "PASS" if e.passed else "FAIL"
-        print(f"  [{mark}] {e.kind}: {e.detail}")
+        count, lines = "", [(c["passed"], c["name"], c["detail"]) for c in report.checks]
+    else:
+        n_ok = sum(1 for e in report.expectations if e.passed)
+        count = f" ({n_ok}/{len(report.expectations)} expectations)"
+        lines = [(e.passed, e.kind, e.detail) for e in report.expectations]
+    _say(f"{label}: {'PASS' if report.passed else 'FAIL'}{count}")
+    for passed, name, detail in lines:
+        _say(f"  [{'PASS' if passed else 'FAIL'}] {name}: {detail}")
 
 
 def _out_dir(args, config: ExperimentConfig | None):
@@ -104,7 +110,7 @@ def main(argv=None) -> int:
                     write_json(out / "report.json", report.to_json_dict())
                 else:
                     write_report(report, out, fmt=args.format or "json")
-                print(f"wrote outputs to {out}")
+                _say(f"wrote outputs to {out}")
             return 0 if report.passed else 1
 
         config = _apply_overrides(ExperimentConfig.from_json_file(args.config), args)
@@ -115,7 +121,7 @@ def main(argv=None) -> int:
             out = _out_dir(args, config)
             if out is not None:
                 write_report(report, out, fmt=args.format or "json")
-                print(f"wrote outputs to {out}")
+                _say(f"wrote outputs to {out}")
             return 0 if report.passed else 1
 
         # classify: sampling and condition checks only
@@ -124,14 +130,14 @@ def main(argv=None) -> int:
         cls_report = classify(config.metric, config.map, sample,
                               constants=config.constants, phi=config.phi,
                               seed=config.seed)
-        print(f"classify {args.config}: {cls_report.overall}")
+        _say(f"classify {args.config}: {cls_report.overall}")
         for theorem in ("t2", "t23", "th3"):
             verdict = cls_report.verdicts[theorem]
-            print(f"  {theorem}: {json.dumps(verdict)}")
+            _say(f"  {theorem}: {json.dumps(verdict)}")
         out = _out_dir(args, config)
         if out is not None:
             write_json(out / "condition_report.json", cls_report.to_json_tree())
-            print(f"wrote outputs to {out}")
+            _say(f"wrote outputs to {out}")
         return 0
     except (MulfixError, OSError) as exc:  # OSError: a config or output file
         print(f"error: {exc}", file=sys.stderr)

@@ -303,8 +303,8 @@ def _eval_expectation(spec: dict, report: "ExperimentReport",
                   if report.config.phi is not None else "no phi declared")
         detail += "" if ok else _unevaluated(cls_report)
     elif kind == "apriori_bound":
-        n_viol = sum(observed > bound + spec.get("tol", b.tol)
-                     for b in report.bounds for _, observed, bound in b.rows)
+        n_viol = sum(np.count_nonzero(b.observed > b.bound + spec.get("tol", b.tol))
+                     for b in report.bounds)
         ok = bool(report.bounds) and n_viol == 0
         detail = (f"{len(report.bounds)} traces checked, {n_viol} violations"
                   if report.bounds else "no declared constants to derive delta from")
@@ -416,7 +416,7 @@ def write_json(path, tree) -> None:
 
 
 def write_report(report: ExperimentReport, out_dir, fmt: str = "json") -> list[Path]:
-    """Write report.json plus one trace file per solver run."""
+    """Write report.json plus one trace file per solver run, from its own tuples."""
     if fmt not in ("json", "csv"):
         raise ConfigError(f"unknown output format {fmt!r}", field="format")
     out_dir = Path(out_dir)
@@ -430,6 +430,6 @@ def write_report(report: ExperimentReport, out_dir, fmt: str = "json") -> list[P
             write_atomic(path, run.trace.to_csv_text())
         else:
             path = out_dir / f"trace_{i:03d}.json"
-            write_json(path, run.trace.to_json_dict())
+            write_json(path, run.trace.to_json_tree())
         written.append(path)
     return written

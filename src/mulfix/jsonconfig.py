@@ -254,13 +254,6 @@ class _FileSink(_Pieces):
         self.clear()
 
 
-def json_text(value, nl: str = "\n") -> str:
-    """``value`` as indented JSON text whose lines below the first start with ``nl``."""
-    out = _Pieces()
-    _write(value, nl, out)
-    return "".join(out)
-
-
 def dump_json(data) -> str:
     """Strict JSON text of a tree, ending in a newline.
 

@@ -480,7 +480,7 @@ def _triple_hits(D: np.ndarray, tol: float) -> tuple[list[int], list[int]] | Non
 
     A margin of at most tol / 2 keeps T at least about tol / 2 below D, so
     exact ties such as collinear points on a line, and equal points, flag
-    nothing.  Blocks hold max(1, _BLOCK_ENTRIES // n**2) middles.
+    nothing.  Blocks hold max(1, min(n, _BLOCK_ENTRIES // n**2)) middles.
     """
     n = len(D)
     if not (np.isfinite(D).all() and (D >= 0).all() and np.array_equal(D, D.T)):
@@ -489,7 +489,7 @@ def _triple_hits(D: np.ndarray, tol: float) -> tuple[list[int], list[int]] | Non
     if not margin <= tol / 2:
         return None
     T = D - (tol - margin)
-    rows = max(1, _BLOCK_ENTRIES // max(1, n * n))
+    rows = max(1, min(n, _BLOCK_ENTRIES // max(1, n * n)))
     buf, bad = np.empty((rows, n, n)), np.empty((rows, n, n), dtype=bool)
     middles: list[int] = []
     firsts = np.zeros(n, dtype=bool)

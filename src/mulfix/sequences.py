@@ -42,7 +42,7 @@ def _check_eps(eps: float) -> float:
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """An orbit: visited points plus consecutive-step log distances."""
+    """An orbit: visited points plus consecutive-step log distances, as tuples."""
 
     metric: object
     points: tuple[Point, ...]
@@ -84,7 +84,8 @@ class IterationTrace:
             writer.writerow([n, *[repr(c) for c in p], step])
         return buf.getvalue()
 
-    def to_json_dict(self) -> dict:
+    def to_json_tree(self) -> dict:
+        """``to_json_dict()`` with the trace's own tuples: the same JSON text."""
         metric_json = (
             self.metric.to_json_dict()
             if hasattr(self.metric, "to_json_dict")
@@ -94,10 +95,14 @@ class IterationTrace:
             "metric": metric_json,
             "status": self.status.value,
             "columns": self.csv_columns(),
-            "n": list(range(len(self.points))),
-            "points": [list(p) for p in self.points],
-            "step_logd": list(self.step_logd),
+            "n": tuple(range(len(self.points))),
+            "points": self.points,
+            "step_logd": self.step_logd,
         }
+
+    def to_json_dict(self) -> dict:
+        return {**self.to_json_tree(), "n": list(range(len(self.points))),
+                "points": [list(p) for p in self.points], "step_logd": list(self.step_logd)}
 
 
 def is_converged_to(trace: IterationTrace, x, eps: float) -> bool:

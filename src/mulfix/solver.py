@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -85,8 +86,8 @@ class SolverConfig(JsonConfig):
 
 @dataclass(frozen=True)
 class FixedPointResult:
-    """Outcome of one Picard run (possibly after a limit-point restart);
-    its bound rows are ``verify_bound``'s, recomputed from trace and point."""
+    """Outcome of one Picard run (possibly after a limit-point restart); it
+    keeps no bound rows, which ``verify_bound`` computes from trace and point."""
 
     point: Point
     residual_logd: float
@@ -547,26 +548,41 @@ def apriori_bound(d1: float, delta: float, n: int, m: int | None = None) -> floa
     return d1 * (delta ** n - tail) / (1 - delta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundReport:
-    """Observed versus predicted tail distances along a converged trace.
-    Its JSON leaves out ``rows``, which the written trace and point give."""
+    """Observed log d(x_n, z) and predicted ``apriori_bound(d1, delta, n)``
+    along a converged trace, as two float arrays; ``rows`` pairs them up on
+    first read, and the JSON leaves the rows out: the written files give them."""
 
     delta: float
     tol: float
-    rows: tuple[tuple[int, float, float], ...]  # (n, observed, bound)
-    violations: tuple[tuple[int, float, float], ...]
+    observed: np.ndarray
+    bound: np.ndarray
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, float, float], ...]:  # (n, observed, bound)
+        return tuple(zip(range(self.observed.size), self.observed.tolist(),
+                         self.bound.tolist()))
+
+    @cached_property
+    def violations(self) -> tuple[tuple[int, float, float], ...]:
+        (n,) = np.nonzero(self.observed > self.bound + self.tol)
+        return tuple(zip(n.tolist(), self.observed[n].tolist(), self.bound[n].tolist()))
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    def __eq__(self, other) -> bool:  # by value, as when the rows were a field
+        return (isinstance(other, BoundReport)
+                and (self.delta, self.tol, self.rows) == (other.delta, other.tol, other.rows))
 
     def to_json_dict(self) -> dict:
         return {
             "delta": self.delta,
             "tol": self.tol,
             "ok": self.ok,
-            "checked": len(self.rows),
+            "checked": len(self.observed),
             "violations": [list(v) for v in self.violations],
         }
 
@@ -599,12 +615,12 @@ def _bound_report(trace: IterationTrace, to_z: np.ndarray, delta: float,
                   tol: float) -> BoundReport:
     d1 = trace.step_logd[0] if trace.step_logd else 0.0
     apriori_bound(d1, delta, 0)  # raises for a d1 that no row's bound takes
-    # each row's apriori_bound(d1, delta, n), in the same float operations
-    rows = [(n, observed, d1 * delta ** n / (1 - delta))
-            for n, observed in enumerate(to_z.tolist())]
-    violations = [row for row in rows if row[1] > row[2] + tol]
-    return BoundReport(delta=delta, tol=tol, rows=tuple(rows),
-                       violations=tuple(violations))
+    # each entry is apriori_bound(d1, delta, n) bit for bit: Python's pow, then
+    # the same correctly rounded * and / (np.power can differ from pow)
+    powers = np.fromiter(map(delta.__pow__, range(len(to_z))), float, len(to_z))
+    with np.errstate(over="ignore"):  # an infinite bound, as Python's float / gives
+        bound = d1 * powers / (1 - delta)
+    return BoundReport(delta=delta, tol=tol, observed=to_z, bound=bound)
 
 
 @dataclass(frozen=True)

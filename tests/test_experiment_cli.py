@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 from unittest import mock
@@ -487,6 +488,29 @@ def test_module_entry_point_smoke():
     assert "remark_2_5: PASS" in proc.stdout
 
 
+@pytest.mark.parametrize("command, code", [
+    (["fixture", "example_3_16"], 0), (["run", "--config", "identity.json"], 1),
+], ids=["passing fixture", "failing run"])
+def test_a_closed_stdout_keeps_the_outputs_and_the_exit_code(tmp_path, command, code):
+    config = tmp_path / "identity.json"
+    config.write_text(json.dumps(identity_config()))
+    command = [str(config) if arg == config.name else arg for arg in command]
+    # the read end is closed before the child starts, so its first print
+    # meets a closed pipe whatever the timing
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mulfix", *command, "--out", str(tmp_path / "out")],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, "")
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    assert report["passed"] is (code == 0)
+    assert (tmp_path / "out" / "trace_000.json").exists()
+
+
 def test_write_report_is_atomic_and_repeatable(tmp_path, report_3_16):
     files = write_report(report_3_16, tmp_path, fmt="csv")
     again = write_report(report_3_16, tmp_path, fmt="csv")
@@ -568,11 +592,14 @@ def test_apriori_bound_expectation_honours_its_tolerance():
     # largest excess over the bound is 1.244.
     base = mx.fixture_config("example_3_15")
 
-    def judged(tol):
+    def run(tol):
         config = dataclasses.replace(
             base, constants=mx.ZamfirescuConstants(xi=0.5),
             expectations=({"kind": "apriori_bound", "tol": tol},))
-        return mx.run_experiment(config).expectations[0]
+        return mx.run_experiment(config)
+
+    def judged(tol):
+        return run(tol).expectations[0]
 
     strict = judged(1e-10)
     assert not strict.passed
@@ -580,6 +607,13 @@ def test_apriori_bound_expectation_honours_its_tolerance():
     assert not judged(1.24).passed
     assert judged(1.25).passed
     assert judged(1e3).detail == "3 traces checked, 0 violations"
+    # a tol other than the reports' own 1e-10 counts the rows over it
+    report = run(0.5)
+    n_viol = sum(observed > bound + 0.5
+                 for b in report.bounds for _, observed, bound in b.rows)
+    assert 0 < n_viol < sum(len(b.violations) for b in report.bounds) == 171
+    assert not report.expectations[0].passed
+    assert report.expectations[0].detail == f"3 traces checked, {n_viol} violations"
 
 
 @pytest.mark.parametrize("point, dim", [([0.0], "1"), ([0.0, 0.0, 5.0], "3")])

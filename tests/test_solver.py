@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mulfix as mx
 from mulfix.errors import DomainError, DomainEscapeError, MonotoneResidualError
+from scalar_reference import bits
 
 EPS = math.exp(1e-9)
 CFG = mx.SolverConfig(eps=EPS, max_iter=2000)
@@ -191,6 +193,33 @@ def test_undersized_delta_is_falsified_by_the_trace():
     report = mx.verify_bound(result, delta=0.1)
     assert not report.ok
     assert report.violations
+
+
+DELTAS = (st.floats(0.0, 1.0, exclude_max=True)
+          | st.floats(1.0 - 1e-9, 1.0, exclude_max=True)
+          | st.sampled_from([0.0, 5e-324, 0.5, 1.0 - 1e-9, 1.0 - 2.0 ** -53]))
+D1S = st.floats(0.0, 1e308) | st.sampled_from([0.0, 5e-324, 1.0, 1.7976931348623157e308])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3000), D1S, DELTAS, st.floats(0.0, 1e3), st.floats(0.0, 1.0),
+       st.sampled_from([0.0, 1e-10, 1.0]))
+def test_bound_rows_are_apriori_bound_bit_for_bit(n, d1, delta, start, ratio, tol):
+    # x_k = start * ratio**k against z = 0: the observed distances shrink
+    # geometrically at their own ratio, so some draws violate the bound
+    points = tuple((start * ratio ** k,) for k in range(n))
+    steps = ((d1,) + (0.0,) * n)[:n - 1]
+    trace = mx.IterationTrace(EXPABS_E, points, steps, mx.Status.CONVERGED)
+    result = mx.FixedPointResult(point=(0.0,), residual_logd=0.0, iterations=n - 1,
+                                 trace=trace, status=mx.Status.CONVERGED)
+    report = mx.verify_bound(result, delta, tol)
+    observed = EXPABS_E.log_distance_matrix(points, [(0.0,)])[:, 0].tolist()
+    rows = [(k, o, mx.apriori_bound(d1 if n > 1 else 0.0, delta, k))
+            for k, o in enumerate(observed)]
+    assert [tuple(map(bits, row)) for row in report.rows] \
+        == [tuple(map(bits, row)) for row in rows]
+    assert report.violations == tuple(row for row in rows if row[1] > row[2] + tol)
+    assert report.to_json_dict()["checked"] == len(trace)
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0])

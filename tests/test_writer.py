@@ -27,7 +27,7 @@ from mulfix import conditions
 from mulfix.cli import main
 from mulfix.conditions import PairCheck
 from mulfix.experiment import write_json, write_report
-from mulfix.jsonconfig import dump_json, json_text, stream_json
+from mulfix.jsonconfig import dump_json, stream_json
 from scalar_reference import bits
 
 EPS = math.exp(1e-9)
@@ -227,7 +227,11 @@ NO_EXPLAIN = [phase for phase in Phase if phase is not Phase.explain]
 def test_pair_records_equal_the_reference_encoder(rows, depth):
     nl = "\n" + "  " * depth
     expected = reference([r.to_json_dict() for r in rows.records()])[:-1]
-    assert_same(json_text(rows, nl), expected.replace("\n", nl))
+    tree, opening, closing = rows, "", ""
+    for k in reversed(range(depth)):  # rows at depth, in lists of one
+        tree = [tree]
+        opening, closing = "[\n" + "  " * (k + 1) + opening, closing + "\n" + "  " * k + "]"
+    assert_same(dump_json(tree), opening + expected.replace("\n", nl) + closing + "\n")
 
 
 @pytest.mark.parametrize("positions", [[0], [3], [1], [0, 3], [1, 1], [0, 0, 3, 3]],
@@ -359,8 +363,7 @@ def test_streamed_trees_equal_dump_json(tree):
 
 
 def test_repeated_slacks_reuse_text_only_when_equal_and_not_zero():
-    # the first block is all finite, so its texts come from the reuse rule;
-    # the NaN sends the second block down the json_text path
+    # the first block is all finite, so its texts come from the reuse rule
     n = BLOCK + 2
     c2 = [0.0, -0.0, 0.25, 1e-300] * (BLOCK // 4) + [math.nan, 5e-324]
     c3 = [-0.0, 0.0, 0.25, 1e-300] * (BLOCK // 4) + [math.nan, 5e-324]
@@ -476,6 +479,47 @@ def test_written_report_equals_the_reference_encoding(tmp_path, build, what):
         assert path.read_text(encoding="utf-8") == reference(run.trace.to_json_dict())
     cls = report.classification
     assert dump_json(cls.to_json_tree()) == reference(cls.to_json_dict())
+
+
+# -- traces, written from their own tuples -------------------------------------------
+
+class Repr(float):  # a float subclass whose repr json.dumps does not call
+    def __repr__(self):
+        return "repr"
+
+
+COORDS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e16, 1.5e300, -1.7976931348623157e308])
+STEPS = COORDS | st.sampled_from([math.inf, -math.inf, math.nan])
+# each keeps a trace's tuple off the joined number path
+ODD = st.sampled_from([np.float64(0.5), np.float64(-0.0), np.float64(math.inf), True,
+                       False, Repr(0.25), Repr(math.nan)])
+
+
+@st.composite
+def traces(draw):
+    """Traces of 0, 1, 2 or up to 300 points of 1-4 coordinates, their values
+    cycled from short drawn lists, with an odd value swapped in at times."""
+    n = draw(st.sampled_from([0, 1, 2]) | st.integers(0, 300))
+    dim = draw(st.integers(1, 4))
+    coords = draw(st.lists(COORDS, min_size=1, max_size=9))
+    steps = draw(st.lists(STEPS, min_size=1, max_size=9))
+    flat = [coords[k % len(coords)] for k in range(n * dim)]
+    step_logd = [steps[k % len(steps)] for k in range(max(n - 1, 0))]
+    for values in (flat, step_logd):
+        if values and draw(st.booleans()):
+            values[draw(st.integers(0, len(values) - 1))] = draw(ODD)
+    points = tuple(tuple(flat[k:k + dim]) for k in range(0, n * dim, dim))
+    status = draw(st.sampled_from(mx.Status))
+    return mx.IterationTrace(mx.MetricSpec.exp_abs(2.0), points, tuple(step_logd), status)
+
+
+@settings(max_examples=300, deadline=None)
+@given(traces())
+def test_trace_trees_equal_the_list_tree_and_the_reference(trace):
+    text = dump_json(trace.to_json_tree())
+    assert_same(text, dump_json(trace.to_json_dict()))
+    assert_same(text, reference(trace.to_json_dict()))
 
 
 # -- the bundled fixtures, byte for byte ----------------------------------------------
