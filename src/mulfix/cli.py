@@ -74,51 +74,39 @@ def _print_report(label: str, report) -> None:
         _say(f"  [{'PASS' if passed else 'FAIL'}] {name}: {detail}")
 
 
-def _out_dir(args, config: ExperimentConfig | None):
-    if args.out is not None:
-        return Path(args.out)
-    if config is not None and config.outputs:
-        return Path(config.outputs["dir"])
-    return None
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.out == "":
         parser.error("--out needs a directory, got an empty path")
-    if args.command == "fixture" and args.name == "remark_2_5":
-        # the exact counterexamples have no config, solver or trace
-        given = [flag for flag, value in (("--seed", args.seed), ("--eps", args.eps),
-                                          ("--max-iter", args.max_iter),
-                                          ("--format", args.format))
-                 if value is not None]
-        if given:
-            parser.error(f"fixture remark_2_5 takes no {', '.join(given)}")
     try:
+        if args.command == "fixture" and args.name == "remark_2_5":
+            # the exact counterexamples have no config, solver or trace
+            given = [flag for flag, value in (("--seed", args.seed), ("--eps", args.eps),
+                                              ("--max-iter", args.max_iter),
+                                              ("--format", args.format))
+                     if value is not None]
+            if given:
+                parser.error(f"fixture remark_2_5 takes no {', '.join(given)}")
+            remark = run_fixture(args.name)
+            _print_report(f"fixture {args.name}", remark)
+            if args.out is not None:
+                write_json(Path(args.out) / "report.json", remark.to_json_dict())
+                _say(f"wrote outputs to {Path(args.out)}")
+            return 0 if remark.passed else 1
+
         if args.command == "fixture":
-            if args.name == "remark_2_5":
-                report = run_fixture(args.name)
-                config = None
-            else:
-                config = _apply_overrides(fixture_config(args.name), args)
-                report = run_experiment(config)
-            _print_report(f"fixture {args.name}", report)
-            out = _out_dir(args, config)
-            if out is not None:
-                if isinstance(report, RemarkReport):
-                    write_json(out / "report.json", report.to_json_dict())
-                else:
-                    write_report(report, out, fmt=args.format or "json")
-                _say(f"wrote outputs to {out}")
-            return 0 if report.passed else 1
+            label, config = f"fixture {args.name}", fixture_config(args.name)
+        else:
+            label = f"{args.command} {args.config}"
+            config = ExperimentConfig.from_json_file(args.config)
+        config = _apply_overrides(config, args)
+        directory = args.out or (config.outputs or {}).get("dir")  # --out wins
+        out = Path(directory) if directory else None
 
-        config = _apply_overrides(ExperimentConfig.from_json_file(args.config), args)
-
-        if args.command == "run":
+        if args.command != "classify":
             report = run_experiment(config)
-            _print_report(f"run {args.config}", report)
-            out = _out_dir(args, config)
+            _print_report(label, report)
             if out is not None:
                 write_report(report, out, fmt=args.format or "json")
                 _say(f"wrote outputs to {out}")
@@ -130,11 +118,10 @@ def main(argv=None) -> int:
         cls_report = classify(config.metric, config.map, sample,
                               constants=config.constants, phi=config.phi,
                               seed=config.seed)
-        _say(f"classify {args.config}: {cls_report.overall}")
+        _say(f"{label}: {cls_report.overall}")
         for theorem in ("t2", "t23", "th3"):
             verdict = cls_report.verdicts[theorem]
             _say(f"  {theorem}: {json.dumps(verdict)}")
-        out = _out_dir(args, config)
         if out is not None:
             write_json(out / "condition_report.json", cls_report.to_json_tree())
             _say(f"wrote outputs to {out}")

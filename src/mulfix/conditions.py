@@ -20,7 +20,6 @@ carry a negative slack.
 """
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -312,25 +311,6 @@ def estimate_constants(metric, T, sample: Sequence) -> ConstantEstimates:
 
 
 @dataclass(frozen=True)
-class PairCheck:
-    """One condition evaluated on one sampled pair."""
-
-    i: int
-    j: int
-    condition: str
-    satisfied: bool | None
-    slack: float | None
-    error: str | None = None
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"pair": [self.i, self.j], "condition": self.condition,
-                     "satisfied": self.satisfied, "slack": self.slack}
-        if self.error is not None:
-            out["error"] = self.error
-        return out
-
-
-@dataclass(frozen=True)
 class PairRows:
     """The pair records of a classification, kept as columns.
 
@@ -351,26 +331,28 @@ class PairRows:
     checks: dict
     errors: tuple
 
-    def _merge(self, per_pair: list, error_row) -> list:
-        """``per_pair`` (one entry per evaluated pair) with each error's
-        ``error_row(i, j, message)`` put at its position."""
-        out, start = [], 0
-        for pos, i, j, message in self.errors:
-            out += per_pair[start:pos]
-            out.append(error_row(i, j, message))
-            start = pos
-        return out + per_pair[start:]
-
-    def records(self) -> tuple[PairCheck, ...]:
+    def records(self) -> list[dict]:
+        """The records as new dicts of plain Python values, each
+        ``{"pair": [i, j], "condition", "satisfied", "slack"}``, and an
+        ``"error"`` message after a null flag and slack in the record of a
+        pair that could not be evaluated (condition ``"*"``)."""
         cols = [(cid, np.asarray(f).tolist(),
                  [None] * len(f) if s is None else np.asarray(s).tolist())
                 for cid, (f, s) in self.checks.items()]
-        per_pair = [[PairCheck(i, j, cid, flags[k], slacks[k])
-                     for cid, flags, slacks in cols]
-                    for k, (i, j) in enumerate(zip(self.i, self.j))]
-        rows = self._merge(per_pair,
-                           lambda i, j, msg: [PairCheck(i, j, "*", None, None, msg)])
-        return tuple(itertools.chain.from_iterable(rows))
+
+        def evaluated(a: int, b: int | None) -> list[dict]:  # evaluated pairs a..b-1
+            return [{"pair": [i, j], "condition": cid, "satisfied": flags[k],
+                     "slack": slacks[k]}
+                    for k, (i, j) in enumerate(zip(self.i[a:b], self.j[a:b]), a)
+                    for cid, flags, slacks in cols]
+
+        out, start = [], 0
+        for pos, i, j, message in self.errors:
+            out += evaluated(start, pos)
+            out.append({"pair": [i, j], "condition": "*", "satisfied": None,
+                        "slack": None, "error": message})
+            start = pos
+        return out + evaluated(start, None)
 
     def write_json(self, out: list, nl: str) -> None:
         """Append the records to the sink ``out`` as a JSON array on a line
@@ -454,12 +436,11 @@ _PAIR_BLOCK = 256
 class ConditionReport:
     """Per-pair condition records plus aggregate verdicts.
 
-    The records are kept as columns in ``rows``; ``records`` builds the
-    tuple of :class:`PairCheck` on first access, and the report writer
-    reads the columns without it.  ``verdicts`` holds one entry per
-    certification route (t2 for the constant-triple disjunction, t23 for
-    the strict variants, th3 for the phi test) and an ``overall`` summary
-    string.
+    The records are kept as columns in ``rows``; ``records`` builds their
+    dicts on first access, and the report writer reads the columns without
+    them.  ``verdicts`` holds one entry per certification route (t2 for the
+    constant-triple disjunction, t23 for the strict variants, th3 for the
+    phi test) and an ``overall`` summary string.
     """
 
     rows: PairRows
@@ -476,10 +457,9 @@ class ConditionReport:
         return self.verdicts["overall"]
 
     @cached_property
-    def records(self) -> tuple[PairCheck, ...]:
-        """The records of ``rows`` as :class:`PairCheck` of plain Python
-        values: each flag a ``bool``, each slack a ``float``, or None where
-        the condition has no admissible constant."""
+    def records(self) -> list[dict]:
+        """``rows.records()``, built once: each flag a ``bool``, each slack a
+        ``float``, or None where the condition has no admissible constant."""
         return self.rows.records()
 
     def condition_ok(self, condition: str) -> bool:
@@ -488,16 +468,13 @@ class ConditionReport:
         flags = self.rows.checks.get(condition, ((),))[0]
         return not self.rows.errors and len(flags) > 0 and bool(np.all(flags))
 
-    def violations(self, condition: str) -> list[PairCheck]:
-        flags, slacks = self.rows.checks.get(condition, (np.zeros(0, bool), None))
-        values = [None] * len(flags) if slacks is None else slacks.tolist()
-        return [PairCheck(i, j, condition, False, slack)
-                for i, j, ok, slack in zip(self.rows.i, self.rows.j, flags.tolist(), values)
-                if not ok]
+    def violations(self, condition: str) -> list[dict]:
+        """The records of ``records`` that fail ``condition``."""
+        return [r for r in self.records
+                if r["condition"] == condition and not r["satisfied"]]
 
     def to_json_dict(self) -> dict:
-        return {**self.to_json_tree(),
-                "pairs": [r.to_json_dict() for r in self.records]}
+        return {**self.to_json_tree(), "pairs": self.rows.records()}
 
     def to_json_tree(self) -> dict:
         """The ``to_json_dict`` tree with the records left as columns, which

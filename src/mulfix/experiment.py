@@ -401,16 +401,9 @@ def _replacing(path):
         raise
 
 
-def write_atomic(path, text: str) -> None:
-    """Write text to path, UTF-8 encoded, via a temp file in the same
-    directory + rename."""
-    with _replacing(path) as f:
-        f.write(text.encode())
-
-
 def write_json(path, tree) -> None:
-    """Write ``dump_json(tree)`` to path as ``write_atomic`` does, streamed
-    to the temp file block by block, without building the whole text."""
+    """Write ``dump_json(tree)``, UTF-8 encoded, to a temp file next to path,
+    block by block without building the whole text, then rename it to path."""
     with _replacing(path) as f:
         stream_json(tree, f)
 
@@ -427,7 +420,8 @@ def write_report(report: ExperimentReport, out_dir, fmt: str = "json") -> list[P
     for i, run in enumerate(report.runs):
         if fmt == "csv":
             path = out_dir / f"trace_{i:03d}.csv"
-            write_atomic(path, run.trace.to_csv_text())
+            with _replacing(path) as f:
+                f.write(run.trace.to_csv_text().encode())
         else:
             path = out_dir / f"trace_{i:03d}.json"
             write_json(path, run.trace.to_json_tree())

@@ -19,11 +19,12 @@ with the path below it in the message
 what ``json.dumps(data, indent=2, allow_nan=False)`` writes, except that a
 non-finite float becomes ``null`` instead of an error.  :func:`stream_json`
 writes the same text to a binary file without holding all of it.  Both
-append the text in pieces to a list (a sink).  An object with a
-``write_json(out, nl)`` method (a column table of records, one a line)
-appends its own text to the sink ``out``, given the newline and indentation
-of its line, and may call ``out.drain()`` between its pieces: the file sink
-then writes the pieces so far and forgets them, the in-memory sink keeps them.
+append the text in pieces to one kind of list, a sink, which ``stream_json``
+gives its file.  An object with a ``write_json(out, nl)`` method (a column
+table of records, one a line) appends its own text to the sink ``out``,
+given the newline and indentation of its line, and may call ``out.drain()``
+between its pieces: a sink with a file then writes the pieces so far and
+forgets them, and a sink without one keeps them.
 """
 
 from __future__ import annotations
@@ -145,15 +146,9 @@ _SCALARS = {str: _string, int: int.__repr__, float: _float,
 
 
 def _key(k) -> str:
-    """A dict key as json.dumps writes it, non-finite floats under json's names."""
-    if isinstance(k, float):
-        text = float.__repr__(k)
-        k = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
-    elif k is None or isinstance(k, int):
-        k = _SCALARS.get(type(k), int.__repr__)(k)  # bool, None, int
-    elif not isinstance(k, str):
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {type(k).__name__}")
+    """A dict key as json.dumps writes it; every tree mulfix writes has str keys."""
+    if not isinstance(k, str):
+        raise TypeError(f"keys must be str, not {type(k).__name__}")
     return _string(k)
 
 
@@ -230,28 +225,20 @@ def _write(value, nl: str, out: list) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-class _Pieces(list):
-    """A sink that keeps its pieces of text in memory."""
-
-    __slots__ = ()
-
-    def drain(self) -> None:
-        pass
-
-
-class _FileSink(_Pieces):
-    """A sink that writes its pieces, UTF-8 encoded, to a binary file at
-    each ``drain``."""
+class _Sink(list):
+    """Pieces of JSON text; given a binary file, ``drain`` writes them to it,
+    UTF-8 encoded, and forgets them, and otherwise keeps them."""
 
     __slots__ = ("file",)
 
-    def __init__(self, file):
+    def __init__(self, file=None):
         super().__init__()
         self.file = file
 
     def drain(self) -> None:
-        self.file.write("".join(self).encode())
-        self.clear()
+        if self.file is not None:
+            self.file.write("".join(self).encode())
+            self.clear()
 
 
 def dump_json(data) -> str:
@@ -261,7 +248,7 @@ def dump_json(data) -> str:
     except that a NaN or an infinity is written as null and that pair records
     are written one a line: the same JSON value.
     """
-    out = _Pieces()
+    out = _Sink()
     _write(data, "\n", out)
     out.append("\n")
     return "".join(out)
@@ -270,7 +257,7 @@ def dump_json(data) -> str:
 def stream_json(data, file) -> None:
     """Write ``dump_json(data)``, UTF-8 encoded, to the binary ``file``, a
     block of pieces at a time."""
-    out = _FileSink(file)
+    out = _Sink(file)
     _write(data, "\n", out)
     out.append("\n")
     out.drain()

@@ -339,10 +339,10 @@ def test_report_json_shape():
 def test_a_pole_in_the_sample_gives_error_records():
     sample = mx.grid_points(mx.Box(((0.0, 1.0),)), 5)
     report = mx.classify(EXPABS2, mx.SelfMapSpec.rational(-0.5), sample)
-    errors = [r for r in report.records if r.condition == "*"]
-    assert [(r.i, r.j) for r in errors] == [(0, 2), (1, 2), (2, 3), (2, 4)]
-    assert {r.error for r in errors} == {"rational map pole at coordinate 0.5"}
-    assert all(r.satisfied is None and r.slack is None for r in errors)
+    errors = [r for r in report.records if r["condition"] == "*"]
+    assert [r["pair"] for r in errors] == [[0, 2], [1, 2], [2, 3], [2, 4]]
+    assert {r["error"] for r in errors} == {"rational map pole at coordinate 0.5"}
+    assert all(r["satisfied"] is None and r["slack"] is None for r in errors)
     assert (report.n_pairs, report.skipped_pairs) == (10, 0)
     assert (report.estimates.pairs_used, report.estimates.pairs_skipped) == (6, 4)
     assert report.overall == "none"
@@ -354,8 +354,8 @@ def test_condition_ok_fails_when_a_pair_was_not_evaluated():
     # was evaluated, the rule the verdicts use.
     sample = mx.grid_points(mx.Box(((-2.0, 2.0),)), 5)
     report = mx.classify(EXPABS2, mx.SelfMapSpec.rational(2.0), sample)
-    assert len([r for r in report.records if r.condition == "*"]) == 4
-    assert all(r.satisfied for r in report.records if r.condition == "C1")
+    assert len([r for r in report.records if r["condition"] == "*"]) == 4
+    assert all(r["satisfied"] for r in report.records if r["condition"] == "C1")
     assert report.overall == "none"
     assert not report.condition_ok("C1")
     assert not report.violations("C1")
@@ -366,10 +366,10 @@ def test_satisfied_records_never_have_negative_slack():
                          mx.sample_box(mx.Box(((-5.0, 5.0), (-5.0, 5.0))), 16, seed=1),
                          constants=mx.ZamfirescuConstants(xi=2 / 3))
     for rec in report.records:
-        if rec.satisfied:
-            assert rec.slack >= 0
-    # the violations read the columns too, and give plain Python values
+        if rec["satisfied"]:
+            assert rec["slack"] >= 0
+    # the violations are records of plain Python values too
     violations = [v for c in mx.CONDITION_IDS for v in report.violations(c)]
     assert violations
     for v in violations:
-        assert v.satisfied is False and type(v.slack) is float
+        assert v["satisfied"] is False and type(v["slack"]) is float

@@ -94,8 +94,8 @@ def outcome(fn, *args):
 def kernel_classify(metric, T, points, constants, phi, tol, strict_margin):
     report = mx.classify(metric, T, points, constants, phi, tol=tol,
                          strict_margin=strict_margin)
-    records = [(r.i, r.j, r.condition, r.satisfied, bits(r.slack), r.error)
-               for r in report.records]
+    records = [(*r["pair"], r["condition"], r["satisfied"], bits(r["slack"]),
+                r.get("error")) for r in report.records]
     est = report.estimates
     estimates = (est.xi_hat, est.eta_hat, est.lambda_hat, est.pairs_used,
                  est.pairs_skipped)
