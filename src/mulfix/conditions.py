@@ -323,13 +323,25 @@ class PairRows:
     ``(position, i, j, message)`` per pair that could not be evaluated, where
     position counts the evaluated pairs before it.  The records run pair by
     pair, each evaluated pair with one record per condition in ``checks``
-    order.
+    order, and each error record before the evaluated pair at its position;
+    ``_runs`` walks them in that order for ``records`` and ``write_json``.
     """
 
     i: list
     j: list
     checks: dict
     errors: tuple
+
+    def _runs(self):
+        """The records in order as runs ``(a, b, error)``: evaluated pairs a..b-1,
+        then the ``(i, j, message)`` of the next pair not evaluated, or None after
+        the last run.  Positions are clamped to the evaluated pairs, as slices are."""
+        n, a = len(self.i) if self.checks else 0, 0
+        for pos, i, j, message in self.errors:
+            b = min(pos, n)
+            yield a, b, (i, j, message)
+            a = b
+        yield a, n, None
 
     def records(self) -> list[dict]:
         """The records as new dicts of plain Python values, each
@@ -339,26 +351,24 @@ class PairRows:
         cols = [(cid, np.asarray(f).tolist(),
                  [None] * len(f) if s is None else np.asarray(s).tolist())
                 for cid, (f, s) in self.checks.items()]
-
-        def evaluated(a: int, b: int | None) -> list[dict]:  # evaluated pairs a..b-1
-            return [{"pair": [i, j], "condition": cid, "satisfied": flags[k],
+        out = []
+        for a, b, error in self._runs():
+            out += [{"pair": [i, j], "condition": cid, "satisfied": flags[k],
                      "slack": slacks[k]}
                     for k, (i, j) in enumerate(zip(self.i[a:b], self.j[a:b]), a)
                     for cid, flags, slacks in cols]
-
-        out, start = [], 0
-        for pos, i, j, message in self.errors:
-            out += evaluated(start, pos)
-            out.append({"pair": [i, j], "condition": "*", "satisfied": None,
-                        "slack": None, "error": message})
-            start = pos
-        return out + evaluated(start, None)
+            if error is not None:
+                i, j, message = error
+                out.append({"pair": [i, j], "condition": "*", "satisfied": None,
+                            "slack": None, "error": message})
+        return out
 
     def write_json(self, out: list, nl: str) -> None:
         """Append the records to the sink ``out`` as a JSON array on a line
         indented by ``nl``, each record ``json.dumps(record)`` (null for NaN
-        and the infinities) on its own line, in blocks of ``_PAIR_BLOCK``
-        evaluated pairs, draining ``out`` before each block after the first.
+        and the infinities) on its own line, run by run (see ``_runs``): the
+        run's evaluated pairs in blocks of up to ``_PAIR_BLOCK``, draining
+        ``out`` before each block, then the run's error record.
 
         A block takes its conditions' flags and slacks as two (conditions,
         pairs) slabs, each made Python objects by one ``tolist``, a None
@@ -370,8 +380,8 @@ class PairRows:
         a finite row are one ``repr`` each, and of any other row one
         ``jsonconfig._float`` each, null for NaN and the infinities.
         """
-        n = len(self.i) if self.checks else 0
-        if not n and not self.errors:
+        runs = list(self._runs())
+        if runs == [(0, 0, None)]:
             out.append("[]")
             return
         item = nl + "  "
@@ -383,48 +393,34 @@ class PairRows:
         flag_texts = [{ok: cid + '", "satisfied": ' + text + ', "slack": '
                        for ok, text in ((True, "true"), (False, "false"))}
                       for cid in self.checks]
-
-        def error(i, j, message):
-            return (head % (i, j) + '*", "satisfied": null, "slack": null, "error": '
-                    + _string(message) + end)
-
-        errors = iter(self.errors)
-        pending = next(errors, None)
         out.append("[" + item)
-        for a in range(0, n, _PAIR_BLOCK):
-            if a:
+        for start, stop, error in runs:
+            for a in range(start, stop, _PAIR_BLOCK):
                 out.drain()
-            b = min(a + _PAIR_BLOCK, n)
-            pieces = [end] * (width * (b - a))
-            heads = list(map(head.__mod__, zip(self.i[a:b], self.j[a:b])))
-            flags = np.array([f[a:b] for f, _ in self.checks.values()]).tolist()
-            slab = np.array([np.full(b - a, math.nan) if s is None else s[a:b]
-                             for _, s in self.checks.values()], dtype=float)
-            finite = np.isfinite(slab).all(axis=1).tolist()
-            repeats = (slab[1:] == slab[:-1]) & (slab[1:] != 0)  # row c's at c - 1
-            repeated = repeats.any(axis=1).tolist()
-            for c, values in enumerate(slab.tolist()):
-                pieces[4 * c::width] = heads
-                pieces[4 * c + 1::width] = map(flag_texts[c].__getitem__, flags[c])
-                text = repr if finite[c] else _float
-                if c and repeated[c - 1]:
-                    texts = [t if same else text(x)
-                             for x, t, same in zip(values, texts, repeats[c - 1].tolist())]
-                else:
-                    texts = list(map(text, values))
-                pieces[4 * c + 2::width] = texts
-            start = 0
-            while pending is not None and pending[0] < b:
-                pos, i, j, message = pending
-                out += pieces[start:width * (pos - a)]
-                out.append(error(i, j, message))
-                start = width * (pos - a)
-                pending = next(errors, None)
-            del pieces[:start]  # extend by the rest without copying it first
-            out += pieces
-        while pending is not None:  # the errors after the last evaluated pair
-            out.append(error(*pending[1:]))
-            pending = next(errors, None)
+                b = min(a + _PAIR_BLOCK, stop)
+                pieces = [end] * (width * (b - a))
+                heads = list(map(head.__mod__, zip(self.i[a:b], self.j[a:b])))
+                flags = np.array([f[a:b] for f, _ in self.checks.values()]).tolist()
+                slab = np.array([np.full(b - a, math.nan) if s is None else s[a:b]
+                                 for _, s in self.checks.values()], dtype=float)
+                finite = np.isfinite(slab).all(axis=1).tolist()
+                repeats = (slab[1:] == slab[:-1]) & (slab[1:] != 0)  # row c's at c - 1
+                repeated = repeats.any(axis=1).tolist()
+                for c, values in enumerate(slab.tolist()):
+                    pieces[4 * c::width] = heads
+                    pieces[4 * c + 1::width] = map(flag_texts[c].__getitem__, flags[c])
+                    text = repr if finite[c] else _float
+                    if c and repeated[c - 1]:
+                        texts = [t if same else text(x) for x, t, same
+                                 in zip(values, texts, repeats[c - 1].tolist())]
+                    else:
+                        texts = list(map(text, values))
+                    pieces[4 * c + 2::width] = texts
+                out += pieces
+            if error is not None:
+                i, j, message = error
+                out.append(head % (i, j) + '*", "satisfied": null, "slack": null, '
+                           '"error": ' + _string(message) + end)
         out[-1] = out[-1][:-len(item) - 1] + nl + "]"  # the last record's "," + item
 
 

@@ -424,6 +424,6 @@ def write_report(report: ExperimentReport, out_dir, fmt: str = "json") -> list[P
                 f.write(run.trace.to_csv_text().encode())
         else:
             path = out_dir / f"trace_{i:03d}.json"
-            write_json(path, run.trace.to_json_tree())
+            write_json(path, run.trace.to_json_dict())
         written.append(path)
     return written

@@ -8,8 +8,6 @@ produced on one thread and analyzed on another.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -42,7 +40,8 @@ def _check_eps(eps: float) -> float:
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """An orbit: visited points plus consecutive-step log distances, as tuples."""
+    """An orbit: visited points plus consecutive-step log distances, as tuples,
+    which ``to_json_dict`` holds as they are and JSON writes as arrays."""
 
     metric: object
     points: tuple[Point, ...]
@@ -76,33 +75,22 @@ class IterationTrace:
         return ["n"] + [f"x{i}" for i in range(dim)] + ["step_logd"]
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(self.csv_columns())
-        for n, p in enumerate(self.points):
-            step = repr(self.step_logd[n]) if n < len(self.step_logd) else ""
-            writer.writerow([n, *[repr(c) for c in p], step])
-        return buf.getvalue()
+        # csv.writer's text: no field holds a comma, a quote or a line break
+        steps = [*map(repr, self.step_logd), ""]
+        rows = [self.csv_columns()] + [[str(n), *map(repr, p), steps[n]]
+                                       for n, p in enumerate(self.points)]
+        return "".join(",".join(row) + "\r\n" for row in rows)
 
-    def to_json_tree(self) -> dict:
-        """``to_json_dict()`` with the trace's own tuples: the same JSON text."""
-        metric_json = (
-            self.metric.to_json_dict()
-            if hasattr(self.metric, "to_json_dict")
-            else {"kind": getattr(self.metric, "name", "custom")}
-        )
+    def to_json_dict(self) -> dict:
+        to_json = getattr(self.metric, "to_json_dict", None)
         return {
-            "metric": metric_json,
+            "metric": to_json() if to_json else {"kind": getattr(self.metric, "name", "custom")},
             "status": self.status.value,
             "columns": self.csv_columns(),
             "n": tuple(range(len(self.points))),
             "points": self.points,
             "step_logd": self.step_logd,
         }
-
-    def to_json_dict(self) -> dict:
-        return {**self.to_json_tree(), "n": list(range(len(self.points))),
-                "points": [list(p) for p in self.points], "step_logd": list(self.step_logd)}
 
 
 def is_converged_to(trace: IterationTrace, x, eps: float) -> bool:

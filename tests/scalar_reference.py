@@ -30,8 +30,12 @@ orbit scans (``reference_detect_limit_point``, ``reference_cauchy_indicator``,
 ``loop_find_periodic_point``) are loops of public calls.  The axiom, triangle
 and reverse-triangle loops list violations one matrix entry at a time, as
 ``verify_axioms`` and ``verify_reverse_triangle`` once did.
+
+``reference_csv_text`` writes a trace's CSV rows through ``csv.writer``.
 """
 
+import csv
+import io
 import itertools
 import math
 
@@ -575,3 +579,19 @@ def _reverse_triangle_by_loop(metric, sample, tol=DEFAULT_LOG_TOL):
                      "lhs": float(lhs[x, y]), "rhs": float(D[x, y])}
                 )
     return violations
+
+
+# -- trace export ---------------------------------------------------------------
+
+
+def reference_csv_text(trace) -> str:
+    """A trace's CSV text through ``csv.writer``'s default dialect: the
+    columns, then each point's index, coordinate ``repr`` texts and step
+    ``repr``, the last row's step empty."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(trace.csv_columns())
+    for n, p in enumerate(trace.points):
+        step = repr(trace.step_logd[n]) if n < len(trace.step_logd) else ""
+        writer.writerow([n, *[repr(c) for c in p], step])
+    return buf.getvalue()

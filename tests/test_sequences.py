@@ -166,8 +166,8 @@ def test_json_mirror_matches_csv_columns():
     trace = mx.IterationTrace.from_points(E_METRIC, [0.0, 0.5, 0.75])
     data = trace.to_json_dict()
     assert data["columns"] == ["n", "x0", "step_logd"]
-    assert data["points"] == [[0.0], [0.5], [0.75]]
-    assert data["n"] == [0, 1, 2]
-    assert data["step_logd"] == list(trace.step_logd)
+    assert data["points"] == ((0.0,), (0.5,), (0.75,))
+    assert data["n"] == (0, 1, 2)
+    assert data["step_logd"] == trace.step_logd
     assert data["status"] == "running"
     assert data["metric"] == {"kind": "exp_abs", "a": math.e}

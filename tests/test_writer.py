@@ -27,7 +27,7 @@ from mulfix import conditions
 from mulfix.cli import main
 from mulfix.experiment import write_json, write_report
 from mulfix.jsonconfig import dump_json, stream_json
-from scalar_reference import bits
+from scalar_reference import bits, reference_csv_text
 
 EPS = math.exp(1e-9)
 
@@ -376,6 +376,18 @@ def test_repeated_slacks_reuse_text_only_when_equal_and_not_zero():
     assert streamed(rows) == dump_json(rows).encode() == expected.encode()
 
 
+def test_error_rows_at_block_edges_equal_the_reference():
+    # errors at the first and second edge of the real block, and after the last pair
+    n = 2 * BLOCK + 1
+    errors = tuple((pos, 7, 8, "pole") for pos in (BLOCK, 2 * BLOCK, 2 * BLOCK, n))
+    rows = conditions.PairRows(list(range(n)), list(range(1, n + 1)),
+                               {"C1": ([True] * n, [0.5, -0.0, math.nan] * (n // 3)),
+                                "C2": ([False] * n, [0.5] * n)}, errors)
+    expected = reference(rows.records())
+    assert_same(streamed(rows), dump_json(rows).encode())
+    assert_same(dump_json(rows), expected)
+
+
 def test_a_failure_mid_stream_leaves_the_old_file_and_no_temp_file(tmp_path):
     path = tmp_path / "report.json"
     path.write_text("old", encoding="utf-8")
@@ -518,10 +530,14 @@ def traces(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(traces())
-def test_trace_trees_equal_the_list_tree_and_the_reference(trace):
-    text = dump_json(trace.to_json_tree())
-    assert_same(text, dump_json(trace.to_json_dict()))
-    assert_same(text, reference(trace.to_json_dict()))
+def test_trace_dicts_equal_the_reference(trace):
+    assert_same(dump_json(trace.to_json_dict()), reference(trace.to_json_dict()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(traces())
+def test_csv_traces_equal_the_csv_writer_text(trace):
+    assert_same(trace.to_csv_text(), reference_csv_text(trace))
 
 
 # -- the bundled fixtures, byte for byte ----------------------------------------------
@@ -615,6 +631,13 @@ def test_long_runs_of_built_in_maps_keep_their_digests(tmp_path, name):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir()}
     assert digests == LONG_RUN_DIGESTS[name]
+
+
+def test_long_run_and_empty_csv_traces_equal_the_csv_writer_text():
+    traces = [run.trace for name in sorted(LONG_RUNS)
+              for run in mx.run_experiment(long_run(name)).runs]
+    for trace in [*traces, mx.IterationTrace(mx.MetricSpec.exp_abs(2.0), (), ())]:
+        assert_same(trace.to_csv_text(), reference_csv_text(trace))
 
 
 # -- bound rows, recomputed from the written files ----------------------------------
