@@ -20,6 +20,7 @@ carry a negative slack.
 """
 from __future__ import annotations
 
+import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DegeneratePairError, DomainError, MulfixError
-from .jsonconfig import JsonConfig, _float, _string, decode
+from .jsonconfig import JsonConfig, _float, _string, decode, dump_json
 from .maps import _checked_image
 from .metrics import DEFAULT_LOG_TOL, Point, _check_tol, as_point, equal_points
 
@@ -183,12 +184,10 @@ class ConstantEstimates:
                                    lam=self.lambda_hat)
 
     def to_json_dict(self) -> dict:
-        def safe(v):
-            return v if math.isfinite(v) else None
         return {
-            "xi": safe(self.xi_hat),
-            "eta": safe(self.eta_hat),
-            "lambda": safe(self.lambda_hat),
+            "xi": self.xi_hat,
+            "eta": self.eta_hat,
+            "lambda": self.lambda_hat,
             "feasible": {"C1": self.c1_feasible, "C2": self.c2_feasible,
                          "C3": self.c3_feasible},
             "pairs_used": self.pairs_used,
@@ -317,14 +316,14 @@ class PairRows:
     ``i`` and ``j`` list the evaluated pairs in sample order; ``checks`` maps
     each condition to its ``(flags, slacks)`` over them, a bool array and a
     float64 array, or None for the slacks of a condition with no admissible
-    constant (each such slack is null).  ``records`` and ``write_json`` read
-    a column given as a list through ``np.asarray``; the writer takes a None
-    slack in such a list as NaN, also written null.  ``errors`` holds one
-    ``(position, i, j, message)`` per pair that could not be evaluated, where
-    position counts the evaluated pairs before it.  The records run pair by
-    pair, each evaluated pair with one record per condition in ``checks``
-    order, and each error record before the evaluated pair at its position;
-    ``_runs`` walks them in that order for ``records`` and ``write_json``.
+    constant (each such slack is null).  The columns keep the full floats;
+    ``write_json``, the one encoder of the records, writes a non-finite or
+    None slack as null.  ``errors`` holds one ``(position, i, j, message)``
+    per pair that could not be evaluated, where position counts the
+    evaluated pairs before it.  The records run pair by pair, each evaluated
+    pair with one record per condition in ``checks`` order, and each error
+    record before the evaluated pair at its position, the order ``_runs``
+    walks; ``records`` parses the written text.
     """
 
     i: list
@@ -344,24 +343,11 @@ class PairRows:
         yield a, n, None
 
     def records(self) -> list[dict]:
-        """The records as new dicts of plain Python values, each
-        ``{"pair": [i, j], "condition", "satisfied", "slack"}``, and an
-        ``"error"`` message after a null flag and slack in the record of a
+        """The parse of the written records: each ``{"pair": [i, j], "condition",
+        "satisfied", "slack"}`` with a None slack where it is not finite, and
+        an ``"error"`` message after a null flag and slack in the record of a
         pair that could not be evaluated (condition ``"*"``)."""
-        cols = [(cid, np.asarray(f).tolist(),
-                 [None] * len(f) if s is None else np.asarray(s).tolist())
-                for cid, (f, s) in self.checks.items()]
-        out = []
-        for a, b, error in self._runs():
-            out += [{"pair": [i, j], "condition": cid, "satisfied": flags[k],
-                     "slack": slacks[k]}
-                    for k, (i, j) in enumerate(zip(self.i[a:b], self.j[a:b]), a)
-                    for cid, flags, slacks in cols]
-            if error is not None:
-                i, j, message = error
-                out.append({"pair": [i, j], "condition": "*", "satisfied": None,
-                            "slack": None, "error": message})
-        return out
+        return json.loads(dump_json(self))
 
     def write_json(self, out: list, nl: str) -> None:
         """Append the records to the sink ``out`` as a JSON array on a line
@@ -432,8 +418,8 @@ _PAIR_BLOCK = 256
 class ConditionReport:
     """Per-pair condition records plus aggregate verdicts.
 
-    The records are kept as columns in ``rows``; ``records`` builds their
-    dicts on first access, and the report writer reads the columns without
+    The records are kept as columns in ``rows``; ``records`` parses their
+    text on first access, and the report writer reads the columns without
     them.  ``verdicts`` holds one entry per certification route (t2 for the
     constant-triple disjunction, t23 for the strict variants, th3 for the
     phi test) and an ``overall`` summary string.
@@ -454,8 +440,9 @@ class ConditionReport:
 
     @cached_property
     def records(self) -> list[dict]:
-        """``rows.records()``, built once: each flag a ``bool``, each slack a
-        ``float``, or None where the condition has no admissible constant."""
+        """``rows.records()``, parsed once: each flag a ``bool``, each slack a
+        ``float``, or None where it is not finite or the condition has no
+        admissible constant, as in the written file."""
         return self.rows.records()
 
     def condition_ok(self, condition: str) -> bool:
@@ -470,11 +457,12 @@ class ConditionReport:
                 if r["condition"] == condition and not r["satisfied"]]
 
     def to_json_dict(self) -> dict:
-        return {**self.to_json_tree(), "pairs": self.rows.records()}
+        """The parse of the written ``to_json_tree()``: strict JSON, as in the file."""
+        return json.loads(dump_json(self.to_json_tree()))
 
     def to_json_tree(self) -> dict:
-        """The ``to_json_dict`` tree with the records left as columns, which
-        ``dump_json`` writes to the same JSON value, each record on one line."""
+        """The tree ``dump_json`` writes as the report, with the records left
+        as columns, each written on one line."""
         constants: dict = (
             self.constants_used.to_json_dict() if self.constants_used
             else {"xi": None, "eta": None, "lambda": None, "delta": None}

@@ -30,7 +30,7 @@ from .conditions import (
     _PairTable,
 )
 from .errors import ConfigError, DomainError
-from .jsonconfig import JsonConfig, decode, is_integer, stream_json
+from .jsonconfig import JsonConfig, decode, dump_json, is_integer, stream_json
 from .maps import Box, SelfMapSpec, sample_box
 from .metrics import (
     DEFAULT_LOG_TOL,
@@ -201,12 +201,12 @@ class ExperimentReport:
         return all(e.passed for e in self.expectations)
 
     def to_json_dict(self) -> dict:
-        return {**self.to_json_tree(),
-                "classification": self.classification.to_json_dict()}
+        """The parse of the written ``to_json_tree()``: strict JSON, as in the file."""
+        return json.loads(dump_json(self.to_json_tree()))
 
     def to_json_tree(self) -> dict:
-        """The ``to_json_dict`` tree with the pair records left as columns,
-        which ``dump_json`` writes to the same JSON value."""
+        """The tree ``write_report`` writes as ``report.json``, with the pair
+        records left as columns."""
         return {
             "config": self.config.to_json_dict(),
             "seed": self.config.seed,

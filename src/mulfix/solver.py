@@ -98,10 +98,9 @@ class FixedPointResult:
     continuity_log_ratio: float | None = None
 
     def to_json_dict(self) -> dict:
-        residual = self.residual_logd if math.isfinite(self.residual_logd) else None
         return {
             "point": list(self.point),
-            "residual_logd": residual,
+            "residual_logd": self.residual_logd,
             "iterations": self.iterations,
             "status": self.status.value,
             "restarted_from": list(self.restarted_from) if self.restarted_from else None,

@@ -32,6 +32,10 @@ and reverse-triangle loops list violations one matrix entry at a time, as
 ``verify_axioms`` and ``verify_reverse_triangle`` once did.
 
 ``reference_csv_text`` writes a trace's CSV rows through ``csv.writer``.
+
+``record_walk`` and ``reference_records`` list a ``PairRows``'s records in
+one plain loop over its pairs, columns and errors, as ``PairRows.records``
+once built them, without its run walk or its writer.
 """
 
 import csv
@@ -595,3 +599,39 @@ def reference_csv_text(trace) -> str:
         step = repr(trace.step_logd[n]) if n < len(trace.step_logd) else ""
         writer.writerow([n, *[repr(c) for c in p], step])
     return buf.getvalue()
+
+
+# -- pair records -----------------------------------------------------------------
+
+
+def record_walk(rows):
+    """Each record of ``rows`` as ``(i, j, condition, satisfied, slack, error)``,
+    in order: before evaluated pair k, the error rows at position k, and after
+    the last pair those at any later position (the error rows come in position
+    order).  ``satisfied`` is a bool and ``slack`` a float, None in a None
+    column; both are None, and ``error`` the message, in an error record."""
+    n = len(rows.i) if rows.checks else 0
+    errors = list(rows.errors)
+    out = []
+    for k in range(n + 1):
+        while errors and (errors[0][0] <= k or k == n):
+            _, i, j, message = errors.pop(0)
+            out.append((i, j, "*", None, None, message))
+        if k < n:
+            for cid, (flags, slacks) in rows.checks.items():
+                slack = None if slacks is None or slacks[k] is None else float(slacks[k])
+                out.append((rows.i[k], rows.j[k], cid, bool(flags[k]), slack, None))
+    return out
+
+
+def reference_records(rows) -> list[dict]:
+    """The records of ``rows`` as the written file holds them: a dict per
+    record, its slack None where it is not finite."""
+    out = []
+    for i, j, cid, satisfied, slack, error in record_walk(rows):
+        record = {"pair": [i, j], "condition": cid, "satisfied": satisfied,
+                  "slack": slack if slack is not None and math.isfinite(slack) else None}
+        if cid == "*":
+            record["error"] = error
+        out.append(record)
+    return out

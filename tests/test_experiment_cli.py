@@ -576,8 +576,11 @@ def test_huge_coordinates_still_give_strict_json(tmp_path):
     metric = mx.MetricSpec.exp_abs(2.0)
     classification = mx.classify(metric, mx.SelfMapSpec.scale(0.5), sample)
     axioms = mx.verify_axioms(metric, sample)
-    # the plain dump of both carries Infinity, which is not JSON
-    assert "Infinity" in json.dumps(classification.to_json_dict())
+    # the classification's dict is the parse of its written text, strict
+    # JSON; the plain dump of the axioms carries Infinity, which is not JSON
+    data = classification.to_json_dict()
+    json.dumps(data, allow_nan=False)
+    assert data == json.loads(dump_json(classification.to_json_tree()))
     assert "Infinity" in json.dumps(axioms.to_json_dict())
     for data in (classification.to_json_dict(), axioms.to_json_dict()):
         strict = json.loads(dump_json(data),

@@ -28,8 +28,9 @@ from mulfix import conditions, maps, metrics, sequences, solver
 from mulfix.errors import DomainError
 import scalar_reference
 from scalar_reference import (bits, loop_find_periodic_point, picard_outcome,
-                              reference_bound_rows, reference_cauchy_indicator,
-                              reference_classify, reference_detect_limit_point,
+                              record_walk, reference_bound_rows,
+                              reference_cauchy_indicator, reference_classify,
+                              reference_detect_limit_point,
                               reference_find_periodic_point, reference_picard)
 
 METRICS = [
@@ -94,8 +95,9 @@ def outcome(fn, *args):
 def kernel_classify(metric, T, points, constants, phi, tol, strict_margin):
     report = mx.classify(metric, T, points, constants, phi, tol=tol,
                          strict_margin=strict_margin)
-    records = [(*r["pair"], r["condition"], r["satisfied"], bits(r["slack"]),
-                r.get("error")) for r in report.records]
+    # the columns, whose NaN and infinities the records hold as None
+    records = [(i, j, cid, ok, bits(slack), error)
+               for i, j, cid, ok, slack, error in record_walk(report.rows)]
     est = report.estimates
     estimates = (est.xi_hat, est.eta_hat, est.lambda_hat, est.pairs_used,
                  est.pairs_skipped)

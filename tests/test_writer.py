@@ -27,7 +27,7 @@ from mulfix import conditions
 from mulfix.cli import main
 from mulfix.experiment import write_json, write_report
 from mulfix.jsonconfig import dump_json, stream_json
-from scalar_reference import bits, reference_csv_text
+from scalar_reference import bits, reference_csv_text, reference_records
 
 EPS = math.exp(1e-9)
 
@@ -228,7 +228,7 @@ NO_EXPLAIN = [phase for phase in Phase if phase is not Phase.explain]
 @given(pair_rows(), st.integers(0, 3))
 def test_pair_records_equal_the_reference_encoder(rows, depth):
     nl = "\n" + "  " * depth
-    expected = reference(rows.records())[:-1]
+    expected = reference(reference_records(rows))[:-1]
     tree, opening, closing = rows, "", ""
     for k in reversed(range(depth)):  # rows at depth, in lists of one
         tree = [tree]
@@ -244,12 +244,20 @@ def test_error_rows_at_every_position_equal_the_reference(positions):
     errors = tuple((pos, 9, 9, "pole") for pos in positions)
     for rows in (conditions.PairRows([0, 0, 1], [1, 2, 2], checks, errors),
                  conditions.PairRows([], [], {"C1": ([], [])}, errors)):  # all errors
-        expected = reference(rows.records())
+        expected = reference(reference_records(rows))
         assert dump_json(rows) == expected
 
 
 def test_no_pair_record_writes_an_empty_array():
     assert dump_json(conditions.PairRows([], [], {"C1": ([], [])}, ())) == "[]\n"
+
+
+@settings(max_examples=300, deadline=None, phases=NO_EXPLAIN)
+@given(pair_rows())
+def test_records_equal_the_reference_records(rows):
+    got, expected = rows.records(), reference_records(rows)
+    assert got == expected
+    assert [bits(r["slack"]) for r in got] == [bits(r["slack"]) for r in expected]
 
 
 # -- one record a line ---------------------------------------------------------------
@@ -262,7 +270,7 @@ def parsed_lines(lines) -> list:
 @settings(max_examples=200, deadline=None, phases=NO_EXPLAIN)
 @given(pair_rows())
 def test_every_record_line_parses_to_its_record(rows):
-    records = finite_or_none(rows.records())
+    records = reference_records(rows)
     lines = dump_json({"pairs": rows}).splitlines()
     if not records:
         assert lines[1] == '  "pairs": []'
@@ -284,7 +292,7 @@ def test_an_error_message_stays_on_its_record_line():
     text = dump_json({"pairs": rows})
     assert text.isascii()
     body = text.splitlines()[2:-2]
-    assert parsed_lines(body) == rows.records()
+    assert parsed_lines(body) == reference_records(rows)
     assert body[0] == ('    {"pair": [2, 3], "condition": "*", "satisfied": null, '
                        '"slack": null, "error": "one\\ntwo \\"three\\" \\u00e9 '
                        '\\u2028 four"},')
@@ -347,7 +355,7 @@ def blocked_rows(draw):
 @settings(max_examples=120, deadline=None, phases=NO_EXPLAIN)
 @given(blocked_rows(), st.integers(0, 2))
 def test_streamed_pair_records_equal_dump_json_and_the_reference(rows, depth):
-    records = rows.records()
+    records = reference_records(rows)
     tree, expected = rows, records
     for _ in range(depth):  # nested, with a value after the records
         tree, expected = {"pairs": tree, "after": [-0.0]}, {"pairs": expected,
@@ -372,7 +380,7 @@ def test_repeated_slacks_reuse_text_only_when_equal_and_not_zero():
     rows = conditions.PairRows(list(range(n)), list(range(n)),
                                {"C2": ([True] * n, c2), "C3": ([True] * n, c3),
                                 "SI": ([False] * n, [None] * n)}, ())
-    expected = reference(rows.records())
+    expected = reference(reference_records(rows))
     assert streamed(rows) == dump_json(rows).encode() == expected.encode()
 
 
@@ -383,7 +391,7 @@ def test_error_rows_at_block_edges_equal_the_reference():
     rows = conditions.PairRows(list(range(n)), list(range(1, n + 1)),
                                {"C1": ([True] * n, [0.5, -0.0, math.nan] * (n // 3)),
                                 "C2": ([False] * n, [0.5] * n)}, errors)
-    expected = reference(rows.records())
+    expected = reference(reference_records(rows))
     assert_same(streamed(rows), dump_json(rows).encode())
     assert_same(dump_json(rows), expected)
 
@@ -471,14 +479,16 @@ def _huge():  # log distances past the float limit: infinite and NaN slacks
                    solver={"eps": EPS, "max_iter": 40, "starts": [[0.0]]})
 
 
-def _has(records, what) -> bool:
+def _has(cls, what) -> bool:
+    if what == "inf slack":  # the records hold it as null, the columns as inf
+        return any(s is not None and np.isinf(s).any()
+                   for _, s in cls.rows.checks.values())
     checks = {
         "error": lambda r: r["condition"] == "*",
         "null slack": lambda r: r["condition"] != "*" and r["slack"] is None,
         "phi": lambda r: r["condition"] == "PHI",
-        "inf slack": lambda r: r["slack"] is not None and math.isinf(r["slack"]),
     }
-    return any(map(checks[what], records))
+    return any(map(checks[what], cls.records))
 
 
 @pytest.mark.parametrize("build, what", [
@@ -486,13 +496,27 @@ def _has(records, what) -> bool:
 ])
 def test_written_report_equals_the_reference_encoding(tmp_path, build, what):
     report = mx.run_experiment(build())
-    assert _has(report.classification.records, what)
+    assert _has(report.classification, what)
     written = write_report(report, tmp_path)
     assert written[0].read_text(encoding="utf-8") == reference(report.to_json_dict())
     for run, path in zip(report.runs, written[1:]):
         assert path.read_text(encoding="utf-8") == reference(run.trace.to_json_dict())
     cls = report.classification
     assert dump_json(cls.to_json_tree()) == reference(cls.to_json_dict())
+
+
+@pytest.mark.parametrize("name", ["example_3_15", "example_3_16", "example_3_17",
+                                  "scale-0.999", "_pole", "_huge"])
+def test_json_dicts_equal_the_written_files(tmp_path, name):
+    builds = {"scale-0.999": lambda: long_run(name), "_pole": _pole, "_huge": _huge}
+    report = mx.run_experiment(builds.get(name, lambda: mx.fixture_config(name))())
+    write_report(report, tmp_path)
+    write_json(tmp_path / "condition_report.json", report.classification.to_json_tree())
+    for data, name in ((report.to_json_dict(), "report.json"),
+                       (report.classification.to_json_dict(), "condition_report.json")):
+        json.dumps(data, allow_nan=False)
+        with open(tmp_path / name, encoding="utf-8") as f:
+            assert data == json.load(f)
 
 
 # -- traces, written from their own tuples -------------------------------------------
