@@ -184,6 +184,7 @@ class ConstantEstimates:
                                    lam=self.lambda_hat)
 
     def to_json_dict(self) -> dict:
+        """A tree for the writer, not strict JSON: an ``inf`` hat stays ``inf``."""
         return {
             "xi": self.xi_hat,
             "eta": self.eta_hat,

@@ -98,6 +98,7 @@ class FixedPointResult:
     continuity_log_ratio: float | None = None
 
     def to_json_dict(self) -> dict:
+        """A tree for the writer, not strict JSON: the residual may be non-finite."""
         return {
             "point": list(self.point),
             "residual_logd": self.residual_logd,

@@ -19,7 +19,7 @@ from mulfix.experiment import write_report
 from mulfix.jsonconfig import dump_json
 from mulfix.conditions import PSI_KINDS
 from mulfix.metrics import DEFAULT_LOG_TOL, _triple_hits
-from scalar_reference import check_phi
+from scalar_reference import check_phi, reference_records
 
 EPS = math.exp(1e-9)
 
@@ -580,7 +580,7 @@ def test_huge_coordinates_still_give_strict_json(tmp_path):
     # JSON; the plain dump of the axioms carries Infinity, which is not JSON
     data = classification.to_json_dict()
     json.dumps(data, allow_nan=False)
-    assert data == json.loads(dump_json(classification.to_json_tree()))
+    assert data["pairs"] == reference_records(classification.rows)
     assert "Infinity" in json.dumps(axioms.to_json_dict())
     for data in (classification.to_json_dict(), axioms.to_json_dict()):
         strict = json.loads(dump_json(data),
@@ -588,6 +588,21 @@ def test_huge_coordinates_still_give_strict_json(tmp_path):
         assert strict == json.loads(json.dumps(data), parse_constant=lambda s: None)
     first = json.loads(dump_json(classification.to_json_dict()))["pairs"][0]
     assert first == {"pair": [0, 1], "condition": "C1", "satisfied": True, "slack": None}
+
+
+def test_leaf_dicts_keep_non_finite_values_for_the_writer(report_3_16):
+    # the leaf dicts are tree inputs for the writer, not strict JSON: they keep
+    # an infeasible hat and a non-finite residual, which the writer makes null
+    sample = [(-1.0,), (0.0,), (1.0,)]
+    estimates = mx.classify(mx.MetricSpec.exp_abs(2.0), mx.SelfMapSpec.negation(),
+                            sample).estimates
+    assert estimates.to_json_dict()["lambda"] == math.inf
+    run = dataclasses.replace(report_3_16.runs[0], residual_logd=math.nan)
+    assert math.isnan(run.to_json_dict()["residual_logd"])
+    for leaf in (estimates, run):
+        with pytest.raises(ValueError):
+            json.dumps(leaf.to_json_dict(), allow_nan=False)
+        assert None in json.loads(dump_json(leaf.to_json_dict())).values()
 
 
 def test_apriori_bound_expectation_honours_its_tolerance():
