@@ -183,18 +183,6 @@ class ConstantEstimates:
         return ZamfirescuConstants(xi=self.xi_hat, eta=self.eta_hat,
                                    lam=self.lambda_hat)
 
-    def to_json_dict(self) -> dict:
-        """A tree for the writer, not strict JSON: an ``inf`` hat stays ``inf``."""
-        return {
-            "xi": self.xi_hat,
-            "eta": self.eta_hat,
-            "lambda": self.lambda_hat,
-            "feasible": {"C1": self.c1_feasible, "C2": self.c2_feasible,
-                         "C3": self.c3_feasible},
-            "pairs_used": self.pairs_used,
-            "pairs_skipped": self.pairs_skipped,
-        }
-
 
 # Map failures that constant estimation skips; classification records the
 # narrower second set as error records and lets anything else propagate.
@@ -321,10 +309,12 @@ class PairRows:
     ``write_json``, the one encoder of the records, writes a non-finite or
     None slack as null.  ``errors`` holds one ``(position, i, j, message)``
     per pair that could not be evaluated, where position counts the
-    evaluated pairs before it.  The records run pair by pair, each evaluated
-    pair with one record per condition in ``checks`` order, and each error
-    record before the evaluated pair at its position, the order ``_runs``
-    walks; ``records`` parses the written text.
+    evaluated pairs before it, so no position passes ``len(i)``; ``checks``
+    holds at least one condition, as ``_classify`` gives every table.  The
+    records run pair by pair, each evaluated pair with one record per
+    condition in ``checks`` order, and each error record before the
+    evaluated pair at its position, the order ``_runs`` walks; ``records``
+    parses the written text.
     """
 
     i: list
@@ -335,13 +325,12 @@ class PairRows:
     def _runs(self):
         """The records in order as runs ``(a, b, error)``: evaluated pairs a..b-1,
         then the ``(i, j, message)`` of the next pair not evaluated, or None after
-        the last run.  Positions are clamped to the evaluated pairs, as slices are."""
-        n, a = len(self.i) if self.checks else 0, 0
+        the last run."""
+        a = 0
         for pos, i, j, message in self.errors:
-            b = min(pos, n)
-            yield a, b, (i, j, message)
-            a = b
-        yield a, n, None
+            yield a, pos, (i, j, message)
+            a = pos
+        yield a, len(self.i), None
 
     def records(self) -> list[dict]:
         """The parse of the written records: each ``{"pair": [i, j], "condition",
@@ -468,7 +457,16 @@ class ConditionReport:
             self.constants_used.to_json_dict() if self.constants_used
             else {"xi": None, "eta": None, "lambda": None, "delta": None}
         )
-        constants["estimates"] = self.estimates.to_json_dict()
+        e = self.estimates
+        constants["estimates"] = {
+            "xi": e.xi_hat,
+            "eta": e.eta_hat,
+            "lambda": e.lambda_hat,
+            "feasible": {"C1": e.c1_feasible, "C2": e.c2_feasible,
+                         "C3": e.c3_feasible},
+            "pairs_used": e.pairs_used,
+            "pairs_skipped": e.pairs_skipped,
+        }
         return {
             "pairs": self.rows,
             "constants": constants,

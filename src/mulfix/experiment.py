@@ -172,10 +172,6 @@ class ExpectationResult:
     def kind(self) -> str:
         return self.spec["kind"]
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "spec": dict(self.spec),
-                "passed": self.passed, "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class ExperimentReport:
@@ -205,24 +201,41 @@ class ExperimentReport:
         return json.loads(dump_json(self.to_json_tree()))
 
     def to_json_tree(self) -> dict:
-        """The tree ``write_report`` writes as ``report.json``, with the pair
-        records left as columns."""
+        """The tree ``write_report`` writes as ``report.json``, laid out here
+        from the results' fields, with the pair records left as columns."""
+        si, u = self.start_independence, self.uniqueness
         return {
             "config": self.config.to_json_dict(),
             "seed": self.config.seed,
-            "axioms": self.axioms.to_json_dict(),
-            "reverse_triangle": self.reverse_triangle.to_json_dict(),
+            "axioms": _fields(self.axioms, "n_points", "tol", "ok", "violations"),
+            "reverse_triangle": _fields(self.reverse_triangle,
+                                        "n_points", "tol", "ok", "violations"),
             "map_invariant": self.map_invariant,
             "classification": self.classification.to_json_tree(),
             "solver": {
-                "runs": [r.to_json_dict() for r in self.runs],
-                "start_independence": self.start_independence.to_json_dict(),
-                "uniqueness": self.uniqueness.to_json_dict(),
+                "runs": [{**_fields(r, "point", "residual_logd", "iterations"),
+                          "status": r.status.value,
+                          "restarted_from": r.restarted_from,
+                          "continuity_log_ratio": r.continuity_log_ratio}
+                         for r in self.runs],
+                "start_independence": _fields(si, "verdict", "max_pairwise_logd",
+                                              "n_converged", "n_runs"),
+                "uniqueness": _fields(u, "verdict", "survivors", "max_pairwise_logd"),
             },
-            "bounds": [b.to_json_dict() for b in self.bounds],
-            "expectations": [e.to_json_dict() for e in self.expectations],
+            "bounds": [{**_fields(b, "delta", "tol", "ok"),
+                        "checked": len(b.observed),
+                        "violations": b.violations}
+                       for b in self.bounds],
+            "expectations": [_fields(e, "kind", "spec", "passed", "detail")
+                             for e in self.expectations],
             "passed": self.passed,
         }
+
+
+def _fields(result, *names) -> dict:
+    """The named fields and properties of a result, each under its name: a
+    tuple is written as an array and a non-finite float as null."""
+    return {name: getattr(result, name) for name in names}
 
 
 def _unevaluated(cls_report: ConditionReport) -> str:

@@ -2,8 +2,8 @@
 
 The map catalog is deliberately small and closed: a handful of named
 forms plus a general affine map given by a coefficient table.  A
-:class:`SelfMapSpec` is callable on point tuples and can carry the box it
-is declared on.
+:class:`SelfMapSpec` is callable on point tuples; the box a map is
+iterated on is declared by the experiment, not by the map.
 """
 
 from __future__ import annotations
@@ -140,7 +140,6 @@ class SelfMapSpec(JsonConfig):
     value: Point | None = None        # constant image
     matrix: tuple[Point, ...] | None = None  # affine coefficient table
     offset: Point | None = None
-    domain: Optional[Box] = None
 
     def __post_init__(self):
         if self.kind not in MAP_PARAMS:
@@ -171,37 +170,37 @@ class SelfMapSpec(JsonConfig):
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def scale(cls, c: float, domain: Box | None = None) -> "SelfMapSpec":
-        return cls("scale", c=float(c), domain=domain)
+    def scale(cls, c: float) -> "SelfMapSpec":
+        return cls("scale", c=float(c))
 
     @classmethod
-    def rational(cls, b: float, domain: Box | None = None) -> "SelfMapSpec":
-        return cls("rational", b=float(b), domain=domain)
+    def rational(cls, b: float) -> "SelfMapSpec":
+        return cls("rational", b=float(b))
 
     @classmethod
-    def power(cls, p: float, domain: Box | None = None) -> "SelfMapSpec":
-        return cls("power", p=float(p), domain=domain)
+    def power(cls, p: float) -> "SelfMapSpec":
+        return cls("power", p=float(p))
 
     @classmethod
-    def reciprocal_sqrt(cls, domain: Box | None = None) -> "SelfMapSpec":
-        return cls("reciprocal_sqrt", domain=domain)
+    def reciprocal_sqrt(cls) -> "SelfMapSpec":
+        return cls("reciprocal_sqrt")
 
     @classmethod
-    def constant(cls, value, domain: Box | None = None) -> "SelfMapSpec":
-        return cls("constant", value=as_point(value), domain=domain)
+    def constant(cls, value) -> "SelfMapSpec":
+        return cls("constant", value=as_point(value))
 
     @classmethod
-    def identity(cls, domain: Box | None = None) -> "SelfMapSpec":
-        return cls("identity", domain=domain)
+    def identity(cls) -> "SelfMapSpec":
+        return cls("identity")
 
     @classmethod
-    def negation(cls, domain: Box | None = None) -> "SelfMapSpec":
-        return cls("negation", domain=domain)
+    def negation(cls) -> "SelfMapSpec":
+        return cls("negation")
 
     @classmethod
-    def affine(cls, matrix, offset, domain: Box | None = None) -> "SelfMapSpec":
+    def affine(cls, matrix, offset) -> "SelfMapSpec":
         return cls("affine", matrix=tuple(tuple(row) for row in matrix),
-                   offset=as_point(offset), domain=domain)
+                   offset=as_point(offset))
 
     # -- evaluation --------------------------------------------------------
 

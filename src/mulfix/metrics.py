@@ -402,10 +402,6 @@ class _ViolationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def to_json_dict(self) -> dict:
-        return {"n_points": self.n_points, "tol": self.tol, "ok": self.ok,
-                "violations": list(self.violations)}
-
 
 class AxiomReport(_ViolationReport):
     """Outcome of sample-based multiplicative metric axiom checks."""

@@ -97,17 +97,6 @@ class FixedPointResult:
     restarted_from: Point | None = None
     continuity_log_ratio: float | None = None
 
-    def to_json_dict(self) -> dict:
-        """A tree for the writer, not strict JSON: the residual may be non-finite."""
-        return {
-            "point": list(self.point),
-            "residual_logd": self.residual_logd,
-            "iterations": self.iterations,
-            "status": self.status.value,
-            "restarted_from": list(self.restarted_from) if self.restarted_from else None,
-            "continuity_log_ratio": self.continuity_log_ratio,
-        }
-
 
 def _image(T) -> Callable[[Point], Point]:
     """``maps._checked_image(T)``, where a failure of T surfaces as DomainError."""
@@ -481,9 +470,9 @@ def picard(metric, T, x0, config: SolverConfig,
     trailing window are both below log(eps) and re-applying T at the final
     point moves it by at most log(eps).  A stalled run (max_iter or a
     detected cycle) is given one restart from a detected limit point of its
-    orbit, which is recorded on the result.  When ``domain`` is declared
-    (explicitly or on the map), an iterate leaving it raises
-    :class:`DomainEscapeError` carrying the offending point.
+    orbit, which is recorded on the result.  When ``domain`` is given, an
+    iterate leaving it raises :class:`DomainEscapeError` carrying the
+    offending point.
 
     Each run applies T and measures its step through one step function
     that binds the map's and the metric's scalar kernels and their checks
@@ -501,9 +490,6 @@ def picard(metric, T, x0, config: SolverConfig,
     may be applied to.
     """
     start = as_point(x0)
-    if domain is None:
-        domain = getattr(T, "domain", None)
-
     trace, residual = _iterate(metric, T, start, config, domain)
     iterations = len(trace.step_logd)
     restarted_from: Point | None = None
@@ -552,7 +538,7 @@ def apriori_bound(d1: float, delta: float, n: int, m: int | None = None) -> floa
 class BoundReport:
     """Observed log d(x_n, z) and predicted ``apriori_bound(d1, delta, n)``
     along a converged trace, as two float arrays; ``rows`` pairs them up on
-    first read, and the JSON leaves the rows out: the written files give them."""
+    first read; ``report.json`` leaves the rows out, and the trace files give them."""
 
     delta: float
     tol: float
@@ -576,15 +562,6 @@ class BoundReport:
     def __eq__(self, other) -> bool:  # by value, as when the rows were a field
         return (isinstance(other, BoundReport)
                 and (self.delta, self.tol, self.rows) == (other.delta, other.tol, other.rows))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "tol": self.tol,
-            "ok": self.ok,
-            "checked": len(self.observed),
-            "violations": [list(v) for v in self.violations],
-        }
 
 
 _BOUND_TOL = 1e-10
@@ -636,14 +613,6 @@ class StartIndependenceReport:
     @property
     def passed(self) -> bool:
         return self.verdict == "passed"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "max_pairwise_logd": self.max_pairwise_logd,
-            "n_converged": self.n_converged,
-            "n_runs": self.n_runs,
-        }
 
 
 def verify_start_independence(metric, T, config: SolverConfig,
@@ -748,13 +717,6 @@ class UniquenessReport:
     @property
     def passed(self) -> bool:
         return self.verdict == "passed"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "survivors": [list(s) for s in self.survivors],
-            "max_pairwise_logd": self.max_pairwise_logd,
-        }
 
 
 def uniqueness_probe(metric, T, candidates: Sequence, eps: float) -> UniquenessReport:

@@ -607,14 +607,15 @@ def reference_csv_text(trace) -> str:
 def record_walk(rows):
     """Each record of ``rows`` as ``(i, j, condition, satisfied, slack, error)``,
     in order: before evaluated pair k, the error rows at position k, and after
-    the last pair those at any later position (the error rows come in position
-    order).  ``satisfied`` is a bool and ``slack`` a float, None in a None
-    column; both are None, and ``error`` the message, in an error record."""
-    n = len(rows.i) if rows.checks else 0
+    the last pair those at position ``len(rows.i)`` (the error rows come in
+    position order, none past the last pair).  ``satisfied`` is a bool and
+    ``slack`` a float, None in a None column; both are None, and ``error``
+    the message, in an error record."""
+    n = len(rows.i)
     errors = list(rows.errors)
     out = []
     for k in range(n + 1):
-        while errors and (errors[0][0] <= k or k == n):
+        while errors and errors[0][0] <= k:
             _, i, j, message = errors.pop(0)
             out.append((i, j, "*", None, None, message))
         if k < n:

@@ -165,6 +165,19 @@ def test_cli_rejects_mistyped_and_unread_config_values(tmp_path, capsys, field, 
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
+@pytest.mark.parametrize("enforce", [True, False])
+def test_a_map_declaring_a_domain_exits_2_naming_the_map(tmp_path, capsys, enforce):
+    # the experiment's domain and enforce_domain are the only declaration of
+    # the box Picard keeps to; a map takes no box of its own
+    data = {**identity_config(), "domain": [[-2.0, 2.0]], "enforce_domain": enforce,
+            "map": {"kind": "scale", "c": 0.5, "domain": [[1.0, 2.0]]},
+            "solver": {"eps": EPS, "max_iter": 200, "starts": [[1.5]]}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: map: domain: unknown field\n"
+
+
 def test_conditions_hold_fails_when_a_pair_was_not_evaluated():
     data = {**identity_config(), "map": {"kind": "rational", "b": 2.0},
             "domain": [[-2.0, 2.0]], "sample_size": 5,
@@ -467,14 +480,18 @@ def test_run_experiment_shares_one_prefilter_with_the_public_checks(case, fused)
     assert len(hits) == 1 and (hits[0] is not None) is fused
     axioms = mx.verify_axioms(config.metric, report.sample)
     reverse = mx.verify_reverse_triangle(config.metric, report.sample)
-    assert json.dumps(report.axioms.to_json_dict()) == json.dumps(axioms.to_json_dict())
-    assert (json.dumps(report.reverse_triangle.to_json_dict())
-            == json.dumps(reverse.to_json_dict()))
+    assert (json.dumps(dataclasses.asdict(report.axioms))
+            == json.dumps(dataclasses.asdict(axioms)))
+    assert (json.dumps(dataclasses.asdict(report.reverse_triangle))
+            == json.dumps(dataclasses.asdict(reverse)))
     assert bool(reverse.violations) is not fused
     # the run's table takes the checked sample as it is; the public
     # classify checks every point again
     public = mx.classify(config.metric, config.map, report.sample, seed=config.seed)
-    assert len(report.classification.rows.errors) == n_errors
+    rows = report.classification.rows
+    assert len(rows.errors) == n_errors
+    # an error's position counts the evaluated pairs before it
+    assert all(pos <= len(rows.i) for pos, *_ in rows.errors)
     assert (dump_json(report.classification.to_json_tree())
             == dump_json(public.to_json_tree()))
 
@@ -575,34 +592,32 @@ def test_huge_coordinates_still_give_strict_json(tmp_path):
     sample = [(-1e308,), (1e308,), (0.0,)]
     metric = mx.MetricSpec.exp_abs(2.0)
     classification = mx.classify(metric, mx.SelfMapSpec.scale(0.5), sample)
-    axioms = mx.verify_axioms(metric, sample)
-    # the classification's dict is the parse of its written text, strict
-    # JSON; the plain dump of the axioms carries Infinity, which is not JSON
+    # the classification's dict is the parse of its written text, strict JSON
     data = classification.to_json_dict()
     json.dumps(data, allow_nan=False)
     assert data["pairs"] == reference_records(classification.rows)
-    assert "Infinity" in json.dumps(axioms.to_json_dict())
-    for data in (classification.to_json_dict(), axioms.to_json_dict()):
-        strict = json.loads(dump_json(data),
-                            parse_constant=lambda s: pytest.fail(f"non-finite {s}"))
-        assert strict == json.loads(json.dumps(data), parse_constant=lambda s: None)
+    strict = json.loads(dump_json(data),
+                        parse_constant=lambda s: pytest.fail(f"non-finite {s}"))
+    assert strict == json.loads(json.dumps(data), parse_constant=lambda s: None)
     first = json.loads(dump_json(classification.to_json_dict()))["pairs"][0]
     assert first == {"pair": [0, 1], "condition": "C1", "satisfied": True, "slack": None}
 
 
-def test_leaf_dicts_keep_non_finite_values_for_the_writer(report_3_16):
-    # the leaf dicts are tree inputs for the writer, not strict JSON: they keep
-    # an infeasible hat and a non-finite residual, which the writer makes null
+def test_report_dicts_give_null_for_non_finite_values(report_3_16):
+    # the report trees keep an infeasible hat and a non-finite residual, and
+    # the report dicts, read back from the written text, hold null for them
     sample = [(-1.0,), (0.0,), (1.0,)]
-    estimates = mx.classify(mx.MetricSpec.exp_abs(2.0), mx.SelfMapSpec.negation(),
-                            sample).estimates
-    assert estimates.to_json_dict()["lambda"] == math.inf
+    classification = mx.classify(mx.MetricSpec.exp_abs(2.0), mx.SelfMapSpec.negation(),
+                                 sample)
+    assert classification.estimates.lambda_hat == math.inf
     run = dataclasses.replace(report_3_16.runs[0], residual_logd=math.nan)
-    assert math.isnan(run.to_json_dict()["residual_logd"])
-    for leaf in (estimates, run):
-        with pytest.raises(ValueError):
-            json.dumps(leaf.to_json_dict(), allow_nan=False)
-        assert None in json.loads(dump_json(leaf.to_json_dict())).values()
+    report = dataclasses.replace(report_3_16, start_independence=dataclasses.replace(
+        report_3_16.start_independence, results=(run, *report_3_16.runs[1:])))
+    estimates = classification.to_json_dict()["constants"]["estimates"]
+    runs = report.to_json_dict()["solver"]["runs"]
+    assert estimates["lambda"] is None and runs[0]["residual_logd"] is None
+    for data in (estimates, runs):
+        json.dumps(data, allow_nan=False)
 
 
 def test_apriori_bound_expectation_honours_its_tolerance():

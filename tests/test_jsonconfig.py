@@ -37,7 +37,6 @@ METRICS = st.one_of(
 @st.composite
 def maps(draw, dim=None):
     """Maps of every kind; a constant or affine one of dimension dim, if given."""
-    domain = draw(st.none() | BOXES)
     kind = draw(st.sampled_from(["scale", "rational", "power", "reciprocal_sqrt",
                                  "constant", "identity", "negation", "affine"]))
     point = POINT if dim is None else st.lists(FINITE, min_size=dim, max_size=dim).map(tuple)
@@ -48,8 +47,7 @@ def maps(draw, dim=None):
         row = st.lists(FINITE, min_size=n, max_size=n).map(tuple)
         params = {"matrix": st.lists(row, min_size=rows, max_size=rows).map(tuple),
                   "offset": st.lists(FINITE, min_size=rows, max_size=rows).map(tuple)}
-    return mx.SelfMapSpec(kind, domain=domain,
-                          **{k: draw(v) for k, v in params.items()})
+    return mx.SelfMapSpec(kind, **{k: draw(v) for k, v in params.items()})
 
 
 PHIS = st.one_of(
@@ -167,7 +165,7 @@ def test_a_wrong_json_type_anywhere_names_the_top_level_field(config, data):
 def test_null_reads_as_an_omitted_optional_field():
     config = mx.fixture_config("example_3_15")
     data = config.to_json_dict()
-    data.update(phi=None, outputs=None, map={**data["map"], "domain": None})
+    data.update(phi=None, outputs=None, map={**data["map"], "b": None})
     assert mx.ExperimentConfig.from_json_dict(data) == config
     with pytest.raises(ConfigError) as err:
         mx.ExperimentConfig.from_json_dict({**data, "sample_size": None})

@@ -41,7 +41,7 @@ def test_map_spec_validation():
 
 def test_map_json_round_trip():
     specs = [
-        mx.SelfMapSpec.scale(0.5, domain=mx.Box(((-1.0, 1.0),))),
+        mx.SelfMapSpec.scale(0.5),
         mx.SelfMapSpec.rational(2.0),
         mx.SelfMapSpec.power(-0.5),
         mx.SelfMapSpec.reciprocal_sqrt(),

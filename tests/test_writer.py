@@ -254,8 +254,10 @@ def test_error_rows_at_every_position_equal_the_reference(positions):
     checks = {"C1": ([True, False, True], [0.5, math.nan, None]),
               "PHI": ([False, True, True], [-0.0, 5e-324, math.inf])}
     errors = tuple((pos, 9, 9, "pole") for pos in positions)
+    # a table of only errors has every error at position 0, as _classify gives it
+    all_errors = tuple((0, 9, 9, "pole") for _ in positions)
     for rows in (conditions.PairRows([0, 0, 1], [1, 2, 2], checks, errors),
-                 conditions.PairRows([], [], {"C1": ([], [])}, errors)):  # all errors
+                 conditions.PairRows([], [], {"C1": ([], [])}, all_errors)):
         expected = reference(reference_records(rows))
         assert dump_json(rows) == expected
 
@@ -534,6 +536,17 @@ def test_json_dicts_equal_the_written_files(tmp_path, name):
             assert data == json.load(f)
         # and the value built without the writer
         assert data == json.loads(reference(with_reference_records(x.to_json_tree())))
+
+
+def test_infinite_violations_are_written_as_null():
+    # the reverse triangle's violations keep infinite lhs values, which the
+    # report dict, read back from the written text, holds as null
+    report = mx.run_experiment(_huge())
+    lhs = [v["lhs"] for v in report.reverse_triangle.violations]
+    assert math.inf in lhs
+    data = report.to_json_dict()["reverse_triangle"]
+    json.dumps(data, allow_nan=False)
+    assert [v["lhs"] for v in data["violations"]] == finite_or_none(lhs)
 
 
 # -- traces, written from their own tuples -------------------------------------------
