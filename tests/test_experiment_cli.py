@@ -139,6 +139,8 @@ SOLVER = {"eps": EPS, "max_iter": 200, "starts": [[0.2], [0.8]]}
     ("map", {"kind": "affine", "matrix": [[0.5, 0], [0, 0.5]], "offset": [0.1, 0.1]}),
     ("map", {"kind": "constant", "value": [0.5, 0.5]}),
     ("map", {"kind": "affine", "matrix": [[0.5, 0]], "offset": [0.1]}),
+    # a map takes no box: domain and enforce_domain declare the one Picard keeps to
+    ("map", {"kind": "scale", "c": 0.5, "domain": [[1.0, 2.0]]}),
     ("expectations", [{"kind": "conditions_hold"}]),
     ("expectations", [{"kind": "fixed_point"}]),
     ("expectations", [{"kind": "fixed_point", "point": []}]),
@@ -163,19 +165,6 @@ def test_cli_rejects_mistyped_and_unread_config_values(tmp_path, capsys, field, 
     path.write_text(json.dumps(data))
     assert main(["run", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
-
-
-@pytest.mark.parametrize("enforce", [True, False])
-def test_a_map_declaring_a_domain_exits_2_naming_the_map(tmp_path, capsys, enforce):
-    # the experiment's domain and enforce_domain are the only declaration of
-    # the box Picard keeps to; a map takes no box of its own
-    data = {**identity_config(), "domain": [[-2.0, 2.0]], "enforce_domain": enforce,
-            "map": {"kind": "scale", "c": 0.5, "domain": [[1.0, 2.0]]},
-            "solver": {"eps": EPS, "max_iter": 200, "starts": [[1.5]]}}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(data))
-    assert main(["run", "--config", str(path)]) == 2
-    assert capsys.readouterr().err == "error: map: domain: unknown field\n"
 
 
 def test_conditions_hold_fails_when_a_pair_was_not_evaluated():
