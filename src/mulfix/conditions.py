@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConfigError, DegeneratePairError, DomainError, MulfixError
 from .jsonconfig import JsonConfig, _float, _string, decode, dump_json
 from .maps import _checked_image
-from .metrics import DEFAULT_LOG_TOL, Point, _check_tol, as_point, equal_points
+from .metrics import DEFAULT_LOG_TOL, Point, as_point, equal_points
 
 logger = logging.getLogger(__name__)
 
@@ -497,28 +497,22 @@ def classify(
     constants: Optional[ZamfirescuConstants] = None,
     phi: Optional[PhiSpec] = None,
     *,
-    tol: float = DEFAULT_LOG_TOL,
-    strict_margin: float = 0.0,
     seed: int | None = None,
 ) -> ConditionReport:
     """Evaluate every condition on every distinct pair of the sample.
 
     When ``constants`` is omitted the tightest estimated constants are used
     where feasible; a condition with no admissible constant is marked
-    unsatisfied on every pair.  Results are deterministic in the sample
-    order, and the aggregate verdicts are invariant under permutations of
-    the sample.
+    unsatisfied on every pair.  A strict condition needs a positive slack,
+    any other a slack of at least -``DEFAULT_LOG_TOL``, kept as 0.0 when
+    negative.  Results are deterministic in the sample order, and the
+    aggregate verdicts are invariant under permutations of the sample.
     """
-    _check_tol(tol)
-    if math.isnan(strict_margin):  # no slack would compare greater
-        raise DomainError("strict_margin must not be NaN")
-    return _classify(_PairTable(metric, T, sample), constants, phi, tol=tol,
-                     strict_margin=strict_margin, seed=seed)
+    return _classify(_PairTable(metric, T, sample), constants, phi, seed=seed)
 
 
 def _classify(table: _PairTable, constants: Optional[ZamfirescuConstants],
-              phi: Optional[PhiSpec], *, tol: float = DEFAULT_LOG_TOL,
-              strict_margin: float = 0.0, seed: int | None = None) -> ConditionReport:
+              phi: Optional[PhiSpec], *, seed: int | None = None) -> ConditionReport:
     """``classify`` of a sample's table.
 
     The pairs i < j (in combinations order) that can be evaluated are
@@ -563,9 +557,9 @@ def _classify(table: _PairTable, constants: Optional[ZamfirescuConstants],
                 continue
             slack = table.phi_slack(phi, I, J) if cid == "PHI" else const * den - Dtt
             if cid in ("SI", "SII", "SIII"):
-                ok = slack > strict_margin
+                ok = slack > 0
             else:
-                ok = slack >= -tol
+                ok = slack >= -DEFAULT_LOG_TOL
                 slack[ok & (slack < 0)] = 0.0
             checks[cid] = (ok, slack)
 

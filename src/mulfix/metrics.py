@@ -414,26 +414,20 @@ class ReverseTriangleReport(_ViolationReport):
     """Outcome of the multiplicative reverse triangle check."""
 
 
-def _check_tol(tol: float) -> None:
-    if not tol >= 0:  # NaN too: no entry compares greater, so none is listed
-        raise DomainError(f"tol must be >= 0, got {tol!r}")
-
-
-def verify_axioms(metric, sample: Iterable, tol: float = DEFAULT_LOG_TOL) -> AxiomReport:
+def verify_axioms(metric, sample: Iterable) -> AxiomReport:
     """Check the four multiplicative metric axioms over a finite sample.
 
-    All checks run in the log domain: nonnegativity is log d >= -tol,
-    identity of indiscernibles compares log d against 0 at tolerance,
-    symmetry compares the two evaluation orders, and the multiplicative
-    triangle inequality becomes log d(x,z) <= log d(x,y) + log d(y,z) + tol.
-    Every violating pair or triple is listed.  Small samples simply give
-    vacuous passes.
+    All checks run in the log domain at tol = ``DEFAULT_LOG_TOL``, which the
+    report echoes: nonnegativity is log d >= -tol, identity of
+    indiscernibles compares log d against 0 at tol, symmetry compares the
+    two evaluation orders, and the multiplicative triangle inequality
+    becomes log d(x,z) <= log d(x,y) + log d(y,z) + tol.  Every violating
+    pair or triple is listed.  Small samples simply give vacuous passes.
     """
-    _check_tol(tol)
     points = [as_point(p) for p in sample]
     D = metric.log_distance_matrix(points, points)
-    middles, _ = _triple_hits(D, tol) or (None, None)
-    return _verify_axioms(equal_points(points), D, tol, middles)
+    middles, _ = _triple_hits(D, DEFAULT_LOG_TOL) or (None, None)
+    return _verify_axioms(equal_points(points), D, DEFAULT_LOG_TOL, middles)
 
 
 #: entries of the triple prefilter's buffer: each block of middle indices
@@ -544,20 +538,18 @@ def _verify_axioms(equal: np.ndarray, D: np.ndarray, tol: float,
     return AxiomReport(n_points=n, tol=tol, violations=tuple(violations))
 
 
-def verify_reverse_triangle(
-    metric, sample: Iterable, tol: float = DEFAULT_LOG_TOL
-) -> ReverseTriangleReport:
-    """Check |log d(x,z) - log d(y,z)| <= log d(x,y) + tol over all triples.
+def verify_reverse_triangle(metric, sample: Iterable) -> ReverseTriangleReport:
+    """Check |log d(x,z) - log d(y,z)| <= log d(x,y) + tol over all triples,
+    at tol = ``DEFAULT_LOG_TOL``, which the report echoes.
 
     This is the log-domain form of the reverse inequality
     star_abs(d(x,z) / d(y,z)) <= d(x,y); it follows from the axioms, so a
     valid metric must pass on every sampled triple.
     """
-    _check_tol(tol)
     points = [as_point(p) for p in sample]
     D = metric.log_distance_matrix(points, points)
-    _, lasts = _triple_hits(D, tol) or (None, None)
-    return _verify_reverse_triangle(D, tol, lasts)
+    _, lasts = _triple_hits(D, DEFAULT_LOG_TOL) or (None, None)
+    return _verify_reverse_triangle(D, DEFAULT_LOG_TOL, lasts)
 
 
 def _verify_reverse_triangle(D: np.ndarray, tol: float,

@@ -138,13 +138,11 @@ def _max_pairwise_logd(metric, points: Sequence[Point]) -> float:
     return best
 
 
-def detect_limit_point(
-    trace: IterationTrace, eps: float, fraction: float = 0.25
-) -> Optional[Point]:
-    """Earliest trace point whose eps-ball captures a share of the trace.
+def detect_limit_point(trace: IterationTrace, eps: float) -> Optional[Point]:
+    """Earliest trace point whose eps-ball captures a quarter of the trace.
 
     "Infinitely many points" cannot be observed on finite data, so a point
-    qualifies when at least ceil(fraction * len) of the recorded points lie
+    qualifies when at least ceil(len / 4) of the recorded points lie
     strictly inside its open ball of radius eps.  Returns None when no point
     qualifies.
 
@@ -158,15 +156,13 @@ def detect_limit_point(
     log_eps = _check_eps(eps)
     if len(trace.points) < 2:
         raise DomainError("limit point detection needs at least 2 points")
-    if not 0 < fraction <= 1:
-        raise DomainError("fraction must be in (0, 1]")
-    return _limit_point(trace, trace.metric._checked(trace.points), log_eps, fraction)
+    return _limit_point(trace, trace.metric._checked(trace.points), log_eps)
 
 
-def _limit_point(trace: IterationTrace, points: Sequence[Point], log_eps: float,
-                 fraction: float = 0.25) -> Optional[Point]:
+def _limit_point(trace: IterationTrace, points: Sequence[Point],
+                 log_eps: float) -> Optional[Point]:
     """``detect_limit_point`` given the trace's points as checked tuples."""
-    need = math.ceil(len(points) * fraction)
+    need = math.ceil(len(points) / 4)
     rows = _limit_rows(trace.metric, points, log_eps, need)
     for start in range(0, len(rows), _ROW_BLOCK):
         block = rows[start:start + _ROW_BLOCK]

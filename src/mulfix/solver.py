@@ -24,8 +24,8 @@ from .errors import (
 )
 from .jsonconfig import JsonConfig, is_integer
 from .maps import Box, SelfMapSpec, _checked_image
-from .metrics import (_ARRAY_SPACES, MetricSpec, Point, _array, _check_tol,
-                      _reference_margin, as_point)
+from .metrics import (_ARRAY_SPACES, MetricSpec, Point, _array, _reference_margin,
+                      as_point)
 from .sequences import (_ROW_BLOCK, IterationTrace, Status, _check_eps,
                         _limit_point, _max_pairwise_logd)
 
@@ -39,10 +39,10 @@ class SolverConfig(JsonConfig):
     only when its last ``window`` iterates (>= 2) are pairwise within
     log(eps).  While a step is above log(eps), the new iterate is compared
     with the iterates 2 to ``cycle_lookback`` (>= 0) steps before it, and a
-    log distance below 1e-14 ends the run as a detected cycle; a value below
-    2 turns cycle detection off.  The divergence threshold guards the
-    exponential form against overflow: a single step of log distance above
-    it ends the run as diverged.
+    log distance below ``_CYCLE_LOGD`` ends the run as a detected cycle; a
+    value below 2 turns cycle detection off.  The divergence threshold
+    guards the exponential form against overflow: a single step of log
+    distance above it ends the run as diverged.
 
     No field changes the result, which equals a step-by-step scan.  They
     bound the extra work: a SelfMapSpec under a MetricSpec maps ahead in
@@ -51,8 +51,8 @@ class SolverConfig(JsonConfig):
     past any stop, a coordinate-wise kind's coordinates one at a time, one
     also past another's failure.  Any other map is applied exactly as often
     as a step-by-step scan applies it, but for up to 63 discarded iterates
-    past a detected cycle, as the look-back runs over blocks of up to 64
-    steps (one for a FunctionMetric).
+    past a detected cycle, as the look-back runs over blocks of 64 steps
+    (one for a FunctionMetric).
     """
 
     eps: float = math.exp(1e-9)
@@ -181,22 +181,24 @@ class _Settled(Exception):
     """A window converged, at the residual given; the orbit was cut there."""
 
 
+_CYCLE_LOGD = 1e-14  # an iterate this close to an earlier one is a return
+
+
 class _LookBack:
     """The cycle look-back and the Cauchy windows of one Picard orbit.
 
-    The steps of ``points[done:]`` still wait for their look-back.  They are
-    scanned in blocks over their steps and the ``cycle_lookback`` points
-    before them.  A MetricSpec's block grows 1, 2, 4, ... up to
-    ``_ROW_BLOCK`` steps; a block of iterates mapped ahead is scanned at
-    once.  Every MetricSpec scan first reads one distance per orbit point,
-    r_k = L(p_k, p_0): by the reverse triangle inequality
-    |r_i - r_j| <= L(p_i, p_j), so when no two r of the scanned points lie
-    within 1e-14 plus the kernels' rounding margin of each other (see
-    ``metrics._reference_margin``) and all are finite, no pair is a return
-    and nothing more is read.  Otherwise, and always for a FunctionMetric,
-    the scan is exact: one private kernel call per ``_ROW_BLOCK`` rows.  A
-    FunctionMetric's block stays at one step, so its function receives the
-    pairs a step-by-step scan reads, in order.
+    The steps of ``points[done:]`` still wait for their look-back.  A run
+    scans them with the ``cycle_lookback`` points before them once ``block``
+    wait, ``_ROW_BLOCK`` steps for a MetricSpec and one for a FunctionMetric,
+    and after each block of iterates mapped ahead.  Every MetricSpec scan
+    first reads one distance per orbit point, r_k = L(p_k, p_0): by the
+    reverse triangle inequality |r_i - r_j| <= L(p_i, p_j), so when no two r
+    of the scanned points lie within ``_CYCLE_LOGD`` plus the kernels'
+    rounding margin of each other (see ``metrics._reference_margin``) and
+    all are finite, no pair is a return and nothing more is read.
+    Otherwise, and always for a FunctionMetric, the scan is exact: one
+    private kernel call per ``_ROW_BLOCK`` rows.  A FunctionMetric's
+    function so receives the pairs a step-by-step scan reads, in order.
     """
 
     def __init__(self, metric, config: SolverConfig, points: list, steps: list):
@@ -204,15 +206,8 @@ class _LookBack:
         self.log_eps = config.log_eps
         self.lookback, self.window = config.cycle_lookback, config.window
         self.blocked = isinstance(metric, MetricSpec)
-        self.block, self.done = 1, 1
+        self.block, self.done = _ROW_BLOCK if self.blocked else 1, 1
         self.ref: list[float] = []  # r_k of the points scanned or mapped ahead so far
-
-    def push(self) -> None:
-        """Queue the last step; scan the pending ones when the block is full."""
-        if len(self.points) - self.done >= self.block:
-            self.flush()
-            if self.blocked:
-                self.block = min(2 * self.block, _ROW_BLOCK)
 
     def flush(self, hi: Optional[int] = None) -> None:
         """Scan the pending steps before point hi (all of them by default)
@@ -233,14 +228,14 @@ class _LookBack:
             D = self.metric._log_distance_matrix(self.points[a:b], self.points[first:b - 2])
             # D[r, c] pairs points[a + r] with the point a - first + r - c steps before it
             lag = np.arange(a - first, b - first)[:, None] - np.arange(b - 2 - first)
-            near = ((D < 1e-14) & (lag >= 2) & (lag <= self.lookback)).any(axis=1)
+            near = ((D < _CYCLE_LOGD) & (lag >= 2) & (lag <= self.lookback)).any(axis=1)
             for r in np.flatnonzero(near).tolist():
                 if steps[a + r - 1] > log_eps:
                     self._cut(a + r)
 
     def _apart(self, first: int, hi: int) -> bool:
-        """Whether no two of ``points[first:hi]`` can lie within 1e-14 of
-        each other, by their distances to the first point."""
+        """Whether no two of ``points[first:hi]`` can lie within
+        ``_CYCLE_LOGD`` of each other, by their distances to the first point."""
         new = self.points[len(self.ref):hi]
         if new:
             origin = [self.points[0]] * len(new)
@@ -248,7 +243,7 @@ class _LookBack:
         r = np.sort(self.ref[first:hi])
         if not math.isfinite(r[-1]):  # NaN sorts last
             return False
-        tol = 1e-14 + _reference_margin(len(self.points[0]), 1e-14, float(r[-1]))
+        tol = _CYCLE_LOGD + _reference_margin(len(self.points[0]), _CYCLE_LOGD, float(r[-1]))
         return not (np.diff(r) <= tol).any()
 
     def windows(self, lo: int, settle: Callable) -> None:
@@ -369,10 +364,11 @@ def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
     block cut short starts the sizes over), and the step function runs
     again at the first iterate that fails a check, the only code that
     handles an event; below log(eps), ``_LookBack.windows`` cuts a block
-    where a window converges.  The cycle look-back of the steps above
-    log(eps) runs over blocks of pending steps, in order, after each block
-    and before the run stops or goes on for any other reason, so a cycle
-    among them ends the run at its first point, as a step-by-step scan would.
+    where a window converges.  The cycle look-back scans the pending steps
+    above log(eps) in order, in blocks of ``_ROW_BLOCK`` (one for a
+    FunctionMetric), after each block of iterates and before the run stops
+    or goes on for any other reason, so a cycle among them ends the run at
+    its first point, as a step-by-step scan would.
     """
     step, settle = _stepper(metric, T, domain, config), _stepper(metric, T)
     ahead = _ahead(metric, T, domain, config)
@@ -406,9 +402,9 @@ def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
                 break
             if last < log_eps:
                 look.windows(len(points) - 1, settle)
-            else:
-                # periodic, non-fixed orbit: y matches an earlier point exactly
-                look.push()
+            elif len(points) - look.done >= look.block:
+                # a full block of pending steps: look back for a cycle
+                look.flush()
             # below log(eps), a run's tail outlasts a block's set-up only once the
             # run is long: it grows with the steps before it
             while ahead is not None and n < config.max_iter and (
@@ -567,17 +563,16 @@ class BoundReport:
 _BOUND_TOL = 1e-10
 
 
-def verify_bound(result: FixedPointResult, delta: float,
-                 tol: float = _BOUND_TOL) -> BoundReport:
-    """Check log d(x_n, z) <= d1 * delta**n / (1 - delta) + tol along a run."""
+def verify_bound(result: FixedPointResult, delta: float) -> BoundReport:
+    """Check log d(x_n, z) <= d1 * delta**n / (1 - delta) + tol along a run,
+    at tol = ``_BOUND_TOL``, which the report echoes."""
     if result.status is not Status.CONVERGED:
         raise DomainError("bound verification needs a converged result")
     if not (0 <= delta < 1):
         raise DomainError(f"delta must be in [0, 1), got {delta!r}")
-    _check_tol(tol)
     trace = result.trace
     to_z = trace.metric.log_distance_matrix(trace.points, [result.point])[:, 0]
-    return _bound_report(trace, to_z, delta, tol)
+    return _bound_report(trace, to_z, delta)
 
 
 def _verify_bound(result: FixedPointResult, delta: float) -> BoundReport:
@@ -585,11 +580,10 @@ def _verify_bound(result: FixedPointResult, delta: float) -> BoundReport:
     points were checked as they entered, and a delta in [0, 1)."""
     trace = result.trace
     to_z = trace.metric._log_distance_matrix(trace.points, [result.point])[:, 0]
-    return _bound_report(trace, to_z, delta, _BOUND_TOL)
+    return _bound_report(trace, to_z, delta)
 
 
-def _bound_report(trace: IterationTrace, to_z: np.ndarray, delta: float,
-                  tol: float) -> BoundReport:
+def _bound_report(trace: IterationTrace, to_z: np.ndarray, delta: float) -> BoundReport:
     d1 = trace.step_logd[0] if trace.step_logd else 0.0
     apriori_bound(d1, delta, 0)  # raises for a d1 that no row's bound takes
     # each entry is apriori_bound(d1, delta, n) bit for bit: Python's pow, then
@@ -597,7 +591,7 @@ def _bound_report(trace: IterationTrace, to_z: np.ndarray, delta: float,
     powers = np.fromiter(map(delta.__pow__, range(len(to_z))), float, len(to_z))
     with np.errstate(over="ignore"):  # an infinite bound, as Python's float / gives
         bound = d1 * powers / (1 - delta)
-    return BoundReport(delta=delta, tol=tol, observed=to_z, bound=bound)
+    return BoundReport(delta=delta, tol=_BOUND_TOL, observed=to_z, bound=bound)
 
 
 @dataclass(frozen=True)

@@ -117,8 +117,8 @@ def test_criterion_6_axiom_suite_all_metric_kinds():
     details = []
     for kind, (metric, pts) in samples.items():
         sample = [tuple(p) for p in pts]
-        axioms = mx.verify_axioms(metric, sample, tol=1e-12)
-        reverse = mx.verify_reverse_triangle(metric, sample, tol=1e-12)
+        axioms = mx.verify_axioms(metric, sample)
+        reverse = mx.verify_reverse_triangle(metric, sample)
         ok &= axioms.ok and reverse.ok
         details.append(f"{kind}: {len(axioms.violations)}+{len(reverse.violations)}")
     _criterion("axiom suite, 200 random points per kind", ok, "; ".join(details))

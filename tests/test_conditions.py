@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 import mulfix as mx
 from mulfix.errors import DegeneratePairError, DomainError
+from mulfix.jsonconfig import dump_json
+from mulfix.metrics import DEFAULT_LOG_TOL
 from scalar_reference import check_c1, check_c2, check_c3, check_phi, check_strict
 
 EPS = math.exp(1e-9)
@@ -283,13 +285,18 @@ def test_identity_map_classifies_as_none():
     assert not report.verdicts["t23"]["applicable"]
 
 
-@pytest.mark.parametrize("kwargs, message", [
-    ({"tol": math.nan}, "tol must be >= 0"), ({"tol": -1e-12}, "tol must be >= 0"),
-    ({"strict_margin": math.nan}, "strict_margin must not be NaN"),
-])
-def test_classify_rejects_a_nan_or_negative_tolerance(kwargs, message):
-    with pytest.raises(DomainError, match=message):
-        mx.classify(EXPABS2, IDENTITY, [(0.0,), (0.5,), (1.0,)], **kwargs)
+def test_classify_zeroes_a_slack_within_tolerance_and_fails_a_strict_tie():
+    # the identity map on points about 3e-13 apart: C1 at xi = 1/2 falls short
+    # by half their distance, less than DEFAULT_LOG_TOL, and SI and SIII
+    # compare that distance with itself, a slack of exactly 0
+    x, y = (1.0,), (1.0 + 2e-13,)
+    d = EXPABS2.log_distance(x, y)
+    assert -DEFAULT_LOG_TOL < 0.5 * d - d < 0
+    report = mx.classify(EXPABS2, IDENTITY, [x, y], mx.ZamfirescuConstants(xi=0.5))
+    got = {r["condition"]: (r["satisfied"], r["slack"]) for r in report.records}
+    assert got == {"C1": (True, 0.0), "C2": (True, 0.0), "C3": (True, 0.0),
+                   "SI": (False, 0.0), "SII": (False, -d), "SIII": (False, 0.0)}
+    assert '"condition": "C1", "satisfied": true, "slack": 0.0}' in dump_json(report.rows)
 
 
 def test_negation_classifies_as_none():

@@ -92,9 +92,8 @@ def outcome(fn, *args):
         return ("raised", type(exc).__name__, str(exc))
 
 
-def kernel_classify(metric, T, points, constants, phi, tol, strict_margin):
-    report = mx.classify(metric, T, points, constants, phi, tol=tol,
-                         strict_margin=strict_margin)
+def kernel_classify(metric, T, points, constants, phi):
+    report = mx.classify(metric, T, points, constants, phi)
     # the columns, whose NaN and infinities the records hold as None
     records = [(i, j, cid, ok, bits(slack), error)
                for i, j, cid, ok, slack, error in record_walk(report.rows)]
@@ -137,18 +136,17 @@ def test_log_distance_matrix_is_exact_on_many_values(metric):
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), metric=st.sampled_from(METRICS),
        make_map=st.sampled_from(MAPS), dim=st.integers(1, 3),
-       phi=st.sampled_from(PHIS), declared=st.booleans(),
-       strict_margin=st.sampled_from([0.0, 1e-3]), tol=st.sampled_from([1e-12, 1e-6]))
+       phi=st.sampled_from(PHIS), declared=st.booleans())
 def test_classify_equals_the_scalar_reference_loop(seed, metric, make_map, dim, phi,
-                                                   declared, strict_margin, tol):
+                                                   declared):
     rng = random.Random(seed)
     points = random_sample(rng, dim)
     T = make_map(dim)
     constants = mx.ZamfirescuConstants(
         rng.choice([0.0, 0.5, 0.9]), rng.choice([0.0, 0.3, 0.49]),
         rng.choice([0.0, 0.3, 0.49])) if declared else None
-    args = (metric, T, points, constants, phi, tol, strict_margin)
-    expected = outcome(reference_classify, *args)
+    args = (metric, T, points, constants, phi)
+    expected = outcome(reference_classify, *args, metrics.DEFAULT_LOG_TOL, 0.0)
     got = outcome(kernel_classify, *args)
     assert got == expected
     if expected[0] != "raised":
@@ -303,7 +301,7 @@ def random_orbit(rng: random.Random, dim: int) -> list:
 
     Each later point repeats the first one after those draws, exactly or
     nudged by an ulp in one coordinate, or is a pool value or a uniform
-    draw; so a long orbit's limit point often lies past the first row block.
+    draw; so a long orbit's limit point may lie past the first row block.
     """
     if rng.random() < 0.5:
         n, fresh = rng.randint(2, 12), 1
@@ -339,16 +337,14 @@ ONE_SIDED = mx.FunctionMetric(lambda x, y: 1.0 + max(0.0, x[0] - y[0]), "one_sid
 @given(seed=st.integers(0, 2**32 - 1), metric=st.sampled_from(METRICS + [ONE_SIDED]),
        dim=st.integers(1, 2),
        eps=st.sampled_from([math.exp(1e-12), math.exp(1e-3), math.exp(0.5), math.exp(5)]),
-       fraction=st.sampled_from([0.05, 0.25, 1.0]), max_period=st.integers(1, 6),
-       delta=st.sampled_from([0.0, 0.5, 0.9]))
-def test_orbit_scans_equal_their_scalar_loops(seed, metric, dim, eps, fraction,
-                                              max_period, delta):
+       max_period=st.integers(1, 6), delta=st.sampled_from([0.0, 0.5, 0.9]))
+def test_orbit_scans_equal_their_scalar_loops(seed, metric, dim, eps, max_period, delta):
     rng = random.Random(seed)
     points = random_orbit(rng, dim)
     trace = mx.IterationTrace.from_points(metric, points)
 
-    assert (mx.detect_limit_point(trace, eps, fraction)
-            == reference_detect_limit_point(trace, eps, fraction))
+    assert (mx.detect_limit_point(trace, eps)
+            == reference_detect_limit_point(trace, eps, 0.25))
     window = rng.randint(1, len(points))
     assert (bits(mx.cauchy_indicator(trace, window))
             == bits(reference_cauchy_indicator(trace, window)))
@@ -1352,15 +1348,16 @@ def test_the_prefiltered_look_back_finds_what_the_exact_scan_finds(seed, metric,
 @given(seed=st.integers(0, 2**32 - 1), metric=st.sampled_from(METRIC_SPECS),
        dim=st.sampled_from([1, 2, 4]),
        eps=st.sampled_from([math.exp(1e-14), math.exp(1e-9), math.exp(1e-3)]),
-       fraction=st.sampled_from([0.05, 0.1, 0.25, 1.0]))
+       need=st.sampled_from([1, 2, 3, 5, 15, 75]))
 def test_the_prefiltered_limit_point_scan_finds_what_the_exact_scan_finds(seed, metric,
-                                                                          dim, eps,
-                                                                          fraction):
+                                                                          dim, eps, need):
+    # at most 4 * need points, so that a point needs ceil(len / 4) <= need
+    # points in its ball, need itself unless the orbit is shorter
     log_eps = math.log(eps)
-    points = edge_orbit(random.Random(seed), metric, dim, log_eps)
+    points = edge_orbit(random.Random(seed), metric, dim, log_eps)[:4 * need]
     trace = mx.IterationTrace(metric, tuple(points), (0.0,) * (len(points) - 1))
-    assert (mx.detect_limit_point(trace, eps, fraction)
-            == scalar_reference.limit_point(metric, points, log_eps, fraction))
+    assert (mx.detect_limit_point(trace, eps)
+            == scalar_reference.limit_point(metric, points, log_eps, 0.25))
 
 
 def test_a_stalled_run_reads_pairs_only_in_its_short_look_back_scans(monkeypatch):
@@ -1394,11 +1391,11 @@ def rounded_apart():
     raise AssertionError("no such pair")
 
 
-@pytest.mark.parametrize("far, fraction", [(0, 0.5), (70, 0.02)])
-def test_a_return_whose_distances_to_the_start_round_apart_is_found(far, fraction):
+@pytest.mark.parametrize("far, copies", [(3, 1), (70, 23)])
+def test_a_return_whose_distances_to_the_start_round_apart_is_found(far, copies):
     # without the rounding margin, the prefilter would rule this pair out;
-    # the look-back scans far + 4 points, the limit-point scan far + 3, and
-    # each fraction needs both x and y inside x's ball
+    # the look-back scans far + 4 points, and the limit-point scan
+    # far + 2 + copies, a quarter of which are x and the copies of y
     metric, p0, x, y = rounded_apart()
     apart = [(4.0 + k / 64,) for k in range(far)]
     points = [p0] + apart + [x, (10.0,), y]
@@ -1407,5 +1404,7 @@ def test_a_return_whose_distances_to_the_start_round_apart_is_found(far, fractio
     with pytest.raises(solver._Cycle):
         look.flush()
     assert points[-1] == y and len(points) == far + 4
-    trace = mx.IterationTrace(metric, (p0, *apart, x, y), (0.0,) * (far + 2))
-    assert mx.detect_limit_point(trace, math.exp(1e-14), fraction) == x
+    trace = mx.IterationTrace(metric, (p0, *apart, x) + (y,) * copies,
+                              (0.0,) * (far + 1 + copies))
+    assert math.ceil(len(trace) / 4) == 1 + copies
+    assert mx.detect_limit_point(trace, math.exp(1e-14)) == x

@@ -142,9 +142,6 @@ def test_limit_point_validation():
     trace = mx.IterationTrace.from_points(E_METRIC, [0.0])
     with pytest.raises(DomainError):
         mx.detect_limit_point(trace, eps=2.0)
-    good = geometric_trace(n=5)
-    with pytest.raises(DomainError):
-        mx.detect_limit_point(good, eps=2.0, fraction=0.0)
 
 
 # -- export -------------------------------------------------------------------

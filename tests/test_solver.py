@@ -195,9 +195,8 @@ D1S = st.floats(0.0, 1e308) | st.sampled_from([0.0, 5e-324, 1.0, 1.7976931348623
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 3000), D1S, DELTAS, st.floats(0.0, 1e3), st.floats(0.0, 1.0),
-       st.sampled_from([0.0, 1e-10, 1.0]))
-def test_bound_rows_are_apriori_bound_bit_for_bit(n, d1, delta, start, ratio, tol):
+@given(st.integers(1, 3000), D1S, DELTAS, st.floats(0.0, 1e3), st.floats(0.0, 1.0))
+def test_bound_rows_are_apriori_bound_bit_for_bit(n, d1, delta, start, ratio):
     # x_k = start * ratio**k against z = 0: the observed distances shrink
     # geometrically at their own ratio, so some draws violate the bound
     points = tuple((start * ratio ** k,) for k in range(n))
@@ -205,22 +204,15 @@ def test_bound_rows_are_apriori_bound_bit_for_bit(n, d1, delta, start, ratio, to
     trace = mx.IterationTrace(EXPABS_E, points, steps, mx.Status.CONVERGED)
     result = mx.FixedPointResult(point=(0.0,), residual_logd=0.0, iterations=n - 1,
                                  trace=trace, status=mx.Status.CONVERGED)
-    report = mx.verify_bound(result, delta, tol)
+    report = mx.verify_bound(result, delta)
     observed = EXPABS_E.log_distance_matrix(points, [(0.0,)])[:, 0].tolist()
     rows = [(k, o, mx.apriori_bound(d1 if n > 1 else 0.0, delta, k))
             for k, o in enumerate(observed)]
     assert [tuple(map(bits, row)) for row in report.rows] \
         == [tuple(map(bits, row)) for row in rows]
-    assert report.violations == tuple(row for row in rows if row[1] > row[2] + tol)
+    assert report.tol == 1e-10
+    assert report.violations == tuple(row for row in rows if row[1] > row[2] + 1e-10)
     assert len(report.observed) == len(trace)
-
-
-@pytest.mark.parametrize("tol", [math.nan, -1.0])
-def test_bound_rejects_a_nan_or_negative_tolerance(tol):
-    result = mx.picard(LIFTED2, SCALE23, (3.0, 4.0), CFG)
-    assert not mx.verify_bound(result, delta=0.1, tol=0.0).ok
-    with pytest.raises(DomainError, match="tol must be >= 0"):
-        mx.verify_bound(result, delta=0.1, tol=tol)  # NaN would pass every row
 
 
 def test_bound_requires_convergence():
