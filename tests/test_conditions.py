@@ -286,8 +286,8 @@ def test_identity_map_classifies_as_none():
 
 
 def test_classify_zeroes_a_slack_within_tolerance_and_fails_a_strict_tie():
-    # the identity map on points about 3e-13 apart: C1 at xi = 1/2 falls short
-    # by half their distance, less than DEFAULT_LOG_TOL, and SI and SIII
+    # the identity map on points 2e-13 apart: C1 at xi = 1/2 falls short by
+    # half their log distance, less than DEFAULT_LOG_TOL, and SI and SIII
     # compare that distance with itself, a slack of exactly 0
     x, y = (1.0,), (1.0 + 2e-13,)
     d = EXPABS2.log_distance(x, y)

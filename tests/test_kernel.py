@@ -1351,8 +1351,8 @@ def test_the_prefiltered_look_back_finds_what_the_exact_scan_finds(seed, metric,
        need=st.sampled_from([1, 2, 3, 5, 15, 75]))
 def test_the_prefiltered_limit_point_scan_finds_what_the_exact_scan_finds(seed, metric,
                                                                           dim, eps, need):
-    # at most 4 * need points, so that a point needs ceil(len / 4) <= need
-    # points in its ball, need itself unless the orbit is shorter
+    # cut to 4 * need points: a limit point then needs ceil(len / 4) points
+    # in its ball, need itself unless the orbit is shorter
     log_eps = math.log(eps)
     points = edge_orbit(random.Random(seed), metric, dim, log_eps)[:4 * need]
     trace = mx.IterationTrace(metric, tuple(points), (0.0,) * (len(points) - 1))
