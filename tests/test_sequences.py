@@ -144,6 +144,17 @@ def test_limit_point_validation():
         mx.detect_limit_point(trace, eps=2.0)
 
 
+@pytest.mark.parametrize("n, copies, found", [
+    (8, 2, True), (8, 1, False), (9, 3, True), (9, 2, False),
+])
+def test_a_limit_point_holds_a_quarter_of_the_trace(n, copies, found):
+    # `copies` points at 0 and the rest a unit apart: the ball of log radius
+    # 1/2 about 0 holds `copies` points, and a limit point needs ceil(n / 4)
+    points = [0.0] * copies + [float(k) for k in range(1, n - copies + 1)]
+    trace = mx.IterationTrace.from_points(E_METRIC, points)
+    assert mx.detect_limit_point(trace, eps=math.exp(0.5)) == ((0.0,) if found else None)
+
+
 # -- export -------------------------------------------------------------------
 
 

@@ -135,6 +135,22 @@ def test_cycle_lookback_spans_exactly_its_window(period, lookback, detected):
         assert result.status is mx.Status.MAX_ITER and result.iterations == 50
 
 
+@pytest.mark.parametrize("metric", [
+    EXPABS_E, mx.FunctionMetric(lambda x, y: math.exp(abs(x[0] - y[0])), "exp_abs_e"),
+], ids=["spec", "function"])
+@pytest.mark.parametrize("miss, detected", [(0.5e-14, True), (2e-14, False)])
+def test_a_return_is_a_cycle_only_within_the_cycle_threshold(metric, miss, detected):
+    # 0 -> 1 -> miss, then on in steps of 10: the second iterate returns to
+    # log distance `miss` of the start, a cycle only below 1e-14
+    hop = lambda p: ({0.0: 1.0, 1.0: miss}.get(p[0], p[0] + 10.0),)
+    cfg = mx.SolverConfig(eps=EPS, max_iter=20, limit_point_restart=False)
+    result = mx.picard(metric, hop, 0.0, cfg)
+    if detected:
+        assert result.status is mx.Status.CYCLE_DETECTED and result.iterations == 2
+    else:
+        assert result.status is mx.Status.MAX_ITER and result.iterations == 20
+
+
 def test_stalled_cycle_restarts_from_a_limit_point():
     table = {10.0: 1.0, 1.0: 2.0, 2.0: 3.0, 3.0: 1.0}
     hop = lambda p: (table[p[0]],)
@@ -186,6 +202,19 @@ def test_undersized_delta_is_falsified_by_the_trace():
     report = mx.verify_bound(result, delta=0.1)
     assert not report.ok
     assert report.violations
+
+
+@pytest.mark.parametrize("excess, ok", [(0.5e-10, True), (2e-10, False)])
+def test_bound_forgives_an_excess_up_to_its_fixed_tolerance(excess, ok):
+    # delta = 0 bounds every iterate after the first by 0, and the second
+    # lies `excess` from z: within or beyond the reports' tol of 1e-10
+    trace = mx.IterationTrace(EXPABS_E, ((1.0,), (excess,)), (1.0,), mx.Status.CONVERGED)
+    result = mx.FixedPointResult(point=(0.0,), residual_logd=0.0, iterations=1,
+                                 trace=trace, status=mx.Status.CONVERGED)
+    report = mx.verify_bound(result, delta=0.0)
+    assert report.tol == 1e-10 and report.ok is ok
+    assert [row[:2] for row in report.rows] == [(0, 1.0), (1, excess)]
+    assert [k for k, _, _ in report.violations] == ([] if ok else [1])
 
 
 DELTAS = (st.floats(0.0, 1.0, exclude_max=True)
