@@ -12,7 +12,8 @@ from pathlib import Path
 
 from .conditions import classify
 from .errors import MulfixError
-from .experiment import ExperimentConfig, run_experiment, write_json, write_report
+from .experiment import (ExperimentConfig, _replacing, run_experiment, write_json,
+                         write_report)
 from .fixtures import FIXTURE_NAMES, RemarkReport, fixture_config, run_fixture
 from .maps import sample_box
 
@@ -33,6 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_fix, p_run, p_cls):
         p.add_argument("--seed", type=int, help="override the sampling seed")
         p.add_argument("--out", help="directory for report and trace files")
+        p.add_argument("--pairs", action="store_true", default=None,  # None: not given
+                       help="also write each pair record with its slack to pairs.csv")
     for p in (p_fix, p_run):  # classify runs no solver and writes no trace
         p.add_argument("--eps", type=float, help="override the stopping tolerance (> 1)")
         p.add_argument("--max-iter", type=int, help="override the iteration cap")
@@ -41,16 +44,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    solver = config.solver  # classify takes no solver flags
-    if getattr(args, "eps", None) is not None:
-        solver = dataclasses.replace(solver, eps=args.eps)
-    if getattr(args, "max_iter", None) is not None:
-        solver = dataclasses.replace(solver, max_iter=args.max_iter)
-    updates = {"solver": solver}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    return dataclasses.replace(config, **updates)
+def _apply_overrides(config: ExperimentConfig, given: dict) -> ExperimentConfig:
+    """The config with the given --seed, --eps and --max-iter in place."""
+    solver = dataclasses.replace(config.solver, **{name: given[name] for name in
+                                                   ("eps", "max_iter") if name in given})
+    return dataclasses.replace(config, seed=given.get("seed", config.seed), solver=solver)
 
 
 def _say(text: str) -> None:
@@ -79,15 +77,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.out == "":
         parser.error("--out needs a directory, got an empty path")
+    given = {name: value for name, value in vars(args).items() if value is not None}
     try:
         if args.command == "fixture" and args.name == "remark_2_5":
             # the exact counterexamples have no config, solver or trace
-            given = [flag for flag, value in (("--seed", args.seed), ("--eps", args.eps),
-                                              ("--max-iter", args.max_iter),
-                                              ("--format", args.format))
-                     if value is not None]
-            if given:
-                parser.error(f"fixture remark_2_5 takes no {', '.join(given)}")
+            flags = ["--" + name.replace("_", "-") for name in given
+                     if name not in ("command", "name", "out")]
+            if flags:
+                parser.error(f"fixture remark_2_5 takes no {', '.join(flags)}")
             remark = run_fixture(args.name)
             _print_report(f"fixture {args.name}", remark)
             if args.out is not None:
@@ -100,32 +97,35 @@ def main(argv=None) -> int:
         else:
             label = f"{args.command} {args.config}"
             config = ExperimentConfig.from_json_file(args.config)
-        config = _apply_overrides(config, args)
+        config = _apply_overrides(config, given)
         directory = args.out or (config.outputs or {}).get("dir")  # --out wins
         out = Path(directory) if directory else None
+        if args.pairs and out is None:
+            parser.error("--pairs needs an output directory: give --out or outputs.dir")
 
         if args.command != "classify":
             report = run_experiment(config)
             _print_report(label, report)
-            if out is not None:
-                write_report(report, out, fmt=args.format or "json")
-                _say(f"wrote outputs to {out}")
-            return 0 if report.passed else 1
-
-        # classify: sampling and condition checks only
-        sample = sample_box(config.domain, config.sample_size, config.seed,
-                            config.sample_scheme)
-        cls_report = classify(config.metric, config.map, sample,
-                              constants=config.constants, phi=config.phi,
-                              seed=config.seed)
-        _say(f"{label}: {cls_report.overall}")
-        for theorem in ("t2", "t23", "th3"):
-            verdict = cls_report.verdicts[theorem]
-            _say(f"  {theorem}: {json.dumps(verdict)}")
+            cls_report = report.classification
+        else:  # sampling and condition checks only
+            sample = sample_box(config.domain, config.sample_size, config.seed,
+                                config.sample_scheme)
+            cls_report = classify(config.metric, config.map, sample,
+                                  constants=config.constants, phi=config.phi,
+                                  seed=config.seed)
+            _say(f"{label}: {cls_report.overall}")
+            for theorem in ("t2", "t23", "th3"):
+                _say(f"  {theorem}: {json.dumps(cls_report.verdicts[theorem])}")
         if out is not None:
-            write_json(out / "condition_report.json", cls_report.to_json_tree())
+            if args.command != "classify":
+                write_report(report, out, fmt=args.format or "json")
+            else:
+                write_json(out / "condition_report.json", cls_report.to_json_tree())
+            if args.pairs:
+                with _replacing(out / "pairs.csv") as f:
+                    f.write(cls_report.rows.to_csv_text().encode())
             _say(f"wrote outputs to {out}")
-        return 0
+        return 0 if args.command == "classify" or report.passed else 1
     except (MulfixError, OSError) as exc:  # OSError: a config or output file
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,13 +13,15 @@ log distance, the pairwise conditions are
 ``classify`` evaluates every condition on every distinct pair of a sample
 at once, from one table of the sample's log distances (``_PairTable``); a
 single pair is checked as a two-point sample.  Each record carries whether
-the pair satisfies the condition and its slack, the log-domain margin
-right-hand-side minus left-hand-side; margins within the comparison
-tolerance of zero are reported as zero so that satisfied records never
-carry a negative slack.
+the pair satisfies the condition, and its columns the slack, the log-domain
+margin right-hand-side minus left-hand-side; margins within the comparison
+tolerance of zero are kept as zero so that satisfied pairs never carry a
+negative slack.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 import logging
 import math
@@ -30,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DegeneratePairError, DomainError, MulfixError
-from .jsonconfig import JsonConfig, _float, _string, decode, dump_json
+from .jsonconfig import JsonConfig, _string, decode, dump_json
 from .maps import _checked_image
 from .metrics import DEFAULT_LOG_TOL, Point, as_point, equal_points
 
@@ -305,9 +307,9 @@ class PairRows:
     ``i`` and ``j`` list the evaluated pairs in sample order; ``checks`` maps
     each condition to its ``(flags, slacks)`` over them, a bool array and a
     float64 array, or None for the slacks of a condition with no admissible
-    constant (each such slack is null).  The columns keep the full floats;
-    ``write_json``, the one encoder of the records, writes a non-finite or
-    None slack as null.  ``errors`` holds one ``(position, i, j, message)``
+    constant.  The columns keep the full floats; the written records hold
+    each flag only, and the slacks reach a file through ``summary`` and
+    ``to_csv_text``.  ``errors`` holds one ``(position, i, j, message)``
     per pair that could not be evaluated, where position counts the
     evaluated pairs before it, so no position passes ``len(i)``; ``checks``
     holds at least one condition, as ``_classify`` gives every table.  The
@@ -334,69 +336,76 @@ class PairRows:
 
     def records(self) -> list[dict]:
         """The parse of the written records: each ``{"pair": [i, j], "condition",
-        "satisfied", "slack"}`` with a None slack where it is not finite, and
-        an ``"error"`` message after a null flag and slack in the record of a
-        pair that could not be evaluated (condition ``"*"``)."""
+        "satisfied"}``, and an ``"error"`` message after a null flag in the
+        record of a pair that could not be evaluated (condition ``"*"``)."""
         return json.loads(dump_json(self))
+
+    def summary(self) -> dict:
+        """Per condition, ``{"violations", "min_slack", "min_pair"}``: how many
+        evaluated pairs fail it, and its least slack, NaN aside, with the first
+        pair that gives it; both None when no slack is a number, as in a None column."""
+        out = {}
+        for cid, (flags, slacks) in self.checks.items():
+            s = np.asarray(np.nan if slacks is None else slacks, dtype=float)
+            k = None if np.isnan(s).all() else int(np.flatnonzero(s == np.nanmin(s))[0])
+            out[cid] = {"violations": int(np.count_nonzero(~np.asarray(flags, dtype=bool))),
+                        "min_slack": None if k is None else float(s[k]),
+                        "min_pair": None if k is None else [self.i[k], self.j[k]]}
+        return out
+
+    def to_csv_text(self) -> str:
+        """The records as ``csv.writer`` text with the header
+        ``i,j,condition,satisfied,slack,error``, in record order: a flag as
+        ``true`` or ``false``, a finite slack as its ``repr``, and a None or
+        non-finite slack, and an error record's flag, as an empty field."""
+        columns = [(cid, np.where(np.asarray(f, dtype=bool), "true", "false").tolist(),
+                    [repr(x) if math.isfinite(x) else "" for x in np.asarray(
+                        [math.nan] * len(self.i) if s is None else s, dtype=float).tolist()])
+                   for cid, (f, s) in self.checks.items()]
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(["i", "j", "condition", "satisfied", "slack", "error"])
+        for start, stop, error in self._runs():
+            writer.writerows((self.i[k], self.j[k], cid, flags[k], slacks[k], "")
+                             for k in range(start, stop) for cid, flags, slacks in columns)
+            if error is not None:
+                writer.writerow((error[0], error[1], "*", "", "", error[2]))
+        return text.getvalue()
 
     def write_json(self, out: list, nl: str) -> None:
         """Append the records to the sink ``out`` as a JSON array on a line
-        indented by ``nl``, each record ``json.dumps(record)`` (null for NaN
-        and the infinities) on its own line, run by run (see ``_runs``): the
-        run's evaluated pairs in blocks of up to ``_PAIR_BLOCK``, draining
-        ``out`` before each block, then the run's error record.
-
-        A block takes its conditions' flags and slacks as two (conditions,
-        pairs) slabs, each made Python objects by one ``tolist``, a None
-        slack column as a row of NaN.  Two masks of the slack slab choose
-        each row's texts: the rows that are all finite, and the slacks that
-        equal the same pair's slack in the row before and are not zero
-        (``0.0 == -0.0`` while their texts differ, and NaN equals nothing).
-        Such a repeat takes the text of the row before; the other slacks of
-        a finite row are one ``repr`` each, and of any other row one
-        ``jsonconfig._float`` each, null for NaN and the infinities.
-        """
-        runs = list(self._runs())
-        if runs == [(0, 0, None)]:
+        indented by ``nl``, each record ``json.dumps(record)`` on its own
+        line, run by run (see ``_runs``): the run's evaluated pairs in blocks
+        of up to ``_PAIR_BLOCK``, draining ``out`` before each block, then the
+        run's error record.  A block formats each pair's head once and takes
+        its conditions' flags as one (conditions, pairs) slab, made Python
+        bools by one ``tolist``."""
+        if not self.i and not self.errors:
             out.append("[]")
             return
         item = nl + "  "
-        # an evaluated record is head, flag, slack, end: the head holds the
-        # pair, the flag the condition, and the end joins the next record
+        # a record is two pieces: its pair's head, and its flag text, indexed
+        # by the flag, which holds the condition and the end joining the next
         head = '{"pair": [%s, %s], "condition": "'
         end = "}," + item
-        width = 4 * len(self.checks)
-        flag_texts = [{ok: cid + '", "satisfied": ' + text + ', "slack": '
-                       for ok, text in ((True, "true"), (False, "false"))}
-                      for cid in self.checks]
+        width = 2 * len(self.checks)
+        flag_texts = [(cid + '", "satisfied": false' + end,
+                       cid + '", "satisfied": true' + end) for cid in self.checks]
         out.append("[" + item)
-        for start, stop, error in runs:
+        for start, stop, error in self._runs():
             for a in range(start, stop, _PAIR_BLOCK):
                 out.drain()
                 b = min(a + _PAIR_BLOCK, stop)
-                pieces = [end] * (width * (b - a))
+                pieces = [None] * (width * (b - a))
                 heads = list(map(head.__mod__, zip(self.i[a:b], self.j[a:b])))
                 flags = np.array([f[a:b] for f, _ in self.checks.values()]).tolist()
-                slab = np.array([np.full(b - a, math.nan) if s is None else s[a:b]
-                                 for _, s in self.checks.values()], dtype=float)
-                finite = np.isfinite(slab).all(axis=1).tolist()
-                repeats = (slab[1:] == slab[:-1]) & (slab[1:] != 0)  # row c's at c - 1
-                repeated = repeats.any(axis=1).tolist()
-                for c, values in enumerate(slab.tolist()):
-                    pieces[4 * c::width] = heads
-                    pieces[4 * c + 1::width] = map(flag_texts[c].__getitem__, flags[c])
-                    text = repr if finite[c] else _float
-                    if c and repeated[c - 1]:
-                        texts = [t if same else text(x) for x, t, same
-                                 in zip(values, texts, repeats[c - 1].tolist())]
-                    else:
-                        texts = list(map(text, values))
-                    pieces[4 * c + 2::width] = texts
+                for c, texts in enumerate(flag_texts):
+                    pieces[2 * c::width] = heads
+                    pieces[2 * c + 1::width] = map(texts.__getitem__, flags[c])
                 out += pieces
-            if error is not None:
-                i, j, message = error
-                out.append(head % (i, j) + '*", "satisfied": null, "slack": null, '
-                           '"error": ' + _string(message) + end)
+            if error is not None:  # (i, j, message)
+                out.append(head % error[:2] + '*", "satisfied": null, "error": '
+                           + _string(error[2]) + end)
         out[-1] = out[-1][:-len(item) - 1] + nl + "]"  # the last record's "," + item
 
 
@@ -430,9 +439,7 @@ class ConditionReport:
 
     @cached_property
     def records(self) -> list[dict]:
-        """``rows.records()``, parsed once: each flag a ``bool``, each slack a
-        ``float``, or None where it is not finite or the condition has no
-        admissible constant, as in the written file."""
+        """``rows.records()``, parsed once; the slacks stay in ``rows``."""
         return self.rows.records()
 
     def condition_ok(self, condition: str) -> bool:
@@ -469,6 +476,7 @@ class ConditionReport:
         }
         return {
             "pairs": self.rows,
+            "conditions": self.rows.summary(),
             "constants": constants,
             "verdicts": self.verdicts,
             "seed": self.seed,

@@ -348,9 +348,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     points = config.metric._checked(sample)  # as log_distance_matrix checks them
     D = config.metric._log_distance_matrix(points, points)
     equal = equal_points(points)
-    middles, lasts = _triple_hits(D, DEFAULT_LOG_TOL) or (None, None)
-    axioms = _verify_axioms(equal, D, DEFAULT_LOG_TOL, middles)
-    reverse = _verify_reverse_triangle(D, DEFAULT_LOG_TOL, lasts)
+    middles, lasts = _triple_hits(D) or (None, None)
+    axioms = _verify_axioms(equal, D, middles)
+    reverse = _verify_reverse_triangle(D, lasts)
     table = _PairTable(config.metric, config.map, points, D, equal)
     # a failed image (None) means the map leaves the domain
     invariant = all(image is not None and config.domain.contains(image)

@@ -426,8 +426,8 @@ def verify_axioms(metric, sample: Iterable) -> AxiomReport:
     """
     points = [as_point(p) for p in sample]
     D = metric.log_distance_matrix(points, points)
-    middles, _ = _triple_hits(D, DEFAULT_LOG_TOL) or (None, None)
-    return _verify_axioms(equal_points(points), D, DEFAULT_LOG_TOL, middles)
+    middles, _ = _triple_hits(D) or (None, None)
+    return _verify_axioms(equal_points(points), D, middles)
 
 
 #: entries of the triple prefilter's buffer: each block of middle indices
@@ -435,12 +435,12 @@ def verify_axioms(metric, sample: Iterable) -> AxiomReport:
 _BLOCK_ENTRIES = 2 ** 16
 
 
-def _triple_hits(D: np.ndarray, tol: float) -> tuple[list[int], list[int]] | None:
+def _triple_hits(D: np.ndarray) -> tuple[list[int], list[int]] | None:
     """The middles j at which the triangle scan of the log-distance matrix
     D may list a violation, and the first indices i of those hits, the only
     last indices z at which the reverse-triangle scan may list one.  None
     unless D is finite, nonnegative and symmetric (D == D.T, as the built-in
-    kernels give it) and its margin is at most tol / 2.
+    kernels give it) and its margin is at most tol / 2, tol = ``DEFAULT_LOG_TOL``.
 
     One pass over blocks of middles tests s = D[j,i] + D[j,k] <= T[i,k] for
     every (i, k), with T = D - (tol - margin), margin = 4u M + 2**-1000,
@@ -476,9 +476,9 @@ def _triple_hits(D: np.ndarray, tol: float) -> tuple[list[int], list[int]] | Non
     if not (np.isfinite(D).all() and (D >= 0).all() and np.array_equal(D, D.T)):
         return None
     margin = 2.0 ** -51 * float(D.max(initial=0.0)) + 2.0 ** -1000
-    if not margin <= tol / 2:
+    if not margin <= DEFAULT_LOG_TOL / 2:
         return None
-    T = D - (tol - margin)
+    T = D - (DEFAULT_LOG_TOL - margin)
     rows = max(1, min(n, _BLOCK_ENTRIES // max(1, n * n)))
     buf, bad = np.empty((rows, n, n)), np.empty((rows, n, n), dtype=bool)
     middles: list[int] = []
@@ -494,12 +494,12 @@ def _triple_hits(D: np.ndarray, tol: float) -> tuple[list[int], list[int]] | Non
     return middles, np.flatnonzero(firsts).tolist()
 
 
-def _verify_axioms(equal: np.ndarray, D: np.ndarray, tol: float,
+def _verify_axioms(equal: np.ndarray, D: np.ndarray,
                    middles: Iterable[int] | None) -> AxiomReport:
     """``verify_axioms`` of point tuples, given as their ``equal_points``
     matrix and their log-distance matrix D, with the triangle inequality
     checked at the given middles (every index for None)."""
-    n = len(D)
+    n, tol = len(D), DEFAULT_LOG_TOL
     with np.errstate(invalid="ignore"):  # NaN compares False; inf - inf is NaN
         nonneg = D < -tol
         identity = np.where(equal, np.abs(D) > tol, D <= tol)
@@ -548,16 +548,16 @@ def verify_reverse_triangle(metric, sample: Iterable) -> ReverseTriangleReport:
     """
     points = [as_point(p) for p in sample]
     D = metric.log_distance_matrix(points, points)
-    _, lasts = _triple_hits(D, DEFAULT_LOG_TOL) or (None, None)
-    return _verify_reverse_triangle(D, DEFAULT_LOG_TOL, lasts)
+    _, lasts = _triple_hits(D) or (None, None)
+    return _verify_reverse_triangle(D, lasts)
 
 
-def _verify_reverse_triangle(D: np.ndarray, tol: float,
+def _verify_reverse_triangle(D: np.ndarray,
                              lasts: Iterable[int] | None) -> ReverseTriangleReport:
     """``verify_reverse_triangle`` of a sample's log-distance matrix D,
     checked at the given last indices z (every index for None): each fills
     one buffer and is listed only when it has a hit."""
-    n = len(D)
+    n, tol = len(D), DEFAULT_LOG_TOL
     buf, bad = np.empty((n, n)), np.empty((n, n), dtype=bool)
     violations: list[dict] = []
     with np.errstate(invalid="ignore"):

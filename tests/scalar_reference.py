@@ -33,9 +33,11 @@ and reverse-triangle loops list violations one matrix entry at a time, as
 
 ``reference_csv_text`` writes a trace's CSV rows through ``csv.writer``.
 
-``record_walk`` and ``reference_records`` list a ``PairRows``'s records in
-one plain loop over its pairs, columns and errors, as ``PairRows.records``
-once built them, without its run walk or its writer.
+``record_walk`` lists a ``PairRows``'s records in one plain loop over its
+pairs, columns and errors, as ``PairRows.records`` once built them, without
+its run walk or its writer.  ``reference_records``, ``reference_pairs_csv``
+and ``reference_summary`` build the written records, the ``pairs.csv`` text
+and the per-condition summary from that walk alone, a record at a time.
 """
 
 import csv
@@ -627,12 +629,43 @@ def record_walk(rows):
 
 def reference_records(rows) -> list[dict]:
     """The records of ``rows`` as the written file holds them: a dict per
-    record, its slack None where it is not finite."""
+    record, with no slack."""
     out = []
-    for i, j, cid, satisfied, slack, error in record_walk(rows):
-        record = {"pair": [i, j], "condition": cid, "satisfied": satisfied,
-                  "slack": slack if slack is not None and math.isfinite(slack) else None}
+    for i, j, cid, satisfied, _, error in record_walk(rows):
+        record = {"pair": [i, j], "condition": cid, "satisfied": satisfied}
         if cid == "*":
             record["error"] = error
         out.append(record)
+    return out
+
+
+def reference_pairs_csv(rows) -> str:
+    """The ``pairs.csv`` text of ``rows`` through ``csv.writer``: the header,
+    then per record its pair, condition, flag (``true``/``false``, empty in
+    an error record), slack (``repr`` when finite, else empty) and error."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["i", "j", "condition", "satisfied", "slack", "error"])
+    for i, j, cid, satisfied, slack, error in record_walk(rows):
+        flag = "" if satisfied is None else "true" if satisfied else "false"
+        text = repr(slack) if slack is not None and math.isfinite(slack) else ""
+        writer.writerow([i, j, cid, flag, text, "" if error is None else error])
+    return buf.getvalue()
+
+
+def reference_summary(rows) -> dict:
+    """Per condition of ``rows``, in column order: the records that fail it,
+    and the first record with the least slack that is a number, its slack
+    and pair (None and None when there is none)."""
+    out = {cid: {"violations": 0, "min_slack": None, "min_pair": None}
+           for cid in rows.checks}
+    for i, j, cid, satisfied, slack, _ in record_walk(rows):
+        if cid == "*":
+            continue
+        entry = out[cid]
+        if not satisfied:
+            entry["violations"] += 1
+        if slack is not None and not math.isnan(slack) and (
+                entry["min_slack"] is None or slack < entry["min_slack"]):
+            entry["min_slack"], entry["min_pair"] = slack, [i, j]
     return out

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 import mulfix as mx
 from mulfix.errors import DegeneratePairError, DomainError
-from mulfix.jsonconfig import dump_json
 from mulfix.metrics import DEFAULT_LOG_TOL
 from scalar_reference import check_c1, check_c2, check_c3, check_phi, check_strict
 
@@ -293,10 +292,12 @@ def test_classify_zeroes_a_slack_within_tolerance_and_fails_a_strict_tie():
     d = EXPABS2.log_distance(x, y)
     assert -DEFAULT_LOG_TOL < 0.5 * d - d < 0
     report = mx.classify(EXPABS2, IDENTITY, [x, y], mx.ZamfirescuConstants(xi=0.5))
-    got = {r["condition"]: (r["satisfied"], r["slack"]) for r in report.records}
+    got = {cid: (bool(flags[0]), float(slacks[0]))
+           for cid, (flags, slacks) in report.rows.checks.items()}
     assert got == {"C1": (True, 0.0), "C2": (True, 0.0), "C3": (True, 0.0),
                    "SI": (False, 0.0), "SII": (False, -d), "SIII": (False, 0.0)}
-    assert '"condition": "C1", "satisfied": true, "slack": 0.0}' in dump_json(report.rows)
+    # the zeroed slack is +0.0, written 0.0 in pairs.csv and not -0.0
+    assert "0,1,C1,true,0.0,\r\n" in report.rows.to_csv_text()
 
 
 def test_negation_classifies_as_none():
@@ -336,11 +337,14 @@ def test_report_json_shape():
                          constants=mx.ZamfirescuConstants(0.0, 0.499, 0.499),
                          seed=7)
     data = report.to_json_dict()
-    assert set(data) == {"pairs", "constants", "verdicts", "seed"}
+    assert list(data) == ["pairs", "conditions", "constants", "verdicts", "seed"]
     assert data["seed"] == 7
     assert {"xi", "eta", "lambda", "delta", "estimates"} <= set(data["constants"])
     first = data["pairs"][0]
-    assert set(first) >= {"pair", "condition", "satisfied", "slack"}
+    assert list(first) == ["pair", "condition", "satisfied"]
+    assert list(data["conditions"]) == list(report.rows.checks)
+    assert all(list(entry) == ["violations", "min_slack", "min_pair"]
+               for entry in data["conditions"].values())
 
 
 def test_a_pole_in_the_sample_gives_error_records():
@@ -349,7 +353,12 @@ def test_a_pole_in_the_sample_gives_error_records():
     errors = [r for r in report.records if r["condition"] == "*"]
     assert [r["pair"] for r in errors] == [[0, 2], [1, 2], [2, 3], [2, 4]]
     assert {r["error"] for r in errors} == {"rational map pole at coordinate 0.5"}
-    assert all(r["satisfied"] is None and r["slack"] is None for r in errors)
+    assert all(r["satisfied"] is None and list(r) == ["pair", "condition", "satisfied",
+                                                        "error"] for r in errors)
+    # pairs.csv holds them in place, with an empty flag and slack
+    error_rows = [row for row in report.rows.to_csv_text().splitlines() if ",*," in row]
+    assert error_rows == [f"{i},{j},*,,,rational map pole at coordinate 0.5"
+                          for i, j in [[0, 2], [1, 2], [2, 3], [2, 4]]]
     assert (report.n_pairs, report.skipped_pairs) == (10, 0)
     assert (report.estimates.pairs_used, report.estimates.pairs_skipped) == (6, 4)
     assert report.overall == "none"
@@ -372,11 +381,10 @@ def test_satisfied_records_never_have_negative_slack():
     report = mx.classify(LIFTED2, SCALE23,
                          mx.sample_box(mx.Box(((-5.0, 5.0), (-5.0, 5.0))), 16, seed=1),
                          constants=mx.ZamfirescuConstants(xi=2 / 3))
-    for rec in report.records:
-        if rec["satisfied"]:
-            assert rec["slack"] >= 0
+    for flags, slacks in report.rows.checks.values():
+        assert (slacks[flags] >= 0).all()
     # the violations are records of plain Python values too
     violations = [v for c in mx.CONDITION_IDS for v in report.violations(c)]
     assert violations
     for v in violations:
-        assert v["satisfied"] is False and type(v["slack"]) is float
+        assert v["satisfied"] is False and list(map(type, v["pair"])) == [int, int]

@@ -327,6 +327,7 @@ def test_cli_classify_rejects_the_flags_it_never_reads(tmp_path, capsys, flag, v
     (["--seed", "3"], "--seed"),
     (["--seed", "3", "--eps", "5", "--max-iter", "1"], "--seed, --eps, --max-iter"),
     (["--format", "csv"], "--format"),
+    (["--pairs"], "--pairs"),
 ])
 def test_cli_remark_fixture_rejects_overrides(tmp_path, capsys, flags, named):
     with pytest.raises(SystemExit) as exc:
@@ -420,6 +421,41 @@ def test_an_empty_out_flag_is_a_usage_error(tmp_path, capsys, monkeypatch, comma
         [] if command == "fixture" else ["cfg.json"])
 
 
+@pytest.mark.parametrize("command", ["fixture", "run", "classify"])
+def test_pairs_csv_is_written_only_on_request(tmp_path, capsys, command):
+    args = cli_args(tmp_path, command)
+    default, pairs = tmp_path / "default", tmp_path / "pairs"
+    main([*args, "--out", str(default)])
+    main([*args, "--out", str(pairs), "--pairs"])
+    names = sorted(p.name for p in default.iterdir())
+    assert "pairs.csv" not in names
+    assert sorted(p.name for p in pairs.iterdir()) == sorted([*names, "pairs.csv"])
+    for name in names:  # the other outputs keep their bytes
+        assert (pairs / name).read_bytes() == (default / name).read_bytes()
+    # the classification's records with their slacks, as csv.writer gives them
+    report = json.loads((default / names[0]).read_text())
+    rows = report.get("classification", report)["pairs"]
+    with open(pairs / "pairs.csv", newline="", encoding="utf-8") as f:
+        read = list(csv.reader(f))
+    assert read[0] == ["i", "j", "condition", "satisfied", "slack", "error"]
+    assert [[int(i), int(j), c, {"true": True, "false": False}[ok]]
+            for i, j, c, ok, _, _ in read[1:]] == [
+        [*r["pair"], r["condition"], r["satisfied"]] for r in rows]
+
+
+@pytest.mark.parametrize("command", ["fixture", "run", "classify"])
+def test_pairs_without_an_output_dir_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                       command):
+    args = cli_args(tmp_path, command)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--pairs"])
+    assert exc.value.code == 2
+    assert "--pairs needs an output directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        [] if command == "fixture" else ["cfg.json"])
+
+
 def test_cli_builds_its_parser_once(tmp_path):
     assert mx.cli.build_parser() is mx.cli.build_parser()
     assert main(["fixture", "example_3_15", "--seed", "8", "--out", str(tmp_path)]) == 0
@@ -460,8 +496,8 @@ def test_run_experiment_shares_one_prefilter_with_the_public_checks(case, fused)
             domain=mx.Box(((-case, case),) * 2), sample_size=20)
     hits = []  # what each prefilter call returned
 
-    def prefilter(D, tol):
-        hits.append(_triple_hits(D, tol))
+    def prefilter(D):
+        hits.append(_triple_hits(D))
         return hits[-1]
 
     with mock.patch.object(experiment, "_triple_hits", prefilter):
@@ -589,7 +625,10 @@ def test_huge_coordinates_still_give_strict_json(tmp_path):
                         parse_constant=lambda s: pytest.fail(f"non-finite {s}"))
     assert strict == json.loads(json.dumps(data), parse_constant=lambda s: None)
     first = json.loads(dump_json(classification.to_json_dict()))["pairs"][0]
-    assert first == {"pair": [0, 1], "condition": "C1", "satisfied": True, "slack": None}
+    assert first == {"pair": [0, 1], "condition": "C1", "satisfied": True}
+    # its slack, infinite in the column, is an empty field in pairs.csv
+    assert np.isinf(classification.rows.checks["C1"][1][0])
+    assert classification.rows.to_csv_text().splitlines()[1] == "0,1,C1,true,,"
 
 
 def test_report_dicts_give_null_for_non_finite_values(report_3_16):

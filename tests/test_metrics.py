@@ -376,13 +376,12 @@ def test_triple_hits_rule_out_ties_and_fall_back_on_large_entries():
     tol = DEFAULT_LOG_TOL
     line = [(0.0,), (1.0,), (3.0,), (1.0,)]  # collinear, one point twice
     D = mx.MetricSpec.exp_abs(2.0).log_distance_matrix(line, line)
-    assert _triple_hits(D, tol) == ([], [])
+    assert _triple_hits(D) == ([], [])
     # 0-2 just beyond the tolerance: middle 1, and both ends of the hit
     D = np.array([[0.0, 0.5, 1.0 + 2 * tol], [0.5, 0.0, 0.5], [1.0 + 2 * tol, 0.5, 0.0]])
-    assert _triple_hits(D, tol) == ([1], [0, 2])
+    assert _triple_hits(D) == ([1], [0, 2])
     for broken in (D + np.triu(D), -D, np.where(D > 0.6, math.nan, D), 1e4 * D):
-        assert _triple_hits(broken, tol) is None  # asymmetric, negative, NaN, large
-    assert _triple_hits(D, 0.0) is None  # no margin fits a zero tolerance
+        assert _triple_hits(broken) is None  # asymmetric, negative, NaN, large
 
 
 def test_the_margin_keeps_a_reverse_hit_that_only_rounding_makes():
@@ -391,7 +390,7 @@ def test_the_margin_keeps_a_reverse_hit_that_only_rounding_makes():
     # D[1,0]: without its margin the pass would not flag z = 1
     rows = ((0.0, 900.0, 600.0000000000001), (900.0, 0.0, 299.9999999999989),
             (600.0000000000001, 299.9999999999989, 0.0))
-    assert _triple_hits(np.array(rows), DEFAULT_LOG_TOL) == ([2], [0, 1])
+    assert _triple_hits(np.array(rows)) == ([2], [0, 1])
     triangle, reverse = _scans_agree(TableMetric(rows), [(0.0,), (1.0,), (2.0,)])
     assert not triangle and [v["triple"] for v in reverse] == [[0, 2, 1], [2, 0, 1]]
 

@@ -7,6 +7,7 @@ classification's pair records from their columns without building a record
 per pair.  ``stream_json`` writes the same bytes to a file, block by block.
 """
 
+import csv
 import dataclasses
 import enum
 import hashlib
@@ -20,14 +21,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 import mulfix as mx
 from mulfix import conditions
 from mulfix.cli import main
 from mulfix.experiment import write_json, write_report
 from mulfix.jsonconfig import dump_json, stream_json
-from scalar_reference import bits, reference_csv_text, reference_records
+from scalar_reference import (bits, reference_csv_text, reference_pairs_csv,
+                              reference_records, reference_summary)
 
 EPS = math.exp(1e-9)
 
@@ -54,13 +56,13 @@ def with_reference_records(tree):
     return tree
 
 
-RECORD_KEYS = ["pair", "condition", "satisfied", "slack"]
+RECORD_KEYS = ["pair", "condition", "satisfied"]
 # a pair record's stand-in while the tree around it is laid out
 MARK = "\0record %d"
 
 
 def is_record(value) -> bool:
-    return isinstance(value, dict) and list(value)[:4] == RECORD_KEYS
+    return isinstance(value, dict) and list(value)[:3] == RECORD_KEYS
 
 
 def reference(tree) -> str:
@@ -210,7 +212,8 @@ SLACKS = st.none() | st.floats() | st.sampled_from(
 @st.composite
 def pair_rows(draw):
     """PairRows with 1-7 conditions, up to 12 evaluated pairs and error rows
-    anywhere among them, a column of None slacks among the columns."""
+    anywhere among them, a column of None slacks among the columns, and
+    columns that every pair violates."""
     n = draw(st.integers(0, 12))
     ids = draw(st.lists(st.sampled_from(mx.CONDITION_IDS), min_size=1, max_size=7,
                         unique=True))
@@ -218,7 +221,7 @@ def pair_rows(draw):
                           min_size=n, max_size=n))
     checks = {}
     for cid in ids:
-        flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        flags = draw(st.lists(st.booleans(), min_size=n, max_size=n) | st.just([False] * n))
         column = st.just([None] * n) | st.lists(SLACKS, min_size=n, max_size=n) \
             | st.lists(st.floats(allow_nan=False, allow_infinity=False),
                        min_size=n, max_size=n)
@@ -269,9 +272,33 @@ def test_no_pair_record_writes_an_empty_array():
 @settings(max_examples=300, deadline=None, phases=NO_EXPLAIN)
 @given(pair_rows())
 def test_records_equal_the_reference_records(rows):
-    got, expected = rows.records(), reference_records(rows)
+    assert rows.records() == reference_records(rows)
+
+
+# -- the slacks: a summary per condition, and every one in pairs.csv on request ------
+
+@settings(max_examples=300, deadline=None, phases=NO_EXPLAIN)
+@given(pair_rows())
+def test_pairs_csv_equals_the_reference(rows):
+    text = rows.to_csv_text()
+    assert_same(text, reference_pairs_csv(rows))
+    # and it reads back as one row of six fields per record
+    read = list(csv.reader(io.StringIO(text, newline="")))
+    assert [len(row) for row in read] == [6] * (1 + len(reference_records(rows)))
+
+
+@settings(max_examples=300, deadline=None, phases=NO_EXPLAIN)
+@given(pair_rows())
+# np.nanargmin takes a NaN for the least of [nan, inf], as it swaps NaN for inf
+@example(conditions.PairRows([0, 0, 0], [1, 2, 3],
+                             {"C2": ([False] * 3, [math.nan, math.nan, math.inf])}, ()))
+def test_condition_summary_equals_the_reference(rows):
+    got, expected = rows.summary(), reference_summary(rows)
     assert got == expected
-    assert [bits(r["slack"]) for r in got] == [bits(r["slack"]) for r in expected]
+    assert [bits(e["min_slack"]) for e in got.values()] \
+        == [bits(e["min_slack"]) for e in expected.values()]
+    # written, a least slack that is not finite is null
+    assert json.loads(dump_json(got)) == finite_or_none(expected)
 
 
 # -- one record a line ---------------------------------------------------------------
@@ -308,10 +335,8 @@ def test_an_error_message_stays_on_its_record_line():
     body = text.splitlines()[2:-2]
     assert parsed_lines(body) == reference_records(rows)
     assert body[0] == ('    {"pair": [2, 3], "condition": "*", "satisfied": null, '
-                       '"slack": null, "error": "one\\ntwo \\"three\\" \\u00e9 '
-                       '\\u2028 four"},')
-    assert body[1] == ('    {"pair": [0, 1], "condition": "C1", "satisfied": true, '
-                       '"slack": 0.5},')
+                       '"error": "one\\ntwo \\"three\\" \\u00e9 \\u2028 four"},')
+    assert body[1] == '    {"pair": [0, 1], "condition": "C1", "satisfied": true},'
 
 
 # -- streamed to a file, block by block ---------------------------------------------
@@ -320,9 +345,6 @@ BLOCK = conditions._PAIR_BLOCK
 # the block the streamed-records property writes at, so that its tables reach
 # every block edge with at most 2 * SMALL_BLOCK + 1 pairs and shrink fast
 SMALL_BLOCK = 8
-# values that sit next to each other in adjacent columns of a block
-ADJACENT = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.5, 0.1, math.nan, math.inf,
-                            -math.inf, None]) | st.floats()
 
 
 def streamed(tree) -> bytes:
@@ -334,31 +356,18 @@ def streamed(tree) -> bytes:
 @st.composite
 def blocked_rows(draw):
     """PairRows of 0, 1, block - 1, block, block + 1 or 2 * block + 1 pairs
-    for block = SMALL_BLOCK, whose columns repeat, copy or sign-flip the
-    zeros of the column before, or hold only None, with error rows first,
-    last, at block edges or repeated."""
+    for block = SMALL_BLOCK, whose flag and slack columns cycle short drawn
+    lists, with error rows first, last, at block edges or repeated."""
     n = draw(st.sampled_from([0, 1, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1,
                               2 * SMALL_BLOCK + 1]))
     ids = draw(st.lists(st.sampled_from(mx.CONDITION_IDS), min_size=1, max_size=7,
                         unique=True))
-    checks, previous = {}, [None] * n
+    checks = {}
     for cid in ids:
         flags = draw(st.lists(st.booleans(), min_size=1, max_size=5))
-        kind = draw(st.sampled_from(["cycle", "copy", "copy some", "flip zeros", "none"]))
-        if kind == "cycle":
-            values = draw(st.lists(ADJACENT, min_size=1, max_size=7))
-            column = [values[k % len(values)] for k in range(n)]
-        elif kind == "copy":
-            column = list(previous)
-        elif kind == "copy some":
-            step, value = draw(st.integers(1, 5)), draw(ADJACENT)
-            column = [value if k % step == 0 else x for k, x in enumerate(previous)]
-        elif kind == "flip zeros":
-            column = [-x if x == 0 else x for x in previous]
-        else:
-            column = [None] * n
-        checks[cid] = ([flags[k % len(flags)] for k in range(n)], column)
-        previous = column
+        slacks = draw(st.lists(SLACKS, min_size=1, max_size=7))
+        checks[cid] = ([flags[k % len(flags)] for k in range(n)],
+                       [slacks[k % len(slacks)] for k in range(n)])
     edges = [p for p in (0, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1,
                          2 * SMALL_BLOCK, n) if p <= n]
     positions = draw(st.lists(st.sampled_from(edges) | st.integers(0, n), max_size=5))
@@ -386,18 +395,6 @@ def test_streamed_trees_equal_dump_json(tree):
     assert streamed(tree) == dump_json(tree).encode()
 
 
-def test_repeated_slacks_reuse_text_only_when_equal_and_not_zero():
-    # the first block is all finite, so its texts come from the reuse rule
-    n = BLOCK + 2
-    c2 = [0.0, -0.0, 0.25, 1e-300] * (BLOCK // 4) + [math.nan, 5e-324]
-    c3 = [-0.0, 0.0, 0.25, 1e-300] * (BLOCK // 4) + [math.nan, 5e-324]
-    rows = conditions.PairRows(list(range(n)), list(range(n)),
-                               {"C2": ([True] * n, c2), "C3": ([True] * n, c3),
-                                "SI": ([False] * n, [None] * n)}, ())
-    expected = reference(reference_records(rows))
-    assert streamed(rows) == dump_json(rows).encode() == expected.encode()
-
-
 def test_error_rows_at_block_edges_equal_the_reference():
     # errors at the first and second edge of the real block, and after the last pair
     n = 2 * BLOCK + 1
@@ -423,10 +420,11 @@ def test_a_failure_mid_stream_leaves_the_old_file_and_no_temp_file(tmp_path):
 
 
 def test_writing_the_largest_fixture_report_holds_one_block(tmp_path):
-    # example_3_17 at n = 130, not its own 100: written one record a line, the
-    # n = 100 report is 3.3 MB, and the bound is meant for a report past 5 MB
+    # example_3_17 at n = 160, not its own 100: written one record a line
+    # without slacks, the n = 100 report is 2.2 MB and n = 160 gives 5.8 MB,
+    # and the bound is meant for a report past 5 MB
     report = mx.run_experiment(
-        dataclasses.replace(mx.fixture_config("example_3_17"), sample_size=130))
+        dataclasses.replace(mx.fixture_config("example_3_17"), sample_size=160))
     tracemalloc.start()
     try:
         write_report(report, tmp_path)
@@ -447,11 +445,11 @@ def test_output_files_take_the_mode_the_umask_gives(tmp_path, capsys, mask):
         config = tmp_path / "cfg.json"
         config.write_text(dump_json(mx.fixture_config("example_3_15").to_json_dict()))
         assert main(["classify", "--config", str(config),
-                     "--out", str(tmp_path / "cls")]) == 0
+                     "--out", str(tmp_path / "cls"), "--pairs"]) == 0
     finally:
         os.umask(old)
     files = [p for p in tmp_path.rglob("*") if p.is_file() and p != config]
-    assert len(files) == 6
+    assert len(files) == 7
     assert {p.stat().st_mode & 0o777 for p in files} == {0o666 & ~mask}
 
 
@@ -478,7 +476,7 @@ def _pole():  # a rational map with its pole at a sample point: "*" error rows
                    solver={"eps": EPS, "max_iter": 40, "starts": [[2.0]]})
 
 
-def _infeasible():  # negation admits no C1/C2/C3 constant: null slacks
+def _infeasible():  # negation admits no C1/C2/C3 constant: None slack columns
     return _config(map={"kind": "negation"}, sample_size=9,
                    solver={"eps": EPS, "max_iter": 40, "starts": [[1.0]]})
 
@@ -494,19 +492,17 @@ def _huge():  # log distances past the float limit: infinite and NaN slacks
 
 
 def _has(cls, what) -> bool:
-    if what == "inf slack":  # the records hold it as null, the columns as inf
-        return any(s is not None and np.isinf(s).any()
-                   for _, s in cls.rows.checks.values())
-    checks = {
-        "error": lambda r: r["condition"] == "*",
-        "null slack": lambda r: r["condition"] != "*" and r["slack"] is None,
-        "phi": lambda r: r["condition"] == "PHI",
-    }
+    slacks = [s for _, s in cls.rows.checks.values()]
+    if what == "inf slack":  # the summary writes an infinite least slack as null
+        return any(s is not None and np.isinf(s).any() for s in slacks)
+    if what == "None column":
+        return None in slacks
+    checks = {"error": lambda r: r["condition"] == "*", "phi": lambda r: r["condition"] == "PHI"}
     return any(map(checks[what], cls.records))
 
 
 @pytest.mark.parametrize("build, what", [
-    (_pole, "error"), (_infeasible, "null slack"), (_phi, "phi"), (_huge, "inf slack"),
+    (_pole, "error"), (_infeasible, "None column"), (_phi, "phi"), (_huge, "inf slack"),
 ])
 def test_written_report_equals_the_reference_encoding(tmp_path, build, what):
     report = mx.run_experiment(build())
@@ -519,6 +515,7 @@ def test_written_report_equals_the_reference_encoding(tmp_path, build, what):
     cls = report.classification
     assert dump_json(cls.to_json_tree()) == reference(
         with_reference_records(cls.to_json_tree()))
+    assert cls.to_json_tree()["conditions"] == reference_summary(cls.rows)
 
 
 @pytest.mark.parametrize("name", ["example_3_15", "example_3_16", "example_3_17",
@@ -598,19 +595,19 @@ def test_csv_traces_equal_the_csv_writer_text(trace):
 
 FIXTURE_DIGESTS = {
     "example_3_15": {
-        "report.json": "2699d8242399a4e5999a081b50684bc578da43c806fd99abccb498d27b246a0a",
+        "report.json": "da63e4cda47365e4edfd935740238b475de9fc9485826ee2699e375ff6ae32d4",
         "trace_000.json": "6d7869822188ea0bc50bb16fa2a080c8ad2ccae7ba7a05dd0ad464c74044339f",
         "trace_001.json": "59fa5cd83ac73864ef0b61f5a7d192794bf05a8a3d57b059c5797f71527909a6",
         "trace_002.json": "3b4ca62d50a23118b5ca9e39c2c4028e1f432a88bd06a14cf43ba8e872cc9c4a",
     },
     "example_3_16": {
-        "report.json": "93b986130c2d42a72d3168f562441d9e0e8d3f43e9eadbc27aec31f49c58f235",
+        "report.json": "cd86a7abacd34ffe101483ac539971296b216338f9b04023483400d11f31ad40",
         "trace_000.json": "cae10b2882432022465f1d9d907f86b731ed83b375a6294d1eb3587ec3e55f83",
         "trace_001.json": "fc3a7c378456f1b4b124e8b36a870c7a9bf9f4c1ea70ad1215941b0f35a0929e",
         "trace_002.json": "fe8b50de232692c2ccaad3d58c40a7f0bbe10aa887fe1e918db5c48f38c4da42",
     },
     "example_3_17": {
-        "report.json": "4556822e1ebdf64bcdc36c2ad643e86be6b723b9e72553eae3ad2a638c521734",
+        "report.json": "e2218b95097bc41daeeca4cb8842d6c62cf4eea05796d285db77deb3fda1c0ff",
         "trace_000.json": "55bfed9685890ffc0978b6a8ad1cbe69b75f4041733f4366bd2f633caf7cf0c9",
         "trace_001.json": "3333f8a881041e2da73a30b8512307d7fd0b5550fc93d648f2002f1bcc31a5a4",
         "trace_002.json": "ca26cbb9c4ad167709f59c8322d549cd82f3c88acf10084a2cf7ceb3f8aee027",
@@ -649,21 +646,21 @@ LONG_RUNS = {
 
 LONG_RUN_DIGESTS = {
     "permute-restart": {
-        "report.json": "e576395d34ed922fef4bbc6724ac3511f17c221a12eecd74bd5d7dc22343ea6d",
+        "report.json": "aa85b24f72b7114567bc544571c2c5d1f6cee7d1b9cd706c2b0eeaa72c1252b1",
         "trace_000.json": "9fd7107c02d9b189756c7cd4a5fd3b12d3e9dbc788932f85b788fa5a112fd39a",
         "trace_001.json": "be78f79dc6715b0ca3c40b3464eda51feba9736f405482ba86b2db0352e8a7d4",
     },
     "scale-0.98": {
-        "report.json": "0915781c5d665889355f37058f81d59d90072f22f9321d25297c821ee48b5484",
+        "report.json": "2fad5652e9ec92af665fa2f5e8bbc8026b0fe35532fbf5a12a6669e7909df2e2",
         "trace_000.json": "530f1f4ecf88893056d4335cc759829b05e550e119bbc970675969db6453815e",
         "trace_001.json": "8207b9081ad29ae35123556ebcb5e3030f86a366138136bd9edb133bb236e049",
     },
     "scale-0.99": {
-        "report.json": "9124d63a3df02728ad414194ab3014ce9b3e4a52aa845595bd1a16c0f12a5f47",
+        "report.json": "bd4e0d465dc7acadcff043bb1475a8ed65d1e401c27b9ece65ab63a1b6664905",
         "trace_000.json": "82c8435935ab9744c2491f624f308c5f11a9fae2ec4575300fc4050ffdb3997c",
     },
     "scale-0.999": {
-        "report.json": "fde02817da70fd04685d47accab4ee58fe6187f80c13241c1040bd1b118d7b05",
+        "report.json": "3c92b6087e8a44923713d1036fb11671f61053edc140e73b55dd8689751b74c5",
         "trace_000.json": "cab7c68051aba3eaba27753458666a9a0882f90493ba76c64489b81d1962e694",
     },
 }
