@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -122,8 +123,9 @@ def main(argv=None) -> int:
             else:
                 write_json(out / "condition_report.json", cls_report.to_json_tree())
             if args.pairs:
-                with _replacing(out / "pairs.csv") as f:
-                    f.write(cls_report.rows.to_csv_text().encode())
+                with _replacing(out / "pairs.csv") as f, \
+                        io.TextIOWrapper(f, encoding="utf-8", newline="") as text:
+                    cls_report.rows.write_csv(text)
             _say(f"wrote outputs to {out}")
         return 0 if args.command == "classify" or report.passed else 1
     except (MulfixError, OSError) as exc:  # OSError: a config or output file

@@ -309,7 +309,7 @@ class PairRows:
     float64 array, or None for the slacks of a condition with no admissible
     constant.  The columns keep the full floats; the written records hold
     each flag only, and the slacks reach a file through ``summary`` and
-    ``to_csv_text``.  ``errors`` holds one ``(position, i, j, message)``
+    ``write_csv``.  ``errors`` holds one ``(position, i, j, message)``
     per pair that could not be evaluated, where position counts the
     evaluated pairs before it, so no position passes ``len(i)``; ``checks``
     holds at least one condition, as ``_classify`` gives every table.  The
@@ -353,23 +353,32 @@ class PairRows:
                         "min_pair": None if k is None else [self.i[k], self.j[k]]}
         return out
 
-    def to_csv_text(self) -> str:
-        """The records as ``csv.writer`` text with the header
-        ``i,j,condition,satisfied,slack,error``, in record order: a flag as
-        ``true`` or ``false``, a finite slack as its ``repr``, and a None or
-        non-finite slack, and an error record's flag, as an empty field."""
-        columns = [(cid, np.where(np.asarray(f, dtype=bool), "true", "false").tolist(),
-                    [repr(x) if math.isfinite(x) else "" for x in np.asarray(
-                        [math.nan] * len(self.i) if s is None else s, dtype=float).tolist()])
-                   for cid, (f, s) in self.checks.items()]
-        text = io.StringIO()
-        writer = csv.writer(text)
+    def write_csv(self, file) -> None:
+        """Write the records to the text ``file`` as ``csv.writer`` rows under
+        the header ``i,j,condition,satisfied,slack,error``, in record order,
+        ``_PAIR_BLOCK`` evaluated pairs at a time: a flag as ``true`` or
+        ``false``, a finite slack as its ``repr``, and a None or non-finite
+        slack, and an error record's flag, as an empty field."""
+        writer = csv.writer(file)
         writer.writerow(["i", "j", "condition", "satisfied", "slack", "error"])
         for start, stop, error in self._runs():
-            writer.writerows((self.i[k], self.j[k], cid, flags[k], slacks[k], "")
-                             for k in range(start, stop) for cid, flags, slacks in columns)
+            for a in range(start, stop, _PAIR_BLOCK):
+                b = min(a + _PAIR_BLOCK, stop)
+                columns = [(cid, np.where(np.asarray(f[a:b], dtype=bool), "true",
+                                          "false").tolist(),
+                            [repr(x) if math.isfinite(x) else "" for x in np.asarray(
+                                [math.nan] * (b - a) if s is None else s[a:b],
+                                dtype=float).tolist()])
+                           for cid, (f, s) in self.checks.items()]
+                writer.writerows((self.i[k], self.j[k], cid, flags[k - a], slacks[k - a], "")
+                                 for k in range(a, b) for cid, flags, slacks in columns)
             if error is not None:
                 writer.writerow((error[0], error[1], "*", "", "", error[2]))
+
+    def to_csv_text(self) -> str:
+        """The text ``write_csv`` writes, in memory."""
+        text = io.StringIO()
+        self.write_csv(text)
         return text.getvalue()
 
     def write_json(self, out: list, nl: str) -> None:
@@ -377,35 +386,34 @@ class PairRows:
         indented by ``nl``, each record ``json.dumps(record)`` on its own
         line, run by run (see ``_runs``): the run's evaluated pairs in blocks
         of up to ``_PAIR_BLOCK``, draining ``out`` before each block, then the
-        run's error record.  A block formats each pair's head once and takes
-        its conditions' flags as one (conditions, pairs) slab, made Python
-        bools by one ``tolist``."""
+        run's error record.  A pair's records are one string, made by one join
+        of its head over the texts of its flag pattern, a small int per pair:
+        one text per condition, the condition, its flag and the end joining
+        the next record, listed the first time the pattern appears."""
         if not self.i and not self.errors:
             out.append("[]")
             return
         item = nl + "  "
-        # a record is two pieces: its pair's head, and its flag text, indexed
-        # by the flag, which holds the condition and the end joining the next
-        head = '{"pair": [%s, %s], "condition": "'
         end = "}," + item
-        width = 2 * len(self.checks)
-        flag_texts = [(cid + '", "satisfied": false' + end,
-                       cid + '", "satisfied": true' + end) for cid in self.checks]
+        pre = {i: '{"pair": [%s, ' % i for i in set(self.i)}  # a head: pre[i] + post[j]
+        post = {j: '%s], "condition": "' % j for j in set(self.j)}
+        flags = np.array([f for f, _ in self.checks.values()], dtype=bool)
+        weights, parts = 1 << np.arange(len(flags)), {}  # pattern -> ["", texts...]
         out.append("[" + item)
         for start, stop, error in self._runs():
             for a in range(start, stop, _PAIR_BLOCK):
                 out.drain()
                 b = min(a + _PAIR_BLOCK, stop)
-                pieces = [None] * (width * (b - a))
-                heads = list(map(head.__mod__, zip(self.i[a:b], self.j[a:b])))
-                flags = np.array([f[a:b] for f, _ in self.checks.values()]).tolist()
-                for c, texts in enumerate(flag_texts):
-                    pieces[2 * c::width] = heads
-                    pieces[2 * c + 1::width] = map(texts.__getitem__, flags[c])
-                out += pieces
+                codes = (weights @ flags[:, a:b]).tolist()
+                for code in set(codes) - parts.keys():
+                    parts[code] = ["", *(cid + '", "satisfied": ' + ("false", "true")[
+                        code >> c & 1] + end for c, cid in enumerate(self.checks))]
+                heads = map(str.__add__, map(pre.__getitem__, self.i[a:b]),
+                            map(post.__getitem__, self.j[a:b]))
+                out += map(str.join, heads, map(parts.__getitem__, codes))
             if error is not None:  # (i, j, message)
-                out.append(head % error[:2] + '*", "satisfied": null, "error": '
-                           + _string(error[2]) + end)
+                out.append('{"pair": [%s, %s], "condition": "*", "satisfied": null, '
+                           '"error": ' % error[:2] + _string(error[2]) + end)
         out[-1] = out[-1][:-len(item) - 1] + nl + "]"  # the last record's "," + item
 
 

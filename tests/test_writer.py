@@ -407,6 +407,23 @@ def test_error_rows_at_block_edges_equal_the_reference():
     assert_same(dump_json(rows), expected)
 
 
+@pytest.mark.parametrize("block", [BLOCK, SMALL_BLOCK])
+def test_every_flag_pattern_across_block_edges_equals_the_reference(block):
+    # all seven conditions, pair k with flag pattern k mod 128 (bit c the flag
+    # of condition c), errors at the first and second block edge and after
+    # the last pair: every pattern's texts are listed in a block and reused
+    # in later blocks and runs, and at SMALL_BLOCK new patterns keep coming
+    n = 2 * BLOCK + 1
+    checks = {cid: ([bool(k % 128 >> c & 1) for k in range(n)], [0.5] * n)
+              for c, cid in enumerate(mx.CONDITION_IDS)}
+    errors = tuple((pos, 7, 8, "pole") for pos in (block, 2 * block, n))
+    rows = conditions.PairRows(list(range(n)), list(range(1, n + 1)), checks, errors)
+    with mock.patch.object(conditions, "_PAIR_BLOCK", block):
+        text = dump_json(rows)
+        assert_same(text, reference(reference_records(rows)))
+        assert_same(streamed(rows), text.encode())
+
+
 def test_a_failure_mid_stream_leaves_the_old_file_and_no_temp_file(tmp_path):
     path = tmp_path / "report.json"
     path.write_text("old", encoding="utf-8")
@@ -432,6 +449,24 @@ def test_writing_the_largest_fixture_report_holds_one_block(tmp_path):
     finally:
         tracemalloc.stop()
     assert (tmp_path / "report.json").stat().st_size > 5_000_000
+    assert peak < 2_000_000
+
+
+def test_writing_the_largest_fixture_pairs_csv_holds_one_block(tmp_path, capsys):
+    # fixture example_3_17 --pairs at n = 160: its pairs.csv is 3.3 MB, and
+    # written a block at a time, with the report, it peaks near 0.7 MB
+    report = mx.run_experiment(
+        dataclasses.replace(mx.fixture_config("example_3_17"), sample_size=160))
+    tracemalloc.start()
+    try:
+        with mock.patch("mulfix.cli.run_experiment", return_value=report):
+            main(["fixture", "example_3_17", "--out", str(tmp_path), "--pairs"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "pairs.csv").stat().st_size > 3_000_000
+    assert (tmp_path / "pairs.csv").read_bytes() \
+        == report.classification.rows.to_csv_text().encode()
     assert peak < 2_000_000
 
 
