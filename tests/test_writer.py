@@ -453,8 +453,9 @@ def test_writing_the_largest_fixture_report_holds_one_block(tmp_path):
 
 
 def test_writing_the_largest_fixture_pairs_csv_holds_one_block(tmp_path, capsys):
-    # fixture example_3_17 --pairs at n = 160: its pairs.csv is 3.3 MB, and
-    # written a block at a time, with the report, it peaks near 0.7 MB
+    # fixture example_3_17 --pairs at n = 160, with only the writing traced:
+    # its pairs.csv is 3.3 MB, 24 MB of peak when built whole, and written
+    # a block at a time, report included, it peaks near 0.7 MB
     report = mx.run_experiment(
         dataclasses.replace(mx.fixture_config("example_3_17"), sample_size=160))
     tracemalloc.start()
