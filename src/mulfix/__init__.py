@@ -58,7 +58,6 @@ from .solver import (
     StartIndependenceReport,
     UniquenessReport,
     apriori_bound,
-    find_periodic_point,
     picard,
     uniqueness_probe,
     verify_bound,
@@ -103,7 +102,6 @@ __all__ = [
     "classify",
     "detect_limit_point",
     "estimate_constants",
-    "find_periodic_point",
     "fixture_config",
     "grid_points",
     "in_open_ball",

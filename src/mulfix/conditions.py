@@ -456,11 +456,6 @@ class ConditionReport:
         flags = self.rows.checks.get(condition, ((),))[0]
         return not self.rows.errors and len(flags) > 0 and bool(np.all(flags))
 
-    def violations(self, condition: str) -> list[dict]:
-        """The records of ``records`` that fail ``condition``."""
-        return [r for r in self.records
-                if r["condition"] == condition and not r["satisfied"]]
-
     def to_json_dict(self) -> dict:
         """The parse of the written ``to_json_tree()``: strict JSON, as in the file."""
         return json.loads(dump_json(self.to_json_tree()))

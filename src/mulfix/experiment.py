@@ -90,6 +90,11 @@ def normalize_expectation(spec) -> dict:
         if key not in types:
             raise ConfigError(f"{kind} takes no {key!r}", field="expectations")
         decode(types[key], value, "expectations", f"{kind}.{key}")
+    # an expectation that checks nothing would pass by construction
+    if kind == "constants" and not spec.keys() & {"xi", "eta", "lambda"}:
+        raise ConfigError("constants names none of xi, eta and lambda", field="expectations")
+    if kind == "conditions_hold" and not spec["conditions"]:
+        raise ConfigError("conditions_hold needs at least one condition", field="expectations")
     if kind == "fixed_point":
         try:
             as_point(spec["point"])
@@ -288,7 +293,7 @@ def _eval_expectation(spec: dict, report: "ExperimentReport",
                 good = math.isfinite(value) and abs(value - spec[name]) <= tol
                 ok = ok and good
                 checked.append(f"{name}={value!r}")
-        detail = ", ".join(checked) or "nothing to check"
+        detail = ", ".join(checked)
     elif kind == "conditions_hold":
         conds = list(spec["conditions"])
         ok = all(cls_report.condition_ok(c) for c in conds)

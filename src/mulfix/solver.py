@@ -3,8 +3,8 @@
 The solver iterates x_{n+1} = T(x_n) and declares convergence only when
 the latest step is below log(eps) *and* the trailing window of iterates is
 pairwise within log(eps); a single small step does not certify a Cauchy
-tail on its own.  Geometric a-priori bounds, start independence, periodic
-orbits, and uniqueness probes live here as well.
+tail on its own.  Geometric a-priori bounds, start independence and
+uniqueness probes live here as well.
 """
 
 from __future__ import annotations
@@ -630,74 +630,6 @@ def verify_start_independence(metric, T, config: SolverConfig,
         verdict=verdict, max_pairwise_logd=worst,
         n_converged=len(converged), n_runs=len(results), results=results,
     )
-
-
-def find_periodic_point(metric, T, x0, max_period: int, eps: float,
-                        max_iter: int = 1000):
-    """Search the orbit of x0 for a point w with T^p(w) back within eps.
-
-    Returns ``(w, p)`` with the smallest period p <= max_period for the
-    earliest such orbit point, or None if no recurrence shows up within
-    max_iter orbit steps.  The orbit ends early where T fails or its value
-    leaves the metric's space.  Period 1 is a fixed point at tolerance.
-
-    The windows ``orbit[i:i + max_period + 1]`` are searched in blocks, one
-    private kernel call each, of one window for a FunctionMetric: its
-    function receives the pairs of one public call per orbit index, in order.
-    """
-    if max_period < 1:
-        raise DomainError("max_period must be >= 1")
-    log_eps = _check_eps(eps)
-    image, check_domain = _image(T), metric.check_domain
-    x = as_point(x0)
-    orbit = [x]
-    for _ in range(max_iter):
-        try:
-            x = image(x)
-            check_domain(x)
-        except DomainError:
-            break
-        orbit.append(x)
-    if isinstance(metric, MetricSpec):
-        clean, block = _clean_windows(metric, orbit, max_period), _ROW_BLOCK
-    else:
-        clean, block = len(orbit) - 1, 1
-    found = _first_return(metric, orbit, clean, max_period, log_eps, block)
-    if found is None and clean < len(orbit) - 1:
-        # window clean holds a point of another dimension or a start outside
-        # the metric's space, so the public kernel raises its error here
-        metric.log_distance_matrix(orbit[clean + 1:clean + 1 + max_period], [orbit[clean]])
-    return found
-
-
-def _clean_windows(metric: MetricSpec, orbit: list[Point], max_period: int) -> int:
-    """How many leading windows ``orbit[i:i + max_period + 1]`` the public
-    kernel accepts: one dimension, inside the metric's space (the orbit's
-    points after the start passed ``check_domain``)."""
-    try:
-        metric.check_domain(orbit[0])
-    except DomainError:
-        return 0
-    dim = len(orbit[0])
-    change = next((k for k, p in enumerate(orbit) if len(p) != dim), None)
-    return len(orbit) - 1 if change is None else max(0, change - max_period)
-
-
-def _first_return(metric, orbit: list[Point], n: int, max_period: int,
-                  log_eps: float, block: int):
-    """``find_periodic_point`` over the first n windows of a checked orbit,
-    in blocks of ``block`` windows, one private kernel call each."""
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        D = metric._log_distance_matrix(orbit[start + 1:stop + max_period], orbit[start:stop])
-        # D[r, c] pairs orbit[start + c] with the point 1 + r - c steps after it
-        lag = np.arange(1, len(D) + 1)[:, None] - np.arange(stop - start)
-        hits = (D < log_eps) & (lag >= 1) & (lag <= max_period)
-        found = np.flatnonzero(hits.any(axis=0))
-        if found.size:
-            c = int(found[0])
-            return orbit[start + c], int(np.flatnonzero(hits[:, c])[0]) + 1 - c
-    return None
 
 
 @dataclass(frozen=True)

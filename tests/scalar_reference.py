@@ -26,8 +26,7 @@ reference can be compared bit for bit.
 ``reference_estimate`` and ``reference_classify`` fit the constants and
 classify a sample pair by pair through the ``check_*`` functions.  The
 orbit scans (``reference_detect_limit_point``, ``reference_cauchy_indicator``,
-``reference_bound_rows``, ``reference_find_periodic_point`` and
-``loop_find_periodic_point``) are loops of public calls.  The axiom, triangle
+and ``reference_bound_rows``) are loops of public calls.  The axiom, triangle
 and reverse-triangle loops list violations one matrix entry at a time, as
 ``verify_axioms`` and ``verify_reverse_triangle`` once did.
 
@@ -468,7 +467,7 @@ def reference_classify(metric, T, points, constants, phi, tol, strict_margin):
     return records, verdicts, n_pairs, skipped, estimates
 
 
-# -- orbit scans, bounds and periodic points through public calls --------------
+# -- orbit scans and bounds through public calls ---------------------------------
 
 
 def reference_detect_limit_point(trace, eps, fraction):
@@ -495,37 +494,6 @@ def reference_bound_rows(result, delta):
     d1 = trace.step_logd[0] if trace.step_logd else 0.0
     return [(n, trace.metric.log_distance(p, result.point),
              mx.apriori_bound(d1, delta, n)) for n, p in enumerate(trace.points)]
-
-
-def reference_find_periodic_point(metric, orbit, max_period, eps):
-    log_eps = math.log(eps)
-    for i in range(len(orbit)):
-        for p in range(1, max_period + 1):
-            if i + p >= len(orbit):
-                break
-            if metric.log_distance(orbit[i + p], orbit[i]) < log_eps:
-                return orbit[i], p
-    return None
-
-
-def loop_find_periodic_point(metric, T, x0, max_period, eps, max_iter):
-    """find_periodic_point as one public kernel call per orbit index."""
-    log_eps = math.log(eps)
-    x = mx.as_point(x0)
-    orbit = [x]
-    for _ in range(max_iter):
-        try:
-            x = reference_apply(T, x)
-            metric.check_domain(x)
-        except DomainError:
-            break
-        orbit.append(x)
-    for i, w in enumerate(orbit[:-1]):
-        ahead = metric.log_distance_matrix(orbit[i + 1:i + 1 + max_period], [w])
-        hits = np.flatnonzero(ahead[:, 0] < log_eps)
-        if hits.size:
-            return w, int(hits[0]) + 1
-    return None
 
 
 # -- axiom and triple scans, entry by entry ------------------------------------

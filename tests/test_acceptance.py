@@ -41,6 +41,12 @@ def test_criterion_1_planar_scaling_reproduction():
                f"xi_hat={xi_hat!r}, runtime={elapsed:.3f}s")
 
 
+def _failing(cls, condition):
+    """The records of ``cls`` that fail ``condition``, read from the records
+    rather than from the flags ``condition_ok`` reads."""
+    return [r for r in cls.records if r["condition"] == condition and not r["satisfied"]]
+
+
 def test_criterion_2_reciprocal_offset_reproduction():
     t0 = time.perf_counter()
     report = mx.run_fixture("example_3_16")
@@ -49,8 +55,8 @@ def test_criterion_2_reciprocal_offset_reproduction():
     ok = all(r.status is mx.Status.CONVERGED for r in runs)
     ok &= all(abs(r.point[0] - 0.4142135624) <= 1e-8 for r in runs)
     cls = report.classification
-    ok &= cls.condition_ok("C2") and not cls.violations("C2")
-    ok &= cls.condition_ok("C3") and not cls.violations("C3")
+    ok &= cls.condition_ok("C2") and not _failing(cls, "C2")
+    ok &= cls.condition_ok("C3") and not _failing(cls, "C3")
     ok &= report.config.constants.eta == 0.499
     ok &= report.config.constants.lam == 0.499
     ok &= cls.n_points == 50
@@ -65,7 +71,7 @@ def test_criterion_3_inverse_sqrt_reproduction(report_3_17):
     ok &= all(abs(r.point[0] - 1.0) <= 1e-8 for r in runs)
     cls = report_3_17.classification
     ok &= cls.n_points == 100
-    ok &= cls.condition_ok("PHI") and not cls.violations("PHI")
+    ok &= cls.condition_ok("PHI") and not _failing(cls, "PHI")
     phi_expect = [e for e in report_3_17.expectations if e.kind == "phi_holds"]
     ok &= bool(phi_expect) and phi_expect[0].passed
     _criterion("inverse-sqrt reproduction", ok,

@@ -374,7 +374,6 @@ def test_condition_ok_fails_when_a_pair_was_not_evaluated():
     assert all(r["satisfied"] for r in report.records if r["condition"] == "C1")
     assert report.overall == "none"
     assert not report.condition_ok("C1")
-    assert not report.violations("C1")
 
 
 def test_satisfied_records_never_have_negative_slack():
@@ -384,7 +383,7 @@ def test_satisfied_records_never_have_negative_slack():
     for flags, slacks in report.rows.checks.values():
         assert (slacks[flags] >= 0).all()
     # the violations are records of plain Python values too
-    violations = [v for c in mx.CONDITION_IDS for v in report.violations(c)]
+    violations = [r for r in report.records if not r["satisfied"]]
     assert violations
     for v in violations:
         assert v["satisfied"] is False and list(map(type, v["pair"])) == [int, int]

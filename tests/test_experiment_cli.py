@@ -148,6 +148,9 @@ SOLVER = {"eps": EPS, "max_iter": 200, "starts": [[0.2], [0.8]]}
     ("expectations", [{"kind": "verdict", "theorem": "t9"}]),
     ("expectations", [{"kind": "converged", "tol": 5}]),
     ("expectations", [{"kind": "conditions_hold", "conditions": ["C9"]}]),
+    ("expectations", [{"kind": "conditions_hold", "conditions": []}]),
+    ("expectations", [{"kind": "constants"}]),
+    ("expectations", [{"kind": "constants", "tol": 1e-9}]),
     ("outputs", {"pairs": True}),
     ("outputs", {"dir": 5}),
     ("outputs", {"dir": ""}),
@@ -738,7 +741,8 @@ def phi_holds_by_loop(report):
             if not good:
                 n_diag_bad += 1
         ok = n_diag_bad == 0
-    detail = (f"{len(cls.violations('PHI'))} violating pairs, "
+    n_bad = sum(r["condition"] == "PHI" and not r["satisfied"] for r in cls.records)
+    detail = (f"{n_bad} violating pairs, "
               f"{n_diag_bad} violating diagonal points")
     n = len(cls.rows.errors)
     detail += "" if ok or not n else f", {n} pairs not evaluated"

@@ -77,10 +77,14 @@ EXPECTATIONS = st.one_of(
     st.fixed_dictionaries({"kind": st.just("fixed_point"), "point": POINT.map(list)},
                           optional={"tol": NUMBER}),
     st.fixed_dictionaries({"kind": st.just("residual"), "max_logd": NUMBER}),
+    # a constants expectation names at least one constant
     st.fixed_dictionaries({"kind": st.just("constants")},
                           optional={"xi": NUMBER, "eta": NUMBER, "lambda": NUMBER,
-                                    "tol": NUMBER}),
-    st.fixed_dictionaries({"kind": st.just("conditions_hold"), "conditions": CONDITIONS}),
+                                    "tol": NUMBER}).filter(
+        lambda e: e.keys() & {"xi", "eta", "lambda"}),
+    st.fixed_dictionaries({"kind": st.just("conditions_hold"),
+                           "conditions": st.lists(st.sampled_from(mx.CONDITION_IDS),
+                                                  min_size=1, max_size=3)}),
     st.fixed_dictionaries({"kind": st.just("verdict"),
                            "theorem": st.sampled_from(["t2", "t23", "th3"])},
                           optional={"via": CONDITIONS}),

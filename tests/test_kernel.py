@@ -4,14 +4,13 @@
 ``classify`` / ``estimate_constants`` (built on three log-distance matrices)
 must give exactly what a loop over the scalar ``check_*`` functions of
 ``scalar_reference`` gives.
-The orbit scans (limit points, Cauchy windows, bound rows, periodic points)
-must give exactly what their former scalar loops gave.  The private kernel
-that internal scans read must equal the public one on checked points,
+The orbit scans (limit points, Cauchy windows, bound rows) must give
+exactly what their former scalar loops gave.  The private kernel that
+internal scans read must equal the public one on checked points,
 ``picard`` must give what a loop of public calls gives and call the map as
-often (but past a detected cycle), ``picard`` and ``find_periodic_point``
-must pass a FunctionMetric's distance function the pairs their loops pass
-it, in order, and each public function must still reject the invalid
-points it rejected before.
+often (but past a detected cycle), ``picard`` must pass a FunctionMetric's
+distance function the pairs its loop passes it, in order, and each public
+function must still reject the invalid points it rejected before.
 """
 
 import dataclasses
@@ -27,11 +26,10 @@ import mulfix as mx
 from mulfix import conditions, maps, metrics, sequences, solver
 from mulfix.errors import DomainError
 import scalar_reference
-from scalar_reference import (bits, loop_find_periodic_point, picard_outcome,
-                              record_walk, reference_bound_rows,
-                              reference_cauchy_indicator, reference_classify,
-                              reference_detect_limit_point,
-                              reference_find_periodic_point, reference_picard)
+from scalar_reference import (bits, picard_outcome, record_walk,
+                              reference_bound_rows, reference_cauchy_indicator,
+                              reference_classify, reference_detect_limit_point,
+                              reference_picard)
 
 METRICS = [
     mx.MetricSpec.star_product(),
@@ -323,12 +321,6 @@ def random_orbit(rng: random.Random, dim: int) -> list:
     return points
 
 
-def replaying(orbit):
-    """A map whose orbit from orbit[0] is exactly the given points."""
-    rest = iter(orbit[1:])
-    return lambda p: next(rest)
-
-
 # d(x, y) != d(y, x): a swapped argument order shows
 ONE_SIDED = mx.FunctionMetric(lambda x, y: 1.0 + max(0.0, x[0] - y[0]), "one_sided")
 
@@ -337,8 +329,8 @@ ONE_SIDED = mx.FunctionMetric(lambda x, y: 1.0 + max(0.0, x[0] - y[0]), "one_sid
 @given(seed=st.integers(0, 2**32 - 1), metric=st.sampled_from(METRICS + [ONE_SIDED]),
        dim=st.integers(1, 2),
        eps=st.sampled_from([math.exp(1e-12), math.exp(1e-3), math.exp(0.5), math.exp(5)]),
-       max_period=st.integers(1, 6), delta=st.sampled_from([0.0, 0.5, 0.9]))
-def test_orbit_scans_equal_their_scalar_loops(seed, metric, dim, eps, max_period, delta):
+       delta=st.sampled_from([0.0, 0.5, 0.9]))
+def test_orbit_scans_equal_their_scalar_loops(seed, metric, dim, eps, delta):
     rng = random.Random(seed)
     points = random_orbit(rng, dim)
     trace = mx.IterationTrace.from_points(metric, points)
@@ -358,10 +350,6 @@ def test_orbit_scans_equal_their_scalar_loops(seed, metric, dim, eps, max_period
     assert rows == outcome(lambda: [(n, bits(o), bits(b))
                                     for n, o, b in reference_bound_rows(result, delta)])
 
-    found = mx.find_periodic_point(metric, replaying(points), points[0], max_period,
-                                   eps, max_iter=len(points) - 1)
-    assert found == reference_find_periodic_point(metric, points, max_period, eps)
-
 
 def test_cauchy_indicator_reads_only_forward_pairs_in_every_row_block():
     # ONE_SIDED exceeds 1 only from a larger first coordinate to a smaller
@@ -369,15 +357,6 @@ def test_cauchy_indicator_reads_only_forward_pairs_in_every_row_block():
     assert mx.cauchy_indicator(rising, 150) == 0.0
     falling = mx.IterationTrace.from_points(ONE_SIDED, rising.points[::-1])
     assert mx.cauchy_indicator(falling, 150) == math.log(150.0)
-
-
-def test_a_periodic_search_ends_where_the_orbit_leaves_the_metric_space():
-    # negation sends 1.0 to -1.0, outside star_product's positive half-line,
-    # so the orbit is the start alone and holds no recurrence
-    assert mx.find_periodic_point(mx.MetricSpec.star_product(),
-                                  mx.SelfMapSpec.negation(), 1.0, 2, math.e) is None
-    assert mx.find_periodic_point(mx.MetricSpec.exp_abs(2.0),
-                                  mx.SelfMapSpec.negation(), 1.0, 2, math.e) == ((1.0,), 2)
 
 
 def test_a_stalled_run_makes_few_scalar_log_distance_calls(monkeypatch):
@@ -753,41 +732,6 @@ def test_picard_calls_the_map_as_often_as_a_step_by_step_scan(metric, m, tail,
         assert extra == 0
 
 
-# -- periodic points: the orbit checked once, scanned in row blocks --------------
-
-
-# negative, so rejected, where the second point exceeds the first by over 1
-SIGNED = mx.FunctionMetric(lambda x, y: 1.0 + x[0] - y[0], "signed")
-
-
-@settings(max_examples=200, deadline=None)
-@given(metric=st.sampled_from(METRICS + [ONE_SIDED, SIGNED]),
-       T=st.one_of(st.sampled_from(ORBIT_MAPS),
-                   st.builds(drifting, st.integers(80, 230), st.sampled_from(TAILS),
-                             st.sampled_from([1, 4]))),
-       start=st.sampled_from([(1.0,), (2.5,), (0.0,), (-1.5,), (1.0, 3.0), (0.5, -2.0)]),
-       max_period=st.one_of(st.integers(1, 8), st.just(500)),
-       eps=st.sampled_from([math.exp(1e-12), math.exp(1e-6), math.exp(1e-2), math.exp(0.5)]),
-       max_iter=st.integers(0, 300))
-def test_find_periodic_point_equals_the_loop_of_public_calls(metric, T, start, max_period,
-                                                            eps, max_iter):
-    args = (metric, T, start, max_period, eps, max_iter)
-    assert (outcome(mx.find_periodic_point, *args)
-            == outcome(loop_find_periodic_point, *args))
-
-
-@pytest.mark.parametrize("T, most", [
-    (mx.SelfMapSpec.scale(0.999), 10),  # applied as a Picard step applies it
-    (lambda p: (0.999 * p[0],), 2 * 2001),
-], ids=["SelfMapSpec", "callable"])
-def test_a_periodic_search_validates_each_orbit_point_at_most_twice(monkeypatch, T, most):
-    calls = count_as_point(monkeypatch)
-    found = mx.find_periodic_point(mx.MetricSpec.exp_abs(2.0), T, 1.0, 6, math.exp(1e-9),
-                                   max_iter=2000)
-    assert found is None
-    assert len(calls) <= most
-
-
 # -- the pairs a FunctionMetric's distance function receives ---------------------
 
 
@@ -803,29 +747,6 @@ def recording(fn):
 
 def one_plus(x, y):
     return 1.0 + abs(x[0] - y[0])
-
-
-@settings(max_examples=100, deadline=None)
-@given(fn=st.sampled_from([one_plus, ONE_SIDED.fn, SIGNED.fn,
-                           lambda x, y: 2.0 ** (abs(x[0] - y[0]) + len(x) - len(y))]),
-       T=st.one_of(st.sampled_from(ORBIT_MAPS),
-                   st.builds(drifting, st.integers(80, 230), st.sampled_from(TAILS),
-                             st.sampled_from([1, 4]))),
-       start=st.sampled_from([(1.0,), (2.5,), (0.0,), (-1.5,), (1.0, 3.0), (0.5, -2.0)]),
-       max_period=st.one_of(st.integers(1, 8), st.just(500)),
-       eps=st.sampled_from([math.exp(1e-12), math.exp(1e-6), math.exp(1e-2), math.exp(0.5)]),
-       max_iter=st.integers(0, 300))
-def test_find_periodic_point_passes_a_distance_function_the_loops_pairs(fn, T, start,
-                                                                        max_period, eps,
-                                                                        max_iter):
-    # SIGNED raises, the last function can be 0 or change with the dimension,
-    # and ORBIT_MAPS holds maps that widen the point
-    kernel_fn, calls = recording(fn)
-    loop_fn, loop_calls = recording(fn)
-    args = (T, start, max_period, eps, max_iter)
-    assert (outcome(mx.find_periodic_point, mx.FunctionMetric(kernel_fn), *args)
-            == outcome(loop_find_periodic_point, mx.FunctionMetric(loop_fn), *args))
-    assert calls == loop_calls
 
 
 @pytest.mark.parametrize("m", [80, 127, 128, 190])

@@ -23,3 +23,18 @@ def test_readme_config_schema_parses_with_the_strict_reader():
     data = json.loads(re.sub(r"//.*", "", block))
     config = mx.ExperimentConfig.from_json_dict(data)
     assert set(config.to_json_dict()) == set(data)
+
+
+def test_every_name_the_readme_calls_on_mx_is_public():
+    blocks = re.findall(r"^[ \t]*```python\n(.*?)^[ \t]*```",
+                        README.read_text(encoding="utf-8"), re.S | re.M)
+    called = {name for block in blocks for name in re.findall(r"\bmx\.(\w+)", block)}
+    assert called, "no mx.<name> in the README's Python blocks"
+    assert called <= set(mx.__all__), sorted(called - set(mx.__all__))
+
+
+def test_every_public_name_resolves_and_star_import_gives_them_all():
+    assert [name for name in mx.__all__ if not hasattr(mx, name)] == []
+    namespace: dict = {}
+    exec("from mulfix import *", namespace)
+    assert set(mx.__all__) <= namespace.keys()

@@ -282,17 +282,6 @@ def test_non_convergence_is_inconclusive():
     assert report.verdict == "inconclusive"
 
 
-def test_periodic_point_search():
-    converged = mx.find_periodic_point(RECIP, RATIONAL2, 1.0, max_period=3, eps=EPS)
-    assert converged is not None and converged[1] == 1
-    swap = mx.find_periodic_point(EXPABS_E, mx.SelfMapSpec.negation(), 1.0,
-                                  max_period=4, eps=EPS)
-    assert swap == ((1.0,), 2)
-    escaping = mx.find_periodic_point(EXPABS_E, mx.SelfMapSpec.affine([[1.0]], [1.0]),
-                                      0.0, max_period=5, eps=EPS, max_iter=50)
-    assert escaping is None
-
-
 def test_uniqueness_probe_filters_candidates():
     report = mx.uniqueness_probe(mx.MetricSpec.exp_abs(2.0),
                                  mx.SelfMapSpec.reciprocal_sqrt(),
