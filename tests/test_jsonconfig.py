@@ -77,7 +77,6 @@ EXPECTATIONS = st.one_of(
     st.fixed_dictionaries({"kind": st.just("fixed_point"), "point": POINT.map(list)},
                           optional={"tol": NUMBER}),
     st.fixed_dictionaries({"kind": st.just("residual"), "max_logd": NUMBER}),
-    # a constants expectation names at least one constant
     st.fixed_dictionaries({"kind": st.just("constants")},
                           optional={"xi": NUMBER, "eta": NUMBER, "lambda": NUMBER,
                                     "tol": NUMBER}).filter(
