@@ -170,6 +170,30 @@ def test_cli_rejects_mistyped_and_unread_config_values(tmp_path, capsys, field, 
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
+def _judged_on_example_3_15(*expectations):
+    data = {**mx.fixture_config("example_3_15").to_json_dict(),
+            "expectations": list(expectations)}
+    return mx.run_experiment(mx.ExperimentConfig.from_json_dict(data)).expectations
+
+
+# example_3_15's estimated constants
+@pytest.mark.parametrize("name, value", [("xi", 2 / 3), ("eta", 2.0), ("lambda", 0.4)])
+def test_a_constants_expectation_naming_one_constant_checks_that_one(name, value):
+    right, wrong = _judged_on_example_3_15({"kind": "constants", name: value},
+                                           {"kind": "constants", name: value + 0.1})
+    assert right.passed and not wrong.passed
+    assert right.detail == wrong.detail
+    assert right.detail.startswith(f"{name}=") and "," not in right.detail
+
+
+def test_a_verdict_expectation_with_empty_via_is_accepted_and_checked():
+    # via [] is a claim about the conditions, unlike conditions_hold's []
+    empty, c1 = _judged_on_example_3_15({"kind": "verdict", "theorem": "t2", "via": []},
+                                        {"kind": "verdict", "theorem": "t2", "via": ["C1"]})
+    assert not empty.passed and c1.passed
+    assert empty.detail == "t2 applicable via C1"
+
+
 def test_conditions_hold_fails_when_a_pair_was_not_evaluated():
     data = {**identity_config(), "map": {"kind": "rational", "b": 2.0},
             "domain": [[-2.0, 2.0]], "sample_size": 5,
