@@ -39,6 +39,9 @@ from .metrics import DEFAULT_LOG_TOL, Point, as_point, equal_points
 logger = logging.getLogger(__name__)
 
 CONDITION_IDS = ("C1", "C2", "C3", "SI", "SII", "SIII", "PHI")
+# Why a pair was not evaluated, in the order they are tested: the map failed,
+# an image or a point is outside the metric's space, log phi rejects the pair.
+CAUSES = ("map", "image", "point", "phi")
 
 # Each phi kind with the parameters it takes.
 PHI_PARAMS = {"power_product": ("q",), "psi_sqrt": ("psi",), "example317": (),
@@ -258,11 +261,12 @@ class _PairTable:
         with np.errstate(all="ignore"):
             return (0.5 * (s + t) - phi._log_phi(s, t)) - self.Dtt[i, j]
 
-    def first_error(self, i: int, j: int) -> Exception | None:
-        """What evaluating pair (i, j) raises first: the map at x, then at
-        y, then the metric's domain at Tx, Ty, x and y."""
-        (map_i, t_i, x_i), (map_j, t_j, x_j) = self.errors[i], self.errors[j]
-        return next((e for e in (map_i, map_j, t_i, t_j, x_i, x_j) if e), None)
+    def first_error(self, i: int, j: int) -> tuple[str, Exception] | None:
+        """What evaluating pair (i, j) raises first, with its cause: the map
+        at x, then at y (``"map"``), then the metric's domain at Tx and Ty
+        (``"image"``), then at x and y (``"point"``)."""
+        causes = zip(CAUSES, self.errors[i], self.errors[j])  # (cause, at i, at j)
+        return next(((cause, e) for cause, *at in causes for e in at if e), None)
 
 
 def _sup_ratio(num: np.ndarray, den: np.ndarray) -> float:
@@ -309,14 +313,14 @@ class PairRows:
     float64 array, or None for the slacks of a condition with no admissible
     constant.  The columns keep the full floats; the written records hold
     each flag only, and the slacks reach a file through ``summary`` and
-    ``write_csv``.  ``errors`` holds one ``(position, i, j, message)``
-    per pair that could not be evaluated, where position counts the
-    evaluated pairs before it, so no position passes ``len(i)``; ``checks``
-    holds at least one condition, as ``_classify`` gives every table.  The
-    records run pair by pair, each evaluated pair with one record per
-    condition in ``checks`` order, and each error record before the
-    evaluated pair at its position, the order ``_runs`` walks; ``records``
-    parses the written text.
+    ``write_csv``.  ``errors`` holds one ``(position, i, j, cause, message)``
+    per pair that could not be evaluated, with a cause of ``CAUSES``, where
+    position counts the evaluated pairs before it, so no position passes
+    ``len(i)``; ``checks`` holds at least one condition, as ``_classify``
+    gives every table.  The records run pair by pair, each evaluated pair
+    with one record per condition in ``checks`` order, and each error record
+    before the evaluated pair at its position, the order ``_runs`` walks;
+    ``records`` parses the written text.
     """
 
     i: list
@@ -329,7 +333,7 @@ class PairRows:
         then the ``(i, j, message)`` of the next pair not evaluated, or None after
         the last run."""
         a = 0
-        for pos, i, j, message in self.errors:
+        for pos, i, j, _, message in self.errors:
             yield a, pos, (i, j, message)
             a = pos
         yield a, len(self.i), None
@@ -341,17 +345,28 @@ class PairRows:
         return json.loads(dump_json(self))
 
     def summary(self) -> dict:
-        """Per condition, ``{"violations", "min_slack", "min_pair"}``: how many
-        evaluated pairs fail it, and its least slack, NaN aside, with the first
-        pair that gives it; both None when no slack is a number, as in a None column."""
-        out = {}
+        """What the records hold, counted.  ``"conditions"`` gives per condition
+        ``{"violations", "min_slack", "min_pair"}``: how many evaluated pairs
+        fail it, and its least slack, NaN aside, with the first pair that gives
+        it; both None when no slack is a number, as in a None column.
+        ``"evaluated"`` counts the evaluated pairs, and ``"unevaluated"`` gives
+        per cause in ``CAUSES`` order ``{"count", "first_pair"}`` of the error
+        records, the first pair None for a cause with none."""
+        conditions = {}
         for cid, (flags, slacks) in self.checks.items():
             s = np.asarray(np.nan if slacks is None else slacks, dtype=float)
             k = None if np.isnan(s).all() else int(np.flatnonzero(s == np.nanmin(s))[0])
-            out[cid] = {"violations": int(np.count_nonzero(~np.asarray(flags, dtype=bool))),
-                        "min_slack": None if k is None else float(s[k]),
-                        "min_pair": None if k is None else [self.i[k], self.j[k]]}
-        return out
+            conditions[cid] = {
+                "violations": int(np.count_nonzero(~np.asarray(flags, dtype=bool))),
+                "min_slack": None if k is None else float(s[k]),
+                "min_pair": None if k is None else [self.i[k], self.j[k]]}
+        unevaluated = {cause: {"count": 0, "first_pair": None} for cause in CAUSES}
+        for _, i, j, cause, _ in self.errors:
+            entry = unevaluated[cause]
+            entry["count"] += 1
+            entry["first_pair"] = entry["first_pair"] or [i, j]
+        return {"conditions": conditions, "evaluated": len(self.i),
+                "unevaluated": unevaluated}
 
     def write_csv(self, file) -> None:
         """Write the records to the text ``file`` as ``csv.writer`` rows under
@@ -462,7 +477,8 @@ class ConditionReport:
 
     def to_json_tree(self) -> dict:
         """The tree ``dump_json`` writes as the report, with the records left
-        as columns, each written on one line."""
+        as columns, each written on one line, then their ``summary`` and the
+        count of pairs of equal points, which are not checked (``"equal"``)."""
         constants: dict = (
             self.constants_used.to_json_dict() if self.constants_used
             else {"xi": None, "eta": None, "lambda": None, "delta": None}
@@ -479,7 +495,8 @@ class ConditionReport:
         }
         return {
             "pairs": self.rows,
-            "conditions": self.rows.summary(),
+            **self.rows.summary(),
+            "equal": self.skipped_pairs,
             "constants": constants,
             "verdicts": self.verdicts,
             "seed": self.seed,
@@ -547,11 +564,11 @@ def _classify(table: _PairTable, constants: Optional[ZamfirescuConstants],
     errors = []
     for k in unevaluated.tolist():  # an invalid point, or log phi rejects the pair
         i, j = int(upper[0][k]), int(upper[1][k])
-        error = (table.first_error(i, j)
-                 or DomainError("phi arguments must be distances >= 1"))
+        cause, error = (table.first_error(i, j)
+                        or ("phi", DomainError("phi arguments must be distances >= 1")))
         if not isinstance(error, _RECORDED_ERRORS):
             raise error
-        errors.append((int(before[k]), i, j, str(error)))
+        errors.append((int(before[k]), i, j, cause, str(error)))
     if n_pairs == 0:
         raise DegeneratePairError("classification needs at least 2 distinct points")
     I, J = upper[0][evaluated], upper[1][evaluated]

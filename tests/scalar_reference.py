@@ -586,7 +586,7 @@ def record_walk(rows):
     out = []
     for k in range(n + 1):
         while errors and errors[0][0] <= k:
-            _, i, j, message = errors.pop(0)
+            _, i, j, _, message = errors.pop(0)
             out.append((i, j, "*", None, None, message))
         if k < n:
             for cid, (flags, slacks) in rows.checks.items():
@@ -622,18 +622,31 @@ def reference_pairs_csv(rows) -> str:
 
 
 def reference_summary(rows) -> dict:
-    """Per condition of ``rows``, in column order: the records that fail it,
-    and the first record with the least slack that is a number, its slack
-    and pair (None and None when there is none)."""
+    """The summary of ``rows``, record by record.  ``"conditions"``: per
+    condition, in column order, the records that fail it, and the first
+    record with the least slack that is a number, its slack and pair (None
+    and None when there is none).  ``"evaluated"``: the records of the first
+    condition, one per evaluated pair.  ``"unevaluated"``: per cause, in
+    the order ``first_error`` tests them, the error records of that cause
+    and the pair of the first (None when there is none)."""
     out = {cid: {"violations": 0, "min_slack": None, "min_pair": None}
            for cid in rows.checks}
+    unevaluated = {cause: {"count": 0, "first_pair": None}
+                   for cause in ("map", "image", "point", "phi")}
+    causes = [cause for _, _, _, cause, _ in rows.errors]  # in record order
+    evaluated = 0
     for i, j, cid, satisfied, slack, _ in record_walk(rows):
         if cid == "*":
+            entry = unevaluated[causes.pop(0)]
+            entry["count"] += 1
+            if entry["first_pair"] is None:
+                entry["first_pair"] = [i, j]
             continue
+        evaluated += cid == next(iter(rows.checks))
         entry = out[cid]
         if not satisfied:
             entry["violations"] += 1
         if slack is not None and not math.isnan(slack) and (
                 entry["min_slack"] is None or slack < entry["min_slack"]):
             entry["min_slack"], entry["min_pair"] = slack, [i, j]
-    return out
+    return {"conditions": out, "evaluated": evaluated, "unevaluated": unevaluated}

@@ -337,7 +337,8 @@ def test_report_json_shape():
                          constants=mx.ZamfirescuConstants(0.0, 0.499, 0.499),
                          seed=7)
     data = report.to_json_dict()
-    assert list(data) == ["pairs", "conditions", "constants", "verdicts", "seed"]
+    assert list(data) == ["pairs", "conditions", "evaluated", "unevaluated", "equal",
+                          "constants", "verdicts", "seed"]
     assert data["seed"] == 7
     assert {"xi", "eta", "lambda", "delta", "estimates"} <= set(data["constants"])
     first = data["pairs"][0]
@@ -345,6 +346,51 @@ def test_report_json_shape():
     assert list(data["conditions"]) == list(report.rows.checks)
     assert all(list(entry) == ["violations", "min_slack", "min_pair"]
                for entry in data["conditions"].values())
+    assert list(data["unevaluated"]) == ["map", "image", "point", "phi"]
+    assert all(list(entry) == ["count", "first_pair"]
+               for entry in data["unevaluated"].values())
+
+
+def assert_summary_counts_the_records(data: dict, n: int) -> None:
+    """The summary of a condition report's JSON form counts what its
+    records list, for a sample of n points."""
+    records = data["pairs"]
+    for cid, entry in data["conditions"].items():
+        assert entry["violations"] == sum(r["condition"] == cid and r["satisfied"] is False
+                                          for r in records)
+    errors = [r for r in records if r["condition"] == "*"]
+    assert sum(e["count"] for e in data["unevaluated"].values()) == len(errors)
+    assert data["evaluated"] + len(errors) == len({tuple(r["pair"]) for r in records})
+    assert data["evaluated"] + len(errors) + data["equal"] == n * (n - 1) // 2
+
+
+def test_the_summary_counts_every_cause_of_an_unevaluated_pair():
+    # star_product lives on positive coordinates.  rational(2) has its pole
+    # at -2 ("map"), sends -3 to -1 ("image") and the point -1 to 1 ("point");
+    # 1.0 appears twice ("equal")
+    sample = [-3.0, -2.0, -1.0, 0.5, 1.0, 1.0, 1.5]
+    data = mx.classify(mx.MetricSpec.star_product(), RATIONAL2, sample,
+                       phi=mx.PhiSpec("power_product", q=0.5)).to_json_dict()
+    assert_summary_counts_the_records(data, len(sample))
+    assert (data["evaluated"], data["equal"]) == (5, 1)
+    assert data["unevaluated"] == {"map": {"count": 6, "first_pair": [0, 1]},
+                                   "image": {"count": 5, "first_pair": [0, 2]},
+                                   "point": {"count": 4, "first_pair": [2, 3]},
+                                   "phi": {"count": 0, "first_pair": None}}
+    errors = {tuple(r["pair"]): r["error"] for r in data["pairs"] if r["condition"] == "*"}
+    assert errors[0, 1] == "rational map pole at coordinate -2.0"
+    assert errors[0, 2] == errors[2, 3] == "star_product needs positive coordinates, got (-1.0,)"
+
+    # not a metric: d(x, Tx) = 2 ** (Tx - x) is below 1 at x > 0, where log
+    # phi rejects the pair
+    metric = mx.FunctionMetric(lambda x, y: 2.0 ** (y[0] - x[0]))
+    sample = [-2.0, -1.0, 1.0, 2.0]
+    data = mx.classify(metric, mx.SelfMapSpec.scale(0.5), sample,
+                       phi=mx.PhiSpec("power_product", q=0.5)).to_json_dict()
+    assert_summary_counts_the_records(data, len(sample))
+    assert (data["evaluated"], data["equal"]) == (1, 0)
+    assert data["unevaluated"]["phi"] == {"count": 5, "first_pair": [0, 2]}
+    assert sum(e["count"] for e in data["unevaluated"].values()) == 5
 
 
 def test_a_pole_in_the_sample_gives_error_records():
