@@ -36,7 +36,8 @@ and reverse-triangle loops list violations one matrix entry at a time, as
 pairs, columns and errors, as ``PairRows.records`` once built them, without
 its run walk or its writer.  ``reference_records``, ``reference_pairs_csv``
 and ``reference_summary`` build the written records, the ``pairs.csv`` text
-and the per-condition summary from that walk alone, a record at a time.
+and the summary (per condition, and of the pairs evaluated and not) from
+that walk alone, a record at a time.
 """
 
 import csv
