@@ -468,22 +468,9 @@ def picard(metric, T, x0, config: SolverConfig,
     detected cycle) is given one restart from a detected limit point of its
     orbit, which is recorded on the result.  When ``domain`` is given, an
     iterate leaving it raises :class:`DomainEscapeError` carrying the
-    offending point.
-
-    Each run applies T and measures its step through one step function
-    that binds the map's and the metric's scalar kernels and their checks
-    once; a SelfMapSpec's image has only its finiteness checked.  A
-    SelfMapSpec under a MetricSpec, the input of every config and CLI run,
-    also maps ahead in blocks of up to 256 iterates, below log(eps) only
-    past 256 steps, a coordinate-wise kind one coordinate at a time; each
-    block's checks, steps and distances to the start are read from one
-    array, and the step function runs again at the first iterate that fails
-    one.  The cycle look-back runs over blocks of steps (one for a
-    FunctionMetric).  Under a MetricSpec, it and the limit-point scan first
-    rule pairs out by one distance per orbit point to its start (see
-    ``metrics._reference_margin``).  The result equals a step-by-step scan.
-    T is assumed pure; ``SolverConfig`` bounds the discarded iterates it
-    may be applied to.
+    offending point.  The result equals a step-by-step scan (see
+    ``_iterate``).  T is assumed pure; ``SolverConfig`` bounds the discarded
+    iterates it may be applied to.
     """
     start = as_point(x0)
     trace, residual = _iterate(metric, T, start, config, domain)
