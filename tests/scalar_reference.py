@@ -635,7 +635,7 @@ def reference_summary(rows) -> dict:
     unevaluated = {cause: {"count": 0, "first_pair": None}
                    for cause in ("map", "image", "point", "phi")}
     causes = [cause for _, _, _, cause, _ in rows.errors]  # in record order
-    evaluated = 0
+    first, evaluated = next(iter(rows.checks)), 0
     for i, j, cid, satisfied, slack, _ in record_walk(rows):
         if cid == "*":
             entry = unevaluated[causes.pop(0)]
@@ -643,7 +643,7 @@ def reference_summary(rows) -> dict:
             if entry["first_pair"] is None:
                 entry["first_pair"] = [i, j]
             continue
-        evaluated += cid == next(iter(rows.checks))
+        evaluated += cid == first
         entry = out[cid]
         if not satisfied:
             entry["violations"] += 1
