@@ -471,7 +471,8 @@ def _triple_hits(D: np.ndarray) -> tuple[list[int], list[int]] | None:
     A margin of at most tol / 2 keeps T at least about tol / 2 below D, so
     exact ties such as collinear points on a line, and equal points, flag
     nothing.  At tol = 1e-12 that bound holds up to M of about 1,100; the
-    bundled fixtures stay below 30.  Blocks hold max(1, min(n, _BLOCK_ENTRIES // n**2)) middles.
+    bundled fixtures stay below 30.  Blocks hold
+    max(1, min(n, _BLOCK_ENTRIES // n**2)) middles.
     """
     n = len(D)
     if not (np.isfinite(D).all() and (D >= 0).all() and np.array_equal(D, D.T)):

@@ -379,7 +379,8 @@ def test_the_summary_counts_every_cause_of_an_unevaluated_pair():
                                    "phi": {"count": 0, "first_pair": None}}
     errors = {tuple(r["pair"]): r["error"] for r in data["pairs"] if r["condition"] == "*"}
     assert errors[0, 1] == "rational map pole at coordinate -2.0"
-    assert errors[0, 2] == errors[2, 3] == "star_product needs positive coordinates, got (-1.0,)"
+    assert errors[0, 2] == errors[2, 3] \
+        == "star_product needs positive coordinates, got (-1.0,)"
 
     # not a metric: d(x, Tx) = 2 ** (Tx - x) is below 1 at x > 0, where log
     # phi rejects the pair

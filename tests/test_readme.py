@@ -46,8 +46,8 @@ def test_every_public_name_resolves_and_star_import_gives_them_all():
 
 def section(heading: str) -> str:
     """The README's text under ``heading``, to the next heading of level 2."""
-    return re.search(rf"^{re.escape(heading)}\n(.*?)^## ", README.read_text(encoding="utf-8"),
-                     re.S | re.M).group(1)
+    text = README.read_text(encoding="utf-8")
+    return re.search(rf"^{re.escape(heading)}\n(.*?)^## ", text, re.S | re.M).group(1)
 
 
 def test_the_outputs_section_names_every_report_key(report_3_15):
