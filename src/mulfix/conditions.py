@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegeneratePairError, DomainError, MulfixError
+from .errors import ConfigError, DegeneratePairError, DomainError
 from .jsonconfig import JsonConfig, _string, decode, dump_json
 from .maps import _checked_image
 from .metrics import DEFAULT_LOG_TOL, Point, as_point, equal_points
@@ -183,17 +183,6 @@ class ConstantEstimates:
     def c3_feasible(self) -> bool:
         return self.lambda_hat < 0.5
 
-    def constants(self) -> ZamfirescuConstants:
-        """The estimates as a validated constant triple (if feasible)."""
-        return ZamfirescuConstants(xi=self.xi_hat, eta=self.eta_hat,
-                                   lam=self.lambda_hat)
-
-
-# Map failures that constant estimation skips; classification records the
-# narrower second set as error records and lets anything else propagate.
-_MAP_ERRORS = (MulfixError, ArithmeticError, ValueError)
-_RECORDED_ERRORS = (MulfixError, ZeroDivisionError, OverflowError)
-
 
 def _point_error(metric, p: Point, dim: int) -> DomainError | None:
     """Why a log distance involving p fails, or None when none does."""
@@ -216,8 +205,12 @@ class _PairTable:
     ``usable`` the distinct valid pairs i < j.  ``run_experiment`` passes
     the full ``Dxx`` and ``equal_points`` matrix of points it checked, which
     are then taken as they are.  Points are mapped by
-    ``maps._checked_image``; ``images`` holds each point's image, None where
-    the map failed.
+    ``maps._checked_image``, whose DomainError is the map failing at a
+    point; ``images`` holds each point's image, None where the map failed.
+    ``errors`` holds per point the first of its failures in ``CAUSES``
+    order as ``(cause, text)``, the text naming the point by its index,
+    ``map at point k: ...``, ``image of point k: ...`` or ``point k: ...``,
+    or None for a valid point.
     """
 
     def __init__(self, metric, T, sample: Sequence, Dxx: np.ndarray | None = None,
@@ -226,17 +219,22 @@ class _PairTable:
         self.points = points = list(sample) if checked else [as_point(p) for p in sample]
         dim = len(points[0]) if points else 0
         image_of = _checked_image(T)
-        self.images, self.errors = [], []  # errors: what fails at T(x), at Tx, at x
-        for p in points:
+        self.images, self.errors = [], []
+        for k, p in enumerate(points):
             try:
-                image, error = image_of(p), None
-            except _MAP_ERRORS as exc:
+                image = image_of(p)
+            except DomainError as exc:
                 logger.warning("map evaluation failed at %s; point excluded", p)
-                image, error = None, exc
+                image, error = None, ("map", f"map at point {k}: {exc}")
+            else:
+                error = _point_error(metric, image, dim)
+                error = error and ("image", f"image of point {k}: {error}")
+            if error is None and not checked:
+                error = _point_error(metric, p, dim)
+                error = error and ("point", f"point {k}: {error}")
             self.images.append(image)
-            self.errors.append((error, image and _point_error(metric, image, dim),
-                                None if checked else _point_error(metric, p, dim)))
-        good = [k for k, e in enumerate(self.errors) if e == (None, None, None)]
+            self.errors.append(error)
+        good = [k for k, e in enumerate(self.errors) if e is None]
         X, TX = [points[k] for k in good], [self.images[k] for k in good]
         n, block = len(points), np.ix_(good, good)
         self.Dtt, self.Dxt = (np.full((n, n), np.nan) for _ in range(2))
@@ -261,12 +259,12 @@ class _PairTable:
         with np.errstate(all="ignore"):
             return (0.5 * (s + t) - phi._log_phi(s, t)) - self.Dtt[i, j]
 
-    def first_error(self, i: int, j: int) -> tuple[str, Exception] | None:
-        """What evaluating pair (i, j) raises first, with its cause: the map
+    def first_error(self, i: int, j: int) -> tuple[str, str] | None:
+        """The ``(cause, text)`` of what fails first at pair (i, j): the map
         at x, then at y (``"map"``), then the metric's domain at Tx and Ty
         (``"image"``), then at x and y (``"point"``)."""
-        causes = zip(CAUSES, self.errors[i], self.errors[j])  # (cause, at i, at j)
-        return next(((cause, e) for cause, *at in causes for e in at if e), None)
+        at = [e for e in (self.errors[i], self.errors[j]) if e]
+        return min(at, key=lambda e: CAUSES.index(e[0]), default=None)
 
 
 def _sup_ratio(num: np.ndarray, den: np.ndarray) -> float:
@@ -564,11 +562,10 @@ def _classify(table: _PairTable, constants: Optional[ZamfirescuConstants],
     errors = []
     for k in unevaluated.tolist():  # an invalid point, or log phi rejects the pair
         i, j = int(upper[0][k]), int(upper[1][k])
-        cause, error = (table.first_error(i, j)
-                        or ("phi", DomainError("phi arguments must be distances >= 1")))
-        if not isinstance(error, _RECORDED_ERRORS):
-            raise error
-        errors.append((int(before[k]), i, j, cause, str(error)))
+        cause, text = table.first_error(i, j) or (
+            "phi", f"phi at point {i if phi_bad[i] else j}: "
+                   "phi arguments must be distances >= 1")
+        errors.append((int(before[k]), i, j, cause, text))
     if n_pairs == 0:
         raise DegeneratePairError("classification needs at least 2 distinct points")
     I, J = upper[0][evaluated], upper[1][evaluated]

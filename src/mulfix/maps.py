@@ -242,15 +242,23 @@ class SelfMapSpec(JsonConfig):
 
 def _checked_image(T) -> Callable[[Point], Point]:
     """T bound once as a function of a checked point tuple, whose image is a
-    checked tuple; T's own errors pass through.  A SelfMapSpec's kernel gives
-    floats, which go through ``as_point`` only to raise a non-finite one's error."""
-    if type(T) is not SelfMapSpec:
-        return lambda x: as_point(T(x))
-    call = T._call
+    checked tuple.  This is the one rule for a map that fails at a point: T
+    raises an ArithmeticError or a ValueError, which reaches the caller as
+    DomainError (a DomainError as it is), or gives a non-finite image, which
+    ``as_point`` rejects; any other error of T passes through.  A
+    SelfMapSpec's kernel gives floats, which go through ``as_point`` only to
+    raise a non-finite one's error."""
+    spec = type(T) is SelfMapSpec
+    call = T._call if spec else T
 
     def image(x: Point) -> Point:
-        y = call(x)
-        return y if all(map(math.isfinite, y)) else as_point(y)
+        try:
+            y = call(x)
+            return y if spec and all(map(math.isfinite, y)) else as_point(y)
+        except DomainError:
+            raise
+        except (ArithmeticError, ValueError) as exc:
+            raise DomainError(str(exc)) from exc
 
     return image
 

@@ -98,21 +98,6 @@ class FixedPointResult:
     continuity_log_ratio: float | None = None
 
 
-def _image(T) -> Callable[[Point], Point]:
-    """``maps._checked_image(T)``, where a failure of T surfaces as DomainError."""
-    checked = _checked_image(T)
-
-    def image(x: Point) -> Point:
-        try:
-            return checked(x)
-        except DomainError:
-            raise
-        except (ArithmeticError, ValueError) as exc:
-            raise DomainError(str(exc)) from exc
-
-    return image
-
-
 def _stepper(metric, T, domain: Optional[Box] = None,
              config: Optional[SolverConfig] = None) -> Callable:
     """The Picard step of one run, with all it reads bound once.
@@ -127,7 +112,7 @@ def _stepper(metric, T, domain: Optional[Box] = None,
     kernel; a FunctionMetric's distance function takes any two tuples, and
     checks the points it receives.
     """
-    image, distance = _image(T), metric._log_distance
+    image, distance = _checked_image(T), metric._log_distance
     checked = isinstance(metric, MetricSpec)
     space = metric._space if checked else None
     bounds = None if domain is None else domain.bounds
@@ -439,10 +424,10 @@ def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
 def _observed_continuity(metric, T, trace: IterationTrace, z: Point, eps: float):
     """Largest log-Lipschitz ratio of T observed near z along the trace.
 
-    T is applied as a Picard step applies it (see ``_image``), and each
-    ratio's distance is the public ``log_distance``."""
+    T is applied as a Picard step applies it (see ``maps._checked_image``),
+    and each ratio's distance is the public ``log_distance``."""
     log_eps = math.log(eps)
-    image = _image(T)
+    image = _checked_image(T)
     try:
         tz = image(z)
     except DomainError:

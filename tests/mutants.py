@@ -1,0 +1,144 @@
+"""Mutation harness: each entry breaks one piece of the source on purpose,
+and the tests it names must then fail.
+
+Run from anywhere, with the test dependencies installed:
+
+    python tests/mutants.py          # every entry
+    python tests/mutants.py NAME...  # the named entries
+
+First the union of the named tests must pass on an unchanged copy, so that
+a kill is the mutation's doing.  Then, for each entry, ``src/`` and
+``tests/`` are copied to a temporary directory, the entry's exact old text
+in its file is replaced by the new text, and ``python -m pytest -x -q`` runs
+the entry's tests there with ``HYPOTHESIS_PROFILE=ci``.  An entry is killed
+when pytest reports a failed test (exit status 1).  An old text that does
+not occur exactly once, or any other pytest exit status, is an error, never
+a kill.  The exit status is 0 when every entry is killed, else 1.
+
+The file is not named ``test_*``, so a plain pytest run does not collect
+it, and it uses the standard library only.  A change that proves a test
+bites by a mutation adds the mutation here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    old: str   # must occur exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+FLAG_PATTERNS = ("tests/test_writer.py::"
+                 "test_every_flag_pattern_across_block_edges_equals_the_reference")
+
+MUTANTS = (
+    Mutant("flag bits read in reverse order", "src/mulfix/conditions.py",
+           "code >> c & 1", "code >> (len(self.checks) - 1 - c) & 1", (FLAG_PATTERNS,)),
+    Mutant("flag slice off by one", "src/mulfix/conditions.py",
+           "flags[:, a:b]", "flags[:, a + 1:b + 1]", (FLAG_PATTERNS,)),
+    Mutant("looser cycle threshold", "src/mulfix/solver.py",
+           "_CYCLE_LOGD = 1e-14", "_CYCLE_LOGD = 1e-13",
+           ("tests/test_solver.py::test_a_return_is_a_cycle_only_within_the_cycle_threshold",)),
+    Mutant("limit-point share rounded down", "src/mulfix/sequences.py",
+           "math.ceil(len(points) / 4)", "len(points) // 4",
+           ("tests/test_sequences.py::test_a_limit_point_holds_a_quarter_of_the_trace",)),
+    Mutant("map failures narrowed to two types", "src/mulfix/maps.py",
+           "except (ArithmeticError, ValueError)", "except (ZeroDivisionError, OverflowError)",
+           ("tests/test_maps.py::test_a_map_failure_has_one_outcome_everywhere",)),
+    Mutant("a pair's error taken from its last cause", "src/mulfix/conditions.py",
+           "return min(at, key=", "return max(at, key=",
+           ("tests/test_conditions.py::"
+            "test_the_summary_counts_every_cause_of_an_unevaluated_pair",)),
+)
+
+
+class HarnessError(Exception):
+    """An entry or run that proves nothing either way."""
+
+
+def copy_tree(into: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, into / part, ignore=ignore)
+
+
+def mutate(into: Path, mutant: Mutant) -> None:
+    path = into / mutant.file
+    text = path.read_text(encoding="utf-8")
+    count = text.count(mutant.old)
+    if count != 1:
+        raise HarnessError(f"{mutant.file} holds {mutant.old!r} {count} times, not once")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def python(into: Path, *args: str) -> subprocess.CompletedProcess:
+    """Python run in the copy at into, which it imports mulfix from."""
+    env = {**os.environ, "PYTHONPATH": str(into / "src"), "HYPOTHESIS_PROFILE": "ci",
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, *args], cwd=into, env=env, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+
+
+def pytest(into: Path, tests) -> int:
+    """The exit status of ``pytest -x -q`` on the tests in the copy at into."""
+    run = python(into, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                 "--rootdir", str(into), *tests)
+    if run.returncode not in (0, 1):
+        raise HarnessError(f"pytest exited {run.returncode}:\n{run.stdout}")
+    return run.returncode
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown entries: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    survived = 0
+    with tempfile.TemporaryDirectory(prefix="mulfix-mutants-") as tmp:
+        base = Path(tmp) / "base"
+        copy_tree(base)
+        found = python(base, "-c", "import mulfix; print(mulfix.__file__)").stdout.strip()
+        if not Path(found).is_relative_to(base):
+            print(f"the copy imports mulfix from {found}", file=sys.stderr)
+            return 1
+        tests = list(dict.fromkeys(t for m in chosen for t in m.tests))
+        if pytest(base, tests) != 0:
+            print("the named tests fail on the unchanged source", file=sys.stderr)
+            return 1
+        for k, mutant in enumerate(chosen):
+            into = Path(tmp) / f"m{k}"
+            copy_tree(into)
+            start = time.perf_counter()
+            try:
+                mutate(into, mutant)
+                killed = pytest(into, mutant.tests) == 1
+            except HarnessError as exc:
+                print(f"ERROR     {mutant.name}: {exc}")
+                survived += 1
+                continue
+            finally:
+                shutil.rmtree(into)
+            survived += not killed
+            print(f"{'killed' if killed else 'SURVIVED':9} {mutant.name} "
+                  f"({time.perf_counter() - start:.1f} s)")
+    print(f"{len(chosen) - survived} of {len(chosen)} killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

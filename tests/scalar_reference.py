@@ -24,7 +24,8 @@ records exactly what a run gave or raised, so that ``picard`` and the
 reference can be compared bit for bit.
 
 ``reference_estimate`` and ``reference_classify`` fit the constants and
-classify a sample pair by pair through the ``check_*`` functions.  The
+classify a sample pair by pair through the ``check_*`` functions;
+``reference_pair_error`` names the point at fault in a pair that fails.  The
 orbit scans (``reference_detect_limit_point``, ``reference_cauchy_indicator``,
 and ``reference_bound_rows``) are loops of public calls.  The axiom, triangle
 and reverse-triangle loops list violations one matrix entry at a time, as
@@ -408,6 +409,40 @@ def reference_estimate(metric, T, points):
     return (xi, eta, lam, used, skipped)
 
 
+def reference_pair_error(metric, T, points, i, j, exc):
+    """The message of the error record of pair (i, j), whose check raised
+    ``exc``, found again point by point with public calls: the map at x,
+    then at y, then the metric's space at Tx and Ty, then at x and y, then
+    log phi's argument L(x, Tx) and L(y, Ty), each named with its point's
+    index.  ``exc`` itself is raised when no point fails."""
+    dim = len(points[0])
+
+    def outside(p):
+        if len(p) != dim:
+            return f"dimension mismatch: {dim} vs {len(p)}"
+        try:
+            metric.check_domain(p)
+        except DomainError as err:
+            return str(err)
+        return None
+
+    images = {}
+    for k in (i, j):
+        try:
+            images[k] = reference_apply(T, points[k])
+        except DomainError as err:
+            return f"map at point {k}: {err}"
+    for where, at in (("image of point", images), ("point", points)):
+        for k in (i, j):
+            why = outside(at[k])
+            if why is not None:
+                return f"{where} {k}: {why}"
+    for k in (i, j):
+        if metric.log_distance(points[k], images[k]) < 0:
+            return f"phi at point {k}: phi arguments must be distances >= 1"
+    raise exc
+
+
 def reference_classify(metric, T, points, constants, phi, tol, strict_margin):
     xi_hat, eta_hat, lam_hat, used, skipped_est = reference_estimate(metric, T, points)
     if constants is not None:
@@ -436,9 +471,10 @@ def reference_classify(metric, T, points, constants, phi, tol, strict_margin):
                 res[cid] = check_strict(metric, T, x, y, cid, strict_margin)
             if phi is not None:
                 res["PHI"] = check_phi(metric, T, phi, x, y, tol)
-        except (MulfixError, ZeroDivisionError, OverflowError) as exc:
+        except (MulfixError, ArithmeticError, ValueError) as exc:
             had_error = True
-            records.append((i, j, "*", None, None, str(exc)))
+            records.append((i, j, "*", None, None, reference_pair_error(
+                metric, T, points, i, j, exc)))
             continue
         for cid, (ok, slack) in res.items():
             records.append((i, j, cid, ok, bits(slack), None))

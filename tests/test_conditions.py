@@ -257,7 +257,8 @@ def test_reciprocal_offset_estimates_match_brute_force_oracle():
     assert math.isclose(est.lambda_hat, lam, rel_tol=1e-12)
     assert est.eta_hat <= 0.499 and est.lambda_hat <= 0.499
     # feasible estimates always yield a valid contraction ratio
-    assert est.constants().delta < 1
+    assert mx.ZamfirescuConstants(xi=est.xi_hat, eta=est.eta_hat,
+                                  lam=est.lambda_hat).delta < 1
 
 
 def test_negation_is_infeasible_on_a_symmetric_grid():
@@ -378,9 +379,12 @@ def test_the_summary_counts_every_cause_of_an_unevaluated_pair():
                                    "point": {"count": 4, "first_pair": [2, 3]},
                                    "phi": {"count": 0, "first_pair": None}}
     errors = {tuple(r["pair"]): r["error"] for r in data["pairs"] if r["condition"] == "*"}
-    assert errors[0, 1] == "rational map pole at coordinate -2.0"
-    assert errors[0, 2] == errors[2, 3] \
-        == "star_product needs positive coordinates, got (-1.0,)"
+    # each names the point that fails and how: -1 as the image of point 0,
+    # and as point 2 itself
+    assert errors[0, 1] == "map at point 1: rational map pole at coordinate -2.0"
+    assert errors[0, 2] == "image of point 0: star_product needs positive coordinates, " \
+                           "got (-1.0,)"
+    assert errors[2, 3] == "point 2: star_product needs positive coordinates, got (-1.0,)"
 
     # not a metric: d(x, Tx) = 2 ** (Tx - x) is below 1 at x > 0, where log
     # phi rejects the pair
@@ -399,12 +403,13 @@ def test_a_pole_in_the_sample_gives_error_records():
     report = mx.classify(EXPABS2, mx.SelfMapSpec.rational(-0.5), sample)
     errors = [r for r in report.records if r["condition"] == "*"]
     assert [r["pair"] for r in errors] == [[0, 2], [1, 2], [2, 3], [2, 4]]
-    assert {r["error"] for r in errors} == {"rational map pole at coordinate 0.5"}
+    assert {r["error"] for r in errors} == {"map at point 2: rational map pole at "
+                                            "coordinate 0.5"}
     assert all(r["satisfied"] is None and list(r) == ["pair", "condition", "satisfied",
                                                         "error"] for r in errors)
     # pairs.csv holds them in place, with an empty flag and slack
     error_rows = [row for row in report.rows.to_csv_text().splitlines() if ",*," in row]
-    assert error_rows == [f"{i},{j},*,,,rational map pole at coordinate 0.5"
+    assert error_rows == [f"{i},{j},*,,,map at point 2: rational map pole at coordinate 0.5"
                           for i, j in [[0, 2], [1, 2], [2, 3], [2, 4]]]
     assert (report.n_pairs, report.skipped_pairs) == (10, 0)
     assert (report.estimates.pairs_used, report.estimates.pairs_skipped) == (6, 4)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 import mulfix as mx
@@ -104,3 +106,48 @@ def test_sample_box_is_deterministic_and_in_bounds():
 def test_grid_scheme_returns_pure_grid():
     box = mx.Box(((1.0, 2.0),))
     assert mx.sample_box(box, 100, seed=0, scheme="grid") == grid_points(box, 100)
+
+
+# -- one outcome for a map that fails at a point ----------------------------------
+
+SAMPLE = [(-1.0,), (0.0,), (0.5,), (1.0,), (2.0,)]
+K = 2  # the sample point where the map fails
+
+
+def failing_at_k(error: Exception):
+    """The identity, except that it raises ``error`` at sample point K."""
+    def T(x):
+        if x == SAMPLE[K]:
+            raise error
+        return x
+    return T
+
+
+@pytest.mark.parametrize("error", [
+    DomainError("outside"), ZeroDivisionError("division by zero"),
+    OverflowError("too large"), FloatingPointError("underflow"),
+    ValueError("math domain error")], ids=lambda e: type(e).__name__)
+def test_a_map_failure_has_one_outcome_everywhere(error):
+    metric, T, n = mx.MetricSpec.exp_abs(2.0), failing_at_k(error), len(SAMPLE)
+    k_pairs = [[i, j] for i in range(n) for j in range(i + 1, n) if K in (i, j)]
+    report = mx.classify(metric, T, SAMPLE)
+    errors = [r for r in report.records if r["condition"] == "*"]
+    assert [r["pair"] for r in errors] == k_pairs
+    assert {r["error"] for r in errors} == {f"map at point {K}: {error}"}
+    assert report.rows.summary()["unevaluated"]["map"]["count"] == n - 1
+    assert mx.estimate_constants(metric, T, SAMPLE).pairs_skipped == n - 1
+    config = mx.SolverConfig()
+    run = mx.picard(metric, T, SAMPLE[K], config)
+    assert (run.status, run.iterations) == (mx.Status.DIVERGED, 0)
+    probe = mx.uniqueness_probe(metric, T, SAMPLE, config.eps)
+    assert probe.survivors == tuple(SAMPLE[:K] + SAMPLE[K + 1:])
+
+
+def test_a_type_error_of_the_map_propagates_everywhere():
+    metric, T = mx.MetricSpec.exp_abs(2.0), failing_at_k(TypeError("not a number"))
+    for call in (lambda: mx.classify(metric, T, SAMPLE),
+                 lambda: mx.estimate_constants(metric, T, SAMPLE),
+                 lambda: mx.picard(metric, T, SAMPLE[K], mx.SolverConfig()),
+                 lambda: mx.uniqueness_probe(metric, T, SAMPLE, math.e)):
+        with pytest.raises(TypeError, match="not a number"):
+            call()
