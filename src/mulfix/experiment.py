@@ -38,6 +38,7 @@ from .metrics import (
     MetricSpec,
     Point,
     ReverseTriangleReport,
+    _kernel_dim,
     _triple_hits,
     _verify_axioms,
     _verify_reverse_triangle,
@@ -342,9 +343,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     The sample is mapped once and its log-distance matrix built once: the
     axiom checks, map invariance, classification and the PHI diagonal all
     read one table, and raise what their public functions would.  One
-    prefilter pass rules out triples for both triple scans.  With declared
-    constants, ``bounds`` holds one ``BoundReport`` per converged run, in
-    run order; the runs themselves keep no bound rows.
+    prefilter, a proof or one pass, rules out triples for both triple scans.
+    With declared constants, ``bounds`` holds one ``BoundReport`` per
+    converged run, in run order; the runs themselves keep no bound rows.
     """
     sample = tuple(
         sample_box(config.domain, config.sample_size, config.seed,
@@ -353,7 +354,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     points = config.metric._checked(sample)  # as log_distance_matrix checks them
     D = config.metric._log_distance_matrix(points, points)
     equal = equal_points(points)
-    middles, lasts = _triple_hits(D) or (None, None)
+    middles, lasts = _triple_hits(D, _kernel_dim(config.metric, points)) or (None, None)
     axioms = _verify_axioms(equal, D, middles)
     reverse = _verify_reverse_triangle(D, lasts)
     table = _PairTable(config.metric, config.map, points, D, equal)

@@ -63,6 +63,24 @@ MUTANTS = (
            "return min(at, key=", "return max(at, key=",
            ("tests/test_conditions.py::"
             "test_the_summary_counts_every_cause_of_an_unevaluated_pair",)),
+    Mutant("pattern cache filled only in the first block", "src/mulfix/conditions.py",
+           "for code in set(codes) - parts.keys():",
+           "for code in (set(codes) - parts.keys() if a == 0 else ()):", (FLAG_PATTERNS,)),
+    Mutant("an error record ahead of its run's pairs", "src/mulfix/conditions.py",
+           "yield a, pos, (i, j, message)",
+           "yield a, a, (i, j, message)\n            yield a, pos, None",
+           ("tests/test_writer.py::test_error_rows_at_every_position_equal_the_reference",
+            "tests/test_writer.py::test_an_error_message_stays_on_its_record_line")),
+    Mutant("triple scans proved empty at far larger distances", "src/mulfix/metrics.py",
+           "_reference_margin(dim, 0.0, top) <= DEFAULT_LOG_TOL:",
+           "_reference_margin(dim, 0.0, top) <= DEFAULT_LOG_TOL * 1e6:",
+           ("tests/test_metrics.py::"
+            "test_triple_scans_list_what_their_loops_listed_on_the_builtins",)),
+    Mutant("triple scans proved empty for any metric", "src/mulfix/metrics.py",
+           "if points and isinstance(metric, MetricSpec) else None",
+           "if points else None",
+           ("tests/test_metrics.py::"
+            "test_triple_scans_list_what_their_loops_listed_on_the_controls",)),
 )
 
 

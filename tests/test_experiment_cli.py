@@ -1,10 +1,12 @@
 import csv
 import dataclasses
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import mulfix as mx
-from mulfix import experiment
+from mulfix import experiment, metrics
 from mulfix.cli import main
 from mulfix.errors import ConfigError
 from mulfix.experiment import write_report
@@ -523,8 +525,9 @@ def test_run_experiment_shares_one_prefilter_with_the_public_checks(case, fused)
             domain=mx.Box(((-case, case),) * 2), sample_size=20)
     hits = []  # what each prefilter call returned
 
-    def prefilter(D):
-        hits.append(_triple_hits(D))
+    def prefilter(D, dim):
+        assert dim == config.domain.dim  # the dimension of a MetricSpec's points
+        hits.append(_triple_hits(D, dim))
         return hits[-1]
 
     with mock.patch.object(experiment, "_triple_hits", prefilter):
@@ -546,6 +549,31 @@ def test_run_experiment_shares_one_prefilter_with_the_public_checks(case, fused)
     assert all(pos <= len(rows.i) for pos, *_ in rows.errors)
     assert (dump_json(report.classification.to_json_tree())
             == dump_json(public.to_json_tree()))
+
+
+def _benchmark_workloads():
+    """``perfbench/workloads.py``, the benchmark's experiment lists, loaded
+    under its own name."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # its dataclasses look it up in sys.modules
+    return module
+
+
+def test_the_benchmarked_runs_prove_their_triple_scans_empty(monkeypatch):
+    # the prefilter's pass reads _BLOCK_ENTRIES and raises on None, so every
+    # run below must end its triple scans on the proof, as the benchmark's
+    # gain needs: the paper fixtures and every variant of the five
+    # stalled_solver slots
+    monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", None)
+    configs = [mx.fixture_config(name)
+               for name in ("example_3_15", "example_3_16", "example_3_17")]
+    slots = [e.config for e in _benchmark_workloads().pool("stalled_solver", "full")]
+    assert len(slots) == 40
+    for config in configs + slots:
+        report = mx.run_experiment(config)
+        assert report.axioms.ok and report.reverse_triangle.ok
 
 
 def test_module_entry_point_smoke():

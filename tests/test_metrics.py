@@ -2,14 +2,16 @@ import dataclasses
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import mulfix as mx
+from mulfix import metrics
 from mulfix.errors import DomainError
-from mulfix.metrics import DEFAULT_LOG_TOL, _triple_hits
+from mulfix.metrics import DEFAULT_LOG_TOL, _kernel_dim, _triple_hits
 from scalar_reference import (_axiom_violations_by_loop, _reverse_triangle_by_loop,
                               _triangle_by_loop)
 
@@ -245,6 +247,7 @@ NEGATIVE_CONTROLS = {
     "infinite": lambda x, y: math.inf if x[0] + y[0] == 1.0 else 2.0 ** abs(x[0] - y[0]),
     "lopsided": _lopsided,
     "below_one": lambda x, y: 0.5 + abs(x[0] - y[0]),         # log d < 0
+    "squared": lambda x, y: 2.0 ** ((x[0] - y[0]) ** 2),      # the triangle alone fails
 }
 
 
@@ -285,8 +288,9 @@ def test_axiom_masks_list_what_the_per_entry_loop_listed(metric, coords):
     (mx.FunctionMetric(NEGATIVE_CONTROLS["infinite"]), set()),
     (mx.FunctionMetric(NEGATIVE_CONTROLS["lopsided"]), {"symmetry"}),
     (mx.FunctionMetric(NEGATIVE_CONTROLS["below_one"]), {"nonnegativity", "identity"}),
+    (mx.FunctionMetric(NEGATIVE_CONTROLS["squared"]), set()),
     (NAN_TABLE, {"identity"}),
-], ids=["usual", "infinite", "lopsided", "below_one", "nan"])
+], ids=["usual", "infinite", "lopsided", "below_one", "squared", "nan"])
 def test_controls_break_the_expected_axioms(metric, axioms):
     sample = [(0.0,), (1.0,), (2.0,), (1.0,)]
     report = mx.verify_axioms(metric, sample)
@@ -417,10 +421,63 @@ def test_triple_scans_list_what_their_loops_listed_on_the_controls(metric, coord
     _scans_agree(metric, [(c,) for c in coords])
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(BUILTINS), st.integers(0, 2**32 - 1), st.integers(0, 12))
-def test_triple_scans_list_what_their_loops_listed_on_the_builtins(metric, seed, n):
-    sample = _random_sample(metric.kind, np.random.default_rng(seed), n)
-    # a shared coordinate gives exact ties; a scaled copy gives rounding at tol
-    sample += sample[:2] + [tuple(3.0 * c for c in p) for p in sample[:2]]
+
+
+def _box_sample(metric, dim, n, log_width, seed):
+    """n dim-d points of the metric's space, drawn from a box of half-width
+    10**log_width: the box of the logs for star_product (at most 700 wide,
+    so that every point is finite and positive) and five values a side for
+    discrete.  A third of the points take one coordinate of another point,
+    and two equal points and two scaled copies follow: exact ties, and
+    rounding at tol."""
+    width = 10.0 ** log_width
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-width, width, size=(n, dim))
+    if metric.kind == "star_product":
+        X = np.exp(np.clip(X, -700.0, 700.0))
+    elif metric.kind == "discrete":
+        X = np.round(2.0 * X / width)
+    for i, j, k in rng.integers(0, [n, n, dim], size=(n // 3, 3)).tolist():
+        X[i, k] = X[j, k]  # a shared coordinate: exact ties
+    sample = [tuple(p) for p in X.tolist()]
+    return sample + sample[:2] + [tuple(3.0 * c for c in p) for p in sample[:2]]
+
+
+def _proved(metric, sample):
+    """Whether ``_triple_hits`` proves the sample's triple scans empty, and
+    so returns before its pass, which reads ``_BLOCK_ENTRIES``."""
+    points = [mx.as_point(p) for p in sample]
+    D = metric.log_distance_matrix(points, points)
+    with mock.patch.object(metrics, "_BLOCK_ENTRIES", None):
+        try:
+            return _triple_hits(D, _kernel_dim(metric, points)) == ([], [])
+        except TypeError:  # None // n**2: the pass ran
+            return False
+
+
+# exp_abs(2) over 2-d boxes: one proved empty, and one whose roundings the
+# pass finds and the scans list
+SMALL_BOX, LARGE_BOX = (BUILTINS[4], 2, 20, -3.0, 0), (BUILTINS[4], 2, 20, 6.0, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BUILTINS), st.integers(1, 4), st.integers(0, 25),
+       st.floats(-3.0, 6.0), st.integers(0, 2**32 - 1))
+@example(*SMALL_BOX)
+@example(*LARGE_BOX)
+def test_triple_scans_list_what_their_loops_listed_on_the_builtins(metric, dim, n,
+                                                                   log_width, seed):
+    sample = _box_sample(metric, dim, n, log_width, seed)
+    event("proved empty" if _proved(metric, sample) else "scanned")
     _scans_agree(metric, sample)
+
+
+def test_the_builtin_boxes_take_both_branches():
+    assert _proved(BUILTINS[4], _box_sample(*SMALL_BOX))
+    triangle, reverse = _scans_agree(BUILTINS[4], _box_sample(*LARGE_BOX))
+    assert not _proved(BUILTINS[4], _box_sample(*LARGE_BOX)) and triangle and reverse
+    # a FunctionMetric always runs the pass, though its distances are small
+    squared = mx.FunctionMetric(NEGATIVE_CONTROLS["squared"])
+    line = [(0.0,), (1.0,), (2.0,)]
+    triangle, reverse = _scans_agree(squared, line)
+    assert not _proved(squared, line) and triangle and reverse
