@@ -46,7 +46,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config: ExperimentConfig, given: dict) -> ExperimentConfig:
-    """The config with the given --seed, --eps and --max-iter in place."""
+    """The config with the given --seed, --eps and --max-iter in place; the
+    config itself when none is given, so that it is not validated again."""
+    if given.keys().isdisjoint(("seed", "eps", "max_iter")):
+        return config
     solver = dataclasses.replace(config.solver, **{name: given[name] for name in
                                                    ("eps", "max_iter") if name in given})
     return dataclasses.replace(config, seed=given.get("seed", config.seed), solver=solver)

@@ -302,7 +302,7 @@ def estimate_constants(metric, T, sample: Sequence) -> ConstantEstimates:
     return _estimate(_PairTable(metric, T, sample))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairRows:
     """The pair records of a classification, kept as columns.
 
@@ -434,7 +434,7 @@ class PairRows:
 _PAIR_BLOCK = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionReport:
     """Per-pair condition records plus aggregate verdicts.
 

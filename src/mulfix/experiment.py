@@ -38,8 +38,7 @@ from .metrics import (
     MetricSpec,
     Point,
     ReverseTriangleReport,
-    _kernel_dim,
-    _triple_hits,
+    _proved_empty,
     _verify_axioms,
     _verify_reverse_triangle,
     as_point,
@@ -179,7 +178,7 @@ class ExpectationResult:
         return self.spec["kind"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentReport:
     """All pipeline outputs for one experiment run."""
 
@@ -343,7 +342,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     The sample is mapped once and its log-distance matrix built once: the
     axiom checks, map invariance, classification and the PHI diagonal all
     read one table, and raise what their public functions would.  One
-    prefilter, a proof or one pass, rules out triples for both triple scans.
+    decision, ``_proved_empty``, either proves both triple scans empty or has
+    both run at every index.
     With declared constants, ``bounds`` holds one ``BoundReport`` per
     converged run, in run order; the runs themselves keep no bound rows.
     """
@@ -354,9 +354,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     points = config.metric._checked(sample)  # as log_distance_matrix checks them
     D = config.metric._log_distance_matrix(points, points)
     equal = equal_points(points)
-    middles, lasts = _triple_hits(D, _kernel_dim(config.metric, points)) or (None, None)
-    axioms = _verify_axioms(equal, D, middles)
-    reverse = _verify_reverse_triangle(D, lasts)
+    proved = _proved_empty(config.metric, points, D)
+    axioms = _verify_axioms(equal, D, proved)
+    reverse = _verify_reverse_triangle(D, proved)
     table = _PairTable(config.metric, config.map, points, D, equal)
     # a failed image (None) means the map leaves the domain
     invariant = all(image is not None and config.domain.contains(image)

@@ -422,104 +422,44 @@ def verify_axioms(metric, sample: Iterable) -> AxiomReport:
     indiscernibles compares log d against 0 at tol, symmetry compares the
     two evaluation orders, and the multiplicative triangle inequality
     becomes log d(x,z) <= log d(x,y) + log d(y,z) + tol.  Every violating
-    pair or triple is listed.  Small samples simply give vacuous passes.
+    pair or triple is listed.  Small samples simply give vacuous passes.  The
+    triangle scan runs at every middle, unless ``_proved_empty`` proves that
+    it lists nothing (a MetricSpec at small distances).
     """
     points = [as_point(p) for p in sample]
     D = metric.log_distance_matrix(points, points)
-    middles, _ = _triple_hits(D, _kernel_dim(metric, points)) or (None, None)
-    return _verify_axioms(equal_points(points), D, middles)
+    return _verify_axioms(equal_points(points), D, _proved_empty(metric, points, D))
 
 
-def _kernel_dim(metric, points: Sequence[Point]) -> int | None:
-    """The dim of ``_triple_hits``: the points' dimension under a MetricSpec."""
-    return len(points[0]) if points and isinstance(metric, MetricSpec) else None
+def _proved_empty(metric, points: Sequence[Point], D: np.ndarray) -> bool:
+    """Whether both triple scans of D, the log-distance matrix of the points
+    under metric, are proved to list nothing at tol = ``DEFAULT_LOG_TOL``;
+    when they are not, each scan runs at every index.
 
-
-#: entries of the triple prefilter's buffer: each block of middle indices
-#: holds about this many (i, k) sums, and at least one middle's n * n
-_BLOCK_ENTRIES = 2 ** 16
-
-
-def _triple_hits(D: np.ndarray,
-                 dim: int | None = None) -> tuple[list[int], list[int]] | None:
-    """The middles j at which the triangle scan of the log-distance matrix
-    D may list a violation, and the first indices i of those hits, the only
-    last indices z at which the reverse-triangle scan may list one.  None
-    unless D is finite, nonnegative and symmetric (D == D.T, as the built-in
-    kernels give it) and its margin is at most tol / 2, tol = ``DEFAULT_LOG_TOL``;
-    ``([], [])`` without a pass when the Proof part shows both scans empty.
-
-    One pass over blocks of middles tests s = D[j,i] + D[j,k] <= T[i,k] for
-    every (i, k), with T = D - (tol - margin), margin = 4u M + 2**-1000,
-    u = 2**-53 and M = max D.  Each step below is one rounding fl, which is
-    monotone and leaves a float as it is; every relative error is at most u,
-    and the 2**-1000 covers a product 4u M that underflows.
-
-    Triangle part.  The triangle scan lists (i, j, k) when
-    fl(D[i,k] - s) > tol for s = fl(D[i,j] + D[j,k]), the very float the
-    pass forms, since D[i,j] = D[j,i].  As tol is a float, that needs
-    D[i,k] - s > tol exactly.  c = fl(tol - margin) <= tol, so
-    D[i,k] - c > s and T[i,k] = fl(D[i,k] - c) >= s: a hit.  This part
-    needs no margin.
-
-    Reverse part.  The reverse scan lists (x, y, z) when
-    fl(|fl(D[x,z] - D[y,z])| - D[x,y]) > tol.  Say D[x,z] >= D[y,z] (else
-    swap x and y).  That needs D[x,z] - D[y,z] - D[x,y] > tol - u D[x,z]
-    exactly, and so D[x,z] > tol.  Then at middle y the sum
-    s = fl(D[y,z] + D[y,x]) < D[x,z] - tol + (2u + u**2) D[x,z], while
-    0 <= c <= (tol - margin)(1 + u) and
-    T[z,x] >= (D[x,z] - c)(1 - u) >= D[x,z] - tol + (1 + u) margin
-    - u tol - u D[x,z].  With tol < D[x,z] <= M, (1 + u) margin >=
-    (4u + 4u**2) M exceeds (3u + u**2) D[x,z] + u tol, so s <= T[z,x]: the
-    pass hits at middle y and entry (z, x), first index z.  It tests the
-    diagonal i = k too, which a reverse hit at x = z needs; the triangle
-    scan lists nothing there, so such a hit only costs its middle a scan.
-
-    Proof part.  With dim, a MetricSpec kernel's points' dimension, and
-    g = (dim + 5) u, ``([], [])`` comes back at once when
+    The proof needs a MetricSpec and a finite M = max D; a NaN or an
+    infinite entry fails its bound.  With dim the points' dimension,
+    g = (dim + 5) u and u = 2**-53, it holds when
     ``_reference_margin(dim, 0, M)`` = 8 g M + 2**-1000 <= tol.  By that
     function, each D[p,q] is within a relative g of L(p,q), L a metric, so
-    L <= M / (1 - g).  Worst at L(i,k) = L(i,j) + L(j,k), the triangle
-    scan's D[i,k] - s is at most (2g + u) L(i,k); worst at equality too, the
-    reverse scan's fl(|D[x,z] - D[y,z]|) - D[x,y] is at most 2g L + u M for
-    L = max(L(x,z), L(y,z)).  Both are below (2g + u) M / (1 - g) <= tol.
-
-    A margin of at most tol / 2 keeps T at least about tol / 2 below D, so
-    exact ties such as collinear points on a line, and equal points, flag
-    nothing.  At tol = 1e-12 that bound holds up to M of about 1,100, and the
-    proof's up to about 187 at dim = 1 and 125 at dim = 4.  Blocks hold
-    max(1, min(n, _BLOCK_ENTRIES // n**2)) middles.
+    L <= M / (1 - g).  Each step of a scan is one rounding fl, monotone and of
+    relative error at most u, and tol is a float, so a scan lists a triple
+    only when the exact value it compares exceeds tol.  Worst at
+    L(i,k) = L(i,j) + L(j,k), the triangle scan's D[i,k] - fl(D[i,j] + D[j,k])
+    is at most (2g + u) L(i,k); worst at equality too, the reverse scan's
+    fl(|D[x,z] - D[y,z]|) - D[x,y] is at most 2g L + u M for
+    L = max(L(x,z), L(y,z)).  Both are below (2g + u) M / (1 - g) <= tol.  At
+    tol = 1e-12 the proof holds up to M of about 187 at dim = 1 and 125 at
+    dim = 4.
     """
-    n = len(D)
-    if not (np.isfinite(D).all() and (D >= 0).all() and np.array_equal(D, D.T)):
-        return None
-    top = float(D.max(initial=0.0))
-    if dim is not None and _reference_margin(dim, 0.0, top) <= DEFAULT_LOG_TOL:
-        return [], []
-    margin = 2.0 ** -51 * top + 2.0 ** -1000
-    if not margin <= DEFAULT_LOG_TOL / 2:
-        return None
-    T = D - (DEFAULT_LOG_TOL - margin)
-    rows = max(1, min(n, _BLOCK_ENTRIES // max(1, n * n)))
-    buf, bad = np.empty((rows, n, n)), np.empty((rows, n, n), dtype=bool)
-    middles: list[int] = []
-    firsts = np.zeros(n, dtype=bool)
-    for a in range(0, n, rows):
-        s, hit = buf[:n - a], bad[:n - a]  # the last block may be short
-        np.add(D[a:a + rows, :, None], D[a:a + rows, None, :], out=s)
-        if not np.less_equal(s, T, out=hit).any():
-            continue
-        hit_rows = hit.any(axis=2)  # (middle, first index)
-        middles += (a + np.flatnonzero(hit_rows.any(axis=1))).tolist()
-        firsts |= hit_rows.any(axis=0)
-    return middles, np.flatnonzero(firsts).tolist()
+    if not (points and isinstance(metric, MetricSpec)):
+        return False
+    return _reference_margin(len(points[0]), 0.0, float(D.max())) <= DEFAULT_LOG_TOL
 
 
-def _verify_axioms(equal: np.ndarray, D: np.ndarray,
-                   middles: Iterable[int] | None) -> AxiomReport:
+def _verify_axioms(equal: np.ndarray, D: np.ndarray, proved: bool) -> AxiomReport:
     """``verify_axioms`` of point tuples, given as their ``equal_points``
     matrix and their log-distance matrix D, with the triangle inequality
-    checked at the given middles (every index for None)."""
+    checked at every middle, or at none when proved (``_proved_empty``)."""
     n, tol = len(D), DEFAULT_LOG_TOL
     with np.errstate(invalid="ignore"):  # NaN compares False; inf - inf is NaN
         nonneg = D < -tol
@@ -543,7 +483,7 @@ def _verify_axioms(equal: np.ndarray, D: np.ndarray,
     # one buffer and is listed only when it has a hit.
     buf, bad = np.empty((n, n)), np.empty((n, n), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n) if middles is None else middles:
+        for j in range(0 if proved else n):
             np.add(D[:, j, None], D[None, j, :], out=buf)
             np.subtract(D, buf, out=buf)
             if not np.greater(buf, tol, out=bad).any():
@@ -565,24 +505,23 @@ def verify_reverse_triangle(metric, sample: Iterable) -> ReverseTriangleReport:
 
     This is the log-domain form of the reverse inequality
     star_abs(d(x,z) / d(y,z)) <= d(x,y); it follows from the axioms, so a
-    valid metric must pass on every sampled triple.
+    valid metric must pass on every sampled triple.  The scan runs at every
+    triple, unless ``_proved_empty`` proves that it lists nothing.
     """
     points = [as_point(p) for p in sample]
     D = metric.log_distance_matrix(points, points)
-    _, lasts = _triple_hits(D, _kernel_dim(metric, points)) or (None, None)
-    return _verify_reverse_triangle(D, lasts)
+    return _verify_reverse_triangle(D, _proved_empty(metric, points, D))
 
 
-def _verify_reverse_triangle(D: np.ndarray,
-                             lasts: Iterable[int] | None) -> ReverseTriangleReport:
+def _verify_reverse_triangle(D: np.ndarray, proved: bool) -> ReverseTriangleReport:
     """``verify_reverse_triangle`` of a sample's log-distance matrix D,
-    checked at the given last indices z (every index for None): each fills
-    one buffer and is listed only when it has a hit."""
+    checked at every last index z, or at none when proved (``_proved_empty``):
+    each z fills one buffer and is listed only when it has a hit."""
     n, tol = len(D), DEFAULT_LOG_TOL
     buf, bad = np.empty((n, n)), np.empty((n, n), dtype=bool)
     violations: list[dict] = []
     with np.errstate(invalid="ignore"):
-        for z in range(n) if lasts is None else lasts:
+        for z in range(0 if proved else n):
             np.subtract(D[:, z, None], D[None, :, z], out=buf)
             np.abs(buf, out=buf)
             np.subtract(buf, D, out=buf)

@@ -72,15 +72,21 @@ MUTANTS = (
            ("tests/test_writer.py::test_error_rows_at_every_position_equal_the_reference",
             "tests/test_writer.py::test_an_error_message_stays_on_its_record_line")),
     Mutant("triple scans proved empty at far larger distances", "src/mulfix/metrics.py",
-           "_reference_margin(dim, 0.0, top) <= DEFAULT_LOG_TOL:",
-           "_reference_margin(dim, 0.0, top) <= DEFAULT_LOG_TOL * 1e6:",
+           "float(D.max())) <= DEFAULT_LOG_TOL", "float(D.max())) <= DEFAULT_LOG_TOL * 1e6",
            ("tests/test_metrics.py::"
             "test_triple_scans_list_what_their_loops_listed_on_the_builtins",)),
     Mutant("triple scans proved empty for any metric", "src/mulfix/metrics.py",
-           "if points and isinstance(metric, MetricSpec) else None",
-           "if points else None",
+           "if not (points and isinstance(metric, MetricSpec)):", "if not points:",
            ("tests/test_metrics.py::"
             "test_triple_scans_list_what_their_loops_listed_on_the_controls",)),
+    Mutant("triangle scan skipped when the proof fails", "src/mulfix/metrics.py",
+           "for j in range(0 if proved else n):", "for j in range(n if proved else 0):",
+           ("tests/test_metrics.py::"
+            "test_triple_scans_list_what_their_loops_listed_on_the_controls",)),
+    Mutant("reverse scan skipped when the proof fails", "src/mulfix/metrics.py",
+           "for z in range(0 if proved else n):", "for z in range(n if proved else 0):",
+           ("tests/test_metrics.py::"
+            "test_triple_scans_list_what_their_loops_listed_on_tables",)),
 )
 
 

@@ -14,13 +14,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import mulfix as mx
-from mulfix import experiment, metrics
+from mulfix import cli, experiment
 from mulfix.cli import main
 from mulfix.errors import ConfigError
 from mulfix.experiment import write_report
 from mulfix.jsonconfig import dump_json
 from mulfix.conditions import PSI_KINDS
-from mulfix.metrics import DEFAULT_LOG_TOL, _triple_hits
+from mulfix.metrics import DEFAULT_LOG_TOL, _proved_empty
 from scalar_reference import check_phi, reference_records
 
 EPS = math.exp(1e-9)
@@ -68,6 +68,14 @@ def test_config_round_trip_produces_identical_reports(report_3_16):
 def test_fixture_runner_equals_plain_experiment(report_3_15):
     direct = mx.run_experiment(mx.fixture_config("example_3_15"))
     assert direct.to_json_dict() == report_3_15.to_json_dict()
+
+
+def test_reports_of_two_runs_compare_by_identity(report_3_15):
+    # a field-by-field comparison of their arrays would be ambiguous
+    a, b = report_3_15, mx.run_experiment(mx.fixture_config("example_3_15"))
+    for x, y in ((a, b), (a.classification, b.classification),
+                 (a.classification.rows, b.classification.rows)):
+        assert x == x and x != y and len({x, y}) == 2
 
 
 def test_config_errors_carry_the_field_name():
@@ -319,6 +327,14 @@ def test_cli_run_with_overrides(tmp_path):
                  "--eps", str(math.exp(1e-6)), "--max-iter", "50"]) == 1
 
 
+def test_no_override_keeps_the_config_itself():
+    config = mx.fixture_config("example_3_15")
+    given = {"command": "fixture", "name": "example_3_15", "format": "csv"}
+    assert cli._apply_overrides(config, given) is config  # not validated again
+    changed = cli._apply_overrides(config, {**given, "seed": 9})
+    assert changed.seed == 9 and changed.solver == config.solver
+
+
 def test_cli_classify_subcommand(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(identity_config()))
@@ -504,12 +520,12 @@ ERROR_SAMPLES = {
 }
 
 
-@pytest.mark.parametrize("case, fused",
+@pytest.mark.parametrize("case, proved",
                          [(5.0, True), (1e6, False), *((k, True) for k in ERROR_SAMPLES)])
-def test_run_experiment_shares_one_prefilter_with_the_public_checks(case, fused):
+def test_run_experiment_shares_one_decision_with_the_public_checks(case, proved):
     # case is a half width, or a sample of ERROR_SAMPLES; exp_abs(2) over a
-    # box 1e6 wide rounds past the tolerance: the full scans run and list
-    # violations
+    # box 1e6 wide rounds past the tolerance: the proof fails, and the full
+    # scans run and list violations
     config = dataclasses.replace(mx.fixture_config("example_3_15"), constants=None,
                                  expectations=())
     if isinstance(case, str):
@@ -523,23 +539,23 @@ def test_run_experiment_shares_one_prefilter_with_the_public_checks(case, fused)
         config = dataclasses.replace(
             config, metric=mx.MetricSpec.exp_abs(2.0), map=mx.SelfMapSpec.scale(0.5),
             domain=mx.Box(((-case, case),) * 2), sample_size=20)
-    hits = []  # what each prefilter call returned
+    decided = []  # what each call of the decision returned
 
-    def prefilter(D, dim):
-        assert dim == config.domain.dim  # the dimension of a MetricSpec's points
-        hits.append(_triple_hits(D, dim))
-        return hits[-1]
+    def decide(metric, points, D):
+        assert metric is config.metric and len(points) == len(D) == config.sample_size
+        decided.append(_proved_empty(metric, points, D))
+        return decided[-1]
 
-    with mock.patch.object(experiment, "_triple_hits", prefilter):
+    with mock.patch.object(experiment, "_proved_empty", decide):
         report = mx.run_experiment(config)
-    assert len(hits) == 1 and (hits[0] is not None) is fused
+    assert decided == [proved]
     axioms = mx.verify_axioms(config.metric, report.sample)
     reverse = mx.verify_reverse_triangle(config.metric, report.sample)
     assert (json.dumps(dataclasses.asdict(report.axioms))
             == json.dumps(dataclasses.asdict(axioms)))
     assert (json.dumps(dataclasses.asdict(report.reverse_triangle))
             == json.dumps(dataclasses.asdict(reverse)))
-    assert bool(reverse.violations) is not fused
+    assert bool(reverse.violations) is not proved
     # the run's table takes the checked sample as it is; the public
     # classify checks every point again
     public = mx.classify(config.metric, config.map, report.sample, seed=config.seed)
@@ -562,11 +578,17 @@ def _benchmark_workloads():
 
 
 def test_the_benchmarked_runs_prove_their_triple_scans_empty(monkeypatch):
-    # the prefilter's pass reads _BLOCK_ENTRIES and raises on None, so every
-    # run below must end its triple scans on the proof, as the benchmark's
-    # gain needs: the paper fixtures and every variant of the five
-    # stalled_solver slots
-    monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", None)
+    # both triple scans raise unless the proof holds, so every run below must
+    # skip them on the proof, as the benchmark's speed needs: the paper
+    # fixtures and every variant of the five stalled_solver slots
+    def proved_only(scan):
+        def scan_unless_proved(*args):
+            assert args[-1], f"{scan.__name__} scanned"
+            return scan(*args)
+        return scan_unless_proved
+
+    for name in ("_verify_axioms", "_verify_reverse_triangle"):
+        monkeypatch.setattr(experiment, name, proved_only(getattr(experiment, name)))
     configs = [mx.fixture_config(name)
                for name in ("example_3_15", "example_3_16", "example_3_17")]
     slots = [e.config for e in _benchmark_workloads().pool("stalled_solver", "full")]

@@ -2,16 +2,14 @@ import dataclasses
 import json
 import math
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 import mulfix as mx
-from mulfix import metrics
 from mulfix.errors import DomainError
-from mulfix.metrics import DEFAULT_LOG_TOL, _kernel_dim, _triple_hits
+from mulfix.metrics import DEFAULT_LOG_TOL, _proved_empty
 from scalar_reference import (_axiom_violations_by_loop, _reverse_triangle_by_loop,
                               _triangle_by_loop)
 
@@ -341,11 +339,9 @@ def tables(draw):
     return TableMetric(tuple(map(tuple, rows))), m
 
 
-# Symmetric tables reach the fused prefilter: distances of points on a line
-# (exact collinear ties, and equal points where two positions coincide),
-# scaled so that sums round, with entries moved by about the tolerance or a
-# few ulps either way.  The largest scales make the margin exceed tol / 2,
-# so the full scans run.
+# Symmetric tables: distances of points on a line (exact collinear ties,
+# and equal points where two positions coincide), scaled so that sums round,
+# with entries moved by about the tolerance or a few ulps either way.
 LINE_SCALES = [1.0, 0.1, 1 / 3, 2.0 ** -40, 100.0, 250.0, 300.0, 1e3, 2.0 ** 60]
 TIES = [0.0, DEFAULT_LOG_TOL, -DEFAULT_LOG_TOL, math.nextafter(DEFAULT_LOG_TOL, 1.0),
         -math.nextafter(DEFAULT_LOG_TOL, 1.0), math.nextafter(DEFAULT_LOG_TOL, 0.0),
@@ -376,25 +372,26 @@ def test_triple_scans_list_what_their_loops_listed_on_tables(table, data):
     _scans_agree(metric, sample)
 
 
-def test_triple_hits_rule_out_ties_and_fall_back_on_large_entries():
-    tol = DEFAULT_LOG_TOL
+def test_the_proof_takes_ties_and_falls_back_on_large_entries():
+    metric = mx.MetricSpec.exp_abs(2.0)
     line = [(0.0,), (1.0,), (3.0,), (1.0,)]  # collinear, one point twice
-    D = mx.MetricSpec.exp_abs(2.0).log_distance_matrix(line, line)
-    assert _triple_hits(D) == ([], [])
-    # 0-2 just beyond the tolerance: middle 1, and both ends of the hit
-    D = np.array([[0.0, 0.5, 1.0 + 2 * tol], [0.5, 0.0, 0.5], [1.0 + 2 * tol, 0.5, 0.0]])
-    assert _triple_hits(D) == ([1], [0, 2])
-    for broken in (D + np.triu(D), -D, np.where(D > 0.6, math.nan, D), 1e4 * D):
-        assert _triple_hits(broken) is None  # asymmetric, negative, NaN, large
+    D = metric.log_distance_matrix(line, line)
+    assert _proved_empty(metric, line, D)
+    # the bound at dim = 1: M of about 187
+    assert _proved_empty(metric, line, D * (187.0 / D.max()))
+    assert not _proved_empty(metric, line, D * (188.0 / D.max()))
+    for broken in (np.where(D > 1.0, math.nan, D), np.where(D > 1.0, math.inf, D)):
+        assert not _proved_empty(metric, line, broken)
+    assert not _proved_empty(mx.FunctionMetric(metric.distance), line, D)
+    assert not _proved_empty(metric, [], np.zeros((0, 0)))
 
 
-def test_the_margin_keeps_a_reverse_hit_that_only_rounding_makes():
+def test_the_reverse_scan_keeps_a_hit_that_only_rounding_makes():
     # |D[0,1] - D[2,1]| - D[0,2] is 9.7e-13 exactly but rounds to above tol,
     # while the triangle sum D[1,2] + D[2,0] rounds up to within tol of
-    # D[1,0]: without its margin the pass would not flag z = 1
+    # D[1,0]: the reverse scan lists z = 1, and the triangle scan nothing
     rows = ((0.0, 900.0, 600.0000000000001), (900.0, 0.0, 299.9999999999989),
             (600.0000000000001, 299.9999999999989, 0.0))
-    assert _triple_hits(np.array(rows)) == ([2], [0, 1])
     triangle, reverse = _scans_agree(TableMetric(rows), [(0.0,), (1.0,), (2.0,)])
     assert not triangle and [v["triple"] for v in reverse] == [[0, 2, 1], [2, 0, 1]]
 
@@ -444,19 +441,13 @@ def _box_sample(metric, dim, n, log_width, seed):
 
 
 def _proved(metric, sample):
-    """Whether ``_triple_hits`` proves the sample's triple scans empty, and
-    so returns before its pass, which reads ``_BLOCK_ENTRIES``."""
+    """Whether ``_proved_empty`` proves the sample's triple scans empty."""
     points = [mx.as_point(p) for p in sample]
-    D = metric.log_distance_matrix(points, points)
-    with mock.patch.object(metrics, "_BLOCK_ENTRIES", None):
-        try:
-            return _triple_hits(D, _kernel_dim(metric, points)) == ([], [])
-        except TypeError:  # None // n**2: the pass ran
-            return False
+    return _proved_empty(metric, points, metric.log_distance_matrix(points, points))
 
 
 # exp_abs(2) over 2-d boxes: one proved empty, and one whose roundings the
-# pass finds and the scans list
+# scans list
 SMALL_BOX, LARGE_BOX = (BUILTINS[4], 2, 20, -3.0, 0), (BUILTINS[4], 2, 20, 6.0, 0)
 
 
@@ -476,7 +467,7 @@ def test_the_builtin_boxes_take_both_branches():
     assert _proved(BUILTINS[4], _box_sample(*SMALL_BOX))
     triangle, reverse = _scans_agree(BUILTINS[4], _box_sample(*LARGE_BOX))
     assert not _proved(BUILTINS[4], _box_sample(*LARGE_BOX)) and triangle and reverse
-    # a FunctionMetric always runs the pass, though its distances are small
+    # a FunctionMetric always scans, though its distances are small
     squared = mx.FunctionMetric(NEGATIVE_CONTROLS["squared"])
     line = [(0.0,), (1.0,), (2.0,)]
     triangle, reverse = _scans_agree(squared, line)
