@@ -201,16 +201,17 @@ class _PairTable:
     ``Dxx[i, j] = L(x_i, x_j)``, ``Dtt[i, j] = L(Tx_i, Tx_j)`` and
     ``Dxt[i, j] = L(x_i, Tx_j)`` give the six values every condition reads.
     Entries are NaN unless both points and their images are valid (see
-    ``first_error``); ``equal`` marks the pairs of equal points and
-    ``usable`` the distinct valid pairs i < j.  ``run_experiment`` passes
-    the full ``Dxx`` and ``equal_points`` matrix of points it checked, which
-    are then taken as they are.  Points are mapped by
-    ``maps._checked_image``, whose DomainError is the map failing at a
-    point; ``images`` holds each point's image, None where the map failed.
-    ``errors`` holds per point the first of its failures in ``CAUSES``
-    order as ``(cause, text)``, the text naming the point by its index,
-    ``map at point k: ...``, ``image of point k: ...`` or ``point k: ...``,
-    or None for a valid point.
+    ``first_error``).  ``I`` and ``J`` list the pairs i < j in combinations
+    order, and the bool vectors ``distinct`` (not equal points) and
+    ``usable`` (distinct, both points valid) pick pairs of them for
+    ``gather``.  ``run_experiment`` passes the full ``Dxx`` and
+    ``equal_points`` matrix of points it checked, which are then taken as
+    they are.  Points are mapped by ``maps._checked_image``, whose
+    DomainError is the map failing at a point; ``images`` holds each point's
+    image, None where the map failed.  ``errors`` holds per point the first
+    of its failures in ``CAUSES`` order as ``(cause, text)``, the text naming
+    the point by its index, ``map at point k: ...``, ``image of point k:
+    ...`` or ``point k: ...``, or None for a valid point.
     """
 
     def __init__(self, metric, T, sample: Sequence, Dxx: np.ndarray | None = None,
@@ -244,13 +245,20 @@ class _PairTable:
             self.Dxx[block] = metric._log_distance_matrix(X, X)
         self.Dtt[block] = metric._log_distance_matrix(TX, TX)
         self.Dxt[block] = metric._log_distance_matrix(X, TX)
-        self.equal = equal_points(points) if equal is None else equal
-        self.usable = np.zeros((n, n), dtype=bool)
-        self.usable[block] = np.triu(~self.equal[block], 1)
+        equal = equal_points(points) if equal is None else equal
         self.step = np.diag(self.Dxt)  # L(x, Tx) of each point
+        self.I, self.J = np.triu_indices(n, 1)
+        self.distinct = ~equal[self.I, self.J]
+        valid = np.array([e is None for e in self.errors], dtype=bool)
+        self.usable = self.distinct & valid[self.I] & valid[self.J]
+
+    def gather(self, at: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``I``, ``J``, L(x, y), L(x, Tx) + L(y, Ty), L(x, Ty) + L(y, Tx) and
+        L(Tx, Ty) at the pairs the bool vector ``at`` picks."""
+        I, J = self.I[at], self.J[at]
         with np.errstate(all="ignore"):
-            self.own = self.step[:, None] + self.step[None, :]  # L(x, Tx) + L(y, Ty)
-            self.cross = self.Dxt + self.Dxt.T  # L(x, Ty) + L(y, Tx)
+            return (I, J, self.Dxx[I, J], self.step[I] + self.step[J],
+                    self.Dxt[I, J] + self.Dxt[J, I], self.Dtt[I, J])
 
     def phi_slack(self, phi: PhiSpec, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """The PHI margin rhs - lhs of each pair (u, v) = (x_i[k], x_j[k]) of
@@ -279,17 +287,19 @@ def _sup_ratio(num: np.ndarray, den: np.ndarray) -> float:
 
 
 def _estimate(table: _PairTable) -> ConstantEstimates:
-    for i, j in np.argwhere(table.usable & (table.Dxx == 0)):
+    I, J, Dxx, own, cross, Dtt = table.gather(table.usable)
+    for i, j in zip(I[Dxx == 0].tolist(), J[Dxx == 0].tolist()):
         logger.warning("distinct pair %s / %s collapsed to distance 1; skipped",
                        table.points[i], table.points[j])
-    used = table.usable & (table.Dxx != 0)
+    used = Dxx != 0
     n_used = int(used.sum())
     if n_used == 0:
-        raise DegeneratePairError("no usable distinct pair in the sample")
-    num, n = table.Dtt[used], len(table.points)
+        why = next((f": {e[1]}" for e in table.errors if e), "")  # the first failing point
+        raise DegeneratePairError(f"no usable distinct pair in the sample{why}")
+    num = Dtt[used]
     return ConstantEstimates(
-        _sup_ratio(num, table.Dxx[used]), _sup_ratio(num, table.own[used]),
-        _sup_ratio(num, table.cross[used]), n_used, n * (n - 1) // 2 - n_used)
+        _sup_ratio(num, Dxx[used]), _sup_ratio(num, own[used]),
+        _sup_ratio(num, cross[used]), n_used, len(table.I) - n_used)
 
 
 def estimate_constants(metric, T, sample: Sequence) -> ConstantEstimates:
@@ -306,23 +316,23 @@ def estimate_constants(metric, T, sample: Sequence) -> ConstantEstimates:
 class PairRows:
     """The pair records of a classification, kept as columns.
 
-    ``i`` and ``j`` list the evaluated pairs in sample order; ``checks`` maps
-    each condition to its ``(flags, slacks)`` over them, a bool array and a
-    float64 array, or None for the slacks of a condition with no admissible
-    constant.  The columns keep the full floats; the written records hold
-    each flag only, and the slacks reach a file through ``summary`` and
-    ``write_csv``.  ``errors`` holds one ``(position, i, j, cause, message)``
-    per pair that could not be evaluated, with a cause of ``CAUSES``, where
-    position counts the evaluated pairs before it, so no position passes
-    ``len(i)``; ``checks`` holds at least one condition, as ``_classify``
-    gives every table.  The records run pair by pair, each evaluated pair
-    with one record per condition in ``checks`` order, and each error record
-    before the evaluated pair at its position, the order ``_runs`` walks;
-    ``records`` parses the written text.
+    ``i`` and ``j`` hold the evaluated pairs in sample order as integer arrays,
+    which the writers convert a block at a time; ``checks`` maps each condition
+    to its ``(flags, slacks)`` over them, a bool array and a float64 array, or
+    None for the slacks of a condition with no admissible constant.  The
+    columns keep the full floats; the written records hold each flag only, and
+    the slacks reach a file through ``summary`` and ``write_csv``.  ``errors``
+    holds one ``(position, i, j, cause, message)`` per pair that could not be
+    evaluated, with a cause of ``CAUSES``, where position counts the evaluated
+    pairs before it, so no position passes ``len(i)``; ``checks`` holds at
+    least one condition, as ``_classify`` gives every table.  The records run
+    pair by pair, each evaluated pair with one record per condition in
+    ``checks`` order, and each error record before the evaluated pair at its
+    position, the order ``_runs`` walks; ``records`` parses the written text.
     """
 
-    i: list
-    j: list
+    i: np.ndarray
+    j: np.ndarray
     checks: dict
     errors: tuple
 
@@ -357,7 +367,7 @@ class PairRows:
             conditions[cid] = {
                 "violations": int(np.count_nonzero(~np.asarray(flags, dtype=bool))),
                 "min_slack": None if k is None else float(s[k]),
-                "min_pair": None if k is None else [self.i[k], self.j[k]]}
+                "min_pair": None if k is None else [int(self.i[k]), int(self.j[k])]}
         unevaluated = {cause: {"count": 0, "first_pair": None} for cause in CAUSES}
         for _, i, j, cause, _ in self.errors:
             entry = unevaluated[cause]
@@ -383,8 +393,9 @@ class PairRows:
                                 [math.nan] * (b - a) if s is None else s[a:b],
                                 dtype=float).tolist()])
                            for cid, (f, s) in self.checks.items()]
-                writer.writerows((self.i[k], self.j[k], cid, flags[k - a], slacks[k - a], "")
-                                 for k in range(a, b) for cid, flags, slacks in columns)
+                writer.writerows((i, j, cid, flags[k], slacks[k], "") for k, (i, j) in
+                                 enumerate(zip(self.i[a:b].tolist(), self.j[a:b].tolist()))
+                                 for cid, flags, slacks in columns)
             if error is not None:
                 writer.writerow((error[0], error[1], "*", "", "", error[2]))
 
@@ -399,17 +410,16 @@ class PairRows:
         indented by ``nl``, each record ``json.dumps(record)`` on its own
         line, run by run (see ``_runs``): the run's evaluated pairs in blocks
         of up to ``_PAIR_BLOCK``, draining ``out`` before each block, then the
-        run's error record.  A pair's records are one string, made by one join
-        of its head over the texts of its flag pattern, a small int per pair:
-        one text per condition, the condition, its flag and the end joining
-        the next record, listed the first time the pattern appears."""
-        if not self.i and not self.errors:
+        run's error record.  A pair's records are one string, one join of its
+        head ``pre[i] + post[j]`` over the texts of its flag pattern, a small
+        int per pair: one text per condition, the condition, its flag and the
+        end joining the next record, listed when the pattern first appears."""
+        if not len(self.i) and not self.errors:
             out.append("[]")
             return
         item = nl + "  "
         end = "}," + item
-        pre = {i: '{"pair": [%s, ' % i for i in set(self.i)}  # a head: pre[i] + post[j]
-        post = {j: '%s], "condition": "' % j for j in set(self.j)}
+        pre, post = {}, {}  # index -> text, listed the first time it appears
         flags = np.array([f for f, _ in self.checks.values()], dtype=bool)
         weights, parts = 1 << np.arange(len(flags)), {}  # pattern -> ["", texts...]
         out.append("[" + item)
@@ -421,8 +431,10 @@ class PairRows:
                 for code in set(codes) - parts.keys():
                     parts[code] = ["", *(cid + '", "satisfied": ' + ("false", "true")[
                         code >> c & 1] + end for c, cid in enumerate(self.checks))]
-                heads = map(str.__add__, map(pre.__getitem__, self.i[a:b]),
-                            map(post.__getitem__, self.j[a:b]))
+                I, J = self.i[a:b].tolist(), self.j[a:b].tolist()
+                pre.update((i, '{"pair": [%s, ' % i) for i in set(I) - pre.keys())
+                post.update((j, '%s], "condition": "' % j) for j in set(J) - post.keys())
+                heads = map(str.__add__, map(pre.__getitem__, I), map(post.__getitem__, J))
                 out += map(str.join, heads, map(parts.__getitem__, codes))
             if error is not None:  # (i, j, message)
                 out.append('{"pair": [%s, %s], "condition": "*", "satisfied": null, '
@@ -541,35 +553,28 @@ def _classify(table: _PairTable, constants: Optional[ZamfirescuConstants],
               phi: Optional[PhiSpec], *, seed: int | None = None) -> ConditionReport:
     """``classify`` of a sample's table.
 
-    The pairs i < j (in combinations order) that can be evaluated are
-    found first; ``Dxx``, ``own``, ``cross`` and ``Dtt`` are gathered once at
-    them, and each condition's flags and slacks are computed on those
-    vectors, the columns of the report's ``PairRows``.
+    The usable pairs that log phi does not reject are evaluated: the
+    table's ``gather`` at them gives the vectors each condition's flags and
+    slacks are computed on, the columns of the report's ``PairRows``.
     """
-    points, n = table.points, len(table.points)
     est = _estimate(table)
     xi, eta, lam, triple = _effective_constants(constants, est)
 
-    upper = np.triu_indices(n, 1)  # the pairs in combinations order
-    distinct = ~table.equal[upper]
-    evaluated = table.usable[upper]
+    evaluated = table.usable
     if phi is not None:  # log phi rejects L(x, Tx) < 0
         phi_bad = table.step < 0
-        evaluated &= ~(phi_bad[upper[0]] | phi_bad[upper[1]])
-    n_pairs = int(distinct.sum())
-    unevaluated = np.flatnonzero(distinct & ~evaluated)
-    before = np.cumsum(evaluated) - evaluated  # evaluated pairs before each pair
+        evaluated = evaluated & ~(phi_bad[table.I] | phi_bad[table.J])
+    n_pairs = int(table.distinct.sum())
+    unevaluated = np.flatnonzero(table.distinct & ~evaluated)
+    before = np.cumsum(evaluated)  # evaluated pairs before each pair not evaluated
     errors = []
     for k in unevaluated.tolist():  # an invalid point, or log phi rejects the pair
-        i, j = int(upper[0][k]), int(upper[1][k])
+        i, j = int(table.I[k]), int(table.J[k])
         cause, text = table.first_error(i, j) or (
             "phi", f"phi at point {i if phi_bad[i] else j}: "
                    "phi arguments must be distances >= 1")
         errors.append((int(before[k]), i, j, cause, text))
-    if n_pairs == 0:
-        raise DegeneratePairError("classification needs at least 2 distinct points")
-    I, J = upper[0][evaluated], upper[1][evaluated]
-    Dxx, own, cross, Dtt = (M[I, J] for M in (table.Dxx, table.own, table.cross, table.Dtt))
+    I, J, Dxx, own, cross, Dtt = table.gather(evaluated)
     # Every condition but PHI reads L(Tx, Ty) <= const * den on each pair.
     rhs = {"C1": (xi, Dxx), "C2": (eta, own), "C3": (lam, cross),
            "SI": (1.0, Dxx), "SII": (0.5, own), "SIII": (0.5, cross)}
@@ -610,12 +615,12 @@ def _classify(table: _PairTable, constants: Optional[ZamfirescuConstants],
         "overall": overall,
     }
     return ConditionReport(
-        rows=PairRows(I.tolist(), J.tolist(), checks, tuple(errors)),
+        rows=PairRows(I, J, checks, tuple(errors)),
         constants_used=triple if constants is None else constants,
         estimates=est,
         verdicts=verdicts,
         seed=seed,
-        n_points=len(points),
+        n_points=len(table.points),
         n_pairs=n_pairs,
-        skipped_pairs=len(upper[0]) - n_pairs,
+        skipped_pairs=len(table.I) - n_pairs,
     )

@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 
 FLAG_PATTERNS = ("tests/test_writer.py::"
                  "test_every_flag_pattern_across_block_edges_equals_the_reference")
+CLASSIFY_REFERENCE = "tests/test_kernel.py::test_classify_equals_the_scalar_reference_loop"
 
 MUTANTS = (
     Mutant("flag bits read in reverse order", "src/mulfix/conditions.py",
@@ -71,6 +72,32 @@ MUTANTS = (
            "yield a, a, (i, j, message)\n            yield a, pos, None",
            ("tests/test_writer.py::test_error_rows_at_every_position_equal_the_reference",
             "tests/test_writer.py::test_an_error_message_stays_on_its_record_line")),
+    Mutant("cross sum gathered without L(y, Tx)", "src/mulfix/conditions.py",
+           "self.Dxt[I, J] + self.Dxt[J, I]", "2 * self.Dxt[I, J]", (CLASSIFY_REFERENCE,)),
+    Mutant("own sum gathered without L(y, Ty)", "src/mulfix/conditions.py",
+           "self.step[I] + self.step[J]", "2 * self.step[I]", (CLASSIFY_REFERENCE,)),
+    Mutant("collapsed pairs used by the estimates", "src/mulfix/conditions.py",
+           "used = Dxx != 0", "used = np.ones(len(Dxx), dtype=bool)",
+           ("tests/test_kernel.py::"
+            "test_a_collapsed_pair_is_skipped_by_estimation_and_evaluated_by_classify",)),
+    Mutant("equal points taken as distinct", "src/mulfix/conditions.py",
+           "self.distinct = ~equal[self.I, self.J]",
+           "self.distinct = np.ones(len(self.I), dtype=bool)",
+           (CLASSIFY_REFERENCE, "tests/test_conditions.py::"
+            "test_the_summary_counts_every_cause_of_an_unevaluated_pair")),
+    Mutant("an error record one pair late", "src/mulfix/conditions.py",
+           "errors.append((int(before[k]),", "errors.append((int(before[k]) + 1,",
+           (CLASSIFY_REFERENCE,
+            "tests/test_conditions.py::test_a_pole_in_the_sample_gives_error_records")),
+    Mutant("the least slack searched without the last pair", "src/mulfix/conditions.py",
+           "np.flatnonzero(s == np.nanmin(s))[0]",
+           "np.flatnonzero(s[:-1] == np.nanmin(s[:-1]))[0]",
+           ("tests/test_writer.py::test_condition_summary_equals_the_reference",)),
+    Mutant("the zero rule without its tolerance", "src/mulfix/conditions.py",
+           "ok = slack >= -DEFAULT_LOG_TOL", "ok = slack >= 0",
+           ("tests/test_conditions.py::"
+            "test_classify_zeroes_a_slack_within_tolerance_and_fails_a_strict_tie",
+            CLASSIFY_REFERENCE)),
     Mutant("triple scans proved empty at far larger distances", "src/mulfix/metrics.py",
            "float(D.max())) <= DEFAULT_LOG_TOL", "float(D.max())) <= DEFAULT_LOG_TOL * 1e6",
            ("tests/test_metrics.py::"

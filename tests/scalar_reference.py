@@ -25,7 +25,8 @@ reference can be compared bit for bit.
 
 ``reference_estimate`` and ``reference_classify`` fit the constants and
 classify a sample pair by pair through the ``check_*`` functions;
-``reference_pair_error`` names the point at fault in a pair that fails.  The
+``reference_pair_error`` names the point at fault in a pair that fails, and
+``reference_point_error`` what fails at one point.  The
 orbit scans (``reference_detect_limit_point``, ``reference_cauchy_indicator``,
 and ``reference_bound_rows``) are loops of public calls.  The axiom, triangle
 and reverse-triangle loops list violations one matrix entry at a time, as
@@ -405,8 +406,37 @@ def reference_estimate(metric, T, points):
         else:
             lam = max(lam, num / den3)
     if used == 0:
-        raise mx.DegeneratePairError("no usable distinct pair in the sample")
+        # named by the first point that fails, when one does
+        why = next(filter(None, (reference_point_error(metric, T, points, k)
+                                 for k in range(len(points)))), None)
+        raise mx.DegeneratePairError("no usable distinct pair in the sample"
+                                     + ("" if why is None else f": {why}"))
     return (xi, eta, lam, used, skipped)
+
+
+def _outside(metric, p, dim):
+    """Why p is not a point of the metric's space of dimension dim, or None."""
+    if len(p) != dim:
+        return f"dimension mismatch: {dim} vs {len(p)}"
+    try:
+        metric.check_domain(p)
+    except DomainError as err:
+        return str(err)
+    return None
+
+
+def reference_point_error(metric, T, points, k):
+    """What fails first at point k, named with its index: the map at x, then
+    the metric's space at Tx, then at x; None when nothing does."""
+    try:
+        image = reference_apply(T, points[k])
+    except DomainError as err:
+        return f"map at point {k}: {err}"
+    for where, p in (("image of point", image), ("point", points[k])):
+        why = _outside(metric, p, len(points[0]))
+        if why is not None:
+            return f"{where} {k}: {why}"
+    return None
 
 
 def reference_pair_error(metric, T, points, i, j, exc):
@@ -415,17 +445,6 @@ def reference_pair_error(metric, T, points, i, j, exc):
     then at y, then the metric's space at Tx and Ty, then at x and y, then
     log phi's argument L(x, Tx) and L(y, Ty), each named with its point's
     index.  ``exc`` itself is raised when no point fails."""
-    dim = len(points[0])
-
-    def outside(p):
-        if len(p) != dim:
-            return f"dimension mismatch: {dim} vs {len(p)}"
-        try:
-            metric.check_domain(p)
-        except DomainError as err:
-            return str(err)
-        return None
-
     images = {}
     for k in (i, j):
         try:
@@ -434,7 +453,7 @@ def reference_pair_error(metric, T, points, i, j, exc):
             return f"map at point {k}: {err}"
     for where, at in (("image of point", images), ("point", points)):
         for k in (i, j):
-            why = outside(at[k])
+            why = _outside(metric, at[k], len(points[0]))
             if why is not None:
                 return f"{where} {k}: {why}"
     for k in (i, j):
@@ -628,7 +647,8 @@ def record_walk(rows):
         if k < n:
             for cid, (flags, slacks) in rows.checks.items():
                 slack = None if slacks is None or slacks[k] is None else float(slacks[k])
-                out.append((rows.i[k], rows.j[k], cid, bool(flags[k]), slack, None))
+                out.append((int(rows.i[k]), int(rows.j[k]), cid, bool(flags[k]), slack,
+                            None))
     return out
 
 

@@ -170,6 +170,15 @@ def test_phi_spec_validation():
         mx.PhiSpec("custom_table", alpha=0.0, beta=1.0)
     with pytest.raises(DomainError):
         mx.PhiSpec("nope")
+    with pytest.raises(DomainError, match="^example317 takes no 'q'$"):
+        mx.PhiSpec("example317", q=0.5)
+    with pytest.raises(DomainError, match="^custom_table needs alpha and beta$"):
+        mx.PhiSpec("custom_table", alpha=1.0)
+    # inf * 0 is NaN at (1, 1); 1e-320 * 1e-6 underflows to 0 off it
+    with pytest.raises(DomainError, match=r"^custom_table: phi\(1, 1\) != 1$"):
+        mx.PhiSpec("custom_table", alpha=math.inf, beta=1.0)
+    with pytest.raises(DomainError, match=r"^custom_table: phi must exceed 1 off \(1, 1\)$"):
+        mx.PhiSpec("custom_table", alpha=1e-320, beta=1.0)
 
 
 def test_phi_spec_log_values():

@@ -117,6 +117,15 @@ def test_config_rejects_unknown_and_mistyped_fields(field, value):
     assert err.value.field == field
 
 
+def test_a_config_with_no_start_exits_2_naming_solver_starts(tmp_path, capsys):
+    data = identity_config()
+    data["solver"]["starts"] = []
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: solver.starts: at least one start is required\n"
+
+
 @pytest.mark.parametrize("key, value", [("max_iters", 5), ("cycle_lookback", -3)])
 def test_solver_config_rejects_unknown_keys_and_negative_lookback(tmp_path, capsys,
                                                                   key, value):
@@ -168,6 +177,7 @@ SOLVER = {"eps": EPS, "max_iter": 200, "starts": [[0.2], [0.8]]}
     ("domain", "x"),
     ("solver", {**SOLVER, "eps": 10**400}),
     ("metric", {"kind": "exp_abs", "a": 10**400}),
+    ("sample_scheme", "sobol"),
 ])
 def test_cli_rejects_mistyped_and_unread_config_values(tmp_path, capsys, field, value):
     data = {**identity_config(), field: value}
@@ -630,6 +640,13 @@ def test_a_closed_stdout_keeps_the_outputs_and_the_exit_code(tmp_path, command, 
     assert (tmp_path / "out" / "trace_000.json").exists()
 
 
+def test_write_report_rejects_an_unknown_format_before_writing(tmp_path, report_3_16):
+    with pytest.raises(ConfigError, match="unknown output format 'xml'") as err:
+        write_report(report_3_16, tmp_path, fmt="xml")
+    assert err.value.field == "format"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_write_report_is_atomic_and_repeatable(tmp_path, report_3_16):
     files = write_report(report_3_16, tmp_path, fmt="csv")
     again = write_report(report_3_16, tmp_path, fmt="csv")
@@ -784,7 +801,22 @@ def test_an_overflowing_map_gives_exit_2_not_a_traceback(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(data))
     assert main(["run", "--config", str(path)]) == 2
-    assert capsys.readouterr().err == "error: no usable distinct pair in the sample\n"
+    # point 0's square is finite, but no other point is left to pair it with
+    assert capsys.readouterr().err == ("error: no usable distinct pair in the sample: "
+                                       "map at point 1: (34, 'Numerical result out of range')\n")
+
+
+def test_a_sample_the_map_sends_out_of_the_space_names_the_first_point(tmp_path, capsys):
+    # negation sends every point of [1, 2] to a negative one, which star_product rejects
+    data = {"metric": {"kind": "star_product"}, "map": {"kind": "negation"},
+            "domain": [[1.0, 2.0]], "sample_size": 5, "seed": 1,
+            "solver": {"eps": EPS, "max_iter": 50, "starts": [[1.5]]}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: no usable distinct pair in the sample: image of point 0: "
+        "star_product needs positive coordinates, got (-1.0,)\n")
 
 
 def test_a_map_failure_outside_mulfix_errors_means_not_invariant():

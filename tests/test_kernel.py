@@ -153,6 +153,30 @@ def test_classify_equals_the_scalar_reference_loop(seed, metric, make_map, dim, 
                 est.pairs_skipped) == expected[4]
 
 
+# rounds both points to the nearest integer and measures 1 where they agree:
+# distinct points with the same rounding collapse to distance 1
+ROUNDED = mx.FunctionMetric(
+    lambda x, y: 1.0 if round(x[0]) == round(y[0]) else 2.0 ** abs(x[0] - y[0]), "rounded")
+
+
+def test_a_collapsed_pair_is_skipped_by_estimation_and_evaluated_by_classify(caplog):
+    points = [(0.1,), (0.2,), (1.0,), (2.6,), (2.9,)]  # pairs (0, 1) and (3, 4) collapse
+    T = mx.SelfMapSpec.scale(0.5)
+    reference = scalar_reference.reference_estimate(ROUNDED, T, points)
+    with caplog.at_level("WARNING", logger="mulfix.conditions"):
+        est = mx.estimate_constants(ROUNDED, T, points)
+    assert (est.pairs_used, est.pairs_skipped) == (8, 2)
+    assert (est.xi_hat, est.eta_hat, est.lambda_hat, est.pairs_used,
+            est.pairs_skipped) == reference
+    assert caplog.messages == [
+        "distinct pair (0.1,) / (0.2,) collapsed to distance 1; skipped",
+        "distinct pair (2.6,) / (2.9,) collapsed to distance 1; skipped"]
+    report = mx.classify(ROUNDED, T, points)
+    assert len(report.rows.i) == 10 and not report.rows.errors
+    args = (ROUNDED, T, points, None, None)
+    assert kernel_classify(*args) == reference_classify(*args, metrics.DEFAULT_LOG_TOL, 0.0)
+
+
 # -- one map call per point, no per-pair scalar calls ------------------------------
 
 

@@ -140,6 +140,10 @@ def test_metric_spec_validation():
         mx.MetricSpec.lifted("taxicab")
     with pytest.raises(DomainError):
         mx.MetricSpec("star_product", a=2.0)
+    with pytest.raises(DomainError, match="^exp_abs takes no base metric$"):
+        mx.MetricSpec("exp_abs", base="euclidean", a=2.0)
+    with pytest.raises(DomainError, match=r"^exp_abs needs a base a > 1$"):
+        mx.MetricSpec("exp_abs")
 
 
 def test_metric_json_round_trip():

@@ -251,6 +251,12 @@ def test_bound_requires_convergence():
         mx.verify_bound(diverged, delta=0.5)
 
 
+def test_bound_requires_a_delta_below_1():
+    converged = mx.picard(LIFTED2, SCALE23, (3.0, 4.0), CFG)
+    with pytest.raises(DomainError, match=r"^delta must be in \[0, 1\), got 1.0$"):
+        mx.verify_bound(converged, delta=1.0)
+
+
 # -- multi-start and uniqueness ---------------------------------------------------
 
 
@@ -267,6 +273,14 @@ def test_single_start_passes_vacuously():
     report = mx.verify_start_independence(RECIP, RATIONAL2, cfg)
     assert report.verdict == "passed"
     assert report.n_runs == 1
+
+
+def test_start_independence_and_uniqueness_need_a_start_and_a_candidate():
+    with pytest.raises(DomainError, match="^start independence needs at least one start$"):
+        mx.verify_start_independence(RECIP, RATIONAL2, mx.SolverConfig(eps=EPS))
+    with pytest.raises(DomainError,
+                       match="^uniqueness probe needs at least one candidate$"):
+        mx.uniqueness_probe(RECIP, RATIONAL2, [], eps=EPS)
 
 
 def test_identity_map_fails_start_independence():

@@ -209,6 +209,13 @@ SLACKS = st.none() | st.floats() | st.sampled_from(
     [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7])
 
 
+def rows_of(i, j, checks, errors) -> conditions.PairRows:
+    """PairRows of the pairs (i[k], j[k]), held as integer arrays as
+    ``classify`` holds them."""
+    return conditions.PairRows(np.array(i, dtype=np.intp), np.array(j, dtype=np.intp),
+                               checks, errors)
+
+
 @st.composite
 def pair_rows(draw):
     """PairRows with 1-7 conditions, up to 12 evaluated pairs and error rows
@@ -230,8 +237,7 @@ def pair_rows(draw):
     errors = tuple((pos, draw(st.integers(0, 99)), draw(st.integers(0, 99)),
                     draw(st.sampled_from(conditions.CAUSES)), draw(TEXT))
                    for pos in positions)
-    return conditions.PairRows([i for i, _ in pairs], [j for _, j in pairs], checks,
-                               errors)
+    return rows_of([i for i, _ in pairs], [j for _, j in pairs], checks, errors)
 
 
 # The pair-record properties skip hypothesis's explain phase: after a failure
@@ -260,14 +266,14 @@ def test_error_rows_at_every_position_equal_the_reference(positions):
     errors = tuple((pos, 9, 9, "map", "pole") for pos in positions)
     # a table of only errors has every error at position 0, as _classify gives it
     all_errors = tuple((0, 9, 9, "map", "pole") for _ in positions)
-    for rows in (conditions.PairRows([0, 0, 1], [1, 2, 2], checks, errors),
-                 conditions.PairRows([], [], {"C1": ([], [])}, all_errors)):
+    for rows in (rows_of([0, 0, 1], [1, 2, 2], checks, errors),
+                 rows_of([], [], {"C1": ([], [])}, all_errors)):
         expected = reference(reference_records(rows))
         assert dump_json(rows) == expected
 
 
 def test_no_pair_record_writes_an_empty_array():
-    assert dump_json(conditions.PairRows([], [], {"C1": ([], [])}, ())) == "[]\n"
+    assert dump_json(rows_of([], [], {"C1": ([], [])}, ())) == "[]\n"
 
 
 @settings(max_examples=300, deadline=None, phases=NO_EXPLAIN)
@@ -291,8 +297,8 @@ def test_pairs_csv_equals_the_reference(rows):
 @settings(max_examples=300, deadline=None, phases=NO_EXPLAIN)
 @given(pair_rows())
 # np.nanargmin takes a NaN for the least of [nan, inf], as it swaps NaN for inf
-@example(conditions.PairRows([0, 0, 0], [1, 2, 3],
-                             {"C2": ([False] * 3, [math.nan, math.nan, math.inf])}, ()))
+@example(rows_of([0, 0, 0], [1, 2, 3],
+                 {"C2": ([False] * 3, [math.nan, math.nan, math.inf])}, ()))
 def test_condition_summary_equals_the_reference(rows):
     got, expected = rows.summary(), reference_summary(rows)
     assert got == expected
@@ -329,8 +335,8 @@ AWKWARD = 'one\ntwo "three" \u00e9 \u2028 four'
 
 
 def test_an_error_message_stays_on_its_record_line():
-    rows = conditions.PairRows([0], [1], {"C1": ([True], [0.5])},
-                               ((0, 2, 3, "map", AWKWARD), (1, 4, 5, "point", AWKWARD)))
+    rows = rows_of([0], [1], {"C1": ([True], [0.5])},
+                   ((0, 2, 3, "map", AWKWARD), (1, 4, 5, "point", AWKWARD)))
     text = dump_json({"pairs": rows})
     assert text.isascii()
     body = text.splitlines()[2:-2]
@@ -373,7 +379,7 @@ def blocked_rows(draw):
                          2 * SMALL_BLOCK, n) if p <= n]
     positions = draw(st.lists(st.sampled_from(edges) | st.integers(0, n), max_size=5))
     errors = tuple((pos, 7, 8, "map", "pole") for pos in sorted(positions))
-    return conditions.PairRows(list(range(n)), list(range(1, n + 1)), checks, errors)
+    return rows_of(list(range(n)), list(range(1, n + 1)), checks, errors)
 
 
 @settings(max_examples=120, deadline=None, phases=NO_EXPLAIN)
@@ -400,9 +406,9 @@ def test_error_rows_at_block_edges_equal_the_reference():
     # errors at the first and second edge of the real block, and after the last pair
     n = 2 * BLOCK + 1
     errors = tuple((pos, 7, 8, "map", "pole") for pos in (BLOCK, 2 * BLOCK, 2 * BLOCK, n))
-    rows = conditions.PairRows(list(range(n)), list(range(1, n + 1)),
-                               {"C1": ([True] * n, [0.5, -0.0, math.nan] * (n // 3)),
-                                "C2": ([False] * n, [0.5] * n)}, errors)
+    rows = rows_of(list(range(n)), list(range(1, n + 1)),
+                   {"C1": ([True] * n, [0.5, -0.0, math.nan] * (n // 3)),
+                    "C2": ([False] * n, [0.5] * n)}, errors)
     expected = reference(reference_records(rows))
     assert_same(streamed(rows), dump_json(rows).encode())
     assert_same(dump_json(rows), expected)
@@ -418,7 +424,7 @@ def test_every_flag_pattern_across_block_edges_equals_the_reference(block):
     checks = {cid: ([bool(k % 128 >> c & 1) for k in range(n)], [0.5] * n)
               for c, cid in enumerate(mx.CONDITION_IDS)}
     errors = tuple((pos, 7, 8, "map", "pole") for pos in (block, 2 * block, n))
-    rows = conditions.PairRows(list(range(n)), list(range(1, n + 1)), checks, errors)
+    rows = rows_of(list(range(n)), list(range(1, n + 1)), checks, errors)
     with mock.patch.object(conditions, "_PAIR_BLOCK", block):
         text = dump_json(rows)
         assert_same(text, reference(reference_records(rows)))
@@ -429,8 +435,7 @@ def test_a_failure_mid_stream_leaves_the_old_file_and_no_temp_file(tmp_path):
     path = tmp_path / "report.json"
     path.write_text("old", encoding="utf-8")
     n = 2 * BLOCK + 1
-    rows = conditions.PairRows(list(range(n)), list(range(n)),
-                               {"C1": ([True] * n, [0.5] * n)}, ())
+    rows = rows_of(list(range(n)), list(range(n)), {"C1": ([True] * n, [0.5] * n)}, ())
     with pytest.raises(TypeError):
         write_json(path, {"pairs": rows, "later": object()})
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
