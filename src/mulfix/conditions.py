@@ -225,7 +225,6 @@ class _PairTable:
             try:
                 image = image_of(p)
             except DomainError as exc:
-                logger.warning("map evaluation failed at %s; point excluded", p)
                 image, error = None, ("map", f"map at point {k}: {exc}")
             else:
                 error = _point_error(metric, image, dim)
@@ -235,6 +234,9 @@ class _PairTable:
                 error = error and ("point", f"point {k}: {error}")
             self.images.append(image)
             self.errors.append(error)
+        if failed := [e[1] for e in self.errors if e and e[0] == "map"]:
+            logger.warning("map evaluation failed at %d points, excluded; the first: %s",
+                           len(failed), failed[0])
         good = [k for k, e in enumerate(self.errors) if e is None]
         X, TX = [points[k] for k in good], [self.images[k] for k in good]
         n, block = len(points), np.ix_(good, good)
@@ -288,11 +290,12 @@ def _sup_ratio(num: np.ndarray, den: np.ndarray) -> float:
 
 def _estimate(table: _PairTable) -> ConstantEstimates:
     I, J, Dxx, own, cross, Dtt = table.gather(table.usable)
-    for i, j in zip(I[Dxx == 0].tolist(), J[Dxx == 0].tolist()):
-        logger.warning("distinct pair %s / %s collapsed to distance 1; skipped",
-                       table.points[i], table.points[j])
     used = Dxx != 0
     n_used = int(used.sum())
+    if n_used < len(used):
+        k = int(used.argmin())  # the first collapsed pair
+        logger.warning("%d distinct pairs collapsed to distance 1, skipped; the first: "
+                       "%s / %s", len(used) - n_used, table.points[I[k]], table.points[J[k]])
     if n_used == 0:
         why = next((f": {e[1]}" for e in table.errors if e), "")  # the first failing point
         raise DegeneratePairError(f"no usable distinct pair in the sample{why}")

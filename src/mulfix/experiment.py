@@ -68,7 +68,7 @@ EXPECTATIONS = {
     "conditions_hold": ({"conditions": _CONDITIONS}, {}),
     "verdict": ({"theorem": Literal["t2", "t23", "th3"]}, {"via": _CONDITIONS}),
     "phi_holds": ({}, {}),
-    "apriori_bound": ({}, {"tol": float}),
+    "apriori_bound": ({}, {}),
     "map_invariant": ({}, {}),
     "axioms_pass": ({}, {}),
 }
@@ -321,8 +321,7 @@ def _eval_expectation(spec: dict, report: "ExperimentReport",
                   if report.config.phi is not None else "no phi declared")
         detail += "" if ok else _unevaluated(cls_report)
     elif kind == "apriori_bound":
-        n_viol = sum(np.count_nonzero(b.observed > b.bound + spec.get("tol", b.tol))
-                     for b in report.bounds)
+        n_viol = sum(len(b.violations) for b in report.bounds)
         ok = bool(report.bounds) and n_viol == 0
         detail = (f"{len(report.bounds)} traces checked, {n_viol} violations"
                   if report.bounds else "no declared constants to derive delta from")

@@ -62,7 +62,7 @@ def _config_3_15() -> ExperimentConfig:
             {"kind": "conditions_hold", "conditions": ["C1"]},
             {"kind": "verdict", "theorem": "t2", "via": ["C1"]},
             {"kind": "map_invariant"},
-            {"kind": "apriori_bound", "tol": 1e-10},
+            {"kind": "apriori_bound"},
             {"kind": "unique_fixed_point"},
             {"kind": "axioms_pass"},
         ),
@@ -90,7 +90,7 @@ def _config_3_16() -> ExperimentConfig:
             {"kind": "conditions_hold", "conditions": ["C2", "C3"]},
             {"kind": "verdict", "theorem": "t2", "via": ["C2", "C3"]},
             {"kind": "map_invariant"},
-            {"kind": "apriori_bound", "tol": 1e-10},
+            {"kind": "apriori_bound"},
             {"kind": "unique_fixed_point"},
             {"kind": "axioms_pass"},
         ),

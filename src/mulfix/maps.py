@@ -244,7 +244,8 @@ def _checked_image(T) -> Callable[[Point], Point]:
     """T bound once as a function of a checked point tuple, whose image is a
     checked tuple.  This is the one rule for a map that fails at a point: T
     raises an ArithmeticError or a ValueError, which reaches the caller as
-    DomainError (a DomainError as it is), or gives a non-finite image, which
+    DomainError (a DomainError as it is, an error whose args are an errno
+    and a text as ``TypeName: text``), or gives a non-finite image, which
     ``as_point`` rejects; any other error of T passes through.  A
     SelfMapSpec's kernel gives floats, which go through ``as_point`` only to
     raise a non-finite one's error."""
@@ -258,7 +259,9 @@ def _checked_image(T) -> Callable[[Point], Point]:
         except DomainError:
             raise
         except (ArithmeticError, ValueError) as exc:
-            raise DomainError(str(exc)) from exc
+            coded = [type(a) for a in exc.args] == [int, str]  # x ** p's OverflowError
+            raise DomainError(f"{type(exc).__name__}: {exc.args[1]}" if coded
+                              else str(exc)) from exc
 
     return image
 

@@ -36,45 +36,35 @@ class SolverConfig(JsonConfig):
 
     eps is the multiplicative stopping tolerance (> 1); log(eps) is the
     log-domain tolerance every internal comparison uses.  A run converges
-    only when its last ``window`` iterates (>= 2) are pairwise within
-    log(eps).  While a step is above log(eps), the new iterate is compared
-    with the iterates 2 to ``cycle_lookback`` (>= 0) steps before it, and a
-    log distance below ``_CYCLE_LOGD`` ends the run as a detected cycle; a
-    value below 2 turns cycle detection off.  The divergence threshold
-    guards the exponential form against overflow: a single step of log
-    distance above it ends the run as diverged.
+    only when its last ``_WINDOW`` iterates are pairwise within log(eps).
+    While a step is above log(eps), the new iterate is compared with the
+    iterates 2 to ``_LOOKBACK`` steps before it, and a log distance below
+    ``_CYCLE_LOGD`` ends the run as a detected cycle.  A single step of log
+    distance above ``_DIVERGENCE_LOGD`` ends the run as diverged.
 
-    No field changes the result, which equals a step-by-step scan.  They
-    bound the extra work: a SelfMapSpec under a MetricSpec maps ahead in
-    blocks of up to 256 iterates (below log(eps) only past 256 steps), so
-    the map (assumed pure) may be applied to up to 255 discarded iterates
-    past any stop, a coordinate-wise kind's coordinates one at a time, one
-    also past another's failure.  Any other map is applied exactly as often
-    as a step-by-step scan applies it, but for up to 63 discarded iterates
-    past a detected cycle, as the look-back runs over blocks of 64 steps
-    (one for a FunctionMetric).
+    The result equals a step-by-step scan.  A SelfMapSpec under a
+    MetricSpec maps ahead in blocks of up to 256 iterates (below log(eps)
+    only past 256 steps), so the map (assumed pure) may be applied to up to
+    255 discarded iterates past any stop, a coordinate-wise kind's
+    coordinates one at a time, one also past another's failure.  Any other
+    map is applied exactly as often as a step-by-step scan applies it, but
+    for up to 63 discarded iterates past a detected cycle, as the look-back
+    runs over blocks of 64 steps (one for a FunctionMetric).
     """
 
     eps: float = math.exp(1e-9)
     max_iter: int = 1000
     starts: tuple[Point, ...] = ()
     check_monotone_residual: bool = False
-    window: int = 10
-    divergence_logd: float = 700.0
     limit_point_restart: bool = True
-    cycle_lookback: int = 25
 
     def __post_init__(self):
         _check_eps(self.eps)
-        for name, least in (("max_iter", 1), ("window", 2), ("cycle_lookback", 0)):
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # a numpy integer too
-            if value < least:
-                raise DomainError(f"{name} must be >= {least}")
-        if not self.divergence_logd > 0:  # NaN too: no step would diverge
-            raise DomainError("divergence threshold must be positive")
+        if not is_integer(self.max_iter):
+            raise DomainError(f"max_iter must be an integer, got {self.max_iter!r}")
+        object.__setattr__(self, "max_iter", int(self.max_iter))  # a numpy integer too
+        if self.max_iter < 1:
+            raise DomainError("max_iter must be >= 1")
         object.__setattr__(
             self, "starts", tuple(as_point(s) for s in self.starts)
         )
@@ -167,13 +157,16 @@ class _Settled(Exception):
 
 
 _CYCLE_LOGD = 1e-14  # an iterate this close to an earlier one is a return
+_LOOKBACK = 25  # returns 2 to this many steps back end a run; each step reads that many
+_WINDOW = 10  # one small step proves no Cauchy tail; this many iterates pairwise close do
+_DIVERGENCE_LOGD = 700.0  # a step above this diverges: exp(710) overflows a float
 
 
 class _LookBack:
     """The cycle look-back and the Cauchy windows of one Picard orbit.
 
     The steps of ``points[done:]`` still wait for their look-back.  A run
-    scans them with the ``cycle_lookback`` points before them once ``block``
+    scans them with the ``_LOOKBACK`` points before them once ``block``
     wait, ``_ROW_BLOCK`` steps for a MetricSpec and one for a FunctionMetric,
     and after each block of iterates mapped ahead.  Every MetricSpec scan
     first reads one distance per orbit point, r_k = L(p_k, p_0): by the
@@ -189,7 +182,6 @@ class _LookBack:
     def __init__(self, metric, config: SolverConfig, points: list, steps: list):
         self.metric, self.points, self.steps = metric, points, steps
         self.log_eps = config.log_eps
-        self.lookback, self.window = config.cycle_lookback, config.window
         self.blocked = isinstance(metric, MetricSpec)
         self.block, self.done = _ROW_BLOCK if self.blocked else 1, 1
         self.ref: list[float] = []  # r_k of the points scanned or mapped ahead so far
@@ -204,16 +196,16 @@ class _LookBack:
             lo += 1
         while lo < hi and steps[hi - 2] <= log_eps:
             hi -= 1
-        if lo >= hi or self.lookback < 2:
+        if lo >= hi:
             return
-        if self.blocked and self._apart(max(0, lo - self.lookback), hi):
+        if self.blocked and self._apart(max(0, lo - _LOOKBACK), hi):
             return
         for a in range(lo, hi, _ROW_BLOCK):
-            b, first = min(a + _ROW_BLOCK, hi), max(0, a - self.lookback)
+            b, first = min(a + _ROW_BLOCK, hi), max(0, a - _LOOKBACK)
             D = self.metric._log_distance_matrix(self.points[a:b], self.points[first:b - 2])
             # D[r, c] pairs points[a + r] with the point a - first + r - c steps before it
             lag = np.arange(a - first, b - first)[:, None] - np.arange(b - 2 - first)
-            near = ((D < _CYCLE_LOGD) & (lag >= 2) & (lag <= self.lookback)).any(axis=1)
+            near = ((D < _CYCLE_LOGD) & (lag >= 2) & (lag <= _LOOKBACK)).any(axis=1)
             for r in np.flatnonzero(near).tolist():
                 if steps[a + r - 1] > log_eps:
                     self._cut(a + r)
@@ -237,7 +229,7 @@ class _LookBack:
         pairwise below log(eps) and whose residual is at most log(eps).  A
         MetricSpec first rules windows out by their first-to-last pair."""
         self.flush(lo)
-        points, w, ends = self.points, self.window, range(lo, len(self.points))
+        points, w, ends = self.points, _WINDOW, range(lo, len(self.points))
         if self.blocked:
             firsts = [points[max(0, j + 1 - w)] for j in ends]
             near = (self.metric._log_distance_pairs(firsts, points[lo:]).tolist()
@@ -269,15 +261,14 @@ def _ahead(metric, T, domain: Optional[Box], config: SolverConfig) -> Optional[C
     ``_images`` that pass every check of a step, with their steps and
     distances to the start, all read from one array: finite, inside the
     declared box and the metric's space, and a step of at most
-    divergence_logd strictly on the side of log(eps) of the last step, which
-    is not log(eps); above it, the monotone rule holds too.  It returns how
-    many it appended; the next step applies T again at the first of the rest.
+    ``_DIVERGENCE_LOGD`` strictly on the side of log(eps) of the last step,
+    which is not log(eps); above it, the monotone rule holds too.  It returns
+    how many it appended; the next step applies T again at the first of the rest.
     """
     if type(T) is not SelfMapSpec or not isinstance(metric, MetricSpec):
         return None
     inside = _ARRAY_SPACES.get(metric.kind)
-    log_eps, divergence = config.log_eps, config.divergence_logd
-    monotone = config.check_monotone_residual
+    log_eps, monotone = config.log_eps, config.check_monotone_residual
     bounds = None if domain is None else np.array(domain.bounds).T
 
     def ahead(look: _LookBack, size: int) -> int:
@@ -300,7 +291,7 @@ def _ahead(metric, T, domain: Optional[Box], config: SolverConfig) -> Optional[C
         if monotone and steps[-1] > log_eps:
             ok[:1] &= d[:1] < steps[-1]
             ok[1:] &= d[1:] < d[:-1]
-        n = _leading(ok & (d <= divergence))
+        n = _leading(ok & (d <= _DIVERGENCE_LOGD))
         points.extend(images[:n])
         steps.extend(d[:n].tolist())
         look.ref.extend(r[len(look.ref) - k:len(head) - 1 + n].tolist())
@@ -357,7 +348,7 @@ def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
     """
     step, settle = _stepper(metric, T, domain, config), _stepper(metric, T)
     ahead = _ahead(metric, T, domain, config)
-    log_eps, divergence = config.log_eps, config.divergence_logd
+    log_eps, divergence = config.log_eps, _DIVERGENCE_LOGD
     x = x0
     points: list[Point] = [x]
     steps: list[float] = []
@@ -454,8 +445,8 @@ def picard(metric, T, x0, config: SolverConfig,
     orbit, which is recorded on the result.  When ``domain`` is given, an
     iterate leaving it raises :class:`DomainEscapeError` carrying the
     offending point.  The result equals a step-by-step scan (see
-    ``_iterate``).  T is assumed pure; ``SolverConfig`` bounds the discarded
-    iterates it may be applied to.
+    ``_iterate``).  T is assumed pure; ``SolverConfig`` says how many
+    discarded iterates it may be applied to.
     """
     start = as_point(x0)
     trace, residual = _iterate(metric, T, start, config, domain)

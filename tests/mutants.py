@@ -54,6 +54,21 @@ MUTANTS = (
     Mutant("looser cycle threshold", "src/mulfix/solver.py",
            "_CYCLE_LOGD = 1e-14", "_CYCLE_LOGD = 1e-13",
            ("tests/test_solver.py::test_a_return_is_a_cycle_only_within_the_cycle_threshold",)),
+    Mutant("shorter cycle look-back", "src/mulfix/solver.py",
+           "_LOOKBACK = 25", "_LOOKBACK = 24",
+           ("tests/test_solver.py::test_a_cycle_is_detected_up_to_25_steps_back",)),
+    Mutant("shorter Cauchy window", "src/mulfix/solver.py",
+           "_WINDOW = 10", "_WINDOW = 9",
+           ("tests/test_solver.py::"
+            "test_a_run_converges_once_its_last_10_iterates_are_pairwise_close",)),
+    Mutant("higher divergence step", "src/mulfix/solver.py",
+           "_DIVERGENCE_LOGD = 700.0", "_DIVERGENCE_LOGD = 701.0",
+           ("tests/test_solver.py::test_a_step_above_log_distance_700_diverges",)),
+    Mutant("a-priori bound expectation skips a violation", "src/mulfix/experiment.py",
+           "len(b.violations) for b in report.bounds",
+           "len(b.violations[1:]) for b in report.bounds",
+           ("tests/test_experiment_cli.py::"
+            "test_apriori_bound_expectation_counts_the_bound_violations",)),
     Mutant("limit-point share rounded down", "src/mulfix/sequences.py",
            "math.ceil(len(points) / 4)", "len(points) // 4",
            ("tests/test_sequences.py::test_a_limit_point_holds_a_quarter_of_the_trace",)),

@@ -21,7 +21,9 @@ distance per orbit point ruled most pairs out; the tests compare the two.
 ``reference_picard`` is a Picard run built from public calls only, one
 step at a time, with every scan re-checking its points; ``picard_outcome``
 records exactly what a run gave or raised, so that ``picard`` and the
-reference can be compared bit for bit.
+reference can be compared bit for bit.  Both read the window, the look-back
+and the divergence step from ``mulfix.solver`` at call time, so a test
+that patches one of them patches both.
 
 ``reference_estimate`` and ``reference_classify`` fit the constants and
 classify a sample pair by pair through the ``check_*`` functions;
@@ -50,6 +52,7 @@ import math
 import numpy as np
 
 import mulfix as mx
+from mulfix import solver
 from mulfix.conditions import PhiSpec
 from mulfix.errors import (DegeneratePairError, DomainError, DomainEscapeError,
                            MonotoneResidualError, MulfixError)
@@ -215,17 +218,16 @@ def call(self, x: Point) -> Point:
     return as_point(y)
 
 
-def look_back(metric, points: list, steps: list, lo: int, lookback: int,
-              log_eps: float):
+def look_back(metric, points: list, steps: list, lo: int, log_eps: float):
     """Index of the first of ``points[lo:]`` whose step is above log_eps and
-    that lies within 1e-14 of a point 2 to ``lookback`` steps before it,
-    read from one dense private kernel call; None when there is none."""
-    hi = len(points)
+    that lies within 1e-14 of a point 2 to ``solver._LOOKBACK`` steps before
+    it, read from one dense private kernel call; None when there is none."""
+    hi, lookback = len(points), solver._LOOKBACK
     while lo < hi and steps[lo - 1] <= log_eps:
         lo += 1
     while lo < hi and steps[hi - 2] <= log_eps:
         hi -= 1
-    if lo >= hi or lookback < 2:
+    if lo >= hi:
         return None
     first = max(0, lo - lookback)
     D = metric._log_distance_matrix(points[lo:hi], points[first:hi - 2])
@@ -264,6 +266,8 @@ def reference_apply(T, x):
     except DomainError:
         raise
     except (ArithmeticError, ValueError) as exc:
+        if len(exc.args) == 2 and type(exc.args[0]) is int and type(exc.args[1]) is str:
+            raise DomainError(f"{type(exc).__name__}: {exc.args[1]}") from exc
         raise DomainError(str(exc)) from exc
 
 
@@ -284,6 +288,7 @@ def reference_max_pairwise(metric, points):
 def reference_iterate(metric, T, x, config, domain):
     """The Picard loop with public calls only: every scan re-checks its points."""
     log_eps = config.log_eps
+    window, lookback, divergence = solver._WINDOW, solver._LOOKBACK, solver._DIVERGENCE_LOGD
     points, steps, status = [x], [], mx.Status.MAX_ITER
     for n in range(config.max_iter):
         try:
@@ -306,16 +311,16 @@ def reference_iterate(metric, T, x, config, domain):
                 f"step log-distance grew from {steps[-1]} to {step} at iterate {n + 1}")
         points.append(y)
         steps.append(step)
-        if step > config.divergence_logd:
+        if step > divergence:
             status = mx.Status.DIVERGED
             break
         if step > log_eps:
-            earlier = points[-1 - config.cycle_lookback:-2]
+            earlier = points[-1 - lookback:-2]
             if (metric.log_distance_matrix([y], earlier) < 1e-14).any():
                 status = mx.Status.CYCLE_DETECTED
                 break
         if step < log_eps \
-                and reference_max_pairwise(metric, points[-config.window:]) < log_eps:
+                and reference_max_pairwise(metric, points[-window:]) < log_eps:
             residual = reference_residual(metric, T, y)
             if residual <= log_eps:
                 status = mx.Status.CONVERGED

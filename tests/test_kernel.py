@@ -13,10 +13,12 @@ distance function the pairs its loop passes it, in order, and each public
 function must still reject the invalid points it rejected before.
 """
 
+import contextlib
 import dataclasses
 import math
 import random
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -169,8 +171,7 @@ def test_a_collapsed_pair_is_skipped_by_estimation_and_evaluated_by_classify(cap
     assert (est.xi_hat, est.eta_hat, est.lambda_hat, est.pairs_used,
             est.pairs_skipped) == reference
     assert caplog.messages == [
-        "distinct pair (0.1,) / (0.2,) collapsed to distance 1; skipped",
-        "distinct pair (2.6,) / (2.9,) collapsed to distance 1; skipped"]
+        "2 distinct pairs collapsed to distance 1, skipped; the first: (0.1,) / (0.2,)"]
     report = mx.classify(ROUNDED, T, points)
     assert len(report.rows.i) == 10 and not report.rows.errors
     args = (ROUNDED, T, points, None, None)
@@ -573,6 +574,18 @@ def kernel_picard(metric, T, x0, config, domain):
             result.restarted_from, result.residual_logd, result.continuity_log_ratio)
 
 
+def solver_constants(window=None, lookback=None, divergence=None):
+    """The solver's window, look-back and divergence step, those given set
+    for the body of a with statement; a hypothesis test cannot take the
+    function-scoped monkeypatch fixture."""
+    patches = contextlib.ExitStack()
+    for name, value in (("_WINDOW", window), ("_LOOKBACK", lookback),
+                        ("_DIVERGENCE_LOGD", divergence)):
+        if value is not None:
+            patches.enter_context(mock.patch.object(solver, name, value))
+    return patches
+
+
 # Maps whose orbits converge, stall, cycle, restart away from the start,
 # diverge, fail, change dimension, or leave star_product's or
 # exp_reciprocal's space (a coordinate at or below 0) or a declared box;
@@ -611,20 +624,19 @@ ORBIT_MAPS = [
        box=st.sampled_from([None, None, (-3.0, 3.0), (0.1, 5.0)]),
        eps=st.sampled_from([math.exp(1e-12), math.exp(1e-6), math.exp(1e-2), math.exp(0.5)]),
        max_iter=st.integers(1, 60), window=st.integers(2, 6),
-       cycle_lookback=st.integers(0, 6), divergence_logd=st.sampled_from([5.0, 700.0]),
+       lookback=st.integers(2, 6), divergence=st.sampled_from([5.0, 700.0]),
        monotone=st.booleans(), restart=st.booleans())
 def test_picard_equals_the_loop_of_public_calls(metric, T, start, box, eps, max_iter,
-                                               window, cycle_lookback, divergence_logd,
+                                               window, lookback, divergence,
                                                monotone, restart):
     domain = None if box is None else mx.Box((box,) * len(start))
-    config = mx.SolverConfig(eps=eps, max_iter=max_iter, window=window,
-                             cycle_lookback=cycle_lookback,
-                             divergence_logd=divergence_logd,
+    config = mx.SolverConfig(eps=eps, max_iter=max_iter,
                              check_monotone_residual=monotone,
                              limit_point_restart=restart)
     args = (metric, T, start, config, domain)
-    assert (picard_outcome(lambda: kernel_picard(*args))
-            == picard_outcome(lambda: reference_picard(*args)))
+    with solver_constants(window, lookback, divergence):
+        assert (picard_outcome(lambda: kernel_picard(*args))
+                == picard_outcome(lambda: reference_picard(*args)))
 
 
 def test_a_restart_reads_the_distances_from_the_orbit_to_the_limit_point():
@@ -655,13 +667,16 @@ def drifting(m, tail, dim):
     ``"fail"``, ``"leap"``      top + 1/64, then the float after top (within
                                 1e-14 of top, a cycle), where T raises or
                                 jumps to 1e6 top
+    ``"raise"``, ``"jump"``     top + 1/64, where T raises or jumps to 1e6 top,
+                                with no return before
     A 4-d map carries three functions of the first coordinate along.
     """
     top = 1.0 + m / 8
     tails = {"cycle2": (top, top + 1 / 64),
              "cycle3": (top, top + 2 / 64, top + 1 / 64),
-             "fail": (top, top + 1 / 64, math.nextafter(top, math.inf))}
-    tails["leap"] = tails["fail"]
+             "fail": (top, top + 1 / 64, math.nextafter(top, math.inf)),
+             "raise": (top, top + 1 / 64)}
+    tails["leap"], tails["jump"] = tails["fail"], tails["raise"]
 
     def step(x):
         if x < top:
@@ -671,9 +686,9 @@ def drifting(m, tail, dim):
         values = tails[tail]
         if x not in values:
             return top
-        if tail == "fail" and x == values[-1]:
+        if tail in ("fail", "raise") and x == values[-1]:
             raise ValueError(f"no image at {x!r}")
-        if tail == "leap" and x == values[-1]:
+        if tail in ("leap", "jump") and x == values[-1]:
             return 1e6 * top
         return values[(values.index(x) + 1) % len(values)]
 
@@ -682,7 +697,7 @@ def drifting(m, tail, dim):
     return lambda p: (lambda y: (y, y + 1.0, 0.5 * y, 3.0))(step(p[0]))
 
 
-TAILS = ("cycle2", "cycle3", "converge", "fail", "leap")
+TAILS = ("cycle2", "cycle3", "converge", "fail", "leap", "raise", "jump")
 
 
 @settings(max_examples=150, deadline=None)
@@ -691,22 +706,20 @@ TAILS = ("cycle2", "cycle3", "converge", "fail", "leap")
        box=st.sampled_from([None, None, (0.5, 40.0), (0.5, 15.0)]),
        eps=st.sampled_from([math.exp(1e-12), math.exp(1e-6), math.exp(1e-2)]),
        max_iter=st.integers(50, 300), window=st.integers(2, 12),
-       cycle_lookback=st.integers(0, 30), divergence_logd=st.sampled_from([5.0, 700.0]),
+       lookback=st.integers(2, 30), divergence=st.sampled_from([5.0, 700.0]),
        monotone=st.booleans(), restart=st.booleans())
 def test_long_picard_runs_equal_the_loop_of_public_calls(metric, m, tail, dim, box, eps,
-                                                        max_iter, window, cycle_lookback,
-                                                        divergence_logd, monotone,
-                                                        restart):
+                                                        max_iter, window, lookback,
+                                                        divergence, monotone, restart):
     start = (1.0,) if dim == 1 else (1.0, 2.0, 2.0, 3.0)
     domain = None if box is None else mx.Box((box,) * dim)
-    config = mx.SolverConfig(eps=eps, max_iter=max_iter, window=window,
-                             cycle_lookback=cycle_lookback,
-                             divergence_logd=divergence_logd,
+    config = mx.SolverConfig(eps=eps, max_iter=max_iter,
                              check_monotone_residual=monotone,
                              limit_point_restart=restart)
     args = (metric, drifting(m, tail, dim), start, config, domain)
-    assert (picard_outcome(lambda: kernel_picard(*args))
-            == picard_outcome(lambda: reference_picard(*args)))
+    with solver_constants(window, lookback, divergence):
+        assert (picard_outcome(lambda: kernel_picard(*args))
+                == picard_outcome(lambda: reference_picard(*args)))
 
 
 def test_a_step_of_exactly_log_eps_starts_neither_scan():
@@ -727,27 +740,27 @@ def test_a_step_of_exactly_log_eps_starts_neither_scan():
     mx.FunctionMetric(lambda x, y: 1.0 + abs(x[0] - y[0]), "one_plus"),
 ], ids=["exp_abs", "one_plus"])
 @pytest.mark.parametrize("m", [80, 97, 126, 127, 128, 190, 230])
-@pytest.mark.parametrize("tail, cycle_lookback, max_iter, status", [
-    ("converge", 25, 400, mx.Status.CONVERGED),
-    ("converge", 25, 60, mx.Status.MAX_ITER),
-    ("fail", 0, 400, mx.Status.DIVERGED),
-    ("fail", 25, 400, mx.Status.CYCLE_DETECTED),
-    ("leap", 0, 400, mx.Status.DIVERGED),
-    ("leap", 25, 400, mx.Status.CYCLE_DETECTED),
-    ("cycle2", 25, 400, mx.Status.CYCLE_DETECTED),
-    ("cycle3", 25, 400, mx.Status.CYCLE_DETECTED),
+@pytest.mark.parametrize("tail, max_iter, status", [
+    ("converge", 400, mx.Status.CONVERGED),
+    ("converge", 60, mx.Status.MAX_ITER),
+    ("raise", 400, mx.Status.DIVERGED),
+    ("fail", 400, mx.Status.CYCLE_DETECTED),
+    ("jump", 400, mx.Status.DIVERGED),
+    ("leap", 400, mx.Status.CYCLE_DETECTED),
+    ("cycle2", 400, mx.Status.CYCLE_DETECTED),
+    ("cycle3", 400, mx.Status.CYCLE_DETECTED),
 ])
-def test_picard_calls_the_map_as_often_as_a_step_by_step_scan(metric, m, tail,
-                                                              cycle_lookback, max_iter,
+def test_picard_calls_the_map_as_often_as_a_step_by_step_scan(metric, m, tail, max_iter,
                                                               status):
     # only a run that ends in a detected cycle may have mapped discarded
     # iterates past its cycle point, at most min(iterations, 63) of them
-    config = mx.SolverConfig(eps=math.exp(1e-6), max_iter=max_iter, divergence_logd=5.0,
-                             cycle_lookback=cycle_lookback, limit_point_restart=False)
+    config = mx.SolverConfig(eps=math.exp(1e-6), max_iter=max_iter,
+                             limit_point_restart=False)
     T, calls = counting(drifting(m, tail, 1))
-    result = mx.picard(metric, T, (1.0,), config)
     T_ref, ref_calls = counting(drifting(m, tail, 1))
-    reference_picard(metric, T_ref, (1.0,), config, None)
+    with solver_constants(divergence=5.0):
+        result = mx.picard(metric, T, (1.0,), config)
+        reference_picard(metric, T_ref, (1.0,), config, None)
     assert result.status is status
     extra = len(calls) - len(ref_calls)
     if status is mx.Status.CYCLE_DETECTED and isinstance(metric, mx.MetricSpec):
@@ -774,21 +787,21 @@ def one_plus(x, y):
 
 
 @pytest.mark.parametrize("m", [80, 127, 128, 190])
-@pytest.mark.parametrize("tail", ["fail", "leap", "cycle2", "cycle3"])
-@pytest.mark.parametrize("cycle_lookback", [0, 3, 25])
-@pytest.mark.parametrize("dim, divergence_logd", [(1, 5.0), (1, 700.0), (4, 700.0)])
-def test_picard_passes_a_distance_function_the_step_by_step_pairs(m, tail, cycle_lookback,
-                                                                  dim, divergence_logd):
+@pytest.mark.parametrize("tail", ["fail", "leap", "raise", "jump", "cycle2", "cycle3"])
+@pytest.mark.parametrize("lookback", [3, 25])
+@pytest.mark.parametrize("dim, divergence", [(1, 5.0), (1, 700.0), (4, 700.0)])
+def test_picard_passes_a_distance_function_the_step_by_step_pairs(m, tail, lookback,
+                                                                  dim, divergence):
     # every step of these runs is above log(eps), so none reaches a window check
-    config = mx.SolverConfig(eps=math.exp(1e-6), max_iter=400, window=40,
-                             cycle_lookback=cycle_lookback,
-                             divergence_logd=divergence_logd, limit_point_restart=False)
+    config = mx.SolverConfig(eps=math.exp(1e-6), max_iter=400, limit_point_restart=False)
     start = (1.0,) if dim == 1 else (1.0, 2.0, 2.0, 3.0)
     kernel_fn, calls = recording(one_plus)
     loop_fn, loop_calls = recording(one_plus)
     args = (drifting(m, tail, dim), start, config, None)
-    got = picard_outcome(lambda: kernel_picard(mx.FunctionMetric(kernel_fn), *args))
-    assert got == picard_outcome(lambda: reference_picard(mx.FunctionMetric(loop_fn), *args))
+    with solver_constants(40, lookback, divergence):
+        got = picard_outcome(lambda: kernel_picard(mx.FunctionMetric(kernel_fn), *args))
+        assert got == picard_outcome(lambda: reference_picard(mx.FunctionMetric(loop_fn),
+                                                              *args))
     assert min(map(float.fromhex, got[1])) > config.log_eps
     assert calls == loop_calls
 
@@ -903,10 +916,11 @@ def returning(metric, dim, period, n, c=0.95):
 
 
 def event_run(event, metric, dim, n):
-    """(T, start, config, domain) of a built-in map's run whose event falls
-    on step n, its first step that fails a check of the map-ahead."""
+    """(T, start, config, domain, divergence) of a built-in map's run whose
+    event falls on step n, its first step that fails a check of the
+    map-ahead, with the divergence step the run needs."""
     config = dict(eps=math.exp(1e-9), max_iter=n + 40, limit_point_restart=False)
-    domain = None
+    domain, divergence = None, solver._DIVERGENCE_LOGD
     if event == "box":
         T, start = mx.SelfMapSpec.scale(1.001), (1.0,) * dim
         domain = mx.Box(((0.5, max(map(max, orbit_of(T, start, n - 1)))),) * dim)
@@ -915,14 +929,16 @@ def event_run(event, metric, dim, n):
         T, start = mx.SelfMapSpec.affine(eye, (-0.5,) * dim), (0.5 * n,) * dim
     elif event == "overflow":  # reaches 2**1024 = inf at step n
         T, start = mx.SelfMapSpec.scale(2.0), (2.0 ** (1024 - n),) * dim
-        config["divergence_logd"] = math.inf
+        divergence = math.inf
     elif event in ("diverge", "small"):
         T, start = geometric(metric, dim, event == "diverge")
         points = orbit_of(T, start, n)
         s = [metric.log_distance(a, b) for a, b in zip(points, points[1:])]
         cut = math.sqrt(s[n - 2] * s[n - 1])
-        config.update({"divergence_logd": cut} if event == "diverge" else
-                      {"eps": math.exp(cut), "max_iter": 3 * n})
+        if event == "diverge":
+            divergence = cut
+        else:
+            config.update(eps=math.exp(cut), max_iter=3 * n)
     elif event == "monotone":  # manhattan steps shrink, then grow from step n
         c1, c2 = 0.99, 1.01
         b = (1 - c1) ** 2 / ((c2 - 1) ** 2 * (c2 / c1) ** (n - 2.5))
@@ -934,18 +950,17 @@ def event_run(event, metric, dim, n):
     else:  # "cycle2", "cycle3"
         T, start = returning(metric, dim, int(event[-1]), n)
         config["eps"] = math.exp(1e-15)
-    return T, start, mx.SolverConfig(**config), domain
+    return T, start, mx.SolverConfig(**config), domain, divergence
 
 
-def event_step(got, config):
+def event_step(got, divergence):
     """The step of a run's event: the iterate an escape or a breach names,
     the step after the last where the map failed, or the last step."""
     if got[0] == "escaped":
         return got[3]
     if got[0] == "raised":
         return int(got[2].rsplit(" ", 1)[1])
-    failed = got[2] is mx.Status.DIVERGED and \
-        not float.fromhex(got[1][-1]) > config.divergence_logd
+    failed = got[2] is mx.Status.DIVERGED and not float.fromhex(got[1][-1]) > divergence
     return got[3] + failed
 
 
@@ -971,34 +986,36 @@ def test_a_built_in_maps_event_falls_on_its_step_inside_or_at_the_edge_of_a_bloc
     kind, exact = EVENTS[event]
     for k, metric in enumerate(exact):
         dim = 4 if event == "cycle3" else (1, 2, 4)[(k + n) % 3]
-        T, start, config, domain = event_run(event, metric, dim, n)
+        T, start, config, domain, divergence = event_run(event, metric, dim, n)
         args = (metric, T, start, config, domain)
-        got = picard_outcome(lambda: kernel_picard(*args))
-        assert got == picard_outcome(lambda: reference_picard(*args))
+        with solver_constants(divergence=divergence):
+            got = picard_outcome(lambda: kernel_picard(*args))
+            assert got == picard_outcome(lambda: reference_picard(*args))
         assert kind is None or kind in (got[0], got[2])
         if event == "small":  # the first step at or below log(eps)
             steps = [float.fromhex(s) > config.log_eps for s in got[1]]
             assert steps.index(False) == n - 1
         else:
-            assert event_step(got, config) == n, (metric, dim)
+            assert event_step(got, divergence) == n, (metric, dim)
 
 
 @settings(max_examples=200, deadline=None)
 @given(event=st.sampled_from(sorted(EVENTS)), metric=st.sampled_from(METRIC_SPECS),
        dim=st.sampled_from([1, 2, 4]), n=st.one_of(st.sampled_from(EDGES),
                                                    st.integers(100, 600)),
-       lookback=st.sampled_from([0, 2, 3, 25]), window=st.integers(2, 12),
+       lookback=st.sampled_from([2, 3, 25]), window=st.integers(2, 12),
        monotone=st.booleans(), restart=st.booleans())
 def test_long_runs_of_built_in_maps_equal_the_loop_of_public_calls(event, metric, dim, n,
                                                                   lookback, window,
                                                                   monotone, restart):
-    T, start, config, domain = event_run(event, metric, dim, n)
+    T, start, config, domain, divergence = event_run(event, metric, dim, n)
     config = dataclasses.replace(
-        config, cycle_lookback=lookback, window=window, limit_point_restart=restart,
+        config, limit_point_restart=restart,
         check_monotone_residual=monotone or config.check_monotone_residual)
     args = (metric, T, start, config, domain)
-    assert (picard_outcome(lambda: kernel_picard(*args))
-            == picard_outcome(lambda: reference_picard(*args)))
+    with solver_constants(window, lookback, divergence):
+        assert (picard_outcome(lambda: kernel_picard(*args))
+                == picard_outcome(lambda: reference_picard(*args)))
 
 
 def built_in(fn):
@@ -1029,46 +1046,44 @@ def test_a_change_of_dimension_escapes_at_its_step_inside_or_at_the_edge_of_a_bl
        box=st.sampled_from([None, None, (0.5, 90.0), (0.5, 40.0)]),
        eps=st.sampled_from([math.exp(1e-12), math.exp(1e-6), math.exp(1e-2)]),
        max_iter=st.integers(50, 700), window=st.integers(2, 12),
-       cycle_lookback=st.integers(0, 30), divergence_logd=st.sampled_from([5.0, 700.0]),
+       lookback=st.integers(2, 30), divergence=st.sampled_from([5.0, 700.0]),
        monotone=st.booleans(), restart=st.booleans())
 def test_long_runs_through_a_built_in_maps_kernel_equal_the_loop_of_public_calls(
-        metric, m, tail, dim, box, eps, max_iter, window, cycle_lookback, divergence_logd,
+        metric, m, tail, dim, box, eps, max_iter, window, lookback, divergence,
         monotone, restart):
     # drifting's tails, through the map-ahead: a cycle, a failure of T or a
     # leap inside a block of iterates or on its edge
     start = (1.0,) if dim == 1 else (1.0, 2.0, 2.0, 3.0)
     domain = None if box is None else mx.Box((box,) * dim)
-    config = mx.SolverConfig(eps=eps, max_iter=max_iter, window=window,
-                             cycle_lookback=cycle_lookback,
-                             divergence_logd=divergence_logd,
+    config = mx.SolverConfig(eps=eps, max_iter=max_iter,
                              check_monotone_residual=monotone,
                              limit_point_restart=restart)
     args = (metric, built_in(drifting(m, tail, dim)), start, config, domain)
-    assert (picard_outcome(lambda: kernel_picard(*args))
-            == picard_outcome(lambda: reference_picard(*args)))
+    with solver_constants(window, lookback, divergence):
+        assert (picard_outcome(lambda: kernel_picard(*args))
+                == picard_outcome(lambda: reference_picard(*args)))
 
 
 @pytest.mark.parametrize("m", [80, 127, 128, 190, 300, 600])
-@pytest.mark.parametrize("tail, cycle_lookback, status", [
-    ("converge", 25, mx.Status.CONVERGED),
-    ("fail", 0, mx.Status.DIVERGED),
-    ("fail", 25, mx.Status.CYCLE_DETECTED),
-    ("leap", 0, mx.Status.DIVERGED),
-    ("cycle2", 25, mx.Status.CYCLE_DETECTED),
-    ("cycle3", 25, mx.Status.CYCLE_DETECTED),
+@pytest.mark.parametrize("tail, status", [
+    ("converge", mx.Status.CONVERGED),
+    ("raise", mx.Status.DIVERGED),
+    ("fail", mx.Status.CYCLE_DETECTED),
+    ("jump", mx.Status.DIVERGED),
+    ("cycle2", mx.Status.CYCLE_DETECTED),
+    ("cycle3", mx.Status.CYCLE_DETECTED),
 ])
 def test_a_built_in_map_is_applied_at_most_a_block_past_where_its_run_stops(m, tail,
-                                                                           cycle_lookback,
                                                                            status):
     # each of these runs cuts one block of iterates short: the step applies
     # T again at the iterate where it was cut, and no more than 255 images
     # past it were computed
-    config = mx.SolverConfig(eps=math.exp(1e-6), max_iter=1000, divergence_logd=5.0,
-                             cycle_lookback=cycle_lookback, limit_point_restart=False)
+    config = mx.SolverConfig(eps=math.exp(1e-6), max_iter=1000, limit_point_restart=False)
     fn, calls = counting(drifting(m, tail, 1))
-    result = mx.picard(mx.MetricSpec.exp_abs(2.0), built_in(fn), (1.0,), config)
     T_ref, ref_calls = counting(drifting(m, tail, 1))
-    reference_picard(mx.MetricSpec.exp_abs(2.0), T_ref, (1.0,), config, None)
+    with solver_constants(divergence=5.0):
+        result = mx.picard(mx.MetricSpec.exp_abs(2.0), built_in(fn), (1.0,), config)
+        reference_picard(mx.MetricSpec.exp_abs(2.0), T_ref, (1.0,), config, None)
     assert result.status is status
     assert 0 <= len(calls) - len(ref_calls) <= solver._AHEAD
 
@@ -1103,20 +1118,19 @@ TAIL_MAPS = [
        box=st.sampled_from([None, None, (-3.0, 4.0), (0.2, 4.0)]),
        eps=st.sampled_from([math.exp(1e-9), math.exp(1e-6), math.exp(1e-3), math.exp(0.05)]),
        max_iter=st.integers(20, 1500), window=st.integers(2, 12),
-       cycle_lookback=st.integers(0, 30), divergence_logd=st.sampled_from([5.0, 700.0]),
+       lookback=st.integers(2, 30), divergence=st.sampled_from([5.0, 700.0]),
        monotone=st.booleans(), restart=st.booleans())
 def test_converging_tails_of_coordinate_wise_maps_equal_the_loop_of_public_calls(
-        metric, T, start, box, eps, max_iter, window, cycle_lookback, divergence_logd,
+        metric, T, start, box, eps, max_iter, window, lookback, divergence,
         monotone, restart):
     domain = None if box is None else mx.Box((box,) * len(start))
-    config = mx.SolverConfig(eps=eps, max_iter=max_iter, window=window,
-                             cycle_lookback=cycle_lookback,
-                             divergence_logd=divergence_logd,
+    config = mx.SolverConfig(eps=eps, max_iter=max_iter,
                              check_monotone_residual=monotone,
                              limit_point_restart=restart)
     args = (metric, T, start, config, domain)
-    assert (picard_outcome(lambda: kernel_picard(*args))
-            == picard_outcome(lambda: reference_picard(*args)))
+    with solver_constants(window, lookback, divergence):
+        assert (picard_outcome(lambda: kernel_picard(*args))
+                == picard_outcome(lambda: reference_picard(*args)))
 
 
 @pytest.mark.parametrize("metric", [m for m in METRIC_SPECS if m.kind != "discrete"],
@@ -1129,10 +1143,11 @@ def test_a_long_run_converging_through_blocks_below_log_eps_equals_the_loop(metr
                                                                           window):
     # hundreds of steps before the first below log(eps), so the tail is
     # mapped ahead and settles inside a block of iterates
-    config = mx.SolverConfig(eps=math.exp(1e-4), max_iter=1500, window=window)
+    config = mx.SolverConfig(eps=math.exp(1e-4), max_iter=1500)
     args = (metric, T, (2.0, 0.5), config, None)
-    assert (picard_outcome(lambda: kernel_picard(*args))
-            == picard_outcome(lambda: reference_picard(*args)))
+    with solver_constants(window):
+        assert (picard_outcome(lambda: kernel_picard(*args))
+                == picard_outcome(lambda: reference_picard(*args)))
 
 
 @pytest.mark.parametrize("b", [0.1, 0.02])
@@ -1144,10 +1159,11 @@ def test_an_oscillating_orbit_is_checked_on_its_whole_window(b, window):
     # rational(0.1) settles step by step, rational(0.02) after 687 steps,
     # inside a block of iterates mapped ahead
     metric, T = mx.MetricSpec.exp_abs(2.0), mx.SelfMapSpec.rational(b)
-    config = mx.SolverConfig(eps=math.exp(1e-6), max_iter=2000, window=window)
+    config = mx.SolverConfig(eps=math.exp(1e-6), max_iter=2000)
     args = (metric, T, (2.0,), config, None)
-    got = picard_outcome(lambda: kernel_picard(*args))
-    assert got == picard_outcome(lambda: reference_picard(*args))
+    with solver_constants(window):
+        got = picard_outcome(lambda: kernel_picard(*args))
+        assert got == picard_outcome(lambda: reference_picard(*args))
     assert got[2] is mx.Status.CONVERGED
     points = [tuple(map(float.fromhex, p)) for p in got[0]]
     early = [j for j in range(window, len(points))
@@ -1182,31 +1198,29 @@ def counting_coordinates(T):
     return T, calls
 
 
-@pytest.mark.parametrize("make, start, config, box", [
+@pytest.mark.parametrize("make, start, divergence, box", [
     # the first coordinate's power overflows at step 114, the second runs on
-    (lambda: mx.SelfMapSpec.power(1.01), (1e100, 2.0),
-     mx.SolverConfig(divergence_logd=math.inf, max_iter=400), None),
+    (lambda: mx.SelfMapSpec.power(1.01), (1e100, 2.0), math.inf, None),
     # an image of inf at step 100, past the finite ones
-    (lambda: mx.SelfMapSpec.scale(2.0), (2.0 ** 924,),
-     mx.SolverConfig(divergence_logd=math.inf, max_iter=400), None),
-    (lambda: mx.SelfMapSpec.scale(2.0), (1.0, 2.0 ** 924),
-     mx.SolverConfig(divergence_logd=math.inf, max_iter=400), None),
+    (lambda: mx.SelfMapSpec.scale(2.0), (2.0 ** 924,), math.inf, None),
+    (lambda: mx.SelfMapSpec.scale(2.0), (1.0, 2.0 ** 924), math.inf, None),
     # a box left at step 126
-    (lambda: mx.SelfMapSpec.scale(-1.01), (1.0, 0.5), mx.SolverConfig(max_iter=400),
-     (-3.5, 3.5)),
+    (lambda: mx.SelfMapSpec.scale(-1.01), (1.0, 0.5), None, (-3.5, 3.5)),
 ])
 def test_a_coordinate_wise_run_maps_at_most_a_block_past_where_it_stops(make, start,
-                                                                        config, box):
+                                                                        divergence, box):
     # each run stops inside one block of iterates: every coordinate computes
     # at most 255 discarded values past the stop, and the step that stops
     # the run maps the stopping point once more
     domain = None if box is None else mx.Box((box,) * len(start))
+    config = mx.SolverConfig(max_iter=400)
     T, calls = counting_coordinates(make())
     T_ref, ref_calls = counting_coordinates(make())
     metric = mx.MetricSpec.exp_abs(2.0)
-    got = picard_outcome(lambda: kernel_picard(metric, T, start, config, domain))
-    assert got == picard_outcome(lambda: reference_picard(metric, T_ref, start, config,
-                                                          domain))
+    with solver_constants(divergence=divergence):
+        got = picard_outcome(lambda: kernel_picard(metric, T, start, config, domain))
+        assert got == picard_outcome(lambda: reference_picard(metric, T_ref, start, config,
+                                                              domain))
     assert got[0] == "escaped" or got[2] is mx.Status.DIVERGED
     assert len(start) <= len(calls) - len(ref_calls) <= len(start) * solver._AHEAD
 
@@ -1263,29 +1277,29 @@ def edge_orbit(rng, metric, dim, tol):
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), metric=st.sampled_from(METRIC_SPECS),
-       dim=st.sampled_from([1, 2, 4]), lookback=st.integers(0, 30),
+       dim=st.sampled_from([1, 2, 4]), lookback=st.integers(2, 30),
        eps=st.sampled_from([math.exp(1e-15), math.exp(1e-9), math.exp(0.5)]))
 def test_the_prefiltered_look_back_finds_what_the_exact_scan_finds(seed, metric, dim,
                                                                    lookback, eps):
     rng = random.Random(seed)
     points = edge_orbit(rng, metric, dim, 1e-14)
     steps = [metric._log_distance(a, b) for a, b in zip(points, points[1:])]
-    config = mx.SolverConfig(eps=eps, cycle_lookback=lookback)
-    expected = scalar_reference.look_back(metric, points, steps, 1, lookback,
-                                          config.log_eps)
-    # scanned as a run grows the orbit: one block of new points at a time
-    grown, grown_steps = points[:1], []
-    look = solver._LookBack(metric, config, grown, grown_steps)
-    found = None
-    try:
-        while len(grown) < len(points):
-            more = points[len(grown):len(grown) + rng.choice([1, 3, 16, 65, 100, 256])]
-            grown_steps.extend(steps[len(grown) - 1:len(grown) - 1 + len(more)])
-            grown.extend(more)
-            look.flush()
-    except solver._Cycle:
-        found = len(grown) - 1
-        assert grown == points[:found + 1] and grown_steps == steps[:found]
+    config = mx.SolverConfig(eps=eps)
+    with solver_constants(lookback=lookback):
+        expected = scalar_reference.look_back(metric, points, steps, 1, config.log_eps)
+        # scanned as a run grows the orbit: one block of new points at a time
+        grown, grown_steps = points[:1], []
+        look = solver._LookBack(metric, config, grown, grown_steps)
+        found = None
+        try:
+            while len(grown) < len(points):
+                more = points[len(grown):len(grown) + rng.choice([1, 3, 16, 65, 100, 256])]
+                grown_steps.extend(steps[len(grown) - 1:len(grown) - 1 + len(more)])
+                grown.extend(more)
+                look.flush()
+        except solver._Cycle:
+            found = len(grown) - 1
+            assert grown == points[:found + 1] and grown_steps == steps[:found]
     assert found == expected
 
 
@@ -1345,8 +1359,8 @@ def test_a_return_whose_distances_to_the_start_round_apart_is_found(far, copies)
     apart = [(4.0 + k / 64,) for k in range(far)]
     points = [p0] + apart + [x, (10.0,), y]
     steps = [metric._log_distance(a, b) for a, b in zip(points, points[1:])]
-    look = solver._LookBack(metric, mx.SolverConfig(cycle_lookback=2), points, steps)
-    with pytest.raises(solver._Cycle):
+    look = solver._LookBack(metric, mx.SolverConfig(), points, steps)
+    with solver_constants(lookback=2), pytest.raises(solver._Cycle):
         look.flush()
     assert points[-1] == y and len(points) == far + 4
     trace = mx.IterationTrace(metric, (p0, *apart, x) + (y,) * copies,

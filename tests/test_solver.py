@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mulfix as mx
+from mulfix import solver
 from mulfix.errors import DomainError, DomainEscapeError, MonotoneResidualError
 from scalar_reference import bits
 
@@ -25,19 +27,14 @@ def test_solver_config_validation():
         mx.SolverConfig(max_iter=0)
     with pytest.raises(DomainError, match="max_iter must be an integer, got 2.5"):
         mx.SolverConfig(max_iter=2.5)
-    with pytest.raises(DomainError, match="divergence threshold must be positive"):
-        mx.SolverConfig(divergence_logd=math.nan)
-    with pytest.raises(DomainError):
-        mx.SolverConfig(window=1)
     cfg = mx.SolverConfig(starts=[1.0, (2.0,)])
     assert cfg.starts == ((1.0,), (2.0,))
     assert mx.SolverConfig.from_json_dict(cfg.to_json_dict()) == cfg
 
 
-@pytest.mark.parametrize("field", ["max_iter", "window", "cycle_lookback"])
+@pytest.mark.parametrize("field", ["max_iter"])
 @pytest.mark.parametrize("value", [10.0, True, "10"])
 def test_an_integer_solver_field_rejects_any_other_value(field, value):
-    # a float window or cycle_lookback would reach picard's slices
     with pytest.raises(DomainError, match=f"^{field} must be an integer, got {value!r}$"):
         mx.SolverConfig(**{field: value})
     value = getattr(mx.SolverConfig(**{field: np.int64(12)}), field)
@@ -97,6 +94,36 @@ def test_monotone_flag_raises_on_expanding_maps():
         mx.picard(LIFTED2, grow, (1.0, 0.0), cfg)
 
 
+@pytest.mark.parametrize("start, iterations", [(700.5, 1), (700.0, 2)])
+def test_a_step_above_log_distance_700_diverges(start, iterations):
+    # scale(2) from x steps by x under exp_abs(e): 700.5 diverges at once,
+    # 700.0 only at its next step of 1400
+    result = mx.picard(EXPABS_E, mx.SelfMapSpec.scale(2.0), start,
+                       mx.SolverConfig(eps=EPS, max_iter=10))
+    assert result.status is mx.Status.DIVERGED and result.iterations == iterations
+    assert result.trace.step_logd[0] == start
+
+
+def test_a_run_converges_once_its_last_10_iterates_are_pairwise_close():
+    # scale(0.5) under exp_abs(e) from 1: the steps 2**-k are below
+    # log(eps) = 1e-6 from k = 20, the spread of the ten iterates
+    # 2**-(k - 9) .. 2**-k only from k = 29
+    log_eps, T = 1e-6, mx.SelfMapSpec.scale(0.5)
+
+    def run(max_iter):
+        config = mx.SolverConfig(eps=math.exp(log_eps), max_iter=max_iter,
+                                 limit_point_restart=False)
+        return mx.picard(EXPABS_E, T, 1.0, config)
+
+    converged, capped = run(29), run(28)
+    points = converged.trace.points
+    assert converged.status is mx.Status.CONVERGED and converged.iterations == 29
+    assert EXPABS_E.log_distance(points[-10], points[-1]) < log_eps \
+        <= EXPABS_E.log_distance(points[-11], points[-2])
+    assert capped.status is mx.Status.MAX_ITER and capped.iterations == 28
+    assert max(capped.trace.step_logd[19:]) < log_eps
+
+
 def test_expanding_map_diverges():
     grow = mx.SelfMapSpec.scale(1.5)
     result = mx.picard(LIFTED2, grow, (1.0, 0.0),
@@ -121,18 +148,33 @@ def test_two_point_swap_is_reported_as_a_cycle():
 
 
 @pytest.mark.parametrize("period, lookback, detected", [
-    (2, 25, True), (3, 3, True), (3, 2, False), (2, 2, True), (2, 1, False),
+    (2, 25, True), (3, 3, True), (3, 2, False), (2, 2, True),
 ])
 def test_cycle_lookback_spans_exactly_its_window(period, lookback, detected):
     hop = lambda p: ((p[0] + 1.0) % period,)
-    cfg = mx.SolverConfig(eps=EPS, max_iter=50, cycle_lookback=lookback,
-                          limit_point_restart=False)
-    result = mx.picard(EXPABS_E, hop, 0.0, cfg)
+    cfg = mx.SolverConfig(eps=EPS, max_iter=50, limit_point_restart=False)
+    with mock.patch.object(solver, "_LOOKBACK", lookback):
+        result = mx.picard(EXPABS_E, hop, 0.0, cfg)
     if detected:
         assert result.status is mx.Status.CYCLE_DETECTED
         assert result.iterations == period
     else:
         assert result.status is mx.Status.MAX_ITER and result.iterations == 50
+
+
+@pytest.mark.parametrize("period, detected", [(25, True), (26, False)])
+def test_a_cycle_is_detected_up_to_25_steps_back(period, detected):
+    # a cyclic shift of `period` coordinates returns to its start after
+    # `period` steps, exactly
+    shift = [[float(j == (i + 1) % period) for j in range(period)] for i in range(period)]
+    T = mx.SelfMapSpec.affine(shift, (0.0,) * period)
+    cfg = mx.SolverConfig(eps=EPS, max_iter=60, limit_point_restart=False)
+    result = mx.picard(LIFTED2, T, tuple(map(float, range(period))), cfg)
+    if detected:
+        assert result.status is mx.Status.CYCLE_DETECTED and result.iterations == period
+        assert result.point == result.trace.points[0]
+    else:
+        assert result.status is mx.Status.MAX_ITER and result.iterations == 60
 
 
 @pytest.mark.parametrize("metric", [
