@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import io
 import json
+import logging
 import os
 import sys
 from functools import cache
@@ -45,6 +46,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Warnings(logging.Handler):
+    """Each record as a ``warning:`` line on ``sys.stderr`` as it is then."""
+
+    def emit(self, record):
+        print(f"warning: {record.getMessage()}", file=sys.stderr)
+
+
+_WARNINGS = _Warnings()
+
+
 def _apply_overrides(config: ExperimentConfig, given: dict) -> ExperimentConfig:
     """The config with the given --seed, --eps and --max-iter in place; the
     config itself when none is given, so that it is not validated again."""
@@ -77,6 +88,8 @@ def _print_report(label: str, report) -> None:
 
 
 def main(argv=None) -> int:
+    # one handler per process, as adding it again is a no-op; records still propagate
+    logging.getLogger("mulfix").addHandler(_WARNINGS)
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.out == "":

@@ -40,8 +40,8 @@ logger = logging.getLogger(__name__)
 
 CONDITION_IDS = ("C1", "C2", "C3", "SI", "SII", "SIII", "PHI")
 # Why a pair was not evaluated, in the order they are tested: the map failed,
-# an image or a point is outside the metric's space, log phi rejects the pair.
-CAUSES = ("map", "image", "point", "phi")
+# an image is outside the metric's space, log phi rejects the pair.
+CAUSES = ("map", "image", "phi")
 
 # Each phi kind with the parameters it takes.
 PHI_PARAMS = {"power_product": ("q",), "psi_sqrt": ("psi",), "example317": (),
@@ -198,27 +198,27 @@ def _point_error(metric, p: Point, dim: int) -> DomainError | None:
 class _PairTable:
     """A sample mapped once, with the three log-distance matrices of its pairs.
 
-    ``Dxx[i, j] = L(x_i, x_j)``, ``Dtt[i, j] = L(Tx_i, Tx_j)`` and
-    ``Dxt[i, j] = L(x_i, Tx_j)`` give the six values every condition reads.
-    Entries are NaN unless both points and their images are valid (see
-    ``first_error``).  ``I`` and ``J`` list the pairs i < j in combinations
-    order, and the bool vectors ``distinct`` (not equal points) and
-    ``usable`` (distinct, both points valid) pick pairs of them for
-    ``gather``.  ``run_experiment`` passes the full ``Dxx`` and
-    ``equal_points`` matrix of points it checked, which are then taken as
-    they are.  Points are mapped by ``maps._checked_image``, whose
-    DomainError is the map failing at a point; ``images`` holds each point's
-    image, None where the map failed.  ``errors`` holds per point the first
-    of its failures in ``CAUSES`` order as ``(cause, text)``, the text naming
-    the point by its index, ``map at point k: ...``, ``image of point k:
-    ...`` or ``point k: ...``, or None for a valid point.
+    The first point of another dimension or outside the metric's space
+    raises DomainError ``point k: ...``.  ``Dxx[i, j] = L(x_i, x_j)``,
+    ``Dtt[i, j] = L(Tx_i, Tx_j)`` and ``Dxt[i, j] = L(x_i, Tx_j)`` give the
+    six values every condition reads, the last two NaN unless both images
+    are valid (see ``first_error``); ``equal`` is ``equal_points``.  ``I``
+    and ``J`` list the pairs i < j in combinations order, and the bool
+    vectors ``distinct`` (not equal points) and ``usable`` (distinct, both
+    images valid) pick pairs of them for ``gather``.  Points are mapped by
+    ``maps._checked_image``, whose DomainError is the map failing at a point;
+    ``images`` holds each point's image, None where the map failed.
+    ``errors`` holds per point its failure as ``(cause, text)``, ``("map",
+    "map at point k: ...")`` or ``("image", "image of point k: ...")``, or
+    None for a valid point.
     """
 
-    def __init__(self, metric, T, sample: Sequence, Dxx: np.ndarray | None = None,
-                 equal: np.ndarray | None = None):
-        checked = Dxx is not None
-        self.points = points = list(sample) if checked else [as_point(p) for p in sample]
+    def __init__(self, metric, T, sample: Sequence):
+        self.points = points = [as_point(p) for p in sample]
         dim = len(points[0]) if points else 0
+        for k, p in enumerate(points):
+            if error := _point_error(metric, p, dim):
+                raise DomainError(f"point {k}: {error}")
         image_of = _checked_image(T)
         self.images, self.errors = [], []
         for k, p in enumerate(points):
@@ -229,9 +229,6 @@ class _PairTable:
             else:
                 error = _point_error(metric, image, dim)
                 error = error and ("image", f"image of point {k}: {error}")
-            if error is None and not checked:
-                error = _point_error(metric, p, dim)
-                error = error and ("point", f"point {k}: {error}")
             self.images.append(image)
             self.errors.append(error)
         if failed := [e[1] for e in self.errors if e and e[0] == "map"]:
@@ -240,17 +237,15 @@ class _PairTable:
         good = [k for k, e in enumerate(self.errors) if e is None]
         X, TX = [points[k] for k in good], [self.images[k] for k in good]
         n, block = len(points), np.ix_(good, good)
+        # every point, and every image in TX, was checked
+        self.Dxx = metric._log_distance_matrix(points, points)
         self.Dtt, self.Dxt = (np.full((n, n), np.nan) for _ in range(2))
-        # every point and image in X and TX was checked
-        self.Dxx = Dxx if checked else np.full((n, n), np.nan)
-        if not checked:
-            self.Dxx[block] = metric._log_distance_matrix(X, X)
         self.Dtt[block] = metric._log_distance_matrix(TX, TX)
         self.Dxt[block] = metric._log_distance_matrix(X, TX)
-        equal = equal_points(points) if equal is None else equal
+        self.equal = equal_points(points)
         self.step = np.diag(self.Dxt)  # L(x, Tx) of each point
         self.I, self.J = np.triu_indices(n, 1)
-        self.distinct = ~equal[self.I, self.J]
+        self.distinct = ~self.equal[self.I, self.J]
         valid = np.array([e is None for e in self.errors], dtype=bool)
         self.usable = self.distinct & valid[self.I] & valid[self.J]
 
@@ -272,7 +267,7 @@ class _PairTable:
     def first_error(self, i: int, j: int) -> tuple[str, str] | None:
         """The ``(cause, text)`` of what fails first at pair (i, j): the map
         at x, then at y (``"map"``), then the metric's domain at Tx and Ty
-        (``"image"``), then at x and y (``"point"``)."""
+        (``"image"``)."""
         at = [e for e in (self.errors[i], self.errors[j]) if e]
         return min(at, key=lambda e: CAUSES.index(e[0]), default=None)
 
@@ -310,7 +305,8 @@ def estimate_constants(metric, T, sample: Sequence) -> ConstantEstimates:
 
     Pairs whose points coincide, whose images cannot be evaluated, or whose
     distance collapses to 1 despite distinct coordinates (a floating-point
-    artifact for a valid metric) are skipped, counted, and logged.
+    artifact for a valid metric) are skipped, counted, and logged; a point
+    outside the metric's space raises DomainError.
     """
     return _estimate(_PairTable(metric, T, sample))
 
@@ -546,8 +542,9 @@ def classify(
     where feasible; a condition with no admissible constant is marked
     unsatisfied on every pair.  A strict condition needs a positive slack,
     any other a slack of at least -``DEFAULT_LOG_TOL``, kept as 0.0 when
-    negative.  Results are deterministic in the sample order, and the
-    aggregate verdicts are invariant under permutations of the sample.
+    negative.  A point outside the metric's space raises DomainError.
+    Results are deterministic in the sample order, and the aggregate
+    verdicts are invariant under permutations of the sample.
     """
     return _classify(_PairTable(metric, T, sample), constants, phi, seed=seed)
 

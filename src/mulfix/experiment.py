@@ -42,7 +42,6 @@ from .metrics import (
     _verify_axioms,
     _verify_reverse_triangle,
     as_point,
-    equal_points,
 )
 from .sequences import Status
 from .solver import (
@@ -62,9 +61,9 @@ _CONDITIONS = tuple[Literal[CONDITION_IDS], ...]
 EXPECTATIONS = {
     "converged": ({}, {}),
     "unique_fixed_point": ({}, {}),
-    "fixed_point": ({"point": Point}, {"tol": float}),
+    "fixed_point": ({"point": Point}, {}),
     "residual": ({"max_logd": float}, {}),
-    "constants": ({}, {"xi": float, "eta": float, "lambda": float, "tol": float}),
+    "constants": ({}, {"xi": float, "eta": float, "lambda": float}),
     "conditions_hold": ({"conditions": _CONDITIONS}, {}),
     "verdict": ({"theorem": Literal["t2", "t23", "th3"]}, {"via": _CONDITIONS}),
     "phi_holds": ({}, {}),
@@ -72,6 +71,10 @@ EXPECTATIONS = {
     "map_invariant": ({}, {}),
     "axioms_pass": ({}, {}),
 }
+# How far a converged run's coordinates may lie from a fixed_point
+# expectation's point, and an estimate from a constants expectation's value.
+_FIXED_POINT_TOL = 1e-8
+_CONSTANTS_TOL = 1e-9
 
 
 def normalize_expectation(spec) -> dict:
@@ -267,15 +270,15 @@ def _eval_expectation(spec: dict, report: "ExperimentReport",
                   f"uniqueness={report.uniqueness.verdict}")
     elif kind == "fixed_point":
         target = as_point(spec["point"])
-        tol = spec.get("tol", 1e-8)
         dims = sorted({len(r.point) for r in converged} - {len(target)})
         errs = [max(abs(a - b) for a, b in zip(r.point, target)) for r in converged]
-        ok = not dims and bool(errs) and len(converged) == len(runs) and max(errs) <= tol
+        ok = (not dims and bool(errs) and len(converged) == len(runs)
+              and max(errs) <= _FIXED_POINT_TOL)
         if dims:
             detail = (f"point has dimension {len(target)}, converged runs dimension "
                       f"{', '.join(map(str, dims))}")
         else:
-            detail = (f"max coordinate error {max(errs):.3e} (tol {tol:g})"
+            detail = (f"max coordinate error {max(errs):.3e} (tol {_FIXED_POINT_TOL:g})"
                       if errs else "no converged run")
     elif kind == "residual":
         limit = spec["max_logd"]
@@ -283,17 +286,12 @@ def _eval_expectation(spec: dict, report: "ExperimentReport",
         ok = bool(converged) and len(converged) == len(runs) and worst <= limit
         detail = f"worst residual log-distance {worst:.3e} (limit {limit:g})"
     elif kind == "constants":
-        tol = spec.get("tol", 1e-9)
         est = cls_report.estimates
-        checked = []
-        ok = True
-        for name, value in (("xi", est.xi_hat), ("eta", est.eta_hat),
-                            ("lambda", est.lambda_hat)):
-            if name in spec:
-                good = math.isfinite(value) and abs(value - spec[name]) <= tol
-                ok = ok and good
-                checked.append(f"{name}={value!r}")
-        detail = ", ".join(checked)
+        named = {name: value for name, value in (("xi", est.xi_hat), ("eta", est.eta_hat),
+                                                 ("lambda", est.lambda_hat)) if name in spec}
+        ok = all(math.isfinite(value) and abs(value - spec[name]) <= _CONSTANTS_TOL
+                 for name, value in named.items())
+        detail = ", ".join(f"{name}={value!r}" for name, value in named.items())
     elif kind == "conditions_hold":
         conds = list(spec["conditions"])
         ok = all(cls_report.condition_ok(c) for c in conds)
@@ -340,42 +338,31 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     The sample is mapped once and its log-distance matrix built once: the
     axiom checks, map invariance, classification and the PHI diagonal all
-    read one table, and raise what their public functions would.  One
-    decision, ``_proved_empty``, either proves both triple scans empty or has
-    both run at every index.
-    With declared constants, ``bounds`` holds one ``BoundReport`` per
-    converged run, in run order; the runs themselves keep no bound rows.
+    read one ``_PairTable``, which raises at a point outside the metric's
+    space as ``classify`` does.  One decision, ``_proved_empty``, either
+    proves both triple scans empty or has both run at every index.  With
+    declared constants, ``bounds`` holds one ``BoundReport`` per converged
+    run, in run order; the runs themselves keep no bound rows.
     """
-    sample = tuple(
-        sample_box(config.domain, config.sample_size, config.seed,
-                   config.sample_scheme)
-    )
-    points = config.metric._checked(sample)  # as log_distance_matrix checks them
-    D = config.metric._log_distance_matrix(points, points)
-    equal = equal_points(points)
-    proved = _proved_empty(config.metric, points, D)
-    axioms = _verify_axioms(equal, D, proved)
-    reverse = _verify_reverse_triangle(D, proved)
-    table = _PairTable(config.metric, config.map, points, D, equal)
+    sample = tuple(sample_box(config.domain, config.sample_size, config.seed,
+                              config.sample_scheme))
+    table = _PairTable(config.metric, config.map, sample)
+    proved = _proved_empty(config.metric, table.points, table.Dxx)
+    axioms = _verify_axioms(table.equal, table.Dxx, proved)
+    reverse = _verify_reverse_triangle(table.Dxx, proved)
     # a failed image (None) means the map leaves the domain
     invariant = all(image is not None and config.domain.contains(image)
                     for image in table.images)
     classification = _classify(table, config.constants, config.phi, seed=config.seed)
     domain = config.domain if config.enforce_domain else None
-    start_independence = verify_start_independence(
-        config.metric, config.map, config.solver, domain
-    )
-    runs = start_independence.results
-    finals = [r.point for r in runs if r.status is Status.CONVERGED]
-    candidates = list(dict.fromkeys(list(config.solver.starts) + finals))
-    uniq = uniqueness_probe(config.metric, config.map, candidates,
-                            config.solver.eps)
-    bounds: tuple[BoundReport, ...] = ()
-    if config.constants is not None:
-        delta = config.constants.delta
-        # their points were checked as they entered
-        bounds = tuple(_verify_bound(r, delta) for r in runs
-                       if r.status is Status.CONVERGED)
+    start_independence = verify_start_independence(config.metric, config.map,
+                                                   config.solver, domain)
+    converged = [r for r in start_independence.results if r.status is Status.CONVERGED]
+    candidates = list(dict.fromkeys([*config.solver.starts, *(r.point for r in converged)]))
+    uniq = uniqueness_probe(config.metric, config.map, candidates, config.solver.eps)
+    # their points were checked as they entered
+    bounds = () if config.constants is None else tuple(
+        _verify_bound(r, config.constants.delta) for r in converged)
 
     report = ExperimentReport(
         config=config,

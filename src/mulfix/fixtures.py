@@ -57,8 +57,8 @@ def _config_3_15() -> ExperimentConfig:
         expectations=(
             {"kind": "converged"},
             {"kind": "residual", "max_logd": 1e-8},
-            {"kind": "fixed_point", "point": [0.0, 0.0], "tol": 1e-8},
-            {"kind": "constants", "xi": 2.0 / 3.0, "tol": 1e-9},
+            {"kind": "fixed_point", "point": [0.0, 0.0]},
+            {"kind": "constants", "xi": 2.0 / 3.0},
             {"kind": "conditions_hold", "conditions": ["C1"]},
             {"kind": "verdict", "theorem": "t2", "via": ["C1"]},
             {"kind": "map_invariant"},
@@ -86,7 +86,7 @@ def _config_3_16() -> ExperimentConfig:
         enforce_domain=True,
         expectations=(
             {"kind": "converged"},
-            {"kind": "fixed_point", "point": [0.4142135624], "tol": 1e-8},
+            {"kind": "fixed_point", "point": [0.4142135624]},
             {"kind": "conditions_hold", "conditions": ["C2", "C3"]},
             {"kind": "verdict", "theorem": "t2", "via": ["C2", "C3"]},
             {"kind": "map_invariant"},
@@ -117,7 +117,7 @@ def _config_3_17() -> ExperimentConfig:
         enforce_domain=False,
         expectations=(
             {"kind": "converged"},
-            {"kind": "fixed_point", "point": [1.0], "tol": 1e-8},
+            {"kind": "fixed_point", "point": [1.0]},
             {"kind": "phi_holds"},
             {"kind": "verdict", "theorem": "th3"},
             {"kind": "unique_fixed_point"},

@@ -96,10 +96,29 @@ MUTANTS = (
            ("tests/test_kernel.py::"
             "test_a_collapsed_pair_is_skipped_by_estimation_and_evaluated_by_classify",)),
     Mutant("equal points taken as distinct", "src/mulfix/conditions.py",
-           "self.distinct = ~equal[self.I, self.J]",
+           "self.distinct = ~self.equal[self.I, self.J]",
            "self.distinct = np.ones(len(self.I), dtype=bool)",
            (CLASSIFY_REFERENCE, "tests/test_conditions.py::"
             "test_the_summary_counts_every_cause_of_an_unevaluated_pair")),
+    Mutant("a sample point outside the space is not raised", "src/mulfix/conditions.py",
+           'raise DomainError(f"point {k}: {error}")', "pass",
+           ("tests/test_conditions.py::test_a_sample_point_outside_the_space_is_bad_input",
+            "tests/test_experiment_cli.py::"
+            "test_a_sample_point_outside_the_space_exits_2_and_names_it")),
+    Mutant("warning without its prefix", "src/mulfix/cli.py",
+           'f"warning: {record.getMessage()}"', "record.getMessage()",
+           ("tests/test_experiment_cli.py::test_a_map_that_fails_at_every_point_warns_once",)),
+    Mutant("a warning handler added at every call", "src/mulfix/cli.py",
+           'addHandler(_WARNINGS)', "addHandler(_Warnings())",
+           ("tests/test_experiment_cli.py::test_each_run_in_one_process_warns_once",)),
+    Mutant("looser fixed-point tolerance", "src/mulfix/experiment.py",
+           "_FIXED_POINT_TOL = 1e-8", "_FIXED_POINT_TOL = 1e-7",
+           ("tests/test_experiment_cli.py::"
+            "test_a_fixed_point_expectation_allows_a_coordinate_error_of_1e_8",)),
+    Mutant("looser constants tolerance", "src/mulfix/experiment.py",
+           "_CONSTANTS_TOL = 1e-9", "_CONSTANTS_TOL = 1e-8",
+           ("tests/test_experiment_cli.py::"
+            "test_a_constants_expectation_allows_an_error_of_1e_9",)),
     Mutant("an error record one pair late", "src/mulfix/conditions.py",
            "errors.append((int(before[k]),", "errors.append((int(before[k]) + 1,",
            (CLASSIFY_REFERENCE,

@@ -26,7 +26,9 @@ and the divergence step from ``mulfix.solver`` at call time, so a test
 that patches one of them patches both.
 
 ``reference_estimate`` and ``reference_classify`` fit the constants and
-classify a sample pair by pair through the ``check_*`` functions;
+classify a sample pair by pair through the ``check_*`` functions, once
+``reference_check_points`` has raised at the first point outside the
+metric's space;
 ``reference_pair_error`` names the point at fault in a pair that fails, and
 ``reference_point_error`` what fails at one point.  The
 orbit scans (``reference_detect_limit_point``, ``reference_cauchy_indicator``,
@@ -375,7 +377,17 @@ def picard_outcome(run):
 # -- condition estimates and classification, pair by pair ----------------------
 
 
+def reference_check_points(metric, points):
+    """Raise DomainError ``point k: ...`` at the first point that has
+    another dimension than the first or lies outside the metric's space."""
+    for k, p in enumerate(points):
+        why = _outside(metric, p, len(points[0]))
+        if why is not None:
+            raise DomainError(f"point {k}: {why}")
+
+
 def reference_estimate(metric, T, points):
+    reference_check_points(metric, points)
     images = []
     for p in points:
         try:
@@ -432,35 +444,31 @@ def _outside(metric, p, dim):
 
 def reference_point_error(metric, T, points, k):
     """What fails first at point k, named with its index: the map at x, then
-    the metric's space at Tx, then at x; None when nothing does."""
+    the metric's space at Tx; None when nothing does."""
     try:
         image = reference_apply(T, points[k])
     except DomainError as err:
         return f"map at point {k}: {err}"
-    for where, p in (("image of point", image), ("point", points[k])):
-        why = _outside(metric, p, len(points[0]))
-        if why is not None:
-            return f"{where} {k}: {why}"
-    return None
+    why = _outside(metric, image, len(points[0]))
+    return None if why is None else f"image of point {k}: {why}"
 
 
 def reference_pair_error(metric, T, points, i, j, exc):
     """The message of the error record of pair (i, j), whose check raised
     ``exc``, found again point by point with public calls: the map at x,
-    then at y, then the metric's space at Tx and Ty, then at x and y, then
-    log phi's argument L(x, Tx) and L(y, Ty), each named with its point's
-    index.  ``exc`` itself is raised when no point fails."""
+    then at y, then the metric's space at Tx and Ty, then log phi's argument
+    L(x, Tx) and L(y, Ty), each named with its point's index.  ``exc``
+    itself is raised when no point fails."""
     images = {}
     for k in (i, j):
         try:
             images[k] = reference_apply(T, points[k])
         except DomainError as err:
             return f"map at point {k}: {err}"
-    for where, at in (("image of point", images), ("point", points)):
-        for k in (i, j):
-            why = _outside(metric, at[k], len(points[0]))
-            if why is not None:
-                return f"{where} {k}: {why}"
+    for k in (i, j):
+        why = _outside(metric, images[k], len(points[0]))
+        if why is not None:
+            return f"image of point {k}: {why}"
     for k in (i, j):
         if metric.log_distance(points[k], images[k]) < 0:
             return f"phi at point {k}: phi arguments must be distances >= 1"
@@ -694,7 +702,7 @@ def reference_summary(rows) -> dict:
     out = {cid: {"violations": 0, "min_slack": None, "min_pair": None}
            for cid in rows.checks}
     unevaluated = {cause: {"count": 0, "first_pair": None}
-                   for cause in ("map", "image", "point", "phi")}
+                   for cause in ("map", "image", "phi")}
     causes = [cause for _, _, _, cause, _ in rows.errors]  # in record order
     first, evaluated = next(iter(rows.checks)), 0
     for i, j, cid, satisfied, slack, _ in record_walk(rows):

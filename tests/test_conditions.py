@@ -356,7 +356,7 @@ def test_report_json_shape():
     assert list(data["conditions"]) == list(report.rows.checks)
     assert all(list(entry) == ["violations", "min_slack", "min_pair"]
                for entry in data["conditions"].values())
-    assert list(data["unevaluated"]) == ["map", "image", "point", "phi"]
+    assert list(data["unevaluated"]) == ["map", "image", "phi"]
     assert all(list(entry) == ["count", "first_pair"]
                for entry in data["unevaluated"].values())
 
@@ -375,25 +375,22 @@ def assert_summary_counts_the_records(data: dict, n: int) -> None:
 
 
 def test_the_summary_counts_every_cause_of_an_unevaluated_pair():
-    # star_product lives on positive coordinates.  rational(2) has its pole
-    # at -2 ("map"), sends -3 to -1 ("image") and the point -1 to 1 ("point");
-    # 1.0 appears twice ("equal")
-    sample = [-3.0, -2.0, -1.0, 0.5, 1.0, 1.0, 1.5]
-    data = mx.classify(mx.MetricSpec.star_product(), RATIONAL2, sample,
+    # star_product lives on positive coordinates.  rational(-2) has its pole
+    # at 2 ("map") and sends 1 to -1 ("image"); 4.0 appears twice ("equal")
+    sample = [1.0, 2.0, 3.0, 4.0, 4.0, 6.0]
+    data = mx.classify(mx.MetricSpec.star_product(), mx.SelfMapSpec.rational(-2.0), sample,
                        phi=mx.PhiSpec("power_product", q=0.5)).to_json_dict()
     assert_summary_counts_the_records(data, len(sample))
     assert (data["evaluated"], data["equal"]) == (5, 1)
-    assert data["unevaluated"] == {"map": {"count": 6, "first_pair": [0, 1]},
-                                   "image": {"count": 5, "first_pair": [0, 2]},
-                                   "point": {"count": 4, "first_pair": [2, 3]},
+    assert data["unevaluated"] == {"map": {"count": 5, "first_pair": [0, 1]},
+                                   "image": {"count": 4, "first_pair": [0, 2]},
                                    "phi": {"count": 0, "first_pair": None}}
     errors = {tuple(r["pair"]): r["error"] for r in data["pairs"] if r["condition"] == "*"}
-    # each names the point that fails and how: -1 as the image of point 0,
-    # and as point 2 itself
-    assert errors[0, 1] == "map at point 1: rational map pole at coordinate -2.0"
+    # each names the point that fails and how; in pair (0, 1) the map
+    # failing at point 1 comes before the image of point 0
+    assert errors[0, 1] == "map at point 1: rational map pole at coordinate 2.0"
     assert errors[0, 2] == "image of point 0: star_product needs positive coordinates, " \
                            "got (-1.0,)"
-    assert errors[2, 3] == "point 2: star_product needs positive coordinates, got (-1.0,)"
 
     # not a metric: d(x, Tx) = 2 ** (Tx - x) is below 1 at x > 0, where log
     # phi rejects the pair
@@ -405,6 +402,21 @@ def test_the_summary_counts_every_cause_of_an_unevaluated_pair():
     assert (data["evaluated"], data["equal"]) == (1, 0)
     assert data["unevaluated"]["phi"] == {"count": 5, "first_pair": [0, 2]}
     assert sum(e["count"] for e in data["unevaluated"].values()) == 5
+
+
+@pytest.mark.parametrize("call", [
+    lambda sample: mx.classify(mx.MetricSpec.star_product(), RATIONAL2, sample),
+    lambda sample: mx.estimate_constants(mx.MetricSpec.star_product(), RATIONAL2, sample),
+], ids=["classify", "estimate_constants"])
+def test_a_sample_point_outside_the_space_is_bad_input(call):
+    # star_product lives on positive coordinates: -1.0 is no point of it,
+    # and neither is a point of another dimension
+    with pytest.raises(DomainError) as err:
+        call([0.5, 1.0, -1.0, 2.0, -3.0])
+    assert str(err.value) == "point 2: star_product needs positive coordinates, got (-1.0,)"
+    with pytest.raises(DomainError) as err:
+        call([(0.5,), (1.0,), (1.0, 2.0)])
+    assert str(err.value) == "point 2: dimension mismatch: 1 vs 2"
 
 
 def test_a_pole_in_the_sample_gives_error_records():

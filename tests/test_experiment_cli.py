@@ -165,13 +165,13 @@ SOLVER = {"eps": EPS, "max_iter": 200, "starts": [[0.2], [0.8]]}
     ("expectations", [{"kind": "conditions_hold"}]),
     ("expectations", [{"kind": "fixed_point"}]),
     ("expectations", [{"kind": "fixed_point", "point": []}]),
-    ("expectations", [{"kind": "fixed_point", "point": [0.5], "tol": "x"}]),
+    ("expectations", [{"kind": "fixed_point", "point": [0.5], "tol": 1e-8}]),
     ("expectations", [{"kind": "verdict", "theorem": "t9"}]),
     ("expectations", [{"kind": "converged", "tol": 5}]),
     ("expectations", [{"kind": "conditions_hold", "conditions": ["C9"]}]),
     ("expectations", [{"kind": "conditions_hold", "conditions": []}]),
     ("expectations", [{"kind": "constants"}]),
-    ("expectations", [{"kind": "constants", "tol": 1e-9}]),
+    ("expectations", [{"kind": "constants", "xi": 0.5, "tol": 1e-9}]),
     ("expectations", [{"kind": "apriori_bound", "tol": 1e-10}]),
     ("outputs", {"pairs": True}),
     ("outputs", {"dir": 5}),
@@ -207,6 +207,37 @@ def test_a_constants_expectation_naming_one_constant_checks_that_one(name, value
     assert right.passed and not wrong.passed
     assert right.detail == wrong.detail
     assert right.detail.startswith(f"{name}=") and "," not in right.detail
+
+
+def test_a_constants_expectation_allows_an_error_of_1e_9(report_3_15):
+    xi = report_3_15.classification.estimates.xi_hat
+    offsets = (0.99e-9, -0.99e-9, 1.01e-9, -1.01e-9)
+    results = _judged_on_example_3_15(*({"kind": "constants", "xi": xi + d} for d in offsets))
+    assert [r.passed for r in results] == [True, True, False, False]
+
+
+@pytest.mark.parametrize("error, passed", [(0.99e-8, True), (-0.99e-8, True),
+                                           (1.01e-8, False), (-1.01e-8, False)])
+def test_a_fixed_point_expectation_allows_a_coordinate_error_of_1e_8(error, passed):
+    # scale(0.5) stays at its fixed point 0 from the start 0
+    data = {**identity_config(), "map": {"kind": "scale", "c": 0.5},
+            "solver": {**SOLVER, "starts": [[0.0]]},
+            "expectations": [{"kind": "fixed_point", "point": [error]}]}
+    report = mx.run_experiment(mx.ExperimentConfig.from_json_dict(data))
+    assert report.runs[0].point == (0.0,)
+    (result,) = report.expectations
+    assert result.passed is passed
+    assert result.detail == f"max coordinate error {abs(error):.3e} (tol 1e-08)"
+
+
+@pytest.mark.parametrize("spec", [{"kind": "fixed_point", "point": [0.0], "tol": 1e-8},
+                                  {"kind": "constants", "xi": 0.5, "tol": 1e-9}],
+                         ids=["fixed_point", "constants"])
+def test_an_expectation_takes_no_tolerance(tmp_path, capsys, spec):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**identity_config(), "expectations": [spec]}))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: expectations: {spec['kind']} takes no 'tol'\n"
 
 
 def test_a_verdict_expectation_with_empty_via_is_accepted_and_checked():
@@ -789,25 +820,59 @@ def test_an_overflowing_map_gives_exit_2_not_a_traceback(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["run", "--config", str(path)]) == 2
     # point 0's square is finite, but no other point is left to pair it with
-    assert capsys.readouterr().err == ("error: no usable distinct pair in the sample: "
-                                       "map at point 1: OverflowError: Numerical result out of "
-                                       "range\n")
+    assert capsys.readouterr().err == (
+        "warning: map evaluation failed at 5 points, excluded; the first: map at point 1: "
+        "OverflowError: Numerical result out of range\n"
+        "error: no usable distinct pair in the sample: map at point 1: OverflowError: "
+        "Numerical result out of range\n")
 
 
-def test_a_map_that_fails_at_every_point_warns_once(tmp_path):
-    # reciprocal_sqrt fails at each of the 200 negative points
+def failing_map_config(tmp_path) -> Path:
+    """A config whose map, reciprocal_sqrt, fails at each of its 200 negative
+    sample points."""
     data = {"metric": {"kind": "exp_abs", "a": 2.0}, "map": {"kind": "reciprocal_sqrt"},
             "domain": [[-2.0, -1.0]], "sample_size": 200, "seed": 1,
             "solver": {"eps": EPS, "max_iter": 50, "starts": [[-1.5]]}}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(data))
+    return path
+
+
+def test_a_map_that_fails_at_every_point_warns_once(tmp_path):
+    path = failing_map_config(tmp_path)
     proc = subprocess.run([sys.executable, "-m", "mulfix", "run", "--config", str(path)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
     warning, error = proc.stderr.splitlines()
-    assert warning.startswith("map evaluation failed at 200 points, excluded; the first: "
-                              "map at point 0: reciprocal_sqrt needs positive coordinates")
+    assert warning.startswith("warning: map evaluation failed at 200 points, excluded; "
+                              "the first: map at point 0: reciprocal_sqrt needs positive "
+                              "coordinates")
     assert error.startswith("error: no usable distinct pair in the sample: map at point 0: ")
+
+
+def test_each_run_in_one_process_warns_once(tmp_path, capsys):
+    # the benchmark calls main many times in one process
+    path = failing_map_config(tmp_path)
+    for _ in range(2):
+        assert main(["run", "--config", str(path)]) == 2
+        warning, error = capsys.readouterr().err.splitlines()
+        assert warning.startswith("warning: map evaluation failed at 200 points")
+        assert error.startswith("error: no usable distinct pair in the sample: ")
+
+
+@pytest.mark.parametrize("command", ["run", "classify"])
+def test_a_sample_point_outside_the_space_exits_2_and_names_it(tmp_path, command):
+    # exp_reciprocal needs nonzero coordinates, and the grid of [-1, 1] holds 0.0
+    data = {"metric": {"kind": "exp_reciprocal"}, "map": {"kind": "scale", "c": 0.5},
+            "domain": [[-1.0, 1.0]], "sample_scheme": "grid", "sample_size": 5, "seed": 1,
+            "solver": {"eps": EPS, "max_iter": 50, "starts": [[0.5]]}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    proc = subprocess.run([sys.executable, "-m", "mulfix", command, "--config", str(path)],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: point 2: exp_reciprocal needs nonzero coordinates, " \
+                          "got (0.0,)\n"
 
 
 def test_a_sample_the_map_sends_out_of_the_space_names_the_first_point(tmp_path, capsys):

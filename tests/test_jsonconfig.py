@@ -72,12 +72,10 @@ CONDITIONS = st.lists(st.sampled_from(mx.CONDITION_IDS), max_size=3)
 EXPECTATIONS = st.one_of(
     st.sampled_from(["converged", "unique_fixed_point", "phi_holds",
                      "map_invariant", "axioms_pass", "apriori_bound"]),
-    st.fixed_dictionaries({"kind": st.just("fixed_point"), "point": POINT.map(list)},
-                          optional={"tol": NUMBER}),
+    st.fixed_dictionaries({"kind": st.just("fixed_point"), "point": POINT.map(list)}),
     st.fixed_dictionaries({"kind": st.just("residual"), "max_logd": NUMBER}),
     st.fixed_dictionaries({"kind": st.just("constants")},
-                          optional={"xi": NUMBER, "eta": NUMBER, "lambda": NUMBER,
-                                    "tol": NUMBER}).filter(
+                          optional={"xi": NUMBER, "eta": NUMBER, "lambda": NUMBER}).filter(
         lambda e: e.keys() & {"xi", "eta", "lambda"}),
     st.fixed_dictionaries({"kind": st.just("conditions_hold"),
                            "conditions": st.lists(st.sampled_from(mx.CONDITION_IDS),

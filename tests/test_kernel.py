@@ -246,15 +246,13 @@ def test_run_experiment_maps_and_measures_its_sample_once(monkeypatch, name,
 
 
 def test_run_experiment_compares_its_sample_points_once(monkeypatch):
-    from mulfix import experiment
-
     calls, equal_points = [], metrics.equal_points
 
     def counted(points):
         calls.append(len(points))
         return equal_points(points)
 
-    for module in (metrics, conditions, experiment):
+    for module in (metrics, conditions):
         monkeypatch.setattr(module, "equal_points", counted)
     config = dataclasses.replace(mx.fixture_config("example_3_17"), sample_size=12)
     report = mx.run_experiment(config)

@@ -336,7 +336,7 @@ AWKWARD = 'one\ntwo "three" \u00e9 \u2028 four'
 
 def test_an_error_message_stays_on_its_record_line():
     rows = rows_of([0], [1], {"C1": ([True], [0.5])},
-                   ((0, 2, 3, "map", AWKWARD), (1, 4, 5, "point", AWKWARD)))
+                   ((0, 2, 3, "map", AWKWARD), (1, 4, 5, "image", AWKWARD)))
     text = dump_json({"pairs": rows})
     assert text.isascii()
     body = text.splitlines()[2:-2]
@@ -638,19 +638,19 @@ def test_csv_traces_equal_the_csv_writer_text(trace):
 
 FIXTURE_DIGESTS = {
     "example_3_15": {
-        "report.json": "ad0c62fbb238e149c1c9e1f7c72b8a000d508e183d227c889e5e1fe1631df30a",
+        "report.json": "820d68122f326e075e2ae207dd013ac5b7561c8465e7b669141dce6f93cbbc02",
         "trace_000.json": "6d7869822188ea0bc50bb16fa2a080c8ad2ccae7ba7a05dd0ad464c74044339f",
         "trace_001.json": "59fa5cd83ac73864ef0b61f5a7d192794bf05a8a3d57b059c5797f71527909a6",
         "trace_002.json": "3b4ca62d50a23118b5ca9e39c2c4028e1f432a88bd06a14cf43ba8e872cc9c4a",
     },
     "example_3_16": {
-        "report.json": "ab8bf229fb594f514e2cf88e435dcbc3d858d0380b6f6997270b27332c929de8",
+        "report.json": "c500b6db2d02cd836951aa69a75f26142f999b277cd0c0ed3ada62447bf05fdb",
         "trace_000.json": "cae10b2882432022465f1d9d907f86b731ed83b375a6294d1eb3587ec3e55f83",
         "trace_001.json": "fc3a7c378456f1b4b124e8b36a870c7a9bf9f4c1ea70ad1215941b0f35a0929e",
         "trace_002.json": "fe8b50de232692c2ccaad3d58c40a7f0bbe10aa887fe1e918db5c48f38c4da42",
     },
     "example_3_17": {
-        "report.json": "7978a81782c9b3bbe9e24eb680ed756566efb3c44fe3c619c9bd03a73ba365a9",
+        "report.json": "5da4626af418a3a1ea1fb43cdb201b758b39e9244da3f3db74634ffc7eb631ae",
         "trace_000.json": "55bfed9685890ffc0978b6a8ad1cbe69b75f4041733f4366bd2f633caf7cf0c9",
         "trace_001.json": "3333f8a881041e2da73a30b8512307d7fd0b5550fc93d648f2002f1bcc31a5a4",
         "trace_002.json": "ca26cbb9c4ad167709f59c8322d549cd82f3c88acf10084a2cf7ceb3f8aee027",
@@ -689,21 +689,21 @@ LONG_RUNS = {
 
 LONG_RUN_DIGESTS = {
     "permute-restart": {
-        "report.json": "aaa35399e552388944101f1f57e490aef3ad703de2408498a4ba54f1ee0bebdb",
+        "report.json": "94fdc983c77d5dc9d4658bdd29d3cdafee7a4924c3e86bcc4b611e8bb7f9109f",
         "trace_000.json": "9fd7107c02d9b189756c7cd4a5fd3b12d3e9dbc788932f85b788fa5a112fd39a",
         "trace_001.json": "be78f79dc6715b0ca3c40b3464eda51feba9736f405482ba86b2db0352e8a7d4",
     },
     "scale-0.98": {
-        "report.json": "0047c74ba0d9b35adb639eff3a2b1d8f83c028a625ac7536147687200e0e0449",
+        "report.json": "b1872e2be4f6342c810bf859db508387ea72c62fb4a3ac9427900018cc8a3fac",
         "trace_000.json": "530f1f4ecf88893056d4335cc759829b05e550e119bbc970675969db6453815e",
         "trace_001.json": "8207b9081ad29ae35123556ebcb5e3030f86a366138136bd9edb133bb236e049",
     },
     "scale-0.99": {
-        "report.json": "6564f8270e094431bc8752b908ef2741f59a6af5d158f111efe49457a36cbb2b",
+        "report.json": "d2b6a212b46e4b4289a24f90bfd81447c1b947f97e1c9edf62eef0058f3cc8eb",
         "trace_000.json": "82c8435935ab9744c2491f624f308c5f11a9fae2ec4575300fc4050ffdb3997c",
     },
     "scale-0.999": {
-        "report.json": "253cfc948073b7d04f73c4300a2a5503cbc452aa336e9db62fe172fdf38384d3",
+        "report.json": "2c964aee868de0bcf30fba4a93901d16de2a8673901f1355121923cf0857354b",
         "trace_000.json": "cab7c68051aba3eaba27753458666a9a0882f90493ba76c64489b81d1962e694",
     },
 }
