@@ -165,13 +165,13 @@ SOLVER = {"eps": EPS, "max_iter": 200, "starts": [[0.2], [0.8]]}
     ("expectations", [{"kind": "conditions_hold"}]),
     ("expectations", [{"kind": "fixed_point"}]),
     ("expectations", [{"kind": "fixed_point", "point": []}]),
-    ("expectations", [{"kind": "fixed_point", "point": [0.5], "tol": 1e-8}]),
+    ("expectations", [{"kind": "fixed_point", "point": [0.5], "tol": "x"}]),
     ("expectations", [{"kind": "verdict", "theorem": "t9"}]),
     ("expectations", [{"kind": "converged", "tol": 5}]),
     ("expectations", [{"kind": "conditions_hold", "conditions": ["C9"]}]),
     ("expectations", [{"kind": "conditions_hold", "conditions": []}]),
     ("expectations", [{"kind": "constants"}]),
-    ("expectations", [{"kind": "constants", "xi": 0.5, "tol": 1e-9}]),
+    ("expectations", [{"kind": "constants", "tol": 1e-9}]),
     ("expectations", [{"kind": "apriori_bound", "tol": 1e-10}]),
     ("outputs", {"pairs": True}),
     ("outputs", {"dir": 5}),
