@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ConfigError, DegeneratePairError, DomainError
 from .jsonconfig import JsonConfig, _string, decode, dump_json
 from .maps import _checked_image
-from .metrics import DEFAULT_LOG_TOL, Point, as_point, equal_points
+from .metrics import DEFAULT_LOG_TOL, equal_points
 
 logger = logging.getLogger(__name__)
 
@@ -184,22 +184,12 @@ class ConstantEstimates:
         return self.lambda_hat < 0.5
 
 
-def _point_error(metric, p: Point, dim: int) -> DomainError | None:
-    """Why a log distance involving p fails, or None when none does."""
-    try:
-        if len(p) != dim:
-            raise DomainError(f"dimension mismatch: {dim} vs {len(p)}")
-        metric.check_domain(p)
-    except DomainError as exc:
-        return exc
-    return None
-
-
 class _PairTable:
     """A sample mapped once, with the three log-distance matrices of its pairs.
 
-    The first point of another dimension or outside the metric's space
-    raises DomainError ``point k: ...``.  ``Dxx[i, j] = L(x_i, x_j)``,
+    The sample passes the metric's ``_checked``: its first point of another
+    dimension or outside the metric's space raises DomainError
+    ``point k: ...``.  ``Dxx[i, j] = L(x_i, x_j)``,
     ``Dtt[i, j] = L(Tx_i, Tx_j)`` and ``Dxt[i, j] = L(x_i, Tx_j)`` give the
     six values every condition reads, the last two NaN unless both images
     are valid (see ``first_error``); ``equal`` is ``equal_points``.  ``I``
@@ -214,11 +204,8 @@ class _PairTable:
     """
 
     def __init__(self, metric, T, sample: Sequence):
-        self.points = points = [as_point(p) for p in sample]
+        self.points = points = metric._checked(sample)
         dim = len(points[0]) if points else 0
-        for k, p in enumerate(points):
-            if error := _point_error(metric, p, dim):
-                raise DomainError(f"point {k}: {error}")
         image_of = _checked_image(T)
         self.images, self.errors = [], []
         for k, p in enumerate(points):
@@ -227,7 +214,7 @@ class _PairTable:
             except DomainError as exc:
                 image, error = None, ("map", f"map at point {k}: {exc}")
             else:
-                error = _point_error(metric, image, dim)
+                error = metric._outside(image, dim)
                 error = error and ("image", f"image of point {k}: {error}")
             self.images.append(image)
             self.errors.append(error)

@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
-from operator import add, sub
+from operator import add, gt, ne, sub
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -105,20 +105,9 @@ _KERNELS = {"euclidean": _euclidean, "manhattan": _manhattan, "chebyshev": _cheb
             "discrete": _discrete}
 
 
-def _positive(p: Point) -> None:
-    if any(c <= 0 for c in p):
-        raise DomainError(f"star_product needs positive coordinates, got {p}")
-
-
-def _nonzero(p: Point) -> None:
-    if any(c == 0 for c in p):
-        raise DomainError(f"exp_reciprocal needs nonzero coordinates, got {p}")
-
-
-# the space check of each kind whose space is not all of R^d, on one point
-# tuple and, as ``test(A, 0.0)``, on every coordinate of a finite array
-_SPACES = {"star_product": _positive, "exp_reciprocal": _nonzero}
-_ARRAY_SPACES = {"star_product": np.greater, "exp_reciprocal": np.not_equal}
+# each kind whose space is not all of R^d: the comparison with 0.0 that every
+# coordinate must pass, on a float or elementwise on an array, and its word
+_SPACES = {"star_product": (gt, "positive"), "exp_reciprocal": (ne, "nonzero")}
 
 
 def _reference_margin(dim: int, tol: float, top: float) -> float:
@@ -216,47 +205,39 @@ class MetricSpec(JsonConfig):
 
     # -- evaluation --------------------------------------------------------
 
-    @property
-    def _space(self) -> Callable[[Point], None] | None:
-        """This kind's space check of a point tuple; None where its space is
-        all of R^d."""
-        return _SPACES.get(self.kind)
-
-    def check_domain(self, p: Point) -> None:
-        """Raise DomainError when a point is outside this metric's space."""
-        space = self._space
-        if space is not None:
-            space(p)
-
-    def _check_pair(self, px: Point, py: Point) -> None:
-        """Raise DomainError unless two point tuples share a dimension and
-        lie in this metric's space."""
-        if len(px) != len(py):
-            raise DomainError(f"dimension mismatch: {len(px)} vs {len(py)}")
-        self.check_domain(px)
-        self.check_domain(py)
+    def _outside(self, p: Point, dim: int) -> str | None:
+        """Why the point tuple p is no point of this metric's space of
+        dimension dim, its dimension checked first, or None when it is one."""
+        if len(p) != dim:
+            return f"dimension mismatch: {dim} vs {len(p)}"
+        test, word = _SPACES.get(self.kind, (None, None))
+        if test is not None and not all(test(c, 0.0) for c in p):
+            return f"{self.kind} needs {word} coordinates, got {p}"
+        return None
 
     def _checked(self, points: Sequence) -> list[Point]:
-        """The points as tuples, after the checks ``log_distance_matrix``
-        makes: all finite, then one dimension and this metric's space, the
-        first failing point raising DomainError."""
+        """The points as tuples, all finite; DomainError ``point k: ...`` at
+        the first of another dimension than the first or outside this
+        metric's space (``_outside``), k counting the list given."""
         pts = [as_point(p) for p in points]
-        for p in pts:
-            if len(p) != len(pts[0]):
-                raise DomainError(f"dimension mismatch: {len(pts[0])} vs {len(p)}")
-            self.check_domain(p)
+        for k, p in enumerate(pts):
+            if why := self._outside(p, len(pts[0])):
+                raise DomainError(f"point {k}: {why}")
         return pts
 
     def log_distance(self, x, y) -> float:
         """Natural log of the multiplicative distance.  Always >= 0."""
         px, py = as_point(x), as_point(y)
-        self._check_pair(px, py)
+        # the dimension, then x, then y
+        if why := ((len(px) == len(py) and self._outside(px, len(px)))
+                   or self._outside(py, len(px))):
+            raise DomainError(why)
         return self._log_distance(px, py)
 
     @cached_property
     def _log_distance(self) -> Callable[[Point, Point], float]:
-        """``log_distance`` of two point tuples that passed ``_check_pair``:
-        this kind's scalar kernel, with log(a) bound once."""
+        """``log_distance`` of two point tuples that pass ``_outside`` at one
+        dimension: this kind's scalar kernel, with log(a) bound once."""
         if self.kind == "star_product":
             return _star_product
         return partial(_KERNELS[self.base if self.kind == "lifted" else self.kind],
@@ -267,7 +248,8 @@ class MetricSpec(JsonConfig):
 
         Entries equal the scalar method bit for bit: logs and Euclidean
         norms come from the same scalar ``math`` calls, and coordinate terms
-        are summed (or maximized) in the same left-to-right order.
+        are summed (or maximized) in the same left-to-right order.  A point
+        raises as ``_checked`` does, k counting X, then Y.
         """
         X, Y = list(X), list(Y)
         P = self._checked(X + Y) if X and Y else [as_point(p) for p in X + Y]
@@ -285,7 +267,7 @@ class MetricSpec(JsonConfig):
 
     def _log_distance_pairs(self, X: Sequence[Point], Y: Sequence[Point]) -> np.ndarray:
         """``_log_distance(x, y)`` for each pair of ``zip(X, Y)``, two equally
-        long lists of point tuples that passed ``_check_pair``, bit for bit
+        long lists of point tuples that passed ``_checked``, bit for bit
         (the same arithmetic as ``_log_distance_matrix``)."""
         if not X:
             return np.zeros(0)
@@ -347,11 +329,11 @@ class FunctionMetric:
     fn: Callable[[Point, Point], float]
     name: str = "custom"
 
-    def check_domain(self, p: Point) -> None:  # pragma: no cover - no-op
-        pass  # fn takes any two tuples
+    def _outside(self, p: Point, dim: int) -> str | None:
+        """Why p is no point of dimension dim, or None: fn takes any tuples."""
+        return None if len(p) == dim else f"dimension mismatch: {dim} vs {len(p)}"
 
-    def _checked(self, points: Sequence) -> list:
-        return list(points)  # log_distance checks each point fn receives
+    _checked = MetricSpec._checked
 
     def log_distance(self, x, y) -> float:
         v = float(self.fn(as_point(x), as_point(y)))

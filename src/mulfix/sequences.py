@@ -110,7 +110,8 @@ def cauchy_indicator(trace: IterationTrace, window: int) -> float:
 
     A trace is certified Cauchy at tolerance eps when this value is below
     log(eps).  Passing ``window = len(trace)`` gives the full O(N^2)
-    pairwise check.
+    pairwise check.  A point of another dimension or outside the metric's
+    space raises DomainError ``point k: ...``, k counting the window.
     """
     if window < 1:
         raise DomainError("window must be >= 1")

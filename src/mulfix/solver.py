@@ -24,8 +24,7 @@ from .errors import (
 )
 from .jsonconfig import JsonConfig, is_integer
 from .maps import Box, SelfMapSpec, _checked_image
-from .metrics import (_ARRAY_SPACES, MetricSpec, Point, _array, _reference_margin,
-                      as_point)
+from .metrics import _SPACES, MetricSpec, Point, _array, _reference_margin, as_point
 from .sequences import (_ROW_BLOCK, IterationTrace, Status, _check_eps,
                         _limit_point, _max_pairwise_logd)
 
@@ -98,13 +97,12 @@ def _stepper(metric, T, domain: Optional[Box] = None,
     at x, DomainEscapeError when T(x) leaves the declared domain or the
     metric's space, and with ``config.check_monotone_residual``
     MonotoneResidualError when a step above log(eps) grows.  A MetricSpec
-    checks the dimension and its space on the tuples before its bound
-    kernel; a FunctionMetric's distance function takes any two tuples, and
+    checks the tuples by its ``_outside`` before its bound kernel; a
+    FunctionMetric's distance function takes any two tuples, and
     checks the points it receives.
     """
     image, distance = _checked_image(T), metric._log_distance
-    checked = isinstance(metric, MetricSpec)
-    space = metric._space if checked else None
+    outside = metric._outside if isinstance(metric, MetricSpec) else None
     bounds = None if domain is None else domain.bounds
     # a step above this may not grow; inf without the monotone check
     log_eps = config.log_eps if config is not None and config.check_monotone_residual \
@@ -118,13 +116,11 @@ def _stepper(metric, T, domain: Optional[Box] = None,
                 f"iterate {n} left the declared domain: {y}", point=y, iteration=n,
             )
         try:
-            if checked:
-                if len(x) != len(y):
-                    raise DomainError(f"dimension mismatch: {len(x)} vs {len(y)}")
-                if space is not None:
-                    if prev is None:
-                        space(x)
-                    space(y)
+            # the dimension, then x at a first step, then y
+            if outside is not None and (why := (
+                    (prev is None and len(x) == len(y) and outside(x, len(x)))
+                    or outside(y, len(x)))):
+                raise DomainError(why)
             d = distance(x, y)
         except DomainError as exc:
             raise DomainEscapeError(
@@ -267,7 +263,7 @@ def _ahead(metric, T, domain: Optional[Box], config: SolverConfig) -> Optional[C
     """
     if type(T) is not SelfMapSpec or not isinstance(metric, MetricSpec):
         return None
-    inside = _ARRAY_SPACES.get(metric.kind)
+    inside, _ = _SPACES.get(metric.kind, (None, None))
     log_eps, monotone = config.log_eps, config.check_monotone_residual
     bounds = None if domain is None else np.array(domain.bounds).T
 
@@ -528,7 +524,8 @@ _BOUND_TOL = 1e-10
 
 def verify_bound(result: FixedPointResult, delta: float) -> BoundReport:
     """Check log d(x_n, z) <= d1 * delta**n / (1 - delta) + tol along a run,
-    at tol = ``_BOUND_TOL``, which the report echoes."""
+    at tol = ``_BOUND_TOL``, which the report echoes.  A bad point raises as
+    in ``log_distance_matrix``, k counting the trace's points, then z."""
     if result.status is not Status.CONVERGED:
         raise DomainError("bound verification needs a converged result")
     if not (0 <= delta < 1):
@@ -578,7 +575,8 @@ def verify_start_independence(metric, T, config: SolverConfig,
 
     Passes when every pair of limits is within 2 log(eps) of each other;
     any non-converged run makes the report inconclusive rather than failed.
-    A single start passes vacuously.
+    A single start passes vacuously.  Converged limits of mixed dimension
+    raise DomainError ``point k: ...``, k counting them.
     """
     if not config.starts:
         raise DomainError("start independence needs at least one start")
@@ -613,7 +611,8 @@ def uniqueness_probe(metric, T, candidates: Sequence, eps: float) -> UniquenessR
 
     A candidate survives when log d(c, Tc) <= log(eps); the probe passes
     when all survivors are pairwise within 2 log(eps), fails when two
-    survivors disagree, and is inconclusive when nothing survives.
+    survivors disagree, and is inconclusive when nothing survives.  Survivors
+    of mixed dimension raise DomainError ``point k: ...``, k counting them.
     """
     if not candidates:
         raise DomainError("uniqueness probe needs at least one candidate")

@@ -100,11 +100,24 @@ MUTANTS = (
            "self.distinct = np.ones(len(self.I), dtype=bool)",
            (CLASSIFY_REFERENCE, "tests/test_conditions.py::"
             "test_the_summary_counts_every_cause_of_an_unevaluated_pair")),
-    Mutant("a sample point outside the space is not raised", "src/mulfix/conditions.py",
-           'raise DomainError(f"point {k}: {error}")', "pass",
+    Mutant("a sample point outside the space is not raised", "src/mulfix/metrics.py",
+           'raise DomainError(f"point {k}: {why}")', "pass",
            ("tests/test_conditions.py::test_a_sample_point_outside_the_space_is_bad_input",
             "tests/test_experiment_cli.py::"
             "test_a_sample_point_outside_the_space_exits_2_and_names_it")),
+    Mutant("zero admitted as a positive coordinate", "src/mulfix/metrics.py",
+           '"star_product": (gt, "positive")',
+           '"star_product": (lambda c, z: c >= z, "positive")',
+           ("tests/test_metrics.py::"
+            "test_a_point_is_in_the_space_alike_as_a_tuple_and_as_an_array_row",)),
+    Mutant("a bad point named one past its index", "src/mulfix/metrics.py",
+           '"point {k}: {why}"', '"point {k + 1}: {why}"',
+           ("tests/test_conditions.py::"
+            "test_every_check_of_a_sample_names_its_point_outside_the_space",)),
+    Mutant("a run's start not checked at its first step", "src/mulfix/solver.py",
+           "(prev is None and len(x) == len(y) and outside(x, len(x)))", "False",
+           ("tests/test_kernel.py::"
+            "test_an_escape_is_raised_at_the_iterate_a_step_by_step_scan_names",)),
     Mutant("warning without its prefix", "src/mulfix/cli.py",
            'f"warning: {record.getMessage()}"', "record.getMessage()",
            ("tests/test_experiment_cli.py::test_a_map_that_fails_at_every_point_warns_once",)),

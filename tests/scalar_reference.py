@@ -30,7 +30,8 @@ classify a sample pair by pair through the ``check_*`` functions, once
 ``reference_check_points`` has raised at the first point outside the
 metric's space;
 ``reference_pair_error`` names the point at fault in a pair that fails, and
-``reference_point_error`` what fails at one point.  The
+``reference_point_error`` what fails at one point, by
+``reference_outside``, its own rule for a point of a metric's space.  The
 orbit scans (``reference_detect_limit_point``, ``reference_cauchy_indicator``,
 and ``reference_bound_rows``) are loops of public calls.  The axiom, triangle
 and reverse-triangle loops list violations one matrix entry at a time, as
@@ -166,7 +167,8 @@ def _norm(base: str, x: Point, y: Point) -> float:
 
 
 def log_distance(self, px: Point, py: Point) -> float:
-    """``log_distance`` of two point tuples that passed ``_check_pair``."""
+    """``log_distance`` of two point tuples of one dimension in the metric's
+    space."""
     if self.kind == "star_product":
         return left_to_right(abs(math.log(a) - math.log(b)) for a, b in zip(px, py))
     if self.kind == "lifted":
@@ -381,7 +383,7 @@ def reference_check_points(metric, points):
     """Raise DomainError ``point k: ...`` at the first point that has
     another dimension than the first or lies outside the metric's space."""
     for k, p in enumerate(points):
-        why = _outside(metric, p, len(points[0]))
+        why = reference_outside(metric, p, len(points[0]))
         if why is not None:
             raise DomainError(f"point {k}: {why}")
 
@@ -431,14 +433,17 @@ def reference_estimate(metric, T, points):
     return (xi, eta, lam, used, skipped)
 
 
-def _outside(metric, p, dim):
-    """Why p is not a point of the metric's space of dimension dim, or None."""
+def reference_outside(metric, p, dim):
+    """Why p is not a point of the metric's space of dimension dim, or None:
+    star_product needs every coordinate above 0, exp_reciprocal every
+    coordinate other than 0, and any other metric takes every point."""
     if len(p) != dim:
         return f"dimension mismatch: {dim} vs {len(p)}"
-    try:
-        metric.check_domain(p)
-    except DomainError as err:
-        return str(err)
+    kind = getattr(metric, "kind", None)  # a FunctionMetric has none
+    if kind == "star_product" and any(c <= 0 for c in p):
+        return f"star_product needs positive coordinates, got {p}"
+    if kind == "exp_reciprocal" and any(c == 0 for c in p):
+        return f"exp_reciprocal needs nonzero coordinates, got {p}"
     return None
 
 
@@ -449,7 +454,7 @@ def reference_point_error(metric, T, points, k):
         image = reference_apply(T, points[k])
     except DomainError as err:
         return f"map at point {k}: {err}"
-    why = _outside(metric, image, len(points[0]))
+    why = reference_outside(metric, image, len(points[0]))
     return None if why is None else f"image of point {k}: {why}"
 
 
@@ -466,7 +471,7 @@ def reference_pair_error(metric, T, points, i, j, exc):
         except DomainError as err:
             return f"map at point {k}: {err}"
     for k in (i, j):
-        why = _outside(metric, images[k], len(points[0]))
+        why = reference_outside(metric, images[k], len(points[0]))
         if why is not None:
             return f"image of point {k}: {why}"
     for k in (i, j):

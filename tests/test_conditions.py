@@ -419,6 +419,18 @@ def test_a_sample_point_outside_the_space_is_bad_input(call):
     assert str(err.value) == "point 2: dimension mismatch: 1 vs 2"
 
 
+@pytest.mark.parametrize("call", [
+    lambda sample: mx.verify_axioms(RECIP, sample),
+    lambda sample: mx.verify_reverse_triangle(RECIP, sample),
+    lambda sample: mx.classify(RECIP, mx.SelfMapSpec.scale(0.5), sample),
+], ids=["verify_axioms", "verify_reverse_triangle", "classify"])
+def test_every_check_of_a_sample_names_its_point_outside_the_space(call):
+    # exp_reciprocal lives on nonzero coordinates: 0.0 is no point of it
+    with pytest.raises(DomainError) as err:
+        call([(-1.0,), (-0.5,), (0.0,), (0.5,)])
+    assert str(err.value) == "point 2: exp_reciprocal needs nonzero coordinates, got (0.0,)"
+
+
 def test_a_pole_in_the_sample_gives_error_records():
     sample = mx.grid_points(mx.Box(((0.0, 1.0),)), 5)
     report = mx.classify(EXPABS2, mx.SelfMapSpec.rational(-0.5), sample)

@@ -406,7 +406,7 @@ def test_uniqueness_probe_rejects_candidates_of_mixed_dimension():
     with pytest.raises(DomainError) as err:
         mx.uniqueness_probe(mx.MetricSpec.exp_abs(2.0), mx.SelfMapSpec.identity(),
                             [(1.0,), (1.0, 2.0)], math.e)
-    assert str(err.value) == "dimension mismatch: 1 vs 2"
+    assert str(err.value) == "point 1: dimension mismatch: 1 vs 2"
 
 
 def test_start_independence_rejects_limits_of_mixed_dimension():
@@ -414,7 +414,7 @@ def test_start_independence_rejects_limits_of_mixed_dimension():
     with pytest.raises(DomainError) as err:
         mx.verify_start_independence(mx.MetricSpec.exp_abs(2.0),
                                      mx.SelfMapSpec.scale(0.5), config)
-    assert str(err.value) == "dimension mismatch: 1 vs 2"
+    assert str(err.value) == "point 1: dimension mismatch: 1 vs 2"
 
 
 def hand_built(metric, points):
@@ -431,9 +431,9 @@ def bound_rows(trace):
 
 @pytest.mark.parametrize("metric, bad, message", [
     (mx.MetricSpec.star_product(), (-1.0,),
-     "star_product needs positive coordinates, got (-1.0,)"),
+     "point 1: star_product needs positive coordinates, got (-1.0,)"),
     (mx.MetricSpec.exp_abs(2.0), (math.nan,), "non-finite coordinate nan"),
-    (mx.MetricSpec.exp_abs(2.0), (1.0, 2.0), "dimension mismatch: 1 vs 2"),
+    (mx.MetricSpec.exp_abs(2.0), (1.0, 2.0), "point 1: dimension mismatch: 1 vs 2"),
 ], ids=["outside-the-space", "nan", "mixed-dimensions"])
 @pytest.mark.parametrize("scan", [
     lambda trace: mx.detect_limit_point(trace, math.e),
@@ -466,7 +466,7 @@ def count_as_point(monkeypatch) -> list:
         calls.append(value)
         return as_point(value)
 
-    for module in (metrics, solver, sequences, maps, conditions):
+    for module in (metrics, solver, sequences, maps):
         monkeypatch.setattr(module, "as_point", counted)
     return calls
 
@@ -554,7 +554,7 @@ def test_an_overflowing_affine_map_diverges_without_a_warning():
 def test_the_private_kernel_equals_the_public_one_on_checked_points(seed, metric, dim):
     rng = random.Random(seed)
     points = [p for p in random_sample(rng, dim) + random_orbit(rng, dim)
-              if outcome(metric.check_domain, p) is None]
+              if metric._outside(p, dim) is None]
     cut = rng.randint(0, len(points))
     X, Y = points[:cut], points[cut:]
     public = outcome(lambda: [list(map(bits, row)) for row in
@@ -807,6 +807,7 @@ def test_picard_passes_a_distance_function_the_step_by_step_pairs(m, tail, lookb
 # -- the pair kernel and left-to-right sums --------------------------------------
 
 METRIC_SPECS = [m for m in METRICS if isinstance(m, mx.MetricSpec)]
+SPACE_KINDS = ("star_product", "exp_reciprocal")  # a space other than all of R^d
 
 
 @settings(max_examples=300, deadline=None)
@@ -815,7 +816,7 @@ METRIC_SPECS = [m for m in METRICS if isinstance(m, mx.MetricSpec)]
 def test_the_pair_kernel_equals_the_scalar_kernel(seed, metric, dim):
     rng = random.Random(seed)
     points = [p for p in random_sample(rng, dim) + random_orbit(rng, dim)
-              if outcome(metric.check_domain, p) is None]
+              if metric._outside(p, dim) is None]
     X = [rng.choice(points) for _ in points]
     got = [bits(v) for v in metric._log_distance_pairs(points, X).tolist()]
     assert got == [bits(metric._log_distance(x, y)) for x, y in zip(points, X)]
@@ -901,7 +902,7 @@ def returning(metric, dim, period, n, c=0.95):
     log_a = 1.0 if metric.a is None else math.log(metric.a)
     mass = 1e-14 / ((1 - c ** period) * log_a * c ** (n - period - 0.5))
     if period == 3:
-        decay = 1.0 if metric._space is not None else 0.0
+        decay = 1.0 if metric.kind in SPACE_KINDS else 0.0
         T = mx.SelfMapSpec.affine(((0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 0.0, 0.0),
                                    (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, c)),
                                   (0.0, 0.0, 0.0, (1 - c) * decay))
@@ -964,7 +965,7 @@ def event_step(got, divergence):
 
 EVENTS = {  # event: (status or error, metrics it lands exactly on step n under)
     "box": ("escaped", METRIC_SPECS),
-    "space": ("escaped", [m for m in METRIC_SPECS if m._space is not None]),
+    "space": ("escaped", [m for m in METRIC_SPECS if m.kind in SPACE_KINDS]),
     "overflow": (mx.Status.DIVERGED, [m for m in METRIC_SPECS
                                       if m.kind in ("star_product", "discrete")]),
     "diverge": (mx.Status.DIVERGED, [m for m in METRIC_SPECS if m.kind != "discrete"]),
@@ -972,8 +973,8 @@ EVENTS = {  # event: (status or error, metrics it lands exactly on step n under)
     "monotone": ("raised", [m for m in METRIC_SPECS
                             if m.kind == "exp_abs" or m.base == "manhattan"]),
     "cycle2": (mx.Status.CYCLE_DETECTED, [m for m in METRIC_SPECS if m.kind != "discrete"]),
-    "cycle3": (mx.Status.CYCLE_DETECTED, [m for m in METRIC_SPECS if m._space is None
-                                          and m.kind != "discrete"]),
+    "cycle3": (mx.Status.CYCLE_DETECTED, [m for m in METRIC_SPECS
+                                          if m.kind not in SPACE_KINDS + ("discrete",)]),
 }
 
 
@@ -1253,7 +1254,7 @@ def edge_orbit(rng, metric, dim, tol):
     if metric.kind == "exp_reciprocal":  # far in the reciprocals
         first = (5e-324 if far == 1e300 else 1.0 / far,) * dim
     else:
-        first = (-far if far == 1e300 and metric._space is None else far,) * dim
+        first = (-far if far == 1e300 and metric.kind not in SPACE_KINDS else far,) * dim
 
     def fresh():
         return tuple(rng.uniform(0.5, 3.0) for _ in range(dim))

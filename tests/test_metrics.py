@@ -9,9 +9,9 @@ from hypothesis import event, example, given, settings, strategies as st
 
 import mulfix as mx
 from mulfix.errors import DomainError
-from mulfix.metrics import DEFAULT_LOG_TOL, _proved_empty
+from mulfix.metrics import _SPACES, DEFAULT_LOG_TOL, _proved_empty
 from scalar_reference import (_axiom_violations_by_loop, _reverse_triangle_by_loop,
-                              _triangle_by_loop)
+                              _triangle_by_loop, reference_outside)
 
 POSITIVE = st.floats(min_value=1e-6, max_value=1e6,
                      allow_nan=False, allow_infinity=False)
@@ -209,6 +209,22 @@ BUILTINS = [
     mx.MetricSpec.exp_reciprocal(),
     mx.MetricSpec.discrete(3.0),
 ]
+
+
+# every sign of zero, of the least subnormal, of 1 and of a huge value
+EDGE_COORDS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e300, -1e300])
+
+
+@given(metric=st.sampled_from(BUILTINS),
+       p=st.lists(EDGE_COORDS, min_size=1, max_size=3).map(tuple))
+def test_a_point_is_in_the_space_alike_as_a_tuple_and_as_an_array_row(metric, p):
+    # _outside reads a point tuple, and Picard's map-ahead the same table's
+    # comparison elementwise on an array row; both agree with the plain rule
+    test, _ = _SPACES.get(metric.kind, (None, None))
+    inside = test is None or bool(test(np.array([p]), 0.0).all())
+    assert (metric._outside(p, len(p)) is None) == inside
+    assert metric._outside(p, len(p)) == reference_outside(metric, p, len(p))
+    assert metric._outside(p, len(p) + 1) == f"dimension mismatch: {len(p) + 1} vs {len(p)}"
 
 
 @pytest.mark.parametrize("metric", BUILTINS, ids=lambda m: f"{m.kind}-{m.base or ''}")
