@@ -226,7 +226,7 @@ class MetricSpec(JsonConfig):
         return pts
 
     def log_distance(self, x, y) -> float:
-        """Natural log of the multiplicative distance.  Always >= 0."""
+        """Natural log of the multiplicative distance, >= 0 for a MetricSpec."""
         px, py = as_point(x), as_point(y)
         # the dimension, then x, then y
         if why := ((len(px) == len(py) and self._outside(px, len(px)))
@@ -251,8 +251,8 @@ class MetricSpec(JsonConfig):
         are summed (or maximized) in the same left-to-right order.  A point
         raises as ``_checked`` does, k counting X, then Y.
         """
-        X, Y = list(X), list(Y)
-        P = self._checked(X + Y) if X and Y else [as_point(p) for p in X + Y]
+        X = list(X)
+        P = self._checked(X + list(Y))
         return self._log_distance_matrix(P[:len(X)], P[len(X):])
 
     def _log_distance_matrix(self, X: Sequence[Point], Y: Sequence[Point]) -> np.ndarray:
@@ -320,10 +320,11 @@ class MetricSpec(JsonConfig):
 class FunctionMetric:
     """Adapter exposing an arbitrary distance function as a metric.
 
-    ``fn`` receives two point tuples and returns a plain (multiplicative)
-    distance.  A zero distance maps to -inf in the log domain instead of
-    raising, so candidate "metrics" that are not actually multiplicative
-    metrics can be fed to the verification helpers as negative controls.
+    ``fn`` receives two point tuples of one dimension, checked by the entries
+    shared with MetricSpec, and returns a plain (multiplicative) distance.  A
+    zero distance maps to -inf in the log domain instead of raising, so
+    candidate "metrics" that are not actually multiplicative metrics can be
+    fed to the verification helpers as negative controls.
     """
 
     fn: Callable[[Point, Point], float]
@@ -334,9 +335,12 @@ class FunctionMetric:
         return None if len(p) == dim else f"dimension mismatch: {dim} vs {len(p)}"
 
     _checked = MetricSpec._checked
+    log_distance = MetricSpec.log_distance
+    log_distance_matrix = MetricSpec.log_distance_matrix
 
-    def log_distance(self, x, y) -> float:
-        v = float(self.fn(as_point(x), as_point(y)))
+    def _log_distance(self, px: Point, py: Point) -> float:
+        """``log_distance`` of two point tuples that pass ``_outside`` at one dimension."""
+        v = float(self.fn(px, py))
         if v > 0:
             return math.log(v)
         if v == 0.0:
@@ -345,17 +349,14 @@ class FunctionMetric:
             raise DomainError("distance function returned NaN")
         raise DomainError(f"distance function returned a negative value {v}")
 
-    def log_distance_matrix(self, X, Y) -> np.ndarray:
-        """``log_distance`` over every ordered pair, one call of fn each."""
-        X, Y = list(X), list(Y)
-        D = [[self.log_distance(x, y) for y in Y] for x in X]
+    def _log_distance_matrix(self, X: Sequence[Point], Y: Sequence[Point]) -> np.ndarray:
+        """``log_distance_matrix`` of point tuples that passed ``_checked``,
+        one call of fn per ordered pair."""
+        D = [[self._log_distance(x, y) for y in Y] for x in X]
         return np.array(D, dtype=float).reshape(len(X), len(Y))
 
-    # the scans' private kernel: fn's arguments are checked as it receives them
-    _log_distance, _log_distance_matrix = log_distance, log_distance_matrix
-
     def distance(self, x, y) -> float:
-        return float(self.fn(as_point(x), as_point(y)))
+        return float(self.fn(*self._checked([x, y])))
 
 
 def equal_points(points: list) -> np.ndarray:

@@ -41,14 +41,15 @@ class SolverConfig(JsonConfig):
     ``_CYCLE_LOGD`` ends the run as a detected cycle.  A single step of log
     distance above ``_DIVERGENCE_LOGD`` ends the run as diverged.
 
-    The result equals a step-by-step scan.  A SelfMapSpec under a
-    MetricSpec maps ahead in blocks of up to 256 iterates (below log(eps)
-    only past 256 steps), so the map (assumed pure) may be applied to up to
-    255 discarded iterates past any stop, a coordinate-wise kind's
-    coordinates one at a time, one also past another's failure.  Any other
-    map is applied exactly as often as a step-by-step scan applies it, but
-    for up to 63 discarded iterates past a detected cycle, as the look-back
-    runs over blocks of 64 steps (one for a FunctionMetric).
+    The result equals a step-by-step scan, which checks each iterate by the
+    metric's ``_outside``.  A SelfMapSpec under a MetricSpec maps ahead in
+    blocks of up to 256 iterates (below log(eps) only past 256 steps), so
+    the map (assumed pure) may be applied to up to 255 discarded iterates
+    past any stop, a coordinate-wise kind's coordinates one at a time, one
+    also past another's failure.  Any other map is applied exactly as often
+    as a step-by-step scan applies it, but for up to 63 discarded iterates
+    past a detected cycle, as the look-back runs over blocks of 64 steps
+    (one for a FunctionMetric).
     """
 
     eps: float = math.exp(1e-9)
@@ -96,13 +97,10 @@ def _stepper(metric, T, domain: Optional[Box] = None,
     step, whose start x is checked too.  It raises DomainError when T fails
     at x, DomainEscapeError when T(x) leaves the declared domain or the
     metric's space, and with ``config.check_monotone_residual``
-    MonotoneResidualError when a step above log(eps) grows.  A MetricSpec
-    checks the tuples by its ``_outside`` before its bound kernel; a
-    FunctionMetric's distance function takes any two tuples, and
-    checks the points it receives.
+    MonotoneResidualError when a step above log(eps) grows.  Every metric
+    checks the tuples by its ``_outside`` before its private kernel.
     """
-    image, distance = _checked_image(T), metric._log_distance
-    outside = metric._outside if isinstance(metric, MetricSpec) else None
+    image, distance, outside = _checked_image(T), metric._log_distance, metric._outside
     bounds = None if domain is None else domain.bounds
     # a step above this may not grow; inf without the monotone check
     log_eps = config.log_eps if config is not None and config.check_monotone_residual \
@@ -117,9 +115,8 @@ def _stepper(metric, T, domain: Optional[Box] = None,
             )
         try:
             # the dimension, then x at a first step, then y
-            if outside is not None and (why := (
-                    (prev is None and len(x) == len(y) and outside(x, len(x)))
-                    or outside(y, len(x)))):
+            if why := ((prev is None and len(x) == len(y) and outside(x, len(x)))
+                       or outside(y, len(x))):
                 raise DomainError(why)
             d = distance(x, y)
         except DomainError as exc:
@@ -525,14 +522,13 @@ _BOUND_TOL = 1e-10
 def verify_bound(result: FixedPointResult, delta: float) -> BoundReport:
     """Check log d(x_n, z) <= d1 * delta**n / (1 - delta) + tol along a run,
     at tol = ``_BOUND_TOL``, which the report echoes.  A bad point raises as
-    in ``log_distance_matrix``, k counting the trace's points, then z."""
+    ``_checked`` does, k counting the trace's points, then z."""
     if result.status is not Status.CONVERGED:
         raise DomainError("bound verification needs a converged result")
     if not (0 <= delta < 1):
         raise DomainError(f"delta must be in [0, 1), got {delta!r}")
-    trace = result.trace
-    to_z = trace.metric.log_distance_matrix(trace.points, [result.point])[:, 0]
-    return _bound_report(trace, to_z, delta)
+    result.trace.metric._checked([*result.trace.points, result.point])
+    return _verify_bound(result, delta)
 
 
 def _verify_bound(result: FixedPointResult, delta: float) -> BoundReport:
@@ -540,10 +536,6 @@ def _verify_bound(result: FixedPointResult, delta: float) -> BoundReport:
     points were checked as they entered, and a delta in [0, 1)."""
     trace = result.trace
     to_z = trace.metric._log_distance_matrix(trace.points, [result.point])[:, 0]
-    return _bound_report(trace, to_z, delta)
-
-
-def _bound_report(trace: IterationTrace, to_z: np.ndarray, delta: float) -> BoundReport:
     d1 = trace.step_logd[0] if trace.step_logd else 0.0
     apriori_bound(d1, delta, 0)  # raises for a d1 that no row's bound takes
     # each entry is apriori_bound(d1, delta, n) bit for bit: Python's pow, then
@@ -611,18 +603,19 @@ def uniqueness_probe(metric, T, candidates: Sequence, eps: float) -> UniquenessR
 
     A candidate survives when log d(c, Tc) <= log(eps); the probe passes
     when all survivors are pairwise within 2 log(eps), fails when two
-    survivors disagree, and is inconclusive when nothing survives.  Survivors
-    of mixed dimension raise DomainError ``point k: ...``, k counting them.
+    survivors disagree, and is inconclusive when nothing survives.  A
+    candidate of another dimension than the first or outside the metric's
+    space raises DomainError ``point k: ...``, k counting the candidates.
     """
     if not candidates:
         raise DomainError("uniqueness probe needs at least one candidate")
     log_eps = _check_eps(eps)
     settle = _stepper(metric, T)
-    survivors = [c for c in map(as_point, candidates) if _residual(settle, c) <= log_eps]
+    survivors = [c for c in metric._checked(candidates) if _residual(settle, c) <= log_eps]
     if not survivors:
         return UniquenessReport(verdict="inconclusive", survivors=(),
                                 max_pairwise_logd=None)
-    worst = _max_pairwise_logd(metric, metric._checked(survivors))
+    worst = _max_pairwise_logd(metric, survivors)
     verdict = "passed" if worst <= 2 * log_eps else "failed"
     return UniquenessReport(verdict=verdict, survivors=tuple(survivors),
                             max_pairwise_logd=worst)

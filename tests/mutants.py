@@ -118,6 +118,23 @@ MUTANTS = (
            "(prev is None and len(x) == len(y) and outside(x, len(x)))", "False",
            ("tests/test_kernel.py::"
             "test_an_escape_is_raised_at_the_iterate_a_step_by_step_scan_names",)),
+    Mutant("a FunctionMetric's log_distance_matrix bound to its kernel",
+           "src/mulfix/metrics.py",
+           "    log_distance_matrix = MetricSpec.log_distance_matrix",
+           "    log_distance_matrix = lambda self, X, Y: "
+           "self._log_distance_matrix(list(X), list(Y))",
+           ("tests/test_kernel.py::"
+            "test_a_function_metric_rejects_points_of_mixed_dimension_everywhere",)),
+    Mutant("uniqueness candidates converted but not checked", "src/mulfix/solver.py",
+           "c for c in metric._checked(candidates) if",
+           "c for c in map(as_point, candidates) if",
+           ("tests/test_kernel.py::test_uniqueness_probe_rejects_a_candidate_outside_the_space",)),
+    Mutant("a FunctionMetric's steps not checked", "src/mulfix/solver.py",
+           "outside = _checked_image(T), metric._log_distance, metric._outside",
+           "outside = _checked_image(T), metric._log_distance, (\n"
+           "        metric._outside if isinstance(metric, MetricSpec) else lambda p, dim: None)",
+           ("tests/test_kernel.py::test_an_escape_is_raised_at_the_iterate_a_step_by_step_scan_"
+            "names[function-metric-widens]",)),
     Mutant("warning without its prefix", "src/mulfix/cli.py",
            'f"warning: {record.getMessage()}"', "record.getMessage()",
            ("tests/test_experiment_cli.py::test_a_map_that_fails_at_every_point_warns_once",)),

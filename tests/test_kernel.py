@@ -417,6 +417,20 @@ def test_start_independence_rejects_limits_of_mixed_dimension():
     assert str(err.value) == "point 1: dimension mismatch: 1 vs 2"
 
 
+def test_uniqueness_probe_rejects_a_candidate_outside_the_space():
+    # the candidate's own run escapes at its first step; it is bad input
+    with pytest.raises(DomainError) as err:
+        mx.uniqueness_probe(mx.MetricSpec.star_product(), mx.SelfMapSpec.identity(),
+                            [(-1.0,), (1.0,)], math.e)
+    assert str(err.value) == "point 0: star_product needs positive coordinates, got (-1.0,)"
+
+
+# zip drops the coordinates past the shorter point, so only the checks can
+# tell a pair of two dimensions from a pair of one
+ZIPPED = mx.FunctionMetric(lambda x, y: 1.0 + sum(abs(a - b) for a, b in zip(x, y)),
+                           "zipped")
+
+
 def hand_built(metric, points):
     """A trace from the constructor, whose points nothing has checked."""
     return mx.IterationTrace(metric=metric, points=tuple(points),
@@ -445,6 +459,17 @@ def test_scans_of_a_hand_built_trace_reject_invalid_points(metric, bad, message,
     with pytest.raises(DomainError) as err:
         scan(trace)
     assert str(err.value) == message
+
+
+def test_a_function_metric_rejects_points_of_mixed_dimension_everywhere():
+    # as classify always did: the checks are the ones a MetricSpec's are
+    for call in (lambda sample: mx.verify_axioms(ZIPPED, sample),
+                 lambda sample: mx.verify_reverse_triangle(ZIPPED, sample),
+                 lambda sample: mx.classify(ZIPPED, mx.SelfMapSpec.scale(0.5), sample),
+                 lambda sample: bound_rows(hand_built(ZIPPED, sample))):
+        with pytest.raises(DomainError) as err:
+            call([(1.0,), (1.0, 2.0), (3.0,)])
+        assert str(err.value) == "point 1: dimension mismatch: 1 vs 2"
 
 
 def test_scans_of_a_hand_built_trace_take_lists_and_bare_numbers():
@@ -525,8 +550,12 @@ def shift_then_widen(p):  # 1.0, 0.5, 0.25, 0.125, 0.0625, then a second coordin
     (mx.MetricSpec.exp_abs(2.0), mx.SelfMapSpec.affine(((1.0,), (2.0,)), (0.0, 0.0)),
      (1.0,), mx.SolverConfig(max_iter=20),
      "iterate 1 left the metric's domain: (1.0, 2.0) (dimension mismatch: 1 vs 2)"),
+    # the same step under either metric class
+    *[(metric, mx.SelfMapSpec.constant((1.0, 2.0)), (0.5,), mx.SolverConfig(max_iter=20),
+       "iterate 1 left the metric's domain: (1.0, 2.0) (dimension mismatch: 1 vs 2)")
+      for metric in (mx.MetricSpec.exp_abs(2.0), ZIPPED)],
 ], ids=["start-outside", "start-at-the-pole", "leaves-at-step-3", "widens-at-step-5",
-        "affine-widens"])
+        "affine-widens", "constant-widens", "function-metric-widens"])
 def test_an_escape_is_raised_at_the_iterate_a_step_by_step_scan_names(metric, T, start,
                                                                       config, message):
     args = (metric, T, start, config, None)
