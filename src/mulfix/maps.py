@@ -161,6 +161,12 @@ class SelfMapSpec(JsonConfig):
             if not m[0]:
                 raise DomainError("affine matrix needs at least one column")
             object.__setattr__(self, "matrix", m)
+        # as_point checks value and offset; json.load reads 1e999 as inf
+        numbers = [(field, getattr(self, field)) for field in ("c", "b", "p")]
+        numbers += [("matrix", v) for row in self.matrix or () for v in row]
+        for field, v in numbers:
+            if v is not None and not math.isfinite(v):
+                raise DomainError(f"parameter {field!r} must be finite, got {v!r}")
         if self.offset is not None:
             object.__setattr__(self, "offset", as_point(self.offset))
             if len(self.offset) != len(self.matrix):

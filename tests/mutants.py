@@ -45,6 +45,8 @@ class Mutant(NamedTuple):
 FLAG_PATTERNS = ("tests/test_writer.py::"
                  "test_every_flag_pattern_across_block_edges_equals_the_reference")
 CLASSIFY_REFERENCE = "tests/test_kernel.py::test_classify_equals_the_scalar_reference_loop"
+ROUNDED_RETURN = ("tests/test_kernel.py::"
+                  "test_a_return_whose_distances_to_the_start_round_apart_is_found")
 
 MUTANTS = (
     Mutant("flag bits read in reverse order", "src/mulfix/conditions.py",
@@ -135,6 +137,16 @@ MUTANTS = (
            "        metric._outside if isinstance(metric, MetricSpec) else lambda p, dim: None)",
            ("tests/test_kernel.py::test_an_escape_is_raised_at_the_iterate_a_step_by_step_scan_"
             "names[function-metric-widens]",)),
+    Mutant("look-back prefilter without its rounding margin", "src/mulfix/solver.py",
+           "tol = _CYCLE_LOGD + _reference_margin(len(self.points[0]), _CYCLE_LOGD, "
+           "float(r[-1]))", "tol = _CYCLE_LOGD", (ROUNDED_RETURN,)),
+    Mutant("limit-point prefilter without its rounding margin", "src/mulfix/sequences.py",
+           "t = log_eps + _reference_margin(len(points[0]), log_eps, float(s[-1]))",
+           "t = log_eps", (ROUNDED_RETURN,)),
+    Mutant("a non-finite map parameter accepted", "src/mulfix/maps.py",
+           "if v is not None and not math.isfinite(v):", "if False:",
+           ("tests/test_experiment_cli.py::"
+            "test_a_map_parameter_beyond_float_range_exits_2_naming_it",)),
     Mutant("warning without its prefix", "src/mulfix/cli.py",
            'f"warning: {record.getMessage()}"', "record.getMessage()",
            ("tests/test_experiment_cli.py::test_a_map_that_fails_at_every_point_warns_once",)),

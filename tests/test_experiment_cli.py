@@ -193,6 +193,27 @@ def test_cli_rejects_mistyped_and_unread_config_values(tmp_path, capsys, field, 
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
+@pytest.mark.parametrize("field, spec, make", [
+    ("c", '"scale", "c": 1e999', mx.SelfMapSpec.scale),
+    ("b", '"rational", "b": -1e999', mx.SelfMapSpec.rational),
+    ("p", '"power", "p": 1e999', mx.SelfMapSpec.power),
+    ("matrix", '"affine", "matrix": [[1e999]], "offset": [0.0]',
+     lambda v: mx.SelfMapSpec.affine([[v]], [0.0])),
+], ids=["scale", "rational", "power", "affine"])
+def test_a_map_parameter_beyond_float_range_exits_2_naming_it(tmp_path, capsys, field,
+                                                              spec, make):
+    # json.load reads 1e999 as inf, and json.dumps would write Infinity
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**identity_config(), "map": "MAP"})
+                    .replace('"MAP"', "{\"kind\": " + spec + "}"))
+    assert main(["run", "--config", str(path)]) == 2
+    inf = "-inf" if field == "b" else "inf"
+    assert capsys.readouterr() == ("", f"error: map: parameter {field!r} must be finite, "
+                                       f"got {inf}\n")
+    with pytest.raises(mx.DomainError, match=f"^parameter {field!r} must be finite, got nan$"):
+        make(math.nan)
+
+
 def _judged_on_example_3_15(*expectations):
     data = {**mx.fixture_config("example_3_15").to_json_dict(),
             "expectations": list(expectations)}
@@ -342,7 +363,7 @@ def test_cli_fixture_writes_reports_and_csv_traces(tmp_path, capsys):
     with trace_file.open() as f:
         rows = list(csv.reader(f))
     assert rows[0] == ["n", "x0", "step_logd"]
-    assert len(rows) > 2
+    assert len(rows) > 2 and rows[-1][-1] == ""  # no step after the last point
 
 
 def test_cli_fixture_json_traces(tmp_path):
@@ -530,6 +551,47 @@ def test_pairs_csv_is_written_only_on_request(tmp_path, capsys, command):
     assert [[int(i), int(j), c, {"true": True, "false": False}[ok]]
             for i, j, c, ok, _, _ in read[1:]] == [
         [*r["pair"], r["condition"], r["satisfied"]] for r in rows]
+
+
+def strict_json(path: Path):
+    return json.loads(path.read_text(encoding="utf-8"),
+                      parse_constant=lambda s: pytest.fail(f"non-finite {s}"))
+
+
+# one record per sampled pair and condition: 4,950 pairs x 7 and 780 x 6
+@pytest.mark.parametrize("name, n, count", [("example_3_17", 100, 34_650),
+                                            ("example_3_15", 40, 4_680)],
+                         ids=["fixture --pairs", "dump_json config"])
+def test_a_written_summary_counts_what_its_records_list(tmp_path, capsys, name, n, count):
+    out = tmp_path / "out"
+    if name == "example_3_17":
+        assert main(["fixture", name, "--out", str(out), "--pairs"]) == 0
+        cls = strict_json(out / "report.json")["classification"]
+    else:  # run and classify read a config written by dump_json
+        config = tmp_path / "c.json"
+        config.write_text(dump_json(mx.fixture_config(name).to_json_dict()), encoding="utf-8")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+        assert (tmp_path / "run" / "report.json").is_file()
+        assert main(["classify", "--config", str(config), "--out", str(out)]) == 0
+        cls = strict_json(out / "condition_report.json")
+    records = cls["pairs"]
+    assert len(records) == count
+    for cid, entry in cls["conditions"].items():
+        assert entry["violations"] == sum(
+            r["condition"] == cid and r["satisfied"] is False for r in records), cid
+    errors = sum(r["condition"] == "*" for r in records)
+    assert list(cls["unevaluated"]) == ["map", "image", "phi"]
+    assert sum(e["count"] for e in cls["unevaluated"].values()) == errors
+    assert cls["evaluated"] + errors == len({tuple(r["pair"]) for r in records})
+    assert cls["evaluated"] + errors + cls["equal"] == n * (n - 1) // 2
+    if name == "example_3_17":  # pairs.csv: one row per record, in the same order
+        with open(out / "pairs.csv", newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["i", "j", "condition", "satisfied", "slack", "error"]
+        assert len(rows) == 1 + len(records)
+        flag = {"true": True, "false": False, "": None}
+        assert [([int(i), int(j)], cid, flag[ok]) for i, j, cid, ok, *_ in rows[1:]] == [
+            (r["pair"], r["condition"], r["satisfied"]) for r in records]
 
 
 @pytest.mark.parametrize("command", ["fixture", "run", "classify"])
