@@ -102,7 +102,7 @@ class Box:
         clean = []
         for pair in self.bounds:
             lo, hi = (float(v) for v in pair)
-            if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
+            if not math.isfinite(hi - lo) or lo > hi:  # also a width beyond float range
                 raise DomainError(f"bad interval {pair!r}")
             clean.append((lo, hi))
         object.__setattr__(self, "bounds", tuple(clean))
@@ -283,7 +283,9 @@ def grid_points(box: Box, n: int) -> list[Point]:
     if box.dim == 1:
         lo, hi = box.bounds[0]
         return [(float(v),) for v in np.linspace(lo, hi, n)]
-    k = max(2, math.ceil(n ** (1.0 / box.dim)))
+    k = 2
+    while k ** box.dim < n:
+        k += 1
     axes = [np.linspace(lo, hi, k) for lo, hi in box.bounds]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, box.dim)
     return [tuple(float(c) for c in row) for row in mesh[:n]]
@@ -300,10 +302,57 @@ def sample_box(box: Box, n: int, seed: int, scheme: str = "mixed") -> list[Point
     if scheme != "mixed":
         raise DomainError(f"unknown sampling scheme {scheme!r}")
     n_grid = n // 2
-    pts = grid_points(box, n_grid)
-    rng = np.random.default_rng(seed)
-    lows = [lo for lo, _ in box.bounds]
-    highs = [hi for _, hi in box.bounds]
-    rand = rng.uniform(lows, highs, size=(n - n_grid, box.dim))
-    pts.extend(tuple(float(c) for c in row) for row in rand)
-    return pts
+    return grid_points(box, n_grid) + _uniform(box, n - n_grid, seed)
+
+
+def _uniform(box: Box, m: int, seed: int) -> list[Point]:
+    """``np.random.default_rng(seed).uniform(lows, highs, size=(m, box.dim))``
+    bit for bit, as numpy 2.4 computes it, without loading ``numpy.random``.
+
+    ``SeedSequence(seed).generate_state(4, uint64)``: the seed's 32-bit words,
+    low first, are hashed into a pool of 4 words, each pool word is mixed
+    into the others and every word past the fourth into all of them, and 8
+    output words are hashed from the pool, joined in pairs low word first as
+    s0..s3; all of it mod 2**32.  ``PCG64`` seeds its 128-bit state from
+    s0 s1 and its increment from s2 s3, and each draw steps the LCG, then
+    rotates the xor of the state's halves right by its top 6 bits to give x.
+    ``Generator.uniform`` returns ``lo + (hi - lo) * ((x >> 11) * 2**-53)``,
+    point by point and coordinate by coordinate within a point.
+    """
+    seed = operator.index(seed)  # a numpy integer too, as numpy takes it
+    words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    h = 0x43B0D7E5
+
+    def hashmix(v: int, mult: int = 0x931E8875) -> int:
+        nonlocal h
+        v, h = v ^ h, h * mult & 0xFFFFFFFF
+        v = v * h & 0xFFFFFFFF
+        return v ^ v >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & 0xFFFFFFFF
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for s in range(4):
+        for d in range(4):
+            if d != s:
+                pool[d] = mix(pool[d], hashmix(pool[s]))
+    for w in words[4:]:
+        for d in range(4):
+            pool[d] = mix(pool[d], hashmix(w))
+    h = 0x8B51F9DD
+    out = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
+    s0, s1, s2, s3 = (out[i] | out[i + 1] << 32 for i in range(0, 8, 2))
+    mult, mask, m64 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1, (1 << 64) - 1
+    inc = ((s2 << 64 | s3) << 1 | 1) & mask
+    state = ((inc + (s0 << 64 | s1)) * mult + inc) & mask  # the step from 0 is inc
+
+    def draw(lo: float, hi: float) -> float:
+        nonlocal state
+        state = (state * mult + inc) & mask
+        x, r = (state >> 64 ^ state) & m64, state >> 122
+        x = (x >> r | x << 64 - r) & m64
+        return lo + (hi - lo) * ((x >> 11) * 2.0**-53)
+
+    return [tuple(draw(lo, hi) for lo, hi in box.bounds) for _ in range(m)]

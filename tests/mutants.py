@@ -47,6 +47,7 @@ FLAG_PATTERNS = ("tests/test_writer.py::"
 CLASSIFY_REFERENCE = "tests/test_kernel.py::test_classify_equals_the_scalar_reference_loop"
 ROUNDED_RETURN = ("tests/test_kernel.py::"
                   "test_a_return_whose_distances_to_the_start_round_apart_is_found")
+MIXED_SAMPLE = "tests/test_maps.py::test_a_mixed_sample_is_the_grid_plus_numpys_uniform_stream"
 
 MUTANTS = (
     Mutant("flag bits read in reverse order", "src/mulfix/conditions.py",
@@ -147,6 +148,20 @@ MUTANTS = (
            "if v is not None and not math.isfinite(v):", "if False:",
            ("tests/test_experiment_cli.py::"
             "test_a_map_parameter_beyond_float_range_exits_2_naming_it",)),
+    Mutant("a box whose width overflows accepted", "src/mulfix/maps.py",
+           "if not math.isfinite(hi - lo) or lo > hi:",
+           "if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:",
+           ("tests/test_experiment_cli.py::"
+            "test_a_box_whose_width_overflows_exits_2_naming_the_domain",)),
+    Mutant("grid lattice one node wider per axis", "src/mulfix/maps.py",
+           "while k ** box.dim < n:", "while (k - 1) ** box.dim < n:",
+           ("tests/test_maps.py::test_grid_points_use_the_smallest_lattice_that_holds_n",)),
+    Mutant("PCG64 increment without its low bit", "src/mulfix/maps.py",
+           "(s2 << 64 | s3) << 1 | 1", "(s2 << 64 | s3) << 1", (MIXED_SAMPLE,)),
+    Mutant("PCG64 rotation read from one bit too low", "src/mulfix/maps.py",
+           "state >> 122", "state >> 121", (MIXED_SAMPLE,)),
+    Mutant("SeedSequence cross-mixing skipped", "src/mulfix/maps.py",
+           "for s in range(4):", "for s in range(0):", (MIXED_SAMPLE,)),
     Mutant("warning without its prefix", "src/mulfix/cli.py",
            'f"warning: {record.getMessage()}"', "record.getMessage()",
            ("tests/test_experiment_cli.py::test_a_map_that_fails_at_every_point_warns_once",)),

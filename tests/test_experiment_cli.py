@@ -214,6 +214,17 @@ def test_a_map_parameter_beyond_float_range_exits_2_naming_it(tmp_path, capsys, 
         make(math.nan)
 
 
+@pytest.mark.parametrize("command", ["run", "classify"])
+@pytest.mark.parametrize("scheme", ["mixed", "grid"])
+def test_a_box_whose_width_overflows_exits_2_naming_the_domain(tmp_path, capsys, scheme,
+                                                               command):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**identity_config(), "domain": [[-1e308, 1e308]],
+                                "sample_scheme": scheme}))
+    assert main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: domain: bad interval (-1e+308, 1e+308)\n")
+
+
 def _judged_on_example_3_15(*expectations):
     data = {**mx.fixture_config("example_3_15").to_json_dict(),
             "expectations": list(expectations)}

@@ -1,6 +1,10 @@
 import math
+import subprocess
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mulfix as mx
 from mulfix.errors import DomainError
@@ -66,6 +70,8 @@ def test_box_validation_and_membership():
         mx.Box(())
     with pytest.raises(DomainError):
         mx.Box(((1.0, 0.0),))
+    with pytest.raises(DomainError, match="bad interval"):
+        mx.Box(((0.0, 1.0), (-1e308, 1e308)))  # a width beyond float range
     assert mx.Box.from_json(box.to_json()) == box
 
 
@@ -83,6 +89,41 @@ def test_grid_points_lattice_in_two_dimensions():
     assert len(pts) == 25
     assert len(set(pts)) == 25
     assert all(box.contains(p) for p in pts)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 4), (2, 5), (3, 27), (3, 28), (4, 81), (5, 3124),
+                                     (5, 3125), (5, 3126), (5, 7776)])
+def test_grid_points_use_the_smallest_lattice_that_holds_n(dim, n):
+    pts = grid_points(mx.Box(((0.0, 1.0),) * dim), n)
+    assert len(set(pts)) == n
+    k = len({p[-1] for p in pts})  # the last axis runs through its k nodes first
+    assert (k - 1) ** dim < n <= k ** dim
+
+
+# 0 and 2**32 - 1 fill one entropy word, 2**32 two, 2**128 and above five or more
+SEEDS = st.sampled_from([0, 2**32 - 1, 2**32, 2**128, 2**200 + 1]) | st.integers(0, 2**300)
+INTERVALS = st.tuples(st.floats(-1e300, 1e300), st.just(0.0) | st.floats(0.0, 1e300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=SEEDS, intervals=st.lists(INTERVALS, min_size=1, max_size=4),
+       n=st.integers(2, 60))
+def test_a_mixed_sample_is_the_grid_plus_numpys_uniform_stream(seed, intervals, n):
+    box = mx.Box(tuple((lo, lo + width) for lo, width in intervals))
+    lows, highs = zip(*box.bounds)
+    rand = np.random.default_rng(seed).uniform(lows, highs, size=(n - n // 2, box.dim))
+    expected = grid_points(box, n // 2) + [tuple(map(float, row)) for row in rand]
+    assert mx.sample_box(box, n, seed) == expected
+
+
+def test_a_mixed_run_does_not_load_numpy_random():
+    # in a fresh interpreter: pytest and hypothesis may load numpy.random here
+    assert mx.fixture_config("example_3_15").sample_scheme == "mixed"
+    code = ("import sys, mulfix as mx; mx.run_experiment(mx.fixture_config('example_3_15'));"
+            " print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_sample_box_is_deterministic_and_in_bounds():
