@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ConfigError, DegeneratePairError, DomainError
 from .jsonconfig import JsonConfig, _string, decode, dump_json
 from .maps import _checked_image
-from .metrics import DEFAULT_LOG_TOL, equal_points
+from .metrics import DEFAULT_LOG_TOL, MetricSpec, _reference_margin, equal_points
 
 logger = logging.getLogger(__name__)
 
@@ -123,8 +123,8 @@ class PhiSpec(JsonConfig):
         if self.kind == "custom_table":
             if self.alpha is None or self.beta is None:
                 raise DomainError("custom_table needs alpha and beta")
-            if self.alpha <= 0 or self.beta <= 0:
-                raise DomainError("custom_table exponents must be positive")
+            if bad := [k for k in ("alpha", "beta") if not 0 < getattr(self, k) < math.inf]:
+                raise DomainError(f"custom_table exponent {bad[0]} must be finite and positive")
         self._certify_unit_property()
 
     def _certify_unit_property(self):
@@ -200,7 +200,8 @@ class _PairTable:
     ``images`` holds each point's image, None where the map failed.
     ``errors`` holds per point its failure as ``(cause, text)``, ``("map",
     "map at point k: ...")`` or ``("image", "image of point k: ...")``, or
-    None for a valid point.
+    None for a valid point.  ``tol`` is what a comparison of a slack
+    forgives (see ``classify``).
     """
 
     def __init__(self, metric, T, sample: Sequence):
@@ -229,6 +230,10 @@ class _PairTable:
         self.Dtt, self.Dxt = (np.full((n, n), np.nan) for _ in range(2))
         self.Dtt[block] = metric._log_distance_matrix(TX, TX)
         self.Dxt[block] = metric._log_distance_matrix(X, TX)
+        top = max(float(np.max(D, where=np.isfinite(D), initial=0.0))
+                  for D in (self.Dxx, self.Dtt, self.Dxt))
+        self.tol = DEFAULT_LOG_TOL + (_reference_margin(dim, DEFAULT_LOG_TOL, top)
+                                      if isinstance(metric, MetricSpec) else 0.0)
         self.equal = equal_points(points)
         self.step = np.diag(self.Dxt)  # L(x, Tx) of each point
         self.I, self.J = np.triu_indices(n, 1)
@@ -528,8 +533,10 @@ def classify(
     When ``constants`` is omitted the tightest estimated constants are used
     where feasible; a condition with no admissible constant is marked
     unsatisfied on every pair.  A strict condition needs a positive slack,
-    any other a slack of at least -``DEFAULT_LOG_TOL``, kept as 0.0 when
-    negative.  A point outside the metric's space raises DomainError.
+    any other a slack of at least -tol, kept as 0.0 when negative: tol is
+    ``DEFAULT_LOG_TOL``, plus for a built-in metric ``_reference_margin`` at
+    the largest finite log distance among the sample and its images.  A
+    point outside the metric's space raises DomainError.
     Results are deterministic in the sample order, and the aggregate
     verdicts are invariant under permutations of the sample.
     """
@@ -576,7 +583,7 @@ def _classify(table: _PairTable, constants: Optional[ZamfirescuConstants],
             if cid in ("SI", "SII", "SIII"):
                 ok = slack > 0
             else:
-                ok = slack >= -DEFAULT_LOG_TOL
+                ok = slack >= -table.tol
                 slack[ok & (slack < 0)] = 0.0
             checks[cid] = (ok, slack)
 

@@ -33,7 +33,6 @@ from .errors import ConfigError, DomainError
 from .jsonconfig import JsonConfig, decode, dump_json, is_integer, stream_json
 from .maps import Box, SelfMapSpec, sample_box
 from .metrics import (
-    DEFAULT_LOG_TOL,
     AxiomReport,
     MetricSpec,
     Point,
@@ -312,7 +311,7 @@ def _eval_expectation(spec: dict, report: "ExperimentReport",
         if ok:  # PHI holds on every distinct pair; check each (x, x) too
             points = np.arange(len(table.points))
             diagonal = table.phi_slack(report.config.phi, points, points)
-            n_diag_bad = int(np.count_nonzero(~(diagonal >= -DEFAULT_LOG_TOL)))
+            n_diag_bad = int(np.count_nonzero(~(diagonal >= -table.tol)))
             ok = n_diag_bad == 0
         detail = (f"{np.count_nonzero(~cls_report.rows.checks['PHI'][0])} violating pairs, "
                   f"{n_diag_bad} violating diagonal points"
@@ -339,15 +338,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     The sample is mapped once and its log-distance matrix built once: the
     axiom checks, map invariance, classification and the PHI diagonal all
     read one ``_PairTable``, which raises at a point outside the metric's
-    space as ``classify`` does.  One decision, ``_proved_empty``, either
-    proves both triple scans empty or has both run at every index.  With
+    space as ``classify`` does, and whose ``tol`` the condition checks forgive.
+    One decision, ``_proved_empty``, proves both triple scans empty for a
+    built-in metric's finite table, or has both run at every index.  With
     declared constants, ``bounds`` holds one ``BoundReport`` per converged
     run, in run order; the runs themselves keep no bound rows.
     """
     sample = tuple(sample_box(config.domain, config.sample_size, config.seed,
                               config.sample_scheme))
     table = _PairTable(config.metric, config.map, sample)
-    proved = _proved_empty(config.metric, table.points, table.Dxx)
+    proved = _proved_empty(config.metric, table.Dxx)
     axioms = _verify_axioms(table.equal, table.Dxx, proved)
     reverse = _verify_reverse_triangle(table.Dxx, proved)
     # a failed image (None) means the map leaves the domain

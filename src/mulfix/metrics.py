@@ -111,26 +111,34 @@ _SPACES = {"star_product": (gt, "positive"), "exp_reciprocal": (ne, "nonzero")}
 
 
 def _reference_margin(dim: int, tol: float, top: float) -> float:
-    """How much farther apart than tol two distances to one point may come
-    out when their own points lie closer than tol.
-
-    For dim-d points with r_i = L(p_i, p_0) and r_j = L(p_j, p_0) at most
-    top, all three computed by a MetricSpec kernel: L(p_i, p_j) < tol
-    implies |r_i - r_j| <= tol + margin.  Exactly, the reverse triangle
-    inequality gives |r_i - r_j| <= L(p_i, p_j); the margin covers rounding.
+    """The package's one rounding rule: how far past tol a comparison of
+    log distances of dim-d points, at most top and computed by a MetricSpec
+    kernel, may come out when the exact one holds.  A built-in metric's
+    comparisons forgive tol plus this margin at their largest finite entry.
 
     Each kernel is within d + 5 roundings, a relative error of
-    g = (d + 5) 2**-53 up to O(g**2), of a value that obeys the triangle
-    inequality exactly: the kind's formula on the coordinates, or on their
-    rounded logs (star_product) or reciprocals (exp_reciprocal), times the
-    rounded log(a).  A coordinate difference costs one rounding, the
-    left-to-right sum d - 1, the factor log(a) one, and ``math.dist`` is
+    g = (d + 5) u up to O(g**2), u = 2**-53, of a value L that obeys the
+    triangle inequality exactly: the kind's formula on the coordinates, or
+    on their rounded logs (star_product) or reciprocals (exp_reciprocal),
+    times the rounded log(a).  A coordinate difference costs one rounding,
+    the left-to-right sum d - 1, the factor log(a) one, and ``math.dist`` is
     within 2 ulps (4 roundings) of the norm of the rounded differences.  So
-    |r_i - r_j| < (tol + 2 g top) / (1 - g) + O(g**2), which the margin
-    8 g (tol + top) exceeds with room to spare; 2**-1000 covers the absolute
-    error of a product that underflows.  Rounding is monotone, so comparing
-    a rounded difference or sum of r values with the float tol + margin
-    never drops such a pair.
+    L <= top / (1 - g), and each later step is one rounding fl, monotone and
+    of relative error at most u.  Three counts follow:
+
+    - look-back: r_i = L(p_i, p_0) and r_j = L(p_j, p_0) differ by less
+      than (tol + 2 g top) / (1 - g) + O(g**2) when L(p_i, p_j) < tol;
+    - a triple scan's computed excess is at most (2g + u) top / (1 - g),
+      worst at equality: (2g + u) L(i,k) for D[i,k] - fl(D[i,j] + D[j,k]),
+      and 2g L + u top for fl(|D[x,z] - D[y,z]|) - D[x,y], where L is
+      max(L(x,z), L(y,z)); so a finite table's scans list nothing
+      (``_proved_empty``);
+    - a condition slack c * S - D, with S one entry or the sum of two and
+      c * S and D at most top, rounds by at most about 3 g top.
+
+    Each is below the margin 8 g (tol + top) with room to spare; 2**-1000
+    covers the absolute error of a product that underflows.  As tol is a
+    float, comparing a rounded value with tol + margin drops no pair.
     """
     return (dim + 5) * 2.0 ** -50 * (tol + top) + 2.0 ** -1000
 
@@ -405,38 +413,22 @@ def verify_axioms(metric, sample: Iterable) -> AxiomReport:
     indiscernibles compares log d against 0 at tol, symmetry compares the
     two evaluation orders, and the multiplicative triangle inequality
     becomes log d(x,z) <= log d(x,y) + log d(y,z) + tol.  Every violating
-    pair or triple is listed.  Small samples simply give vacuous passes.  The
-    triangle scan runs at every middle, unless ``_proved_empty`` proves that
-    it lists nothing (a MetricSpec at small distances).
+    pair or triple is listed.  Small samples simply give vacuous passes.  A
+    built-in metric's finite table passes the triangle inequality unscanned
+    (``_proved_empty``), its rounding margin forgiven; the scan runs at
+    every middle, at tol, for a FunctionMetric or a non-finite table.
     """
     points = [as_point(p) for p in sample]
     D = metric.log_distance_matrix(points, points)
-    return _verify_axioms(equal_points(points), D, _proved_empty(metric, points, D))
+    return _verify_axioms(equal_points(points), D, _proved_empty(metric, D))
 
 
-def _proved_empty(metric, points: Sequence[Point], D: np.ndarray) -> bool:
-    """Whether both triple scans of D, the log-distance matrix of the points
-    under metric, are proved to list nothing at tol = ``DEFAULT_LOG_TOL``;
-    when they are not, each scan runs at every index.
-
-    The proof needs a MetricSpec and a finite M = max D; a NaN or an
-    infinite entry fails its bound.  With dim the points' dimension,
-    g = (dim + 5) u and u = 2**-53, it holds when
-    ``_reference_margin(dim, 0, M)`` = 8 g M + 2**-1000 <= tol.  By that
-    function, each D[p,q] is within a relative g of L(p,q), L a metric, so
-    L <= M / (1 - g).  Each step of a scan is one rounding fl, monotone and of
-    relative error at most u, and tol is a float, so a scan lists a triple
-    only when the exact value it compares exceeds tol.  Worst at
-    L(i,k) = L(i,j) + L(j,k), the triangle scan's D[i,k] - fl(D[i,j] + D[j,k])
-    is at most (2g + u) L(i,k); worst at equality too, the reverse scan's
-    fl(|D[x,z] - D[y,z]|) - D[x,y] is at most 2g L + u M for
-    L = max(L(x,z), L(y,z)).  Both are below (2g + u) M / (1 - g) <= tol.  At
-    tol = 1e-12 the proof holds up to M of about 187 at dim = 1 and 125 at
-    dim = 4.
-    """
-    if not (points and isinstance(metric, MetricSpec)):
-        return False
-    return _reference_margin(len(points[0]), 0.0, float(D.max())) <= DEFAULT_LOG_TOL
+def _proved_empty(metric, D: np.ndarray) -> bool:
+    """Whether both triple scans of D, a log-distance matrix under metric,
+    are proved to list nothing: D is a MetricSpec's and finite, so every
+    excess is rounding within ``_reference_margin``.  Otherwise each scan
+    runs at every index, at tol = ``DEFAULT_LOG_TOL``."""
+    return isinstance(metric, MetricSpec) and bool(np.isfinite(D).all())
 
 
 def _verify_axioms(equal: np.ndarray, D: np.ndarray, proved: bool) -> AxiomReport:
@@ -488,12 +480,13 @@ def verify_reverse_triangle(metric, sample: Iterable) -> ReverseTriangleReport:
 
     This is the log-domain form of the reverse inequality
     star_abs(d(x,z) / d(y,z)) <= d(x,y); it follows from the axioms, so a
-    valid metric must pass on every sampled triple.  The scan runs at every
-    triple, unless ``_proved_empty`` proves that it lists nothing.
+    valid metric must pass on every sampled triple.  A built-in metric's
+    finite table passes without a scan, as in ``verify_axioms``; the scan
+    runs at every triple, at tol, for a FunctionMetric or a non-finite table.
     """
     points = [as_point(p) for p in sample]
     D = metric.log_distance_matrix(points, points)
-    return _verify_reverse_triangle(D, _proved_empty(metric, points, D))
+    return _verify_reverse_triangle(D, _proved_empty(metric, D))
 
 
 def _verify_reverse_triangle(D: np.ndarray, proved: bool) -> ReverseTriangleReport:

@@ -48,6 +48,10 @@ CLASSIFY_REFERENCE = "tests/test_kernel.py::test_classify_equals_the_scalar_refe
 ROUNDED_RETURN = ("tests/test_kernel.py::"
                   "test_a_return_whose_distances_to_the_start_round_apart_is_found")
 MIXED_SAMPLE = "tests/test_maps.py::test_a_mixed_sample_is_the_grid_plus_numpys_uniform_stream"
+KNOWN_ANSWERS = ("tests/test_metrics.py::"
+                 "test_builtin_metrics_meet_their_known_answers_at_every_box_width")
+ROUNDING_ORACLE = ("tests/test_metrics.py::"
+                   "test_a_builtin_tables_rounding_stays_within_the_margin")
 
 MUTANTS = (
     Mutant("flag bits read in reverse order", "src/mulfix/conditions.py",
@@ -185,18 +189,30 @@ MUTANTS = (
            "np.flatnonzero(s[:-1] == np.nanmin(s[:-1]))[0]",
            ("tests/test_writer.py::test_condition_summary_equals_the_reference",)),
     Mutant("the zero rule without its tolerance", "src/mulfix/conditions.py",
-           "ok = slack >= -DEFAULT_LOG_TOL", "ok = slack >= 0",
+           "ok = slack >= -table.tol", "ok = slack >= 0",
            ("tests/test_conditions.py::"
             "test_classify_zeroes_a_slack_within_tolerance_and_fails_a_strict_tie",
             CLASSIFY_REFERENCE)),
-    Mutant("triple scans proved empty at far larger distances", "src/mulfix/metrics.py",
-           "float(D.max())) <= DEFAULT_LOG_TOL", "float(D.max())) <= DEFAULT_LOG_TOL * 1e6",
-           ("tests/test_metrics.py::"
-            "test_triple_scans_list_what_their_loops_listed_on_the_builtins",)),
+    Mutant("a rounding margin below the rounding it covers", "src/mulfix/metrics.py",
+           "return (dim + 5) * 2.0 ** -50 * (tol + top)",
+           "return (dim + 5) * 2.0 ** -56 * (tol + top)",
+           (ROUNDING_ORACLE, KNOWN_ANSWERS)),
     Mutant("triple scans proved empty for any metric", "src/mulfix/metrics.py",
-           "if not (points and isinstance(metric, MetricSpec)):", "if not points:",
+           "return isinstance(metric, MetricSpec) and bool(np.isfinite(D).all())",
+           "return bool(np.isfinite(D).all())",
            ("tests/test_metrics.py::"
             "test_triple_scans_list_what_their_loops_listed_on_the_controls",)),
+    Mutant("the finiteness test dropped from the proof", "src/mulfix/metrics.py",
+           "return isinstance(metric, MetricSpec) and bool(np.isfinite(D).all())",
+           "return isinstance(metric, MetricSpec)",
+           ("tests/test_metrics.py::test_a_builtin_table_with_an_infinite_entry_is_scanned",)),
+    Mutant("a MetricSpec table's tolerance without the margin", "src/mulfix/conditions.py",
+           "DEFAULT_LOG_TOL + (_reference_margin(dim, DEFAULT_LOG_TOL, top)",
+           "DEFAULT_LOG_TOL + (0.0", (KNOWN_ANSWERS,)),
+    Mutant("the margin given to a FunctionMetric too", "src/mulfix/conditions.py",
+           "if isinstance(metric, MetricSpec) else 0.0)", "if True else 0.0)",
+           ("tests/test_conditions.py::"
+            "test_a_function_metric_is_compared_at_the_tolerance_alone",)),
     Mutant("triangle scan skipped when the proof fails", "src/mulfix/metrics.py",
            "for j in range(0 if proved else n):", "for j in range(n if proved else 0):",
            ("tests/test_metrics.py::"

@@ -28,7 +28,8 @@ that patches one of them patches both.
 ``reference_estimate`` and ``reference_classify`` fit the constants and
 classify a sample pair by pair through the ``check_*`` functions, once
 ``reference_check_points`` has raised at the first point outside the
-metric's space;
+metric's space, at the threshold ``reference_tol`` takes from the sample's
+scalar log distances (``reference_top``);
 ``reference_pair_error`` names the point at fault in a pair that fails, and
 ``reference_point_error`` what fails at one point, by
 ``reference_outside``, its own rule for a point of a metric's space.  The
@@ -59,7 +60,7 @@ from mulfix import solver
 from mulfix.conditions import PhiSpec
 from mulfix.errors import (DegeneratePairError, DomainError, DomainEscapeError,
                            MonotoneResidualError, MulfixError)
-from mulfix.metrics import DEFAULT_LOG_TOL, Point, as_point
+from mulfix.metrics import DEFAULT_LOG_TOL, Point, _reference_margin, as_point
 
 
 def _clip_slack(slack: float, tol: float) -> tuple[bool, float]:
@@ -480,8 +481,31 @@ def reference_pair_error(metric, T, points, i, j, exc):
     raise exc
 
 
+def reference_top(metric, T, points) -> float:
+    """The largest finite scalar log distance between two points, two
+    images, or a point and an image, of the points that pass
+    ``reference_point_error``; 0.0 when there is none."""
+    good = [k for k in range(len(points))
+            if reference_point_error(metric, T, points, k) is None]
+    X = [points[k] for k in good]
+    TX = [reference_apply(T, x) for x in X]
+    values = [metric.log_distance(a, b) for A, B in ((points, points), (TX, TX), (X, TX))
+              for a in A for b in B]
+    return max((v for v in values if math.isfinite(v)), default=0.0)
+
+
+def reference_tol(metric, T, points, tol: float) -> float:
+    """What a condition check of the sample forgives: tol, plus for a
+    MetricSpec the rounding margin at ``reference_top``."""
+    if not (points and isinstance(metric, mx.MetricSpec)):
+        return tol
+    return tol + _reference_margin(len(points[0]), tol, reference_top(metric, T, points))
+
+
 def reference_classify(metric, T, points, constants, phi, tol, strict_margin):
+    """``classify`` pair by pair, forgiving ``reference_tol(..., tol)``."""
     xi_hat, eta_hat, lam_hat, used, skipped_est = reference_estimate(metric, T, points)
+    tol = reference_tol(metric, T, points, tol)
     if constants is not None:
         xi, eta, lam = constants.xi, constants.eta, constants.lam
     else:

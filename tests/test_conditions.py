@@ -174,9 +174,12 @@ def test_phi_spec_validation():
         mx.PhiSpec("example317", q=0.5)
     with pytest.raises(DomainError, match="^custom_table needs alpha and beta$"):
         mx.PhiSpec("custom_table", alpha=1.0)
-    # inf * 0 is NaN at (1, 1); 1e-320 * 1e-6 underflows to 0 off it
-    with pytest.raises(DomainError, match=r"^custom_table: phi\(1, 1\) != 1$"):
-        mx.PhiSpec("custom_table", alpha=math.inf, beta=1.0)
+    # a non-finite exponent is named, not blamed on phi(1, 1) (inf * 0 is
+    # NaN there); 1e-320 * 1e-6 underflows to 0 off (1, 1)
+    for name, bad in (("alpha", math.inf), ("beta", math.nan), ("alpha", -math.inf)):
+        with pytest.raises(DomainError, match=f"^custom_table exponent {name} must be "
+                                              "finite and positive$"):
+            mx.PhiSpec("custom_table", **{"alpha": 1.0, "beta": 1.0, name: bad})
     with pytest.raises(DomainError, match=r"^custom_table: phi must exceed 1 off \(1, 1\)$"):
         mx.PhiSpec("custom_table", alpha=1e-320, beta=1.0)
 
@@ -308,6 +311,22 @@ def test_classify_zeroes_a_slack_within_tolerance_and_fails_a_strict_tie():
                    "SI": (False, 0.0), "SII": (False, -d), "SIII": (False, 0.0)}
     # the zeroed slack is +0.0, written 0.0 in pairs.csv and not -0.0
     assert "0,1,C1,true,0.0,\r\n" in report.rows.to_csv_text()
+
+
+def test_a_function_metric_is_compared_at_the_tolerance_alone():
+    # the identity map at xi = 1/2: C1 falls short by half of L(0, 4e-12),
+    # past 1e-12 but within 1e-12 plus the rounding margin at the far
+    # point's log distance 700; exp_abs(e) forgives it, and the same
+    # distances as a FunctionMetric do not
+    sample = [(0.0,), (4e-12,), (700.0,)]
+    function = mx.FunctionMetric(lambda x, y: math.exp(abs(x[0] - y[0])))
+    for metric, forgiven in ((mx.MetricSpec.exp_abs(math.e), True), (function, False)):
+        d = metric.log_distance(*sample[:2])
+        assert -4e-12 < 0.5 * d - d < -DEFAULT_LOG_TOL
+        report = mx.classify(metric, IDENTITY, sample, mx.ZamfirescuConstants(xi=0.5))
+        flags, slacks = report.rows.checks["C1"]
+        assert (bool(flags[0]), float(slacks[0])) == (
+            (True, 0.0) if forgiven else (False, 0.5 * d - d))
 
 
 def test_negation_classifies_as_none():

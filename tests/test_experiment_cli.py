@@ -20,8 +20,8 @@ from mulfix.errors import ConfigError
 from mulfix.experiment import write_report
 from mulfix.jsonconfig import dump_json
 from mulfix.conditions import PSI_KINDS
-from mulfix.metrics import DEFAULT_LOG_TOL, _proved_empty
-from scalar_reference import check_phi, reference_records
+from mulfix.metrics import DEFAULT_LOG_TOL, _proved_empty, _reference_margin
+from scalar_reference import check_phi, reference_records, reference_tol
 
 EPS = math.exp(1e-9)
 
@@ -212,6 +212,20 @@ def test_a_map_parameter_beyond_float_range_exits_2_naming_it(tmp_path, capsys, 
                                        f"got {inf}\n")
     with pytest.raises(mx.DomainError, match=f"^parameter {field!r} must be finite, got nan$"):
         make(math.nan)
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+def test_a_non_finite_custom_table_exponent_exits_2_naming_it(tmp_path, capsys, name):
+    # json.load reads 1e999 as inf, which phi(1, 1) once met as inf * 0
+    phi = {"kind": "custom_table", "alpha": 1.0, "beta": 1.0}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**identity_config(), "phi": {**phi, name: "BIG"}})
+                    .replace('"BIG"', "1e999"))
+    assert main(["run", "--config", str(path)]) == 2
+    message = f"custom_table exponent {name} must be finite and positive"
+    assert capsys.readouterr() == ("", f"error: phi: {message}\n")
+    with pytest.raises(mx.DomainError, match=f"^{message}$"):
+        mx.PhiSpec(**{**phi, name: math.nan})
 
 
 @pytest.mark.parametrize("command", ["run", "classify"])
@@ -638,11 +652,11 @@ ERROR_SAMPLES = {
 
 
 @pytest.mark.parametrize("case, proved",
-                         [(5.0, True), (1e6, False), *((k, True) for k in ERROR_SAMPLES)])
+                         [(5.0, True), (1e305, False), *((k, True) for k in ERROR_SAMPLES)])
 def test_run_experiment_shares_one_decision_with_the_public_checks(case, proved):
-    # case is a half width, or a sample of ERROR_SAMPLES; exp_abs(2) over a
-    # box 1e6 wide rounds past the tolerance: the proof fails, and the full
-    # scans run and list violations
+    # case is a half width, or a sample of ERROR_SAMPLES; over a box 1e305
+    # wide exp_abs(1e300) overflows to infinite entries: the proof fails,
+    # and the full scans run and list violations
     config = dataclasses.replace(mx.fixture_config("example_3_15"), constants=None,
                                  expectations=())
     if isinstance(case, str):
@@ -654,13 +668,14 @@ def test_run_experiment_shares_one_decision_with_the_public_checks(case, proved)
     else:
         n_errors = 0
         config = dataclasses.replace(
-            config, metric=mx.MetricSpec.exp_abs(2.0), map=mx.SelfMapSpec.scale(0.5),
-            domain=mx.Box(((-case, case),) * 2), sample_size=20)
+            config, metric=mx.MetricSpec.exp_abs(2.0 if proved else 1e300),
+            map=mx.SelfMapSpec.scale(0.5), domain=mx.Box(((-case, case),) * 2),
+            sample_size=20)
     decided = []  # what each call of the decision returned
 
-    def decide(metric, points, D):
-        assert metric is config.metric and len(points) == len(D) == config.sample_size
-        decided.append(_proved_empty(metric, points, D))
+    def decide(metric, D):
+        assert metric is config.metric and len(D) == config.sample_size
+        decided.append(_proved_empty(metric, D))
         return decided[-1]
 
     with mock.patch.object(experiment, "_proved_empty", decide):
@@ -682,6 +697,19 @@ def test_run_experiment_shares_one_decision_with_the_public_checks(case, proved)
     assert all(pos <= len(rows.i) for pos, *_ in rows.errors)
     assert (dump_json(report.classification.to_json_tree())
             == dump_json(public.to_json_tree()))
+
+
+@pytest.mark.parametrize("half_width", [1e4, 1e6])
+def test_example_3_15_meets_every_expectation_on_a_wider_box(half_width):
+    # scale(2/3) meets C1 at xi = 2/3 exactly on every pair: the rounding of
+    # log distances in the thousands must fail neither C1 nor the axioms
+    config = mx.fixture_config("example_3_15")
+    config = dataclasses.replace(config, domain=mx.Box(((-half_width, half_width),) * 2))
+    report = mx.run_experiment(config)
+    assert [(e.kind, e.passed) for e in report.expectations] == [
+        (e["kind"], True) for e in config.expectations]
+    assert len(report.expectations) == 10
+    assert report.classification.overall == "t2 applicable via C1"
 
 
 def _benchmark_workloads():
@@ -983,9 +1011,11 @@ def phi_holds_by_loop(report):
     ok = cls.condition_ok("PHI")
     n_diag_bad = 0
     if ok and report.config.phi is not None:
+        tol = reference_tol(report.config.metric, report.config.map, list(report.sample),
+                            DEFAULT_LOG_TOL)
         for p in report.sample:
             good, _ = check_phi(report.config.metric, report.config.map,
-                                report.config.phi, p, p)
+                                report.config.phi, p, p, tol)
             if not good:
                 n_diag_bad += 1
         ok = n_diag_bad == 0
@@ -1038,13 +1068,21 @@ def test_phi_holds_reads_what_the_check_phi_loop_read(phi, T, coords):
     assert ran == loop
 
 
+# What a table whose largest entry is EDGE forgives is EDGE itself: TOL
+# plus the kernels' rounding margin there
+EDGE = TOL + _reference_margin(1, TOL, TOL)
+
+
 @pytest.mark.parametrize("top, passed, diagonal_bad", [
     (TOL, True, 0),                           # slack -TOL at (TOL, TOL): holds
-    (math.nextafter(TOL, 1.0), False, 1),     # one ulp more: the diagonal fails
-])
+    (EDGE, True, 0),                          # -TOL less the margin: holds
+    (math.nextafter(EDGE, 1.0), False, 1),    # one ulp more: the diagonal fails
+], ids=["tol", "edge", "past"])
 @pytest.mark.parametrize("first", [False, True], ids=["last", "first"])
 def test_phi_diagonal_at_the_tolerance(top, passed, diagonal_bad, first):
-    # phi = x * y: PHI at (x, x) reads 0 <= L(x, 0) - 2 L(x, 0) under T = 0
+    # phi = x * y: PHI at (x, x) reads 0 <= L(x, 0) - 2 L(x, 0) under T = 0,
+    # on a sample whose largest log distance is top
+    assert TOL + _reference_margin(1, TOL, EDGE) == EDGE > TOL
     phi = mx.PhiSpec("custom_table", alpha=1.0, beta=1.0)
     sample = [top, 0.0, 1e-13] if first else [0.0, 1e-13, top]
     ran, loop = phi_holds(phi, mx.SelfMapSpec.constant((0.0,)), sample)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -9,9 +10,10 @@ from hypothesis import event, example, given, settings, strategies as st
 
 import mulfix as mx
 from mulfix.errors import DomainError
-from mulfix.metrics import _SPACES, DEFAULT_LOG_TOL, _proved_empty
+from mulfix.metrics import _SPACES, DEFAULT_LOG_TOL, _proved_empty, _reference_margin
 from scalar_reference import (_axiom_violations_by_loop, _reverse_triangle_by_loop,
-                              _triangle_by_loop, reference_outside)
+                              _triangle_by_loop, check_c1, reference_outside,
+                              reference_top)
 
 POSITIVE = st.floats(min_value=1e-6, max_value=1e6,
                      allow_nan=False, allow_infinity=False)
@@ -392,18 +394,18 @@ def test_triple_scans_list_what_their_loops_listed_on_tables(table, data):
     _scans_agree(metric, sample)
 
 
-def test_the_proof_takes_ties_and_falls_back_on_large_entries():
+def test_the_proof_takes_every_finite_builtin_table():
     metric = mx.MetricSpec.exp_abs(2.0)
     line = [(0.0,), (1.0,), (3.0,), (1.0,)]  # collinear, one point twice
     D = metric.log_distance_matrix(line, line)
-    assert _proved_empty(metric, line, D)
-    # the bound at dim = 1: M of about 187
-    assert _proved_empty(metric, line, D * (187.0 / D.max()))
-    assert not _proved_empty(metric, line, D * (188.0 / D.max()))
+    assert _proved_empty(metric, D)
+    # no ceiling on the entries: the margin grows with them
+    for top in (188.0, 1e6, 1e300):
+        assert _proved_empty(metric, D * (top / D.max()))
     for broken in (np.where(D > 1.0, math.nan, D), np.where(D > 1.0, math.inf, D)):
-        assert not _proved_empty(metric, line, broken)
-    assert not _proved_empty(mx.FunctionMetric(metric.distance), line, D)
-    assert not _proved_empty(metric, [], np.zeros((0, 0)))
+        assert not _proved_empty(metric, broken)
+    assert not _proved_empty(mx.FunctionMetric(metric.distance), D)
+    assert _proved_empty(metric, np.zeros((0, 0)))  # no triple to list
 
 
 def test_the_reverse_scan_keeps_a_hit_that_only_rounding_makes():
@@ -463,30 +465,82 @@ def _box_sample(metric, dim, n, log_width, seed):
 def _proved(metric, sample):
     """Whether ``_proved_empty`` proves the sample's triple scans empty."""
     points = [mx.as_point(p) for p in sample]
-    return _proved_empty(metric, points, metric.log_distance_matrix(points, points))
+    return _proved_empty(metric, metric.log_distance_matrix(points, points))
 
 
-# exp_abs(2) over 2-d boxes: one proved empty, and one whose roundings the
-# scans list
-SMALL_BOX, LARGE_BOX = (BUILTINS[4], 2, 20, -3.0, 0), (BUILTINS[4], 2, 20, 6.0, 0)
+# exp_abs(2) over a 2-d box of half-width 1e6, where rounding passes 1e-12: the
+# plain loops at 1e-12 list 372 triangle and 1,168 reverse-triangle triples
+WIDE_BOX = (BUILTINS[4], 2, 20, 6.0, 0)
+# scale(c) is a ratio contraction with constant exactly |c| under exp_abs
+# and every lifted base
+SCALES = (2 / 3, 0.3, -0.7, 0.999)
+BUILTIN_DRAWS = (st.sampled_from(BUILTINS), st.integers(1, 4), st.integers(2, 26),
+                 st.floats(-3.0, 9.0), st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(BUILTINS), st.integers(1, 4), st.integers(0, 25),
-       st.floats(-3.0, 6.0), st.integers(0, 2**32 - 1))
-@example(*SMALL_BOX)
-@example(*LARGE_BOX)
-def test_triple_scans_list_what_their_loops_listed_on_the_builtins(metric, dim, n,
-                                                                   log_width, seed):
+@given(*BUILTIN_DRAWS)
+@example(*WIDE_BOX)
+@example(BUILTINS[1], 1, 26, 9.0, 7)
+def test_builtin_metrics_meet_their_known_answers_at_every_box_width(metric, dim, n,
+                                                                     log_width, seed):
+    # Every built-in metric satisfies the axioms exactly, so no check may
+    # list a nonnegativity, symmetry, triangle or reverse-triangle violation.
     sample = _box_sample(metric, dim, n, log_width, seed)
-    event("proved empty" if _proved(metric, sample) else "scanned")
-    _scans_agree(metric, sample)
+    axioms = mx.verify_axioms(metric, sample)
+    assert [v for v in axioms.violations if v["axiom"] != "identity"] == []
+    assert mx.verify_reverse_triangle(metric, sample).violations == ()
+    if metric.kind not in ("exp_abs", "lifted"):
+        return
+    points = [mx.as_point(p) for p in sample]
+    D = metric.log_distance_matrix(points, points)
+    for c in SCALES:
+        T = mx.SelfMapSpec.scale(c)
+        report = mx.classify(metric, T, sample, mx.ZamfirescuConstants(xi=abs(c)))
+        assert report.condition_ok("C1")
+        # xi_hat is a ratio L(Tx, Ty) / L(x, y), |c| exactly: its numerator
+        # within the margin, so the ratio within the margin over L(x, y)
+        margin = _reference_margin(dim, DEFAULT_LOG_TOL, reference_top(metric, T, points))
+        assert abs(report.estimates.xi_hat - abs(c)) * D[D > 0].min() <= margin
 
 
-def test_the_builtin_boxes_take_both_branches():
-    assert _proved(BUILTINS[4], _box_sample(*SMALL_BOX))
-    triangle, reverse = _scans_agree(BUILTINS[4], _box_sample(*LARGE_BOX))
-    assert not _proved(BUILTINS[4], _box_sample(*LARGE_BOX)) and triangle and reverse
+@settings(max_examples=300, deadline=None)
+@given(*BUILTIN_DRAWS)
+@example(*WIDE_BOX)
+def test_a_builtin_tables_rounding_stays_within_the_margin(metric, dim, n, log_width,
+                                                           seed):
+    # The oracle the proof rests on (``_proved_empty``): every triple the
+    # plain loops list at tol = 0 breaks the law by rounding alone, within
+    # ``_reference_margin`` at the table's largest entry, and so does every
+    # C1 deficit of scale(c) at xi = |c|.
+    sample = _box_sample(metric, dim, n, log_width, seed)
+    points = [mx.as_point(p) for p in sample]
+    D = metric.log_distance_matrix(points, points)
+    assert np.isfinite(D).all()  # a table the proof takes
+    margin = _reference_margin(dim, 0.0, float(D.max()))
+    listed = _triangle_by_loop(metric, sample, 0.0) + _reverse_triangle_by_loop(
+        metric, sample, 0.0)
+    event("rounding listed" if listed else "nothing listed")
+    assert all(v["lhs"] - v["rhs"] <= margin for v in listed)
+    if metric.kind not in ("exp_abs", "lifted"):
+        return
+    pairs = [(x, y) for x, y in itertools.combinations(points, 2) if x != y]
+    for c in SCALES:
+        T = mx.SelfMapSpec.scale(c)
+        margin = _reference_margin(dim, DEFAULT_LOG_TOL, reference_top(metric, T, points))
+        assert all(-check_c1(metric, T, x, y, abs(c), 0.0)[1] <= margin for x, y in pairs)
+
+
+def test_a_builtin_table_with_an_infinite_entry_is_scanned():
+    # exp_abs(1e300) overflows between points more than 2.6e305 apart: the
+    # table is not finite, so both scans run at tol; the reverse scan lists
+    # |L(0, 4e305) - L(2e305, 4e305)| = inf against L(0, 2e305)
+    metric = mx.MetricSpec.exp_abs(1e300)
+    line = [(-1e306,), (0.0,), (2e305,), (4e305,), (1e306,)]
+    assert not _proved(metric, line)
+    triangle, reverse = _scans_agree(metric, line)
+    rhs = metric.log_distance(0.0, 2e305)
+    assert {"triple": [1, 2, 3], "lhs": math.inf, "rhs": rhs} in reverse
     # a FunctionMetric always scans, though its distances are small
     squared = mx.FunctionMetric(NEGATIVE_CONTROLS["squared"])
     line = [(0.0,), (1.0,), (2.0,)]
