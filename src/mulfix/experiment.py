@@ -321,7 +321,8 @@ def _eval_expectation(spec: dict, report: "ExperimentReport",
         n_viol = sum(len(b.violations) for b in report.bounds)
         ok = bool(report.bounds) and n_viol == 0
         detail = (f"{len(report.bounds)} traces checked, {n_viol} violations"
-                  if report.bounds else "no declared constants to derive delta from")
+                  if report.bounds else "no declared constants to derive delta from"
+                  if report.config.constants is None else "no converged run")
     elif kind == "map_invariant":
         ok = report.map_invariant
         detail = "map keeps the sampled domain" if ok else "map leaves the domain"

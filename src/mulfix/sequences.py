@@ -16,9 +16,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
+from .jsonconfig import is_integer
 from .metrics import MetricSpec, Point, _reference_margin, as_point
 
-# rows per block of an orbit scan; a block of 2,000 columns is about 1 MB
+# rows per block of an orbit scan; a block of 2,000 columns is about 1 MB of
+# distances, and its lag mask an eighth of that
 _ROW_BLOCK = 64
 
 
@@ -113,29 +115,21 @@ def cauchy_indicator(trace: IterationTrace, window: int) -> float:
     pairwise check.  A point of another dimension or outside the metric's
     space raises DomainError ``point k: ...``, k counting the window.
     """
-    if window < 1:
-        raise DomainError("window must be >= 1")
+    if not (is_integer(window) and window >= 1):
+        raise DomainError(f"window must be an integer >= 1, got {window!r}")
     if window > len(trace.points):
         raise DomainError(f"window {window} exceeds trace length {len(trace.points)}")
-    points = trace.points[-window:]
-    if len(points) < 2:
+    if window < 2:
         return 0.0
-    return _max_pairwise_logd(trace.metric, trace.metric._checked(points))
+    return _max_pairwise_logd(trace.metric, trace.metric._checked(trace.points[-window:]))
 
 
 def _max_pairwise_logd(metric, points: Sequence[Point]) -> float:
     """Largest log distance over the pairs i < j of checked point tuples;
-    0.0 below two.
-
-    A NaN entry never wins and the result is never below 0.0.
-    """
-    if len(points) < 2:
-        return 0.0
-    best = 0.0
-    for start in range(0, len(points), _ROW_BLOCK):
-        D = metric._log_distance_matrix(points[start:start + _ROW_BLOCK], points)
-        upper = np.triu(~np.isnan(D), start + 1)  # row r is point start + r
-        best = max(best, float(D.max(initial=0.0, where=upper)))
+    0.0 below two.  A NaN entry never wins and the result is never below 0.0."""
+    best, n = 0.0, len(points)
+    for _, D, lag in _row_blocks(metric, points, range(n), -n, -1):
+        best = max(best, float(D.max(initial=0.0, where=lag & ~np.isnan(D))))
     return best
 
 
@@ -145,14 +139,7 @@ def detect_limit_point(trace: IterationTrace, eps: float) -> Optional[Point]:
     "Infinitely many points" cannot be observed on finite data, so a point
     qualifies when at least ceil(len / 4) of the recorded points lie
     strictly inside its open ball of radius eps.  Returns None when no point
-    qualifies.
-
-    Under a MetricSpec, the scan reads only the points that may qualify:
-    by the reverse triangle inequality, a point p_j inside p_i's ball has
-    its distance to the first point within log(eps) of p_i's, up to the
-    kernels' rounding margin (see ``metrics._reference_margin``), so one
-    sort of those distances rules most points out.  A FunctionMetric need
-    not be a metric, and its scan reads every pair.
+    qualifies.  The scan reads only the rows ``_near_rows`` keeps.
     """
     log_eps = _check_eps(eps)
     if len(trace.points) < 2:
@@ -163,31 +150,54 @@ def detect_limit_point(trace: IterationTrace, eps: float) -> Optional[Point]:
 def _limit_point(trace: IterationTrace, points: Sequence[Point],
                  log_eps: float) -> Optional[Point]:
     """``detect_limit_point`` given the trace's points as checked tuples."""
-    need = math.ceil(len(points) / 4)
-    rows = _limit_rows(trace.metric, points, log_eps, need)
-    for start in range(0, len(rows), _ROW_BLOCK):
-        block = rows[start:start + _ROW_BLOCK]
-        D = trace.metric._log_distance_matrix([points[i] for i in block], points)
+    need, n = math.ceil(len(points) / 4), len(points)
+    rows = _near_rows(trace.metric, points, log_eps, need)
+    for block, D, _ in _row_blocks(trace.metric, points, rows, -n, n):
         hits = np.flatnonzero((D < log_eps).sum(axis=1) >= need)
         if hits.size:
             return trace.points[block[int(hits[0])]]
     return None
 
 
-def _limit_rows(metric, points: Sequence[Point], log_eps: float, need: int) -> Sequence[int]:
-    """The indices of the points that may have ``need`` points within
-    log_eps, in order: every index for a FunctionMetric or when a distance
-    to the first point is not finite.  Otherwise each index i with at least
-    ``need`` points p_j whose r_j = L(p_j, p_0) lies within log_eps plus the
-    rounding margin of r_i, as every qualifying point has: a sort, so an
-    orbit with no limit point costs O(n log n), not O(n**2) distances."""
+def _row_blocks(metric, points: Sequence[Point], rows: Sequence[int], lo: int, hi: int):
+    """For each block of up to ``_ROW_BLOCK`` of rows, ascending indices of
+    the checked point tuples: the block, one private kernel call's log
+    distances from its points i to each point c that one of them reaches at
+    a lag i - c in [lo, hi], and the mask of the entries at such a lag.  A
+    FunctionMetric's blocks hold one row, so its function receives only the
+    pairs at those lags, in order."""
+    size = _ROW_BLOCK if isinstance(metric, MetricSpec) else 1
+    for start in range(0, len(rows), size):
+        block = rows[start:start + size]
+        first, end = max(0, block[0] - hi), min(len(points), block[-1] - lo + 1)
+        D = metric._log_distance_matrix([points[i] for i in block], points[first:end])
+        i, c = np.asarray(block)[:, None], np.arange(first, end)
+        yield block, D, (c >= i - hi) & (c <= i - lo)
+
+
+def _near_rows(metric, points: Sequence[Point], log_radius: float, need: int,
+               r: Optional[Sequence[float]] = None) -> Sequence[int]:
+    """The indices, ascending, of the checked point tuples p_i that may have
+    ``need`` of them, p_i counted, at a log distance below log_radius:
+    every index for a FunctionMetric, which need not be a metric, or when a
+    distance r_k = L(p_k, p) to one point p (p_0 unless the r are given) is
+    not finite.  Otherwise those with ``need`` r_j within log_radius plus
+    the rounding margin of r_i: one sort, so O(n log n), not n**2 distances.
+
+    The orbit scans' one proof: by the reverse triangle inequality
+    |r_i - r_j| <= L(p_i, p_j), so the exact r of two points nearer than
+    log_radius lie within log_radius, and the kernels' r within log_radius
+    plus ``metrics._reference_margin`` at their largest, whose room also
+    covers the rounding of r_i +- that radius.
+    """
     rows = range(len(points))
     if not isinstance(metric, MetricSpec):
         return rows
-    r = metric._log_distance_pairs(points, [points[0]] * len(points))
+    r = (metric._log_distance_pairs(points, [points[0]] * len(points)) if r is None
+         else np.asarray(r, dtype=float))
     s = np.sort(r)
     if not math.isfinite(s[-1]):  # NaN sorts last
         return rows
-    t = log_eps + _reference_margin(len(points[0]), log_eps, float(s[-1]))
-    near = np.searchsorted(s, r + t, "right") - np.searchsorted(s, r - t, "left")
+    t = log_radius + _reference_margin(len(points[0]), log_radius, float(s[-1]))
+    near = np.searchsorted(s, r + t, "right") - np.searchsorted(s, r - t)
     return np.flatnonzero(near >= need).tolist()

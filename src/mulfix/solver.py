@@ -24,9 +24,9 @@ from .errors import (
 )
 from .jsonconfig import JsonConfig, is_integer
 from .maps import Box, SelfMapSpec, _checked_image
-from .metrics import _SPACES, MetricSpec, Point, _array, _reference_margin, as_point
-from .sequences import (_ROW_BLOCK, IterationTrace, Status, _check_eps,
-                        _limit_point, _max_pairwise_logd)
+from .metrics import _SPACES, MetricSpec, Point, _array, as_point
+from .sequences import (_ROW_BLOCK, IterationTrace, Status, _check_eps, _limit_point,
+                        _max_pairwise_logd, _near_rows, _row_blocks)
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,8 @@ class SolverConfig(JsonConfig):
     While a step is above log(eps), the new iterate is compared with the
     iterates 2 to ``_LOOKBACK`` steps before it, and a log distance below
     ``_CYCLE_LOGD`` ends the run as a detected cycle.  A single step of log
-    distance above ``_DIVERGENCE_LOGD`` ends the run as diverged.
+    distance above ``_DIVERGENCE_LOGD`` ends the run as diverged: a fixed
+    guard against runaway orbits, which a contraction's long first step trips too.
 
     The result equals a step-by-step scan, which checks each iterate by the
     metric's ``_outside``.  A SelfMapSpec under a MetricSpec maps ahead in
@@ -152,7 +153,7 @@ class _Settled(Exception):
 _CYCLE_LOGD = 1e-14  # an iterate this close to an earlier one is a return
 _LOOKBACK = 25  # returns 2 to this many steps back end a run; each step reads that many
 _WINDOW = 10  # one small step proves no Cauchy tail; this many iterates pairwise close do
-_DIVERGENCE_LOGD = 700.0  # a step above this diverges: exp(710) overflows a float
+_DIVERGENCE_LOGD = 700.0  # a step above this diverges: a guard against runaway orbits
 
 
 class _LookBack:
@@ -161,15 +162,10 @@ class _LookBack:
     The steps of ``points[done:]`` still wait for their look-back.  A run
     scans them with the ``_LOOKBACK`` points before them once ``block``
     wait, ``_ROW_BLOCK`` steps for a MetricSpec and one for a FunctionMetric,
-    and after each block of iterates mapped ahead.  Every MetricSpec scan
-    first reads one distance per orbit point, r_k = L(p_k, p_0): by the
-    reverse triangle inequality |r_i - r_j| <= L(p_i, p_j), so when no two r
-    of the scanned points lie within ``_CYCLE_LOGD`` plus the kernels'
-    rounding margin of each other (see ``metrics._reference_margin``) and
-    all are finite, no pair is a return and nothing more is read.
-    Otherwise, and always for a FunctionMetric, the scan is exact: one
-    private kernel call per ``_ROW_BLOCK`` rows.  A FunctionMetric's
-    function so receives the pairs a step-by-step scan reads, in order.
+    and after each block of iterates mapped ahead.  A scan reads only the
+    rows of steps above log(eps) that ``_near_rows`` keeps (need 2), all of
+    a FunctionMetric's, whose function so receives the pairs a step-by-step
+    scan reads, in order.
     """
 
     def __init__(self, metric, config: SolverConfig, points: list, steps: list):
@@ -183,38 +179,24 @@ class _LookBack:
         """Scan the pending steps before point hi (all of them by default)
         and mark every step scanned; raise _Cycle at the first cycle."""
         lo, hi = self.done, len(self.points) if hi is None else hi
-        self.done = len(self.points)
-        steps, log_eps = self.steps, self.log_eps
-        while lo < hi and steps[lo - 1] <= log_eps:  # trim to steps above log(eps)
-            lo += 1
-        while lo < hi and steps[hi - 2] <= log_eps:
-            hi -= 1
+        self.done, first = len(self.points), max(0, lo - _LOOKBACK)
         if lo >= hi:
             return
-        if self.blocked and self._apart(max(0, lo - _LOOKBACK), hi):
-            return
-        for a in range(lo, hi, _ROW_BLOCK):
-            b, first = min(a + _ROW_BLOCK, hi), max(0, a - _LOOKBACK)
-            D = self.metric._log_distance_matrix(self.points[a:b], self.points[first:b - 2])
-            # D[r, c] pairs points[a + r] with the point a - first + r - c steps before it
-            lag = np.arange(a - first, b - first)[:, None] - np.arange(b - 2 - first)
-            near = ((D < _CYCLE_LOGD) & (lag >= 2) & (lag <= _LOOKBACK)).any(axis=1)
-            for r in np.flatnonzero(near).tolist():
-                if steps[a + r - 1] > log_eps:
-                    self._cut(a + r)
-
-    def _apart(self, first: int, hi: int) -> bool:
-        """Whether no two of ``points[first:hi]`` can lie within
-        ``_CYCLE_LOGD`` of each other, by their distances to the first point."""
-        new = self.points[len(self.ref):hi]
-        if new:
+        if self.blocked:  # r_k = L(p_k, p_0) of the points with none yet
+            new = self.points[len(self.ref):hi]
             origin = [self.points[0]] * len(new)
             self.ref.extend(self.metric._log_distance_pairs(new, origin).tolist())
-        r = np.sort(self.ref[first:hi])
-        if not math.isfinite(r[-1]):  # NaN sorts last
-            return False
-        tol = _CYCLE_LOGD + _reference_margin(len(self.points[0]), _CYCLE_LOGD, float(r[-1]))
-        return not (np.diff(r) <= tol).any()
+        near = _near_rows(self.metric, self.points[first:hi], _CYCLE_LOGD, 2, self.ref[first:hi])
+        rows = [first + k for k in near
+                if first + k >= lo and self.steps[first + k - 1] > self.log_eps]
+        if not rows:  # the usual case; skip the reader's set-up
+            return
+        for block, D, lag in _row_blocks(self.metric, self.points, rows, 2, _LOOKBACK):
+            hits = ((D < _CYCLE_LOGD) & lag).any(axis=1)
+            if hits.any():
+                i = block[int(hits.argmax())]
+                del self.points[i + 1:], self.steps[i:]
+                raise _Cycle
 
     def windows(self, lo: int, settle: Callable) -> None:
         """Scan the pending steps before point lo; then raise _Settled at
@@ -234,10 +216,6 @@ class _LookBack:
                 if residual <= self.log_eps:
                     del points[j + 1:], self.steps[j:]
                     raise _Settled(residual)
-
-    def _cut(self, i: int) -> None:
-        del self.points[i + 1:], self.steps[i:]
-        raise _Cycle
 
 
 # the sizes of the blocks of iterates a built-in map is applied to ahead of
@@ -478,10 +456,10 @@ def apriori_bound(d1: float, delta: float, n: int, m: int | None = None) -> floa
         raise DomainError(f"d1 must be a finite log distance >= 0, got {d1!r}")
     if not (0 <= delta < 1):
         raise DomainError(f"delta must be in [0, 1), got {delta!r}")
-    if n < 0:
-        raise DomainError("n must be >= 0")
-    if m is not None and m <= n:
-        raise DomainError("m must exceed n")
+    if not (is_integer(n) and n >= 0):
+        raise DomainError(f"n must be an integer >= 0, got {n!r}")
+    if m is not None and not (is_integer(m) and m > n):
+        raise DomainError(f"m must be an integer above n, got {m!r}")
     tail = 0.0 if m is None else delta ** m
     return d1 * (delta ** n - tail) / (1 - delta)
 

@@ -52,6 +52,14 @@ KNOWN_ANSWERS = ("tests/test_metrics.py::"
                  "test_builtin_metrics_meet_their_known_answers_at_every_box_width")
 ROUNDING_ORACLE = ("tests/test_metrics.py::"
                    "test_a_builtin_tables_rounding_stays_within_the_margin")
+ORBIT_SCANS = "tests/test_kernel.py::test_orbit_scans_equal_their_scalar_loops"
+FORWARD_PAIRS = ("tests/test_kernel.py::"
+                 "test_cauchy_indicator_reads_only_forward_pairs_in_every_row_block")
+LIMIT_SHARE = "tests/test_sequences.py::test_a_limit_point_holds_a_quarter_of_the_trace"
+LOOK_BACK = ("tests/test_solver.py::test_two_point_swap_is_reported_as_a_cycle",
+             "tests/test_solver.py::test_a_cycle_is_detected_up_to_25_steps_back",
+             "tests/test_kernel.py::"
+             "test_the_prefiltered_look_back_finds_what_the_exact_scan_finds")
 
 MUTANTS = (
     Mutant("flag bits read in reverse order", "src/mulfix/conditions.py",
@@ -77,8 +85,35 @@ MUTANTS = (
            ("tests/test_experiment_cli.py::"
             "test_apriori_bound_expectation_counts_the_bound_violations",)),
     Mutant("limit-point share rounded down", "src/mulfix/sequences.py",
-           "math.ceil(len(points) / 4)", "len(points) // 4",
-           ("tests/test_sequences.py::test_a_limit_point_holds_a_quarter_of_the_trace",)),
+           "need, n = math.ceil(len(points) / 4), len(points)",
+           "need, n = len(points) // 4, len(points)", (LIMIT_SHARE,)),
+    Mutant("a limit point needing one point more", "src/mulfix/sequences.py",
+           "(D < log_eps).sum(axis=1) >= need", "(D < log_eps).sum(axis=1) > need",
+           (LIMIT_SHARE, ORBIT_SCANS)),
+    Mutant("a limit point read at its index in the row block", "src/mulfix/sequences.py",
+           "trace.points[block[int(hits[0])]]", "trace.points[int(hits[0])]", (ORBIT_SCANS,)),
+    Mutant("Cauchy scan without its NaN mask", "src/mulfix/sequences.py",
+           "where=lag & ~np.isnan(D)", "where=lag", (ORBIT_SCANS,)),
+    Mutant("row-block lags without the lowest", "src/mulfix/sequences.py",
+           "(c >= i - hi) & (c <= i - lo)", "(c >= i - hi) & (c < i - lo)", LOOK_BACK),
+    Mutant("row-block lags without the highest", "src/mulfix/sequences.py",
+           "(c >= i - hi) & (c <= i - lo)", "(c > i - hi) & (c <= i - lo)",
+           (ORBIT_SCANS, *LOOK_BACK)),
+    Mutant("row-block columns from one past the highest lag", "src/mulfix/sequences.py",
+           "first, end = max(0, block[0] - hi),", "first, end = max(0, block[0] - hi + 1),",
+           LOOK_BACK),
+    Mutant("row-block columns to one short of the lowest lag", "src/mulfix/sequences.py",
+           "min(len(points), block[-1] - lo + 1)", "min(len(points), block[-1] - lo)",
+           (ORBIT_SCANS, *LOOK_BACK)),
+    Mutant("row-block lags counted from the first column", "src/mulfix/sequences.py",
+           "[:, None], np.arange(first, end)", "[:, None], np.arange(end - first)",
+           (ORBIT_SCANS,)),
+    Mutant("row-block distances read column by row", "src/mulfix/sequences.py",
+           "D = metric._log_distance_matrix([points[i] for i in block], points[first:end])",
+           "D = metric._log_distance_matrix(points[first:end], [points[i] for i in block]).T",
+           (FORWARD_PAIRS,)),
+    Mutant("the neighbour count needing one neighbour more", "src/mulfix/sequences.py",
+           "np.flatnonzero(near >= need)", "np.flatnonzero(near > need)", (ROUNDED_RETURN,)),
     Mutant("map failures narrowed to two types", "src/mulfix/maps.py",
            "except (ArithmeticError, ValueError)", "except (ZeroDivisionError, OverflowError)",
            ("tests/test_maps.py::test_a_map_failure_has_one_outcome_everywhere",)),
@@ -142,12 +177,9 @@ MUTANTS = (
            "        metric._outside if isinstance(metric, MetricSpec) else lambda p, dim: None)",
            ("tests/test_kernel.py::test_an_escape_is_raised_at_the_iterate_a_step_by_step_scan_"
             "names[function-metric-widens]",)),
-    Mutant("look-back prefilter without its rounding margin", "src/mulfix/solver.py",
-           "tol = _CYCLE_LOGD + _reference_margin(len(self.points[0]), _CYCLE_LOGD, "
-           "float(r[-1]))", "tol = _CYCLE_LOGD", (ROUNDED_RETURN,)),
-    Mutant("limit-point prefilter without its rounding margin", "src/mulfix/sequences.py",
-           "t = log_eps + _reference_margin(len(points[0]), log_eps, float(s[-1]))",
-           "t = log_eps", (ROUNDED_RETURN,)),
+    Mutant("neighbour-count prefilter without its rounding margin", "src/mulfix/sequences.py",
+           "t = log_radius + _reference_margin(len(points[0]), log_radius, float(s[-1]))",
+           "t = log_radius", (ROUNDED_RETURN,)),
     Mutant("a non-finite map parameter accepted", "src/mulfix/maps.py",
            "if v is not None and not math.isfinite(v):", "if False:",
            ("tests/test_experiment_cli.py::"

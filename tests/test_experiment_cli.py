@@ -890,6 +890,19 @@ def test_apriori_bound_expectation_counts_the_bound_violations():
     assert sum(len(b.violations) for b in report.bounds) == 171
 
 
+def test_apriori_bound_expectation_without_a_converged_run_says_so():
+    # xi is declared, but the one run's first step exceeds the divergence step
+    fixture = mx.fixture_config("example_3_15")
+    config = dataclasses.replace(
+        fixture, domain=mx.Box(((-1e4, 1e4), (-1e4, 1e4))),
+        solver=dataclasses.replace(fixture.solver, starts=((9e3, -7e3),)),
+        expectations=({"kind": "apriori_bound"},))
+    report = mx.run_experiment(config)
+    assert [run.status for run in report.runs] == [mx.Status.DIVERGED]
+    (result,) = report.expectations
+    assert not result.passed and result.detail == "no converged run"
+
+
 @pytest.mark.parametrize("point, dim", [([0.0], "1"), ([0.0, 0.0, 5.0], "3")])
 def test_fixed_point_of_another_dimension_fails(point, dim):
     # zip would compare only the shared coordinates, which lie within tol

@@ -382,6 +382,14 @@ def test_cauchy_indicator_reads_only_forward_pairs_in_every_row_block():
     assert mx.cauchy_indicator(falling, 150) == math.log(150.0)
 
 
+def test_a_function_metric_receives_only_the_forward_pairs_of_a_cauchy_scan():
+    # the function fails on a reversed pair, which the scan need not read
+    forward = mx.FunctionMetric(
+        lambda x, y: 2.0 if x < y else 1.0 if x == y else math.nan, "forward")
+    trace = mx.IterationTrace(forward, tuple((float(k),) for k in range(150)), (0.0,) * 149)
+    assert mx.cauchy_indicator(trace, 150) == math.log(2.0)
+
+
 def test_a_stalled_run_makes_few_scalar_log_distance_calls(monkeypatch):
     calls = 0
     log_distance = mx.MetricSpec.log_distance
@@ -1362,6 +1370,26 @@ def test_a_stalled_run_reads_pairs_only_in_its_short_look_back_scans(monkeypatch
                        mx.SolverConfig(eps=math.exp(1e-9), max_iter=500))
     assert result.status is mx.Status.MAX_ITER and result.restarted_from is None
     assert calls == []
+
+
+def test_the_look_back_reads_only_the_rows_near_another_in_distance_to_the_start():
+    # every point has its own distance to the start but x and its return:
+    # one scan reads their two rows, against the look-back of the first
+    metric, x = mx.MetricSpec.exp_abs(2.0), (40.5,)
+    points = [(float(k),) for k in range(40)] + [x, (100.0,), x]
+    steps = [metric._log_distance(a, b) for a, b in zip(points, points[1:])]
+    kernel, calls = mx.MetricSpec._log_distance_matrix, []
+
+    def counted(metric, X, Y):
+        calls.append((list(X), len(Y)))
+        return kernel(metric, X, Y)
+
+    look = solver._LookBack(metric, mx.SolverConfig(), points, steps)
+    with mock.patch.object(mx.MetricSpec, "_log_distance_matrix", counted), \
+            pytest.raises(solver._Cycle):
+        look.flush()
+    assert len(points) == 43
+    assert calls == [([x, x], 42 - 1 - (40 - solver._LOOKBACK))]
 
 
 def rounded_apart():

@@ -117,6 +117,12 @@ def test_cauchy_indicator_window_validation():
         mx.cauchy_indicator(trace, window=0)
 
 
+@pytest.mark.parametrize("window", [2.5, 3.0, True, "3"])
+def test_cauchy_indicator_rejects_a_window_that_is_not_an_integer(window):
+    with pytest.raises(DomainError, match="window must be an integer"):
+        mx.cauchy_indicator(geometric_trace(n=5), window)
+
+
 # -- limit points -------------------------------------------------------------
 
 

@@ -232,6 +232,13 @@ def test_apriori_bound_validation():
         mx.apriori_bound(1.0, 0.5, -1)
 
 
+@pytest.mark.parametrize("n, m, name", [(2.5, None, "n"), (True, None, "n"), (2.0, 4, "n"),
+                                        (1, 2.5, "m"), (1, True, "m"), (0, 3.0, "m")])
+def test_apriori_bound_rejects_an_index_that_is_not_an_integer(n, m, name):
+    with pytest.raises(DomainError, match=f"{name} must be an integer"):
+        mx.apriori_bound(1.0, 0.5, n, m)
+
+
 def test_bound_holds_along_the_scaling_trace():
     result = mx.picard(LIFTED2, SCALE23, (3.0, 4.0), CFG)
     report = mx.verify_bound(result, delta=2.0 / 3.0)
