@@ -9,6 +9,7 @@ produced on one thread and analyzed on another.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -181,23 +182,31 @@ def _near_rows(metric, points: Sequence[Point], log_radius: float, need: int,
     ``need`` of them, p_i counted, at a log distance below log_radius:
     every index for a FunctionMetric, which need not be a metric, or when a
     distance r_k = L(p_k, p) to one point p (p_0 unless the r are given) is
-    not finite.  Otherwise those with ``need`` r_j within log_radius plus
-    the rounding margin of r_i: one sort, so O(n log n), not n**2 distances.
+    NaN.  Otherwise those with ``need`` r_j within log_radius plus the
+    rounding margin of r_i: one sort, so O(n log n), not n**2 distances.
 
     The orbit scans' one proof: by the reverse triangle inequality
-    |r_i - r_j| <= L(p_i, p_j), so the exact r of two points nearer than
-    log_radius lie within log_radius, and the kernels' r within log_radius
-    plus ``metrics._reference_margin`` at their largest, whose room also
-    covers the rounding of r_i +- that radius.
+    |r_i - r_j| <= L(p_i, p_j), so the exact r_j of a point nearer to p_i
+    than log_radius lies within log_radius of r_i, and the kernels' r_j
+    within log_radius plus ``metrics._reference_margin`` at 2 r_i +
+    log_radius (twice that at r_i), whose room also covers the rounding of
+    r_i +- that radius.  Two points that near share every coordinate large
+    enough to overflow a kernel, so an infinite r_i counts as the largest float.
     """
     rows = range(len(points))
     if not isinstance(metric, MetricSpec):
         return rows
     r = (metric._log_distance_pairs(points, [points[0]] * len(points)) if r is None
          else np.asarray(r, dtype=float))
-    s = np.sort(r)
-    if not math.isfinite(s[-1]):  # NaN sorts last
+    s, dim = np.sort(r), len(points[0])
+    if math.isnan(s[-1]):  # NaN sorts last
         return rows
-    t = log_radius + _reference_margin(len(points[0]), log_radius, float(s[-1]))
-    near = np.searchsorted(s, r + t, "right") - np.searchsorted(s, r - t)
+    # the usual case: no two r within the widest radius, so no row has a neighbour
+    if need > 1 and s[-1] < math.inf and (
+            np.diff(s) > log_radius + 2 * _reference_margin(dim, log_radius, s[-1])).all():
+        return []
+    r = np.minimum(r, sys.float_info.max)
+    t = log_radius + 2 * _reference_margin(dim, log_radius, r)
+    with np.errstate(over="ignore"):  # r_i + t past the largest float counts every inf
+        near = np.searchsorted(s, r + t, "right") - np.searchsorted(s, r - t)
     return np.flatnonzero(near >= need).tolist()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -24,7 +25,7 @@ from .errors import (
 )
 from .jsonconfig import JsonConfig, is_integer
 from .maps import Box, SelfMapSpec, _checked_image
-from .metrics import _SPACES, MetricSpec, Point, _array, as_point
+from .metrics import _SPACES, MetricSpec, Point, _array, _reference_margin, as_point
 from .sequences import (_ROW_BLOCK, IterationTrace, Status, _check_eps, _limit_point,
                         _max_pairwise_logd, _near_rows, _row_blocks)
 
@@ -38,9 +39,9 @@ class SolverConfig(JsonConfig):
     only when its last ``_WINDOW`` iterates are pairwise within log(eps).
     While a step is above log(eps), the new iterate is compared with the
     iterates 2 to ``_LOOKBACK`` steps before it, and a log distance below
-    ``_CYCLE_LOGD`` ends the run as a detected cycle.  A single step of log
-    distance above ``_DIVERGENCE_LOGD`` ends the run as diverged: a fixed
-    guard against runaway orbits, which a contraction's long first step trips too.
+    ``_CYCLE_LOGD`` ends the run as a detected cycle.  A run diverges only
+    where its orbit leaves the floats: T fails or gives a non-finite image,
+    or a step's log distance is infinite; a long step is no event.
 
     The result equals a step-by-step scan, which checks each iterate by the
     metric's ``_outside``.  A SelfMapSpec under a MetricSpec maps ahead in
@@ -153,7 +154,6 @@ class _Settled(Exception):
 _CYCLE_LOGD = 1e-14  # an iterate this close to an earlier one is a return
 _LOOKBACK = 25  # returns 2 to this many steps back end a run; each step reads that many
 _WINDOW = 10  # one small step proves no Cauchy tail; this many iterates pairwise close do
-_DIVERGENCE_LOGD = 700.0  # a step above this diverges: a guard against runaway orbits
 
 
 class _LookBack:
@@ -173,7 +173,15 @@ class _LookBack:
         self.log_eps = config.log_eps
         self.blocked = isinstance(metric, MetricSpec)
         self.block, self.done = _ROW_BLOCK if self.blocked else 1, 1
-        self.ref: list[float] = []  # r_k of the points scanned or mapped ahead so far
+        # r_k = L(p_k, p_0) of the points scanned or mapped ahead so far: ref[:known]
+        self.ref, self.known = np.empty(_ROW_BLOCK), 0
+
+    def keep(self, r: np.ndarray) -> None:
+        """Append r to the r_k known so far, doubling the buffer when full."""
+        end = self.known + len(r)
+        if end > len(self.ref):
+            self.ref = np.resize(self.ref, max(end, 2 * len(self.ref)))
+        self.ref[self.known:end], self.known = r, end
 
     def flush(self, hi: Optional[int] = None) -> None:
         """Scan the pending steps before point hi (all of them by default)
@@ -182,10 +190,9 @@ class _LookBack:
         self.done, first = len(self.points), max(0, lo - _LOOKBACK)
         if lo >= hi:
             return
-        if self.blocked:  # r_k = L(p_k, p_0) of the points with none yet
-            new = self.points[len(self.ref):hi]
-            origin = [self.points[0]] * len(new)
-            self.ref.extend(self.metric._log_distance_pairs(new, origin).tolist())
+        if self.blocked:  # the points with no r_k yet
+            new = self.points[self.known:hi]
+            self.keep(self.metric._log_distance_pairs(new, [self.points[0]] * len(new)))
         near = _near_rows(self.metric, self.points[first:hi], _CYCLE_LOGD, 2, self.ref[first:hi])
         rows = [first + k for k in near
                 if first + k >= lo and self.steps[first + k - 1] > self.log_eps]
@@ -231,10 +238,10 @@ def _ahead(metric, T, domain: Optional[Box], config: SolverConfig) -> Optional[C
     ``ahead(look, size)`` appends to ``look`` the leading images of
     ``_images`` that pass every check of a step, with their steps and
     distances to the start, all read from one array: finite, inside the
-    declared box and the metric's space, and a step of at most
-    ``_DIVERGENCE_LOGD`` strictly on the side of log(eps) of the last step,
-    which is not log(eps); above it, the monotone rule holds too.  It returns
-    how many it appended; the next step applies T again at the first of the rest.
+    declared box and the metric's space, and a finite step strictly on the
+    side of log(eps) of the last step, which is not log(eps); above it, the
+    monotone rule holds too.  It returns how many it appended; the next step
+    applies T again at the first of the rest, and an infinite step diverges there.
     """
     if type(T) is not SelfMapSpec or not isinstance(metric, MetricSpec):
         return None
@@ -254,7 +261,7 @@ def _ahead(metric, T, domain: Optional[Box], config: SolverConfig) -> Optional[C
             ok &= inside(A, 0.0)
         n = _leading(ok.all(axis=1))
         # rows: the start, then the last point and any before it with no r_k yet
-        k = min(len(look.ref), len(points) - 1)
+        k = min(look.known, len(points) - 1)
         head = points[:1] + points[k:]
         d, r = metric._chain(head + images[:n], np.concatenate((_array(head), A[:n])))
         d = d[len(head) - 1:]
@@ -262,10 +269,10 @@ def _ahead(metric, T, domain: Optional[Box], config: SolverConfig) -> Optional[C
         if monotone and steps[-1] > log_eps:
             ok[:1] &= d[:1] < steps[-1]
             ok[1:] &= d[1:] < d[:-1]
-        n = _leading(ok & (d <= _DIVERGENCE_LOGD))
+        n = _leading(ok & (d < math.inf))
         points.extend(images[:n])
         steps.extend(d[:n].tolist())
-        look.ref.extend(r[len(look.ref) - k:len(head) - 1 + n].tolist())
+        look.keep(r[look.known - k:len(head) - 1 + n])
         return n
 
     return ahead
@@ -319,9 +326,8 @@ def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
     """
     step, settle = _stepper(metric, T, domain, config), _stepper(metric, T)
     ahead = _ahead(metric, T, domain, config)
-    log_eps, divergence = config.log_eps, _DIVERGENCE_LOGD
-    x = x0
-    points: list[Point] = [x]
+    log_eps = config.log_eps
+    points: list[Point] = [x0]
     steps: list[float] = []
     last: Optional[float] = None  # the last step's log distance
     status = Status.MAX_ITER
@@ -333,7 +339,7 @@ def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
             n += 1
             # a cycle among the pending steps ends the run before this step
             try:
-                y, last = step(x, n, last)
+                y, last = step(points[-1], n, last)
             except DomainError:
                 look.flush()
                 status = Status.DIVERGED
@@ -343,7 +349,7 @@ def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
                 raise
             points.append(y)
             steps.append(last)
-            if last > divergence:
+            if last == math.inf:  # the step left the floats
                 look.flush(len(points) - 1)
                 status = Status.DIVERGED
                 break
@@ -368,7 +374,6 @@ def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
                     block = _AHEAD_FIRST
                     break
                 block = min(2 * block, _AHEAD)
-            x = points[-1]
         else:
             look.flush()
     except _Cycle:
@@ -474,6 +479,7 @@ class BoundReport:
     tol: float
     observed: np.ndarray
     bound: np.ndarray
+    dim: Optional[int] = None  # the points' dimension under a MetricSpec, else None
 
     @cached_property
     def rows(self) -> tuple[tuple[int, float, float], ...]:  # (n, observed, bound)
@@ -482,7 +488,13 @@ class BoundReport:
 
     @cached_property
     def violations(self) -> tuple[tuple[int, float, float], ...]:
-        (n,) = np.nonzero(self.observed > self.bound + self.tol)
+        """The rows above bound + tol, plus with a dim the margin at the larger value."""
+        limit = self.bound + self.tol
+        if self.dim is not None:  # an infinite observed value counts as the largest float
+            top = np.minimum(np.maximum(self.observed, self.bound), sys.float_info.max)
+            with np.errstate(over="ignore"):
+                limit += _reference_margin(self.dim, self.tol, top)
+        (n,) = np.nonzero(self.observed > limit)
         return tuple(zip(n.tolist(), self.observed[n].tolist(), self.bound[n].tolist()))
 
     @property
@@ -499,8 +511,9 @@ _BOUND_TOL = 1e-10
 
 def verify_bound(result: FixedPointResult, delta: float) -> BoundReport:
     """Check log d(x_n, z) <= d1 * delta**n / (1 - delta) + tol along a run,
-    at tol = ``_BOUND_TOL``, which the report echoes.  A bad point raises as
-    ``_checked`` does, k counting the trace's points, then z."""
+    at tol = ``_BOUND_TOL``, which the report echoes, plus a MetricSpec's
+    rounding margin.  A bad point raises as ``_checked`` does, k counting
+    the trace's points, then z."""
     if result.status is not Status.CONVERGED:
         raise DomainError("bound verification needs a converged result")
     if not (0 <= delta < 1):
@@ -521,7 +534,8 @@ def _verify_bound(result: FixedPointResult, delta: float) -> BoundReport:
     powers = np.fromiter(map(delta.__pow__, range(len(to_z))), float, len(to_z))
     with np.errstate(over="ignore"):  # an infinite bound, as Python's float / gives
         bound = d1 * powers / (1 - delta)
-    return BoundReport(delta=delta, tol=_BOUND_TOL, observed=to_z, bound=bound)
+    dim = len(result.point) if isinstance(trace.metric, MetricSpec) else None
+    return BoundReport(delta=delta, tol=_BOUND_TOL, observed=to_z, bound=bound, dim=dim)
 
 
 @dataclass(frozen=True)

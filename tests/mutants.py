@@ -56,6 +56,8 @@ ORBIT_SCANS = "tests/test_kernel.py::test_orbit_scans_equal_their_scalar_loops"
 FORWARD_PAIRS = ("tests/test_kernel.py::"
                  "test_cauchy_indicator_reads_only_forward_pairs_in_every_row_block")
 LIMIT_SHARE = "tests/test_sequences.py::test_a_limit_point_holds_a_quarter_of_the_trace"
+RATIO_CONTRACTION = ("tests/test_solver.py::"
+                     "test_a_ratio_contraction_converges_within_its_bound_from_any_box")
 LOOK_BACK = ("tests/test_solver.py::test_two_point_swap_is_reported_as_a_cycle",
              "tests/test_solver.py::test_a_cycle_is_detected_up_to_25_steps_back",
              "tests/test_kernel.py::"
@@ -76,9 +78,15 @@ MUTANTS = (
            "_WINDOW = 10", "_WINDOW = 9",
            ("tests/test_solver.py::"
             "test_a_run_converges_once_its_last_10_iterates_are_pairwise_close",)),
-    Mutant("higher divergence step", "src/mulfix/solver.py",
-           "_DIVERGENCE_LOGD = 700.0", "_DIVERGENCE_LOGD = 701.0",
-           ("tests/test_solver.py::test_a_step_above_log_distance_700_diverges",)),
+    Mutant("a long finite step diverges", "src/mulfix/solver.py",
+           "if last == math.inf:", "if last > 700.0:",
+           ("tests/test_solver.py::test_a_run_diverges_only_when_its_orbit_leaves_the_floats",)),
+    Mutant("a finite divergence cut restored in the map-ahead", "src/mulfix/solver.py",
+           "n = _leading(ok & (d < math.inf))", "n = _leading(ok & (d <= 700.0))",
+           (RATIO_CONTRACTION,)),
+    Mutant("bound rows without the rounding margin", "src/mulfix/solver.py",
+           "limit += _reference_margin(self.dim, self.tol, top)", "limit += 0.0",
+           (RATIO_CONTRACTION,)),
     Mutant("a-priori bound expectation skips a violation", "src/mulfix/experiment.py",
            "len(b.violations) for b in report.bounds",
            "len(b.violations[1:]) for b in report.bounds",
@@ -178,8 +186,15 @@ MUTANTS = (
            ("tests/test_kernel.py::test_an_escape_is_raised_at_the_iterate_a_step_by_step_scan_"
             "names[function-metric-widens]",)),
     Mutant("neighbour-count prefilter without its rounding margin", "src/mulfix/sequences.py",
-           "t = log_radius + _reference_margin(len(points[0]), log_radius, float(s[-1]))",
+           "t = log_radius + 2 * _reference_margin(dim, log_radius, r)",
            "t = log_radius", (ROUNDED_RETURN,)),
+    Mutant("neighbour-count shortcut radius taken at the smallest r", "src/mulfix/sequences.py",
+           "2 * _reference_margin(dim, log_radius, s[-1])).all()",
+           "2 * _reference_margin(dim, log_radius, s[0])).all()", (ROUNDED_RETURN,)),
+    Mutant("neighbour-count margin taken at the largest r", "src/mulfix/sequences.py",
+           "t = log_radius + 2 * _reference_margin(dim, log_radius, r)",
+           "t = log_radius + 2 * _reference_margin(dim, log_radius, s[-1])",
+           ("tests/test_solver.py::test_a_runaway_orbit_reads_distances_linear_in_max_iter",)),
     Mutant("a non-finite map parameter accepted", "src/mulfix/maps.py",
            "if v is not None and not math.isfinite(v):", "if False:",
            ("tests/test_experiment_cli.py::"
@@ -201,6 +216,9 @@ MUTANTS = (
     Mutant("warning without its prefix", "src/mulfix/cli.py",
            'f"warning: {record.getMessage()}"', "record.getMessage()",
            ("tests/test_experiment_cli.py::test_a_map_that_fails_at_every_point_warns_once",)),
+    Mutant("only a config error exits 2", "src/mulfix/cli.py",
+           "from .errors import MulfixError", "from .errors import ConfigError as MulfixError",
+           ("tests/test_experiment_cli.py::test_a_drawn_config_run_keeps_the_exit_contract",)),
     Mutant("a warning handler added at every call", "src/mulfix/cli.py",
            'addHandler(_WARNINGS)', "addHandler(_Warnings())",
            ("tests/test_experiment_cli.py::test_each_run_in_one_process_warns_once",)),

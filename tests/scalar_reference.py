@@ -21,9 +21,9 @@ distance per orbit point ruled most pairs out; the tests compare the two.
 ``reference_picard`` is a Picard run built from public calls only, one
 step at a time, with every scan re-checking its points; ``picard_outcome``
 records exactly what a run gave or raised, so that ``picard`` and the
-reference can be compared bit for bit.  Both read the window, the look-back
-and the divergence step from ``mulfix.solver`` at call time, so a test
-that patches one of them patches both.
+reference can be compared bit for bit.  Both read the window and the
+look-back from ``mulfix.solver`` at call time, so a test that patches one
+of them patches both.  A run diverges where T fails or a step is infinite.
 
 ``reference_estimate`` and ``reference_classify`` fit the constants and
 classify a sample pair by pair through the ``check_*`` functions, once
@@ -293,7 +293,7 @@ def reference_max_pairwise(metric, points):
 def reference_iterate(metric, T, x, config, domain):
     """The Picard loop with public calls only: every scan re-checks its points."""
     log_eps = config.log_eps
-    window, lookback, divergence = solver._WINDOW, solver._LOOKBACK, solver._DIVERGENCE_LOGD
+    window, lookback = solver._WINDOW, solver._LOOKBACK
     points, steps, status = [x], [], mx.Status.MAX_ITER
     for n in range(config.max_iter):
         try:
@@ -316,7 +316,7 @@ def reference_iterate(metric, T, x, config, domain):
                 f"step log-distance grew from {steps[-1]} to {step} at iterate {n + 1}")
         points.append(y)
         steps.append(step)
-        if step > divergence:
+        if step == math.inf:
             status = mx.Status.DIVERGED
             break
         if step > log_eps:

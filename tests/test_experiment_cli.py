@@ -1,17 +1,21 @@
+import contextlib
 import csv
 import dataclasses
 import importlib.util
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import mulfix as mx
 from mulfix import cli, experiment
@@ -22,6 +26,7 @@ from mulfix.jsonconfig import dump_json
 from mulfix.conditions import PSI_KINDS
 from mulfix.metrics import DEFAULT_LOG_TOL, _proved_empty, _reference_margin
 from scalar_reference import check_phi, reference_records, reference_tol
+from test_jsonconfig import experiments
 
 EPS = math.exp(1e-9)
 
@@ -130,7 +135,7 @@ def test_a_config_with_no_start_exits_2_naming_solver_starts(tmp_path, capsys):
     ("max_iters", 5), ("cycle_lookback", 3), ("window", 10), ("divergence_logd", 700.0),
 ])
 def test_solver_config_rejects_unknown_keys(tmp_path, capsys, key, value):
-    # the look-back, the window and the divergence step are the solver's constants
+    # the look-back and the window are the solver's constants; no step length diverges
     data = identity_config()
     data["solver"][key] = value
     with pytest.raises(ConfigError) as err:
@@ -891,14 +896,14 @@ def test_apriori_bound_expectation_counts_the_bound_violations():
 
 
 def test_apriori_bound_expectation_without_a_converged_run_says_so():
-    # xi is declared, but the one run's first step exceeds the divergence step
+    # xi is declared, but the one run stops at max_iter
     fixture = mx.fixture_config("example_3_15")
     config = dataclasses.replace(
         fixture, domain=mx.Box(((-1e4, 1e4), (-1e4, 1e4))),
-        solver=dataclasses.replace(fixture.solver, starts=((9e3, -7e3),)),
+        solver=dataclasses.replace(fixture.solver, starts=((9e3, -7e3),), max_iter=5),
         expectations=({"kind": "apriori_bound"},))
     report = mx.run_experiment(config)
-    assert [run.status for run in report.runs] == [mx.Status.DIVERGED]
+    assert [run.status for run in report.runs] == [mx.Status.MAX_ITER]
     (result,) = report.expectations
     assert not result.passed and result.detail == "no converged run"
 
@@ -1101,3 +1106,37 @@ def test_phi_diagonal_at_the_tolerance(top, passed, diagonal_bad, first):
     ran, loop = phi_holds(phi, mx.SelfMapSpec.constant((0.0,)), sample)
     assert ran == loop == (passed, f"0 violating pairs, {diagonal_bad} violating "
                                    "diagonal points")
+
+
+# -- the exit contract on drawn configs ---------------------------------------------
+
+SMALL_EXPERIMENTS = experiments().map(lambda c: dataclasses.replace(
+    c, sample_size=min(c.sample_size, 12),
+    solver=dataclasses.replace(c.solver, max_iter=min(c.solver.max_iter, 300))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=SMALL_EXPERIMENTS)
+@example(config=mx.ExperimentConfig(  # a sample point outside the space: exit 2
+    metric=mx.MetricSpec.star_product(), map=mx.SelfMapSpec.identity(),
+    domain=mx.Box(((-1.0, 1.0),)), sample_size=2, seed=0,
+    solver=mx.SolverConfig(starts=((0.5,),))))
+def test_a_drawn_config_run_keeps_the_exit_contract(config):
+    # whatever the config, the run exits 0, 1 or 2 and raises nothing, every
+    # file it writes is strict JSON, exit 2 ends in one error line, and no
+    # cause warns twice
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        path.write_text(json.dumps(config.to_json_dict()), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = main(["run", "--config", str(path), "--out", str(out)])
+        assert status in (0, 1, 2)
+        for written in out.glob("**/*.json"):
+            strict_json(written)
+    lines = err.getvalue().splitlines()
+    errors = [line for line in lines if line.startswith("error:")]
+    assert errors == (lines[-1:] if status == 2 else [])
+    causes = [re.sub(r"\d+", "N", line.split(";")[0]) for line in lines
+              if line.startswith("warning:")]
+    assert len(causes) == len(set(causes))

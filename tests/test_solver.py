@@ -1,13 +1,15 @@
 import math
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mulfix as mx
 from mulfix import solver
 from mulfix.errors import DomainError, DomainEscapeError, MonotoneResidualError
+from mulfix.metrics import _reference_margin
 from scalar_reference import bits
 
 EPS = math.exp(1e-9)
@@ -94,14 +96,17 @@ def test_monotone_flag_raises_on_expanding_maps():
         mx.picard(LIFTED2, grow, (1.0, 0.0), cfg)
 
 
-@pytest.mark.parametrize("start, iterations", [(700.5, 1), (700.0, 2)])
-def test_a_step_above_log_distance_700_diverges(start, iterations):
-    # scale(2) from x steps by x under exp_abs(e): 700.5 diverges at once,
-    # 700.0 only at its next step of 1400
-    result = mx.picard(EXPABS_E, mx.SelfMapSpec.scale(2.0), start,
-                       mx.SolverConfig(eps=EPS, max_iter=10))
-    assert result.status is mx.Status.DIVERGED and result.iterations == iterations
-    assert result.trace.step_logd[0] == start
+@pytest.mark.parametrize("T, start, status, steps", [
+    # scale(2) from x steps by x under exp_abs(e): long steps are no event
+    (mx.SelfMapSpec.scale(2.0), 700.5, mx.Status.MAX_ITER, [700.5 * 2 ** k for k in range(10)]),
+    # -1e308 lies an infinite log distance from 1e308
+    (mx.SelfMapSpec.negation(), 1e308, mx.Status.DIVERGED, [math.inf]),
+    # 2e308 is no float, so T fails at the start
+    (mx.SelfMapSpec.scale(2.0), 1e308, mx.Status.DIVERGED, []),
+], ids=["long-steps", "infinite-step", "infinite-image"])
+def test_a_run_diverges_only_when_its_orbit_leaves_the_floats(T, start, status, steps):
+    result = mx.picard(EXPABS_E, T, start, mx.SolverConfig(eps=EPS, max_iter=10))
+    assert result.status is status and list(result.trace.step_logd) == steps
 
 
 def test_a_run_converges_once_its_last_10_iterates_are_pairwise_close():
@@ -124,12 +129,15 @@ def test_a_run_converges_once_its_last_10_iterates_are_pairwise_close():
     assert max(capped.trace.step_logd[19:]) < log_eps
 
 
-def test_expanding_map_diverges():
+def test_an_expanding_map_diverges_where_its_orbit_overflows():
+    # 1.5**k overflows past k = 1750; a run capped before that stops at max_iter
     grow = mx.SelfMapSpec.scale(1.5)
-    result = mx.picard(LIFTED2, grow, (1.0, 0.0),
-                       mx.SolverConfig(eps=EPS, max_iter=500))
-    assert result.status is mx.Status.DIVERGED
-    assert result.trace.step_logd[-1] > 700.0
+    capped, overflowed = (mx.picard(LIFTED2, grow, (1.0, 0.0),
+                                    mx.SolverConfig(eps=EPS, max_iter=max_iter))
+                          for max_iter in (500, 2000))
+    assert capped.status is mx.Status.MAX_ITER and capped.iterations == 500
+    assert overflowed.status is mx.Status.DIVERGED and overflowed.iterations == 1750
+    assert math.isfinite(overflowed.trace.step_logd[-1])
 
 
 def test_domain_escape_reports_the_offending_iterate():
@@ -289,7 +297,11 @@ def test_bound_rows_are_apriori_bound_bit_for_bit(n, d1, delta, start, ratio):
     assert [tuple(map(bits, row)) for row in report.rows] \
         == [tuple(map(bits, row)) for row in rows]
     assert report.tol == 1e-10
-    assert report.violations == tuple(row for row in rows if row[1] > row[2] + 1e-10)
+    # beyond tol, a row is forgiven the rounding margin at the larger of its values
+    margins = [_reference_margin(1, 1e-10, min(max(o, b), sys.float_info.max))
+               for _, o, b in rows]
+    assert report.violations == tuple(row for row, m in zip(rows, margins)
+                                      if row[1] > row[2] + 1e-10 + m)
     assert len(report.observed) == len(trace)
 
 
@@ -300,10 +312,75 @@ def test_bound_requires_convergence():
         mx.verify_bound(diverged, delta=0.5)
 
 
+@pytest.mark.parametrize("excess, ok", [(4e-7, True), (7e-7, False)])
+def test_bound_forgives_a_builtin_metrics_rounding_at_the_rows_magnitude(excess, ok):
+    # the second row lies `excess` above its bound of 1e8, against tol plus
+    # the margin (1 + 5) * 2**-50 * (tol + 1e8 + excess), about 5.3e-7
+    trace = mx.IterationTrace(EXPABS_E, ((1.5e8,), (1e8 + excess,)), (1e8,),
+                              mx.Status.CONVERGED)
+    result = mx.FixedPointResult(point=(0.0,), residual_logd=0.0, iterations=1,
+                                 trace=trace, status=mx.Status.CONVERGED)
+    report = mx.verify_bound(result, delta=0.5)
+    assert [row[2] for row in report.rows] == [2e8, 1e8]
+    assert report.tol == 1e-10 and report.ok is ok
+
+
 def test_bound_requires_a_delta_below_1():
     converged = mx.picard(LIFTED2, SCALE23, (3.0, 4.0), CFG)
     with pytest.raises(DomainError, match=r"^delta must be in \[0, 1\), got 1.0$"):
         mx.verify_bound(converged, delta=1.0)
+
+
+# -- a ratio contraction converges from every start -------------------------------
+
+RATIO_METRICS = {"exp_abs": mx.MetricSpec.exp_abs,
+                 **{base: lambda a, base=base: mx.MetricSpec.lifted(base, a=a)
+                    for base in ("euclidean", "manhattan", "chebyshev")}}
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(sorted(RATIO_METRICS)), a=st.sampled_from([1.5, 2.0, math.e, 10.0]),
+       c=st.floats(0.1, 0.9) | st.floats(-0.9, -0.1), dim=st.integers(1, 2),
+       signs=st.tuples(st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0])),
+       width=st.floats(-3.0, 9.0).map(lambda e: 10.0 ** e))
+# far starts, whose first hundred steps or so are long; and a width of 1e7,
+# where a bound row first exceeds its bound + tol by a rounding
+@example(kind="exp_abs", a=2.0, c=0.9, dim=2, signs=(1.0, -1.0), width=1e9)
+@example(kind="manhattan", a=10.0, c=-0.9, dim=1, signs=(1.0, 1.0), width=1e9)
+@example(kind="euclidean", a=math.e, c=0.7, dim=2, signs=(-1.0, 1.0), width=1e7)
+def test_a_ratio_contraction_converges_within_its_bound_from_any_box(kind, a, c, dim,
+                                                                     signs, width):
+    # scale(c) from 0.9 of a corner of the box [-width, width]**dim: the run
+    # converges to 0, and with xi = |c| every a-priori bound row holds
+    metric, T = RATIO_METRICS[kind](a), mx.SelfMapSpec.scale(c)
+    calls, kernel = [], T._coordinate
+    T.__dict__["_coordinate"] = lambda x: calls.append(x) or kernel(x)
+    result = mx.picard(metric, T, tuple(0.9 * width * s for s in signs[:dim]),
+                       mx.SolverConfig())
+    assert result.status is mx.Status.CONVERGED
+    assert mx.verify_bound(result, mx.ZamfirescuConstants(xi=abs(c)).delta).ok
+    # every step is mapped ahead, so T maps at most a block of discarded
+    # iterates past each of the run's two cuts: below log(eps), and settled
+    assert len(calls) <= dim * (result.iterations + 2 * solver._AHEAD)
+
+
+def test_a_runaway_orbit_reads_distances_linear_in_max_iter(monkeypatch):
+    # scale(1.01) from 1.5 grows without overflowing, so both runs end at
+    # max_iter; their r to the start span 34 and 69 orders of magnitude, and
+    # the limit-point scan reads only rows a quarter of the orbit may lie near
+    reads, kernel = [], mx.MetricSpec._log_distance_matrix
+
+    def counted(metric, X, Y):
+        D = kernel(metric, X, Y)
+        reads[-1] += D.size
+        return D
+    monkeypatch.setattr(mx.MetricSpec, "_log_distance_matrix", counted)
+    for max_iter in (8000, 16000):
+        reads.append(0)
+        result = mx.picard(mx.MetricSpec.exp_abs(2.0), mx.SelfMapSpec.scale(1.01), 1.5,
+                           mx.SolverConfig(max_iter=max_iter))
+        assert result.status is mx.Status.MAX_ITER and result.iterations == max_iter
+    assert reads[1] <= 2.2 * reads[0]
 
 
 # -- multi-start and uniqueness ---------------------------------------------------
