@@ -201,10 +201,6 @@ def _near_rows(metric, points: Sequence[Point], log_radius: float, need: int,
     s, dim = np.sort(r), len(points[0])
     if math.isnan(s[-1]):  # NaN sorts last
         return rows
-    # the usual case: no two r within the widest radius, so no row has a neighbour
-    if need > 1 and s[-1] < math.inf and (
-            np.diff(s) > log_radius + 2 * _reference_margin(dim, log_radius, s[-1])).all():
-        return []
     r = np.minimum(r, sys.float_info.max)
     t = log_radius + 2 * _reference_margin(dim, log_radius, r)
     with np.errstate(over="ignore"):  # r_i + t past the largest float counts every inf

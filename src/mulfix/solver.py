@@ -473,7 +473,9 @@ def apriori_bound(d1: float, delta: float, n: int, m: int | None = None) -> floa
 class BoundReport:
     """Observed log d(x_n, z) and predicted ``apriori_bound(d1, delta, n)``
     along a converged trace, as two float arrays; ``rows`` pairs them up on
-    first read; ``report.json`` leaves the rows out, and the trace files give them."""
+    first read; ``report.json`` leaves the rows out, and the trace files give them.
+    ``verify_bound`` sets ``dim`` under a MetricSpec, whose rounding margin
+    ``violations`` then forgives; with None it forgives ``tol`` alone."""
 
     delta: float
     tol: float
@@ -502,8 +504,8 @@ class BoundReport:
         return not self.violations
 
     def __eq__(self, other) -> bool:  # by value, as when the rows were a field
-        return (isinstance(other, BoundReport)
-                and (self.delta, self.tol, self.rows) == (other.delta, other.tol, other.rows))
+        return (isinstance(other, BoundReport) and (self.delta, self.tol, self.dim, self.rows)
+                == (other.delta, other.tol, other.dim, other.rows))
 
 
 _BOUND_TOL = 1e-10

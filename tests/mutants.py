@@ -188,9 +188,6 @@ MUTANTS = (
     Mutant("neighbour-count prefilter without its rounding margin", "src/mulfix/sequences.py",
            "t = log_radius + 2 * _reference_margin(dim, log_radius, r)",
            "t = log_radius", (ROUNDED_RETURN,)),
-    Mutant("neighbour-count shortcut radius taken at the smallest r", "src/mulfix/sequences.py",
-           "2 * _reference_margin(dim, log_radius, s[-1])).all()",
-           "2 * _reference_margin(dim, log_radius, s[0])).all()", (ROUNDED_RETURN,)),
     Mutant("neighbour-count margin taken at the largest r", "src/mulfix/sequences.py",
            "t = log_radius + 2 * _reference_margin(dim, log_radius, r)",
            "t = log_radius + 2 * _reference_margin(dim, log_radius, s[-1])",

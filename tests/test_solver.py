@@ -364,6 +364,21 @@ def test_a_ratio_contraction_converges_within_its_bound_from_any_box(kind, a, c,
     assert len(calls) <= dim * (result.iterations + 2 * solver._AHEAD)
 
 
+@pytest.mark.parametrize("metric", [mx.MetricSpec.exp_abs(10.0),
+                                    mx.MetricSpec.lifted("chebyshev", a=10.0)],
+                         ids=["exp_abs", "chebyshev"])
+def test_a_contraction_whose_first_log_distance_is_past_the_floats_diverges(metric):
+    # the limit of "a contraction converges from any start": scale(0.1) from
+    # 1e308 keeps every iterate a float, but its first step, ln(10) * 0.9e308,
+    # is past the largest float, so the run ends diverged at that step; from
+    # 8e307 that step is a float, and the run converges
+    far, near = (mx.picard(metric, mx.SelfMapSpec.scale(0.1), (x,), mx.SolverConfig())
+                 for x in (1e308, 8e307))
+    assert far.status is mx.Status.DIVERGED and far.iterations == 1
+    assert list(far.trace.step_logd) == [math.inf] and far.point == (0.1 * 1e308,)
+    assert near.status is mx.Status.CONVERGED and near.trace.step_logd[0] < math.inf
+
+
 def test_a_runaway_orbit_reads_distances_linear_in_max_iter(monkeypatch):
     # scale(1.01) from 1.5 grows without overflowing, so both runs end at
     # max_iter; their r to the start span 34 and 69 orders of magnitude, and
