@@ -275,18 +275,16 @@ def _checked_image(T) -> Callable[[Point], Point]:
 def grid_points(box: Box, n: int) -> list[Point]:
     """Deterministic low-discrepancy grid of n points spanning the box.
 
-    1-d boxes get an endpoint-inclusive linspace; higher dimensions use the
-    first n nodes of the smallest per-axis lattice that holds n points.
+    The first n nodes of the smallest lattice of endpoint-inclusive
+    linspaces, at least 2 per axis in 2-d and up, that holds n points.
     """
     if n <= 0:
         return []
-    if box.dim == 1:
-        lo, hi = box.bounds[0]
-        return [(float(v),) for v in np.linspace(lo, hi, n)]
-    k = 2
+    k = n if box.dim == 1 else 2
     while k ** box.dim < n:
         k += 1
-    axes = [np.linspace(lo, hi, k) for lo, hi in box.bounds]
+    with np.errstate(over="ignore"):  # (k - 1) * step may round past hi, which ends the axis
+        axes = [np.linspace(lo, hi, k) for lo, hi in box.bounds]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, box.dim)
     return [tuple(float(c) for c in row) for row in mesh[:n]]
 

@@ -126,8 +126,9 @@ def _reference_margin(dim: int, tol: float, top: float) -> float:
     L <= top / (1 - g), and each later step is one rounding fl, monotone and
     of relative error at most u.  Three counts follow:
 
-    - look-back: r_i = L(p_i, p_0) and r_j = L(p_j, p_0) differ by less
-      than (tol + 2 g top) / (1 - g) + O(g**2) when L(p_i, p_j) < tol;
+    - neighbour count: when L(p_i, p_j) < tol, each coordinate's values
+      differ by less than tol / ((1 - g) log(a)), as the norm of their
+      differences is no smaller than any one (``MetricSpec._reach``);
     - a triple scan's computed excess is at most (2g + u) top / (1 - g),
       worst at equality: (2g + u) L(i,k) for D[i,k] - fl(D[i,j] + D[j,k]),
       and 2g L + u top for fl(|D[x,z] - D[y,z]|) - D[x,y], where L is
@@ -269,7 +270,8 @@ class MetricSpec(JsonConfig):
             return np.zeros((len(X), len(Y)))
         if self.kind == "lifted" and self.base == "euclidean":
             norms = [[math.dist(x, y) for y in Y] for x in X]
-            return math.log(self.a) * np.array(norms)
+            with np.errstate(over="ignore"):  # inf, as the scalar kernel gives
+                return math.log(self.a) * np.array(norms)
         A, B = self._values(_array(X)), self._values(_array(Y))
         return self._fold(A[:, None, :], B[None, :, :])
 
@@ -280,17 +282,17 @@ class MetricSpec(JsonConfig):
         if not X:
             return np.zeros(0)
         if self.kind == "lifted" and self.base == "euclidean":
-            return math.log(self.a) * np.array(list(map(math.dist, X, Y)))
+            with np.errstate(over="ignore"):  # inf, as the scalar kernel gives
+                return math.log(self.a) * np.array(list(map(math.dist, X, Y)))
         return self._fold(self._values(_array(X)), self._values(_array(Y)))
 
-    def _chain(self, P: Sequence[Point], A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _chain(self, P: Sequence[Point], A: np.ndarray) -> np.ndarray:
         """``_log_distance`` of each of the checked point tuples ``P[1:]``
-        from the one before it and from ``P[0]``, where A holds P."""
+        from the one before it, where A holds P."""
         if self.kind == "lifted" and self.base == "euclidean":
-            return (self._log_distance_pairs(P[:-1], P[1:]),
-                    self._log_distance_pairs(P[1:], P[:1] * (len(P) - 1)))
+            return self._log_distance_pairs(P[:-1], P[1:])
         V = self._values(A)
-        return self._fold(V[:-1], V[1:]), self._fold(V[1:], V[0])
+        return self._fold(V[:-1], V[1:])
 
     def _values(self, A: np.ndarray) -> np.ndarray:
         """The values this kind compares of the points in A's rows: the
@@ -301,6 +303,15 @@ class MetricSpec(JsonConfig):
             with np.errstate(all="ignore"):
                 return 1.0 / A
         return A
+
+    def _reach(self, dim: int, log_radius: float) -> float:
+        """How far the ``_values`` of two dim-d points below log_radius apart
+        may differ in a coordinate: the radius and its margin over the factor
+        log(a) (1 for star_product); for discrete, 0 below log(a), else inf."""
+        if self.kind == "discrete":
+            return math.inf if log_radius > math.log(self.a) else 0.0
+        factor = 1.0 if self.kind == "star_product" else math.log(self.a)
+        return (log_radius + _reference_margin(dim, log_radius, log_radius)) / factor
 
     def _fold(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """The log distances of the broadcast arrays A and B over their last

@@ -9,7 +9,6 @@ produced on one thread and analyzed on another.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .jsonconfig import is_integer
-from .metrics import MetricSpec, Point, _reference_margin, as_point
+from .metrics import MetricSpec, Point, _array, as_point
 
 # rows per block of an orbit scan; a block of 2,000 columns is about 1 MB of
 # distances, and its lag mask an eighth of that
@@ -176,33 +175,25 @@ def _row_blocks(metric, points: Sequence[Point], rows: Sequence[int], lo: int, h
         yield block, D, (c >= i - hi) & (c <= i - lo)
 
 
-def _near_rows(metric, points: Sequence[Point], log_radius: float, need: int,
-               r: Optional[Sequence[float]] = None) -> Sequence[int]:
+def _near_rows(metric, points: Sequence[Point], log_radius: float, need: int) -> Sequence[int]:
     """The indices, ascending, of the checked point tuples p_i that may have
     ``need`` of them, p_i counted, at a log distance below log_radius:
-    every index for a FunctionMetric, which need not be a metric, or when a
-    distance r_k = L(p_k, p) to one point p (p_0 unless the r are given) is
-    NaN.  Otherwise those with ``need`` r_j within log_radius plus the
-    rounding margin of r_i: one sort, so O(n log n), not n**2 distances.
+    every index for a FunctionMetric, which need not be a metric; otherwise
+    those with ``need`` values within ``MetricSpec._reach`` of their own in
+    every coordinate of ``MetricSpec._values``: a sort per coordinate, so
+    O(d n log n), not n**2 distances.
 
-    The orbit scans' one proof: by the reverse triangle inequality
-    |r_i - r_j| <= L(p_i, p_j), so the exact r_j of a point nearer to p_i
-    than log_radius lies within log_radius of r_i, and the kernels' r_j
-    within log_radius plus ``metrics._reference_margin`` at 2 r_i +
-    log_radius (twice that at r_i), whose room also covers the rounding of
-    r_i +- that radius.  Two points that near share every coordinate large
-    enough to overflow a kernel, so an infinite r_i counts as the largest float.
+    The orbit scans' one proof: a built-in kernel is a factor times a norm
+    of the values' differences, no smaller than any one of them, so a point
+    nearer to p_i than log_radius has values within the reach of p_i's
+    (``metrics._reference_margin``).  The count compares the kernel's own
+    floats, and v +- reach rounds monotonically: nothing overflows or is NaN.
     """
     rows = range(len(points))
     if not isinstance(metric, MetricSpec):
         return rows
-    r = (metric._log_distance_pairs(points, [points[0]] * len(points)) if r is None
-         else np.asarray(r, dtype=float))
-    s, dim = np.sort(r), len(points[0])
-    if math.isnan(s[-1]):  # NaN sorts last
-        return rows
-    r = np.minimum(r, sys.float_info.max)
-    t = log_radius + 2 * _reference_margin(dim, log_radius, r)
-    with np.errstate(over="ignore"):  # r_i + t past the largest float counts every inf
-        near = np.searchsorted(s, r + t, "right") - np.searchsorted(s, r - t)
-    return np.flatnonzero(near >= need).tolist()
+    t, near = metric._reach(len(points[0]), log_radius), np.ones(len(points), dtype=bool)
+    for v in metric._values(_array(points)).T:
+        s = np.sort(v)
+        near &= np.searchsorted(s, v + t, "right") - np.searchsorted(s, v - t) >= need
+    return np.flatnonzero(near).tolist()

@@ -40,8 +40,8 @@ class SolverConfig(JsonConfig):
     While a step is above log(eps), the new iterate is compared with the
     iterates 2 to ``_LOOKBACK`` steps before it, and a log distance below
     ``_CYCLE_LOGD`` ends the run as a detected cycle.  A run diverges only
-    where its orbit leaves the floats: T fails or gives a non-finite image,
-    or a step's log distance is infinite; a long step is no event.
+    where its orbit leaves the floats: T fails or gives a non-finite image.
+    A long step is no event, not even one whose log distance is infinite.
 
     The result equals a step-by-step scan, which checks each iterate by the
     metric's ``_outside``.  A SelfMapSpec under a MetricSpec maps ahead in
@@ -99,8 +99,8 @@ def _stepper(metric, T, domain: Optional[Box] = None,
     step, whose start x is checked too.  It raises DomainError when T fails
     at x, DomainEscapeError when T(x) leaves the declared domain or the
     metric's space, and with ``config.check_monotone_residual``
-    MonotoneResidualError when a step above log(eps) grows.  Every metric
-    checks the tuples by its ``_outside`` before its private kernel.
+    MonotoneResidualError when a step grows from a finite one above
+    log(eps).  Every metric checks the tuples by its ``_outside`` first.
     """
     image, distance, outside = _checked_image(T), metric._log_distance, metric._outside
     bounds = None if domain is None else domain.bounds
@@ -125,7 +125,7 @@ def _stepper(metric, T, domain: Optional[Box] = None,
             raise DomainEscapeError(
                 f"iterate {n} left the metric's domain: {y} ({exc})", point=y, iteration=n,
             ) from exc
-        if prev is not None and prev > log_eps and d >= prev:
+        if prev is not None and log_eps < prev < math.inf and d >= prev:
             raise MonotoneResidualError(
                 f"step log-distance grew from {prev} to {d} at iterate {n}"
             )
@@ -173,15 +173,6 @@ class _LookBack:
         self.log_eps = config.log_eps
         self.blocked = isinstance(metric, MetricSpec)
         self.block, self.done = _ROW_BLOCK if self.blocked else 1, 1
-        # r_k = L(p_k, p_0) of the points scanned or mapped ahead so far: ref[:known]
-        self.ref, self.known = np.empty(_ROW_BLOCK), 0
-
-    def keep(self, r: np.ndarray) -> None:
-        """Append r to the r_k known so far, doubling the buffer when full."""
-        end = self.known + len(r)
-        if end > len(self.ref):
-            self.ref = np.resize(self.ref, max(end, 2 * len(self.ref)))
-        self.ref[self.known:end], self.known = r, end
 
     def flush(self, hi: Optional[int] = None) -> None:
         """Scan the pending steps before point hi (all of them by default)
@@ -190,10 +181,7 @@ class _LookBack:
         self.done, first = len(self.points), max(0, lo - _LOOKBACK)
         if lo >= hi:
             return
-        if self.blocked:  # the points with no r_k yet
-            new = self.points[self.known:hi]
-            self.keep(self.metric._log_distance_pairs(new, [self.points[0]] * len(new)))
-        near = _near_rows(self.metric, self.points[first:hi], _CYCLE_LOGD, 2, self.ref[first:hi])
+        near = _near_rows(self.metric, self.points[first:hi], _CYCLE_LOGD, 2)
         rows = [first + k for k in near
                 if first + k >= lo and self.steps[first + k - 1] > self.log_eps]
         if not rows:  # the usual case; skip the reader's set-up
@@ -236,12 +224,12 @@ def _ahead(metric, T, domain: Optional[Box], config: SolverConfig) -> Optional[C
     for any other map or metric.
 
     ``ahead(look, size)`` appends to ``look`` the leading images of
-    ``_images`` that pass every check of a step, with their steps and
-    distances to the start, all read from one array: finite, inside the
-    declared box and the metric's space, and a finite step strictly on the
-    side of log(eps) of the last step, which is not log(eps); above it, the
-    monotone rule holds too.  It returns how many it appended; the next step
-    applies T again at the first of the rest, and an infinite step diverges there.
+    ``_images`` that pass every check of a step, with their steps, all read
+    from one array: finite, inside the declared box and the metric's space,
+    and a step, infinite too, strictly on the side of log(eps) of the last
+    step, which is not log(eps); above it, the monotone rule holds too.  It
+    returns how many it appended; the next step applies T again at the
+    first of the rest.
     """
     if type(T) is not SelfMapSpec or not isinstance(metric, MetricSpec):
         return None
@@ -260,19 +248,15 @@ def _ahead(metric, T, domain: Optional[Box], config: SolverConfig) -> Optional[C
         if inside is not None:
             ok &= inside(A, 0.0)
         n = _leading(ok.all(axis=1))
-        # rows: the start, then the last point and any before it with no r_k yet
-        k = min(look.known, len(points) - 1)
-        head = points[:1] + points[k:]
-        d, r = metric._chain(head + images[:n], np.concatenate((_array(head), A[:n])))
-        d = d[len(head) - 1:]
+        d = metric._chain(points[-1:] + images[:n],
+                          np.concatenate((_array(points[-1:]), A[:n])))
         ok = d < log_eps if steps[-1] < log_eps else d > log_eps
-        if monotone and steps[-1] > log_eps:
-            ok[:1] &= d[:1] < steps[-1]
-            ok[1:] &= d[1:] < d[:-1]
-        n = _leading(ok & (d < math.inf))
+        if monotone and steps[-1] > log_eps:  # a step may not grow from a finite one
+            prev = np.concatenate(([steps[-1]], d[:-1]))
+            ok &= (d < prev) | (prev == math.inf)
+        n = _leading(ok)
         points.extend(images[:n])
         steps.extend(d[:n].tolist())
-        look.keep(r[look.known - k:len(head) - 1 + n])
         return n
 
     return ahead
@@ -310,9 +294,10 @@ def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
     """One Picard run from x0: its trace and the residual at its last point.
 
     Every step is one call of the run's step function (see ``_stepper``),
-    built once per run, which runs the step's own checks at once; each
-    residual is a step of a second one, built without the domain and the
-    monotone check.  A SelfMapSpec under a MetricSpec also maps ahead:
+    built once per run, which runs the step's own checks at once, and only
+    its DomainError ends a run as diverged, an infinite step being none;
+    each residual is a step of a second one, built without the domain and
+    the monotone check.  A SelfMapSpec under a MetricSpec also maps ahead:
     after a step above log(eps), or below it past ``_AHEAD`` steps,
     ``_ahead`` appends blocks of 8, 16, ... up to ``_AHEAD`` iterates (a
     block cut short starts the sizes over), and the step function runs
@@ -349,10 +334,6 @@ def _iterate(metric, T, x0: Point, config: SolverConfig, domain: Optional[Box]):
                 raise
             points.append(y)
             steps.append(last)
-            if last == math.inf:  # the step left the floats
-                look.flush(len(points) - 1)
-                status = Status.DIVERGED
-                break
             if last < log_eps:
                 look.windows(len(points) - 1, settle)
             elif len(points) - look.done >= look.block:
@@ -514,8 +495,9 @@ _BOUND_TOL = 1e-10
 def verify_bound(result: FixedPointResult, delta: float) -> BoundReport:
     """Check log d(x_n, z) <= d1 * delta**n / (1 - delta) + tol along a run,
     at tol = ``_BOUND_TOL``, which the report echoes, plus a MetricSpec's
-    rounding margin.  A bad point raises as ``_checked`` does, k counting
-    the trace's points, then z."""
+    rounding margin; an infinite d1 bounds a row by inf, or by 0 where
+    delta**n is 0.  A bad point raises as ``_checked`` does, k counting the
+    trace's points, then z."""
     if result.status is not Status.CONVERGED:
         raise DomainError("bound verification needs a converged result")
     if not (0 <= delta < 1):
@@ -530,12 +512,13 @@ def _verify_bound(result: FixedPointResult, delta: float) -> BoundReport:
     trace = result.trace
     to_z = trace.metric._log_distance_matrix(trace.points, [result.point])[:, 0]
     d1 = trace.step_logd[0] if trace.step_logd else 0.0
-    apriori_bound(d1, delta, 0)  # raises for a d1 that no row's bound takes
+    if d1 != math.inf:  # raises for a d1 that no row's bound takes
+        apriori_bound(d1, delta, 0)
     # each entry is apriori_bound(d1, delta, n) bit for bit: Python's pow, then
     # the same correctly rounded * and / (np.power can differ from pow)
     powers = np.fromiter(map(delta.__pow__, range(len(to_z))), float, len(to_z))
-    with np.errstate(over="ignore"):  # an infinite bound, as Python's float / gives
-        bound = d1 * powers / (1 - delta)
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite bound, as float / gives
+        bound = np.where(powers > 0, d1 * powers / (1 - delta), 0.0)
     dim = len(result.point) if isinstance(trace.metric, MetricSpec) else None
     return BoundReport(delta=delta, tol=_BOUND_TOL, observed=to_z, bound=bound, dim=dim)
 

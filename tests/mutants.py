@@ -46,7 +46,7 @@ FLAG_PATTERNS = ("tests/test_writer.py::"
                  "test_every_flag_pattern_across_block_edges_equals_the_reference")
 CLASSIFY_REFERENCE = "tests/test_kernel.py::test_classify_equals_the_scalar_reference_loop"
 ROUNDED_RETURN = ("tests/test_kernel.py::"
-                  "test_a_return_whose_distances_to_the_start_round_apart_is_found")
+                  "test_a_return_whose_coordinate_difference_rounds_down_is_found")
 MIXED_SAMPLE = "tests/test_maps.py::test_a_mixed_sample_is_the_grid_plus_numpys_uniform_stream"
 KNOWN_ANSWERS = ("tests/test_metrics.py::"
                  "test_builtin_metrics_meet_their_known_answers_at_every_box_width")
@@ -58,6 +58,8 @@ FORWARD_PAIRS = ("tests/test_kernel.py::"
 LIMIT_SHARE = "tests/test_sequences.py::test_a_limit_point_holds_a_quarter_of_the_trace"
 RATIO_CONTRACTION = ("tests/test_solver.py::"
                      "test_a_ratio_contraction_converges_within_its_bound_from_any_box")
+DIVERGES_ONLY = "tests/test_solver.py::test_a_run_diverges_only_when_its_orbit_leaves_the_floats"
+RUNAWAY = "tests/test_solver.py::test_a_runaway_orbit_reads_distances_linear_in_max_iter"
 LOOK_BACK = ("tests/test_solver.py::test_two_point_swap_is_reported_as_a_cycle",
              "tests/test_solver.py::test_a_cycle_is_detected_up_to_25_steps_back",
              "tests/test_kernel.py::"
@@ -79,11 +81,26 @@ MUTANTS = (
            ("tests/test_solver.py::"
             "test_a_run_converges_once_its_last_10_iterates_are_pairwise_close",)),
     Mutant("a long finite step diverges", "src/mulfix/solver.py",
-           "if last == math.inf:", "if last > 700.0:",
-           ("tests/test_solver.py::test_a_run_diverges_only_when_its_orbit_leaves_the_floats",)),
+           "            steps.append(last)\n",
+           "            steps.append(last)\n"
+           "            if last > 700.0:\n"
+           "                status = Status.DIVERGED\n"
+           "                break\n", (DIVERGES_ONLY,)),
+    Mutant("an infinite step that diverges again", "src/mulfix/solver.py",
+           "            steps.append(last)\n",
+           "            steps.append(last)\n"
+           "            if last == math.inf:\n"
+           "                look.flush(len(points) - 1)\n"
+           "                status = Status.DIVERGED\n"
+           "                break\n", (DIVERGES_ONLY, RATIO_CONTRACTION)),
     Mutant("a finite divergence cut restored in the map-ahead", "src/mulfix/solver.py",
-           "n = _leading(ok & (d < math.inf))", "n = _leading(ok & (d <= 700.0))",
+           "        n = _leading(ok)\n        points.extend",
+           "        n = _leading(ok & (d <= 700.0))\n        points.extend",
            (RATIO_CONTRACTION,)),
+    Mutant("a monotone comparison after an infinite step", "src/mulfix/solver.py",
+           "log_eps < prev < math.inf and d >= prev", "log_eps < prev and d >= prev",
+           ("tests/test_solver.py::"
+            "test_the_monotone_rule_compares_no_step_with_an_infinite_one[step-by-step]",)),
     Mutant("bound rows without the rounding margin", "src/mulfix/solver.py",
            "limit += _reference_margin(self.dim, self.tol, top)", "limit += 0.0",
            (RATIO_CONTRACTION,)),
@@ -121,7 +138,11 @@ MUTANTS = (
            "D = metric._log_distance_matrix(points[first:end], [points[i] for i in block]).T",
            (FORWARD_PAIRS,)),
     Mutant("the neighbour count needing one neighbour more", "src/mulfix/sequences.py",
-           "np.flatnonzero(near >= need)", "np.flatnonzero(near > need)", (ROUNDED_RETURN,)),
+           'np.searchsorted(s, v - t) >= need', 'np.searchsorted(s, v - t) > need',
+           (ROUNDED_RETURN,)),
+    Mutant("the neighbour count on the first coordinate only", "src/mulfix/sequences.py",
+           "for v in metric._values(_array(points)).T:",
+           "for v in metric._values(_array(points)).T[:1]:", (RUNAWAY,)),
     Mutant("map failures narrowed to two types", "src/mulfix/maps.py",
            "except (ArithmeticError, ValueError)", "except (ZeroDivisionError, OverflowError)",
            ("tests/test_maps.py::test_a_map_failure_has_one_outcome_everywhere",)),
@@ -185,13 +206,9 @@ MUTANTS = (
            "        metric._outside if isinstance(metric, MetricSpec) else lambda p, dim: None)",
            ("tests/test_kernel.py::test_an_escape_is_raised_at_the_iterate_a_step_by_step_scan_"
             "names[function-metric-widens]",)),
-    Mutant("neighbour-count prefilter without its rounding margin", "src/mulfix/sequences.py",
-           "t = log_radius + 2 * _reference_margin(dim, log_radius, r)",
-           "t = log_radius", (ROUNDED_RETURN,)),
-    Mutant("neighbour-count margin taken at the largest r", "src/mulfix/sequences.py",
-           "t = log_radius + 2 * _reference_margin(dim, log_radius, r)",
-           "t = log_radius + 2 * _reference_margin(dim, log_radius, s[-1])",
-           ("tests/test_solver.py::test_a_runaway_orbit_reads_distances_linear_in_max_iter",)),
+    Mutant("neighbour-count prefilter without its rounding margin", "src/mulfix/metrics.py",
+           "return (log_radius + _reference_margin(dim, log_radius, log_radius)) / factor",
+           "return log_radius / factor", (ROUNDED_RETURN,)),
     Mutant("a non-finite map parameter accepted", "src/mulfix/maps.py",
            "if v is not None and not math.isfinite(v):", "if False:",
            ("tests/test_experiment_cli.py::"

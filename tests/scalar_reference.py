@@ -15,15 +15,17 @@ bit for bit.  Coordinate terms are added left to right, as the kernels add
 them (``sum`` of floats is compensated since Python 3.12).
 
 ``look_back`` and ``limit_point`` are Picard's cycle look-back and the
-limit-point scan as exact scans over every pair, before a prefilter by one
-distance per orbit point ruled most pairs out; the tests compare the two.
+limit-point scan as exact scans over every pair, before a count of the
+points' neighbours in each coordinate ruled most pairs out; the tests
+compare the two.
 
 ``reference_picard`` is a Picard run built from public calls only, one
 step at a time, with every scan re-checking its points; ``picard_outcome``
 records exactly what a run gave or raised, so that ``picard`` and the
 reference can be compared bit for bit.  Both read the window and the
 look-back from ``mulfix.solver`` at call time, so a test that patches one
-of them patches both.  A run diverges where T fails or a step is infinite.
+of them patches both.  A run diverges only where T fails, and a step
+grows only from a finite one under the monotone check.
 
 ``reference_estimate`` and ``reference_classify`` fit the constants and
 classify a sample pair by pair through the ``check_*`` functions, once
@@ -310,15 +312,12 @@ def reference_iterate(metric, T, x, config, domain):
             raise DomainEscapeError(
                 f"iterate {n + 1} left the metric's domain: {y} ({exc})",
                 point=y, iteration=n + 1) from exc
-        if config.check_monotone_residual and steps and steps[-1] > log_eps \
+        if config.check_monotone_residual and steps and log_eps < steps[-1] < math.inf \
                 and step >= steps[-1]:
             raise MonotoneResidualError(
                 f"step log-distance grew from {steps[-1]} to {step} at iterate {n + 1}")
         points.append(y)
         steps.append(step)
-        if step == math.inf:
-            status = mx.Status.DIVERGED
-            break
         if step > log_eps:
             earlier = points[-1 - lookback:-2]
             if (metric.log_distance_matrix([y], earlier) < 1e-14).any():
@@ -591,7 +590,8 @@ def reference_bound_rows(result, delta):
     trace = result.trace
     d1 = trace.step_logd[0] if trace.step_logd else 0.0
     return [(n, trace.metric.log_distance(p, result.point),
-             mx.apriori_bound(d1, delta, n)) for n, p in enumerate(trace.points)]
+             (math.inf if delta ** n else 0.0) if d1 == math.inf
+             else mx.apriori_bound(d1, delta, n)) for n, p in enumerate(trace.points)]
 
 
 # -- axiom and triple scans, entry by entry ------------------------------------

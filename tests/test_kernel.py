@@ -18,6 +18,7 @@ import dataclasses
 import math
 import random
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -968,10 +969,10 @@ def event_run(event, metric, dim, n):
         T, start = mx.SelfMapSpec.affine(eye, (-0.5,) * dim), (0.5 * n,) * dim
     elif event == "overflow":  # reaches 2**1024 = inf at step n
         T, start = mx.SelfMapSpec.scale(2.0), (2.0 ** (1024 - n),) * dim
-    elif event == "diverge":  # finite iterates, and an infinite step n
-        # iterates n - 1 and n are +-0.4 and -+0.8 times 2**1024, which lie
-        # 1.2 * 2**1024 apart; step n - 1 is 0.6 * 2**1024 times log(a)
-        T, start = mx.SelfMapSpec.scale(-2.0), (0.8 * 2.0 ** (1024 - n),) + (0.0,) * (dim - 1)
+    elif event == "diverge":  # an infinite step n - 1, no event, then inf at step n
+        # iterates n - 2 and n - 1 are +-0.4 and -+0.8 times 2**1024, which
+        # lie 1.2 * 2**1024 apart
+        T, start = mx.SelfMapSpec.scale(-2.0), (1.6 * 2.0 ** (1024 - n),) + (0.0,) * (dim - 1)
     elif event == "small":
         T, start = shrinking(metric, dim)
         points = orbit_of(T, start, n)
@@ -998,18 +999,15 @@ def event_step(got):
         return got[3]
     if got[0] == "raised":
         return int(got[2].rsplit(" ", 1)[1])
-    failed = got[2] is mx.Status.DIVERGED and float.fromhex(got[1][-1]) < math.inf
-    return got[3] + failed
+    return got[3] + (got[2] is mx.Status.DIVERGED)
 
 
 EVENTS = {  # event: (status or error, metrics it lands exactly on step n under)
     "box": ("escaped", METRIC_SPECS),
     "space": ("escaped", [m for m in METRIC_SPECS if m.kind in SPACE_KINDS]),
-    "overflow": (mx.Status.DIVERGED, [m for m in METRIC_SPECS
-                                      if m.kind in ("star_product", "discrete")]),
-    "diverge": (mx.Status.DIVERGED, [m for m in METRIC_SPECS  # log(a) below 1 / 0.6
-                                     if m.kind == "exp_abs" or m.base in ("euclidean",
-                                                                          "manhattan")]),
+    # exp_reciprocal's steps shrink as the iterates grow: its runs converge
+    "overflow": (mx.Status.DIVERGED, [m for m in METRIC_SPECS if m.kind != "exp_reciprocal"]),
+    "diverge": (mx.Status.DIVERGED, [m for m in METRIC_SPECS if m.kind not in SPACE_KINDS]),
     "small": (None, [m for m in METRIC_SPECS if m.kind != "discrete"]),
     "monotone": ("raised", [m for m in METRIC_SPECS
                             if m.kind == "exp_abs" or m.base == "manhattan"]),
@@ -1257,7 +1255,7 @@ def test_a_coordinate_wise_run_maps_at_most_a_block_past_where_it_stops(make, st
     assert len(start) <= len(calls) - len(ref_calls) <= len(start) * solver._AHEAD
 
 
-# -- the reference-distance prefilter never hides a hit -----------------------------
+# -- the neighbour count never hides a hit -----------------------------
 
 
 def shifted(metric, p, i, delta):
@@ -1352,8 +1350,8 @@ def test_the_prefiltered_limit_point_scan_finds_what_the_exact_scan_finds(seed, 
 
 
 def test_a_stalled_run_reads_pairs_only_in_its_short_look_back_scans(monkeypatch):
-    # scale(0.999)'s orbit has no return and no limit point: its distances
-    # to the start rule out every pair of every look-back scan and of the
+    # scale(0.999)'s orbit has no return and no limit point: its distinct
+    # coordinates rule out every pair of every look-back scan and of the
     # limit-point scan over all 501 points, so no pair matrix is read
     kernel, calls = mx.MetricSpec._log_distance_matrix, []
 
@@ -1368,9 +1366,9 @@ def test_a_stalled_run_reads_pairs_only_in_its_short_look_back_scans(monkeypatch
     assert calls == []
 
 
-def test_the_look_back_reads_only_the_rows_near_another_in_distance_to_the_start():
-    # every point has its own distance to the start but x and its return:
-    # one scan reads their two rows, against the look-back of the first
+def test_the_look_back_reads_only_the_rows_near_another_in_every_coordinate():
+    # every point has its own coordinate but x and its return: one scan
+    # reads their two rows, against the look-back of the first
     metric, x = mx.MetricSpec.exp_abs(2.0), (40.5,)
     points = [(float(k),) for k in range(40)] + [x, (100.0,), x]
     steps = [metric._log_distance(a, b) for a, b in zip(points, points[1:])]
@@ -1388,34 +1386,36 @@ def test_the_look_back_reads_only_the_rows_near_another_in_distance_to_the_start
     assert calls == [([x, x], 42 - 1 - (40 - solver._LOOKBACK))]
 
 
-def rounded_apart():
-    """Points p0, x, y under exp_abs(2) with L(x, y) < 1e-14 but
-    |L(x, p0) - L(y, p0)| > 1e-14: p0 lies so far off that the distances
-    to it round on a grid of about 8e-14."""
-    metric, p0, rng = mx.MetricSpec.exp_abs(2.0), (1e3,), random.Random(7)
-    for _ in range(10_000):
-        x = (rng.uniform(0.5, 3.0),)
-        y = (x[0] + 1e-14 / math.log(2.0),)
-        r = metric._log_distance_pairs([x, y], [p0, p0])
-        if metric._log_distance(x, y) < 1e-14 < abs(r[0] - r[1]):
-            return metric, p0, x, y
+def rounded_down(radius):
+    """exp_abs(a) and points x > 0 > y at a kernel log distance below
+    radius although x - y exceeds radius / log(a): the difference rounds
+    down to that quotient t, and log(a) * t rounds below the radius."""
+    for k in range(1, 64):
+        metric = mx.MetricSpec.exp_abs(1.0 + k / 64)
+        t = radius / math.log(metric.a)
+        x = 0.75 * t
+        y = math.nextafter(x - t, -math.inf)  # x - t is exact, and y an ulp of t / 4 below
+        if metric._log_distance((x,), (y,)) < radius and Fraction(x) - Fraction(y) > t:
+            return metric, (x,), (y,)
     raise AssertionError("no such pair")
 
 
 @pytest.mark.parametrize("far, copies", [(3, 1), (70, 23)])
-def test_a_return_whose_distances_to_the_start_round_apart_is_found(far, copies):
-    # without the rounding margin, the prefilter would rule this pair out;
-    # the look-back scans far + 4 points, and the limit-point scan
+def test_a_return_whose_coordinate_difference_rounds_down_is_found(far, copies):
+    # without the rounding margin, the reach of each scan would rule this
+    # pair out; the look-back scans far + 4 points, and the limit-point scan
     # far + 2 + copies, a quarter of which are x and the copies of y
-    metric, p0, x, y = rounded_apart()
+    metric, x, y = rounded_down(solver._CYCLE_LOGD)
     apart = [(4.0 + k / 64,) for k in range(far)]
-    points = [p0] + apart + [x, (10.0,), y]
+    points = [(1e3,)] + apart + [x, (10.0,), y]
     steps = [metric._log_distance(a, b) for a, b in zip(points, points[1:])]
     look = solver._LookBack(metric, mx.SolverConfig(), points, steps)
     with solver_constants(lookback=2), pytest.raises(solver._Cycle):
         look.flush()
     assert points[-1] == y and len(points) == far + 4
-    trace = mx.IterationTrace(metric, (p0, *apart, x) + (y,) * copies,
+    eps = math.exp(1e-14)
+    metric, x, y = rounded_down(math.log(eps))
+    trace = mx.IterationTrace(metric, ((1e3,), *apart, x) + (y,) * copies,
                               (0.0,) * (far + 1 + copies))
     assert math.ceil(len(trace) / 4) == 1 + copies
-    assert mx.detect_limit_point(trace, math.exp(1e-14)) == x
+    assert mx.detect_limit_point(trace, eps) == x

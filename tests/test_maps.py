@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,18 @@ def test_grid_points_one_dimensional_endpoints():
     assert len(pts) == 50
     assert pts[0] == (0.1,) and pts[-1] == (1.0,)
     assert all(box.contains(p) for p in pts)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grid_points_reach_the_largest_float_without_a_warning(dim):
+    # (k - 1) * step rounds past the largest float, and linspace ends the
+    # axis at its upper bound instead
+    top = sys.float_info.max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pts = grid_points(mx.Box(((0.0, top),) * dim), 7 ** dim)
+    assert pts[0] == (0.0,) * dim and pts[-1] == (top,) * dim
+    assert all(math.isfinite(c) for p in pts for c in p)
 
 
 def test_grid_points_lattice_in_two_dimensions():

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -99,14 +100,25 @@ def test_monotone_flag_raises_on_expanding_maps():
 @pytest.mark.parametrize("T, start, status, steps", [
     # scale(2) from x steps by x under exp_abs(e): long steps are no event
     (mx.SelfMapSpec.scale(2.0), 700.5, mx.Status.MAX_ITER, [700.5 * 2 ** k for k in range(10)]),
-    # -1e308 lies an infinite log distance from 1e308
-    (mx.SelfMapSpec.negation(), 1e308, mx.Status.DIVERGED, [math.inf]),
+    # -1e308 lies an infinite log distance from 1e308, and the 2-cycle closes
+    (mx.SelfMapSpec.negation(), 1e308, mx.Status.CYCLE_DETECTED, [math.inf, math.inf]),
     # 2e308 is no float, so T fails at the start
     (mx.SelfMapSpec.scale(2.0), 1e308, mx.Status.DIVERGED, []),
 ], ids=["long-steps", "infinite-step", "infinite-image"])
 def test_a_run_diverges_only_when_its_orbit_leaves_the_floats(T, start, status, steps):
     result = mx.picard(EXPABS_E, T, start, mx.SolverConfig(eps=EPS, max_iter=10))
     assert result.status is status and list(result.trace.step_logd) == steps
+
+
+@pytest.mark.parametrize("T", [mx.SelfMapSpec.scale(-0.9), lambda p: (-0.9 * p[0],)],
+                         ids=["mapped-ahead", "step-by-step"])
+def test_the_monotone_rule_compares_no_step_with_an_infinite_one(T):
+    # under exp_abs(10), scale(-0.9) from 0.9e308 steps 1.9 ln(10) |x|: its
+    # first 8 steps are infinite, the 9th finite, and none grows from a finite one
+    result = mx.picard(mx.MetricSpec.exp_abs(10.0), T, 0.9e308,
+                       mx.SolverConfig(max_iter=10_000, check_monotone_residual=True))
+    assert result.status is mx.Status.CONVERGED
+    assert [math.isinf(d) for d in result.trace.step_logd[:9]] == [True] * 8 + [False]
 
 
 def test_a_run_converges_once_its_last_10_iterates_are_pairwise_close():
@@ -342,47 +354,59 @@ RATIO_METRICS = {"exp_abs": mx.MetricSpec.exp_abs,
 @given(kind=st.sampled_from(sorted(RATIO_METRICS)), a=st.sampled_from([1.5, 2.0, math.e, 10.0]),
        c=st.floats(0.1, 0.9) | st.floats(-0.9, -0.1), dim=st.integers(1, 2),
        signs=st.tuples(st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0])),
-       width=st.floats(-3.0, 9.0).map(lambda e: 10.0 ** e))
+       width=st.floats(-3.0, 308.0).map(lambda e: 10.0 ** e), monotone=st.booleans())
 # far starts, whose first hundred steps or so are long; and a width of 1e7,
 # where a bound row first exceeds its bound + tol by a rounding
-@example(kind="exp_abs", a=2.0, c=0.9, dim=2, signs=(1.0, -1.0), width=1e9)
-@example(kind="manhattan", a=10.0, c=-0.9, dim=1, signs=(1.0, 1.0), width=1e9)
-@example(kind="euclidean", a=math.e, c=0.7, dim=2, signs=(-1.0, 1.0), width=1e7)
+@example(kind="exp_abs", a=2.0, c=0.9, dim=2, signs=(1.0, -1.0), width=1e9, monotone=False)
+@example(kind="manhattan", a=10.0, c=-0.9, dim=1, signs=(1.0, 1.0), width=1e9, monotone=True)
+@example(kind="euclidean", a=math.e, c=0.7, dim=2, signs=(-1.0, 1.0), width=1e7,
+         monotone=False)
+# first steps past the largest float while every iterate is one, ln(10) *
+# 0.81e308 for scale(0.1); under scale(-0.9), steps stay infinite for 8
+# iterates, and the monotone rule compares no step with an infinite one
+@example(kind="exp_abs", a=10.0, c=0.1, dim=1, signs=(1.0, 1.0), width=1e308, monotone=True)
+@example(kind="chebyshev", a=10.0, c=0.1, dim=1, signs=(-1.0, 1.0), width=1e308,
+         monotone=False)
+@example(kind="exp_abs", a=10.0, c=-0.9, dim=1, signs=(1.0, 1.0), width=1e308, monotone=True)
+@example(kind="euclidean", a=10.0, c=0.1, dim=2, signs=(1.0, -1.0), width=1e307,
+         monotone=True)
 def test_a_ratio_contraction_converges_within_its_bound_from_any_box(kind, a, c, dim,
-                                                                     signs, width):
+                                                                     signs, width,
+                                                                     monotone):
     # scale(c) from 0.9 of a corner of the box [-width, width]**dim: the run
-    # converges to 0, and with xi = |c| every a-priori bound row holds
+    # converges to 0, and with xi = |c| every a-priori bound row holds.  Past
+    # a width of 1e9 the orbit's rounding can outgrow the rows' margin, and
+    # past 1e307 a 2-d row 0 can overflow, so there the rows are checked only
+    # where the first step is infinite, which bounds each row by inf or 0
     metric, T = RATIO_METRICS[kind](a), mx.SelfMapSpec.scale(c)
     calls, kernel = [], T._coordinate
     T.__dict__["_coordinate"] = lambda x: calls.append(x) or kernel(x)
     result = mx.picard(metric, T, tuple(0.9 * width * s for s in signs[:dim]),
-                       mx.SolverConfig())
+                       mx.SolverConfig(max_iter=10_000, check_monotone_residual=monotone))
     assert result.status is mx.Status.CONVERGED
-    assert mx.verify_bound(result, mx.ZamfirescuConstants(xi=abs(c)).delta).ok
+    if width <= 1e9 or result.trace.step_logd[0] == math.inf:
+        assert mx.verify_bound(result, mx.ZamfirescuConstants(xi=abs(c)).delta).ok
     # every step is mapped ahead, so T maps at most a block of discarded
     # iterates past each of the run's two cuts: below log(eps), and settled
     assert len(calls) <= dim * (result.iterations + 2 * solver._AHEAD)
 
 
-@pytest.mark.parametrize("metric", [mx.MetricSpec.exp_abs(10.0),
-                                    mx.MetricSpec.lifted("chebyshev", a=10.0)],
-                         ids=["exp_abs", "chebyshev"])
-def test_a_contraction_whose_first_log_distance_is_past_the_floats_diverges(metric):
-    # the limit of "a contraction converges from any start": scale(0.1) from
-    # 1e308 keeps every iterate a float, but its first step, ln(10) * 0.9e308,
-    # is past the largest float, so the run ends diverged at that step; from
-    # 8e307 that step is a float, and the run converges
-    far, near = (mx.picard(metric, mx.SelfMapSpec.scale(0.1), (x,), mx.SolverConfig())
-                 for x in (1e308, 8e307))
-    assert far.status is mx.Status.DIVERGED and far.iterations == 1
-    assert list(far.trace.step_logd) == [math.inf] and far.point == (0.1 * 1e308,)
-    assert near.status is mx.Status.CONVERGED and near.trace.step_logd[0] < math.inf
-
-
-def test_a_runaway_orbit_reads_distances_linear_in_max_iter(monkeypatch):
-    # scale(1.01) from 1.5 grows without overflowing, so both runs end at
-    # max_iter; their r to the start span 34 and 69 orders of magnitude, and
-    # the limit-point scan reads only rows a quarter of the orbit may lie near
+@pytest.mark.parametrize("metric, T, start, max_iters", [
+    # grows without overflowing: the values span 34 and 69 orders of magnitude
+    (mx.MetricSpec.exp_abs(2.0), mx.SelfMapSpec.scale(1.01), (1.5,), (8000, 16000)),
+    # every distance to the start past 7.8e307 overflows
+    (mx.MetricSpec.exp_abs(10.0), mx.SelfMapSpec.affine(((0.999,),), (1e305,)), (-1e308,),
+     (1000, 2000, 4000)),
+    # every distance to the start is log(2)
+    (mx.MetricSpec.discrete(2.0), mx.SelfMapSpec.scale(1.0000001), (1.0,), (1000, 2000, 4000)),
+    # moves along coordinate 1 alone: a count on coordinate 0 keeps every row
+    (mx.MetricSpec.exp_abs(2.0), mx.SelfMapSpec.affine(((1.0, 0.0), (0.0, 1.0)), (0.0, 1.0)),
+     (0.0, 0.0), (1000, 2000)),
+], ids=["scale", "overflowing", "discrete", "coordinate-1"])
+def test_a_runaway_orbit_reads_distances_linear_in_max_iter(monkeypatch, metric, T, start,
+                                                            max_iters):
+    # each orbit ends at max_iter with no limit point, and the scans read
+    # only rows a quarter of the orbit may lie near
     reads, kernel = [], mx.MetricSpec._log_distance_matrix
 
     def counted(metric, X, Y):
@@ -390,12 +414,26 @@ def test_a_runaway_orbit_reads_distances_linear_in_max_iter(monkeypatch):
         reads[-1] += D.size
         return D
     monkeypatch.setattr(mx.MetricSpec, "_log_distance_matrix", counted)
-    for max_iter in (8000, 16000):
+    for max_iter in max_iters:
         reads.append(0)
-        result = mx.picard(mx.MetricSpec.exp_abs(2.0), mx.SelfMapSpec.scale(1.01), 1.5,
-                           mx.SolverConfig(max_iter=max_iter))
+        result = mx.picard(metric, T, start, mx.SolverConfig(max_iter=max_iter))
         assert result.status is mx.Status.MAX_ITER and result.iterations == max_iter
-    assert reads[1] <= 2.2 * reads[0]
+    assert all(b <= 2.2 * a for a, b in zip(reads, reads[1:]))
+
+
+def test_a_far_rotation_runs_to_max_iter_without_a_warning():
+    # by 1 rad from (1e308, 0): its steps are infinite under lifted euclidean
+    # with a = 10, where the array kernels' products overflow as the scalar
+    # kernel's do, silently
+    metric = mx.MetricSpec.lifted("euclidean", 10.0)
+    rotation = mx.SelfMapSpec.affine(((math.cos(1.0), -math.sin(1.0)),
+                                      (math.sin(1.0), math.cos(1.0))), (0.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = mx.picard(metric, rotation, (1e308, 0.0), mx.SolverConfig(max_iter=1000))
+        D = metric.log_distance_matrix([(1e308,)], [(-1e307,)])
+    assert result.status is mx.Status.MAX_ITER and result.iterations == 1000
+    assert math.inf in result.trace.step_logd and D.tolist() == [[math.inf]]
 
 
 # -- multi-start and uniqueness ---------------------------------------------------
