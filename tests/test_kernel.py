@@ -1255,7 +1255,7 @@ def test_a_coordinate_wise_run_maps_at_most_a_block_past_where_it_stops(make, st
     assert len(start) <= len(calls) - len(ref_calls) <= len(start) * solver._AHEAD
 
 
-# -- the neighbour count never hides a hit -----------------------------
+# -- the neighbour count never hides a hit -----------------------------------------
 
 
 def shifted(metric, p, i, delta):
