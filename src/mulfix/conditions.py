@@ -309,8 +309,8 @@ class PairRows:
 
     ``i`` and ``j`` hold the evaluated pairs in sample order as integer arrays,
     which the writers convert a block at a time; ``checks`` maps each condition
-    to its ``(flags, slacks)`` over them, a bool array and a float64 array, or
-    None for the slacks of a condition with no admissible constant.  The
+    to its ``(flags, slacks)`` over them, a bool array and a float64 array,
+    all NaN for a condition with no admissible constant.  The
     columns keep the full floats; the written records hold each flag only, and
     the slacks reach a file through ``summary`` and ``write_csv``.  ``errors``
     holds one ``(position, i, j, cause, message)`` per pair that could not be
@@ -319,7 +319,7 @@ class PairRows:
     least one condition, as ``_classify`` gives every table.  The records run
     pair by pair, each evaluated pair with one record per condition in
     ``checks`` order, and each error record before the evaluated pair at its
-    position, the order ``_runs`` walks; ``records`` parses the written text.
+    position, the order ``_runs`` walks.
     """
 
     i: np.ndarray
@@ -337,23 +337,18 @@ class PairRows:
             a = pos
         yield a, len(self.i), None
 
-    def records(self) -> list[dict]:
-        """The parse of the written records: each ``{"pair": [i, j], "condition",
-        "satisfied"}``, and an ``"error"`` message after a null flag in the
-        record of a pair that could not be evaluated (condition ``"*"``)."""
-        return json.loads(dump_json(self))
-
     def summary(self) -> dict:
         """What the records hold, counted.  ``"conditions"`` gives per condition
         ``{"violations", "min_slack", "min_pair"}``: how many evaluated pairs
         fail it, and its least slack, NaN aside, with the first pair that gives
-        it; both None when no slack is a number, as in a None column.
+        it; both None when no slack is a number, as in the all-NaN column of a
+        condition with no admissible constant.
         ``"evaluated"`` counts the evaluated pairs, and ``"unevaluated"`` gives
         per cause in ``CAUSES`` order ``{"count", "first_pair"}`` of the error
         records, the first pair None for a cause with none."""
         conditions = {}
         for cid, (flags, slacks) in self.checks.items():
-            s = np.asarray(np.nan if slacks is None else slacks, dtype=float)
+            s = np.asarray(slacks, dtype=float)
             k = None if np.isnan(s).all() else int(np.flatnonzero(s == np.nanmin(s))[0])
             conditions[cid] = {
                 "violations": int(np.count_nonzero(~np.asarray(flags, dtype=bool))),
@@ -371,8 +366,8 @@ class PairRows:
         """Write the records to the text ``file`` as ``csv.writer`` rows under
         the header ``i,j,condition,satisfied,slack,error``, in record order,
         ``_PAIR_BLOCK`` evaluated pairs at a time: a flag as ``true`` or
-        ``false``, a finite slack as its ``repr``, and a None or non-finite
-        slack, and an error record's flag, as an empty field."""
+        ``false``, a finite slack as its ``repr``, and a non-finite slack, and
+        an error record's flag, as an empty field."""
         writer = csv.writer(file)
         writer.writerow(["i", "j", "condition", "satisfied", "slack", "error"])
         for start, stop, error in self._runs():
@@ -380,9 +375,8 @@ class PairRows:
                 b = min(a + _PAIR_BLOCK, stop)
                 columns = [(cid, np.where(np.asarray(f[a:b], dtype=bool), "true",
                                           "false").tolist(),
-                            [repr(x) if math.isfinite(x) else "" for x in np.asarray(
-                                [math.nan] * (b - a) if s is None else s[a:b],
-                                dtype=float).tolist()])
+                            [repr(x) if math.isfinite(x) else ""
+                             for x in np.asarray(s[a:b], dtype=float).tolist()])
                            for cid, (f, s) in self.checks.items()]
                 writer.writerows((i, j, cid, flags[k], slacks[k], "") for k, (i, j) in
                                  enumerate(zip(self.i[a:b].tolist(), self.j[a:b].tolist()))
@@ -463,8 +457,11 @@ class ConditionReport:
 
     @cached_property
     def records(self) -> list[dict]:
-        """``rows.records()``, parsed once; the slacks stay in ``rows``."""
-        return self.rows.records()
+        """The parse of the written records of ``rows``, once: each
+        ``{"pair": [i, j], "condition", "satisfied"}``, and an ``"error"``
+        message after a null flag in the record of a pair that could not be
+        evaluated (condition ``"*"``); the slacks stay in ``rows``."""
+        return json.loads(dump_json(self.rows))
 
     def condition_ok(self, condition: str) -> bool:
         """True when every pair was evaluated and satisfies the condition,
@@ -506,15 +503,16 @@ class ConditionReport:
 
 def _effective_constants(
     given: Optional[ZamfirescuConstants], est: ConstantEstimates
-) -> tuple[float | None, float | None, float | None, Optional[ZamfirescuConstants]]:
-    """Constants to test at: the declared triple, or feasible estimates."""
+) -> tuple[float, float, float, Optional[ZamfirescuConstants]]:
+    """Constants to test at: the declared triple, or the estimates, NaN where
+    not feasible, which fails every pair; the triple when all are feasible."""
     if given is not None:
         return given.xi, given.eta, given.lam, given
-    xi = est.xi_hat if est.c1_feasible else None
-    eta = est.eta_hat if est.c2_feasible else None
-    lam = est.lambda_hat if est.c3_feasible else None
+    xi = est.xi_hat if est.c1_feasible else math.nan
+    eta = est.eta_hat if est.c2_feasible else math.nan
+    lam = est.lambda_hat if est.c3_feasible else math.nan
     triple = None
-    if xi is not None and eta is not None and lam is not None:
+    if est.c1_feasible and est.c2_feasible and est.c3_feasible:
         triple = ZamfirescuConstants(xi=xi, eta=eta, lam=lam)
     return xi, eta, lam, triple
 
@@ -576,9 +574,6 @@ def _classify(table: _PairTable, constants: Optional[ZamfirescuConstants],
     with np.errstate(all="ignore"):
         for cid in [*rhs, "PHI"] if phi is not None else rhs:
             const, den = rhs.get(cid, (1.0, None))
-            if const is None:  # no admissible constant: unsatisfied everywhere
-                checks[cid] = (np.zeros(len(I), dtype=bool), None)
-                continue
             slack = table.phi_slack(phi, I, J) if cid == "PHI" else const * den - Dtt
             if cid in ("SI", "SII", "SIII"):
                 ok = slack > 0

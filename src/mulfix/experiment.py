@@ -257,22 +257,21 @@ def _eval_expectation(spec: dict, report: "ExperimentReport",
     kind = spec["kind"]
     runs = report.runs
     converged = [r for r in runs if r.status is Status.CONVERGED]
+    every = len(converged) == len(runs)  # every run converged; a config has a start
     cls_report = report.classification
 
     if kind == "converged":
-        ok = len(converged) == len(runs) and runs
+        ok = every
         detail = f"{len(converged)}/{len(runs)} starts converged"
     elif kind == "unique_fixed_point":
-        ok = (len(converged) == len(runs) and runs
-              and report.start_independence.passed and report.uniqueness.passed)
+        ok = every and report.start_independence.passed and report.uniqueness.passed
         detail = (f"start_independence={report.start_independence.verdict}, "
                   f"uniqueness={report.uniqueness.verdict}")
     elif kind == "fixed_point":
         target = as_point(spec["point"])
         dims = sorted({len(r.point) for r in converged} - {len(target)})
         errs = [max(abs(a - b) for a, b in zip(r.point, target)) for r in converged]
-        ok = (not dims and bool(errs) and len(converged) == len(runs)
-              and max(errs) <= _FIXED_POINT_TOL)
+        ok = not dims and every and max(errs) <= _FIXED_POINT_TOL
         if dims:
             detail = (f"point has dimension {len(target)}, converged runs dimension "
                       f"{', '.join(map(str, dims))}")
@@ -282,7 +281,7 @@ def _eval_expectation(spec: dict, report: "ExperimentReport",
     elif kind == "residual":
         limit = spec["max_logd"]
         worst = max((r.residual_logd for r in converged), default=math.inf)
-        ok = bool(converged) and len(converged) == len(runs) and worst <= limit
+        ok = every and worst <= limit
         detail = f"worst residual log-distance {worst:.3e} (limit {limit:g})"
     elif kind == "constants":
         est = cls_report.estimates

@@ -34,8 +34,9 @@ MAP_PARAMS = {
 
 
 # -- scalar kernels: the image of a point tuple that passed ``as_point`` -------
-# Each takes its kind's parameters first, in MAP_PARAMS order;
-# ``SelfMapSpec._call`` binds them, ``_coordinate`` a kernel of one coordinate.
+# Each takes its kind's parameters first, in MAP_PARAMS order, and each kind
+# has one: a point kernel, which ``SelfMapSpec._call`` binds, or a kernel of one
+# coordinate, which ``_coordinate`` binds and ``_call`` maps over the point.
 
 
 def _rational(b, c: float) -> float:
@@ -54,17 +55,13 @@ def _power(p, c: float) -> float:
 
 
 def _inverse_sqrt(c: float) -> float:
+    if c <= 0:
+        raise DomainError(f"reciprocal_sqrt needs a positive coordinate, got {c}")
     return 1.0 / math.sqrt(c)
 
 
 def _coordinatewise(coordinate: Callable[[float], float], x: Point) -> Point:
     return tuple(map(coordinate, x))
-
-
-def _reciprocal_sqrt(x: Point) -> Point:
-    if any(c <= 0 for c in x):
-        raise DomainError(f"reciprocal_sqrt needs positive coordinates, got {x}")
-    return tuple(map(_inverse_sqrt, x))
 
 
 def _constant(value: Point, x: Point) -> Point:
@@ -84,8 +81,7 @@ def _affine(m: np.ndarray, offset: np.ndarray, x: Point) -> Point:
     return as_point(y)
 
 
-_KERNELS = {"reciprocal_sqrt": _reciprocal_sqrt, "constant": _constant,
-            "identity": _identity, "affine": _affine}
+_KERNELS = {"constant": _constant, "identity": _identity, "affine": _affine}
 _COORDINATE = {"scale": operator.mul, "rational": _rational, "power": _power,
                "reciprocal_sqrt": _inverse_sqrt, "negation": operator.neg}
 

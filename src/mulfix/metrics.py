@@ -275,22 +275,12 @@ class MetricSpec(JsonConfig):
         A, B = self._values(_array(X)), self._values(_array(Y))
         return self._fold(A[:, None, :], B[None, :, :])
 
-    def _log_distance_pairs(self, X: Sequence[Point], Y: Sequence[Point]) -> np.ndarray:
-        """``_log_distance(x, y)`` for each pair of ``zip(X, Y)``, two equally
-        long lists of point tuples that passed ``_checked``, bit for bit
-        (the same arithmetic as ``_log_distance_matrix``)."""
-        if not X:
-            return np.zeros(0)
-        if self.kind == "lifted" and self.base == "euclidean":
-            with np.errstate(over="ignore"):  # inf, as the scalar kernel gives
-                return math.log(self.a) * np.array(list(map(math.dist, X, Y)))
-        return self._fold(self._values(_array(X)), self._values(_array(Y)))
-
     def _chain(self, P: Sequence[Point], A: np.ndarray) -> np.ndarray:
         """``_log_distance`` of each of the checked point tuples ``P[1:]``
-        from the one before it, where A holds P."""
+        from the one before it, bit for bit, where A holds P: the scalar
+        kernel for a lifted Euclidean metric, else ``_fold`` of A's values."""
         if self.kind == "lifted" and self.base == "euclidean":
-            return self._log_distance_pairs(P[:-1], P[1:])
+            return np.array(list(map(self._log_distance, P[:-1], P[1:])))
         V = self._values(A)
         return self._fold(V[:-1], V[1:])
 

@@ -103,15 +103,13 @@ def _stepper(metric, T, domain: Optional[Box] = None,
     log(eps).  Every metric checks the tuples by its ``_outside`` first.
     """
     image, distance, outside = _checked_image(T), metric._log_distance, metric._outside
-    bounds = None if domain is None else domain.bounds
     # a step above this may not grow; inf without the monotone check
     log_eps = config.log_eps if config is not None and config.check_monotone_residual \
         else math.inf
 
     def step(x: Point, n: int, prev: Optional[float]) -> tuple[Point, float]:
         y = image(x)
-        if bounds is not None and (len(y) != len(bounds) or not all(
-                lo <= c <= hi for c, (lo, hi) in zip(y, bounds))):
+        if domain is not None and not domain.contains(y):
             raise DomainEscapeError(
                 f"iterate {n} left the declared domain: {y}", point=y, iteration=n,
             )
@@ -184,8 +182,6 @@ class _LookBack:
         near = _near_rows(self.metric, self.points[first:hi], _CYCLE_LOGD, 2)
         rows = [first + k for k in near
                 if first + k >= lo and self.steps[first + k - 1] > self.log_eps]
-        if not rows:  # the usual case; skip the reader's set-up
-            return
         for block, D, lag in _row_blocks(self.metric, self.points, rows, 2, _LOOKBACK):
             hits = ((D < _CYCLE_LOGD) & lag).any(axis=1)
             if hits.any():
@@ -202,8 +198,7 @@ class _LookBack:
         points, w, ends = self.points, _WINDOW, range(lo, len(self.points))
         if self.blocked:
             firsts = [points[max(0, j + 1 - w)] for j in ends]
-            near = (self.metric._log_distance_pairs(firsts, points[lo:]).tolist()
-                    if len(firsts) > 1 else [self.metric._log_distance(firsts[0], points[lo])])
+            near = map(self.metric._log_distance, firsts, points[lo:])
             ends = [j for j, d in zip(ends, near) if d < self.log_eps]
         for j in ends:
             if _max_pairwise_logd(self.metric, points[max(0, j + 1 - w):j + 1]) < self.log_eps:

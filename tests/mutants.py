@@ -285,6 +285,27 @@ MUTANTS = (
            "for z in range(0 if proved else n):", "for z in range(n if proved else 0):",
            ("tests/test_metrics.py::"
             "test_triple_scans_list_what_their_loops_listed_on_tables",)),
+    Mutant("zero admitted by reciprocal_sqrt's coordinate kernel", "src/mulfix/maps.py",
+           "    if c <= 0:\n        raise DomainError(f\"reciprocal_sqrt",
+           "    if c < 0:\n        raise DomainError(f\"reciprocal_sqrt",
+           ("tests/test_bound_kernels.py::"
+            "test_reciprocal_sqrts_coordinate_kernel_raises_what_the_map_raises",)),
+    Mutant("an infeasible constant tested as 0", "src/mulfix/conditions.py",
+           "xi = est.xi_hat if est.c1_feasible else math.nan",
+           "xi = est.xi_hat if est.c1_feasible else 0.0", (CLASSIFY_REFERENCE,)),
+    Mutant("a box open at its upper end", "src/mulfix/maps.py",
+           "all(lo <= c <= hi for c, (lo, hi) in zip(p, self.bounds))",
+           "all(lo <= c < hi for c, (lo, hi) in zip(p, self.bounds))",
+           ("tests/test_solver.py::test_an_iterate_on_the_domains_edge_stays_inside",)),
+    Mutant("the window prefilter reading the window's second point", "src/mulfix/solver.py",
+           "firsts = [points[max(0, j + 1 - w)] for j in ends]",
+           "firsts = [points[max(0, j + 2 - w)] for j in ends]",
+           ("tests/test_solver.py::"
+            "test_the_window_prefilter_rules_a_window_out_by_its_first_to_last_pair",)),
+    Mutant("one converged run taken for every run", "src/mulfix/experiment.py",
+           "every = len(converged) == len(runs)", "every = len(converged) > 0",
+           ("tests/test_experiment_cli.py::"
+            "test_an_expectation_on_the_runs_fails_when_one_run_did_not_converge",)),
 )
 
 

@@ -43,11 +43,11 @@ and reverse-triangle loops list violations one matrix entry at a time, as
 ``reference_csv_text`` writes a trace's CSV rows through ``csv.writer``.
 
 ``record_walk`` lists a ``PairRows``'s records in one plain loop over its
-pairs, columns and errors, as ``PairRows.records`` once built them, without
-its run walk or its writer.  ``reference_records``, ``reference_pairs_csv``
-and ``reference_summary`` build the written records, the ``pairs.csv`` text
-and the summary (per condition, and of the pairs evaluated and not) from
-that walk alone, a record at a time.
+pairs, columns and errors, without its run walk or its writer.
+``reference_records``, ``reference_pairs_csv`` and ``reference_summary``
+build the written records, the ``pairs.csv`` text and the summary (per
+condition, and of the pairs evaluated and not) from that walk alone, a
+record at a time.
 """
 
 import csv
@@ -207,9 +207,12 @@ def call(self, x: Point) -> Point:
             out.append(c ** self.p)
         return tuple(out)
     if self.kind == "reciprocal_sqrt":
-        if any(c <= 0 for c in x):
-            raise DomainError(f"reciprocal_sqrt needs positive coordinates, got {x}")
-        return tuple(1.0 / math.sqrt(c) for c in x)
+        out = []
+        for c in x:
+            if c <= 0:
+                raise DomainError(f"reciprocal_sqrt needs a positive coordinate, got {c}")
+            out.append(1.0 / math.sqrt(c))
+        return tuple(out)
     if self.kind == "constant":
         return self.value
     if self.kind == "identity":
@@ -525,7 +528,7 @@ def reference_classify(metric, T, points, constants, phi, tol, strict_margin):
             res = {}
             for cid, const, check in (("C1", xi, check_c1), ("C2", eta, check_c2),
                                       ("C3", lam, check_c3)):
-                res[cid] = (False, None) if const is None else check(
+                res[cid] = (False, math.nan) if const is None else check(
                     metric, T, x, y, const, tol)
             for cid in ("SI", "SII", "SIII"):
                 res[cid] = check_strict(metric, T, x, y, cid, strict_margin)
@@ -677,8 +680,8 @@ def record_walk(rows):
     in order: before evaluated pair k, the error rows at position k, and after
     the last pair those at position ``len(rows.i)`` (the error rows come in
     position order, none past the last pair).  ``satisfied`` is a bool and
-    ``slack`` a float, None in a None column; both are None, and ``error``
-    the message, in an error record."""
+    ``slack`` a float; both are None, and ``error`` the message, in an
+    error record."""
     n = len(rows.i)
     errors = list(rows.errors)
     out = []
@@ -688,9 +691,8 @@ def record_walk(rows):
             out.append((i, j, "*", None, None, message))
         if k < n:
             for cid, (flags, slacks) in rows.checks.items():
-                slack = None if slacks is None or slacks[k] is None else float(slacks[k])
-                out.append((int(rows.i[k]), int(rows.j[k]), cid, bool(flags[k]), slack,
-                            None))
+                out.append((int(rows.i[k]), int(rows.j[k]), cid, bool(flags[k]),
+                            float(slacks[k]), None))
     return out
 
 
@@ -745,7 +747,7 @@ def reference_summary(rows) -> dict:
         entry = out[cid]
         if not satisfied:
             entry["violations"] += 1
-        if slack is not None and not math.isnan(slack) and (
+        if not math.isnan(slack) and (
                 entry["min_slack"] is None or slack < entry["min_slack"]):
             entry["min_slack"], entry["min_pair"] = slack, [i, j]
     return {"conditions": out, "evaluated": evaluated, "unevaluated": unevaluated}

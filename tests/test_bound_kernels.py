@@ -114,9 +114,9 @@ def test_a_map_kernel_equals_the_kind_dispatch(kind, data):
     (mx.SelfMapSpec.power(-1.0), (0.0,), ("DomainError", "negative power of zero")),
     (mx.SelfMapSpec.power(-2.0), (-0.0,), ("DomainError", "negative power of zero")),
     (mx.SelfMapSpec.reciprocal_sqrt(), (1.0, 0.0),
-     ("DomainError", "reciprocal_sqrt needs positive coordinates, got (1.0, 0.0)")),
+     ("DomainError", "reciprocal_sqrt needs a positive coordinate, got 0.0")),
     (mx.SelfMapSpec.reciprocal_sqrt(), (-1.0,),
-     ("DomainError", "reciprocal_sqrt needs positive coordinates, got (-1.0,)")),
+     ("DomainError", "reciprocal_sqrt needs a positive coordinate, got -1.0")),
     (mx.SelfMapSpec.affine(((1.0, 2.0),), (0.0,)), (1.0,),
      ("DomainError", "affine matrix expects dimension 2")),
     (mx.SelfMapSpec.power(2.0), (1e200,),
@@ -150,6 +150,15 @@ def test_the_coordinate_wise_kinds_and_only_they_bind_a_coordinate_kernel():
                               .get(name, 0.5) for name in maps.MAP_PARAMS[kind]}})
         assert (T._coordinate is not None) == (kind in COORDINATEWISE)
         assert T._coordinate is T._coordinate
+
+
+@pytest.mark.parametrize("c, x", [(0.0, (1.0, 0.0)), (-1.0, (-1.0,))],
+                         ids=["zero", "negative"])
+def test_reciprocal_sqrts_coordinate_kernel_raises_what_the_map_raises(c, x):
+    # the map-ahead applies the coordinate kernel, a Picard step the whole map
+    T = mx.SelfMapSpec.reciprocal_sqrt()
+    text = f"reciprocal_sqrt needs a positive coordinate, got {c}"
+    assert outcome(T._coordinate, c) == outcome(T, x) == ("raised", "DomainError", text)
 
 
 def iterated(T, x, k):

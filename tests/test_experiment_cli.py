@@ -815,6 +815,21 @@ def test_map_failures_are_recorded_per_pair_not_fatal():
     json.loads(text, parse_constant=lambda s: pytest.fail(f"non-finite {s}"))
 
 
+@pytest.mark.parametrize("expectation", [
+    "converged", {"kind": "fixed_point", "point": [0.0]},
+    {"kind": "residual", "max_logd": 1.0}])
+def test_an_expectation_on_the_runs_fails_when_one_run_did_not_converge(expectation):
+    # negation converges from its fixed point 0 and cycles from 1
+    config = mx.ExperimentConfig.from_json_dict(
+        {**negation_config(), "solver": {"eps": EPS, "max_iter": 200,
+                                         "starts": [[0.0], [1.0]]},
+         "expectations": [expectation]})
+    report = mx.run_experiment(config)
+    assert [r.status for r in report.runs] == [mx.Status.CONVERGED,
+                                               mx.Status.CYCLE_DETECTED]
+    assert not report.expectations[0].passed
+
+
 def test_minimal_config_runs(tmp_path):
     config = mx.ExperimentConfig.from_json_dict({
         "metric": {"kind": "exp_abs", "a": 2.0},
@@ -964,8 +979,8 @@ def test_a_map_that_fails_at_every_point_warns_once(tmp_path):
     assert proc.returncode == 2
     warning, error = proc.stderr.splitlines()
     assert warning.startswith("warning: map evaluation failed at 200 points, excluded; "
-                              "the first: map at point 0: reciprocal_sqrt needs positive "
-                              "coordinates")
+                              "the first: map at point 0: reciprocal_sqrt needs a positive "
+                              "coordinate, got ")
     assert error.startswith("error: no usable distinct pair in the sample: map at point 0: ")
 
 

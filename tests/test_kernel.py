@@ -846,7 +846,7 @@ def test_picard_passes_a_distance_function_the_step_by_step_pairs(m, tail, lookb
     assert calls == loop_calls
 
 
-# -- the pair kernel and left-to-right sums --------------------------------------
+# -- the chain kernel and left-to-right sums -------------------------------------
 
 METRIC_SPECS = [m for m in METRICS if isinstance(m, mx.MetricSpec)]
 SPACE_KINDS = ("star_product", "exp_reciprocal")  # a space other than all of R^d
@@ -855,24 +855,23 @@ SPACE_KINDS = ("star_product", "exp_reciprocal")  # a space other than all of R^
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), metric=st.sampled_from(METRIC_SPECS),
        dim=st.integers(1, 4))
-def test_the_pair_kernel_equals_the_scalar_kernel(seed, metric, dim):
+def test_the_chain_kernel_equals_the_scalar_kernel(seed, metric, dim):
     rng = random.Random(seed)
     points = [p for p in random_sample(rng, dim) + random_orbit(rng, dim)
               if metric._outside(p, dim) is None]
-    X = [rng.choice(points) for _ in points]
-    got = [bits(v) for v in metric._log_distance_pairs(points, X).tolist()]
-    assert got == [bits(metric._log_distance(x, y)) for x, y in zip(points, X)]
+    P = points + [rng.choice(points) for _ in points]  # repeats give equal neighbours
+    got = [bits(v) for v in metric._chain(P, metrics._array(P)).tolist()]
+    assert got == [bits(metric._log_distance(x, y)) for x, y in zip(P, P[1:])]
 
 
 @pytest.mark.parametrize("metric", METRIC_SPECS, ids=lambda m: f"{m.kind}-{m.base}")
-def test_the_pair_kernel_is_exact_on_many_values(metric):
+def test_the_chain_kernel_is_exact_on_many_values(metric):
     # as for the matrix kernel: a last-bit difference of np.log or of a
     # vectorised norm would all but certainly show on 10,000 pairs
     rng = random.Random(6)
-    X, Y = ([(rng.uniform(0.01, 100.0), rng.uniform(0.01, 100.0)) for _ in range(10_000)]
-            for _ in range(2))
-    assert (metric._log_distance_pairs(X, Y).tolist()
-            == [metric._log_distance(x, y) for x, y in zip(X, Y)])
+    P = [(rng.uniform(0.01, 100.0), rng.uniform(0.01, 100.0)) for _ in range(10_001)]
+    assert (metric._chain(P, metrics._array(P)).tolist()
+            == [metric._log_distance(x, y) for x, y in zip(P, P[1:])])
 
 
 # Coordinate terms 1, 2**-53, 2**-53: each addition ties back to 1.0, where a
@@ -900,7 +899,7 @@ def test_every_kernel_adds_its_terms_left_to_right(metric, x, y):
     assert bits(metric.log_distance(x, y)) == expected
     assert bits(scalar_reference.log_distance(metric, x, y)) == expected
     assert bits(metric.log_distance_matrix([x, y], [y])[0, 0]) == expected
-    assert bits(metric._log_distance_pairs([x, y], [y, x])[0]) == expected
+    assert bits(metric._chain([x, y], metrics._array([x, y]))[0]) == expected
 
 
 # -- the map-ahead of a built-in map, across its blocks ----------------------------

@@ -161,6 +161,29 @@ def test_domain_escape_reports_the_offending_iterate():
     assert err.value.iteration == 1
 
 
+@pytest.mark.parametrize("edge", [-1.0, 1.0], ids=["lower", "upper"])
+def test_an_iterate_on_the_domains_edge_stays_inside(edge):
+    # the box is closed: a step onto either end of an interval is no escape
+    box = mx.Box(((-1.0, 1.0),))
+    result = mx.picard(EXPABS_E, mx.SelfMapSpec.constant((edge,)), 0.5, CFG, domain=box)
+    assert result.status is mx.Status.CONVERGED and result.point == (edge,)
+    assert box.contains((edge,))
+
+
+def test_the_window_prefilter_rules_a_window_out_by_its_first_to_last_pair(monkeypatch):
+    # ten iterates pairwise close but for the first: every window holds the
+    # first and the last, so none is scanned pairwise
+    config = mx.SolverConfig(eps=EPS)
+    points = [(0.0,)] + [(1.0 + k * 1e-12,) for k in range(1, solver._WINDOW)]
+    steps = [EXPABS_E.log_distance(x, y) for x, y in zip(points, points[1:])]
+    assert steps[0] > config.log_eps > max(steps[1:])
+    scanned = []
+    monkeypatch.setattr(solver, "_max_pairwise_logd",
+                        lambda metric, window: scanned.append(window) or math.inf)
+    solver._LookBack(EXPABS_E, config, points, steps).windows(2, settle=None)
+    assert scanned == []
+
+
 def test_two_point_swap_is_reported_as_a_cycle():
     result = mx.picard(EXPABS_E, mx.SelfMapSpec.negation(), 1.0, CFG)
     assert result.status is mx.Status.CYCLE_DETECTED
