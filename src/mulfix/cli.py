@@ -6,7 +6,6 @@ import argparse
 import dataclasses
 import io
 import json
-import logging
 import os
 import sys
 from functools import cache
@@ -46,14 +45,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Warnings(logging.Handler):
-    """Each record as a ``warning:`` line on ``sys.stderr`` as it is then."""
+@cache  # one handler per process: the benchmark calls main many times in one process
+def _install_warnings() -> None:
+    """Print each record of the ``mulfix`` loggers as a ``warning:`` line on
+    ``sys.stderr`` as it is then; records still propagate.  ``logging`` is
+    imported here, so that the library alone never loads it."""
+    import logging
 
-    def emit(self, record):
-        print(f"warning: {record.getMessage()}", file=sys.stderr)
+    class _Warnings(logging.Handler):
+        def emit(self, record):
+            print(f"warning: {record.getMessage()}", file=sys.stderr)
 
-
-_WARNINGS = _Warnings()
+    logging.getLogger("mulfix").addHandler(_Warnings())
 
 
 def _apply_overrides(config: ExperimentConfig, given: dict) -> ExperimentConfig:
@@ -88,8 +91,7 @@ def _print_report(label: str, report) -> None:
 
 
 def main(argv=None) -> int:
-    # one handler per process, as adding it again is a no-op; records still propagate
-    logging.getLogger("mulfix").addHandler(_WARNINGS)
+    _install_warnings()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.out == "":

@@ -20,10 +20,8 @@ negative slack.
 """
 from __future__ import annotations
 
-import csv
 import io
 import json
-import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -35,8 +33,6 @@ from .errors import ConfigError, DegeneratePairError, DomainError
 from .jsonconfig import JsonConfig, _string, decode, dump_json
 from .maps import _checked_image
 from .metrics import DEFAULT_LOG_TOL, MetricSpec, _reference_margin, equal_points
-
-logger = logging.getLogger(__name__)
 
 CONDITION_IDS = ("C1", "C2", "C3", "SI", "SII", "SIII", "PHI")
 # Why a pair was not evaluated, in the order they are tested: the map failed,
@@ -128,9 +124,8 @@ class PhiSpec(JsonConfig):
         self._certify_unit_property()
 
     def _certify_unit_property(self):
-        # phi == 1 exactly at (1, 1); sample the boundary rays.
-        if self.log_phi(0.0, 0.0) != 0.0:
-            raise DomainError(f"{self.kind}: phi(1, 1) != 1")
+        # Every kind's log phi is linear in (ls, lt), so phi(1, 1) is exactly
+        # 1; sample the boundary rays, where a tiny exponent can round to 1.
         for w in (1e-6, 0.5, 3.0):
             if self.log_phi(w, 0.0) <= 0.0 or self.log_phi(0.0, w) <= 0.0:
                 raise DomainError(f"{self.kind}: phi must exceed 1 off (1, 1)")
@@ -220,8 +215,8 @@ class _PairTable:
             self.images.append(image)
             self.errors.append(error)
         if failed := [e[1] for e in self.errors if e and e[0] == "map"]:
-            logger.warning("map evaluation failed at %d points, excluded; the first: %s",
-                           len(failed), failed[0])
+            _warn("map evaluation failed at %d points, excluded; the first: %s",
+                  len(failed), failed[0])
         good = [k for k, e in enumerate(self.errors) if e is None]
         X, TX = [points[k] for k in good], [self.images[k] for k in good]
         n, block = len(points), np.ix_(good, good)
@@ -264,6 +259,13 @@ class _PairTable:
         return min(at, key=lambda e: CAUSES.index(e[0]), default=None)
 
 
+def _warn(message: str, *args) -> None:
+    """Log a warning on this module's logger, importing ``logging`` only
+    here: a run that warns of nothing never loads it."""
+    import logging
+    logging.getLogger(__name__).warning(message, *args)
+
+
 def _sup_ratio(num: np.ndarray, den: np.ndarray) -> float:
     """Running ``max(0.0, num / den)`` over pairs, where NaN never wins and a
     zero denominator under a positive numerator admits no constant (inf)."""
@@ -275,14 +277,15 @@ def _sup_ratio(num: np.ndarray, den: np.ndarray) -> float:
     return max(0.0, float(np.nanmax(ratios, initial=0.0)))
 
 
-def _estimate(table: _PairTable) -> ConstantEstimates:
-    I, J, Dxx, own, cross, Dtt = table.gather(table.usable)
+def _estimate(table: _PairTable, usable: tuple[np.ndarray, ...]) -> ConstantEstimates:
+    """The estimates over ``usable``, the table's ``gather`` at its usable pairs."""
+    I, J, Dxx, own, cross, Dtt = usable
     used = Dxx != 0
     n_used = int(used.sum())
     if n_used < len(used):
         k = int(used.argmin())  # the first collapsed pair
-        logger.warning("%d distinct pairs collapsed to distance 1, skipped; the first: "
-                       "%s / %s", len(used) - n_used, table.points[I[k]], table.points[J[k]])
+        _warn("%d distinct pairs collapsed to distance 1, skipped; the first: %s / %s",
+              len(used) - n_used, table.points[I[k]], table.points[J[k]])
     if n_used == 0:
         why = next((f": {e[1]}" for e in table.errors if e), "")  # the first failing point
         raise DegeneratePairError(f"no usable distinct pair in the sample{why}")
@@ -300,7 +303,8 @@ def estimate_constants(metric, T, sample: Sequence) -> ConstantEstimates:
     artifact for a valid metric) are skipped, counted, and logged; a point
     outside the metric's space raises DomainError.
     """
-    return _estimate(_PairTable(metric, T, sample))
+    table = _PairTable(metric, T, sample)
+    return _estimate(table, table.gather(table.usable))
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,6 +372,7 @@ class PairRows:
         ``_PAIR_BLOCK`` evaluated pairs at a time: a flag as ``true`` or
         ``false``, a finite slack as its ``repr``, and a non-finite slack, and
         an error record's flag, as an empty field."""
+        import csv  # only this writer uses it
         writer = csv.writer(file)
         writer.writerow(["i", "j", "condition", "satisfied", "slack", "error"])
         for start, stop, error in self._runs():
@@ -545,17 +550,20 @@ def _classify(table: _PairTable, constants: Optional[ZamfirescuConstants],
               phi: Optional[PhiSpec], *, seed: int | None = None) -> ConditionReport:
     """``classify`` of a sample's table.
 
-    The usable pairs that log phi does not reject are evaluated: the
-    table's ``gather`` at them gives the vectors each condition's flags and
-    slacks are computed on, the columns of the report's ``PairRows``.
+    The usable pairs that log phi does not reject are evaluated.  The
+    table is gathered once, at the usable pairs: the estimates read those
+    vectors, and each condition's flags and slacks are computed on their
+    entries at the evaluated pairs, the columns of the report's ``PairRows``.
     """
-    est = _estimate(table)
+    usable = table.gather(table.usable)
+    est = _estimate(table, usable)
     xi, eta, lam, triple = _effective_constants(constants, est)
 
-    evaluated = table.usable
+    evaluated, columns = table.usable, usable
     if phi is not None:  # log phi rejects L(x, Tx) < 0
         phi_bad = table.step < 0
         evaluated = evaluated & ~(phi_bad[table.I] | phi_bad[table.J])
+        columns = [c[evaluated[table.usable]] for c in usable]
     n_pairs = int(table.distinct.sum())
     unevaluated = np.flatnonzero(table.distinct & ~evaluated)
     before = np.cumsum(evaluated)  # evaluated pairs before each pair not evaluated
@@ -566,7 +574,7 @@ def _classify(table: _PairTable, constants: Optional[ZamfirescuConstants],
             "phi", f"phi at point {i if phi_bad[i] else j}: "
                    "phi arguments must be distances >= 1")
         errors.append((int(before[k]), i, j, cause, text))
-    I, J, Dxx, own, cross, Dtt = table.gather(evaluated)
+    I, J, Dxx, own, cross, Dtt = columns
     # Every condition but PHI reads L(Tx, Ty) <= const * den on each pair.
     rhs = {"C1": (xi, Dxx), "C2": (eta, own), "C3": (lam, cross),
            "SI": (1.0, Dxx), "SII": (0.5, own), "SIII": (0.5, cross)}

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .conditions import PhiSpec, ZamfirescuConstants
 from .errors import DomainError
@@ -162,7 +161,10 @@ class RemarkReport:
 
 def _run_remark_2_5() -> RemarkReport:
     # Exact rational arithmetic keeps the reported numbers bit-comparable:
-    # 3/2 + 6 = 7.5 and 9 are all representable floats.
+    # 3/2 + 6 = 7.5 and 9 are all representable floats.  Only this fixture
+    # loads fractions (and decimal with it).
+    from fractions import Fraction
+
     third, half, three = Fraction(1, 3), Fraction(1, 2), Fraction(3)
 
     def d_star(a: Fraction, b: Fraction) -> Fraction:

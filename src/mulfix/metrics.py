@@ -35,14 +35,18 @@ BASE_METRICS = ("euclidean", "manhattan", "chebyshev")
 def as_point(value) -> Point:
     """Coerce a scalar or coordinate sequence to a validated point tuple.
 
-    Every coordinate must be finite; a bare number becomes a 1-d point.
+    Every coordinate must be finite; a bare number becomes a 1-d point.  A
+    tuple of exact floats is checked and returned as it is, so a re-check
+    of a checked point builds nothing.
     """
-    if isinstance(value, bool):
+    if type(value) is tuple and all(type(c) is float for c in value):
+        coords: Point = value
+    elif isinstance(value, bool):
         raise DomainError("a point coordinate cannot be a bool")
-    if isinstance(value, (int, float, np.floating, np.integer)):
-        coords: Point = (float(value),)
+    elif isinstance(value, (int, float, np.floating, np.integer)):
+        coords = (float(value),)
     else:
-        coords = tuple(float(c) for c in value)
+        coords = tuple(map(float, value))
     if not coords:
         raise DomainError("a point needs at least one coordinate")
     for c in coords:
@@ -224,14 +228,20 @@ class MetricSpec(JsonConfig):
             return f"{self.kind} needs {word} coordinates, got {p}"
         return None
 
-    def _checked(self, points: Sequence) -> list[Point]:
-        """The points as tuples, all finite; DomainError ``point k: ...`` at
-        the first of another dimension than the first or outside this
-        metric's space (``_outside``), k counting the list given."""
-        pts = [as_point(p) for p in points]
-        for k, p in enumerate(pts):
-            if why := self._outside(p, len(pts[0])):
+    def _checked(self, points: Iterable) -> list[Point]:
+        """The points as tuples (``as_point``); DomainError ``point k: ...``
+        at the first that ``as_point`` rejects, of another dimension than the
+        first or outside this metric's space (``_outside``), k counting the
+        points given."""
+        pts: list[Point] = []
+        for k, p in enumerate(points):
+            try:
+                p = as_point(p)
+            except DomainError as exc:
+                raise DomainError(f"point {k}: {exc}") from None
+            if why := self._outside(p, len(pts[0]) if pts else len(p)):
                 raise DomainError(f"point {k}: {why}")
+            pts.append(p)
         return pts
 
     def log_distance(self, x, y) -> float:
@@ -419,8 +429,8 @@ def verify_axioms(metric, sample: Iterable) -> AxiomReport:
     (``_proved_empty``), its rounding margin forgiven; the scan runs at
     every middle, at tol, for a FunctionMetric or a non-finite table.
     """
-    points = [as_point(p) for p in sample]
-    D = metric.log_distance_matrix(points, points)
+    points = metric._checked(sample)
+    D = metric._log_distance_matrix(points, points)
     return _verify_axioms(equal_points(points), D, _proved_empty(metric, D))
 
 
@@ -485,8 +495,8 @@ def verify_reverse_triangle(metric, sample: Iterable) -> ReverseTriangleReport:
     finite table passes without a scan, as in ``verify_axioms``; the scan
     runs at every triple, at tol, for a FunctionMetric or a non-finite table.
     """
-    points = [as_point(p) for p in sample]
-    D = metric.log_distance_matrix(points, points)
+    points = metric._checked(sample)
+    D = metric._log_distance_matrix(points, points)
     return _verify_reverse_triangle(D, _proved_empty(metric, D))
 
 

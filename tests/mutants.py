@@ -234,8 +234,24 @@ MUTANTS = (
            "from .errors import MulfixError", "from .errors import ConfigError as MulfixError",
            ("tests/test_experiment_cli.py::test_a_drawn_config_run_keeps_the_exit_contract",)),
     Mutant("a warning handler added at every call", "src/mulfix/cli.py",
-           'addHandler(_WARNINGS)', "addHandler(_Warnings())",
+           "@cache  # one handler per process", "# one handler per process",
            ("tests/test_experiment_cli.py::test_each_run_in_one_process_warns_once",)),
+    Mutant("logging loaded with the condition checks", "src/mulfix/conditions.py",
+           "import io\nimport json\nimport math\n",
+           "import io\nimport json\nimport logging\nimport math\n",
+           ("tests/test_experiment_cli.py::"
+            "test_a_run_and_its_report_load_no_logging_csv_or_fractions",)),
+    Mutant("a kept point tuple not checked for finiteness", "src/mulfix/metrics.py",
+           "        coords: Point = value\n", "        return value\n",
+           ("tests/test_metrics.py::"
+            "test_as_point_keeps_a_tuple_of_floats_and_still_checks_it",)),
+    Mutant("a non-finite point named one past its index", "src/mulfix/metrics.py",
+           '"point {k}: {exc}"', '"point {k + 1}: {exc}"',
+           ("tests/test_conditions.py::"
+            "test_every_check_of_a_sample_names_its_non_finite_point",)),
+    Mutant("phi-rejected pairs left in the evaluated columns", "src/mulfix/conditions.py",
+           "columns = [c[evaluated[table.usable]] for c in usable]", "columns = usable",
+           (CLASSIFY_REFERENCE,)),
     Mutant("looser fixed-point tolerance", "src/mulfix/experiment.py",
            "_FIXED_POINT_TOL = 1e-8", "_FIXED_POINT_TOL = 1e-7",
            ("tests/test_experiment_cli.py::"

@@ -450,6 +450,20 @@ def test_every_check_of_a_sample_names_its_point_outside_the_space(call):
     assert str(err.value) == "point 2: exp_reciprocal needs nonzero coordinates, got (0.0,)"
 
 
+@pytest.mark.parametrize("call", [
+    lambda sample: mx.verify_axioms(RECIP, sample),
+    lambda sample: mx.verify_reverse_triangle(RECIP, sample),
+    lambda sample: mx.classify(RECIP, mx.SelfMapSpec.scale(0.5), sample),
+    lambda sample: mx.estimate_constants(RECIP, mx.SelfMapSpec.scale(0.5), sample),
+    lambda sample: RECIP.log_distance_matrix(sample[:2], sample[2:]),
+], ids=["verify_axioms", "verify_reverse_triangle", "classify", "estimate_constants",
+        "log_distance_matrix"])
+def test_every_check_of_a_sample_names_its_non_finite_point(call):
+    with pytest.raises(DomainError) as err:
+        call([(-1.0,), (-0.5,), (0.5,), (math.nan,)])
+    assert str(err.value) == "point 3: non-finite coordinate nan"
+
+
 def test_a_pole_in_the_sample_gives_error_records():
     sample = mx.grid_points(mx.Box(((0.0, 1.0),)), 5)
     report = mx.classify(EXPABS2, mx.SelfMapSpec.rational(-0.5), sample)

@@ -780,6 +780,34 @@ def test_a_closed_stdout_keeps_the_outputs_and_the_exit_code(tmp_path, command, 
     assert (tmp_path / "out" / "trace_000.json").exists()
 
 
+def test_say_writes_to_devnull_once_the_reader_closes_stdout(monkeypatch):
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w", encoding="utf-8") as stream:
+        monkeypatch.setattr(sys, "stdout", stream)
+        cli._say("lost")  # the closed pipe: stdout now goes to os.devnull
+        assert os.path.samestat(os.fstat(write), os.stat(os.devnull))
+        cli._say("lost too")
+
+
+def test_a_run_and_its_report_load_no_logging_csv_or_fractions(tmp_path):
+    # in a fresh interpreter, after numpy: pytest loads logging here, and
+    # only a warning, the CLI, pairs.csv or remark_2_5 need the three
+    code = "\n".join([
+        "import os, sys, numpy",
+        "before = set(sys.modules)",
+        "import mulfix, mulfix.cli",
+        "for name in mulfix.FIXTURE_NAMES[:3]:  # the pipeline fixtures",
+        "    os.mkdir(out := os.path.join(sys.argv[1], name))",
+        "    mulfix.write_report(mulfix.run_experiment(mulfix.fixture_config(name)), out)",
+        "print(sorted({'logging', 'csv', 'fractions', 'decimal'} & (set(sys.modules) - before)))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    assert (tmp_path / "example_3_17" / "report.json").exists()
+
+
 def test_write_report_rejects_an_unknown_format_before_writing(tmp_path, report_3_16):
     with pytest.raises(ConfigError, match="unknown output format 'xml'") as err:
         write_report(report_3_16, tmp_path, fmt="xml")

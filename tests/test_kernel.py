@@ -455,7 +455,7 @@ def bound_rows(trace):
 @pytest.mark.parametrize("metric, bad, message", [
     (mx.MetricSpec.star_product(), (-1.0,),
      "point 1: star_product needs positive coordinates, got (-1.0,)"),
-    (mx.MetricSpec.exp_abs(2.0), (math.nan,), "non-finite coordinate nan"),
+    (mx.MetricSpec.exp_abs(2.0), (math.nan,), "point 1: non-finite coordinate nan"),
     (mx.MetricSpec.exp_abs(2.0), (1.0, 2.0), "point 1: dimension mismatch: 1 vs 2"),
 ], ids=["outside-the-space", "nan", "mixed-dimensions"])
 @pytest.mark.parametrize("scan", [
@@ -475,7 +475,8 @@ def test_a_function_metric_rejects_points_of_mixed_dimension_everywhere():
     for call in (lambda sample: mx.verify_axioms(ZIPPED, sample),
                  lambda sample: mx.verify_reverse_triangle(ZIPPED, sample),
                  lambda sample: mx.classify(ZIPPED, mx.SelfMapSpec.scale(0.5), sample),
-                 lambda sample: bound_rows(hand_built(ZIPPED, sample))):
+                 lambda sample: bound_rows(hand_built(ZIPPED, sample)),
+                 lambda sample: ZIPPED.log_distance_matrix(sample, sample[:1])):
         with pytest.raises(DomainError) as err:
             call([(1.0,), (1.0, 2.0), (3.0,)])
         assert str(err.value) == "point 1: dimension mismatch: 1 vs 2"

@@ -76,6 +76,11 @@ def test_box_validation_and_membership():
     assert mx.Box.from_json(box.to_json()) == box
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_grid_points_of_no_points_is_empty(n):
+    assert grid_points(mx.Box(((0.0, 1.0), (2.0, 3.0))), n) == []
+
+
 def test_grid_points_one_dimensional_endpoints():
     box = mx.Box(((0.1, 1.0),))
     pts = grid_points(box, 50)

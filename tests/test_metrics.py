@@ -63,7 +63,36 @@ def test_as_point_rejects(bad):
         mx.as_point(bad)
 
 
+def test_as_point_keeps_a_tuple_of_floats_and_still_checks_it():
+    p = (1.0, -2.5)
+    assert mx.as_point(p) is p
+    with pytest.raises(DomainError, match="non-finite coordinate nan"):
+        mx.as_point((math.nan,))
+    with pytest.raises(DomainError, match="non-finite coordinate inf"):
+        mx.as_point((1.0, math.inf))
+    # anything else is converted to a new tuple of exact floats
+    for value, expected in [((1, 2), (1.0, 2.0)), ([1.5, 2], (1.5, 2.0)), (3, (3.0,)),
+                            ((np.float64(0.5),), (0.5,)), (np.array([4.0]), (4.0,))]:
+        p = mx.as_point(value)
+        assert p == expected and p is not value
+        assert type(p) is tuple and all(type(c) is float for c in p)
+
+
 # -- distances ---------------------------------------------------------------
+
+
+def test_a_lifted_metric_defaults_to_euclidean_at_base_2():
+    assert mx.MetricSpec("lifted") == mx.MetricSpec("lifted", a=2.0, base="euclidean")
+    assert mx.MetricSpec("lifted", base="chebyshev").a == 2.0
+
+
+def test_a_function_metrics_distance_is_its_function_at_checked_points():
+    metric = mx.FunctionMetric(lambda x, y: 1.0 + abs(x[0] - y[0]))
+    assert metric.distance(2, [3.5]) == 2.5
+    with pytest.raises(DomainError, match="^point 1: dimension mismatch: 1 vs 2$"):
+        metric.distance((1.0,), (1.0, 2.0))
+    with pytest.raises(DomainError, match="^point 0: non-finite coordinate nan$"):
+        metric.distance(math.nan, 1.0)
 
 
 def test_star_product_reference_values():
@@ -273,12 +302,19 @@ NEGATIVE_CONTROLS = {
 
 @dataclasses.dataclass(frozen=True)
 class TableMetric:
-    """Log distances read from a table by each point's first coordinate."""
+    """Log distances read from a table by each point's first coordinate,
+    through the two entries the axiom checks read of a metric: the sample
+    checked once by ``_checked``, then its table."""
 
     table: tuple
 
-    def log_distance_matrix(self, X, Y):
+    def _checked(self, points):
+        return [mx.as_point(p) for p in points]
+
+    def _log_distance_matrix(self, X, Y):
         return np.array([[self.table[int(x[0])][int(y[0])] for y in Y] for x in X])
+
+    log_distance_matrix = _log_distance_matrix
 
 
 # 0-1 symmetric but for a NaN; 0-2 at distance 1 (log 0) and 1-2 at log

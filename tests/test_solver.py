@@ -245,6 +245,23 @@ def test_stalled_cycle_restarts_from_a_limit_point():
     assert result.trace.points[0] == (1.0,)
 
 
+def test_observed_continuity_skips_where_the_map_fails():
+    # halving under exp_abs: every observed ratio is exactly 1/2, but the
+    # map fails at 0.5, which the observation skips as a point of the
+    # trace and gives no ratio at as the limit point
+    def half_but_at_one_half(p):
+        if p[0] == 0.5:
+            raise ZeroDivisionError("no image at 0.5")
+        return (p[0] / 2,)
+
+    points = tuple((2.0 ** -k,) for k in range(1, 5))  # 0.5, 0.25, 0.125, 0.0625
+    trace = mx.IterationTrace(EXPABS_E, points, (0.0,) * (len(points) - 1))
+    observe = lambda z: solver._observed_continuity(EXPABS_E, half_but_at_one_half,
+                                                   trace, z, math.e)
+    assert observe((0.0,)) == 0.5
+    assert observe((0.5,)) is None
+
+
 def test_pole_in_the_map_ends_the_run_as_diverged():
     # x -> 1/(x - 1) from 2.0 hits the pole at its second step: 2 -> 1 -> pole
     shifted = mx.SelfMapSpec.rational(-1.0)
