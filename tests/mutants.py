@@ -243,12 +243,11 @@ MUTANTS = (
             "test_a_run_and_its_report_load_no_logging_csv_or_fractions",)),
     Mutant("a kept point tuple not checked for finiteness", "src/mulfix/metrics.py",
            "        coords: Point = value\n", "        return value\n",
-           ("tests/test_metrics.py::"
-            "test_as_point_keeps_a_tuple_of_floats_and_still_checks_it",)),
+           ("tests/test_metrics.py::test_as_point_rejects",)),
     Mutant("a non-finite point named one past its index", "src/mulfix/metrics.py",
            '"point {k}: {exc}"', '"point {k + 1}: {exc}"',
            ("tests/test_conditions.py::"
-            "test_every_check_of_a_sample_names_its_non_finite_point",)),
+            "test_every_check_of_a_sample_names_its_point_outside_the_space",)),
     Mutant("phi-rejected pairs left in the evaluated columns", "src/mulfix/conditions.py",
            "columns = [c[evaluated[table.usable]] for c in usable]", "columns = usable",
            (CLASSIFY_REFERENCE,)),

@@ -442,24 +442,16 @@ def test_a_sample_point_outside_the_space_is_bad_input(call):
     lambda sample: mx.verify_axioms(RECIP, sample),
     lambda sample: mx.verify_reverse_triangle(RECIP, sample),
     lambda sample: mx.classify(RECIP, mx.SelfMapSpec.scale(0.5), sample),
-], ids=["verify_axioms", "verify_reverse_triangle", "classify"])
+    lambda sample: mx.estimate_constants(RECIP, mx.SelfMapSpec.scale(0.5), sample),
+    lambda sample: RECIP.log_distance_matrix(sample[:2], sample[2:]),
+], ids=["verify_axioms", "verify_reverse_triangle", "classify", "estimate_constants",
+        "log_distance_matrix"])
 def test_every_check_of_a_sample_names_its_point_outside_the_space(call):
     # exp_reciprocal lives on nonzero coordinates: 0.0 is no point of it
     with pytest.raises(DomainError) as err:
         call([(-1.0,), (-0.5,), (0.0,), (0.5,)])
     assert str(err.value) == "point 2: exp_reciprocal needs nonzero coordinates, got (0.0,)"
-
-
-@pytest.mark.parametrize("call", [
-    lambda sample: mx.verify_axioms(RECIP, sample),
-    lambda sample: mx.verify_reverse_triangle(RECIP, sample),
-    lambda sample: mx.classify(RECIP, mx.SelfMapSpec.scale(0.5), sample),
-    lambda sample: mx.estimate_constants(RECIP, mx.SelfMapSpec.scale(0.5), sample),
-    lambda sample: RECIP.log_distance_matrix(sample[:2], sample[2:]),
-], ids=["verify_axioms", "verify_reverse_triangle", "classify", "estimate_constants",
-        "log_distance_matrix"])
-def test_every_check_of_a_sample_names_its_non_finite_point(call):
-    with pytest.raises(DomainError) as err:
+    with pytest.raises(DomainError) as err:  # nor is a non-finite point
         call([(-1.0,), (-0.5,), (0.5,), (math.nan,)])
     assert str(err.value) == "point 3: non-finite coordinate nan"
 

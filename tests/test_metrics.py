@@ -52,30 +52,19 @@ def test_star_abs_product_identity_exact_on_rationals():
 
 
 def test_as_point_coercion():
-    assert mx.as_point(2) == (2.0,)
-    assert mx.as_point([1, 2.5]) == (1.0, 2.5)
-    assert mx.as_point(np.float64(3.0)) == (3.0,)
+    p = (1.0, -2.5)
+    assert mx.as_point(p) is p  # a tuple of exact floats is kept
+    for value, expected in [(2, (2.0,)), ([1, 2.5], (1.0, 2.5)), (np.float64(3.0), (3.0,)),
+                            ((1, 2), (1.0, 2.0)), ((np.float64(0.5),), (0.5,)),
+                            (np.array([4.0]), (4.0,))]:
+        p = mx.as_point(value)
+        assert p == expected and type(p) is tuple and all(type(c) is float for c in p)
 
 
 @pytest.mark.parametrize("bad", [(), (float("nan"),), (1.0, float("inf")), True])
 def test_as_point_rejects(bad):
     with pytest.raises(DomainError):
         mx.as_point(bad)
-
-
-def test_as_point_keeps_a_tuple_of_floats_and_still_checks_it():
-    p = (1.0, -2.5)
-    assert mx.as_point(p) is p
-    with pytest.raises(DomainError, match="non-finite coordinate nan"):
-        mx.as_point((math.nan,))
-    with pytest.raises(DomainError, match="non-finite coordinate inf"):
-        mx.as_point((1.0, math.inf))
-    # anything else is converted to a new tuple of exact floats
-    for value, expected in [((1, 2), (1.0, 2.0)), ([1.5, 2], (1.5, 2.0)), (3, (3.0,)),
-                            ((np.float64(0.5),), (0.5,)), (np.array([4.0]), (4.0,))]:
-        p = mx.as_point(value)
-        assert p == expected and p is not value
-        assert type(p) is tuple and all(type(c) is float for c in p)
 
 
 # -- distances ---------------------------------------------------------------
